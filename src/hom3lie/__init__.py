@@ -72,7 +72,6 @@ from .representations import (
     adjoint_rep,
     coadjoint_rep,
     dual_rep,
-    rho_apply,
     semidirect_product,
     verify_representation,
 )

@@ -3,15 +3,17 @@
 Subcommands: verify, derivations, extend, series, metric, reconstruct,
 fixtures.  Exit codes: 0 when every selected check passed, 1 when a
 check failed or a precondition was violated (the verdict names the
-reason), 2 on malformed input.  Output is a deterministic verdict,
+reason), 2 on malformed input, inputs of mismatched dimensions or an
+output path that cannot be written.  Output is a deterministic verdict,
 rendered as text by default or as canonical JSON with ``--json``.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -20,12 +22,13 @@ from .algebras import (
     AlgebraReport,
     Hom3LieAlgebra,
     direct_sum,
+    verify_axioms,
     verify_hom_jacobi,
     verify_multiplicative,
     verify_regular,
 )
 from .derivations import derivation_extension, derivation_space, inner_space
-from .errors import PreconditionError
+from .errors import DimensionMismatch, PreconditionError
 from .extensions import t_star_extension, t_theta_extension, verify_metric
 from .io import (
     FileFormatError,
@@ -99,17 +102,9 @@ class Verdict:
 
 
 def _violations_payload(report: AlgebraReport) -> list[dict]:
-    out = []
-    for v in report.violations:
-        out.append(
-            {
-                "identity": v.identity,
-                "indices": [i + 1 for i in v.indices],
-                "left": vec_to_dense(v.left),
-                "right": vec_to_dense(v.right),
-            }
-        )
-    return out
+    return [{"identity": v.identity, "indices": [i + 1 for i in v.indices],
+             "left": vec_to_dense(v.left), "right": vec_to_dense(v.right)}
+            for v in report.violations]
 
 
 def _emit(verdict: Verdict, as_json: bool) -> int:
@@ -173,25 +168,9 @@ def cmd_derivations(args: argparse.Namespace) -> int:
 
 
 def _report_flags(report: AlgebraReport) -> dict[str, bool]:
-    flags = {}
-    if report.skew_ok is not None:
-        flags["skew"] = report.skew_ok
-    if report.hom_jacobi_ok is not None:
-        flags["jacobi"] = report.hom_jacobi_ok
-    if report.multiplicative_ok is not None:
-        flags["multiplicative"] = report.multiplicative_ok
-    return flags
-
-
-def _verify_both(alg: Hom3LieAlgebra) -> AlgebraReport:
-    rep = verify_hom_jacobi(alg).merged(verify_multiplicative(alg))
-    return AlgebraReport(
-        skew_ok=True,
-        hom_jacobi_ok=rep.hom_jacobi_ok,
-        multiplicative_ok=rep.multiplicative_ok,
-        violations=rep.violations,
-        violations_total=rep.violations_total,
-    )
+    flags = {"skew": report.skew_ok, "jacobi": report.hom_jacobi_ok,
+             "multiplicative": report.multiplicative_ok}
+    return {name: ok for name, ok in flags.items() if ok is not None}
 
 
 def _resolve_rep(alg: Hom3LieAlgebra, source: str):
@@ -216,21 +195,16 @@ def cmd_extend(args: argparse.Namespace) -> int:
         if kind == "direct-sum":
             arity(2)
             result = direct_sum(load_algebra(inputs[0]), load_algebra(inputs[1]))
-            report = _verify_both(result)
+            report = verify_axioms(result)
             data = {"algebra": algebra_to_dict(result)}
         elif kind == "derivation":
             arity(2)
             alg = load_algebra(inputs[0])
             dmat = load_matrix(inputs[1])
             ext, report = derivation_extension(alg, dmat)
-            table = []
-            for i in range(ext.dim):
-                for j in range(ext.dim):
-                    for k in range(ext.dim):
-                        v = ext.value(i, j, k)
-                        if not v.is_zero():
-                            table.append({"args": [i + 1, j + 1, k + 1],
-                                          "value": vec_to_dense(v)})
+            table = [{"args": [i + 1 for i in key], "value": vec_to_dense(v)}
+                     for key in itertools.product(range(ext.dim), repeat=3)
+                     if not (v := ext.value(*key)).is_zero()]
             data = {
                 "dim": ext.dim,
                 "alpha_prime": mat_to_lists(ext.twist),
@@ -239,18 +213,13 @@ def cmd_extend(args: argparse.Namespace) -> int:
             }
             # the literal extension rule is not skew, so only the
             # extension-theorem verdict and the twist check gate the exit
-            report = AlgebraReport(
-                hom_jacobi_ok=report.hom_jacobi_ok,
-                multiplicative_ok=report.multiplicative_ok,
-                violations=report.violations,
-                violations_total=report.violations_total,
-            )
+            report = replace(report, skew_ok=None, regular_ok=None)
         elif kind == "semidirect":
             arity(2)
             alg = load_algebra(inputs[0])
             rep = _resolve_rep(alg, inputs[1])
             result = semidirect_product(alg, rep)
-            report = _verify_both(result)
+            report = verify_axioms(result)
             data = {"algebra": algebra_to_dict(result)}
         elif kind == "t-theta":
             arity(3)
@@ -264,7 +233,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
             alg = load_algebra(inputs[0])
             _, th = load_cocycle(inputs[1], algebra=alg)
             result, form = t_star_extension(alg, th)
-            report = _verify_both(result)
+            report = verify_axioms(result)
             data = {"algebra": algebra_to_dict(result), "q_gram": mat_to_lists(form.gram)}
         else:
             raise FileFormatError(f"unknown extension kind {kind!r}")
@@ -425,7 +394,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileFormatError as exc:
+    except (FileFormatError, DimensionMismatch, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

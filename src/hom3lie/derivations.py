@@ -13,12 +13,13 @@ are available exactly when the twist is an algebra automorphism.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebras import (
     MAX_WITNESSES,
     AlgebraReport,
     Hom3LieAlgebra,
+    Violation,
     WitnessLog,
     increasing_triples,
     skew_violations,
@@ -33,6 +34,7 @@ from .linalg import (
     rank,
     subspace_contains,
 )
+from .sparse import support
 
 
 def twist_power(L: Hom3LieAlgebra, k: int) -> Mat:
@@ -107,36 +109,32 @@ def derivation_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
     al = L.twist
     rows: list[list] = []
 
-    def coeffs() -> list:
-        return [0] * (n * n)
-
     # D a - a D = 0, one equation per output entry (p, q).
     for p in range(n):
         for q in range(n):
-            row = coeffs()
+            row = [0] * (n * n)
             for c in range(n):
                 row[p * n + c] += al.at(c, q)
                 row[c * n + q] -= al.at(p, c)
             rows.append(row)
 
     # Twisted Leibniz rule on each increasing triple, one equation per
-    # output coordinate.  [D e_i, a^k e_j, a^k e_k] is linear in column
-    # i of D, with coefficient vectors [e_r, a^k e_j, a^k e_k].
-    akc = [ak.col(i) for i in range(n)]
+    # output coordinate.  [D e_i, a^k e_j, a^k e_k] = [a^k e_j, a^k e_k, D e_i]
+    # is linear in column i of D, with the twisted action of (a^k e_j,
+    # a^k e_k) as coefficient matrix; likewise for the other two slots.
+    akc = [support(ak.col(i)) for i in range(n)]
     for i, j, kk in increasing_triples(n):
-        bval = L.bracket_basis(i, j, kk)
-        term = {
-            i: [L.bracket(Vec.basis(n, r), akc[j], akc[kk]) for r in range(n)],
-            j: [L.bracket(akc[i], Vec.basis(n, r), akc[kk]) for r in range(n)],
-            kk: [L.bracket(akc[i], akc[j], Vec.basis(n, r)) for r in range(n)],
-        }
+        bval = L.alt.get(i, j, kk)
+        terms = [(i, L.alt.partial(akc[j], akc[kk])), (j, L.alt.partial(akc[kk], akc[i])),
+                 (kk, L.alt.partial(akc[i], akc[j]))]
         for out in range(n):
-            row = coeffs()
-            for t, bt in bval.nonzero():
+            row = [0] * (n * n)
+            for t, bt in bval.items():
                 row[out * n + t] += bt
-            for col, vecs in term.items():
-                for r in range(n):
-                    row[r * n + col] -= vecs[r][out]
+            for col, action in terms:
+                for r, vec in action.items():
+                    if out in vec:
+                        row[r * n + col] -= vec[out]
             rows.append(row)
 
     sol = nullspace(Mat.from_rows(rows, cols=n * n))
@@ -191,11 +189,23 @@ class DerivationExtension:
     argument is a plain basis vector or has no rescaled D-coordinate.
     """
 
-    dim: int
-    values: tuple[tuple[tuple[Vec, ...], ...], ...]
-    twist: Mat
     base: Hom3LieAlgebra
     derivation: Mat
+    values: tuple[tuple[tuple[Vec, ...], ...], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        basis = [Vec.basis(self.dim, i) for i in range(self.dim)]
+        values = tuple(tuple(tuple(self.rule(x, y, z) for z in basis) for y in basis)
+                       for x in basis)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim + 1
+
+    @property
+    def twist(self) -> Mat:
+        return self.base.twist.block_diag(Mat.identity(1))
 
     def value(self, i: int, j: int, k: int) -> Vec:
         return self.values[i][j][k]
@@ -225,18 +235,9 @@ class DerivationExtension:
         n = self.dim
         if len(x) != n or len(y) != n or len(z) != n:
             raise DimensionMismatch("arguments must match the extension dimension")
-        acc = [v for v in Vec.zero(n)]
-        for i, xi in x.nonzero():
-            for j, yj in y.nonzero():
-                xy = xi * yj
-                for k, zk in z.nonzero():
-                    val = self.values[i][j][k]
-                    if val.is_zero():
-                        continue
-                    c = xy * zk
-                    for t, vt in val.nonzero():
-                        acc[t] += c * vt
-        return Vec(tuple(acc))
+        terms = (self.values[i][j][k].scale(xi * yj * zk)
+                 for i, xi in x.nonzero() for j, yj in y.nonzero() for k, zk in z.nonzero())
+        return sum(terms, Vec.zero(n))
 
 
 def derivation_extension(L: Hom3LieAlgebra, d: Mat) -> tuple[DerivationExtension, AlgebraReport]:
@@ -267,36 +268,8 @@ def derivation_extension(L: Hom3LieAlgebra, d: Mat) -> tuple[DerivationExtension
     if (d.rows, d.cols) != (n, n):
         raise DimensionMismatch("derivation candidate has the wrong shape")
     nn = n + 1
-
-    def part(i: int) -> tuple[Vec, int]:
-        if i < n:
-            return Vec.basis(n, i), 0
-        return Vec.zero(n), 1
-
-    def embed(v: Vec) -> Vec:
-        return v.concat(Vec.zero(1))
-
-    dense = []
-    for i in range(nn):
-        xi, li = part(i)
-        plane = []
-        for j in range(nn):
-            yj, mj = part(j)
-            line = []
-            for k in range(nn):
-                zk, nk = part(k)
-                val = L.bracket(xi, yj, zk)
-                if li:
-                    val = val + d.apply(yj)
-                if mj:
-                    val = val + d.apply(zk)
-                if nk:
-                    val = val - d.apply(xi)
-                line.append(embed(val))
-            plane.append(tuple(line))
-        dense.append(tuple(plane))
-    twist = L.twist.block_diag(Mat.identity(1))
-    ext = DerivationExtension(nn, tuple(dense), twist, L, d)
+    ext = DerivationExtension(L, d)
+    twist = ext.twist
 
     skew = skew_violations(nn, ext.value)
 
@@ -306,11 +279,10 @@ def derivation_extension(L: Hom3LieAlgebra, d: Mat) -> tuple[DerivationExtension
         lhs = twist.apply(ext.value(i, j, k))
         rhs = ext.rule(tcols[i], tcols[j], tcols[k])
         if lhs != rhs:
-            mult.add("multiplicative", (i, j, k), lhs, rhs)
+            mult.add(Violation("multiplicative", (i, j, k), lhs, rhs))
 
     jac = WitnessLog()
     dslot = n  # basis index of D inside the extension
-    basis = [Vec.basis(nn, i) for i in range(nn)]
     for a in range(nn):
         second_slots = list(range(n)) if a < n else []
         second_slots.append(dslot)
@@ -319,12 +291,12 @@ def derivation_extension(L: Hom3LieAlgebra, d: Mat) -> tuple[DerivationExtension
                 inner = ext.value(u, v, w)
                 lhs = ext.rule(tcols[a], tcols[b], inner)
                 rhs = (
-                    ext.rule(ext.rule(basis[a], basis[b], basis[u]), tcols[v], tcols[w])
-                    + ext.rule(tcols[u], ext.rule(basis[a], basis[b], basis[v]), tcols[w])
-                    + ext.rule(tcols[u], tcols[v], ext.rule(basis[a], basis[b], basis[w]))
+                    ext.rule(ext.value(a, b, u), tcols[v], tcols[w])
+                    + ext.rule(tcols[u], ext.value(a, b, v), tcols[w])
+                    + ext.rule(tcols[u], tcols[v], ext.value(a, b, w))
                 )
                 if lhs != rhs:
-                    jac.add("hom_jacobi", (a, b, u, v, w), lhs, rhs)
+                    jac.add(Violation("hom_jacobi", (a, b, u, v, w), lhs, rhs))
 
     hom_jacobi_ok = jac.clean and mult.clean
     witnesses = tuple((skew.items + jac.items + mult.items)[:MAX_WITNESSES])

@@ -12,22 +12,28 @@ q((x,f), (y,g)) = f(y) + g(x) is always non-degenerate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebras import (
-    MAX_WITNESSES,
     AlgebraReport,
     Hom3LieAlgebra,
+    WitnessLog,
     increasing_triples,
     is_morphism,
-    sort3,
-    verify_hom_jacobi,
-    verify_multiplicative,
+    preserves_bracket,
+    verify_axioms,
 )
 from .errors import CocycleInvalid, DimensionMismatch, RepresentationInvalid
 from .linalg import Mat, Vec, hstack, rank, vstack
-from .representations import Representation, _semidirect_table, coadjoint_rep, verify_representation
+from .representations import (
+    Representation,
+    _semidirect_table,
+    coadjoint_rep,
+    twisted_rho,
+    verify_representation,
+)
+from .sparse import AltTable, add_matvec, matvec, pruned, signed_perms, sparse_cols
 
 
 @dataclass(frozen=True)
@@ -35,58 +41,29 @@ class Cocycle:
     """Skew trilinear map from algebra triples into a module.
 
     ``table`` maps increasing 0-based triples to module vectors; zero
-    values are omitted and the full map is the skew extension.
+    values are omitted and the full map is the skew extension, evaluated
+    by the sparse alternating table ``alt``.
     """
 
     algebra_dim: int
     module_dim: int
     table: dict[tuple[int, int, int], Vec]
+    alt: AltTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        clean: dict[tuple[int, int, int], Vec] = {}
-        for key, value in self.table.items():
-            i, j, k = key
-            if not (0 <= i < j < k < self.algebra_dim):
-                raise DimensionMismatch(f"cocycle key {key} is not strictly increasing in range")
-            if len(value) != self.module_dim:
-                raise DimensionMismatch(f"cocycle value for {key} has the wrong length")
-            if not value.is_zero():
-                clean[key] = value
-        object.__setattr__(self, "table", clean)
+        alt = AltTable(3, self.algebra_dim, self.module_dim, self.table, "cocycle")
+        object.__setattr__(self, "table", alt.values)
+        object.__setattr__(self, "alt", alt)
 
     @staticmethod
     def zero(algebra_dim: int, module_dim: int) -> "Cocycle":
         return Cocycle(algebra_dim, module_dim, {})
 
     def value_basis(self, i: int, j: int, k: int) -> Vec:
-        s = sort3(i, j, k)
-        if s is None:
-            return Vec.zero(self.module_dim)
-        sign, key = s
-        value = self.table.get(key)
-        if value is None:
-            return Vec.zero(self.module_dim)
-        return value if sign == 1 else -value
+        return self.alt.basis_value(i, j, k)
 
     def apply(self, x: Vec, y: Vec, z: Vec) -> Vec:
-        if len(x) != self.algebra_dim or len(y) != self.algebra_dim or len(z) != self.algebra_dim:
-            raise DimensionMismatch("cocycle arguments must match the algebra dimension")
-        acc = [c for c in Vec.zero(self.module_dim)]
-        for i, xi in x.nonzero():
-            for j, yj in y.nonzero():
-                if j == i:
-                    continue
-                xy = xi * yj
-                for k, zk in z.nonzero():
-                    if k == i or k == j:
-                        continue
-                    val = self.value_basis(i, j, k)
-                    if val.is_zero():
-                        continue
-                    c = xy * zk
-                    for t, vt in val.nonzero():
-                        acc[t] += c * vt
-        return Vec(tuple(acc))
+        return self.alt.evaluate(x, y, z)
 
     def __add__(self, other: "Cocycle") -> "Cocycle":
         if (self.algebra_dim, self.module_dim) != (other.algebra_dim, other.module_dim):
@@ -135,31 +112,33 @@ def verify_cocycle(L: Hom3LieAlgebra, r: Representation, th: Cocycle) -> Cocycle
         + rho(ay, az) theta(x,u,v) + rho(az, ax) theta(y,u,v)
         + rho(ax, ay) theta(z,u,v) - rho(au, av) theta(x,y,z)
 
-    must vanish.
+    must vanish.  The twisted contractions Theta_yz = theta(., ay, az)
+    and rho(ay, az) are computed once per call, which makes every term
+    a sparse mat-vec: theta(X, ay, az) = Theta_yz X, and by skewness
+    theta(ax, ay, X) = Theta_xy X.
     """
     n = L.dim
     if th.algebra_dim != n or r.algebra_dim != n or th.module_dim != r.module_dim:
         raise DimensionMismatch("algebra, representation and cocycle dimensions must agree")
-    acols = L.twist_cols()
-    raa = {(i, j): r.apply(acols[i], acols[j]) for i in range(n) for j in range(n)}
-    witnesses: list[tuple[int, ...]] = []
-    total = 0
+    acols = L.twist_supports()
+    # Theta_yz: X -> theta(ay, az, X) = theta(X, ay, az)
+    taa = {(y, z): th.alt.partial(acols[y], acols[z]) for y in range(n) for z in range(n)}
+    raa = twisted_rho(L, r)
+    b, th_at = L.alt.get, th.alt.get
+    log = WitnessLog()
     for x, y, z, u, v in itertools.product(range(n), repeat=5):
-        s = (
-            th.apply(L.bracket_basis(x, u, v), acols[y], acols[z])
-            + th.apply(L.bracket_basis(y, u, v), acols[z], acols[x])
-            + th.apply(acols[x], acols[y], L.bracket_basis(z, u, v))
-            - th.apply(L.bracket_basis(x, y, z), acols[u], acols[v])
-            + raa[(y, z)].apply(th.value_basis(x, u, v))
-            + raa[(z, x)].apply(th.value_basis(y, u, v))
-            + raa[(x, y)].apply(th.value_basis(z, u, v))
-            - raa[(u, v)].apply(th.value_basis(x, y, z))
-        )
-        if not s.is_zero():
-            total += 1
-            if len(witnesses) < MAX_WITNESSES:
-                witnesses.append((x, y, z, u, v))
-    return CocycleReport(ok=total == 0, witnesses=tuple(witnesses), violations_total=total)
+        acc: dict = {}
+        add_matvec(acc, taa[y, z], b(x, u, v))
+        add_matvec(acc, taa[z, x], b(y, u, v))
+        add_matvec(acc, taa[x, y], b(z, u, v))
+        add_matvec(acc, taa[u, v], b(x, y, z), -1)
+        add_matvec(acc, raa[y, z], th_at(x, u, v))
+        add_matvec(acc, raa[z, x], th_at(y, u, v))
+        add_matvec(acc, raa[x, y], th_at(z, u, v))
+        add_matvec(acc, raa[u, v], th_at(x, y, z), -1)
+        if pruned(acc):
+            log.add((x, y, z, u, v))
+    return CocycleReport(ok=log.clean, witnesses=tuple(log.items), violations_total=log.total)
 
 
 def coboundary(L: Hom3LieAlgebra, r: Representation, f: Mat) -> Cocycle:
@@ -171,33 +150,14 @@ def coboundary(L: Hom3LieAlgebra, r: Representation, f: Mat) -> Cocycle:
     if f.cols != n or f.rows != r.module_dim:
         raise DimensionMismatch("coboundary map has the wrong shape")
     fc = [f.col(i) for i in range(n)]
-    table = {}
-    for i, j, k in increasing_triples(n):
-        value = (
-            f.apply(L.bracket_basis(i, j, k))
-            - r.rho_basis(i, j).apply(fc[k])
-            - r.rho_basis(k, i).apply(fc[j])
-            - r.rho_basis(j, k).apply(fc[i])
-        )
-        if not value.is_zero():
-            table[(i, j, k)] = value
+    table = {
+        (i, j, k): f.apply(L.bracket_basis(i, j, k))
+        - r.rho_basis(i, j).apply(fc[k])
+        - r.rho_basis(k, i).apply(fc[j])
+        - r.rho_basis(j, k).apply(fc[i])
+        for i, j, k in increasing_triples(n)
+    }
     return Cocycle(n, r.module_dim, table)
-
-
-def _t_theta_table(L: Hom3LieAlgebra, r: Representation, th: Cocycle) -> Hom3LieAlgebra:
-    """Unchecked theta-extension table: semidirect bracket plus theta."""
-    alg = _semidirect_table(L, r)
-    table = dict(alg.table)
-    n, m = L.dim, r.module_dim
-    zmod = Vec.zero(m)
-    for key, value in th.table.items():
-        base = table.get(key, Vec.zero(n + m))
-        combined = base + Vec.zero(n).concat(value)
-        if combined.is_zero():
-            table.pop(key, None)
-        else:
-            table[key] = combined
-    return Hom3LieAlgebra(n + m, table, alg.twist)
 
 
 def t_theta_extension(
@@ -225,16 +185,8 @@ def t_theta_extension(
             raise CocycleInvalid(
                 f"map fails the cocycle identity ({co.violations_total} violations)"
             )
-    alg = _t_theta_table(L, r, th)
-    report = verify_hom_jacobi(alg).merged(verify_multiplicative(alg))
-    report = AlgebraReport(
-        skew_ok=True,
-        hom_jacobi_ok=report.hom_jacobi_ok,
-        multiplicative_ok=report.multiplicative_ok,
-        violations=report.violations,
-        violations_total=report.violations_total,
-    )
-    return alg, report
+    alg = _semidirect_table(L, r, th.table)
+    return alg, verify_axioms(alg)
 
 
 def t_star_extension(L: Hom3LieAlgebra, th: Cocycle) -> tuple[Hom3LieAlgebra, BilinForm]:
@@ -252,7 +204,7 @@ def t_star_extension(L: Hom3LieAlgebra, th: Cocycle) -> tuple[Hom3LieAlgebra, Bi
     n = L.dim
     if th.algebra_dim != n or th.module_dim != n:
         raise DimensionMismatch("dual-space extension needs a cocycle with values in L*")
-    alg = _t_theta_table(L, coadjoint_rep(L), th)
+    alg = _semidirect_table(L, coadjoint_rep(L), th.table)
     return alg, hyperbolic_form(n)
 
 
@@ -283,27 +235,15 @@ def cyclic_part(th: Cocycle) -> Cocycle:
     n = th.algebra_dim
     if th.module_dim != n:
         raise DimensionMismatch("cyclic projection concerns cocycles with values in L*")
-    table = {}
-    denom = Fraction(1, 24)
-    perms = [(p, _parity(p)) for p in itertools.permutations(range(4))]
-    for i, j, k in increasing_triples(n):
-        entries = []
-        for l in range(n):
-            base = (i, j, k, l)
-            s = Fraction(0)
-            for p, sgn in perms:
-                a, b, c, d = (base[p[0]], base[p[1]], base[p[2]], base[p[3]])
-                s += sgn * th.value_basis(a, b, c)[d]
-            entries.append(s * denom)
-        value = Vec(tuple(entries))
-        if not value.is_zero():
-            table[(i, j, k)] = value
+    perms = signed_perms(4)
+
+    def alternated(w: tuple[int, ...]) -> Fraction:
+        terms = (sign * th.alt.get(w[p[0]], w[p[1]], w[p[2]]).get(w[p[3]], 0) for p, sign in perms)
+        return Fraction(sum(terms), 24)
+
+    table = {(i, j, k): Vec(tuple(alternated((i, j, k, l)) for l in range(n)))
+             for i, j, k in increasing_triples(n)}
     return Cocycle(n, n, table)
-
-
-def _parity(p: tuple[int, ...]) -> int:
-    inversions = sum(1 for a in range(len(p)) for b in range(a + 1, len(p)) if p[a] > p[b])
-    return -1 if inversions % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -334,26 +274,22 @@ def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> MetricReport:
     gram = form.gram
     symmetric = gram == gram.transpose()
     nondeg = rank(gram) == n
-    gt = gram.transpose()
-    witnesses: list[tuple[int, ...]] = []
-    total = 0
+    gt = sparse_cols(gram.transpose())
+    log = WitnessLog()
     for a, b in itertools.product(range(n), repeat=2):
-        # paired(c)[d] = B([e_a, e_b, e_c], e_d)
-        paired = [gt.apply(alg.bracket_basis(a, b, c)) for c in range(n)]
-        for c in range(n):
-            for dd in range(n):
-                if paired[c][dd] + paired[dd][c] != 0:
-                    total += 1
-                    if len(witnesses) < MAX_WITNESSES:
-                        witnesses.append((a, b, c, dd))
+        # paired[c][d] = B([e_a, e_b, e_c], e_d)
+        paired = [matvec(gt, alg.alt.get(a, b, c)) for c in range(n)]
+        for c, dd in itertools.product(range(n), repeat=2):
+            if paired[c].get(dd, 0) + paired[dd].get(c, 0) != 0:
+                log.add((a, b, c, dd))
     twist_inv = alg.twist.transpose() @ gram @ alg.twist == gram
     return MetricReport(
         symmetric_ok=symmetric,
         nondegenerate_ok=nondeg,
-        invariant_ok=total == 0,
+        invariant_ok=log.clean,
         twist_invariant_ok=twist_inv,
-        witnesses=tuple(witnesses),
-        violations_total=total,
+        witnesses=tuple(log.items),
+        violations_total=log.total,
     )
 
 
@@ -369,8 +305,8 @@ def shift_isomorphism(
     n, m = L.dim, r.module_dim
     if f.cols != n or f.rows != m:
         raise DimensionMismatch("shift map has the wrong shape")
-    src = _t_theta_table(L, r, th)
-    dst = _t_theta_table(L, r, th + coboundary(L, r, f))
+    src = _semidirect_table(L, r, th.table)
+    dst = _semidirect_table(L, r, (th + coboundary(L, r, f)).table)
     sigma = vstack([hstack([Mat.identity(n), Mat.zero(n, m)]),
                     hstack([f, Mat.identity(m)])])
     ok = rank(sigma) == n + m and is_morphism(sigma, src, dst)
@@ -385,10 +321,5 @@ def is_isometry(
         raise DimensionMismatch("isometry candidates must share one dimension")
     if (sigma.rows, sigma.cols) != (g.dim, g.dim):
         raise DimensionMismatch("isometry candidate has the wrong shape")
-    if rank(sigma) != g.dim:
-        return False
-    cols = [sigma.col(i) for i in range(g.dim)]
-    for i, j, k in increasing_triples(g.dim):
-        if sigma.apply(g.bracket_basis(i, j, k)) != gp.bracket(cols[i], cols[j], cols[k]):
-            return False
-    return sigma.transpose() @ bp.gram @ sigma == b.gram
+    return (rank(sigma) == g.dim and preserves_bracket(sigma, g, gp)
+            and sigma.transpose() @ bp.gram @ sigma == b.gram)

@@ -1,11 +1,11 @@
 """JSON codecs for every value the command line reads or writes.
 
 Rationals serialize as strings ``"p/q"`` (or ``"p"`` when the
-denominator is one); plain integers are accepted as shorthand on input
-and floats are rejected.  Basis indices are 1-based in files and
-0-based in the Python API.  Output is canonical: sorted keys, two-space
-indent, a single trailing newline, so equal values produce identical
-bytes.
+denominator is one); plain integers are accepted as shorthand on input,
+floats and decimal or exponent strings are rejected.  Basis indices are
+1-based in files and 0-based in the Python API.  Output is canonical:
+sorted keys, two-space indent, a single trailing newline, so equal
+values produce identical bytes.
 
 Schemas
 -------
@@ -27,14 +27,18 @@ loaded standalone, an explicitly supplied algebra always wins.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .algebras import Hom3LieAlgebra
 from .extensions import BilinForm, Cocycle
 from .linalg import Mat, Subspace, Vec
 from .representations import Representation
+
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class FileFormatError(ValueError):
@@ -55,9 +59,11 @@ def parse_rat(x: Any, where: str) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if not _RATIONAL.fullmatch(x):  # Fraction alone also takes "0.5", "1e3"
+            raise FileFormatError(f"bad rational literal {x!r}", where)
         try:
             return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:
             raise FileFormatError(f"bad rational literal {x!r}", where) from exc
     raise FileFormatError(f"expected an exact rational, got {type(x).__name__}", where)
 
@@ -141,14 +147,39 @@ def _args_tuple(raw: Any, count: int, n: int, where: str) -> tuple[int, ...]:
     return tuple(x - 1 for x in idx)
 
 
+def _keyed_list(table: dict, field: str, encode: Callable[[Any], Any]) -> list[dict]:
+    """Inverse of :func:`_keyed_entries`: entries in key order, 1-based."""
+    return [{"args": [a + 1 for a in key], field: encode(v)} for key, v in sorted(table.items())]
+
+
+def _keyed_entries(d: Any, key: str, count: int, n: int, where: str, what: str,
+                   parse: Callable[[Any, str], Any], field: str) -> dict:
+    """The list ``d[key]`` of {"args": increasing indices, field: value} entries."""
+    raw = _expect(d, key, where)
+    if not isinstance(raw, list):
+        raise FileFormatError("expected a list", f"{where}.{key}")
+    table: dict = {}
+    for pos, entry in enumerate(raw):
+        loc = f"{where}.{key}[{pos}]"
+        args = _args_tuple(_expect(entry, "args", loc), count, n, f"{loc}.args")
+        if args in table:
+            raise FileFormatError(f"duplicate {what} for {[a + 1 for a in args]}", loc)
+        table[args] = parse(_expect(entry, field, loc), f"{loc}.{field}")
+    return table
+
+
+def _module_dim(d: Any, where: str) -> int:
+    m = _expect_int(_expect(d, "module_dim", where), f"{where}.module_dim")
+    if m < 1:
+        raise FileFormatError("module dimension must be positive", f"{where}.module_dim")
+    return m
+
+
 # -- algebra ---------------------------------------------------------------
 
 
 def algebra_to_dict(L: Hom3LieAlgebra) -> dict:
-    brackets = [
-        {"args": [i + 1, j + 1, k + 1], "value": vec_to_sparse(v)}
-        for (i, j, k), v in sorted(L.table.items())
-    ]
+    brackets = _keyed_list(L.table, "value", vec_to_sparse)
     return {"dim": L.dim, "alpha": mat_to_lists(L.twist), "brackets": brackets}
 
 
@@ -157,16 +188,8 @@ def algebra_from_dict(d: Any, where: str = "algebra") -> Hom3LieAlgebra:
     if n < 1:
         raise FileFormatError("dimension must be positive", f"{where}.dim")
     alpha = mat_from_lists(_expect(d, "alpha", where), f"{where}.alpha", rows=n, cols=n)
-    raw_brackets = _expect(d, "brackets", where)
-    if not isinstance(raw_brackets, list):
-        raise FileFormatError("expected a list", f"{where}.brackets")
-    table: dict[tuple[int, int, int], Vec] = {}
-    for pos, entry in enumerate(raw_brackets):
-        loc = f"{where}.brackets[{pos}]"
-        args = _args_tuple(_expect(entry, "args", loc), 3, n, f"{loc}.args")
-        if args in table:
-            raise FileFormatError(f"duplicate bracket for {list(a + 1 for a in args)}", loc)
-        table[args] = vec_from_sparse(_expect(entry, "value", loc), n, f"{loc}.value")
+    table = _keyed_entries(d, "brackets", 3, n, where, "bracket",
+                           lambda raw, loc: vec_from_sparse(raw, n, loc), "value")
     return Hom3LieAlgebra(n, table, alpha)
 
 
@@ -174,36 +197,18 @@ def algebra_from_dict(d: Any, where: str = "algebra") -> Hom3LieAlgebra:
 
 
 def representation_to_dict(r: Representation, algebra_ref: str) -> dict:
-    rho = [
-        {"args": [i + 1, j + 1], "matrix": mat_to_lists(m)}
-        for (i, j), m in sorted(r.table.items())
-    ]
-    return {
-        "algebra": algebra_ref,
-        "module_dim": r.module_dim,
-        "A": mat_to_lists(r.twist),
-        "rho": rho,
-    }
+    rho = _keyed_list(r.table, "matrix", mat_to_lists)
+    return {"algebra": algebra_ref, "module_dim": r.module_dim, "A": mat_to_lists(r.twist),
+            "rho": rho}
 
 
 def representation_from_dict(
     d: Any, algebra: Hom3LieAlgebra, where: str = "representation"
 ) -> Representation:
-    m = _expect_int(_expect(d, "module_dim", where), f"{where}.module_dim")
-    if m < 1:
-        raise FileFormatError("module dimension must be positive", f"{where}.module_dim")
+    m = _module_dim(d, where)
     twist = mat_from_lists(_expect(d, "A", where), f"{where}.A", rows=m, cols=m)
-    raw = _expect(d, "rho", where)
-    if not isinstance(raw, list):
-        raise FileFormatError("expected a list", f"{where}.rho")
-    table: dict[tuple[int, int], Mat] = {}
-    for pos, entry in enumerate(raw):
-        loc = f"{where}.rho[{pos}]"
-        i, j = _args_tuple(_expect(entry, "args", loc), 2, algebra.dim, f"{loc}.args")
-        if (i, j) in table:
-            raise FileFormatError(f"duplicate action for {[i + 1, j + 1]}", loc)
-        table[(i, j)] = mat_from_lists(_expect(entry, "matrix", loc), f"{loc}.matrix",
-                                       rows=m, cols=m)
+    table = _keyed_entries(d, "rho", 2, algebra.dim, where, "action",
+                           lambda raw, loc: mat_from_lists(raw, loc, rows=m, cols=m), "matrix")
     return Representation(algebra.dim, m, twist, table)
 
 
@@ -211,27 +216,14 @@ def representation_from_dict(
 
 
 def cocycle_to_dict(th: Cocycle, algebra_ref: str) -> dict:
-    theta = [
-        {"args": [i + 1, j + 1, k + 1], "value": vec_to_sparse(v)}
-        for (i, j, k), v in sorted(th.table.items())
-    ]
+    theta = _keyed_list(th.table, "value", vec_to_sparse)
     return {"algebra": algebra_ref, "module_dim": th.module_dim, "theta": theta}
 
 
 def cocycle_from_dict(d: Any, algebra: Hom3LieAlgebra, where: str = "cocycle") -> Cocycle:
-    m = _expect_int(_expect(d, "module_dim", where), f"{where}.module_dim")
-    if m < 1:
-        raise FileFormatError("module dimension must be positive", f"{where}.module_dim")
-    raw = _expect(d, "theta", where)
-    if not isinstance(raw, list):
-        raise FileFormatError("expected a list", f"{where}.theta")
-    table: dict[tuple[int, int, int], Vec] = {}
-    for pos, entry in enumerate(raw):
-        loc = f"{where}.theta[{pos}]"
-        args = _args_tuple(_expect(entry, "args", loc), 3, algebra.dim, f"{loc}.args")
-        if args in table:
-            raise FileFormatError(f"duplicate value for {[a + 1 for a in args]}", loc)
-        table[args] = vec_from_sparse(_expect(entry, "value", loc), m, f"{loc}.value")
+    m = _module_dim(d, where)
+    table = _keyed_entries(d, "theta", 3, algebra.dim, where, "value",
+                           lambda raw, loc: vec_from_sparse(raw, m, loc), "value")
     return Cocycle(algebra.dim, m, table)
 
 
@@ -289,41 +281,38 @@ def read_json(path: Union[str, Path]) -> Any:
 
 
 def write_json(path: Union[str, Path], payload: Any) -> None:
-    Path(path).write_text(canonical_dumps(payload), encoding="utf-8")
+    try:
+        Path(path).write_text(canonical_dumps(payload), encoding="utf-8")
+    except OSError as exc:
+        raise FileFormatError(f"cannot write: {exc.strerror or exc}", str(path)) from exc
 
 
 def load_algebra(path: Union[str, Path]) -> Hom3LieAlgebra:
     return algebra_from_dict(read_json(path), where=str(path))
 
 
-def save_algebra(path: Union[str, Path], L: Hom3LieAlgebra) -> None:
-    write_json(path, algebra_to_dict(L))
+def _load_over(path: Union[str, Path], algebra: Optional[Hom3LieAlgebra], from_dict: Any) -> tuple:
+    """Load a file that refers to its algebra, resolving the reference if needed."""
+    p = Path(path)
+    d = read_json(p)
+    if algebra is None:
+        ref = _expect(d, "algebra", str(p))
+        if not isinstance(ref, str):
+            raise FileFormatError("algebra reference must be a path string", str(p))
+        algebra = load_algebra(p.parent / ref)
+    return algebra, from_dict(d, algebra, where=str(p))
 
 
 def load_representation(
     path: Union[str, Path], algebra: Optional[Hom3LieAlgebra] = None
 ) -> tuple[Hom3LieAlgebra, Representation]:
-    p = Path(path)
-    d = read_json(p)
-    if algebra is None:
-        ref = _expect(d, "algebra", str(p))
-        if not isinstance(ref, str):
-            raise FileFormatError("algebra reference must be a path string", str(p))
-        algebra = load_algebra(p.parent / ref)
-    return algebra, representation_from_dict(d, algebra, where=str(p))
+    return _load_over(path, algebra, representation_from_dict)
 
 
 def load_cocycle(
     path: Union[str, Path], algebra: Optional[Hom3LieAlgebra] = None
 ) -> tuple[Hom3LieAlgebra, Cocycle]:
-    p = Path(path)
-    d = read_json(p)
-    if algebra is None:
-        ref = _expect(d, "algebra", str(p))
-        if not isinstance(ref, str):
-            raise FileFormatError("algebra reference must be a path string", str(p))
-        algebra = load_algebra(p.parent / ref)
-    return algebra, cocycle_from_dict(d, algebra, where=str(p))
+    return _load_over(path, algebra, cocycle_from_dict)
 
 
 def load_matrix(path: Union[str, Path]) -> Mat:

@@ -93,12 +93,12 @@ class Vec:
         return sum((a * b for a, b in zip(self.entries, other.entries)), _ZERO)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not any(self.entries)
 
     def nonzero(self) -> Iterator[tuple[int, Fraction]]:
         """Yield (index, value) for the nonzero coordinates."""
         for i, a in enumerate(self.entries):
-            if a != 0:
+            if a:
                 yield i, a
 
     def concat(self, other: "Vec") -> "Vec":
@@ -213,11 +213,12 @@ class Mat:
         """Matrix-vector product."""
         if self.cols != len(v):
             raise DimensionMismatch(f"cannot apply {self.rows}x{self.cols} to length-{len(v)}")
+        nz = list(v.nonzero())
         out = []
         for i in range(self.rows):
             base = i * self.cols
             s = _ZERO
-            for k, x in v.nonzero():
+            for k, x in nz:
                 a = self.entries[base + k]
                 if a:
                     s += a * x
@@ -230,7 +231,7 @@ class Mat:
                          for c in range(self.cols) for r in range(self.rows)))
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not any(self.entries)
 
     def block_diag(self, other: "Mat") -> "Mat":
         rows = []
@@ -327,12 +328,8 @@ def rref(m: Mat) -> Mat:
 
 
 def _pivot_cols(reduced: Mat) -> list[int]:
-    pivots = []
-    for r in range(reduced.rows):
-        lead = next((c for c in range(reduced.cols) if reduced.at(r, c) != 0), None)
-        if lead is not None:
-            pivots.append(lead)
-    return pivots
+    rows = (reduced.row(r) for r in range(reduced.rows))
+    return [next(c for c, a in enumerate(row) if a != 0) for row in rows if not row.is_zero()]
 
 
 def rank(m: Mat) -> int:
@@ -446,11 +443,6 @@ def subspace_leq(a: Subspace, b: Subspace) -> bool:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
     return all(subspace_contains(b, v) for v in a.basis)
-
-
-def subspace_intersection_dim(a: Subspace, b: Subspace) -> int:
-    """dim(a ∩ b) via the dimension formula for sums."""
-    return a.dim + b.dim - subspace_sum(a, b).dim
 
 
 def residual_matrix(s: Subspace) -> Mat:

@@ -21,11 +21,23 @@ not commute with the action.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
-from .algebras import Hom3LieAlgebra
+from .algebras import Hom3LieAlgebra, WitnessLog
 from .errors import DimensionMismatch, RepresentationInvalid
 from .linalg import Mat, Vec
+from .sparse import (
+    AltTable,
+    SparseMat,
+    Support,
+    add_matvec,
+    matvec,
+    pruned,
+    sparse_cols,
+    support,
+    unflatten,
+)
 
 
 @dataclass(frozen=True)
@@ -34,57 +46,35 @@ class Representation:
 
     ``table`` maps increasing 0-based pairs (i, j) to the endomorphism
     rho(e_i, e_j); zero matrices are omitted.  ``twist`` is the module
-    twist A.
+    twist A.  ``alt`` is the sparse alternating table of the action,
+    with each matrix flattened row-major.
     """
 
     algebra_dim: int
     module_dim: int
     twist: Mat
     table: dict[tuple[int, int], Mat]
+    alt: AltTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = self.module_dim
         if (self.twist.rows, self.twist.cols) != (m, m):
             raise DimensionMismatch("module twist must be square of the module dimension")
-        clean: dict[tuple[int, int], Mat] = {}
-        for (i, j), mat in self.table.items():
-            if not (0 <= i < j < self.algebra_dim):
-                raise DimensionMismatch(f"action key {(i, j)} is not strictly increasing in range")
+        for key, mat in self.table.items():
             if (mat.rows, mat.cols) != (m, m):
-                raise DimensionMismatch(f"action value for {(i, j)} has the wrong shape")
-            if not mat.is_zero():
-                clean[(i, j)] = mat
-        object.__setattr__(self, "table", clean)
+                raise DimensionMismatch(f"action value for {key} has the wrong shape")
+        alt = AltTable(2, self.algebra_dim, m * m,
+                       {key: mat.vectorize() for key, mat in self.table.items()}, "action")
+        object.__setattr__(self, "table", {key: self.table[key] for key in alt.values})
+        object.__setattr__(self, "alt", alt)
 
     def rho_basis(self, i: int, j: int) -> Mat:
         """rho on two basis vectors, in any order, with sign extension."""
-        if i == j:
-            return Mat.zero(self.module_dim, self.module_dim)
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        mat = self.table.get((i, j))
-        if mat is None:
-            return Mat.zero(self.module_dim, self.module_dim)
-        return mat if sign == 1 else -mat
+        return Mat.unvectorize(self.module_dim, self.module_dim, self.alt.basis_value(i, j))
 
     def apply(self, x: Vec, y: Vec) -> Mat:
         """Bilinear skew extension rho(x, y) for arbitrary vectors."""
-        if len(x) != self.algebra_dim or len(y) != self.algebra_dim:
-            raise DimensionMismatch("action arguments must match the algebra dimension")
-        acc = Mat.zero(self.module_dim, self.module_dim)
-        for i, xi in x.nonzero():
-            for j, yj in y.nonzero():
-                if i == j:
-                    continue
-                mat = self.rho_basis(i, j)
-                if not mat.is_zero():
-                    acc = acc + mat.scale(xi * yj)
-        return acc
-
-
-def rho_apply(r: Representation, x: Vec, y: Vec) -> Mat:
-    return r.apply(x, y)
+        return Mat.unvectorize(self.module_dim, self.module_dim, self.alt.evaluate(x, y))
 
 
 @dataclass(frozen=True)
@@ -102,57 +92,86 @@ class RepresentationReport:
         return self.twist_ok and self.bracket_action_ok and self.exchange_ok
 
 
+def _products(m: int, pairs: list[tuple[SparseMat, Support]], start: Support) -> dict:
+    """start + sum of left @ right over ``pairs``, as a row-major accumulator.
+
+    The matrices are m x m: ``left`` is a sparse matrix of columns,
+    ``right`` and ``start`` are row-major flattened supports.
+    """
+    acc = dict(start)
+    for left, right in pairs:
+        for idx, v in right.items():
+            k, c = divmod(idx, m)
+            for row, a in left.get(k, {}).items():
+                key = row * m + c
+                acc[key] = acc[key] + a * v if key in acc else a * v
+    return acc
+
+
+def twisted_rho(L: Hom3LieAlgebra, r: Representation) -> dict[tuple[int, int], SparseMat]:
+    """rho(alpha e_p, alpha e_q) for every ordered pair, as sparse matrices."""
+    acols = L.twist_supports()
+    partials = [r.alt.partial(a) for a in acols]
+    return {(p, q): unflatten(matvec(partials[p], acols[q]), r.module_dim)
+            for p in range(L.dim) for q in range(L.dim)}
+
+
 def verify_representation(L: Hom3LieAlgebra, r: Representation) -> RepresentationReport:
-    """Sweep (R1) over basis pairs and (R2)-(R3) over basis quadruples."""
+    """Sweep (R1) over basis pairs and (R2)-(R3) over basis quadruples.
+
+    Matrices are sparse and flattened row-major.  The twisted actions
+    rho(a e_p, a e_q) and Q_u[t] = rho(a e_u, e_t) A are computed once
+    per call, so that rho([x,y,z], a u) A = -sum_t [x,y,z]_t Q_u[t] and
+    rho(a z, [x,y,u]) A = sum_t [x,y,u]_t Q_z[t] are sparse mat-vecs.
+    """
     if r.algebra_dim != L.dim:
         raise DimensionMismatch("representation is over a different algebra dimension")
-    n = L.dim
-    acols = L.twist_cols()
-    a = r.twist
-    raa = {(i, j): r.apply(acols[i], acols[j]) for i in range(n) for j in range(n)}
-    rho = r.rho_basis
+    n, m = L.dim, r.module_dim
+    acols = L.twist_supports()
+    a_flat, a_cols = support(r.twist.vectorize()), sparse_cols(r.twist)
+    rho, raa = r.alt.get, twisted_rho(L, r)
+    twisted = [{t: q for t, flat in r.alt.partial(a).items()  # t -> rho(a e_u, e_t) A
+                if (q := pruned(_products(m, [(unflatten(flat, m), a_flat)], {})))}
+               for a in acols]
 
-    witnesses: list[tuple[str, tuple[int, ...]]] = []
+    log = WitnessLog()
     totals = [0, 0, 0]
 
     def note(slot: int, name: str, idx: tuple[int, ...]) -> None:
         totals[slot] += 1
-        if len(witnesses) < 16:
-            witnesses.append((name, idx))
+        log.add((name, idx))
 
-    for i in range(n):
-        for j in range(n):
-            if raa[(i, j)] @ a != a @ rho(i, j):
-                note(0, "twist", (i, j))
+    for i, j in itertools.product(range(n), repeat=2):
+        lhs = _products(m, [(raa[i, j], a_flat)], {})
+        if pruned(lhs) != pruned(_products(m, [(a_cols, rho(i, j))], {})):
+            note(0, "twist", (i, j))
 
     for x, y, z, u in itertools.product(range(n), repeat=4):
-        rbr = r.apply(L.bracket_basis(x, y, z), acols[u])
-        lhs = rbr @ a
-        rhs = raa[(y, z)] @ rho(x, u) + raa[(z, x)] @ rho(y, u) + raa[(x, y)] @ rho(z, u)
-        if lhs != rhs:
+        rbr: dict = {}
+        add_matvec(rbr, twisted[u], L.alt.get(x, y, z), -1)
+        xy_zu = _products(m, [(raa[x, y], rho(z, u))], {})
+        rhs = _products(m, [(raa[y, z], rho(x, u)), (raa[z, x], rho(y, u))], xy_zu)
+        if pruned(rbr) != pruned(rhs):
             note(1, "bracket_action", (x, y, z, u))
-        lhs3 = raa[(x, y)] @ rho(z, u)
-        rhs3 = raa[(z, u)] @ rho(x, y) + rbr @ a + r.apply(acols[z], L.bracket_basis(x, y, u)) @ a
-        if lhs3 != rhs3:
+        rhs3 = _products(m, [(raa[z, u], rho(x, y))], rbr)
+        add_matvec(rhs3, twisted[z], L.alt.get(x, y, u))
+        if pruned(xy_zu) != pruned(rhs3):
             note(2, "exchange", (x, y, z, u))
 
     return RepresentationReport(
         twist_ok=totals[0] == 0,
         bracket_action_ok=totals[1] == 0,
         exchange_ok=totals[2] == 0,
-        witnesses=tuple(witnesses),
-        violations_total=sum(totals),
+        witnesses=tuple(log.items),
+        violations_total=log.total,
     )
 
 
 def adjoint_rep(L: Hom3LieAlgebra) -> Representation:
     """The algebra acting on itself by ad(x, y) = [x, y, .]."""
     n = L.dim
-    table = {}
-    for i, j in itertools.combinations(range(n), 2):
-        mat = Mat.from_cols([L.bracket_basis(i, j, c) for c in range(n)])
-        if not mat.is_zero():
-            table[(i, j)] = mat
+    table = {(i, j): Mat.from_cols([L.bracket_basis(i, j, c) for c in range(n)])
+             for i, j in itertools.combinations(range(n), 2)}
     return Representation(n, n, L.twist, table)
 
 
@@ -187,17 +206,20 @@ def semidirect_product(L: Hom3LieAlgebra, r: Representation) -> Hom3LieAlgebra:
     return _semidirect_table(L, r)
 
 
-def _semidirect_table(L: Hom3LieAlgebra, r: Representation) -> Hom3LieAlgebra:
-    """Unchecked semidirect-product table; see :func:`semidirect_product`."""
+def _semidirect_table(
+    L: Hom3LieAlgebra, r: Representation, theta: Optional[dict[tuple[int, int, int], Vec]] = None
+) -> Hom3LieAlgebra:
+    """Unchecked semidirect-product table; see :func:`semidirect_product`.
+
+    ``theta`` (increasing triples to module vectors) is added in the
+    module component, which gives the theta-extension table.
+    """
     n, m = L.dim, r.module_dim
-    table: dict[tuple[int, int, int], Vec] = {}
-    zmod = Vec.zero(m)
-    for key, value in L.table.items():
-        table[key] = value.concat(zmod)
-    zalg = Vec.zero(n)
+    zmod, zalg = Vec.zero(m), Vec.zero(n)
+    table = {key: value.concat(zmod) for key, value in L.table.items()}
     for (i, j), mat in r.table.items():
         for c in range(m):
-            col = mat.col(c)
-            if not col.is_zero():
-                table[(i, j, n + c)] = zalg.concat(col)
+            table[(i, j, n + c)] = zalg.concat(mat.col(c))
+    for key, value in (theta or {}).items():
+        table[key] = table.get(key, Vec.zero(n + m)) + zalg.concat(value)
     return Hom3LieAlgebra(n + m, table, L.twist.block_diag(r.twist))

@@ -1,0 +1,158 @@
+"""Sparse alternating multilinear maps over the exact rationals.
+
+One type, :class:`AltTable`, backs every skew structure of the package:
+the bracket of an algebra (three slots, values in the algebra), a
+cocycle (three slots, values in a module) and a representation (two
+slots, values in the module's endomorphisms, flattened row-major).
+Values are stored on strictly increasing basis keys; the full map is
+the unique alternating extension, so skew-symmetry holds by
+construction.
+
+Sparse values are plain dicts, read-only once built.  A *support* maps
+a coordinate to a nonzero Fraction; a *sparse matrix* maps a column
+index to a nonzero column support.  Evaluation visits only stored
+values whose indices lie in the supports of the arguments, so zero
+coordinates and zero structure constants cost nothing.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from functools import cached_property
+from typing import Mapping
+
+from .errors import DimensionMismatch
+from .linalg import Mat, Vec
+
+Support = dict[int, Fraction]
+SparseMat = dict[int, Support]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def signed_perms(k: int) -> list[tuple[tuple[int, ...], int]]:
+    """All permutations of range(k) with their signs, in itertools order."""
+    return [(p, (-1) ** sum(a > b for a, b in itertools.combinations(p, 2)))
+            for p in itertools.permutations(range(k))]
+
+
+def support(v: Vec) -> Support:
+    return {i: a for i, a in enumerate(v.entries) if a}
+
+
+def to_vec(s: Support, n: int) -> Vec:
+    entries = [_ZERO] * n
+    for i, a in s.items():
+        entries[i] = a
+    return Vec(tuple(entries))
+
+
+def sparse_cols(m: Mat) -> SparseMat:
+    cols = (support(m.col(c)) for c in range(m.cols))
+    return {c: s for c, s in enumerate(cols) if s}
+
+
+def unflatten(flat: Support, m: int) -> SparseMat:
+    """A row-major flattened m x m matrix as a sparse matrix."""
+    cols: SparseMat = {}
+    for idx, v in flat.items():
+        row, c = divmod(idx, m)
+        cols.setdefault(c, {})[row] = v
+    return cols
+
+
+def add_scaled(acc: dict[int, Fraction], c: Fraction, s: Support) -> None:
+    """acc += c * s in place; cancellations leave zeros (see :func:`pruned`)."""
+    for t, a in s.items():
+        acc[t] = acc[t] + c * a if t in acc else c * a
+
+
+def add_matvec(acc: dict[int, Fraction], m: SparseMat, x: Support, sign: int = 1) -> None:
+    """acc += sign * (m x) in place."""
+    for c, xc in x.items():
+        if c in m:
+            add_scaled(acc, xc if sign == 1 else -xc, m[c])
+
+
+def pruned(acc: dict[int, Fraction]) -> Support:
+    return {t: a for t, a in acc.items() if a}
+
+
+def matvec(m: SparseMat, x: Support) -> Support:
+    acc: dict[int, Fraction] = {}
+    add_matvec(acc, m, x)
+    return pruned(acc)
+
+
+class AltTable:
+    """Alternating multilinear map (Q^dim)^arity -> Q^size.
+
+    ``values`` holds the nonzero values on strictly increasing keys.
+    Every ordering of every stored key is indexed in ``trie``, nested
+    dicts whose leaves are signed supports, so a lookup on any ordered
+    key is a few dict reads.  The trie is built on first use, so that
+    loading a file pays only for validation.
+    """
+
+    def __init__(self, arity: int, dim: int, size: int,
+                 values: Mapping[tuple[int, ...], Vec], what: str) -> None:
+        self.arity, self.dim, self.size, self.what = arity, dim, size, what
+        self.values: dict[tuple[int, ...], Vec] = {}
+        for key, value in values.items():
+            if (len(key) != arity or not 0 <= key[0] <= key[-1] < dim
+                    or any(a >= b for a, b in zip(key, key[1:]))):
+                raise DimensionMismatch(f"{what} key {key} is not strictly increasing in range")
+            if len(value) != size:
+                raise DimensionMismatch(f"{what} value for {key} has the wrong length")
+            if not value.is_zero():
+                self.values[key] = value
+
+    @cached_property
+    def trie(self) -> dict:
+        trie: dict = {}
+        perms = signed_perms(self.arity)
+        for key, value in self.values.items():
+            pos = support(value)
+            neg = {t: -a for t, a in pos.items()}
+            for p, sign in perms:
+                node = trie
+                for slot in p[:-1]:
+                    node = node.setdefault(key[slot], {})
+                node[key[p[-1]]] = pos if sign == 1 else neg
+        return trie
+
+    def get(self, *idx: int) -> Support:
+        """Signed support of the value on basis vectors given in any order.
+
+        With one index fewer than the arity, the sparse matrix of the
+        last slot instead.
+        """
+        node = self.trie
+        for i in idx:
+            node = node.get(i)
+            if node is None:
+                return {}
+        return node
+
+    def partial(self, *args: Support) -> SparseMat:
+        """The last slot as a sparse matrix, the other slots fixed to ``args``."""
+        level = [(self.trie, _ONE)]
+        for x in args:
+            level = [(node[i], c * xi) for node, c in level for i, xi in x.items() if i in node]
+        cols: dict[int, dict[int, Fraction]] = {}
+        for node, c in level:
+            for k, val in node.items():
+                add_scaled(cols.setdefault(k, {}), c, val)
+        return {k: s for k, col in cols.items() if (s := pruned(col))}
+
+    def basis_value(self, *idx: int) -> Vec:
+        return to_vec(self.get(*idx), self.size)
+
+    def evaluate(self, *args: Vec) -> Vec:
+        """The multilinear map on arbitrary vectors."""
+        if any(len(x) != self.dim for x in args):
+            raise DimensionMismatch(f"{self.what} arguments must match the algebra dimension")
+        last = self.partial(*(support(x) for x in args[:-1]))
+        return to_vec(matvec(last, support(args[-1])), self.size)

@@ -246,12 +246,9 @@ def reconstruct_t_star(
         cols=k,
     )
 
-    table = {}
-    for p, q, r in increasing_triples(k):
-        br = g.bracket(lift.col(p), lift.col(q), lift.col(r))
-        value = delta.apply(ideal_coords.apply(br))
-        if not value.is_zero():
-            table[(p, q, r)] = value
+    cols = [lift.col(p) for p in range(k)]
+    table = {(p, q, r): delta.apply(ideal_coords.apply(g.bracket(cols[p], cols[q], cols[r])))
+             for p, q, r in increasing_triples(k)}
     theta = Cocycle(k, k, table)
 
     tstar, qform = t_star_extension(lq, theta)

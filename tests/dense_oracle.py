@@ -1,0 +1,172 @@
+"""Dense reference sweeps, kept as oracles for the library's sparse sweeps.
+
+These are the hom-Jacobi, multiplicativity, representation and cocycle
+sweeps written the direct way: every bracket, action and cocycle value
+is evaluated from the stored increasing-key table by its skew
+multilinear extension, one basis tuple of the arguments' supports at a
+time, with no twisted actions computed ahead.  They share no evaluation
+code with the library, so the library's reports must equal theirs field
+for field, witnesses included.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+from hom3lie.algebras import MAX_WITNESSES, AlgebraReport, Violation, increasing_triples
+from hom3lie.extensions import CocycleReport
+from hom3lie.linalg import Mat, Vec
+from hom3lie.representations import RepresentationReport
+
+
+def skew_value(table: dict, zero, idx: tuple[int, ...]):
+    """Value of the skew extension of ``table`` on a basis tuple."""
+    if len(set(idx)) < len(idx):
+        return zero
+    value = table.get(tuple(sorted(idx)))
+    if value is None:
+        return zero
+    inversions = sum(1 for a, b in itertools.combinations(idx, 2) if a > b)
+    return -value if inversions % 2 else value
+
+
+def multilinear(table: dict, zero, *args: Vec):
+    """The skew multilinear extension of ``table`` on arbitrary vectors."""
+    acc = zero
+    for terms in itertools.product(*(list(v.nonzero()) for v in args)):
+        idx = tuple(i for i, _ in terms)
+        coeff = Fraction(1)
+        for _, c in terms:
+            coeff *= c
+        acc = acc + skew_value(table, zero, idx).scale(coeff)
+    return acc
+
+
+def bracket(L, x: Vec, y: Vec, z: Vec) -> Vec:
+    return multilinear(L.table, Vec.zero(L.dim), x, y, z)
+
+
+def bracket_basis(L, i: int, j: int, k: int) -> Vec:
+    return skew_value(L.table, Vec.zero(L.dim), (i, j, k))
+
+
+def rho(r, x: Vec, y: Vec) -> Mat:
+    return multilinear(r.table, Mat.zero(r.module_dim, r.module_dim), x, y)
+
+
+def rho_basis(r, i: int, j: int) -> Mat:
+    return skew_value(r.table, Mat.zero(r.module_dim, r.module_dim), (i, j))
+
+
+def theta(th, x: Vec, y: Vec, z: Vec) -> Vec:
+    return multilinear(th.table, Vec.zero(th.module_dim), x, y, z)
+
+
+def theta_basis(th, i: int, j: int, k: int) -> Vec:
+    return skew_value(th.table, Vec.zero(th.module_dim), (i, j, k))
+
+
+def twist_cols(L) -> list[Vec]:
+    return [L.twist.col(i) for i in range(L.dim)]
+
+
+class _Log:
+    def __init__(self) -> None:
+        self.items: list = []
+        self.total = 0
+
+    def add(self, item) -> None:
+        self.total += 1
+        if len(self.items) < MAX_WITNESSES:
+            self.items.append(item)
+
+
+def hom_jacobi(L) -> AlgebraReport:
+    n = L.dim
+    acols = twist_cols(L)
+    w = _Log()
+    for a in range(n):
+        for b in range(n):
+            for u, v, wi in increasing_triples(n):
+                lhs = bracket(L, acols[a], acols[b], bracket_basis(L, u, v, wi))
+                rhs = (
+                    bracket(L, bracket_basis(L, a, b, u), acols[v], acols[wi])
+                    + bracket(L, acols[u], bracket_basis(L, a, b, v), acols[wi])
+                    + bracket(L, acols[u], acols[v], bracket_basis(L, a, b, wi))
+                )
+                if lhs != rhs:
+                    w.add(Violation("hom_jacobi", (a, b, u, v, wi), lhs, rhs))
+    return AlgebraReport(hom_jacobi_ok=w.total == 0, violations=tuple(w.items),
+                         violations_total=w.total)
+
+
+def multiplicative(L) -> AlgebraReport:
+    acols = twist_cols(L)
+    w = _Log()
+    for i, j, k in increasing_triples(L.dim):
+        lhs = L.twist.apply(bracket_basis(L, i, j, k))
+        rhs = bracket(L, acols[i], acols[j], acols[k])
+        if lhs != rhs:
+            w.add(Violation("multiplicative", (i, j, k), lhs, rhs))
+    return AlgebraReport(multiplicative_ok=w.total == 0, violations=tuple(w.items),
+                         violations_total=w.total)
+
+
+def representation(L, r) -> RepresentationReport:
+    n = L.dim
+    acols = twist_cols(L)
+    a = r.twist
+    raa = {(i, j): rho(r, acols[i], acols[j]) for i in range(n) for j in range(n)}
+    w = _Log()
+    totals = [0, 0, 0]
+
+    def note(slot: int, name: str, idx: tuple[int, ...]) -> None:
+        totals[slot] += 1
+        w.add((name, idx))
+
+    for i in range(n):
+        for j in range(n):
+            if raa[(i, j)] @ a != a @ rho_basis(r, i, j):
+                note(0, "twist", (i, j))
+    for x, y, z, u in itertools.product(range(n), repeat=4):
+        rbr = rho(r, bracket_basis(L, x, y, z), acols[u])
+        lhs = rbr @ a
+        rhs = (raa[(y, z)] @ rho_basis(r, x, u) + raa[(z, x)] @ rho_basis(r, y, u)
+               + raa[(x, y)] @ rho_basis(r, z, u))
+        if lhs != rhs:
+            note(1, "bracket_action", (x, y, z, u))
+        lhs3 = raa[(x, y)] @ rho_basis(r, z, u)
+        rhs3 = (raa[(z, u)] @ rho_basis(r, x, y) + rbr @ a
+                + rho(r, acols[z], bracket_basis(L, x, y, u)) @ a)
+        if lhs3 != rhs3:
+            note(2, "exchange", (x, y, z, u))
+    return RepresentationReport(
+        twist_ok=totals[0] == 0,
+        bracket_action_ok=totals[1] == 0,
+        exchange_ok=totals[2] == 0,
+        witnesses=tuple(w.items),
+        violations_total=w.total,
+    )
+
+
+def cocycle(L, r, th) -> CocycleReport:
+    n = L.dim
+    acols = twist_cols(L)
+    raa = {(i, j): rho(r, acols[i], acols[j]) for i in range(n) for j in range(n)}
+    b, t = bracket_basis, theta_basis
+    w = _Log()
+    for x, y, z, u, v in itertools.product(range(n), repeat=5):
+        s = (
+            theta(th, b(L, x, u, v), acols[y], acols[z])
+            + theta(th, b(L, y, u, v), acols[z], acols[x])
+            + theta(th, acols[x], acols[y], b(L, z, u, v))
+            - theta(th, b(L, x, y, z), acols[u], acols[v])
+            + raa[(y, z)].apply(t(th, x, u, v))
+            + raa[(z, x)].apply(t(th, y, u, v))
+            + raa[(x, y)].apply(t(th, z, u, v))
+            - raa[(u, v)].apply(t(th, x, y, z))
+        )
+        if not s.is_zero():
+            w.add((x, y, z, u, v))
+    return CocycleReport(ok=w.total == 0, witnesses=tuple(w.items), violations_total=w.total)

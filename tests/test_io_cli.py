@@ -300,3 +300,47 @@ def test_cli_text_output(capsys):
     assert main(["verify", data_file("N4")]) == 0
     out = capsys.readouterr().out
     assert "check jacobi: pass" in out
+
+
+def test_parse_rat_rejects_decimal_and_exponent_literals(tmp_path, capsys):
+    for bad in ("0.5", "1.0", "1e3", "-2.5/3", " 1", "1_000", "inf"):
+        with pytest.raises(FileFormatError):
+            parse_rat(bad, "x")
+    assert parse_rat("+7", "x") == 7 and parse_rat("-10/4", "x") == Fraction(-5, 2)
+    d = algebra_to_dict(l3())
+    d["brackets"][0]["value"]["1"] = "0.5"
+    path = tmp_path / "decimal.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    assert "bad rational literal '0.5'" in capsys.readouterr().err
+
+
+def _assert_one_line_error(capsys) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["derivations", data_file("A4"), "--output"],
+    ["extend", "direct-sum", data_file("A4"), data_file("L3"), "--output"],
+])
+def test_cli_output_into_a_missing_directory_exits_2(tmp_path, capsys, argv):
+    target = tmp_path / "nodir" / "out.json"
+    assert main(argv + [str(target)]) == 2
+    _assert_one_line_error(capsys)
+    assert not target.exists()
+
+
+def test_cli_output_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    assert main(["fixtures", "--output-dir", str(blocker)]) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_cli_metric_with_a_form_of_the_wrong_dimension_exits_2(tmp_path, capsys):
+    form = tmp_path / "form2.json"
+    write_json(form, {"dim": 2, "gram": [["0", "1"], ["1", "0"]]})
+    assert main(["metric", data_file("A4"), str(form)]) == 2
+    _assert_one_line_error(capsys)

@@ -14,7 +14,6 @@ from hom3lie.representations import (
     adjoint_rep,
     coadjoint_rep,
     dual_rep,
-    rho_apply,
     semidirect_product,
     verify_representation,
 )
@@ -27,12 +26,12 @@ def e13():
 def test_rho_apply_examples():
     r = adjoint_rep(l3())
     e = lambda i: Vec.basis(3, i)
-    assert rho_apply(r, e(0), e(0)).is_zero()
-    assert rho_apply(r, e(0), e(1)) == e13()
-    assert rho_apply(r, e(0).scale(2), e(1)) == e13().scale(2)
-    assert rho_apply(r, e(1), e(0)) == -e13()
+    assert r.apply(e(0), e(0)).is_zero()
+    assert r.apply(e(0), e(1)) == e13()
+    assert r.apply(e(0).scale(2), e(1)) == e13().scale(2)
+    assert r.apply(e(1), e(0)) == -e13()
     with pytest.raises(DimensionMismatch):
-        rho_apply(r, Vec.basis(4, 0), e(1))
+        r.apply(Vec.basis(4, 0), e(1))
 
 
 def test_adjoint_values():

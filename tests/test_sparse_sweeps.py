@@ -1,0 +1,139 @@
+"""The sparse identity sweeps against the dense reference sweeps.
+
+Hypothesis perturbs structure constants, twists, actions and cocycles of
+the fixtures and of the Yau twist of A4, whose twist is dense.  Every
+report must equal the dense oracle's field for field: flags, totals,
+and the witness tuples with their evaluated sides, in sweep order.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dense_oracle as oracle
+from hom3lie.algebras import (
+    MAX_WITNESSES,
+    Hom3LieAlgebra,
+    increasing_triples,
+    verify_hom_jacobi,
+    verify_multiplicative,
+)
+from hom3lie.extensions import Cocycle, coboundary, t_star_extension, verify_cocycle
+from hom3lie.fixtures import a4, catalog
+from hom3lie.linalg import Mat, Vec
+from hom3lie.representations import (
+    Representation,
+    adjoint_rep,
+    coadjoint_rep,
+    verify_representation,
+)
+
+
+def _rotation(n: int, i: int, j: int) -> Mat:
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    rows[i][i], rows[i][j] = Fraction(3, 5), Fraction(-4, 5)
+    rows[j][i], rows[j][j] = Fraction(4, 5), Fraction(3, 5)
+    return Mat.from_rows(rows)
+
+
+def yau_a4() -> Hom3LieAlgebra:
+    """Yau twist of A4 by the dense rotation R12 R23 R34 (an automorphism)."""
+    alpha = _rotation(4, 0, 1) @ _rotation(4, 1, 2) @ _rotation(4, 2, 3)
+    return Hom3LieAlgebra(4, {key: alpha.apply(v) for key, v in a4().table.items()}, alpha)
+
+
+BASES = list(catalog().values()) + [yau_a4()]
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+@st.composite
+def perturbed(draw, bases=BASES):
+    """A base algebra with a few structure constants and twist entries changed."""
+    L = draw(st.sampled_from(bases))
+    n = L.dim
+    table = dict(L.table)
+    for key in draw(st.lists(st.sampled_from(list(increasing_triples(n))), max_size=2)):
+        delta = Vec(tuple(draw(st.lists(small, min_size=n, max_size=n))))
+        table[key] = table.get(key, Vec.zero(n)) + delta
+    twist = [[L.twist.at(r, c) for c in range(n)] for r in range(n)]
+    if draw(st.booleans()):
+        twist[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] += draw(small)
+    return Hom3LieAlgebra(n, table, Mat.from_rows(twist))
+
+
+@given(perturbed())
+def test_hom_jacobi_and_multiplicativity_match_the_dense_sweeps(L):
+    assert verify_hom_jacobi(L) == oracle.hom_jacobi(L)
+    assert verify_multiplicative(L) == oracle.multiplicative(L)
+
+
+@st.composite
+def module_pairs(draw):
+    """A (perturbed) algebra with a perturbed adjoint or coadjoint action."""
+    L = draw(perturbed())
+    r = draw(st.sampled_from([adjoint_rep, coadjoint_rep]))(L)
+    n, m = L.dim, r.module_dim
+    table = dict(r.table)
+    if draw(st.booleans()):
+        key = draw(st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)]))
+        delta = Mat.from_rows([draw(st.lists(small, min_size=m, max_size=m)) for _ in range(m)])
+        table[key] = table.get(key, Mat.zero(m, m)) + delta
+    return L, Representation(n, m, r.twist, table)
+
+
+@settings(max_examples=20)
+@given(module_pairs())
+def test_representation_sweep_matches_the_dense_sweep(pair):
+    L, r = pair
+    assert verify_representation(L, r) == oracle.representation(L, r)
+
+
+@settings(max_examples=12)
+@given(module_pairs(), st.data())
+def test_cocycle_sweep_matches_the_dense_sweep(pair, data):
+    L, r = pair
+    n, m = L.dim, r.module_dim
+    keys = data.draw(st.lists(st.sampled_from(list(increasing_triples(n))), max_size=2))
+    table = {key: Vec(tuple(data.draw(st.lists(small, min_size=m, max_size=m))))
+             for key in keys}
+    th = Cocycle(n, m, table)
+    assert verify_cocycle(L, r, th) == oracle.cocycle(L, r, th)
+
+
+def test_truncated_witnesses_match_the_dense_sweeps():
+    # inputs with more than MAX_WITNESSES violations of each identity
+    ya = yau_a4()
+    table = dict(ya.table)
+    table[0, 1, 2] = table[0, 1, 2] + Vec.of(1, 0, 0, 0)
+    L = Hom3LieAlgebra(4, table, ya.twist)
+    jac = verify_hom_jacobi(L)
+    assert jac.violations_total > MAX_WITNESSES and len(jac.violations) == MAX_WITNESSES
+    assert jac == oracle.hom_jacobi(L)
+
+    tstar, _ = t_star_extension(ya, coboundary(ya, coadjoint_rep(ya), Mat.diagonal([1, 2, 3, 4])))
+    bent = Hom3LieAlgebra(tstar.dim, tstar.table, tstar.twist.scale(2))
+    mult = verify_multiplicative(bent)
+    assert mult.violations_total > MAX_WITNESSES
+    assert mult == oracle.multiplicative(bent)
+
+    r = adjoint_rep(ya)
+    r = Representation(4, 4, r.twist.scale(2), r.table)
+    rep = verify_representation(ya, r)
+    assert rep.violations_total > MAX_WITNESSES
+    assert rep == oracle.representation(ya, r)
+
+    th = Cocycle(4, 4, {(0, 1, 2): Vec.of(1, 0, 0, 0), (1, 2, 3): Vec.of(0, 2, 0, -1)})
+    co = verify_cocycle(ya, adjoint_rep(ya), th)
+    assert co.violations_total > MAX_WITNESSES
+    assert co == oracle.cocycle(ya, adjoint_rep(ya), th)
+
+
+@pytest.mark.parametrize("L", BASES[-2:], ids=["A4", "A4y"])
+def test_bracket_matches_the_dense_extension_on_dense_arguments(L):
+    cols = oracle.twist_cols(L)
+    x = cols[0] + cols[1].scale(3)
+    for y, z in ((cols[2], cols[3]), (x, cols[3]), (cols[1], x)):
+        assert L.bracket(x, y, z) == oracle.bracket(L, x, y, z)
