@@ -29,21 +29,15 @@ from .errors import DimensionMismatch, IdealRequired
 from .linalg import (
     Mat,
     Subspace,
+    Support,
     Vec,
+    pruned,
     rank,
     subspace_contains,
-)
-from .sparse import (
-    AltTable,
-    SparseMat,
-    Support,
-    add_matvec,
-    matvec,
-    pruned,
-    signed_perms,
     support,
     to_vec,
 )
+from .sparse import AltTable, SparseMat, add_matvec, matvec, signed_perms
 
 MAX_WITNESSES = 16
 

@@ -251,6 +251,8 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
+    if args.max_steps < 1:
+        raise FileFormatError(f"--max-steps must be at least 1, got {args.max_steps}")
     alg = load_algebra(args.file)
     kind = {"derived": "derived", "descending": "central_descending",
             "ascending": "central_ascending"}[args.kind]

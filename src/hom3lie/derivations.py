@@ -29,12 +29,14 @@ from .errors import DimensionMismatch, FixedPointRequired, RegularTwistRequired
 from .linalg import (
     Mat,
     Subspace,
+    Support,
     Vec,
     nullspace,
+    pruned,
     rank,
     subspace_contains,
+    support,
 )
-from .sparse import support
 
 
 def twist_power(L: Hom3LieAlgebra, k: int) -> Mat:
@@ -106,17 +108,17 @@ def derivation_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
     """
     n = L.dim
     ak = twist_power(L, k)
-    al = L.twist
-    rows: list[list] = []
+    acols = L.twist_supports()
+    arows = [support(L.twist.row(p)) for p in range(n)]
+    rows: list[Support] = []
 
     # D a - a D = 0, one equation per output entry (p, q).
     for p in range(n):
         for q in range(n):
-            row = [0] * (n * n)
-            for c in range(n):
-                row[p * n + c] += al.at(c, q)
-                row[c * n + q] -= al.at(p, c)
-            rows.append(row)
+            row = {p * n + c: a for c, a in acols[q].items()}
+            for c, a in arows[p].items():
+                row[c * n + q] = row.get(c * n + q, 0) - a
+            rows.append(pruned(row))
 
     # Twisted Leibniz rule on each increasing triple, one equation per
     # output coordinate.  [D e_i, a^k e_j, a^k e_k] = [a^k e_j, a^k e_k, D e_i]
@@ -128,16 +130,14 @@ def derivation_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
         terms = [(i, L.alt.partial(akc[j], akc[kk])), (j, L.alt.partial(akc[kk], akc[i])),
                  (kk, L.alt.partial(akc[i], akc[j]))]
         for out in range(n):
-            row = [0] * (n * n)
-            for t, bt in bval.items():
-                row[out * n + t] += bt
+            row = {out * n + t: bt for t, bt in bval.items()}
             for col, action in terms:
                 for r, vec in action.items():
                     if out in vec:
-                        row[r * n + col] -= vec[out]
-            rows.append(row)
+                        row[r * n + col] = row.get(r * n + col, 0) - vec[out]
+            rows.append(pruned(row))
 
-    sol = nullspace(Mat.from_rows(rows, cols=n * n))
+    sol = nullspace(Mat.from_supports(rows, n * n))
     basis = tuple(Mat.unvectorize(n, n, v) for v in sol.basis)
     return DerivationSpace(k, n, basis)
 

@@ -25,7 +25,7 @@ from .algebras import (
     verify_axioms,
 )
 from .errors import CocycleInvalid, DimensionMismatch, RepresentationInvalid
-from .linalg import Mat, Vec, hstack, rank, vstack
+from .linalg import Mat, Vec, pruned, rank
 from .representations import (
     Representation,
     _semidirect_table,
@@ -33,7 +33,7 @@ from .representations import (
     twisted_rho,
     verify_representation,
 )
-from .sparse import AltTable, add_matvec, matvec, pruned, signed_perms, sparse_cols
+from .sparse import AltTable, add_matvec, matvec, signed_perms, sparse_cols
 
 
 @dataclass(frozen=True)
@@ -307,8 +307,8 @@ def shift_isomorphism(
         raise DimensionMismatch("shift map has the wrong shape")
     src = _semidirect_table(L, r, th.table)
     dst = _semidirect_table(L, r, (th + coboundary(L, r, f)).table)
-    sigma = vstack([hstack([Mat.identity(n), Mat.zero(n, m)]),
-                    hstack([f, Mat.identity(m)])])
+    sigma = Mat.from_rows([Vec.basis(n + m, i) for i in range(n)]
+                          + [f.row(i).concat(Vec.basis(m, i)) for i in range(m)], cols=n + m)
     ok = rank(sigma) == n + m and is_morphism(sigma, src, dst)
     return sigma, ok
 

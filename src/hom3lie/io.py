@@ -39,6 +39,7 @@ from .representations import Representation
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INDEX = re.compile(r"[1-9][0-9]*")
 
 
 class FileFormatError(ValueError):
@@ -91,11 +92,10 @@ def vec_from_sparse(d: Any, n: int, where: str) -> Vec:
         raise FileFormatError("expected an object of index -> rational", where)
     entries = [Fraction(0)] * n
     for key, raw in d.items():
-        try:
-            idx = int(key)
-        except ValueError as exc:
-            raise FileFormatError(f"bad index {key!r}", where) from exc
-        if not (1 <= idx <= n):
+        if not (isinstance(key, str) and _INDEX.fullmatch(key)):  # int() also takes "01", " 1"
+            raise FileFormatError(f"bad index {key!r}", where)
+        idx = int(key)
+        if idx > n:
             raise FileFormatError(f"index {idx} out of range 1..{n}", where)
         entries[idx - 1] = parse_rat(raw, f"{where}[{key}]")
     return Vec(tuple(entries))
@@ -274,6 +274,8 @@ def read_json(path: Union[str, Path]) -> Any:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise FileFormatError(str(exc), str(p)) from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"not UTF-8 text ({exc.reason} at byte {exc.start})", str(p)) from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

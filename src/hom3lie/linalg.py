@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the rational numbers.
+"""Exact linear algebra over the rational numbers.
 
 The computational substrate for everything else in the package: column
 vectors, row-major matrices and canonically row-reduced subspaces with
@@ -7,17 +7,24 @@ identity check elsewhere is a zero-tolerance decision.  Subspaces are
 normalised to reduced row echelon form, which makes equality of spans
 literal equality of the stored bases.  Every value is immutable and
 safe to share between workers.
+
+Every elimination (``rref``, ``rank``, ``nullspace``, ``solve``,
+``inverse`` and the subspace reductions) runs on one sparse
+Gauss-Jordan routine over *supports*: dicts mapping a coordinate to a
+nonzero Fraction, read-only once built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DimensionMismatch
 
 Scalar = Union[Fraction, int, str]
+Support = dict[int, Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -104,9 +111,6 @@ class Vec:
     def concat(self, other: "Vec") -> "Vec":
         return Vec(self.entries + other.entries)
 
-    def take(self, indices: Sequence[int]) -> "Vec":
-        return Vec(tuple(self.entries[i] for i in indices))
-
     def __repr__(self) -> str:
         return "Vec(" + ", ".join(str(a) for a in self.entries) + ")"
 
@@ -137,6 +141,14 @@ class Mat:
                 raise DimensionMismatch("ragged rows")
             flat.extend(rat(x) for x in r)
         return Mat(nrows, ncols, tuple(flat))
+
+    @staticmethod
+    def from_supports(rows: Sequence[Support], cols: int) -> "Mat":
+        flat = [_ZERO] * (len(rows) * cols)
+        for r, s in enumerate(rows):
+            for c, a in s.items():
+                flat[r * cols + c] = a
+        return Mat(len(rows), cols, tuple(flat))
 
     @staticmethod
     def from_cols(cols: Sequence[Vec]) -> "Mat":
@@ -286,54 +298,85 @@ def vstack(mats: Sequence[Mat]) -> Mat:
     return Mat(rows, cols, tuple(flat))
 
 
-def hstack(mats: Sequence[Mat]) -> Mat:
-    if not mats:
-        raise DimensionMismatch("nothing to stack")
-    rows = mats[0].rows
-    for m in mats:
-        if m.rows != rows:
-            raise DimensionMismatch("row counts differ")
-    out = []
-    for i in range(rows):
-        for m in mats:
-            out.extend(m.entries[i * m.cols : (i + 1) * m.cols])
-    return Mat(rows, sum(m.cols for m in mats), tuple(out))
+def support(v: Vec) -> Support:
+    return {i: a for i, a in enumerate(v.entries) if a}
+
+
+def to_vec(s: Support, n: int) -> Vec:
+    entries = [_ZERO] * n
+    for i, a in s.items():
+        entries[i] = a
+    return Vec(tuple(entries))
+
+
+def add_scaled(acc: dict[int, Fraction], c: Fraction, s: Support) -> None:
+    """acc += c * s in place; cancellations leave zeros (see :func:`pruned`)."""
+    for t, a in s.items():
+        acc[t] = acc[t] + c * a if t in acc else c * a
+
+
+def pruned(acc: dict[int, Fraction]) -> Support:
+    return {t: a for t, a in acc.items() if a}
+
+
+def _reduce(row: Support, pivots: dict[int, Support]) -> Support:
+    """row minus row[p] times the pivot row of p, for every pivot p.
+
+    Reduced pivot rows vanish at each other's pivots, so one pass
+    clears every pivot coordinate; the result is zero iff row lies in
+    their span.
+    """
+    acc = dict(row)
+    for p, a in row.items():
+        if p in pivots:
+            add_scaled(acc, -a, pivots[p])
+    return pruned(acc)
+
+
+def _eliminate(rows: Iterable[Support]) -> dict[int, Support]:
+    """The nonzero rows of the RREF of ``rows``, keyed by pivot, in pivot order.
+
+    Gauss-Jordan one row at a time: a row is reduced by the pivot rows
+    found so far; a nonzero remainder is scaled to a leading one at its
+    first column and cleared from the earlier pivot rows.  The pivot
+    rows are in reduced echelon form after every step, so at the end
+    they are the rows of the unique RREF of the span, whatever the row
+    order.
+    """
+    pivots: dict[int, Support] = {}
+    for row in rows:
+        rest = _reduce(row, pivots)
+        if not rest:
+            continue
+        p = min(rest)
+        if rest[p] != 1:
+            inv = 1 / rest[p]
+            rest = {c: a * inv for c, a in rest.items()}
+        for q, prow in pivots.items():
+            if p in prow:
+                acc = dict(prow)
+                add_scaled(acc, -prow[p], rest)
+                pivots[q] = pruned(acc)
+        pivots[p] = rest
+    return dict(sorted(pivots.items()))
+
+
+def _row_supports(m: Mat) -> Iterator[Support]:
+    return (support(m.row(r)) for r in range(m.rows))
 
 
 def rref(m: Mat) -> Mat:
-    """Reduced row echelon form, computed with exact pivoting.
+    """Reduced row echelon form; the zero rows come last.
 
     Pivots are the first nonzero entry in column order; the result is
     the unique RREF of the row space.
     """
-    rows = [list(m.row(i).entries) for i in range(m.rows)]
-    nrows, ncols = m.rows, m.cols
-    pr = 0
-    for pc in range(ncols):
-        pivot = next((r for r in range(pr, nrows) if rows[r][pc] != 0), None)
-        if pivot is None:
-            continue
-        rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        inv = 1 / rows[pr][pc]
-        if inv != 1:
-            rows[pr] = [a * inv for a in rows[pr]]
-        for r in range(nrows):
-            if r != pr and rows[r][pc] != 0:
-                f = rows[r][pc]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
-        pr += 1
-        if pr == nrows:
-            break
-    return Mat.from_rows(rows, cols=ncols)
-
-
-def _pivot_cols(reduced: Mat) -> list[int]:
-    rows = (reduced.row(r) for r in range(reduced.rows))
-    return [next(c for c, a in enumerate(row) if a != 0) for row in rows if not row.is_zero()]
+    rows = list(_eliminate(_row_supports(m)).values())
+    return Mat.from_supports(rows + [{}] * (m.rows - len(rows)), m.cols)
 
 
 def rank(m: Mat) -> int:
-    return len(_pivot_cols(rref(m)))
+    return len(_eliminate(_row_supports(m)))
 
 
 def inverse(m: Mat) -> Optional[Mat]:
@@ -341,11 +384,11 @@ def inverse(m: Mat) -> Optional[Mat]:
     if not m.is_square:
         raise DimensionMismatch("inverse needs a square matrix")
     n = m.rows
-    aug = rref(hstack([m, Mat.identity(n)]))
-    left = Mat.from_rows([list(aug.row(i))[:n] for i in range(n)], cols=n)
-    if left != Mat.identity(n):
+    reduced = _eliminate(support(m.row(i).concat(Vec.basis(n, i))) for i in range(n))
+    if any(p >= n for p in reduced):
         return None
-    return Mat.from_rows([list(aug.row(i))[n:] for i in range(n)], cols=n)
+    return Mat.from_supports([{c - n: a for c, a in row.items() if c >= n}
+                              for row in reduced.values()], n)
 
 
 def solve(m: Mat, b: Vec) -> Optional[Vec]:
@@ -355,14 +398,11 @@ def solve(m: Mat, b: Vec) -> Optional[Vec]:
     """
     if len(b) != m.rows:
         raise DimensionMismatch("right-hand side length does not match row count")
-    aug = rref(hstack([m, Mat.from_cols([b])]))
-    pivots = _pivot_cols(aug)
-    if m.cols in pivots:
+    n = m.cols
+    reduced = _eliminate(support(m.row(i).concat(Vec((b[i],)))) for i in range(m.rows))
+    if n in reduced:
         return None
-    x = [_ZERO] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = aug.at(r, m.cols)
-    return Vec(tuple(x))
+    return to_vec({p: row[n] for p, row in reduced.items() if n in row}, n)
 
 
 @dataclass(frozen=True)
@@ -381,11 +421,8 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("generator length does not match ambient dimension")
-        if not vectors:
-            return Subspace(ambient_dim, ())
-        reduced = rref(Mat.from_rows([list(v) for v in vectors], cols=ambient_dim))
-        rows = [reduced.row(i) for i in range(reduced.rows)]
-        return Subspace(ambient_dim, tuple(r for r in rows if not r.is_zero()))
+        reduced = _eliminate(support(v) for v in vectors)
+        return Subspace(ambient_dim, tuple(to_vec(r, ambient_dim) for r in reduced.values()))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -399,33 +436,30 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def pivot_rows(self) -> dict[int, Support]:
+        """The basis as supports keyed by pivot, built on first use."""
+        return {min(r): r for r in map(support, self.basis)}
+
     def pivots(self) -> list[int]:
-        return [next(c for c, a in enumerate(row) if a != 0) for row in self.basis]
+        return list(self.pivot_rows)
 
     def reduce(self, v: Vec) -> Vec:
         """Residual of v after eliminating the pivot coordinates; zero iff v is in the span."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        out = list(v.entries)
-        for row, p in zip(self.basis, self.pivots()):
-            f = out[p]
-            if f != 0:
-                out = [a - f * b for a, b in zip(out, row)]
-        return Vec(tuple(out))
+        return to_vec(_reduce(support(v), self.pivot_rows), self.ambient_dim)
 
 
 def nullspace(m: Mat) -> Subspace:
     """Canonical basis of the kernel ``{v : m v = 0}``."""
-    reduced = rref(m)
-    pivots = _pivot_cols(reduced)
-    free = [c for c in range(m.cols) if c not in pivots]
+    reduced = _eliminate(_row_supports(m))
     gens = []
-    for f in free:
-        v = [_ZERO] * m.cols
-        v[f] = _ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced.at(r, f)
-        gens.append(Vec(tuple(v)))
+    for f in range(m.cols):
+        if f not in reduced:
+            gen = {p: -row[f] for p, row in reduced.items() if f in row}
+            gen[f] = _ONE
+            gens.append(to_vec(gen, m.cols))
     return Subspace.span(m.cols, gens)
 
 
@@ -443,23 +477,3 @@ def subspace_leq(a: Subspace, b: Subspace) -> bool:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
     return all(subspace_contains(b, v) for v in a.basis)
-
-
-def residual_matrix(s: Subspace) -> Mat:
-    """A matrix whose kernel is exactly the subspace.
-
-    Applies ``s.reduce`` as a linear map: subtracting v[p] times the
-    basis row with pivot p removes the pivot coordinates in one pass
-    (RREF rows vanish at each other's pivots), so ``M v = 0`` iff v is
-    in the span.
-    """
-    n = s.ambient_dim
-    by_pivot = {p: row for row, p in zip(s.basis, s.pivots())}
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            v = _ONE if i == j else _ZERO
-            if j in by_pivot:
-                v = v - by_pivot[j][i]
-            entries.append(v)
-    return Mat(n, n, tuple(entries))

@@ -26,18 +26,8 @@ from typing import Optional
 
 from .algebras import Hom3LieAlgebra, WitnessLog
 from .errors import DimensionMismatch, RepresentationInvalid
-from .linalg import Mat, Vec
-from .sparse import (
-    AltTable,
-    SparseMat,
-    Support,
-    add_matvec,
-    matvec,
-    pruned,
-    sparse_cols,
-    support,
-    unflatten,
-)
+from .linalg import Mat, Support, Vec, pruned, support
+from .sparse import AltTable, SparseMat, add_matvec, matvec, sparse_cols, unflatten
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,12 @@ Values are stored on strictly increasing basis keys; the full map is
 the unique alternating extension, so skew-symmetry holds by
 construction.
 
-Sparse values are plain dicts, read-only once built.  A *support* maps
-a coordinate to a nonzero Fraction; a *sparse matrix* maps a column
-index to a nonzero column support.  Evaluation visits only stored
-values whose indices lie in the supports of the arguments, so zero
-coordinates and zero structure constants cost nothing.
+Sparse values are plain dicts, read-only once built.  A *support*
+(see :mod:`hom3lie.linalg`) maps a coordinate to a nonzero Fraction; a
+*sparse matrix* maps a column index to a nonzero column support.
+Evaluation visits only stored values whose indices lie in the supports
+of the arguments, so zero coordinates and zero structure constants
+cost nothing.
 """
 
 from __future__ import annotations
@@ -23,12 +24,10 @@ from functools import cached_property
 from typing import Mapping
 
 from .errors import DimensionMismatch
-from .linalg import Mat, Vec
+from .linalg import Mat, Support, Vec, add_scaled, pruned, support, to_vec
 
-Support = dict[int, Fraction]
 SparseMat = dict[int, Support]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -36,17 +35,6 @@ def signed_perms(k: int) -> list[tuple[tuple[int, ...], int]]:
     """All permutations of range(k) with their signs, in itertools order."""
     return [(p, (-1) ** sum(a > b for a, b in itertools.combinations(p, 2)))
             for p in itertools.permutations(range(k))]
-
-
-def support(v: Vec) -> Support:
-    return {i: a for i, a in enumerate(v.entries) if a}
-
-
-def to_vec(s: Support, n: int) -> Vec:
-    entries = [_ZERO] * n
-    for i, a in s.items():
-        entries[i] = a
-    return Vec(tuple(entries))
 
 
 def sparse_cols(m: Mat) -> SparseMat:
@@ -63,21 +51,11 @@ def unflatten(flat: Support, m: int) -> SparseMat:
     return cols
 
 
-def add_scaled(acc: dict[int, Fraction], c: Fraction, s: Support) -> None:
-    """acc += c * s in place; cancellations leave zeros (see :func:`pruned`)."""
-    for t, a in s.items():
-        acc[t] = acc[t] + c * a if t in acc else c * a
-
-
 def add_matvec(acc: dict[int, Fraction], m: SparseMat, x: Support, sign: int = 1) -> None:
     """acc += sign * (m x) in place."""
     for c, xc in x.items():
         if c in m:
             add_scaled(acc, xc if sign == 1 else -xc, m[c])
-
-
-def pruned(acc: dict[int, Fraction]) -> Support:
-    return {t: a for t, a in acc.items() if a}
 
 
 def matvec(m: SparseMat, x: Support) -> Support:

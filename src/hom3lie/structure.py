@@ -44,7 +44,6 @@ from .linalg import (
     Vec,
     inverse,
     nullspace,
-    residual_matrix,
     solve,
     subspace_sum,
     vstack,
@@ -71,11 +70,8 @@ class SeriesResult:
 def _centralizer(L: Hom3LieAlgebra, target: Subspace) -> Subspace:
     """C(I) = { a : [a, e_j, e_k] in I for all j < k }, by one nullspace."""
     n = L.dim
-    res = residual_matrix(target)
-    blocks = []
-    for j, k in itertools.combinations(range(n), 2):
-        action = Mat.from_cols([L.bracket_basis(a, j, k) for a in range(n)])
-        blocks.append(res @ action)
+    blocks = [Mat.from_cols([target.reduce(L.bracket_basis(a, j, k)) for a in range(n)])
+              for j, k in itertools.combinations(range(n), 2)]
     if not blocks:
         return Subspace.full(n)
     return nullspace(vstack(blocks))

@@ -344,3 +344,32 @@ def test_cli_metric_with_a_form_of_the_wrong_dimension_exits_2(tmp_path, capsys)
     write_json(form, {"dim": 2, "gram": [["0", "1"], ["1", "0"]]})
     assert main(["metric", data_file("A4"), str(form)]) == 2
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_cli_series_rejects_max_steps_below_one(capsys, steps):
+    assert main(["--max-steps", steps, "series", data_file("A4")]) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_cli_non_utf8_input_exits_2_and_names_the_path(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"dim": 1}'.encode("utf-16-le"))
+    with pytest.raises(FileFormatError):
+        load_algebra(path)
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err and err.count("\n") == 1
+
+
+def test_sparse_index_keys_must_be_canonical(tmp_path, capsys):
+    for bad in (" 1", "1 ", "01", "+1", "1_0", "0", "-1", "1.0", "", "١"):
+        with pytest.raises(FileFormatError):
+            vec_from_sparse({bad: "1"}, 3, "v")
+    assert vec_from_sparse({"3": "2", "1": "1"}, 3, "v") == Vec.of(1, 0, 2)
+    d = algebra_to_dict(l3())
+    d["brackets"][0]["value"] = {"1": "1", "01": "2"}
+    path = tmp_path / "padded.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    assert "bad index '01'" in capsys.readouterr().err

@@ -15,7 +15,6 @@ from hom3lie.linalg import (
     nullspace,
     rank,
     rat,
-    residual_matrix,
     rref,
     solve,
     subspace_contains,
@@ -131,15 +130,6 @@ def test_span_canonical_under_scaling_and_permutation(data):
     data.draw(st.randoms(use_true_random=False)).shuffle(shuffled)
     other = [v.scale(s) for v, s in shuffled]
     assert Subspace.span(n, vecs) == Subspace.span(n, other)
-
-
-@given(small_mats(3))
-def test_residual_matrix_kernel_is_the_span(m):
-    s = Subspace.span(m.cols, [m.row(i) for i in range(m.rows)])
-    res = residual_matrix(s)
-    for v in s.basis:
-        assert res.apply(v).is_zero()
-    assert nullspace(res) == s
 
 
 def test_vec_arithmetic_and_concat():
