@@ -26,17 +26,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Optional
 
 from .errors import DimensionMismatch, IdealRequired
-from .linalg import (
-    Mat,
-    Subspace,
-    Support,
-    Vec,
-    pruned,
-    rank,
-    subspace_contains,
-    support,
-    to_vec,
-)
+from .linalg import Mat, Subspace, Vec, pruned, rank, subspace_contains
 from .sparse import AltTable, SparseMat, add_matvec, matvec, signed_perms
 
 MAX_WITNESSES = 16
@@ -75,10 +65,6 @@ class Hom3LieAlgebra:
     def bracket(self, x: Vec, y: Vec, z: Vec) -> Vec:
         """Trilinear skew extension of the structure constants."""
         return self.alt.evaluate(x, y, z)
-
-    def twist_supports(self) -> list[Support]:
-        """Images alpha(e_i) of the basis, as sparse columns."""
-        return [support(self.twist.col(i)) for i in range(self.dim)]
 
     def is_abelian(self) -> bool:
         return not self.table
@@ -182,7 +168,7 @@ def skew_violations(dim: int, value_at: Callable[[int, int, int], Vec]) -> Witne
 
 def twisted_actions(L: Hom3LieAlgebra) -> dict[tuple[int, int], SparseMat]:
     """T_ab = [alpha e_a, alpha e_b, .] for every ordered pair, as sparse matrices."""
-    acols = L.twist_supports()
+    acols = [L.twist.col(i).support for i in range(L.dim)]
     return {(a, b): L.alt.partial(acols[a], acols[b]) for a in range(L.dim) for b in range(L.dim)}
 
 
@@ -219,14 +205,14 @@ def verify_hom_jacobi(L: Hom3LieAlgebra) -> AlgebraReport:
                 rhs = pruned(acc)
                 if lhs != rhs:
                     w.add(Violation("hom_jacobi", (a, b, u, v, wi),
-                                    to_vec(lhs, n), to_vec(rhs, n)))
+                                    Vec.sparse(n, lhs), Vec.sparse(n, rhs)))
     return AlgebraReport(hom_jacobi_ok=w.clean, violations=tuple(w.items), violations_total=w.total)
 
 
 def verify_multiplicative(L: Hom3LieAlgebra) -> AlgebraReport:
     """Check alpha([e_i,e_j,e_k]) = [alpha e_i, alpha e_j, alpha e_k] on all i<j<k."""
     n = L.dim
-    acols = L.twist_supports()
+    acols = [L.twist.col(i).support for i in range(n)]
     alpha = dict(enumerate(acols))
     w = WitnessLog()
     for i, j in itertools.combinations(range(n), 2):
@@ -235,7 +221,8 @@ def verify_multiplicative(L: Hom3LieAlgebra) -> AlgebraReport:
             lhs = matvec(alpha, L.alt.get(i, j, k))
             rhs = matvec(tij, acols[k])
             if lhs != rhs:
-                w.add(Violation("multiplicative", (i, j, k), to_vec(lhs, n), to_vec(rhs, n)))
+                w.add(Violation("multiplicative", (i, j, k),
+                                Vec.sparse(n, lhs), Vec.sparse(n, rhs)))
     return AlgebraReport(
         multiplicative_ok=w.clean, violations=tuple(w.items), violations_total=w.total
     )
@@ -275,7 +262,7 @@ def is_ideal(L: Hom3LieAlgebra, s: Subspace) -> bool:
     Twist stability is required so the quotient twist is well defined.
     """
     return _twist_stable(L, s) and all(
-        subspace_contains(s, to_vec(matvec(L.alt.get(j, k), support(v)), L.dim))
+        subspace_contains(s, Vec.sparse(L.dim, matvec(L.alt.get(j, k), v.support)))
         for v in s.basis for j, k in itertools.combinations(range(L.dim), 2)
     )
 
@@ -323,9 +310,8 @@ def quotient(L: Hom3LieAlgebra, ideal: Subspace) -> tuple[Hom3LieAlgebra, Mat]:
     pivots = ideal.pivots()
     comp = [c for c in range(n) if c not in pivots]
     q = len(comp)
-    proj = Mat.from_rows(
-        [[ideal.reduce(Vec.basis(n, g))[c] for g in range(n)] for c in comp], cols=n
-    )
+    residues = Mat.from_cols([ideal.reduce(Vec.basis(n, g)) for g in range(n)])
+    proj = Mat.from_rows([residues.row(c) for c in comp], cols=n)
     table = {(a, b, c): proj.apply(L.bracket_basis(comp[a], comp[b], comp[c]))
              for a, b, c in increasing_triples(q)}
     twist = Mat.from_cols([proj.apply(L.twist.col(comp[a])) for a in range(q)]) if q else Mat.zero(0, 0)
@@ -337,6 +323,8 @@ def subspace_bracket(L: Hom3LieAlgebra, s1: Subspace, s2: Subspace, s3: Subspace
     for s in (s1, s2, s3):
         if s.ambient_dim != L.dim:
             raise DimensionMismatch("subspace ambient dimension does not match the algebra")
-    gens = [v for a in s1.basis for b in s2.basis for c in s3.basis
-            if not (v := L.bracket(a, b, c)).is_zero()]
+    gens = []
+    for a, b in itertools.product(s1.basis, s2.basis):
+        ab = L.alt.partial(a.support, b.support)
+        gens += [Vec.sparse(L.dim, v) for c in s3.basis if (v := matvec(ab, c.support))]
     return Subspace.span(L.dim, gens)

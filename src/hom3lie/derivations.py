@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .algebras import (
     MAX_WITNESSES,
@@ -26,17 +27,7 @@ from .algebras import (
     verify_regular,
 )
 from .errors import DimensionMismatch, FixedPointRequired, RegularTwistRequired
-from .linalg import (
-    Mat,
-    Subspace,
-    Support,
-    Vec,
-    nullspace,
-    pruned,
-    rank,
-    subspace_contains,
-    support,
-)
+from .linalg import Mat, Subspace, Vec, nullspace, pruned, rank, subspace_contains
 
 
 def twist_power(L: Hom3LieAlgebra, k: int) -> Mat:
@@ -108,9 +99,9 @@ def derivation_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
     """
     n = L.dim
     ak = twist_power(L, k)
-    acols = L.twist_supports()
-    arows = [support(L.twist.row(p)) for p in range(n)]
-    rows: list[Support] = []
+    acols = [L.twist.col(i).support for i in range(n)]
+    arows = [L.twist.row(p).support for p in range(n)]
+    rows: list[Vec] = []
 
     # D a - a D = 0, one equation per output entry (p, q).
     for p in range(n):
@@ -118,13 +109,13 @@ def derivation_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
             row = {p * n + c: a for c, a in acols[q].items()}
             for c, a in arows[p].items():
                 row[c * n + q] = row.get(c * n + q, 0) - a
-            rows.append(pruned(row))
+            rows.append(Vec.sparse(n * n, pruned(row)))
 
     # Twisted Leibniz rule on each increasing triple, one equation per
     # output coordinate.  [D e_i, a^k e_j, a^k e_k] = [a^k e_j, a^k e_k, D e_i]
     # is linear in column i of D, with the twisted action of (a^k e_j,
     # a^k e_k) as coefficient matrix; likewise for the other two slots.
-    akc = [support(ak.col(i)) for i in range(n)]
+    akc = [ak.col(i).support for i in range(n)]
     for i, j, kk in increasing_triples(n):
         bval = L.alt.get(i, j, kk)
         terms = [(i, L.alt.partial(akc[j], akc[kk])), (j, L.alt.partial(akc[kk], akc[i])),
@@ -135,9 +126,9 @@ def derivation_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
                 for r, vec in action.items():
                     if out in vec:
                         row[r * n + col] = row.get(r * n + col, 0) - vec[out]
-            rows.append(pruned(row))
+            rows.append(Vec.sparse(n * n, pruned(row)))
 
-    sol = nullspace(Mat.from_supports(rows, n * n))
+    sol = nullspace(Mat.sparse(n * n, rows))
     basis = tuple(Mat.unvectorize(n, n, v) for v in sol.basis)
     return DerivationSpace(k, n, basis)
 
@@ -184,9 +175,8 @@ class DerivationExtension:
     a dense table.  Two quirks of the rule are kept visible instead of
     being repaired: it is not skew-symmetric for nonzero D (swapping the
     first two slots does not negate it), and it is not trilinear (the
-    l D(v) term is constant in the third slot), so the table's trilinear
-    extension :meth:`apply` agrees with :meth:`rule` only when every
-    argument is a plain basis vector or has no rescaled D-coordinate.
+    l D(v) term is constant in the third slot), so the table, read by
+    :meth:`value`, describes the rule on basis vectors only.
     """
 
     base: Hom3LieAlgebra
@@ -210,8 +200,9 @@ class DerivationExtension:
     def value(self, i: int, j: int, k: int) -> Vec:
         return self.values[i][j][k]
 
-    def _split(self, v: Vec) -> tuple[Vec, object]:
-        return Vec(v.entries[:-1]), v.entries[-1]
+    def _split(self, v: Vec) -> tuple[Vec, Fraction]:
+        n = self.base.dim
+        return Vec.sparse(n, {i: a for i, a in v.support.items() if i < n}), v[n]
 
     def rule(self, x: Vec, y: Vec, z: Vec) -> Vec:
         """The literal defining rule, on decompositions u + l D."""
@@ -229,15 +220,6 @@ class DerivationExtension:
             - d.apply(xv).scale(nn)
         )
         return out.concat(Vec.zero(1))
-
-    def apply(self, x: Vec, y: Vec, z: Vec) -> Vec:
-        """Trilinear extension of the stored basis table."""
-        n = self.dim
-        if len(x) != n or len(y) != n or len(z) != n:
-            raise DimensionMismatch("arguments must match the extension dimension")
-        terms = (self.values[i][j][k].scale(xi * yj * zk)
-                 for i, xi in x.nonzero() for j, yj in y.nonzero() for k, zk in z.nonzero())
-        return sum(terms, Vec.zero(n))
 
 
 def derivation_extension(L: Hom3LieAlgebra, d: Mat) -> tuple[DerivationExtension, AlgebraReport]:

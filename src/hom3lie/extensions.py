@@ -33,7 +33,7 @@ from .representations import (
     twisted_rho,
     verify_representation,
 )
-from .sparse import AltTable, add_matvec, matvec, signed_perms, sparse_cols
+from .sparse import AltTable, add_matvec, matvec, signed_perms
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def verify_cocycle(L: Hom3LieAlgebra, r: Representation, th: Cocycle) -> Cocycle
     n = L.dim
     if th.algebra_dim != n or r.algebra_dim != n or th.module_dim != r.module_dim:
         raise DimensionMismatch("algebra, representation and cocycle dimensions must agree")
-    acols = L.twist_supports()
+    acols = [L.twist.col(i).support for i in range(n)]
     # Theta_yz: X -> theta(ay, az, X) = theta(X, ay, az)
     taa = {(y, z): th.alt.partial(acols[y], acols[z]) for y in range(n) for z in range(n)}
     raa = twisted_rho(L, r)
@@ -274,7 +274,7 @@ def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> MetricReport:
     gram = form.gram
     symmetric = gram == gram.transpose()
     nondeg = rank(gram) == n
-    gt = sparse_cols(gram.transpose())
+    gt = {c: row.support for c, row in enumerate(gram.row_vecs)}  # the columns of gram^T
     log = WitnessLog()
     for a, b in itertools.product(range(n), repeat=2):
         # paired[c][d] = B([e_a, e_b, e_c], e_d)

@@ -90,15 +90,16 @@ def vec_to_sparse(v: Vec) -> dict[str, str]:
 def vec_from_sparse(d: Any, n: int, where: str) -> Vec:
     if not isinstance(d, dict):
         raise FileFormatError("expected an object of index -> rational", where)
-    entries = [Fraction(0)] * n
+    support = {}
     for key, raw in d.items():
         if not (isinstance(key, str) and _INDEX.fullmatch(key)):  # int() also takes "01", " 1"
             raise FileFormatError(f"bad index {key!r}", where)
         idx = int(key)
         if idx > n:
             raise FileFormatError(f"index {idx} out of range 1..{n}", where)
-        entries[idx - 1] = parse_rat(raw, f"{where}[{key}]")
-    return Vec(tuple(entries))
+        if value := parse_rat(raw, f"{where}[{key}]"):
+            support[idx - 1] = value
+    return Vec.sparse(n, support)
 
 
 def vec_to_dense(v: Vec) -> list[str]:
@@ -114,7 +115,7 @@ def vec_from_dense(raw: Any, where: str, length: Optional[int] = None) -> Vec:
 
 
 def mat_to_lists(m: Mat) -> list[list[str]]:
-    return [[format_rat(m.at(r, c)) for c in range(m.cols)] for r in range(m.rows)]
+    return [vec_to_dense(v) for v in m.row_vecs]
 
 
 def mat_from_lists(raw: Any, where: str,
@@ -128,11 +129,11 @@ def mat_from_lists(raw: Any, where: str,
         raise FileFormatError(f"expected {rows} rows, got {len(raw)}", where)
     if cols is not None and ncols != cols:
         raise FileFormatError(f"expected {cols} columns, got {ncols}", where)
-    return Mat.from_rows(
-        [[parse_rat(x, f"{where}[{r}][{c}]") for c, x in enumerate(row)]
-         for r, row in enumerate(raw)],
-        cols=ncols,
-    )
+    return Mat.sparse(ncols, (
+        Vec.sparse(ncols, {c: a for c, x in enumerate(row)
+                           if (a := parse_rat(x, f"{where}[{r}][{c}]"))})
+        for r, row in enumerate(raw)
+    ))
 
 
 def _args_tuple(raw: Any, count: int, n: int, where: str) -> tuple[int, ...]:
@@ -168,11 +169,11 @@ def _keyed_entries(d: Any, key: str, count: int, n: int, where: str, what: str,
     return table
 
 
-def _module_dim(d: Any, where: str) -> int:
-    m = _expect_int(_expect(d, "module_dim", where), f"{where}.module_dim")
-    if m < 1:
-        raise FileFormatError("module dimension must be positive", f"{where}.module_dim")
-    return m
+def _positive_dim(d: Any, key: str, where: str) -> int:
+    n = _expect_int(_expect(d, key, where), f"{where}.{key}")
+    if n < 1:
+        raise FileFormatError("dimension must be positive", f"{where}.{key}")
+    return n
 
 
 # -- algebra ---------------------------------------------------------------
@@ -184,9 +185,7 @@ def algebra_to_dict(L: Hom3LieAlgebra) -> dict:
 
 
 def algebra_from_dict(d: Any, where: str = "algebra") -> Hom3LieAlgebra:
-    n = _expect_int(_expect(d, "dim", where), f"{where}.dim")
-    if n < 1:
-        raise FileFormatError("dimension must be positive", f"{where}.dim")
+    n = _positive_dim(d, "dim", where)
     alpha = mat_from_lists(_expect(d, "alpha", where), f"{where}.alpha", rows=n, cols=n)
     table = _keyed_entries(d, "brackets", 3, n, where, "bracket",
                            lambda raw, loc: vec_from_sparse(raw, n, loc), "value")
@@ -205,7 +204,7 @@ def representation_to_dict(r: Representation, algebra_ref: str) -> dict:
 def representation_from_dict(
     d: Any, algebra: Hom3LieAlgebra, where: str = "representation"
 ) -> Representation:
-    m = _module_dim(d, where)
+    m = _positive_dim(d, "module_dim", where)
     twist = mat_from_lists(_expect(d, "A", where), f"{where}.A", rows=m, cols=m)
     table = _keyed_entries(d, "rho", 2, algebra.dim, where, "action",
                            lambda raw, loc: mat_from_lists(raw, loc, rows=m, cols=m), "matrix")
@@ -221,7 +220,7 @@ def cocycle_to_dict(th: Cocycle, algebra_ref: str) -> dict:
 
 
 def cocycle_from_dict(d: Any, algebra: Hom3LieAlgebra, where: str = "cocycle") -> Cocycle:
-    m = _module_dim(d, where)
+    m = _positive_dim(d, "module_dim", where)
     table = _keyed_entries(d, "theta", 3, algebra.dim, where, "value",
                            lambda raw, loc: vec_from_sparse(raw, m, loc), "value")
     return Cocycle(algebra.dim, m, table)
@@ -243,7 +242,7 @@ def form_to_dict(b: BilinForm) -> dict:
 
 
 def form_from_dict(d: Any, where: str = "form") -> BilinForm:
-    n = _expect_int(_expect(d, "dim", where), f"{where}.dim")
+    n = _positive_dim(d, "dim", where)
     return BilinForm(n, mat_from_lists(_expect(d, "gram", where), f"{where}.gram",
                                        rows=n, cols=n))
 
@@ -253,7 +252,7 @@ def subspace_to_dict(s: Subspace) -> dict:
 
 
 def subspace_from_dict(d: Any, where: str = "subspace") -> Subspace:
-    n = _expect_int(_expect(d, "ambient_dim", where), f"{where}.ambient_dim")
+    n = _positive_dim(d, "ambient_dim", where)
     raw = _expect(d, "basis", where)
     if not isinstance(raw, list):
         raise FileFormatError("expected a list of vectors", f"{where}.basis")

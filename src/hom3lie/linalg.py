@@ -8,10 +8,12 @@ normalised to reduced row echelon form, which makes equality of spans
 literal equality of the stored bases.  Every value is immutable and
 safe to share between workers.
 
-Every elimination (``rref``, ``rank``, ``nullspace``, ``solve``,
-``inverse`` and the subspace reductions) runs on one sparse
-Gauss-Jordan routine over *supports*: dicts mapping a coordinate to a
-nonzero Fraction, read-only once built.
+Vectors are stored as *supports*: dicts mapping a coordinate to a
+nonzero Fraction, read-only once built; a matrix is a tuple of row
+vectors.  Dense entries are only a derived view.  Every elimination
+(``rref``, ``rank``, ``nullspace``, ``solve``, ``inverse`` and the
+subspace reductions) runs on one sparse Gauss-Jordan routine over the
+row supports.
 """
 
 from __future__ import annotations
@@ -39,170 +41,218 @@ def rat(x: Scalar) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-@dataclass(frozen=True)
 class Vec:
-    """Immutable rational vector of fixed length."""
+    """Rational vector: a length ``n`` and a ``support``.
 
-    entries: tuple[Fraction, ...]
+    The support maps each coordinate holding a nonzero value to that
+    value and never holds a zero, so equal vectors have equal supports.
+    ``Vec(entries)`` takes dense entries; ``Vec.sparse`` takes a support
+    as it is.  The dense ``entries`` are a view built on first use.
+    Neither the fields nor the support change after construction.
+    """
+
+    __slots__ = ("n", "support", "__dict__")
+
+    def __init__(self, entries: Iterable[Scalar]) -> None:
+        entries = tuple(entries)
+        self.n = len(entries)
+        self.support: Support = {i: a for i, a in enumerate(entries) if a}
+
+    @staticmethod
+    def sparse(n: int, support: Support) -> "Vec":
+        """The length-n vector with this zero-free support, which it takes over."""
+        v = object.__new__(Vec)
+        v.n, v.support = n, support
+        return v
 
     @staticmethod
     def of(*xs: Scalar) -> "Vec":
-        return Vec(tuple(rat(x) for x in xs))
+        return Vec(rat(x) for x in xs)
 
     @staticmethod
     def from_iter(xs: Iterable[Scalar]) -> "Vec":
-        return Vec(tuple(rat(x) for x in xs))
+        return Vec(rat(x) for x in xs)
 
     @staticmethod
     def zero(n: int) -> "Vec":
-        return Vec((_ZERO,) * n)
+        return Vec.sparse(n, {})
 
     @staticmethod
     def basis(n: int, i: int) -> "Vec":
         """The i-th standard basis vector of dimension n (0-based)."""
-        return Vec(tuple(_ONE if j == i else _ZERO for j in range(n)))
+        return Vec.sparse(n, {i: _ONE} if 0 <= i < n else {})
+
+    @cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        dense = [_ZERO] * self.n
+        for i, a in self.support.items():
+            dense[i] = a
+        return tuple(dense)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.n
 
     def __getitem__(self, i: int) -> Fraction:
+        if type(i) is int and 0 <= i < self.n:
+            return self.support.get(i, _ZERO)
         return self.entries[i]
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.entries)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Vec):
+            return NotImplemented
+        return self.n == other.n and self.support == other.support
+
+    def __hash__(self) -> int:
+        return hash((self.n, frozenset(self.support.items())))
+
     def _check(self, other: "Vec") -> None:
-        if len(self.entries) != len(other.entries):
-            raise DimensionMismatch(
-                f"vector lengths differ: {len(self.entries)} vs {len(other.entries)}"
-            )
+        if self.n != other.n:
+            raise DimensionMismatch(f"vector lengths differ: {self.n} vs {other.n}")
 
     def __add__(self, other: "Vec") -> "Vec":
         self._check(other)
-        return Vec(tuple(a + b for a, b in zip(self.entries, other.entries)))
+        acc = dict(self.support)
+        add_scaled(acc, _ONE, other.support)
+        return Vec.sparse(self.n, pruned(acc))
 
     def __sub__(self, other: "Vec") -> "Vec":
-        self._check(other)
-        return Vec(tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self + -other
 
     def __neg__(self) -> "Vec":
-        return Vec(tuple(-a for a in self.entries))
+        return Vec.sparse(self.n, {i: -a for i, a in self.support.items()})
 
     def scale(self, c: Scalar) -> "Vec":
         f = rat(c)
-        return Vec(tuple(f * a for a in self.entries))
+        return Vec.sparse(self.n, {i: f * a for i, a in self.support.items()} if f else {})
 
     def __rmul__(self, c: Scalar) -> "Vec":
         return self.scale(c)
 
     def dot(self, other: "Vec") -> Fraction:
         self._check(other)
-        return sum((a * b for a, b in zip(self.entries, other.entries)), _ZERO)
+        s, t = self.support, other.support
+        if len(s) > len(t):
+            s, t = t, s
+        return sum((a * t[i] for i, a in s.items() if i in t), _ZERO)
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not self.support
 
     def nonzero(self) -> Iterator[tuple[int, Fraction]]:
-        """Yield (index, value) for the nonzero coordinates."""
-        for i, a in enumerate(self.entries):
-            if a:
-                yield i, a
+        """Yield (index, value) for the nonzero coordinates, in index order."""
+        return iter(sorted(self.support.items()))
 
     def concat(self, other: "Vec") -> "Vec":
-        return Vec(self.entries + other.entries)
+        n = self.n
+        shifted = {i + n: a for i, a in other.support.items()}
+        return Vec.sparse(n + other.n, {**self.support, **shifted})
 
     def __repr__(self) -> str:
         return "Vec(" + ", ".join(str(a) for a in self.entries) + ")"
 
 
-@dataclass(frozen=True)
 class Mat:
-    """Immutable rational matrix, stored row-major."""
+    """Rational matrix: a column count and a tuple of row vectors.
 
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
+    ``Mat(rows, cols, entries)`` takes dense row-major entries;
+    ``Mat.sparse`` takes the row vectors as they are.  The dense
+    row-major ``entries`` are a view built on first use.  Like a
+    :class:`Vec`, a matrix never changes after construction.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows * self.cols:
+    __slots__ = ("rows", "cols", "row_vecs", "__dict__")
+
+    def __init__(self, rows: int, cols: int, entries: Sequence[Scalar]) -> None:
+        if len(entries) != rows * cols:
             raise DimensionMismatch("entry count does not match matrix shape")
+        self.rows, self.cols = rows, cols
+        self.row_vecs = tuple(Vec(entries[r * cols:(r + 1) * cols]) for r in range(rows))
+
+    @staticmethod
+    def sparse(cols: int, row_vecs: Iterable[Vec]) -> "Mat":
+        """The matrix with these rows, each of length ``cols``."""
+        m = object.__new__(Mat)
+        m.row_vecs = tuple(row_vecs)
+        m.rows, m.cols = len(m.row_vecs), cols
+        return m
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]], cols: Optional[int] = None) -> "Mat":
-        nrows = len(rows)
-        if nrows == 0:
-            if cols is None:
-                raise DimensionMismatch("empty matrix needs an explicit column count")
-            return Mat(0, cols, ())
+        """Rows given as vectors or as sequences of scalars."""
+        if not rows and cols is None:
+            raise DimensionMismatch("empty matrix needs an explicit column count")
         ncols = len(rows[0]) if cols is None else cols
-        flat = []
+        vecs = []
         for r in rows:
             if len(r) != ncols:
                 raise DimensionMismatch("ragged rows")
-            flat.extend(rat(x) for x in r)
-        return Mat(nrows, ncols, tuple(flat))
-
-    @staticmethod
-    def from_supports(rows: Sequence[Support], cols: int) -> "Mat":
-        flat = [_ZERO] * (len(rows) * cols)
-        for r, s in enumerate(rows):
-            for c, a in s.items():
-                flat[r * cols + c] = a
-        return Mat(len(rows), cols, tuple(flat))
+            vecs.append(r if isinstance(r, Vec) else Vec.from_iter(r))
+        return Mat.sparse(ncols, vecs)
 
     @staticmethod
     def from_cols(cols: Sequence[Vec]) -> "Mat":
         if not cols:
             raise DimensionMismatch("empty matrix needs at least one column")
         n = len(cols[0])
-        for c in cols:
-            if len(c) != n:
-                raise DimensionMismatch("columns of unequal length")
-        return Mat(n, len(cols), tuple(cols[j][i] for i in range(n) for j in range(len(cols))))
+        if any(len(c) != n for c in cols):
+            raise DimensionMismatch("columns of unequal length")
+        return Mat.sparse(n, cols).transpose()
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat(n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n)))
+        return Mat.sparse(n, (Vec.basis(n, i) for i in range(n)))
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Mat":
-        return Mat(rows, cols, (_ZERO,) * (rows * cols))
+        return Mat.sparse(cols, (Vec.zero(cols),) * rows)
 
     @staticmethod
     def diagonal(xs: Sequence[Scalar]) -> "Mat":
         n = len(xs)
-        vals = [rat(x) for x in xs]
-        return Mat(n, n, tuple(vals[i] if i == j else _ZERO for i in range(n) for j in range(n)))
+        return Mat.sparse(n, (Vec.basis(n, i).scale(x) for i, x in enumerate(xs)))
+
+    @cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        return self.vectorize().entries
 
     def at(self, r: int, c: int) -> Fraction:
-        return self.entries[r * self.cols + c]
+        return self.row_vecs[r][c]
 
     def row(self, r: int) -> Vec:
-        return Vec(self.entries[r * self.cols : (r + 1) * self.cols])
+        return self.row_vecs[r]
 
     def col(self, c: int) -> Vec:
-        return Vec(tuple(self.entries[r * self.cols + c] for r in range(self.rows)))
+        return Vec.sparse(self.rows, {r: v.support[c] for r, v in enumerate(self.row_vecs)
+                                      if c in v.support})
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Mat):
+            return NotImplemented
+        return self.cols == other.cols and self.row_vecs == other.row_vecs
+
+    def __hash__(self) -> int:
+        return hash((self.cols, self.row_vecs))
+
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix shapes differ")
-        return Mat(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return Mat.sparse(self.cols, (a + b for a, b in zip(self.row_vecs, other.row_vecs)))
 
     def __sub__(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix shapes differ")
-        return Mat(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self + -other
 
     def __neg__(self) -> "Mat":
-        return Mat(self.rows, self.cols, tuple(-a for a in self.entries))
+        return Mat.sparse(self.cols, (-v for v in self.row_vecs))
 
     def scale(self, c: Scalar) -> "Mat":
-        f = rat(c)
-        return Mat(self.rows, self.cols, tuple(f * a for a in self.entries))
+        return Mat.sparse(self.cols, (v.scale(c) for v in self.row_vecs))
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -210,48 +260,35 @@ class Mat:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(other.cols):
-                s = _ZERO
-                for k in range(self.cols):
-                    a = self.entries[base + k]
-                    if a:
-                        s += a * other.entries[k * other.cols + j]
-                out.append(s)
-        return Mat(self.rows, other.cols, tuple(out))
+        for v in self.row_vecs:
+            acc: dict[int, Fraction] = {}
+            for k, a in v.support.items():
+                add_scaled(acc, a, other.row_vecs[k].support)
+            out.append(Vec.sparse(other.cols, pruned(acc)))
+        return Mat.sparse(other.cols, out)
 
     def apply(self, v: Vec) -> Vec:
         """Matrix-vector product."""
         if self.cols != len(v):
             raise DimensionMismatch(f"cannot apply {self.rows}x{self.cols} to length-{len(v)}")
-        nz = list(v.nonzero())
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            s = _ZERO
-            for k, x in nz:
-                a = self.entries[base + k]
-                if a:
-                    s += a * x
-            out.append(s)
-        return Vec(tuple(out))
+        return Vec.sparse(self.rows, {i: s for i, row in enumerate(self.row_vecs)
+                                      if (s := row.dot(v))})
 
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows,
-                   tuple(self.entries[r * self.cols + c]
-                         for c in range(self.cols) for r in range(self.rows)))
+        cols: list[Support] = [{} for _ in range(self.cols)]
+        for r, v in enumerate(self.row_vecs):
+            for c, a in v.support.items():
+                cols[c][r] = a
+        return Mat.sparse(self.rows, (Vec.sparse(self.rows, s) for s in cols))
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(v.support for v in self.row_vecs)
 
     def block_diag(self, other: "Mat") -> "Mat":
-        rows = []
-        for i in range(self.rows):
-            rows.append(list(self.row(i)) + [_ZERO] * other.cols)
-        for i in range(other.rows):
-            rows.append([_ZERO] * self.cols + list(other.row(i)))
-        return Mat.from_rows(rows, cols=self.cols + other.cols)
+        right, left = Vec.zero(other.cols), Vec.zero(self.cols)
+        return Mat.sparse(self.cols + other.cols,
+                          [v.concat(right) for v in self.row_vecs]
+                          + [left.concat(v) for v in other.row_vecs])
 
     def power(self, k: int) -> "Mat":
         """k-fold matrix power; negative k uses the exact inverse."""
@@ -269,44 +306,23 @@ class Mat:
 
     def vectorize(self) -> Vec:
         """Flatten row-major into a vector of length rows*cols."""
-        return Vec(self.entries)
+        n = self.cols
+        return Vec.sparse(self.rows * n, {r * n + c: a for r, v in enumerate(self.row_vecs)
+                                          for c, a in v.support.items()})
 
     @staticmethod
     def unvectorize(rows: int, cols: int, v: Vec) -> "Mat":
         if len(v) != rows * cols:
             raise DimensionMismatch("vector length does not match target shape")
-        return Mat(rows, cols, v.entries)
+        split: list[Support] = [{} for _ in range(rows)]
+        for i, a in v.support.items():
+            r, c = divmod(i, cols)
+            split[r][c] = a
+        return Mat.sparse(cols, (Vec.sparse(cols, s) for s in split))
 
     def __repr__(self) -> str:
-        lines = ["[" + ", ".join(str(self.at(r, c)) for c in range(self.cols)) + "]"
-                 for r in range(self.rows)]
+        lines = ["[" + ", ".join(str(a) for a in v.entries) + "]" for v in self.row_vecs]
         return "Mat([" + ", ".join(lines) + "])"
-
-
-def vstack(mats: Sequence[Mat]) -> Mat:
-    """Stack matrices with equal column counts on top of each other."""
-    if not mats:
-        raise DimensionMismatch("nothing to stack")
-    cols = mats[0].cols
-    flat: list[Fraction] = []
-    rows = 0
-    for m in mats:
-        if m.cols != cols:
-            raise DimensionMismatch("column counts differ")
-        flat.extend(m.entries)
-        rows += m.rows
-    return Mat(rows, cols, tuple(flat))
-
-
-def support(v: Vec) -> Support:
-    return {i: a for i, a in enumerate(v.entries) if a}
-
-
-def to_vec(s: Support, n: int) -> Vec:
-    entries = [_ZERO] * n
-    for i, a in s.items():
-        entries[i] = a
-    return Vec(tuple(entries))
 
 
 def add_scaled(acc: dict[int, Fraction], c: Fraction, s: Support) -> None:
@@ -361,22 +377,18 @@ def _eliminate(rows: Iterable[Support]) -> dict[int, Support]:
     return dict(sorted(pivots.items()))
 
 
-def _row_supports(m: Mat) -> Iterator[Support]:
-    return (support(m.row(r)) for r in range(m.rows))
-
-
 def rref(m: Mat) -> Mat:
     """Reduced row echelon form; the zero rows come last.
 
     Pivots are the first nonzero entry in column order; the result is
     the unique RREF of the row space.
     """
-    rows = list(_eliminate(_row_supports(m)).values())
-    return Mat.from_supports(rows + [{}] * (m.rows - len(rows)), m.cols)
+    rows = [Vec.sparse(m.cols, r) for r in _eliminate(v.support for v in m.row_vecs).values()]
+    return Mat.sparse(m.cols, rows + [Vec.zero(m.cols)] * (m.rows - len(rows)))
 
 
 def rank(m: Mat) -> int:
-    return len(_eliminate(_row_supports(m)))
+    return len(_eliminate(v.support for v in m.row_vecs))
 
 
 def inverse(m: Mat) -> Optional[Mat]:
@@ -384,11 +396,11 @@ def inverse(m: Mat) -> Optional[Mat]:
     if not m.is_square:
         raise DimensionMismatch("inverse needs a square matrix")
     n = m.rows
-    reduced = _eliminate(support(m.row(i).concat(Vec.basis(n, i))) for i in range(n))
+    reduced = _eliminate(m.row(i).concat(Vec.basis(n, i)).support for i in range(n))
     if any(p >= n for p in reduced):
         return None
-    return Mat.from_supports([{c - n: a for c, a in row.items() if c >= n}
-                              for row in reduced.values()], n)
+    return Mat.sparse(n, (Vec.sparse(n, {c - n: a for c, a in row.items() if c >= n})
+                          for row in reduced.values()))
 
 
 def solve(m: Mat, b: Vec) -> Optional[Vec]:
@@ -399,10 +411,10 @@ def solve(m: Mat, b: Vec) -> Optional[Vec]:
     if len(b) != m.rows:
         raise DimensionMismatch("right-hand side length does not match row count")
     n = m.cols
-    reduced = _eliminate(support(m.row(i).concat(Vec((b[i],)))) for i in range(m.rows))
+    reduced = _eliminate(m.row(i).concat(Vec((b[i],))).support for i in range(m.rows))
     if n in reduced:
         return None
-    return to_vec({p: row[n] for p, row in reduced.items() if n in row}, n)
+    return Vec.sparse(n, {p: row[n] for p, row in reduced.items() if n in row})
 
 
 @dataclass(frozen=True)
@@ -421,8 +433,8 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("generator length does not match ambient dimension")
-        reduced = _eliminate(support(v) for v in vectors)
-        return Subspace(ambient_dim, tuple(to_vec(r, ambient_dim) for r in reduced.values()))
+        reduced = _eliminate(v.support for v in vectors)
+        return Subspace(ambient_dim, tuple(Vec.sparse(ambient_dim, r) for r in reduced.values()))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -439,7 +451,7 @@ class Subspace:
     @cached_property
     def pivot_rows(self) -> dict[int, Support]:
         """The basis as supports keyed by pivot, built on first use."""
-        return {min(r): r for r in map(support, self.basis)}
+        return {min(v.support): v.support for v in self.basis}
 
     def pivots(self) -> list[int]:
         return list(self.pivot_rows)
@@ -448,18 +460,18 @@ class Subspace:
         """Residual of v after eliminating the pivot coordinates; zero iff v is in the span."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        return to_vec(_reduce(support(v), self.pivot_rows), self.ambient_dim)
+        return Vec.sparse(self.ambient_dim, _reduce(v.support, self.pivot_rows))
 
 
 def nullspace(m: Mat) -> Subspace:
     """Canonical basis of the kernel ``{v : m v = 0}``."""
-    reduced = _eliminate(_row_supports(m))
+    reduced = _eliminate(v.support for v in m.row_vecs)
     gens = []
     for f in range(m.cols):
         if f not in reduced:
             gen = {p: -row[f] for p, row in reduced.items() if f in row}
             gen[f] = _ONE
-            gens.append(to_vec(gen, m.cols))
+            gens.append(Vec.sparse(m.cols, gen))
     return Subspace.span(m.cols, gens)
 
 

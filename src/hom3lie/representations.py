@@ -26,8 +26,8 @@ from typing import Optional
 
 from .algebras import Hom3LieAlgebra, WitnessLog
 from .errors import DimensionMismatch, RepresentationInvalid
-from .linalg import Mat, Support, Vec, pruned, support
-from .sparse import AltTable, SparseMat, add_matvec, matvec, sparse_cols, unflatten
+from .linalg import Mat, Support, Vec, pruned
+from .sparse import AltTable, SparseMat, add_matvec, matvec, unflatten
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def _products(m: int, pairs: list[tuple[SparseMat, Support]], start: Support) ->
 
 def twisted_rho(L: Hom3LieAlgebra, r: Representation) -> dict[tuple[int, int], SparseMat]:
     """rho(alpha e_p, alpha e_q) for every ordered pair, as sparse matrices."""
-    acols = L.twist_supports()
+    acols = [L.twist.col(i).support for i in range(L.dim)]
     partials = [r.alt.partial(a) for a in acols]
     return {(p, q): unflatten(matvec(partials[p], acols[q]), r.module_dim)
             for p in range(L.dim) for q in range(L.dim)}
@@ -117,8 +117,9 @@ def verify_representation(L: Hom3LieAlgebra, r: Representation) -> Representatio
     if r.algebra_dim != L.dim:
         raise DimensionMismatch("representation is over a different algebra dimension")
     n, m = L.dim, r.module_dim
-    acols = L.twist_supports()
-    a_flat, a_cols = support(r.twist.vectorize()), sparse_cols(r.twist)
+    acols = [L.twist.col(i).support for i in range(n)]
+    a_flat = r.twist.vectorize().support
+    a_cols = {c: r.twist.col(c).support for c in range(m)}
     rho, raa = r.alt.get, twisted_rho(L, r)
     twisted = [{t: q for t, flat in r.alt.partial(a).items()  # t -> rho(a e_u, e_t) A
                 if (q := pruned(_products(m, [(unflatten(flat, m), a_flat)], {})))}

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .errors import DimensionMismatch
-from .linalg import Mat, Support, Vec, add_scaled, pruned, support, to_vec
+from .linalg import Support, Vec, add_scaled, pruned
 
 SparseMat = dict[int, Support]
 
@@ -35,11 +35,6 @@ def signed_perms(k: int) -> list[tuple[tuple[int, ...], int]]:
     """All permutations of range(k) with their signs, in itertools order."""
     return [(p, (-1) ** sum(a > b for a, b in itertools.combinations(p, 2)))
             for p in itertools.permutations(range(k))]
-
-
-def sparse_cols(m: Mat) -> SparseMat:
-    cols = (support(m.col(c)) for c in range(m.cols))
-    return {c: s for c, s in enumerate(cols) if s}
 
 
 def unflatten(flat: Support, m: int) -> SparseMat:
@@ -92,7 +87,7 @@ class AltTable:
         trie: dict = {}
         perms = signed_perms(self.arity)
         for key, value in self.values.items():
-            pos = support(value)
+            pos = value.support
             neg = {t: -a for t, a in pos.items()}
             for p, sign in perms:
                 node = trie
@@ -126,11 +121,11 @@ class AltTable:
         return {k: s for k, col in cols.items() if (s := pruned(col))}
 
     def basis_value(self, *idx: int) -> Vec:
-        return to_vec(self.get(*idx), self.size)
+        return Vec.sparse(self.size, self.get(*idx))
 
     def evaluate(self, *args: Vec) -> Vec:
         """The multilinear map on arbitrary vectors."""
         if any(len(x) != self.dim for x in args):
             raise DimensionMismatch(f"{self.what} arguments must match the algebra dimension")
-        last = self.partial(*(support(x) for x in args[:-1]))
-        return to_vec(matvec(last, support(args[-1])), self.size)
+        last = self.partial(*(x.support for x in args[:-1]))
+        return Vec.sparse(self.size, matvec(last, args[-1].support))

@@ -46,7 +46,6 @@ from .linalg import (
     nullspace,
     solve,
     subspace_sum,
-    vstack,
 )
 
 SERIES_KINDS = ("derived", "central_descending", "central_ascending")
@@ -72,9 +71,7 @@ def _centralizer(L: Hom3LieAlgebra, target: Subspace) -> Subspace:
     n = L.dim
     blocks = [Mat.from_cols([target.reduce(L.bracket_basis(a, j, k)) for a in range(n)])
               for j, k in itertools.combinations(range(n), 2)]
-    if not blocks:
-        return Subspace.full(n)
-    return nullspace(vstack(blocks))
+    return nullspace(Mat.sparse(n, (v for b in blocks for v in b.row_vecs)))
 
 
 def series(L: Hom3LieAlgebra, kind: str, max_steps: int = 64) -> SeriesResult:
@@ -148,7 +145,7 @@ def isotropic_complement(form: BilinForm, iso: Subspace) -> Subspace:
     if not is_isotropic(form, iso):
         raise IsotropicRequired("complement needs an isotropic subspace")
     gram = form.gram
-    pair_rows = Mat.from_rows([list(gram.apply(b)) for b in iso.basis], cols=n)
+    pair_rows = Mat.from_rows([gram.apply(b) for b in iso.basis], cols=n)
     duals: list[Vec] = []
     for j in range(k):
         f = solve(pair_rows, Vec.basis(k, j))
@@ -181,6 +178,8 @@ def reconstruct_t_star(
 ) -> ReconstructionResult:
     """Present a metric algebra as a dual-space extension of its quotient.
 
+    The ideal and a supplied complement must live in the algebra
+    (:class:`DimensionMismatch` otherwise, before any other check).
     Preconditions (each with its own error): the form is a metric for
     the algebra; the subspace is a twist-stable ideal, isotropic, of
     exactly half the dimension, and brackets to zero against itself and
@@ -195,6 +194,8 @@ def reconstruct_t_star(
     returned as ``isometry_ok``.
     """
     n2 = g.dim
+    if any(s.ambient_dim != n2 for s in (ideal, complement) if s is not None):
+        raise DimensionMismatch("subspace ambient dimension does not match the algebra")
     k = ideal.dim
     if n2 != 2 * k:
         raise HalfDimensionRequired("reconstruction needs an ideal of half the dimension")
@@ -212,8 +213,7 @@ def reconstruct_t_star(
     else:
         comp = complement
         if (
-            comp.ambient_dim != n2
-            or comp.dim != k
+            comp.dim != k
             or not is_isotropic(form, comp)
             or subspace_sum(comp, ideal).dim != n2
         ):
@@ -233,7 +233,7 @@ def reconstruct_t_star(
     cmat = Mat.from_cols(list(comp.basis) + list(ideal.basis))
     cinv = inverse(cmat)
     assert cinv is not None
-    ideal_coords = Mat.from_rows([list(cinv.row(i)) for i in range(k, n2)], cols=n2)
+    ideal_coords = Mat.sparse(n2, cinv.row_vecs[k:])
 
     # delta : I -> L*, delta(i)(xbar) = B(i, x) on ideal coordinates.
     gram = form.gram
@@ -248,7 +248,7 @@ def reconstruct_t_star(
     theta = Cocycle(k, k, table)
 
     tstar, qform = t_star_extension(lq, theta)
-    sigma = vstack([proj, delta @ ideal_coords])
+    sigma = Mat.sparse(n2, proj.row_vecs + (delta @ ideal_coords).row_vecs)
     ok = is_isometry(g, form, tstar, qform, sigma)
     return ReconstructionResult(quotient=lq, theta=theta, tstar=tstar, sigma=sigma, isometry_ok=ok)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from hom3lie.cli import main
-from hom3lie.extensions import Cocycle
+from hom3lie.extensions import BilinForm, Cocycle
 from hom3lie.fixtures import catalog, l3
 from hom3lie.io import (
     FileFormatError,
@@ -373,3 +373,44 @@ def test_sparse_index_keys_must_be_canonical(tmp_path, capsys):
     path.write_text(json.dumps(d), encoding="utf-8")
     assert main(["verify", str(path)]) == 2
     assert "bad index '01'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("diag", [(1, 1, 1, 1), (1, 2, 3, 4)])
+def test_cli_reconstruct_ideal_of_another_ambient_dim_exits_2(tmp_path, capsys, diag):
+    # the identity is a metric on A4 and diag(1,2,3,4) is not: the
+    # ambient-dimension mismatch is reported first either way
+    write_json(tmp_path / "form.json", form_to_dict(BilinForm(4, Mat.diagonal(diag))))
+    ideal = Subspace.span(6, [Vec.basis(6, 0), Vec.basis(6, 1)])
+    write_json(tmp_path / "ideal.json", subspace_to_dict(ideal))
+    assert main(["reconstruct", data_file("A4"), str(tmp_path / "form.json"),
+                 str(tmp_path / "ideal.json")]) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_cli_reconstruct_complement_of_another_ambient_dim_exits_2(tmp_path, capsys):
+    from hom3lie.extensions import t_star_extension
+
+    alg, q = t_star_extension(l3(), Cocycle.zero(3, 3))
+    write_json(tmp_path / "alg.json", algebra_to_dict(alg))
+    write_json(tmp_path / "q.json", form_to_dict(q))
+    ideal = Subspace.span(6, [Vec.basis(6, 3 + i) for i in range(3)])
+    write_json(tmp_path / "ideal.json", subspace_to_dict(ideal))
+    write_json(tmp_path / "comp.json", subspace_to_dict(Subspace.full(3)))
+    assert main(["reconstruct", str(tmp_path / "alg.json"), str(tmp_path / "q.json"),
+                 str(tmp_path / "ideal.json"), str(tmp_path / "comp.json")]) == 2
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("dim", [0, -1, -2])
+def test_cli_rejects_form_and_subspace_dims_below_one(tmp_path, capsys, dim):
+    write_json(tmp_path / "form.json", {"dim": dim, "gram": [["1"]]})
+    write_json(tmp_path / "metric.json", form_to_dict(BilinForm(4, Mat.identity(4))))
+    write_json(tmp_path / "ideal.json", {"ambient_dim": dim, "basis": []})
+    write_json(tmp_path / "half.json", {"ambient_dim": 4, "basis": [["1", "0", "0", "0"]]})
+    for form, ideal in (("form", "half"), ("metric", "ideal")):
+        assert main(["reconstruct", data_file("A4"), str(tmp_path / f"{form}.json"),
+                     str(tmp_path / f"{ideal}.json")]) == 2
+        err = capsys.readouterr().err
+        assert "dimension must be positive" in err and err.count("\n") == 1
+    assert main(["metric", data_file("A4"), str(tmp_path / "form.json")]) == 2
+    _assert_one_line_error(capsys)
