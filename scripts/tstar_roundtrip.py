@@ -6,6 +6,8 @@ the extension with its hyperbolic form, and reconstruct the extension
 data back from the metric algebra.
 
 Usage: python scripts/tstar_roundtrip.py [--seed N] [--samples N]
+
+Exits 1 when any sample is not an exact round trip.
 """
 
 import argparse
@@ -27,12 +29,13 @@ def random_theta(rng: random.Random, n: int) -> Cocycle:
     return Cocycle(n, n, table)
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--samples", type=int, default=5)
     args = parser.parse_args()
     rng = random.Random(args.seed)
+    exact = True
 
     for name, alg in catalog().items():
         n = alg.dim
@@ -54,7 +57,9 @@ def main() -> None:
             f"{name}: {recovered}/{args.samples} exact round trips"
             f" ({nonzero} with a nonzero cocycle)"
         )
+        exact = exact and recovered == args.samples
+    return 0 if exact else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterable, Optional
 
 from .errors import DimensionMismatch, IdealRequired
 from .linalg import Mat, Subspace, Vec, pruned, rank, subspace_contains
-from .sparse import AltTable, SparseMat, add_matvec, matvec, signed_perms
+from .sparse import AltTable, add_matvec, matvec, signed_perms
 
 MAX_WITNESSES = 16
 
@@ -166,19 +166,13 @@ def skew_violations(dim: int, value_at: Callable[[int, int, int], Vec]) -> Witne
     return w
 
 
-def twisted_actions(L: Hom3LieAlgebra) -> dict[tuple[int, int], SparseMat]:
-    """T_ab = [alpha e_a, alpha e_b, .] for every ordered pair, as sparse matrices."""
-    acols = [L.twist.col(i).support for i in range(L.dim)]
-    return {(a, b): L.alt.partial(acols[a], acols[b]) for a in range(L.dim) for b in range(L.dim)}
-
-
 def verify_hom_jacobi(L: Hom3LieAlgebra) -> AlgebraReport:
     """Sweep the hom-Jacobi identity over all basis instantiations.
 
     (x, y) = (e_a, e_b) ranges over all ordered pairs and (u, v, w) over
     strictly increasing triples; by multilinearity and skewness this is
     equivalent to the identity on arbitrary vectors.  With the twisted
-    actions T_ab of :func:`twisted_actions` and B_abc = [e_a, e_b, e_c],
+    actions T_ab = [alpha e_a, alpha e_b, .] and B_abc = [e_a, e_b, e_c],
     skewness turns each instance into four sparse mat-vecs,
 
         T_ab B_uvw == T_vw B_abu + T_wu B_abv + T_uv B_abw,
@@ -188,7 +182,7 @@ def verify_hom_jacobi(L: Hom3LieAlgebra) -> AlgebraReport:
     """
     n = L.dim
     alt = L.alt
-    t = twisted_actions(L)
+    t = alt.pairs([L.twist.col(i).support for i in range(n)])
     triples = [(u, v, wi, alt.get(u, v, wi)) for u, v, wi in increasing_triples(n)]
     w = WitnessLog()
     for a in range(n):
@@ -214,15 +208,14 @@ def verify_multiplicative(L: Hom3LieAlgebra) -> AlgebraReport:
     n = L.dim
     acols = [L.twist.col(i).support for i in range(n)]
     alpha = dict(enumerate(acols))
+    t = L.alt.pairs(acols)
     w = WitnessLog()
-    for i, j in itertools.combinations(range(n), 2):
-        tij = L.alt.partial(acols[i], acols[j])
-        for k in range(j + 1, n):
-            lhs = matvec(alpha, L.alt.get(i, j, k))
-            rhs = matvec(tij, acols[k])
-            if lhs != rhs:
-                w.add(Violation("multiplicative", (i, j, k),
-                                Vec.sparse(n, lhs), Vec.sparse(n, rhs)))
+    for i, j, k in increasing_triples(n):
+        lhs = matvec(alpha, L.alt.get(i, j, k))
+        rhs = matvec(t[i, j], acols[k])
+        if lhs != rhs:
+            w.add(Violation("multiplicative", (i, j, k),
+                            Vec.sparse(n, lhs), Vec.sparse(n, rhs)))
     return AlgebraReport(
         multiplicative_ok=w.clean, violations=tuple(w.items), violations_total=w.total
     )
@@ -278,8 +271,9 @@ def direct_sum(L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> Hom3LieAlgebra:
 
 def preserves_bracket(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> bool:
     """phi [e_i, e_j, e_k] == [phi e_i, phi e_j, phi e_k] on all i < j < k."""
-    cols = [phi.col(i) for i in range(L.dim)]
-    return all(phi.apply(L.bracket_basis(i, j, k)) == G.bracket(cols[i], cols[j], cols[k])
+    cols = [phi.col(i).support for i in range(L.dim)]
+    t = G.alt.pairs(cols)
+    return all(phi.apply(L.bracket_basis(i, j, k)).support == matvec(t[i, j], cols[k])
                for i, j, k in increasing_triples(L.dim))
 
 

@@ -115,11 +115,10 @@ def derivation_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
     # output coordinate.  [D e_i, a^k e_j, a^k e_k] = [a^k e_j, a^k e_k, D e_i]
     # is linear in column i of D, with the twisted action of (a^k e_j,
     # a^k e_k) as coefficient matrix; likewise for the other two slots.
-    akc = [ak.col(i).support for i in range(n)]
+    tk = L.alt.pairs([ak.col(i).support for i in range(n)])
     for i, j, kk in increasing_triples(n):
         bval = L.alt.get(i, j, kk)
-        terms = [(i, L.alt.partial(akc[j], akc[kk])), (j, L.alt.partial(akc[kk], akc[i])),
-                 (kk, L.alt.partial(akc[i], akc[j]))]
+        terms = [(i, tk[j, kk]), (j, tk[kk, i]), (kk, tk[i, j])]
         for out in range(n):
             row = {out * n + t: bt for t, bt in bval.items()}
             for col, action in terms:
@@ -156,9 +155,10 @@ def inner_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
         raise ValueError("inner derivations exist from grade 1 upward")
     n = L.dim
     fixed = fixed_space(L)
-    gens = []
-    for a, b in itertools.combinations(range(fixed.dim), 2):
-        gens.append(inner_derivation(L, fixed.basis[a], fixed.basis[b], k - 1).vectorize())
+    ak = twist_power(L, k - 1)
+    t = L.alt.pairs([u.support for u in fixed.basis])
+    gens = [(Mat.from_cols([Vec.sparse(n, t[a, b].get(c, {})) for c in range(n)]) @ ak).vectorize()
+            for a, b in itertools.combinations(range(fixed.dim), 2)]
     span = Subspace.span(n * n, gens)
     return DerivationSpace(k, n, tuple(Mat.unvectorize(n, n, v) for v in span.basis))
 

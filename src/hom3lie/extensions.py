@@ -30,10 +30,9 @@ from .representations import (
     Representation,
     _semidirect_table,
     coadjoint_rep,
-    twisted_rho,
     verify_representation,
 )
-from .sparse import AltTable, add_matvec, matvec, signed_perms
+from .sparse import AltTable, add_matvec, matvec, signed_perms, unflatten
 
 
 @dataclass(frozen=True)
@@ -61,9 +60,6 @@ class Cocycle:
 
     def value_basis(self, i: int, j: int, k: int) -> Vec:
         return self.alt.basis_value(i, j, k)
-
-    def apply(self, x: Vec, y: Vec, z: Vec) -> Vec:
-        return self.alt.evaluate(x, y, z)
 
     def __add__(self, other: "Cocycle") -> "Cocycle":
         if (self.algebra_dim, self.module_dim) != (other.algebra_dim, other.module_dim):
@@ -122,8 +118,8 @@ def verify_cocycle(L: Hom3LieAlgebra, r: Representation, th: Cocycle) -> Cocycle
         raise DimensionMismatch("algebra, representation and cocycle dimensions must agree")
     acols = [L.twist.col(i).support for i in range(n)]
     # Theta_yz: X -> theta(ay, az, X) = theta(X, ay, az)
-    taa = {(y, z): th.alt.partial(acols[y], acols[z]) for y in range(n) for z in range(n)}
-    raa = twisted_rho(L, r)
+    taa = th.alt.pairs(acols)
+    raa = {key: unflatten(flat, r.module_dim) for key, flat in r.alt.pairs(acols).items()}
     b, th_at = L.alt.get, th.alt.get
     log = WitnessLog()
     for x, y, z, u, v in itertools.product(range(n), repeat=5):
@@ -161,7 +157,7 @@ def coboundary(L: Hom3LieAlgebra, r: Representation, f: Mat) -> Cocycle:
 
 
 def t_theta_extension(
-    L: Hom3LieAlgebra, r: Representation, th: Cocycle, check: bool = True
+    L: Hom3LieAlgebra, r: Representation, th: Cocycle
 ) -> tuple[Hom3LieAlgebra, AlgebraReport]:
     """Extension of L by the module V along a 3-cocycle.
 
@@ -171,20 +167,19 @@ def t_theta_extension(
     assumed, since the compatibility hypotheses behind it are not
     enforceable for a general module.
 
-    With ``check`` set, the representation and cocycle identities are
-    preconditions and violations raise.
+    The representation and cocycle identities are preconditions;
+    violations raise :class:`RepresentationInvalid` or :class:`CocycleInvalid`.
     """
-    if check:
-        rep = verify_representation(L, r)
-        if not rep.ok:
-            raise RepresentationInvalid(
-                f"action fails the representation identities ({rep.violations_total} violations)"
-            )
-        co = verify_cocycle(L, r, th)
-        if not co.ok:
-            raise CocycleInvalid(
-                f"map fails the cocycle identity ({co.violations_total} violations)"
-            )
+    rep = verify_representation(L, r)
+    if not rep.ok:
+        raise RepresentationInvalid(
+            f"action fails the representation identities ({rep.violations_total} violations)"
+        )
+    co = verify_cocycle(L, r, th)
+    if not co.ok:
+        raise CocycleInvalid(
+            f"map fails the cocycle identity ({co.violations_total} violations)"
+        )
     alg = _semidirect_table(L, r, th.table)
     return alg, verify_axioms(alg)
 

@@ -50,10 +50,6 @@ class FileFormatError(ValueError):
         super().__init__(f"{location}: {message}" if location else message)
 
 
-def format_rat(x: Fraction) -> str:
-    return str(x)
-
-
 def parse_rat(x: Any, where: str) -> Fraction:
     if isinstance(x, bool) or isinstance(x, float):
         raise FileFormatError(f"expected an exact rational, got {x!r}", where)
@@ -64,7 +60,7 @@ def parse_rat(x: Any, where: str) -> Fraction:
             raise FileFormatError(f"bad rational literal {x!r}", where)
         try:
             return Fraction(x)
-        except ZeroDivisionError as exc:
+        except (ValueError, ZeroDivisionError) as exc:  # ValueError: int() refuses > 4,300 digits
             raise FileFormatError(f"bad rational literal {x!r}", where) from exc
     raise FileFormatError(f"expected an exact rational, got {type(x).__name__}", where)
 
@@ -84,7 +80,7 @@ def _expect_int(x: Any, where: str) -> int:
 
 
 def vec_to_sparse(v: Vec) -> dict[str, str]:
-    return {str(i + 1): format_rat(x) for i, x in v.nonzero()}
+    return {str(i + 1): str(x) for i, x in v.nonzero()}
 
 
 def vec_from_sparse(d: Any, n: int, where: str) -> Vec:
@@ -94,16 +90,15 @@ def vec_from_sparse(d: Any, n: int, where: str) -> Vec:
     for key, raw in d.items():
         if not (isinstance(key, str) and _INDEX.fullmatch(key)):  # int() also takes "01", " 1"
             raise FileFormatError(f"bad index {key!r}", where)
-        idx = int(key)
-        if idx > n:
-            raise FileFormatError(f"index {idx} out of range 1..{n}", where)
+        if len(key) > len(str(n)) or int(key) > n:  # int() refuses keys over 4,300 digits
+            raise FileFormatError(f"index {key} out of range 1..{n}", where)
         if value := parse_rat(raw, f"{where}[{key}]"):
-            support[idx - 1] = value
+            support[int(key) - 1] = value
     return Vec.sparse(n, support)
 
 
 def vec_to_dense(v: Vec) -> list[str]:
-    return [format_rat(x) for x in v]
+    return [str(x) for x in v]
 
 
 def vec_from_dense(raw: Any, where: str, length: Optional[int] = None) -> Vec:
@@ -279,6 +274,8 @@ def read_json(path: Union[str, Path]) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"invalid JSON: {exc}", str(p)) from exc
+    except ValueError as exc:  # an integer literal over 4,300 digits
+        raise FileFormatError("invalid JSON: integer literal too long", str(p)) from exc
 
 
 def write_json(path: Union[str, Path], payload: Any) -> None:

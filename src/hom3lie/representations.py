@@ -27,7 +27,7 @@ from typing import Optional
 from .algebras import Hom3LieAlgebra, WitnessLog
 from .errors import DimensionMismatch, RepresentationInvalid
 from .linalg import Mat, Support, Vec, pruned
-from .sparse import AltTable, SparseMat, add_matvec, matvec, unflatten
+from .sparse import AltTable, SparseMat, add_matvec, unflatten
 
 
 @dataclass(frozen=True)
@@ -98,14 +98,6 @@ def _products(m: int, pairs: list[tuple[SparseMat, Support]], start: Support) ->
     return acc
 
 
-def twisted_rho(L: Hom3LieAlgebra, r: Representation) -> dict[tuple[int, int], SparseMat]:
-    """rho(alpha e_p, alpha e_q) for every ordered pair, as sparse matrices."""
-    acols = [L.twist.col(i).support for i in range(L.dim)]
-    partials = [r.alt.partial(a) for a in acols]
-    return {(p, q): unflatten(matvec(partials[p], acols[q]), r.module_dim)
-            for p in range(L.dim) for q in range(L.dim)}
-
-
 def verify_representation(L: Hom3LieAlgebra, r: Representation) -> RepresentationReport:
     """Sweep (R1) over basis pairs and (R2)-(R3) over basis quadruples.
 
@@ -120,7 +112,7 @@ def verify_representation(L: Hom3LieAlgebra, r: Representation) -> Representatio
     acols = [L.twist.col(i).support for i in range(n)]
     a_flat = r.twist.vectorize().support
     a_cols = {c: r.twist.col(c).support for c in range(m)}
-    rho, raa = r.alt.get, twisted_rho(L, r)
+    rho, raa = r.alt.get, {key: unflatten(flat, m) for key, flat in r.alt.pairs(acols).items()}
     twisted = [{t: q for t, flat in r.alt.partial(a).items()  # t -> rho(a e_u, e_t) A
                 if (q := pruned(_products(m, [(unflatten(flat, m), a_flat)], {})))}
                for a in acols]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch
 from .linalg import Support, Vec, add_scaled, pruned
@@ -119,6 +119,25 @@ class AltTable:
             for k, val in node.items():
                 add_scaled(cols.setdefault(k, {}), c, val)
         return {k: s for k, col in cols.items() if (s := pruned(col))}
+
+    def pairs(self, images: Sequence[Support]) -> dict[tuple[int, int], dict]:
+        """The first two slots fixed at every ordered pair of ``images``.
+
+        ``images`` are basis images (columns of a twist, a morphism or a
+        lift) or a subspace basis.  Arity 3 gives the sparse matrix of the
+        last slot, arity 2 the support of the value.  Each unordered pair
+        is contracted once: the map is alternating, so (b, a) is the exact
+        negation of (a, b) and (a, a) is empty.  Nothing is cached.
+        """
+        out: dict[tuple[int, int], dict] = {(a, a): {} for a in range(len(images))}
+        for a, b in itertools.combinations(range(len(images)), 2):
+            if self.arity == 2:
+                out[a, b] = val = matvec(self.partial(images[a]), images[b])
+                out[b, a] = {t: -v for t, v in val.items()}
+            else:
+                out[a, b] = val = self.partial(images[a], images[b])
+                out[b, a] = {k: {t: -v for t, v in col.items()} for k, col in val.items()}
+        return out
 
     def basis_value(self, *idx: int) -> Vec:
         return Vec.sparse(self.size, self.get(*idx))

@@ -47,6 +47,7 @@ from .linalg import (
     solve,
     subspace_sum,
 )
+from .sparse import matvec
 
 SERIES_KINDS = ("derived", "central_descending", "central_ascending")
 
@@ -242,8 +243,9 @@ def reconstruct_t_star(
         cols=k,
     )
 
-    cols = [lift.col(p) for p in range(k)]
-    table = {(p, q, r): delta.apply(ideal_coords.apply(g.bracket(cols[p], cols[q], cols[r])))
+    cols = [lift.col(p).support for p in range(k)]
+    t = g.alt.pairs(cols)
+    table = {(p, q, r): delta.apply(ideal_coords.apply(Vec.sparse(n2, matvec(t[p, q], cols[r]))))
              for p, q, r in increasing_triples(k)}
     theta = Cocycle(k, k, table)
 

@@ -414,3 +414,31 @@ def test_cli_rejects_form_and_subspace_dims_below_one(tmp_path, capsys, dim):
         assert "dimension must be positive" in err and err.count("\n") == 1
     assert main(["metric", data_file("A4"), str(tmp_path / "form.json")]) == 2
     _assert_one_line_error(capsys)
+
+
+def _with_long_integer(case: str) -> str:
+    """L3 as JSON text with one 5,000-digit integer, past Python's int-string limit."""
+    big = "1" * 5000
+    d = algebra_to_dict(l3())
+    if case == "index key":
+        d["brackets"][0]["value"] = {big: "1"}
+    elif case == "rational string":
+        d["brackets"][0]["value"]["1"] = big
+    else:
+        d["alpha"][0][0] = "BIG"
+        return json.dumps(d).replace('"BIG"', big)
+    return json.dumps(d)
+
+
+@pytest.mark.parametrize("case, where", [
+    ("index key", "brackets[0].value: index 111"),
+    ("rational string", "brackets[0].value[1]: bad rational literal '111"),
+    ("JSON number", "invalid JSON: integer literal too long"),
+])
+def test_cli_integers_over_4300_digits_exit_2(tmp_path, capsys, case, where):
+    path = tmp_path / "long.json"
+    path.write_text(_with_long_integer(case), encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and where in err
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -1,0 +1,152 @@
+"""``AltTable.pairs`` and the code built on it, against direct evaluation.
+
+``pairs`` contracts each unordered pair of images once and fills in the
+other order by negation and the diagonal as empty.  The first test
+checks every ordered pair against ``partial`` and ``evaluate`` on
+random tables and images; the others check ``preserves_bracket``,
+``inner_space`` and the theta table of ``reconstruct_t_star`` against
+brackets evaluated one by one through ``Hom3LieAlgebra.bracket``.
+"""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hom3lie.algebras import direct_sum, increasing_triples, preserves_bracket
+from hom3lie.derivations import fixed_space, inner_space, twist_power
+from hom3lie.extensions import Cocycle, cyclic_part, t_star_extension
+from hom3lie.linalg import Mat, Subspace, Vec
+from hom3lie.sparse import AltTable, matvec
+from hom3lie.structure import isotropic_complement, reconstruct_t_star
+from test_sparse_sweeps import BASES, perturbed, small
+
+
+def support(values) -> dict:
+    return {i: x for i, x in enumerate(values) if x}
+
+
+@st.composite
+def tables(draw):
+    arity = draw(st.sampled_from([2, 3]))
+    dim, size = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    combos = list(itertools.combinations(range(dim), arity))
+    keys = draw(st.lists(st.sampled_from(combos), max_size=6)) if combos else []
+    values = {key: Vec(tuple(draw(st.lists(small, min_size=size, max_size=size))))
+              for key in keys}
+    return AltTable(arity, dim, size, values, "table")
+
+
+@st.composite
+def images(draw, dim):
+    """Dense, basis, empty, repeated and scaled (so singular) images."""
+    out: list[dict] = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["dense", "basis", "empty", "repeat", "scaled"]))
+        if kind == "dense":
+            out.append(support(draw(st.lists(small, min_size=dim, max_size=dim))))
+        elif kind == "basis":
+            out.append({draw(st.integers(0, dim - 1)): draw(small) or Fraction(1)})
+        elif kind == "empty" or not out:
+            out.append({})
+        else:
+            earlier = draw(st.sampled_from(out))
+            c = 1 if kind == "repeat" else draw(small)
+            out.append({i: c * x for i, x in earlier.items() if c})
+    return out
+
+
+@settings(max_examples=150)
+@given(tables(), st.data())
+def test_pairs_match_partial_and_evaluate_on_every_ordered_pair(table, data):
+    dim = table.dim
+    ims = data.draw(images(dim))
+    z = data.draw(st.lists(small, min_size=dim, max_size=dim))
+    got = table.pairs(ims)
+    assert set(got) == set(itertools.product(range(len(ims)), repeat=2))
+    for a, b in got:
+        x, y = Vec.sparse(dim, ims[a]), Vec.sparse(dim, ims[b])
+        if table.arity == 3:
+            assert got[a, b] == table.partial(ims[a], ims[b])
+            assert matvec(got[a, b], support(z)) == table.evaluate(x, y, Vec(z)).support
+        else:
+            assert got[a, b] == table.evaluate(x, y).support
+        if a == b:
+            assert got[a, b] == {}
+
+
+def _preserves_directly(phi: Mat, L, G) -> bool:
+    cols = [phi.col(i) for i in range(L.dim)]
+    return all(phi.apply(L.bracket_basis(i, j, k)) == G.bracket(cols[i], cols[j], cols[k])
+               for i, j, k in increasing_triples(L.dim))
+
+
+@st.composite
+def maps(draw):
+    """An algebra L, a target G and a map L -> G: the twist, the identity,
+    the inclusion into a direct sum or a random matrix, each possibly perturbed."""
+    L = draw(perturbed())
+    n = L.dim
+    kind = draw(st.sampled_from(["twist", "identity", "inclusion", "random"]))
+    G, phi = L, {"twist": L.twist, "identity": Mat.identity(n)}.get(kind)
+    if kind == "inclusion":
+        G = direct_sum(L, draw(st.sampled_from(BASES)))
+        phi = Mat.sparse(n, [Vec.basis(n, i) for i in range(n)]
+                         + [Vec.zero(n)] * (G.dim - n))
+    elif kind == "random":
+        phi = Mat.from_rows([draw(st.lists(small, min_size=n, max_size=n)) for _ in range(n)])
+    if draw(st.booleans()):
+        rows = [list(v.entries) for v in phi.row_vecs]
+        rows[draw(st.integers(0, phi.rows - 1))][draw(st.integers(0, n - 1))] += draw(small)
+        phi = Mat.from_rows(rows)
+    return phi, L, G
+
+
+@given(maps())
+def test_preserves_bracket_matches_direct_brackets(case):
+    phi, L, G = case
+    assert preserves_bracket(phi, L, G) == _preserves_directly(phi, L, G)
+
+
+@settings(max_examples=30)
+@given(perturbed(), st.integers(1, 3))
+def test_inner_space_matches_direct_brackets(L, k):
+    n, fixed = L.dim, fixed_space(L)
+    ak = twist_power(L, k - 1)
+    gens = [Mat.from_cols([L.bracket(u, v, ak.col(c)) for c in range(n)]).vectorize()
+            for u, v in itertools.combinations(fixed.basis, 2)]
+    expected = Subspace.span(n * n, gens)
+    assert inner_space(L, k).as_subspace() == expected
+
+
+@settings(max_examples=20)
+@given(st.sampled_from(BASES), st.data())
+def test_reconstructed_theta_matches_direct_brackets(L, data):
+    """theta(p, q, r)(s) = B([l_p, l_q, l_r], l_s) for the lifts l of the
+    quotient basis into the isotropic complement: the complement part of
+    the bracket pairs to zero with l_s."""
+    n = L.dim
+    raw = {key: Vec(tuple(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))))
+           for key in increasing_triples(n)}
+    th = cyclic_part(Cocycle(n, n, raw))
+    g, form = t_star_extension(L, th)
+    ideal = Subspace.span(2 * n, [Vec.basis(2 * n, n + i) for i in range(n)])
+    if data.draw(st.booleans()):
+        comp = None
+        lifts = list(isotropic_complement(form, ideal).basis)
+    else:
+        # the graph of an antisymmetric map L -> L* is an isotropic complement
+        s = {(i, j): data.draw(small) for i, j in itertools.combinations(range(n), 2)}
+        lifts = [Vec.basis(n, i).concat(Vec(tuple(s.get((i, j), 0) - s.get((j, i), 0)
+                                                   for j in range(n))))
+                 for i in range(n)]
+        comp = Subspace.span(2 * n, lifts)
+    for p, lift in enumerate(lifts):  # each lift projects to e_p on the quotient L
+        assert Vec.sparse(n, {i: x for i, x in lift.support.items() if i < n}) == Vec.basis(n, p)
+    result = reconstruct_t_star(g, form, ideal, comp)
+    assert result.isometry_ok
+    for p, q, r in increasing_triples(n):
+        bracket = g.bracket(lifts[p], lifts[q], lifts[r])
+        expected = Vec(tuple(form.eval(bracket, lifts[s]) for s in range(n)))
+        assert result.theta.value_basis(p, q, r) == expected
