@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import DimensionMismatch, IdealRequired
 from .linalg import Mat, Subspace, Vec, pruned, rank, subspace_contains
@@ -203,19 +203,22 @@ def verify_hom_jacobi(L: Hom3LieAlgebra) -> AlgebraReport:
     return AlgebraReport(hom_jacobi_ok=w.clean, violations=tuple(w.items), violations_total=w.total)
 
 
+def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> Iterator[tuple]:
+    """(i, j, k), phi [e_i,e_j,e_k] and [phi e_i,phi e_j,phi e_k] as supports, for i < j < k."""
+    cols = [phi.col(i).support for i in range(L.dim)]
+    phi_cols = dict(enumerate(cols))
+    t = G.alt.pairs(cols)
+    for i, j, k in increasing_triples(L.dim):
+        yield (i, j, k), matvec(phi_cols, L.alt.get(i, j, k)), matvec(t[i, j], cols[k])
+
+
 def verify_multiplicative(L: Hom3LieAlgebra) -> AlgebraReport:
     """Check alpha([e_i,e_j,e_k]) = [alpha e_i, alpha e_j, alpha e_k] on all i<j<k."""
     n = L.dim
-    acols = [L.twist.col(i).support for i in range(n)]
-    alpha = dict(enumerate(acols))
-    t = L.alt.pairs(acols)
     w = WitnessLog()
-    for i, j, k in increasing_triples(n):
-        lhs = matvec(alpha, L.alt.get(i, j, k))
-        rhs = matvec(t[i, j], acols[k])
+    for key, lhs, rhs in _bracket_images(L.twist, L, L):
         if lhs != rhs:
-            w.add(Violation("multiplicative", (i, j, k),
-                            Vec.sparse(n, lhs), Vec.sparse(n, rhs)))
+            w.add(Violation("multiplicative", key, Vec.sparse(n, lhs), Vec.sparse(n, rhs)))
     return AlgebraReport(
         multiplicative_ok=w.clean, violations=tuple(w.items), violations_total=w.total
     )
@@ -271,10 +274,7 @@ def direct_sum(L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> Hom3LieAlgebra:
 
 def preserves_bracket(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> bool:
     """phi [e_i, e_j, e_k] == [phi e_i, phi e_j, phi e_k] on all i < j < k."""
-    cols = [phi.col(i).support for i in range(L.dim)]
-    t = G.alt.pairs(cols)
-    return all(phi.apply(L.bracket_basis(i, j, k)).support == matvec(t[i, j], cols[k])
-               for i, j, k in increasing_triples(L.dim))
+    return all(lhs == rhs for _, lhs, rhs in _bracket_images(phi, L, G))
 
 
 def is_morphism(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> bool:

@@ -41,9 +41,5 @@ class HalfDimensionRequired(PreconditionError):
     """The isotropic ideal must have exactly half the ambient dimension."""
 
 
-class AbelianIdealRequired(PreconditionError):
-    """The ideal must bracket to zero with itself and anything else."""
-
-
 class ComplementInvalid(PreconditionError):
     """The supplied complement is not an isotropic complement of the ideal."""

@@ -262,7 +262,14 @@ class MetricReport:
 
 
 def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> MetricReport:
-    """Check B([x1,x2,x3], x4) + B([x1,x2,x4], x3) = 0 over basis 4-tuples."""
+    """Check B([x1,x2,x3], x4) + B([x1,x2,x4], x3) = 0 over basis 4-tuples.
+
+    That is, M_ab[c][d] = B([e_a, e_b, e_c], e_d) is skew.  M_ab is built
+    from the nonzero columns of [e_a, e_b, .], and only the (c, d) in the
+    support of M_ab or of its transpose are visited, in sorted order; at
+    every other (c, d) both terms are 0.  So the witnesses, their order
+    and the total are those of the sweep over all ordered 4-tuples.
+    """
     n = alg.dim
     if form.dim != n:
         raise DimensionMismatch("form dimension does not match the algebra")
@@ -272,11 +279,11 @@ def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> MetricReport:
     gt = {c: row.support for c, row in enumerate(gram.row_vecs)}  # the columns of gram^T
     log = WitnessLog()
     for a, b in itertools.product(range(n), repeat=2):
-        # paired[c][d] = B([e_a, e_b, e_c], e_d)
-        paired = [matvec(gt, alg.alt.get(a, b, c)) for c in range(n)]
-        for c, dd in itertools.product(range(n), repeat=2):
-            if paired[c].get(dd, 0) + paired[dd].get(c, 0) != 0:
-                log.add((a, b, c, dd))
+        m = {c: row for c, col in alg.alt.get(a, b).items() if (row := matvec(gt, col))}
+        cells = {(c, d) for c, row in m.items() for d in row}
+        for c, d in sorted(cells | {(d, c) for c, d in cells}):
+            if m.get(c, {}).get(d, 0) + m.get(d, {}).get(c, 0) != 0:
+                log.add((a, b, c, d))
     twist_inv = alg.twist.transpose() @ gram @ alg.twist == gram
     return MetricReport(
         symmetric_ok=symmetric,

@@ -26,6 +26,7 @@ loaded standalone, an explicitly supplied algebra always wins.
 
 from __future__ import annotations
 
+import decimal
 import json
 import re
 from fractions import Fraction
@@ -79,8 +80,14 @@ def _expect_int(x: Any, where: str) -> int:
     return x
 
 
+def format_rat(x: Fraction) -> str:
+    """str(x) without the 4,300-digit limit of str() on an int: a Decimal prints exactly."""
+    num = str(decimal.Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{decimal.Decimal(x.denominator)}"
+
+
 def vec_to_sparse(v: Vec) -> dict[str, str]:
-    return {str(i + 1): str(x) for i, x in v.nonzero()}
+    return {str(i + 1): format_rat(x) for i, x in v.nonzero()}
 
 
 def vec_from_sparse(d: Any, n: int, where: str) -> Vec:
@@ -98,7 +105,7 @@ def vec_from_sparse(d: Any, n: int, where: str) -> Vec:
 
 
 def vec_to_dense(v: Vec) -> list[str]:
-    return [str(x) for x in v]
+    return [format_rat(x) for x in v]
 
 
 def vec_from_dense(raw: Any, where: str, length: Optional[int] = None) -> Vec:
@@ -276,6 +283,8 @@ def read_json(path: Union[str, Path]) -> Any:
         raise FileFormatError(f"invalid JSON: {exc}", str(p)) from exc
     except ValueError as exc:  # an integer literal over 4,300 digits
         raise FileFormatError("invalid JSON: integer literal too long", str(p)) from exc
+    except RecursionError as exc:
+        raise FileFormatError("invalid JSON: nested too deeply", str(p)) from exc
 
 
 def write_json(path: Union[str, Path], payload: Any) -> None:

@@ -8,8 +8,8 @@ hits zero.
 
 The reconstruction direction: a 2k-dimensional algebra carrying a
 symmetric, invariant, non-degenerate form together with a k-dimensional
-abelian isotropic ideal is isometric to a dual-space extension of its
-quotient by the ideal.  The construction here follows the hyperbolic
+isotropic ideal is isometric to a dual-space extension of its quotient
+by the ideal.  The construction here follows the hyperbolic
 geometry of the form explicitly and re-verifies its own output instead
 of assuming it.
 """
@@ -29,7 +29,6 @@ from .algebras import (
     subspace_bracket,
 )
 from .errors import (
-    AbelianIdealRequired,
     ComplementInvalid,
     DimensionMismatch,
     HalfDimensionRequired,
@@ -182,17 +181,19 @@ def reconstruct_t_star(
     The ideal and a supplied complement must live in the algebra
     (:class:`DimensionMismatch` otherwise, before any other check).
     Preconditions (each with its own error): the form is a metric for
-    the algebra; the subspace is a twist-stable ideal, isotropic, of
-    exactly half the dimension, and brackets to zero against itself and
-    anything ([I, I, G] = 0).  A supplied complement must be isotropic
+    the algebra; the subspace is a twist-stable ideal, isotropic and of
+    exactly half the dimension.  A supplied complement must be isotropic
     and complementary; otherwise one is completed from the form.
 
-    The quotient L = G/I, the pairing delta(i) = B(i, .), the recovered
-    cocycle theta(x1,x2,x3) = delta of the ideal component of the
-    bracket of the complement lifts, and the map sigma = projection on
-    the quotient plus delta on the ideal are assembled exactly as in
-    the underlying isometry argument; the verdict is re-checked and
-    returned as ``isometry_ok``.
+    Such an ideal is abelian: B([i1,i2,g], h) = -B([g,i1,h], i2) = 0 by
+    invariance, as [g,i1,h] lies in the isotropic ideal, and the form is
+    non-degenerate.  So [I, I, G] = 0 needs no check of its own.
+
+    With L = G/I and the lifts l_p of its basis into the complement, the
+    cocycle is theta(p,q,r)(s) = B([l_p, l_q, l_r], l_s), i.e. lift^T G
+    applied to the bracket of the lifts, and sigma is the projection
+    onto L stacked on lift^T G.  The verdict is re-checked and returned
+    as ``isometry_ok``.
     """
     n2 = g.dim
     if any(s.ambient_dim != n2 for s in (ideal, complement) if s is not None):
@@ -206,9 +207,6 @@ def reconstruct_t_star(
         raise IdealRequired("reconstruction needs a twist-stable ideal")
     if not is_isotropic(form, ideal):
         raise IsotropicRequired("reconstruction needs an isotropic ideal")
-    full = Subspace.full(n2)
-    if subspace_bracket(g, ideal, ideal, full).dim != 0:
-        raise AbelianIdealRequired("reconstruction needs [I, I, G] = 0")
     if complement is None:
         comp = isotropic_complement(form, ideal)
     else:
@@ -222,35 +220,24 @@ def reconstruct_t_star(
 
     lq, proj = quotient(g, ideal)
 
-    # Lift the quotient basis into the complement: columns of the
-    # complement basis weighted by the inverse of proj restricted to it.
-    phi = Mat.from_cols([proj.apply(b) for b in comp.basis])
-    phi_inv = inverse(phi)
-    assert phi_inv is not None, "complement must project isomorphically onto the quotient"
-    comp_mat = Mat.from_cols(list(comp.basis))
-    lift = comp_mat @ phi_inv  # 2k x k, lift of each quotient basis vector
+    # Row p of lifts is l_p, the lift of e_p into the complement: the inverse
+    # of the transpose of proj on the complement, applied to its basis.
+    inv = inverse(Mat.sparse(k, [proj.apply(b) for b in comp.basis]))
+    assert inv is not None, "complement must project isomorphically onto the quotient"
+    lifts = inv @ Mat.sparse(n2, comp.basis)
 
-    # Coordinates along comp and ideal: invert the change of basis.
-    cmat = Mat.from_cols(list(comp.basis) + list(ideal.basis))
-    cinv = inverse(cmat)
-    assert cinv is not None
-    ideal_coords = Mat.sparse(n2, cinv.row_vecs[k:])
-
-    # delta : I -> L*, delta(i)(xbar) = B(i, x) on ideal coordinates.
-    gram = form.gram
-    delta = Mat.from_rows(
-        [[ideal.basis[c].dot(gram.apply(lift.col(r))) for c in range(k)] for r in range(k)],
-        cols=k,
-    )
-
-    cols = [lift.col(p).support for p in range(k)]
+    # pair(v)_s = B(l_s, v).  The complement is isotropic, so its part of
+    # v pairs to zero with every lift: pair reads the ideal part of v as a
+    # functional on L.  metric_ok made G symmetric: B(l_s, v) = B(v, l_s).
+    pair = lifts @ form.gram
+    cols = [v.support for v in lifts.row_vecs]
     t = g.alt.pairs(cols)
-    table = {(p, q, r): delta.apply(ideal_coords.apply(Vec.sparse(n2, matvec(t[p, q], cols[r]))))
+    table = {(p, q, r): pair.apply(Vec.sparse(n2, matvec(t[p, q], cols[r])))
              for p, q, r in increasing_triples(k)}
     theta = Cocycle(k, k, table)
 
     tstar, qform = t_star_extension(lq, theta)
-    sigma = Mat.sparse(n2, proj.row_vecs + (delta @ ideal_coords).row_vecs)
+    sigma = Mat.sparse(n2, proj.row_vecs + pair.row_vecs)
     ok = is_isometry(g, form, tstar, qform, sigma)
     return ReconstructionResult(quotient=lq, theta=theta, tstar=tstar, sigma=sigma, isometry_ok=ok)
 

@@ -1,10 +1,10 @@
 """Dense reference sweeps, kept as oracles for the library's sparse sweeps.
 
-These are the hom-Jacobi, multiplicativity, representation and cocycle
-sweeps written the direct way: every bracket, action and cocycle value
-is evaluated from the stored increasing-key table by its skew
-multilinear extension, one basis tuple of the arguments' supports at a
-time, with no twisted actions computed ahead.  They share no evaluation
+These are the hom-Jacobi, multiplicativity, representation, cocycle and
+metric-invariance sweeps written the direct way: every bracket, action
+and cocycle value is evaluated from the stored increasing-key table by
+its skew multilinear extension, one basis tuple of the arguments'
+supports at a time, with no twisted actions computed ahead.  They share no evaluation
 code with the library, so the library's reports must equal theirs field
 for field, witnesses included.
 """
@@ -14,8 +14,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import dense_elimination
 from hom3lie.algebras import MAX_WITNESSES, AlgebraReport, Violation, increasing_triples
-from hom3lie.extensions import CocycleReport
+from hom3lie.extensions import CocycleReport, MetricReport
 from hom3lie.linalg import Mat, Vec
 from hom3lie.representations import RepresentationReport
 
@@ -170,3 +171,28 @@ def cocycle(L, r, th) -> CocycleReport:
         if not s.is_zero():
             w.add((x, y, z, u, v))
     return CocycleReport(ok=w.total == 0, witnesses=tuple(w.items), violations_total=w.total)
+
+
+def metric(alg, form) -> MetricReport:
+    """B([e_a,e_b,e_c], e_d) + B([e_a,e_b,e_d], e_c) on all ordered 4-tuples."""
+    n = alg.dim
+    g = [list(form.gram.row(r)) for r in range(n)]
+    al = [list(alg.twist.row(r)) for r in range(n)]
+
+    def pair(x: Vec, d: int) -> Fraction:
+        return sum((x[r] * g[r][d] for r in range(n)), Fraction(0))
+
+    w = _Log()
+    for a, b, c, d in itertools.product(range(n), repeat=4):
+        if pair(bracket_basis(alg, a, b, c), d) + pair(bracket_basis(alg, a, b, d), c) != 0:
+            w.add((a, b, c, d))
+    twisted = [[sum(al[r][i] * g[r][s] * al[s][j] for r in range(n) for s in range(n))
+                for j in range(n)] for i in range(n)]
+    return MetricReport(
+        symmetric_ok=all(g[i][j] == g[j][i] for i in range(n) for j in range(n)),
+        nondegenerate_ok=dense_elimination.rank(form.gram) == n,
+        invariant_ok=w.total == 0,
+        twist_invariant_ok=twisted == g,
+        witnesses=tuple(w.items),
+        violations_total=w.total,
+    )

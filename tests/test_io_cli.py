@@ -1,3 +1,4 @@
+import decimal
 import json
 from fractions import Fraction
 from importlib import resources
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from hom3lie.algebras import verify_multiplicative
 from hom3lie.cli import main
 from hom3lie.extensions import BilinForm, Cocycle
 from hom3lie.fixtures import catalog, l3
@@ -441,4 +443,37 @@ def test_cli_integers_over_4300_digits_exit_2(tmp_path, capsys, case, where):
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and where in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_witnesses_over_4300_digits_are_written(tmp_path, capsys):
+    # alpha has two 2,200-digit entries, so the witness sides hold
+    # 4,400-digit products, past the limit of str() on an int
+    big = "9" * 2200
+    d = algebra_to_dict(catalog()["A4"])
+    d["alpha"][0][0] = d["alpha"][1][1] = big
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    args = ["--json", "verify", "--checks", "multiplicative", str(path)]
+    assert main(args) == 1
+    first = capsys.readouterr()
+    assert first.err == ""
+    verdict = json.loads(first.out)
+    assert verdict["flags"] == {"multiplicative": False} and verdict["witnesses"]
+    written = [x for w in verdict["witnesses"] for x in w["left"] + w["right"]]
+    assert max(len(x.lstrip("-")) for x in written) > 4300
+    # every side is an integer here; Decimal reads it back exactly, Fraction cannot
+    report = verify_multiplicative(load_algebra(path))
+    exact = [x for v in report.violations for x in v.left.entries + v.right.entries]
+    assert [int(decimal.Decimal(x)) for x in written] == exact
+    assert main(args) == 1
+    assert capsys.readouterr().out == first.out
+
+
+def test_cli_deeply_nested_json_exit_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert main(["--json", "verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and "nested too deeply" in err
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -5,7 +5,8 @@ other order by negation and the diagonal as empty.  The first test
 checks every ordered pair against ``partial`` and ``evaluate`` on
 random tables and images; the others check ``preserves_bracket``,
 ``inner_space`` and the theta table of ``reconstruct_t_star`` against
-brackets evaluated one by one through ``Hom3LieAlgebra.bracket``.
+brackets evaluated one by one through ``Hom3LieAlgebra.bracket``, and
+theta and sigma against the change-of-basis construction.
 """
 
 import itertools
@@ -14,10 +15,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hom3lie.algebras import direct_sum, increasing_triples, preserves_bracket
+from hom3lie.algebras import direct_sum, increasing_triples, preserves_bracket, quotient
 from hom3lie.derivations import fixed_space, inner_space, twist_power
 from hom3lie.extensions import Cocycle, cyclic_part, t_star_extension
-from hom3lie.linalg import Mat, Subspace, Vec
+from hom3lie.linalg import Mat, Subspace, Vec, inverse
 from hom3lie.sparse import AltTable, matvec
 from hom3lie.structure import isotropic_complement, reconstruct_t_star
 from test_sparse_sweeps import BASES, perturbed, small
@@ -120,28 +121,34 @@ def test_inner_space_matches_direct_brackets(L, k):
     assert inner_space(L, k).as_subspace() == expected
 
 
+@st.composite
+def tstar_cases(draw):
+    """A dual-space extension of a base algebra with a cyclic cocycle, its
+    metric, the dual ideal, a complement (None: completed from the form,
+    else the graph of an antisymmetric map L -> L*) and the lifts into it."""
+    L = draw(st.sampled_from(BASES))
+    n = L.dim
+    raw = {key: Vec(tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))))
+           for key in increasing_triples(n)}
+    g, form = t_star_extension(L, cyclic_part(Cocycle(n, n, raw)))
+    ideal = Subspace.span(2 * n, [Vec.basis(2 * n, n + i) for i in range(n)])
+    if draw(st.booleans()):
+        return g, form, ideal, None, list(isotropic_complement(form, ideal).basis)
+    s = {(i, j): draw(small) for i, j in itertools.combinations(range(n), 2)}
+    lifts = [Vec.basis(n, i).concat(Vec(tuple(s.get((i, j), 0) - s.get((j, i), 0)
+                                               for j in range(n))))
+             for i in range(n)]
+    return g, form, ideal, Subspace.span(2 * n, lifts), lifts
+
+
 @settings(max_examples=20)
-@given(st.sampled_from(BASES), st.data())
-def test_reconstructed_theta_matches_direct_brackets(L, data):
+@given(tstar_cases())
+def test_reconstructed_theta_matches_direct_brackets(case):
     """theta(p, q, r)(s) = B([l_p, l_q, l_r], l_s) for the lifts l of the
     quotient basis into the isotropic complement: the complement part of
     the bracket pairs to zero with l_s."""
-    n = L.dim
-    raw = {key: Vec(tuple(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))))
-           for key in increasing_triples(n)}
-    th = cyclic_part(Cocycle(n, n, raw))
-    g, form = t_star_extension(L, th)
-    ideal = Subspace.span(2 * n, [Vec.basis(2 * n, n + i) for i in range(n)])
-    if data.draw(st.booleans()):
-        comp = None
-        lifts = list(isotropic_complement(form, ideal).basis)
-    else:
-        # the graph of an antisymmetric map L -> L* is an isotropic complement
-        s = {(i, j): data.draw(small) for i, j in itertools.combinations(range(n), 2)}
-        lifts = [Vec.basis(n, i).concat(Vec(tuple(s.get((i, j), 0) - s.get((j, i), 0)
-                                                   for j in range(n))))
-                 for i in range(n)]
-        comp = Subspace.span(2 * n, lifts)
+    g, form, ideal, comp, lifts = case
+    n = ideal.dim
     for p, lift in enumerate(lifts):  # each lift projects to e_p on the quotient L
         assert Vec.sparse(n, {i: x for i, x in lift.support.items() if i < n}) == Vec.basis(n, p)
     result = reconstruct_t_star(g, form, ideal, comp)
@@ -150,3 +157,32 @@ def test_reconstructed_theta_matches_direct_brackets(L, data):
         bracket = g.bracket(lifts[p], lifts[q], lifts[r])
         expected = Vec(tuple(form.eval(bracket, lifts[s]) for s in range(n)))
         assert result.theta.value_basis(p, q, r) == expected
+
+
+def change_of_basis_reconstruction(g, form, ideal: Subspace, comp: Subspace):
+    """theta and sigma the long way round: coordinates along [comp | ideal]
+    from the inverse of that change of basis, then the pairing
+    delta(i)(x) = B(i, lift x) applied to the ideal coordinates."""
+    n2, k = g.dim, ideal.dim
+    _, proj = quotient(g, ideal)
+    lift = Mat.from_cols(list(comp.basis)) @ inverse(
+        Mat.from_cols([proj.apply(b) for b in comp.basis]))
+    cinv = inverse(Mat.from_cols(list(comp.basis) + list(ideal.basis)))
+    ideal_coords = Mat.sparse(n2, cinv.row_vecs[k:])
+    delta = Mat.from_rows([[form.eval(ideal.basis[c], lift.col(r)) for c in range(k)]
+                           for r in range(k)], cols=k)
+    lifts = [lift.col(p) for p in range(k)]
+    table = {(p, q, r): delta.apply(ideal_coords.apply(g.bracket(lifts[p], lifts[q], lifts[r])))
+             for p, q, r in increasing_triples(k)}
+    return Cocycle(k, k, table), Mat.sparse(n2, proj.row_vecs + (delta @ ideal_coords).row_vecs)
+
+
+@settings(max_examples=20)
+@given(tstar_cases())
+def test_reconstruction_matches_the_change_of_basis_construction(case):
+    g, form, ideal, comp, _ = case
+    result = reconstruct_t_star(g, form, ideal, comp)
+    theta, sigma = change_of_basis_reconstruction(
+        g, form, ideal, comp or isotropic_complement(form, ideal))
+    assert result.theta == theta
+    assert result.sigma == sigma

@@ -1,7 +1,8 @@
 """The sparse identity sweeps against the dense reference sweeps.
 
 Hypothesis perturbs structure constants, twists, actions and cocycles of
-the fixtures and of the Yau twist of A4, whose twist is dense.  Every
+the fixtures and of the Yau twist of A4, whose twist is dense, and
+bilinear forms on them and on their dual-space extensions.  Every
 report must equal the dense oracle's field for field: flags, totals,
 and the witness tuples with their evaluated sides, in sweep order.
 """
@@ -20,7 +21,15 @@ from hom3lie.algebras import (
     verify_hom_jacobi,
     verify_multiplicative,
 )
-from hom3lie.extensions import Cocycle, coboundary, t_star_extension, verify_cocycle
+from hom3lie.extensions import (
+    BilinForm,
+    Cocycle,
+    coboundary,
+    cyclic_part,
+    t_star_extension,
+    verify_cocycle,
+    verify_metric,
+)
 from hom3lie.fixtures import a4, catalog
 from hom3lie.linalg import Mat, Vec
 from hom3lie.representations import (
@@ -103,6 +112,39 @@ def test_cocycle_sweep_matches_the_dense_sweep(pair, data):
     assert verify_cocycle(L, r, th) == oracle.cocycle(L, r, th)
 
 
+@st.composite
+def metric_cases(draw):
+    """A dual-space extension with its metric or a perturbed algebra with a
+    random form, then a few brackets and Gram entries changed, the Gram
+    entries in symmetric pairs or alone."""
+    if draw(st.booleans()):
+        L = draw(st.sampled_from(BASES))
+        n = L.dim
+        raw = {key: Vec(tuple(draw(st.lists(small, min_size=n, max_size=n))))
+               for key in draw(st.lists(st.sampled_from(list(increasing_triples(n))), max_size=2))}
+        g, form = t_star_extension(L, cyclic_part(Cocycle(n, n, raw)))
+        gram = [list(form.gram.row(r)) for r in range(2 * n)]
+        if draw(st.booleans()):
+            g = draw(perturbed([g]))
+    else:
+        g = draw(perturbed())
+        gram = [draw(st.lists(small, min_size=g.dim, max_size=g.dim)) for _ in range(g.dim)]
+    n = g.dim
+    for _ in range(draw(st.integers(0, 2))):
+        i, j, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(small)
+        gram[i][j] += c
+        if i != j and draw(st.booleans()):
+            gram[j][i] += c
+    return g, BilinForm(n, Mat.from_rows(gram))
+
+
+@settings(max_examples=25)
+@given(metric_cases())
+def test_metric_sweep_matches_the_dense_sweep(case):
+    g, form = case
+    assert verify_metric(g, form) == oracle.metric(g, form)
+
+
 def test_truncated_witnesses_match_the_dense_sweeps():
     # inputs with more than MAX_WITNESSES violations of each identity
     ya = yau_a4()
@@ -129,6 +171,11 @@ def test_truncated_witnesses_match_the_dense_sweeps():
     co = verify_cocycle(ya, adjoint_rep(ya), th)
     assert co.violations_total > MAX_WITNESSES
     assert co == oracle.cocycle(ya, adjoint_rep(ya), th)
+
+    form = BilinForm(4, Mat.diagonal([1, 2, 3, 4]))
+    met = verify_metric(ya, form)
+    assert met.violations_total > MAX_WITNESSES and len(met.witnesses) == MAX_WITNESSES
+    assert met == oracle.metric(ya, form)
 
 
 @pytest.mark.parametrize("L", BASES[-2:], ids=["A4", "A4y"])

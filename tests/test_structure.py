@@ -195,8 +195,8 @@ def test_reconstruction_preconditions():
 def test_abelianness_follows_from_the_other_preconditions():
     # for a maximal isotropic ideal under an invariant non-degenerate
     # form, B([i1,i2,g], h) = -B([g,i1,h], i2) lands in B(I, I) = 0, so
-    # [I, I, G] = 0 holds automatically; the explicit precondition is
-    # defensive and should never fire after the earlier checks
+    # [I, I, G] = 0 holds automatically, which is why reconstruct_t_star
+    # does not check it
     from hom3lie.algebras import subspace_bracket
 
     rng = random.Random(59)
