@@ -15,15 +15,16 @@ Basis indices are 0-based throughout the Python API (the JSON file
 formats are 1-based).
 
 Verification sweeps run over basis tuples, which suffices by
-multilinearity: the hom-Jacobi sweep uses all ordered pairs (x, y) and
-all strictly increasing triples (u, v, w).
+multilinearity, and one tuple per orbit of each residual's symmetry
+(:class:`Sweep`): the hom-Jacobi sweep uses the pairs x < y and all
+strictly increasing triples (u, v, w).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import DimensionMismatch, IdealRequired
 from .linalg import Mat, Subspace, Vec, pruned, rank, subspace_contains
@@ -123,36 +124,67 @@ class AlgebraReport:
         )
 
 
-class WitnessLog:
-    """Witness collector keeping the first MAX_WITNESSES items and an exact total."""
+class Sweep:
+    """Exact total and first witnesses of one identity sweep over basis tuples.
 
-    def __init__(self) -> None:
-        self.items: list = []
+    The residual is alternating in each of the leading ``blocks`` of slots
+    (their sizes).  :meth:`reps` gives one tuple per orbit, increasing in
+    each block.  A tuple repeating an index in a block has residual 0; any
+    other lies in one orbit, with residual the representative's times the
+    sign of its block permutations.  So :meth:`add` counts the orbit, and
+    the witnesses are the MAX_WITNESSES smallest violating tuples with
+    signed sides, as in the sweep over all ordered tuples.  Without
+    blocks, orbits are single tuples, kept in the order added.
+    """
+
+    def __init__(self, *blocks: int) -> None:
+        self.blocks, self.maps = blocks, [((), 1)]
+        for k in blocks:
+            self.maps = [(m + tuple(len(m) + i for i in p), s * t)
+                         for m, s in self.maps for p, t in signed_perms(k)]
+        self.kept: list = []
         self.total = 0
 
-    def add(self, item: Any) -> None:
-        self.total += 1
-        if len(self.items) < MAX_WITNESSES:
-            self.items.append(item)
+    def reps(self, n: int) -> Iterator[tuple[int, ...]]:
+        """One tuple per orbit, increasing inside each block, of indices below n."""
+        parts = itertools.product(*(itertools.combinations(range(n), k) for k in self.blocks))
+        return (sum(p, ()) for p in parts)
+
+    def add(self, rep: tuple[int, ...], *sides: Vec) -> None:
+        """Record the orbit of a violating representative with its sides."""
+        self.total += len(self.maps)
+        w = sum(self.blocks)
+        self.kept += [(tuple(rep[i] for i in m) + rep[w:], s, sides) for m, s in self.maps]
+        if self.blocks:
+            self.kept.sort(key=lambda entry: entry[0])
+        del self.kept[MAX_WITNESSES:]
 
     @property
     def clean(self) -> bool:
         return self.total == 0
 
+    @property
+    def witnesses(self) -> list[tuple[int, ...]]:
+        return [m for m, _, _ in self.kept]
 
-def skew_violations(dim: int, value_at: Callable[[int, int, int], Vec]) -> WitnessLog:
+    def violations(self, identity: str) -> list[Violation]:
+        return [Violation(identity, m, *(sides if s == 1 else [-v for v in sides]))
+                for m, s, sides in self.kept]
+
+
+def skew_violations(dim: int, value_at: Callable[[int, int, int], Vec]) -> Sweep:
     """Check a full ordered-triple table for skew-symmetry.
 
     ``value_at`` gives the table on arbitrary ordered basis triples.
     Repeated indices must yield zero; permutations must flip sign.
     """
-    w = WitnessLog()
+    w = Sweep()
     perms = signed_perms(3)
     for i, j, k in itertools.product(range(dim), repeat=3):
         if len({i, j, k}) < 3:
             v = value_at(i, j, k)
             if not v.is_zero():
-                w.add(Violation("skew", (i, j, k), v, Vec.zero(len(v))))
+                w.add((i, j, k), v, Vec.zero(len(v)))
             continue
         if not (i < j < k):
             continue
@@ -162,14 +194,14 @@ def skew_violations(dim: int, value_at: Callable[[int, int, int], Vec]) -> Witne
             expected = base if sign == 1 else -base
             got = value_at(*perm)
             if got != expected:
-                w.add(Violation("skew", perm, got, expected))
+                w.add(perm, got, expected)
     return w
 
 
 def verify_hom_jacobi(L: Hom3LieAlgebra) -> AlgebraReport:
     """Sweep the hom-Jacobi identity over all basis instantiations.
 
-    (x, y) = (e_a, e_b) ranges over all ordered pairs and (u, v, w) over
+    (x, y) = (e_a, e_b) ranges over the pairs a < b and (u, v, w) over
     strictly increasing triples; by multilinearity and skewness this is
     equivalent to the identity on arbitrary vectors.  With the twisted
     actions T_ab = [alpha e_a, alpha e_b, .] and B_abc = [e_a, e_b, e_c],
@@ -178,29 +210,30 @@ def verify_hom_jacobi(L: Hom3LieAlgebra) -> AlgebraReport:
         T_ab B_uvw == T_vw B_abu + T_wu B_abv + T_uv B_abw,
 
     since [X, a v, a w] = [a v, a w, X] and [a u, X, a w] = [a w, a u, X].
-    A pair whose T_ab and B_ab. both vanish only has instances 0 == 0.
+    Both sides are skew in (a, b), so (b, a) is (a, b) with both sides
+    negated and a = b gives 0 == 0 (:class:`Sweep`).  A pair whose T_ab
+    and B_ab. both vanish only has instances 0 == 0.
     """
     n = L.dim
     alt = L.alt
     t = alt.pairs([L.twist.col(i).support for i in range(n)])
     triples = [(u, v, wi, alt.get(u, v, wi)) for u, v, wi in increasing_triples(n)]
-    w = WitnessLog()
-    for a in range(n):
-        for b in range(n):
-            tab, bab = t[a, b], alt.get(a, b)
-            if not tab and not bab:
-                continue
-            for u, v, wi, buvw in triples:
-                lhs = matvec(tab, buvw)
-                acc: dict = {}
-                for i, m in ((u, t[v, wi]), (v, t[wi, u]), (wi, t[u, v])):
-                    if i in bab:
-                        add_matvec(acc, m, bab[i])
-                rhs = pruned(acc)
-                if lhs != rhs:
-                    w.add(Violation("hom_jacobi", (a, b, u, v, wi),
-                                    Vec.sparse(n, lhs), Vec.sparse(n, rhs)))
-    return AlgebraReport(hom_jacobi_ok=w.clean, violations=tuple(w.items), violations_total=w.total)
+    w = Sweep(2)
+    for a, b in w.reps(n):
+        tab, bab = t[a, b], alt.get(a, b)
+        if not tab and not bab:
+            continue
+        for u, v, wi, buvw in triples:
+            lhs = matvec(tab, buvw)
+            acc: dict = {}
+            for i, m in ((u, t[v, wi]), (v, t[wi, u]), (wi, t[u, v])):
+                if i in bab:
+                    add_matvec(acc, m, bab[i])
+            rhs = pruned(acc)
+            if lhs != rhs:
+                w.add((a, b, u, v, wi), Vec.sparse(n, lhs), Vec.sparse(n, rhs))
+    return AlgebraReport(hom_jacobi_ok=w.clean, violations=tuple(w.violations("hom_jacobi")),
+                         violations_total=w.total)
 
 
 def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> Iterator[tuple]:
@@ -215,13 +248,12 @@ def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> Iterator[
 def verify_multiplicative(L: Hom3LieAlgebra) -> AlgebraReport:
     """Check alpha([e_i,e_j,e_k]) = [alpha e_i, alpha e_j, alpha e_k] on all i<j<k."""
     n = L.dim
-    w = WitnessLog()
+    w = Sweep()
     for key, lhs, rhs in _bracket_images(L.twist, L, L):
         if lhs != rhs:
-            w.add(Violation("multiplicative", key, Vec.sparse(n, lhs), Vec.sparse(n, rhs)))
-    return AlgebraReport(
-        multiplicative_ok=w.clean, violations=tuple(w.items), violations_total=w.total
-    )
+            w.add(key, Vec.sparse(n, lhs), Vec.sparse(n, rhs))
+    return AlgebraReport(multiplicative_ok=w.clean,
+                         violations=tuple(w.violations("multiplicative")), violations_total=w.total)
 
 
 def verify_axioms(L: Hom3LieAlgebra) -> AlgebraReport:
@@ -300,6 +332,11 @@ def quotient(L: Hom3LieAlgebra, ideal: Subspace) -> tuple[Hom3LieAlgebra, Mat]:
     """
     if not is_ideal(L, ideal):
         raise IdealRequired("quotient needs a twist-stable ideal")
+    return _quotient(L, ideal)
+
+
+def _quotient(L: Hom3LieAlgebra, ideal: Subspace) -> tuple[Hom3LieAlgebra, Mat]:
+    """:func:`quotient` for a caller that has checked the ideal."""
     n = L.dim
     pivots = ideal.pivots()
     comp = [c for c in range(n) if c not in pivots]

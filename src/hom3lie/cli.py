@@ -67,18 +67,8 @@ class Verdict:
     error: Optional[str] = None
 
     def payload(self) -> dict:
-        out: dict[str, Any] = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "flags": self.flags,
-            "witnesses": self.witnesses,
-            "witnesses_total": self.witnesses_total,
-        }
-        if self.derived_data is not None:
-            out["derived_data"] = self.derived_data
-        if self.error is not None:
-            out["error"] = self.error
-        return out
+        """The fields by name, without ``derived_data`` and ``error`` when unset."""
+        return {key: value for key, value in vars(self).items() if value is not None}
 
     @property
     def exit_code(self) -> int:
@@ -117,7 +107,9 @@ def _emit(verdict: Verdict, as_json: bool) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     alg = load_algebra(args.file)
-    checks = tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS
+    checks = DEFAULT_CHECKS if args.checks is None else tuple(args.checks.split(","))
+    if not any(checks):
+        raise FileFormatError(f"--checks selects no check; choose from {', '.join(ALL_CHECKS)}")
     for c in checks:
         if c not in ALL_CHECKS:
             raise FileFormatError(f"unknown check {c!r}; choose from {', '.join(ALL_CHECKS)}")
@@ -311,10 +303,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     if args.output_dir:
         out = Path(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "quotient.json", bundle["quotient"])
-        write_json(out / "theta.json", bundle["theta"])
-        write_json(out / "tstar.json", bundle["tstar"])
-        write_json(out / "sigma.json", bundle["sigma"])
+        for name in ("quotient", "theta", "tstar", "sigma"):
+            write_json(out / f"{name}.json", bundle[name])
         write_json(out / "verdict.json", verdict.payload())
     return _emit(verdict, args.json)
 

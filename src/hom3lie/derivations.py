@@ -20,8 +20,7 @@ from .algebras import (
     MAX_WITNESSES,
     AlgebraReport,
     Hom3LieAlgebra,
-    Violation,
-    WitnessLog,
+    Sweep,
     increasing_triples,
     skew_violations,
     verify_regular,
@@ -255,15 +254,15 @@ def derivation_extension(L: Hom3LieAlgebra, d: Mat) -> tuple[DerivationExtension
 
     skew = skew_violations(nn, ext.value)
 
-    mult = WitnessLog()
+    mult = Sweep()
     tcols = [twist.col(i) for i in range(nn)]
     for i, j, k in itertools.product(range(nn), repeat=3):
         lhs = twist.apply(ext.value(i, j, k))
         rhs = ext.rule(tcols[i], tcols[j], tcols[k])
         if lhs != rhs:
-            mult.add(Violation("multiplicative", (i, j, k), lhs, rhs))
+            mult.add((i, j, k), lhs, rhs)
 
-    jac = WitnessLog()
+    jac = Sweep()
     dslot = n  # basis index of D inside the extension
     for a in range(nn):
         second_slots = list(range(n)) if a < n else []
@@ -278,16 +277,17 @@ def derivation_extension(L: Hom3LieAlgebra, d: Mat) -> tuple[DerivationExtension
                     + ext.rule(tcols[u], tcols[v], ext.value(a, b, w))
                 )
                 if lhs != rhs:
-                    jac.add(Violation("hom_jacobi", (a, b, u, v, w), lhs, rhs))
+                    jac.add((a, b, u, v, w), lhs, rhs)
 
     hom_jacobi_ok = jac.clean and mult.clean
-    witnesses = tuple((skew.items + jac.items + mult.items)[:MAX_WITNESSES])
+    witnesses = (skew.violations("skew") + jac.violations("hom_jacobi")
+                 + mult.violations("multiplicative"))
     report = AlgebraReport(
         skew_ok=skew.clean,
         hom_jacobi_ok=hom_jacobi_ok,
         multiplicative_ok=mult.clean,
         regular_ok=mult.clean and rank(twist) == nn,
-        violations=witnesses,
+        violations=tuple(witnesses[:MAX_WITNESSES]),
         violations_total=skew.total + jac.total + mult.total,
     )
     return ext, report

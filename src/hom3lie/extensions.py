@@ -18,21 +18,21 @@ from fractions import Fraction
 from .algebras import (
     AlgebraReport,
     Hom3LieAlgebra,
-    WitnessLog,
+    Sweep,
     increasing_triples,
     is_morphism,
     preserves_bracket,
     verify_axioms,
 )
 from .errors import CocycleInvalid, DimensionMismatch, RepresentationInvalid
-from .linalg import Mat, Vec, pruned, rank
+from .linalg import Mat, Vec, add_scaled, pruned, rank
 from .representations import (
     Representation,
     _semidirect_table,
     coadjoint_rep,
     verify_representation,
 )
-from .sparse import AltTable, add_matvec, matvec, signed_perms, unflatten
+from .sparse import AltTable, matvec, signed_perms, unflatten
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class CocycleReport:
 
 
 def verify_cocycle(L: Hom3LieAlgebra, r: Representation, th: Cocycle) -> CocycleReport:
-    """Sweep the twisted cocycle identity over all basis 5-tuples.
+    """Sweep the twisted cocycle identity over basis 5-tuples, one per orbit.
 
     For each (x, y, z, u, v) the sum
 
@@ -108,33 +108,40 @@ def verify_cocycle(L: Hom3LieAlgebra, r: Representation, th: Cocycle) -> Cocycle
         + rho(ay, az) theta(x,u,v) + rho(az, ax) theta(y,u,v)
         + rho(ax, ay) theta(z,u,v) - rho(au, av) theta(x,y,z)
 
-    must vanish.  The twisted contractions Theta_yz = theta(., ay, az)
-    and rho(ay, az) are computed once per call, which makes every term
-    a sparse mat-vec: theta(X, ay, az) = Theta_yz X, and by skewness
-    theta(ax, ay, X) = Theta_xy X.
+    must vanish.  With Theta_pq = theta(., ap, aq), so that by skewness
+    theta(X, ay, az) = Theta_yz X and theta(ax, ay, X) = Theta_xy X, the
+    table H(p,q; i,j,k) = Theta_pq B_ijk + rho(ap, aq) theta(i,j,k), built
+    once per call on p < q and on the triples where B or theta is
+    nonzero, makes the sum four signed lookups,
+
+        H(y,z; x,u,v) + H(z,x; y,u,v) + H(x,y; z,u,v) - H(u,v; x,y,z).
+
+    H is alternating in (p, q) and in (i, j, k), so the sum is
+    alternating in (x, y, z) and skew in (u, v): it runs on x < y < z
+    and u < v, each representative standing for 12 ordered tuples, and
+    a tuple repeating an index in either group sums to 0 (:class:`Sweep`).
     """
-    n = L.dim
-    if th.algebra_dim != n or r.algebra_dim != n or th.module_dim != r.module_dim:
+    n, m = L.dim, r.module_dim
+    if th.algebra_dim != n or r.algebra_dim != n or th.module_dim != m:
         raise DimensionMismatch("algebra, representation and cocycle dimensions must agree")
     acols = [L.twist.col(i).support for i in range(n)]
-    # Theta_yz: X -> theta(ay, az, X) = theta(X, ay, az)
     taa = th.alt.pairs(acols)
-    raa = {key: unflatten(flat, r.module_dim) for key, flat in r.alt.pairs(acols).items()}
-    b, th_at = L.alt.get, th.alt.get
-    log = WitnessLog()
-    for x, y, z, u, v in itertools.product(range(n), repeat=5):
+    raa = {key: unflatten(flat, m) for key, flat in r.alt.pairs(acols).items()}
+    h = {}
+    for p, q in itertools.combinations(range(n), 2):
+        values = {key: Vec.sparse(m, matvec(taa[p, q], L.alt.get(*key)))
+                       + Vec.sparse(m, matvec(raa[p, q], th.alt.get(*key)))
+                  for key in L.table.keys() | th.table.keys()}
+        h[p, q] = AltTable(3, n, m, values, "cocycle identity").get
+    log = Sweep(3, 2)
+    for x, y, z, u, v in log.reps(n):
         acc: dict = {}
-        add_matvec(acc, taa[y, z], b(x, u, v))
-        add_matvec(acc, taa[z, x], b(y, u, v))
-        add_matvec(acc, taa[x, y], b(z, u, v))
-        add_matvec(acc, taa[u, v], b(x, y, z), -1)
-        add_matvec(acc, raa[y, z], th_at(x, u, v))
-        add_matvec(acc, raa[z, x], th_at(y, u, v))
-        add_matvec(acc, raa[x, y], th_at(z, u, v))
-        add_matvec(acc, raa[u, v], th_at(x, y, z), -1)
+        for sign, pair, triple in ((1, (y, z), (x, u, v)), (-1, (x, z), (y, u, v)),
+                                   (1, (x, y), (z, u, v)), (-1, (u, v), (x, y, z))):
+            add_scaled(acc, sign, h[pair](*triple))
         if pruned(acc):
             log.add((x, y, z, u, v))
-    return CocycleReport(ok=log.clean, witnesses=tuple(log.items), violations_total=log.total)
+    return CocycleReport(ok=log.clean, witnesses=tuple(log.witnesses), violations_total=log.total)
 
 
 def coboundary(L: Hom3LieAlgebra, r: Representation, f: Mat) -> Cocycle:
@@ -267,8 +274,9 @@ def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> MetricReport:
     That is, M_ab[c][d] = B([e_a, e_b, e_c], e_d) is skew.  M_ab is built
     from the nonzero columns of [e_a, e_b, .], and only the (c, d) in the
     support of M_ab or of its transpose are visited, in sorted order; at
-    every other (c, d) both terms are 0.  So the witnesses, their order
-    and the total are those of the sweep over all ordered 4-tuples.
+    every other (c, d) both terms are 0.  M_ba = -M_ab and M_aa = 0, so
+    only a < b is visited (:class:`Sweep`).  So the witnesses, their
+    order and the total are those of the sweep over all ordered 4-tuples.
     """
     n = alg.dim
     if form.dim != n:
@@ -277,8 +285,8 @@ def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> MetricReport:
     symmetric = gram == gram.transpose()
     nondeg = rank(gram) == n
     gt = {c: row.support for c, row in enumerate(gram.row_vecs)}  # the columns of gram^T
-    log = WitnessLog()
-    for a, b in itertools.product(range(n), repeat=2):
+    log = Sweep(2)
+    for a, b in log.reps(n):
         m = {c: row for c, col in alg.alt.get(a, b).items() if (row := matvec(gt, col))}
         cells = {(c, d) for c, row in m.items() for d in row}
         for c, d in sorted(cells | {(d, c) for c, d in cells}):
@@ -290,7 +298,7 @@ def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> MetricReport:
         nondegenerate_ok=nondeg,
         invariant_ok=log.clean,
         twist_invariant_ok=twist_inv,
-        witnesses=tuple(log.items),
+        witnesses=tuple(log.witnesses),
         violations_total=log.total,
     )
 

@@ -24,10 +24,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebras import Hom3LieAlgebra, WitnessLog
+from .algebras import MAX_WITNESSES, Hom3LieAlgebra, Sweep
 from .errors import DimensionMismatch, RepresentationInvalid
 from .linalg import Mat, Support, Vec, pruned
-from .sparse import AltTable, SparseMat, add_matvec, unflatten
+from .sparse import AltTable, SparseMat, add_matvec, matvec, unflatten
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,13 @@ def verify_representation(L: Hom3LieAlgebra, r: Representation) -> Representatio
     rho(a e_p, a e_q) and Q_u[t] = rho(a e_u, e_t) A are computed once
     per call, so that rho([x,y,z], a u) A = -sum_t [x,y,z]_t Q_u[t] and
     rho(a z, [x,y,u]) A = sum_t [x,y,u]_t Q_z[t] are sparse mat-vecs.
+
+    Each identity runs on one tuple per orbit (:class:`Sweep`).  (R1) is
+    skew in (x, y): x < y.  (R2) is alternating in (x, y, z), its right
+    side a cyclic sum of terms skew in two slots: x < y < z, any u.  (R3)
+    is skew in (x, y) and in (z, u), its last two terms trading places
+    under z <-> u: x < y, z < u.  Witnesses keep the ordered sweeps'
+    order: (R1), then quadruples, (R2) before (R3) at each.
     """
     if r.algebra_dim != L.dim:
         raise DimensionMismatch("representation is over a different algebra dimension")
@@ -117,36 +124,35 @@ def verify_representation(L: Hom3LieAlgebra, r: Representation) -> Representatio
                 if (q := pruned(_products(m, [(unflatten(flat, m), a_flat)], {})))}
                for a in acols]
 
-    log = WitnessLog()
-    totals = [0, 0, 0]
+    def bracket_action(x: int, y: int, z: int, u: int) -> Support:  # rho([x,y,z], a u) A
+        return {k: -v for k, v in matvec(twisted[u], L.alt.get(x, y, z)).items()}
 
-    def note(slot: int, name: str, idx: tuple[int, ...]) -> None:
-        totals[slot] += 1
-        log.add((name, idx))
-
-    for i, j in itertools.product(range(n), repeat=2):
+    twist, r2, r3 = Sweep(2), Sweep(3), Sweep(2, 2)
+    for i, j in twist.reps(n):
         lhs = _products(m, [(raa[i, j], a_flat)], {})
         if pruned(lhs) != pruned(_products(m, [(a_cols, rho(i, j))], {})):
-            note(0, "twist", (i, j))
+            twist.add((i, j))
+    for x, y, z in r2.reps(n):
+        for u in range(n):
+            rhs = _products(m, [(raa[x, y], rho(z, u)), (raa[y, z], rho(x, u)),
+                                (raa[z, x], rho(y, u))], {})
+            if pruned(bracket_action(x, y, z, u)) != pruned(rhs):
+                r2.add((x, y, z, u))
+    for x, y, z, u in r3.reps(n):
+        rhs = _products(m, [(raa[z, u], rho(x, y))], bracket_action(x, y, z, u))
+        add_matvec(rhs, twisted[z], L.alt.get(x, y, u))
+        if pruned(_products(m, [(raa[x, y], rho(z, u))], {})) != pruned(rhs):
+            r3.add((x, y, z, u))
 
-    for x, y, z, u in itertools.product(range(n), repeat=4):
-        rbr: dict = {}
-        add_matvec(rbr, twisted[u], L.alt.get(x, y, z), -1)
-        xy_zu = _products(m, [(raa[x, y], rho(z, u))], {})
-        rhs = _products(m, [(raa[y, z], rho(x, u)), (raa[z, x], rho(y, u))], xy_zu)
-        if pruned(rbr) != pruned(rhs):
-            note(1, "bracket_action", (x, y, z, u))
-        rhs3 = _products(m, [(raa[z, u], rho(x, y))], rbr)
-        add_matvec(rhs3, twisted[z], L.alt.get(x, y, u))
-        if pruned(xy_zu) != pruned(rhs3):
-            note(2, "exchange", (x, y, z, u))
-
+    logs = (("twist", twist), ("bracket_action", r2), ("exchange", r3))
+    witnesses = sorted(((name, idx) for name, log in logs for idx in log.witnesses),
+                       key=lambda w: (len(w[1]), w[1], w[0]))
     return RepresentationReport(
-        twist_ok=totals[0] == 0,
-        bracket_action_ok=totals[1] == 0,
-        exchange_ok=totals[2] == 0,
-        witnesses=tuple(log.items),
-        violations_total=log.total,
+        twist_ok=twist.clean,
+        bracket_action_ok=r2.clean,
+        exchange_ok=r3.clean,
+        witnesses=tuple(witnesses[:MAX_WITNESSES]),
+        violations_total=twist.total + r2.total + r3.total,
     )
 
 

@@ -24,8 +24,8 @@ from typing import Optional
 from .algebras import (
     Hom3LieAlgebra,
     increasing_triples,
+    _quotient,
     is_ideal,
-    quotient,
     subspace_bracket,
 )
 from .errors import (
@@ -116,9 +116,8 @@ def is_isotropic(form: BilinForm, s: Subspace) -> bool:
     """True iff the form vanishes on all pairs from the subspace."""
     if form.dim != s.ambient_dim:
         raise DimensionMismatch("form and subspace dimensions differ")
-    return all(
-        form.eval(a, b) == 0 for a in s.basis for b in s.basis
-    )
+    images = [form.gram.apply(b) for b in s.basis]
+    return all(a.dot(gb) == 0 for a in s.basis for gb in images)
 
 
 def _symmetric_nondegenerate(form: BilinForm) -> bool:
@@ -136,14 +135,18 @@ def isotropic_complement(form: BilinForm, iso: Subspace) -> Subspace:
     which keeps duality (corrections lie in the isotropic subspace) and
     kills all products among the f's.  Needs characteristic zero.
     """
-    n = form.dim
-    k = iso.dim
-    if n != 2 * k:
+    if form.dim != 2 * iso.dim:
         raise HalfDimensionRequired("complement needs an isotropic subspace of half dimension")
     if not _symmetric_nondegenerate(form):
         raise MetricRequired("complement needs a symmetric non-degenerate form")
     if not is_isotropic(form, iso):
         raise IsotropicRequired("complement needs an isotropic subspace")
+    return _complement(form, iso)
+
+
+def _complement(form: BilinForm, iso: Subspace) -> Subspace:
+    """:func:`isotropic_complement` for a caller that has checked its input."""
+    n, k = form.dim, iso.dim
     gram = form.gram
     pair_rows = Mat.from_rows([gram.apply(b) for b in iso.basis], cols=n)
     duals: list[Vec] = []
@@ -183,7 +186,9 @@ def reconstruct_t_star(
     Preconditions (each with its own error): the form is a metric for
     the algebra; the subspace is a twist-stable ideal, isotropic and of
     exactly half the dimension.  A supplied complement must be isotropic
-    and complementary; otherwise one is completed from the form.
+    and complementary; otherwise one is completed from the form.  Each
+    check runs once: the ones here imply those of the complement and
+    quotient helpers.
 
     Such an ideal is abelian: B([i1,i2,g], h) = -B([g,i1,h], i2) = 0 by
     invariance, as [g,i1,h] lies in the isotropic ideal, and the form is
@@ -208,7 +213,7 @@ def reconstruct_t_star(
     if not is_isotropic(form, ideal):
         raise IsotropicRequired("reconstruction needs an isotropic ideal")
     if complement is None:
-        comp = isotropic_complement(form, ideal)
+        comp = _complement(form, ideal)
     else:
         comp = complement
         if (
@@ -218,7 +223,7 @@ def reconstruct_t_star(
         ):
             raise ComplementInvalid("supplied complement is not an isotropic complement")
 
-    lq, proj = quotient(g, ideal)
+    lq, proj = _quotient(g, ideal)
 
     # Row p of lifts is l_p, the lift of e_p into the complement: the inverse
     # of the transpose of proj on the complement, applied to its basis.

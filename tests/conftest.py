@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 from hom3lie.fixtures import catalog
 from hom3lie.linalg import Mat, Vec
@@ -15,6 +15,9 @@ settings.register_profile(
     max_examples=40,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# tests/mutants.py only needs to see a test fail, not its smallest example
+settings.register_profile("mutants", parent=settings.get_profile("suite"),
+                          phases=[Phase.explicit, Phase.reuse, Phase.generate])
 settings.load_profile("suite")
 
 

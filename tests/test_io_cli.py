@@ -148,6 +148,15 @@ def test_cli_verify_regular_check(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("selection", ["", ","])
+def test_cli_verify_empty_check_selection_is_an_error(selection, capsys):
+    assert main(["--json", "verify", data_file("L3"), "--checks", selection]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --checks selects no check; "
+                            "choose from skew, jacobi, multiplicative, regular\n")
+
+
 def test_cli_derivations(capsys):
     assert main(["--json", "derivations", data_file("AB3"), "--k", "0"]) == 0
     payload = json.loads(capsys.readouterr().out)

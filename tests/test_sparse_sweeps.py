@@ -5,18 +5,27 @@ the fixtures and of the Yau twist of A4, whose twist is dense, and
 bilinear forms on them and on their dual-space extensions.  Every
 report must equal the dense oracle's field for field: flags, totals,
 and the witness tuples with their evaluated sides, in sweep order.
+
+The library sweeps visit one tuple per orbit of each residual's index
+symmetry (``Sweep``); the oracles visit every ordered tuple.  The
+``interleaved`` cases pick inputs with more than MAX_WITNESSES
+violations whose orbits alternate in lexicographic order, which is
+where expanding the orbits back into the ordered sweep's witnesses can
+go wrong.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as oracle
 from hom3lie.algebras import (
     MAX_WITNESSES,
     Hom3LieAlgebra,
+    Sweep,
     increasing_triples,
     verify_hom_jacobi,
     verify_multiplicative,
@@ -184,3 +193,108 @@ def test_bracket_matches_the_dense_extension_on_dense_arguments(L):
     x = cols[0] + cols[1].scale(3)
     for y, z in ((cols[2], cols[3]), (x, cols[3]), (cols[1], x)):
         assert L.bracket(x, y, z) == oracle.bracket(L, x, y, z)
+
+
+def _parity(seq: tuple[int, ...]) -> int:
+    return (-1) ** sum(a > b for a, b in itertools.combinations(seq, 2))
+
+
+def _blocks_of(idx: tuple[int, ...], blocks: tuple[int, ...]) -> list[tuple[int, ...]]:
+    cuts = list(itertools.accumulate(blocks, initial=0))
+    return [idx[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+@pytest.mark.parametrize("blocks", [(), (2,), (3,), (2, 2), (3, 2)])
+def test_orbits_partition_the_tuples_with_distinct_indices_in_each_block(blocks):
+    n, tail = 5, (4,)
+    width = sum(blocks)
+    seen = {}
+    for rep in Sweep(*blocks).reps(n):
+        log = Sweep(*blocks)
+        log.add(rep + tail, Vec.of(1), Vec.of(2))
+        members = [(v.indices, v.left) for v in log.violations("orbit")]
+        assert all(v.right == v.left.scale(2) for v in log.violations("orbit"))
+        assert log.total == len(members) == len(set(members))
+        assert [idx for idx, _ in members] == sorted(idx for idx, _ in members)
+        for idx, side in members:
+            assert idx[width:] == tail and idx not in seen
+            sign = 1
+            for part in _blocks_of(idx, blocks):
+                sign *= _parity(part)
+            assert side == Vec.of(sign)
+            seen[idx] = rep
+    expected = {idx + tail for idx in itertools.product(range(n), repeat=width)
+                if all(len(set(part)) == len(part) for part in _blocks_of(idx, blocks))}
+    assert set(seen) == expected
+
+
+def _interleaved(indices, blocks: tuple[int, ...]) -> bool:
+    """True when the orbits of some witnesses alternate: A, then B, then A again."""
+    orbits = [tuple(tuple(sorted(part)) for part in _blocks_of(idx, blocks)) + idx[sum(blocks):]
+              for idx in indices]
+    return any(orbits[i] != orbits[j] and orbits[i] in orbits[j + 1:]
+               for i in range(len(orbits)) for j in range(i + 1, len(orbits)))
+
+
+FOURS = [a4(), yau_a4()]
+
+
+@settings(max_examples=15)
+@given(perturbed(FOURS))
+def test_interleaved_hom_jacobi_orbits_match_the_dense_sweep(L):
+    jac = verify_hom_jacobi(L)
+    assume(jac.violations_total > MAX_WITNESSES)
+    assume(_interleaved([v.indices for v in jac.violations], (2,)))
+    assert any(v.indices[0] > v.indices[1] for v in jac.violations)  # (b, a): sides negated
+    assert jac == oracle.hom_jacobi(L)
+
+
+@st.composite
+def rescaled_modules(draw):
+    """A4 or A4y with its adjoint or coadjoint action, the module twist rescaled."""
+    L = draw(st.sampled_from(FOURS))
+    r = draw(st.sampled_from([adjoint_rep, coadjoint_rep]))(L)
+    c = draw(st.sampled_from([2, -1, Fraction(3, 2), Fraction(1, 2)]))
+    return L, Representation(4, 4, r.twist.scale(c), r.table)
+
+
+@settings(max_examples=10)
+@given(st.one_of(rescaled_modules(), module_pairs()))
+def test_interleaved_representation_orbits_match_the_dense_sweep(pair):
+    L, r = pair
+    rep = verify_representation(L, r)
+    assume(rep.violations_total > MAX_WITNESSES)
+    quads = [idx for _, idx in rep.witnesses]
+    assume(any(quads.count(q) == 2 for q in quads if len(q) == 4))  # (R2) and (R3) at one tuple
+    assert rep == oracle.representation(L, r)
+
+
+@settings(max_examples=8)
+@given(st.sampled_from(FOURS), st.sampled_from([adjoint_rep, coadjoint_rep]), st.data())
+def test_interleaved_cocycle_orbits_match_the_dense_sweep(L, action, data):
+    keys = data.draw(st.lists(st.sampled_from(list(increasing_triples(4))), min_size=1, max_size=2))
+    th = Cocycle(4, 4, {key: Vec(tuple(data.draw(st.lists(small, min_size=4, max_size=4))))
+                        for key in keys})
+    co = verify_cocycle(L, action(L), th)
+    assume(co.violations_total > MAX_WITNESSES and _interleaved(co.witnesses, (3, 2)))
+    assert co == oracle.cocycle(L, action(L), th)
+
+
+@settings(max_examples=12)
+@given(st.sampled_from(FOURS), st.booleans(), st.data())
+def test_interleaved_metric_orbits_match_the_dense_sweep(L, double, data):
+    """An invariant form, the identity on A4 or A4y or the pairing of a
+    dual-space extension, with one or two Gram entries changed."""
+    if double:
+        L, form = t_star_extension(L, Cocycle.zero(4, 4))
+        gram = [list(form.gram.row(r)) for r in range(8)]
+    else:
+        gram = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    n = len(gram)
+    for _ in range(data.draw(st.integers(1, 2))):
+        gram[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] += data.draw(small)
+    form = BilinForm(n, Mat.from_rows(gram))
+    met = verify_metric(L, form)
+    assume(met.violations_total > MAX_WITNESSES and _interleaved(met.witnesses, (2,)))
+    assert any(idx[0] > idx[1] for idx in met.witnesses)
+    assert met == oracle.metric(L, form)

@@ -5,6 +5,7 @@ import pytest
 from hom3lie.algebras import Hom3LieAlgebra, increasing_triples
 from hom3lie.errors import (
     ComplementInvalid,
+    DimensionMismatch,
     HalfDimensionRequired,
     IdealRequired,
     IsotropicRequired,
@@ -190,6 +191,47 @@ def test_reconstruction_preconditions():
         reconstruct_t_star(G, q, not_ideal)
     with pytest.raises(ComplementInvalid):
         reconstruct_t_star(G, q, dual, dual)
+
+
+def _span(n, *idx):
+    return Subspace.span(n, [Vec.basis(n, i) for i in idx])
+
+
+def _precondition_cases():
+    """Inputs breaking two preconditions at once, with the error each raises.
+
+    The T*-double of L3 has few ideals; that of the abelian AB3 is abelian,
+    so every subspace of it is an ideal and only isotropy can fail.
+    """
+    g, q = t_star_extension(l3(), Cocycle.zero(3, 3))
+    ab, qa = t_star_extension(ab3(), Cocycle.zero(3, 3))
+    identity = BilinForm(6, Mat.identity(6))
+    dual, lower, mixed = _span(6, 3, 4, 5), _span(6, 0, 1, 2), _span(6, 0, 3, 1)
+    metric = ("reconstruction needs a symmetric invariant non-degenerate form",)
+    ideal = ("reconstruction needs a twist-stable ideal",)
+    isotropic = ("reconstruction needs an isotropic ideal",)
+    complement = ("supplied complement is not an isotropic complement",)
+    return [
+        ("wrong ambient, not an ideal", (g, q, lower, _span(4, 0, 1)), DimensionMismatch,
+         "subspace ambient dimension does not match the algebra"),
+        ("not half, not a metric", (g, identity, _span(6, 3)), HalfDimensionRequired,
+         "reconstruction needs an ideal of half the dimension"),
+        ("not a metric, not an ideal", (g, identity, lower), MetricRequired, *metric),
+        ("not a metric, bad complement", (g, identity, dual, dual), MetricRequired, *metric),
+        ("not an ideal, not isotropic", (g, q, mixed), IdealRequired, *ideal),
+        ("not an ideal, bad complement", (g, q, lower, lower), IdealRequired, *ideal),
+        ("not isotropic, no complement", (ab, qa, mixed), IsotropicRequired, *isotropic),
+        ("not isotropic, bad complement", (ab, qa, mixed, mixed), IsotropicRequired, *isotropic),
+        ("bad complement twice", (ab, qa, dual, _span(6, 0, 1, 3)), ComplementInvalid, *complement),
+    ]
+
+
+@pytest.mark.parametrize("case", _precondition_cases(), ids=lambda case: case[0])
+def test_reconstruction_reports_the_first_broken_precondition(case):
+    _, args, error, message = case
+    with pytest.raises(error) as info:
+        reconstruct_t_star(*args)
+    assert str(info.value) == message
 
 
 def test_abelianness_follows_from_the_other_preconditions():
