@@ -1,54 +1,47 @@
 """Per-layer reference points on the A4y + ... + L3 family and its T*-doubles.
 
-A4y is the Yau twist of A4 by the dense rotation R12 R23 R34 (cosine 3/5,
-sine 4/5).  The algebra of size n (7, 11, 15, ...) is (n - 3) / 4 copies
+A4y is the benchmark's Yau twist of A4 by the dense rotation R12 R23 R34
+(cosine 3/5, sine 4/5).  The algebra of size n (7, 11, 15, ...) is (n - 3) / 4 copies
 of A4y plus L3, with block-diagonal twist alpha.  Its theta is the
 coboundary, for the coadjoint action, of the twist-commuting map
 f = 2 alpha + I - alpha^2, and its T*-double is the dual-space extension
 along theta, with the hyperbolic form.
 
-Each layer is run ``--repeat`` times in this process; a cell is the
-median wall time in seconds, unscaled, so compare only runs made on the
+Each layer is run REPEAT times in this process; a cell is the median
+wall time in seconds, unscaled, so compare only runs made on the
 same host.  A second table gives each layer's violation total, which
 must not depend on the code version.  Run with ``PYTHONPATH`` pointing at
 any checkout's ``src`` to compare two versions:
 
-    PYTHONPATH=src python3 scripts/reference_points.py [--sizes 7 11] [--repeat 3]
+    PYTHONPATH=src python3 scripts/reference_points.py [--sizes 7 11]
 """
 
 import argparse
 import statistics
+import sys
 import time
-from fractions import Fraction
 from functools import reduce
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from hom3lie.algebras import Hom3LieAlgebra, direct_sum, verify_hom_jacobi
 from hom3lie.derivations import derivation_space
 from hom3lie.extensions import coboundary, t_star_extension, verify_cocycle, verify_metric
-from hom3lie.fixtures import a4, l3
+from hom3lie.fixtures import l3
 from hom3lie.linalg import Mat
 from hom3lie.representations import adjoint_rep, coadjoint_rep, verify_representation
+from perfbench.inputs import yau_twisted_a4
 
 COLUMNS = ("hom-Jacobi", "hom-Jacobi on T* (2n)", "adjoint rep. sweep", "cocycle sweep",
            "metric on T*", "`derivation_space(k=0)`", "same on T*")
-
-
-def rotation(i: int, j: int) -> Mat:
-    rows = [[Fraction(int(r == c)) for c in range(4)] for r in range(4)]
-    rows[i][i] = rows[j][j] = Fraction(3, 5)
-    rows[i][j], rows[j][i] = Fraction(-4, 5), Fraction(4, 5)
-    return Mat.from_rows(rows, cols=4)
-
-
-def yau_a4() -> Hom3LieAlgebra:
-    alpha = rotation(0, 1) @ rotation(1, 2) @ rotation(2, 3)
-    return Hom3LieAlgebra(4, {key: alpha.apply(v) for key, v in a4().table.items()}, alpha)
+REPEAT = 3
 
 
 def family(n: int) -> Hom3LieAlgebra:
     if n < 7 or (n - 3) % 4:
         raise SystemExit(f"size {n} is not 3 plus a positive multiple of 4")
-    return reduce(direct_sum, [yau_a4()] * ((n - 3) // 4) + [l3()])
+    return reduce(direct_sum, [yau_twisted_a4()] * ((n - 3) // 4) + [l3()])
 
 
 def layers(n: int) -> dict:
@@ -69,9 +62,9 @@ def layers(n: int) -> dict:
     )))
 
 
-def measure(call, repeat: int) -> tuple[float, int]:
+def measure(call) -> tuple[float, int]:
     times, result = [], None
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         result = call()
         times.append(time.perf_counter() - start)
@@ -86,15 +79,14 @@ def table(header: tuple[str, ...], rows: list[list[str]]) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[7, 11])
-    parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
     timings, results = [], []
     for n in args.sizes:
-        cells = [measure(call, args.repeat) for call in layers(n).values()]
+        cells = [measure(call) for call in layers(n).values()]
         timings.append([str(n)] + [f"{t:.4f}" for t, _ in cells])
         results.append([str(n)] + [str(r) for _, r in cells])
-    print("seconds, median of", args.repeat)
+    print("seconds, median of", REPEAT)
     print(table(("n",) + COLUMNS, timings))
     print()
     print("violations total (the two derivation columns: dimension)")

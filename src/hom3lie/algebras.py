@@ -210,8 +210,7 @@ def verify_hom_jacobi(L: Hom3LieAlgebra) -> AlgebraReport:
         T_ab B_uvw == T_vw B_abu + T_wu B_abv + T_uv B_abw,
 
     since [X, a v, a w] = [a v, a w, X] and [a u, X, a w] = [a w, a u, X].
-    Both sides are skew in (a, b), so (b, a) is (a, b) with both sides
-    negated and a = b gives 0 == 0 (:class:`Sweep`).  A pair whose T_ab
+    Both sides are skew in (a, b) (:class:`Sweep`).  A pair whose T_ab
     and B_ab. both vanish only has instances 0 == 0.
     """
     n = L.dim
@@ -332,11 +331,6 @@ def quotient(L: Hom3LieAlgebra, ideal: Subspace) -> tuple[Hom3LieAlgebra, Mat]:
     """
     if not is_ideal(L, ideal):
         raise IdealRequired("quotient needs a twist-stable ideal")
-    return _quotient(L, ideal)
-
-
-def _quotient(L: Hom3LieAlgebra, ideal: Subspace) -> tuple[Hom3LieAlgebra, Mat]:
-    """:func:`quotient` for a caller that has checked the ideal."""
     n = L.dim
     pivots = ideal.pivots()
     comp = [c for c in range(n) if c not in pivots]

@@ -67,8 +67,18 @@ class Verdict:
     error: Optional[str] = None
 
     def payload(self) -> dict:
-        """The fields by name, without ``derived_data`` and ``error`` when unset."""
-        return {key: value for key, value in vars(self).items() if value is not None}
+        out: dict[str, Any] = {
+            "command": self.command,
+            "inputs": self.inputs,
+            "flags": self.flags,
+            "witnesses": self.witnesses,
+            "witnesses_total": self.witnesses_total,
+        }
+        if self.derived_data is not None:
+            out["derived_data"] = self.derived_data
+        if self.error is not None:
+            out["error"] = self.error
+        return out
 
     @property
     def exit_code(self) -> int:
@@ -303,8 +313,10 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     if args.output_dir:
         out = Path(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for name in ("quotient", "theta", "tstar", "sigma"):
-            write_json(out / f"{name}.json", bundle[name])
+        write_json(out / "quotient.json", bundle["quotient"])
+        write_json(out / "theta.json", bundle["theta"])
+        write_json(out / "tstar.json", bundle["tstar"])
+        write_json(out / "sigma.json", bundle["sigma"])
         write_json(out / "verdict.json", verdict.payload())
     return _emit(verdict, args.json)
 

@@ -2,7 +2,7 @@
 
 A 3-cocycle for a representation (V, rho, A) is a skew trilinear map
 theta from algebra triples to V satisfying the twisted cocycle identity
-(checked over all basis 5-tuples by :func:`verify_cocycle`).  Adding a
+(checked on basis 5-tuples by :func:`verify_cocycle`).  Adding a
 cocycle to the semidirect-product bracket gives the theta-extension on
 L + V; specialising V to the dual module of the adjoint action gives
 the dual-space extension on L + L*, whose canonical hyperbolic pairing
@@ -117,9 +117,7 @@ def verify_cocycle(L: Hom3LieAlgebra, r: Representation, th: Cocycle) -> Cocycle
         H(y,z; x,u,v) + H(z,x; y,u,v) + H(x,y; z,u,v) - H(u,v; x,y,z).
 
     H is alternating in (p, q) and in (i, j, k), so the sum is
-    alternating in (x, y, z) and skew in (u, v): it runs on x < y < z
-    and u < v, each representative standing for 12 ordered tuples, and
-    a tuple repeating an index in either group sums to 0 (:class:`Sweep`).
+    alternating in (x, y, z) and in (u, v) (:class:`Sweep`).
     """
     n, m = L.dim, r.module_dim
     if th.algebra_dim != n or r.algebra_dim != n or th.module_dim != m:
@@ -274,9 +272,8 @@ def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> MetricReport:
     That is, M_ab[c][d] = B([e_a, e_b, e_c], e_d) is skew.  M_ab is built
     from the nonzero columns of [e_a, e_b, .], and only the (c, d) in the
     support of M_ab or of its transpose are visited, in sorted order; at
-    every other (c, d) both terms are 0.  M_ba = -M_ab and M_aa = 0, so
-    only a < b is visited (:class:`Sweep`).  So the witnesses, their
-    order and the total are those of the sweep over all ordered 4-tuples.
+    every other (c, d) both terms are 0.  M_ab is skew in (a, b)
+    (:class:`Sweep`).
     """
     n = alg.dim
     if form.dim != n:

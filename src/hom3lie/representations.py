@@ -106,12 +106,10 @@ def verify_representation(L: Hom3LieAlgebra, r: Representation) -> Representatio
     per call, so that rho([x,y,z], a u) A = -sum_t [x,y,z]_t Q_u[t] and
     rho(a z, [x,y,u]) A = sum_t [x,y,u]_t Q_z[t] are sparse mat-vecs.
 
-    Each identity runs on one tuple per orbit (:class:`Sweep`).  (R1) is
-    skew in (x, y): x < y.  (R2) is alternating in (x, y, z), its right
-    side a cyclic sum of terms skew in two slots: x < y < z, any u.  (R3)
-    is skew in (x, y) and in (z, u), its last two terms trading places
-    under z <-> u: x < y, z < u.  Witnesses keep the ordered sweeps'
-    order: (R1), then quadruples, (R2) before (R3) at each.
+    Symmetries (:class:`Sweep`): (R1) is skew in (x, y); (R2) alternating
+    in (x, y, z), its right side a cyclic sum of terms skew in two slots;
+    (R3) skew in (x, y) and in (z, u), which trades its last two terms.
+    Witnesses: (R1), then by quadruple, (R2) before (R3) at each.
     """
     if r.algebra_dim != L.dim:
         raise DimensionMismatch("representation is over a different algebra dimension")

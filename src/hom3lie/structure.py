@@ -24,8 +24,7 @@ from typing import Optional
 from .algebras import (
     Hom3LieAlgebra,
     increasing_triples,
-    _quotient,
-    is_ideal,
+    quotient,
     subspace_bracket,
 )
 from .errors import (
@@ -187,8 +186,7 @@ def reconstruct_t_star(
     the algebra; the subspace is a twist-stable ideal, isotropic and of
     exactly half the dimension.  A supplied complement must be isotropic
     and complementary; otherwise one is completed from the form.  Each
-    check runs once: the ones here imply those of the complement and
-    quotient helpers.
+    check runs once.
 
     Such an ideal is abelian: B([i1,i2,g], h) = -B([g,i1,h], i2) = 0 by
     invariance, as [g,i1,h] lies in the isotropic ideal, and the form is
@@ -208,8 +206,10 @@ def reconstruct_t_star(
         raise HalfDimensionRequired("reconstruction needs an ideal of half the dimension")
     if not verify_metric(g, form).metric_ok:
         raise MetricRequired("reconstruction needs a symmetric invariant non-degenerate form")
-    if not is_ideal(g, ideal):
-        raise IdealRequired("reconstruction needs a twist-stable ideal")
+    try:
+        lq, proj = quotient(g, ideal)
+    except IdealRequired:
+        raise IdealRequired("reconstruction needs a twist-stable ideal") from None
     if not is_isotropic(form, ideal):
         raise IsotropicRequired("reconstruction needs an isotropic ideal")
     if complement is None:
@@ -222,8 +222,6 @@ def reconstruct_t_star(
             or subspace_sum(comp, ideal).dim != n2
         ):
             raise ComplementInvalid("supplied complement is not an isotropic complement")
-
-    lq, proj = _quotient(g, ideal)
 
     # Row p of lifts is l_p, the lift of e_p into the complement: the inverse
     # of the transpose of proj on the complement, applied to its basis.

@@ -12,8 +12,7 @@ fails anyway.
 Needs only pytest and the standard library (the suite itself needs
 hypothesis).  Usage, from anywhere:
 
-    python3 tests/mutants.py            # every mutant
-    python3 tests/mutants.py NAME ...   # the named ones
+    python3 tests/mutants.py
 """
 
 from __future__ import annotations
@@ -136,16 +135,11 @@ def check(tmp: Path, name: str, file: str, old: str, new: str, tests: tuple[str,
     return ""
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {m[0] for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}")
-        return 2
-    chosen = [m for m in MUTANTS if not names or m[0] in names]
-    unmutated = ("unmutated", "", "", "", tuple(sorted({t for m in chosen for t in m[4]})))
+def main() -> int:
+    unmutated = ("unmutated", "", "", "", tuple(sorted({t for m in MUTANTS for t in m[4]})))
     with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(WORKERS) as pool:
-        results = list(pool.map(lambda entry: check(Path(tmp), *entry), [unmutated, *chosen]))
-    for (name, *_), problem in zip([unmutated, *chosen], results):
+        results = list(pool.map(lambda entry: check(Path(tmp), *entry), [unmutated, *MUTANTS]))
+    for (name, *_), problem in zip([unmutated, *MUTANTS], results):
         verdict = "passes" if name == "unmutated" else "caught"
         print(f"{'FAILED  ' + problem if problem else verdict}  {name}")
     missed = sum(bool(problem) for problem in results)
@@ -154,4 +148,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
