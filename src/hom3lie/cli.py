@@ -188,22 +188,14 @@ def cmd_extend(args: argparse.Namespace) -> int:
     kind = args.kind
     inputs = list(args.inputs)
     verdict = Verdict("extend", [kind] + inputs)
-
-    def arity(n: int) -> None:
-        if len(inputs) != n:
-            raise FileFormatError(f"extend {kind} expects {n} inputs, got {len(inputs)}")
-
+    arity = 3 if kind == "t-theta" else 2
+    if len(inputs) != arity:
+        raise FileFormatError(f"extend {kind} expects {arity} inputs, got {len(inputs)}")
+    alg = load_algebra(inputs[0])
     try:
-        if kind == "direct-sum":
-            arity(2)
-            result = direct_sum(load_algebra(inputs[0]), load_algebra(inputs[1]))
-            report = verify_axioms(result)
-            data = {"algebra": algebra_to_dict(result)}
-        elif kind == "derivation":
-            arity(2)
-            alg = load_algebra(inputs[0])
-            dmat = load_matrix(inputs[1])
-            ext, report = derivation_extension(alg, dmat)
+        data: dict[str, Any] = {}
+        if kind == "derivation":
+            ext, report = derivation_extension(alg, load_matrix(inputs[1]))
             table = [{"args": [i + 1 for i in key], "value": vec_to_dense(v)}
                      for key in itertools.product(range(ext.dim), repeat=3)
                      if not (v := ext.value(*key)).is_zero()]
@@ -215,30 +207,23 @@ def cmd_extend(args: argparse.Namespace) -> int:
             }
             # the literal extension rule is not skew, so only the
             # extension-theorem verdict and the twist check gate the exit
-            report = replace(report, skew_ok=None, regular_ok=None)
-        elif kind == "semidirect":
-            arity(2)
-            alg = load_algebra(inputs[0])
-            rep = _resolve_rep(alg, inputs[1])
-            result = semidirect_product(alg, rep)
-            report = verify_axioms(result)
-            data = {"algebra": algebra_to_dict(result)}
+            report = replace(report, skew_ok=None)
         elif kind == "t-theta":
-            arity(3)
-            alg = load_algebra(inputs[0])
             rep = _resolve_rep(alg, inputs[1])
             _, th = load_cocycle(inputs[2], algebra=alg)
             result, report = t_theta_extension(alg, rep, th)
-            data = {"algebra": algebra_to_dict(result)}
-        elif kind == "t-star":
-            arity(2)
-            alg = load_algebra(inputs[0])
+        elif kind == "direct-sum":
+            result = direct_sum(alg, load_algebra(inputs[1]))
+        elif kind == "semidirect":
+            result = semidirect_product(alg, _resolve_rep(alg, inputs[1]))
+        else:  # t-star
             _, th = load_cocycle(inputs[1], algebra=alg)
             result, form = t_star_extension(alg, th)
+            data["q_gram"] = mat_to_lists(form.gram)
+        if kind not in ("derivation", "t-theta"):  # the two that verify their own result
             report = verify_axioms(result)
-            data = {"algebra": algebra_to_dict(result), "q_gram": mat_to_lists(form.gram)}
-        else:
-            raise FileFormatError(f"unknown extension kind {kind!r}")
+        if kind != "derivation":
+            data["algebra"] = algebra_to_dict(result)
     except PreconditionError as exc:
         verdict.error = f"{type(exc).__name__}: {exc}"
         return _emit(verdict, args.json)
@@ -313,10 +298,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     if args.output_dir:
         out = Path(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "quotient.json", bundle["quotient"])
-        write_json(out / "theta.json", bundle["theta"])
-        write_json(out / "tstar.json", bundle["tstar"])
-        write_json(out / "sigma.json", bundle["sigma"])
+        for name in ("quotient", "theta", "tstar", "sigma"):
+            write_json(out / f"{name}.json", bundle[name])
         write_json(out / "verdict.json", verdict.payload())
     return _emit(verdict, args.json)
 

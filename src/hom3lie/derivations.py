@@ -26,7 +26,7 @@ from .algebras import (
     verify_regular,
 )
 from .errors import DimensionMismatch, FixedPointRequired, RegularTwistRequired
-from .linalg import Mat, Subspace, Vec, nullspace, pruned, rank, subspace_contains
+from .linalg import Mat, Subspace, Vec, nullspace, pruned, subspace_contains
 
 
 def twist_power(L: Hom3LieAlgebra, k: int) -> Mat:
@@ -286,7 +286,6 @@ def derivation_extension(L: Hom3LieAlgebra, d: Mat) -> tuple[DerivationExtension
         skew_ok=skew.clean,
         hom_jacobi_ok=hom_jacobi_ok,
         multiplicative_ok=mult.clean,
-        regular_ok=mult.clean and rank(twist) == nn,
         violations=tuple(witnesses[:MAX_WITNESSES]),
         violations_total=skew.total + jac.total + mult.total,
     )

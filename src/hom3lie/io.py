@@ -47,7 +47,6 @@ class FileFormatError(ValueError):
     """Malformed input; the message names the offending location."""
 
     def __init__(self, message: str, location: str = "") -> None:
-        self.location = location
         super().__init__(f"{location}: {message}" if location else message)
 
 

@@ -70,10 +70,6 @@ class Vec:
         return Vec(rat(x) for x in xs)
 
     @staticmethod
-    def from_iter(xs: Iterable[Scalar]) -> "Vec":
-        return Vec(rat(x) for x in xs)
-
-    @staticmethod
     def zero(n: int) -> "Vec":
         return Vec.sparse(n, {})
 
@@ -189,7 +185,7 @@ class Mat:
         for r in rows:
             if len(r) != ncols:
                 raise DimensionMismatch("ragged rows")
-            vecs.append(r if isinstance(r, Vec) else Vec.from_iter(r))
+            vecs.append(r if isinstance(r, Vec) else Vec.of(*r))
         return Mat.sparse(ncols, vecs)
 
     @staticmethod

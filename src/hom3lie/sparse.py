@@ -46,11 +46,11 @@ def unflatten(flat: Support, m: int) -> SparseMat:
     return cols
 
 
-def add_matvec(acc: dict[int, Fraction], m: SparseMat, x: Support, sign: int = 1) -> None:
-    """acc += sign * (m x) in place."""
+def add_matvec(acc: dict[int, Fraction], m: SparseMat, x: Support) -> None:
+    """acc += m x in place."""
     for c, xc in x.items():
         if c in m:
-            add_scaled(acc, xc if sign == 1 else -xc, m[c])
+            add_scaled(acc, xc, m[c])
 
 
 def matvec(m: SparseMat, x: Support) -> Support:
@@ -77,7 +77,7 @@ class AltTable:
             if (len(key) != arity or not 0 <= key[0] <= key[-1] < dim
                     or any(a >= b for a, b in zip(key, key[1:]))):
                 raise DimensionMismatch(f"{what} key {key} is not strictly increasing in range")
-            if len(value) != size:
+            if value.n != size:  # len() fails past sys.maxsize
                 raise DimensionMismatch(f"{what} value for {key} has the wrong length")
             if not value.is_zero():
                 self.values[key] = value

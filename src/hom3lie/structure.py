@@ -119,10 +119,6 @@ def is_isotropic(form: BilinForm, s: Subspace) -> bool:
     return all(a.dot(gb) == 0 for a in s.basis for gb in images)
 
 
-def _symmetric_nondegenerate(form: BilinForm) -> bool:
-    return form.gram == form.gram.transpose() and nullspace(form.gram).dim == 0
-
-
 def isotropic_complement(form: BilinForm, iso: Subspace) -> Subspace:
     """An isotropic complement of a maximal isotropic subspace.
 
@@ -136,17 +132,12 @@ def isotropic_complement(form: BilinForm, iso: Subspace) -> Subspace:
     """
     if form.dim != 2 * iso.dim:
         raise HalfDimensionRequired("complement needs an isotropic subspace of half dimension")
-    if not _symmetric_nondegenerate(form):
+    gram = form.gram
+    if gram != gram.transpose() or nullspace(gram).dim != 0:
         raise MetricRequired("complement needs a symmetric non-degenerate form")
     if not is_isotropic(form, iso):
         raise IsotropicRequired("complement needs an isotropic subspace")
-    return _complement(form, iso)
-
-
-def _complement(form: BilinForm, iso: Subspace) -> Subspace:
-    """:func:`isotropic_complement` for a caller that has checked its input."""
     n, k = form.dim, iso.dim
-    gram = form.gram
     pair_rows = Mat.from_rows([gram.apply(b) for b in iso.basis], cols=n)
     duals: list[Vec] = []
     for j in range(k):
@@ -185,8 +176,8 @@ def reconstruct_t_star(
     Preconditions (each with its own error): the form is a metric for
     the algebra; the subspace is a twist-stable ideal, isotropic and of
     exactly half the dimension.  A supplied complement must be isotropic
-    and complementary; otherwise one is completed from the form.  Each
-    check runs once.
+    and complementary; otherwise :func:`isotropic_complement` completes one,
+    whose checks repeat ones made here and so cannot fail.
 
     Such an ideal is abelian: B([i1,i2,g], h) = -B([g,i1,h], i2) = 0 by
     invariance, as [g,i1,h] lies in the isotropic ideal, and the form is
@@ -213,7 +204,7 @@ def reconstruct_t_star(
     if not is_isotropic(form, ideal):
         raise IsotropicRequired("reconstruction needs an isotropic ideal")
     if complement is None:
-        comp = _complement(form, ideal)
+        comp = isotropic_complement(form, ideal)
     else:
         comp = complement
         if (

@@ -1,8 +1,8 @@
 """Dense reference sweeps, kept as oracles for the library's sparse sweeps.
 
-These are the hom-Jacobi, multiplicativity, representation, cocycle and
-metric-invariance sweeps written the direct way: every bracket, action
-and cocycle value is evaluated from the stored increasing-key table by
+These are the hom-Jacobi, multiplicativity, representation, cocycle,
+metric-invariance and cyclicity sweeps written the direct way: every
+bracket, action and cocycle value is evaluated from the stored increasing-key table by
 its skew multilinear extension, one basis tuple of the arguments'
 supports at a time, with no twisted actions computed ahead.  They share no evaluation
 code with the library, so the library's reports must equal theirs field
@@ -196,3 +196,12 @@ def metric(alg, form) -> MetricReport:
         witnesses=tuple(w.items),
         violations_total=w.total,
     )
+
+
+def theta_cyclic(th) -> bool:
+    """theta(e_i,e_j,e_k)(e_l) + theta(e_i,e_j,e_l)(e_k) = 0 on increasing
+    triples against every fourth index; with skewness of theta this is
+    the full cyclic identity."""
+    n = th.algebra_dim
+    return all(theta_basis(th, i, j, k)[l] + theta_basis(th, i, j, l)[k] == 0
+               for i, j, k in increasing_triples(n) for l in range(n))

@@ -36,6 +36,8 @@ KERNEL = "tests/test_elimination_kernel.py::test_rref_rank_and_nullspace_match_t
 PAIRS = "tests/test_pairs.py::test_pairs_match_partial_and_evaluate_on_every_ordered_pair"
 RECONSTRUCTION = "tests/test_pairs.py::test_reconstruction_matches_the_change_of_basis_construction"
 VEC_MAT = "tests/test_sparse_linalg.py"
+CYCLIC = "tests/test_extensions.py::test_theta_cyclic_ok_matches_the_pairwise_sweep"
+CLI_BYTES = "tests/test_cli_bytes.py::test_cli_runs_match_the_byte_table"
 
 # (name, file under src/hom3lie, old text, new text, tests that must fail)
 MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
@@ -103,6 +105,12 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "return self.cols == other.cols and self.row_vecs == other.row_vecs",
      "return self.row_vecs == other.row_vecs",
      (VEC_MAT,)),
+    ("cyclic-part-unsigned", "extensions.py",
+     "terms = (sign * th.alt.get(", "terms = (th.alt.get(",
+     (CYCLIC,)),
+    ("extend-verifies-multiplicativity-only", "cli.py",
+     "            report = verify_axioms(result)", "            report = verify_multiplicative(result)",
+     (CLI_BYTES,)),
 )
 
 

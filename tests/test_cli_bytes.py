@@ -1,0 +1,180 @@
+"""Byte table of ``hom3lie extend`` and ``hom3lie reconstruct`` runs.
+
+``cli_bytes.json`` records, for each command line of ``CASES``, the exit
+code and the sha256 digests of stdout, stderr and every file the run
+writes.  Every extension kind runs a pass, a failing check, a rejected
+input, a wrong number of inputs and a missing file, each as text and as
+``--json``, with and without ``--output``; ``reconstruct`` runs with and
+without ``--output-dir``.  The test replays each line through
+``cli.main`` in a directory holding the inputs, with relative paths, so
+that no digest depends on where the directory is.
+
+Running this file prints the table for the ``hom3lie`` on the path:
+
+    PYTHONPATH=src python3 tests/test_cli_bytes.py > tests/cli_bytes.json
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+from hom3lie.cli import main
+from hom3lie.extensions import Cocycle, cyclic_part, t_star_extension
+from hom3lie.fixtures import a4, l3
+from hom3lie.io import (
+    algebra_to_dict,
+    cocycle_to_dict,
+    form_to_dict,
+    matrix_to_dict,
+    representation_to_dict,
+    subspace_to_dict,
+    write_json,
+)
+from hom3lie.linalg import Mat, Subspace, Vec
+from hom3lie.representations import Representation
+
+TABLE = Path(__file__).with_name("cli_bytes.json")
+
+# inputs per kind and scenario; "missing.json" is never written
+EXTEND = {
+    "direct-sum": {
+        "pass": ["L3.json", "A4.json"],
+        "check": ["L3.json", "L3-nonmult.json"],
+        "rejected": ["L3.json", "D.json"],
+        "arity": ["L3.json"],
+        "missing": ["L3.json", "missing.json"],
+    },
+    "derivation": {
+        "pass": ["L3.json", "D.json"],
+        "check": ["L3.json", "D-bad.json"],
+        "rejected": ["L3.json", "D-2x2.json"],
+        "arity": ["L3.json", "D.json", "D.json"],
+        "missing": ["missing.json", "D.json"],
+    },
+    "semidirect": {
+        "pass": ["L3.json", "coadjoint"],
+        "check": ["L3-nonmult.json", "rep-zero.json"],
+        "rejected": ["L3.json", "rep-bad.json"],
+        "arity": ["L3.json"],
+        "missing": ["L3.json", "missing.json"],
+    },
+    "t-theta": {
+        "pass": ["L3.json", "coadjoint", "theta-L3.json"],
+        "check": ["L3-nonmult.json", "rep-zero.json", "theta-zero.json"],
+        "rejected": ["A4.json", "coadjoint", "theta-A4.json"],
+        "arity": ["L3.json", "coadjoint"],
+        "missing": ["L3.json", "adjoint", "missing.json"],
+    },
+    "t-star": {
+        "pass": ["L3.json", "theta-L3.json"],
+        "check": ["A4.json", "theta-A4.json"],
+        "rejected": ["L3.json", "theta-module-2.json"],
+        "arity": ["L3.json", "theta-L3.json", "theta-L3.json"],
+        "missing": ["missing.json", "theta-L3.json"],
+    },
+}
+RECONSTRUCT = (
+    ["tstar.json", "q.json", "ideal.json"],
+    ["tstar.json", "q.json", "ideal.json", "complement.json"],
+    ["tstar.json", "q.json", "ideal-short.json"],
+    ["tstar.json", "q.json", "missing.json"],
+)
+CASES = [
+    [*mode, "extend", kind, *inputs, *out]
+    for kind, scenarios in EXTEND.items()
+    for inputs in scenarios.values()
+    for mode in ([], ["--json"])
+    for out in ([], ["--output", "out.json"])
+] + [
+    [*mode, "reconstruct", *inputs, *out]
+    for inputs in RECONSTRUCT
+    for mode in ([], ["--json"])
+    for out in ([], ["--output-dir", "bundle"])
+]
+
+
+def write_inputs(d: Path) -> None:
+    L, A = l3(), a4()
+    nonmult = algebra_to_dict(L)
+    nonmult["alpha"] = [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "1"]]
+    files = {
+        "L3.json": algebra_to_dict(L),
+        "A4.json": algebra_to_dict(A),
+        "L3-nonmult.json": nonmult,
+        "D.json": matrix_to_dict(Mat.diagonal([0, 1, -1])),
+        "D-bad.json": matrix_to_dict(Mat.from_rows([[0, 0, 0], [1, 0, 0], [0, 0, 0]])),
+        "D-2x2.json": matrix_to_dict(Mat.identity(2)),
+        "rep-zero.json": representation_to_dict(
+            Representation(3, 2, Mat.identity(2), {}), "L3-nonmult.json"),
+        "rep-bad.json": representation_to_dict(
+            Representation(3, 1, Mat.identity(1), {(0, 1): Mat.identity(1)}), "L3.json"),
+        "theta-L3.json": cocycle_to_dict(Cocycle(3, 3, {(0, 1, 2): Vec.basis(3, 0)}), "L3.json"),
+        "theta-zero.json": cocycle_to_dict(Cocycle.zero(3, 2), "L3-nonmult.json"),
+        "theta-A4.json": cocycle_to_dict(Cocycle(4, 4, {(0, 1, 2): Vec.basis(4, 0)}), "A4.json"),
+        "theta-module-2.json": cocycle_to_dict(Cocycle.zero(3, 2), "L3.json"),
+    }
+    cyclic = cyclic_part(Cocycle(4, 4, {(0, 1, 2): Vec.basis(4, 3)}))
+    tstar, q = t_star_extension(A, cyclic)
+    dual = [Vec.basis(8, 4 + i) for i in range(4)]
+    files.update({
+        "tstar.json": algebra_to_dict(tstar),
+        "q.json": form_to_dict(q),
+        "ideal.json": subspace_to_dict(Subspace.span(8, dual)),
+        "complement.json": subspace_to_dict(Subspace.span(8, [Vec.basis(8, i) for i in range(4)])),
+        "ideal-short.json": subspace_to_dict(Subspace.span(8, dual[:2])),
+    })
+    for name, payload in files.items():
+        write_json(d / name, payload)
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(argv: list[str], outputs: list[Path]) -> tuple[int, str, str, dict[str, bytes]]:
+    """Exit code, stdout, stderr and the files written under ``outputs`` by
+    one in-process run of ``cli.main``; the files are removed afterwards."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    files = {}
+    for path in outputs:
+        for f in sorted([path] if path.is_file() else path.glob("*")):
+            files[f.as_posix()] = f.read_bytes()
+        if path.is_dir():
+            shutil.rmtree(path)
+        elif path.exists():
+            path.unlink()
+    return code, out.getvalue(), err.getvalue(), files
+
+
+def run_case(argv: list[str]) -> dict:
+    """Run one command line in the current directory and digest what it leaves."""
+    code, out, err, files = run(argv, [Path("out.json"), Path("bundle")])
+    return {"argv": argv, "exit": code, "stdout": digest(out.encode()), "stderr": digest(err.encode()),
+            "files": {name: digest(data) for name, data in files.items()}}
+
+
+def test_cli_runs_match_the_byte_table(tmp_path, monkeypatch):
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    table = json.loads(TABLE.read_text(encoding="utf-8"))
+    assert [row["argv"] for row in table] == CASES
+    changed = [" ".join(row["argv"]) for row in table if run_case(row["argv"]) != row]
+    assert not changed, "runs differ from the byte table:\n" + "\n".join(changed)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        write_inputs(Path(tmp))
+        os.chdir(tmp)
+        rows = [run_case(argv) for argv in CASES]
+    sys.stdout.write("[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n")

@@ -1,11 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import dense_oracle as oracle
 from conftest import random_mat, random_vec
-from hom3lie.algebras import increasing_triples
+from hom3lie.algebras import Hom3LieAlgebra, increasing_triples
 from hom3lie.errors import CocycleInvalid, DimensionMismatch
 from hom3lie.extensions import (
     BilinForm,
@@ -146,20 +147,42 @@ def test_t_star_dimension_guard():
         t_star_extension(l3(), Cocycle.zero(3, 2))
 
 
+EPSILON = Cocycle(4, 4, {(0, 1, 2): Vec.basis(4, 3), (0, 1, 3): -Vec.basis(4, 2),
+                         (0, 2, 3): Vec.basis(4, 1), (1, 2, 3): -Vec.basis(4, 0)})
+
+
 def test_theta_cyclic_examples():
     L = l3()
     assert theta_cyclic_ok(L, Cocycle.zero(3, 3))
     bad = Cocycle(3, 3, {(0, 1, 2): Vec.basis(3, 2)})  # pairs (k, l) = (3, 3)
     assert theta_cyclic_ok(L, bad) is False
     # off-support value on a 4-dim algebra can satisfy the identity
-    N = n4()
-    eps = Cocycle(4, 4, {
-        (0, 1, 2): Vec.basis(4, 3),
-        (0, 1, 3): -Vec.basis(4, 2),
-        (0, 2, 3): Vec.basis(4, 1),
-        (1, 2, 3): -Vec.basis(4, 0),
-    })
-    assert theta_cyclic_ok(N, eps)
+    assert theta_cyclic_ok(n4(), EPSILON)
+
+
+@st.composite
+def cyclic_candidates(draw):
+    """Maps L^3 -> L* in dimensions 3 to 5: cyclic parts, cyclic parts
+    with one entry changed, and maps as drawn."""
+    n = draw(st.integers(3, 5))
+    triples = list(increasing_triples(n))
+    entries = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    th = Cocycle(n, n, {key: Vec.of(*draw(entries))
+                        for key in draw(st.lists(st.sampled_from(triples), max_size=4))})
+    kind = draw(st.sampled_from(["cyclic", "perturbed", "drawn"]))
+    if kind != "drawn":
+        th = cyclic_part(th)
+    if kind == "perturbed":
+        change = Vec.basis(n, draw(st.integers(0, n - 1))).scale(draw(st.integers(-2, 2)))
+        th = th + Cocycle(n, n, {draw(st.sampled_from(triples)): change})
+    return th
+
+
+@example(EPSILON)
+@given(cyclic_candidates())
+def test_theta_cyclic_ok_matches_the_pairwise_sweep(th):
+    n = th.algebra_dim
+    assert theta_cyclic_ok(Hom3LieAlgebra(n, {}, Mat.identity(n)), th) == oracle.theta_cyclic(th)
 
 
 def test_cyclic_part_is_a_projector_onto_the_cyclic_class():

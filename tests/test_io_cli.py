@@ -486,3 +486,15 @@ def test_cli_deeply_nested_json_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and "nested too deeply" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["t-star", "t-theta"])
+def test_cli_cocycle_module_dim_past_the_index_range_exits_2(tmp_path, capsys, kind):
+    # nothing else in a cocycle file is sized by module_dim, so a huge one
+    # loads; it must be rejected as a dimension mismatch, not crash len()
+    d = cocycle_to_dict(Cocycle(3, 3, {(0, 1, 2): Vec.basis(3, 0)}), "L3.json")
+    d["module_dim"] = 10 ** 40
+    write_json(tmp_path / "theta.json", d)
+    rep = ["coadjoint"] if kind == "t-theta" else []
+    assert main(["extend", kind, data_file("L3"), *rep, str(tmp_path / "theta.json")]) == 2
+    _assert_one_line_error(capsys)

@@ -122,7 +122,7 @@ def test_solve_postcondition(m):
 def test_span_canonical_under_scaling_and_permutation(data):
     n = data.draw(st.integers(1, 4))
     vecs = data.draw(
-        st.lists(st.lists(fractions, min_size=n, max_size=n).map(Vec.from_iter),
+        st.lists(st.lists(fractions, min_size=n, max_size=n).map(lambda xs: Vec.of(*xs)),
                  min_size=1, max_size=4)
     )
     scales = data.draw(st.lists(st.sampled_from([1, 2, -1, 3]), min_size=len(vecs), max_size=len(vecs)))

@@ -102,7 +102,7 @@ def test_vec_indexing_and_equality_match_dense(data):
     assert (u != v) == (x != y)
     if u == v:
         assert hash(u) == hash(v)
-    assert Vec(u.entries) == u and Vec.from_iter(x) == u and Vec.of(*x) == u
+    assert Vec(u.entries) == u and Vec.of(*x) == u
     assert u != Vec(x + (ZERO,))
 
 
