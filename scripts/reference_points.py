@@ -10,8 +10,9 @@ along theta, with the hyperbolic form.
 Each layer is run REPEAT times in this process; a cell is the median
 wall time in seconds, unscaled, so compare only runs made on the
 same host.  A second table gives each layer's violation total, which
-must not depend on the code version.  Run with ``PYTHONPATH`` pointing at
-any checkout's ``src`` to compare two versions:
+must not depend on the code version: at the sizes in ``TOTALS`` the
+script exits 1 when one differs from the recorded value.  Run with
+``PYTHONPATH`` pointing at any checkout's ``src`` to compare two versions:
 
     PYTHONPATH=src python3 scripts/reference_points.py [--sizes 7 11]
 """
@@ -36,6 +37,8 @@ from perfbench.inputs import yau_twisted_a4
 COLUMNS = ("hom-Jacobi", "hom-Jacobi on T* (2n)", "adjoint rep. sweep", "cocycle sweep",
            "metric on T*", "`derivation_space(k=0)`", "same on T*")
 REPEAT = 3
+# each column's violation total (derivation columns: dimension), per size
+TOTALS = {7: (0, 392, 0, 144, 136, 8, 15), 11: (0, 784, 0, 288, 262, 10, 17)}
 
 
 def family(n: int) -> Hom3LieAlgebra:
@@ -76,22 +79,28 @@ def table(header: tuple[str, ...], rows: list[list[str]]) -> str:
     return "\n".join(lines + ["| " + " | ".join(row) + " |" for row in rows])
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[7, 11])
     args = parser.parse_args()
 
-    timings, results = [], []
+    timings, results, moved = [], [], []
     for n in args.sizes:
         cells = [measure(call) for call in layers(n).values()]
         timings.append([str(n)] + [f"{t:.4f}" for t, _ in cells])
         results.append([str(n)] + [str(r) for _, r in cells])
+        moved += [f"n = {n}, {column}: {r}, recorded {want}"
+                  for column, (_, r), want in zip(COLUMNS, cells, TOTALS.get(n, ()))
+                  if r != want]
     print("seconds, median of", REPEAT)
     print(table(("n",) + COLUMNS, timings))
     print()
     print("violations total (the two derivation columns: dimension)")
     print(table(("n",) + COLUMNS, results))
+    for line in moved:
+        print("MOVED", line, file=sys.stderr)
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import DimensionMismatch, IdealRequired
 from .linalg import Mat, Subspace, Vec, pruned, rank, subspace_contains
-from .sparse import AltTable, add_matvec, matvec, signed_perms
+from .sparse import AltTable, add_matvec, cleared, matvec, signed_perms
 
 MAX_WITNESSES = 16
 
@@ -198,6 +199,13 @@ def skew_violations(dim: int, value_at: Callable[[int, int, int], Vec]) -> Sweep
     return w
 
 
+def _rational(w: Sweep, identity: str, n: int, scale: int) -> tuple[Violation, ...]:
+    """The kept witnesses of a sweep whose sides are int supports, ``scale`` times theirs."""
+    return tuple(Violation(identity, m, *(Vec.sparse(n, {i: Fraction(s * x, scale) for i, x
+                                                          in side.items()}) for side in sides))
+                 for m, s, sides in w.kept)
+
+
 def verify_hom_jacobi(L: Hom3LieAlgebra) -> AlgebraReport:
     """Sweep the hom-Jacobi identity over all basis instantiations.
 
@@ -212,10 +220,14 @@ def verify_hom_jacobi(L: Hom3LieAlgebra) -> AlgebraReport:
     since [X, a v, a w] = [a v, a w, X] and [a u, X, a w] = [a w, a u, X].
     Both sides are skew in (a, b) (:class:`Sweep`).  A pair whose T_ab
     and B_ab. both vanish only has instances 0 == 0.
+
+    Integers (:func:`cleared`): with B = B~/D and alpha = alpha~/d, both
+    sides have degree 2 in B and in alpha, so are D^2 d^2 times theirs.
     """
     n = L.dim
-    alt = L.alt
-    t = alt.pairs([L.twist.col(i).support for i in range(n)])
+    (alt,), D = cleared(L.alt)
+    (acols,), d = cleared([L.twist.col(i).support for i in range(n)])
+    t = alt.pairs(acols)
     triples = [(u, v, wi, alt.get(u, v, wi)) for u, v, wi in increasing_triples(n)]
     w = Sweep(2)
     for a, b in w.reps(n):
@@ -230,29 +242,37 @@ def verify_hom_jacobi(L: Hom3LieAlgebra) -> AlgebraReport:
                     add_matvec(acc, m, bab[i])
             rhs = pruned(acc)
             if lhs != rhs:
-                w.add((a, b, u, v, wi), Vec.sparse(n, lhs), Vec.sparse(n, rhs))
-    return AlgebraReport(hom_jacobi_ok=w.clean, violations=tuple(w.violations("hom_jacobi")),
-                         violations_total=w.total)
+                w.add((a, b, u, v, wi), lhs, rhs)
+    return AlgebraReport(hom_jacobi_ok=w.clean, violations_total=w.total,
+                         violations=_rational(w, "hom_jacobi", n, (D * d) ** 2))
 
 
-def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> Iterator[tuple]:
-    """(i, j, k), phi [e_i,e_j,e_k] and [phi e_i,phi e_j,phi e_k] as supports, for i < j < k."""
-    cols = [phi.col(i).support for i in range(L.dim)]
-    phi_cols = dict(enumerate(cols))
-    t = G.alt.pairs(cols)
-    for i, j, k in increasing_triples(L.dim):
-        yield (i, j, k), matvec(phi_cols, L.alt.get(i, j, k)), matvec(t[i, j], cols[k])
+def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> tuple[int, Iterator]:
+    """A scale s and, for i < j < k, (i, j, k) with phi [e_i,e_j,e_k] and
+    [phi e_i,phi e_j,phi e_k] as int supports, s times theirs.
+
+    With phi = phi~/d, B_L = B~_L/D_L, B_G = B~_G/D_G (:func:`cleared`),
+    phi~ B~_L is d D_L times the left and B~_G(phi~, phi~, phi~) d^3 D_G
+    times the right; taken d^2 D_G and D_L times, both are s = d^3 D_L D_G.
+    """
+    (cols,), d = cleared([phi.col(i).support for i in range(L.dim)])
+    ((left,), dl), ((right,), dg) = cleared(L.alt), cleared(G.alt)
+    t = right.pairs(cols)
+    lcols = {i: {r: d * d * dg * x for r, x in c.items()} for i, c in enumerate(cols)}
+    rcols = [{r: dl * x for r, x in c.items()} for c in cols]
+    return d ** 3 * dl * dg, (((i, j, k), matvec(lcols, left.get(i, j, k)), matvec(t[i, j], rcols[k]))
+                              for i, j, k in increasing_triples(L.dim))
 
 
 def verify_multiplicative(L: Hom3LieAlgebra) -> AlgebraReport:
     """Check alpha([e_i,e_j,e_k]) = [alpha e_i, alpha e_j, alpha e_k] on all i<j<k."""
-    n = L.dim
     w = Sweep()
-    for key, lhs, rhs in _bracket_images(L.twist, L, L):
+    scale, images = _bracket_images(L.twist, L, L)
+    for key, lhs, rhs in images:
         if lhs != rhs:
-            w.add(key, Vec.sparse(n, lhs), Vec.sparse(n, rhs))
-    return AlgebraReport(multiplicative_ok=w.clean,
-                         violations=tuple(w.violations("multiplicative")), violations_total=w.total)
+            w.add(key, lhs, rhs)
+    return AlgebraReport(multiplicative_ok=w.clean, violations_total=w.total,
+                         violations=_rational(w, "multiplicative", L.dim, scale))
 
 
 def verify_axioms(L: Hom3LieAlgebra) -> AlgebraReport:
@@ -305,7 +325,7 @@ def direct_sum(L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> Hom3LieAlgebra:
 
 def preserves_bracket(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> bool:
     """phi [e_i, e_j, e_k] == [phi e_i, phi e_j, phi e_k] on all i < j < k."""
-    return all(lhs == rhs for _, lhs, rhs in _bracket_images(phi, L, G))
+    return all(lhs == rhs for _, lhs, rhs in _bracket_images(phi, L, G)[1])
 
 
 def is_morphism(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> bool:

@@ -32,7 +32,7 @@ from .representations import (
     coadjoint_rep,
     verify_representation,
 )
-from .sparse import AltTable, matvec, signed_perms, unflatten
+from .sparse import AltTable, cleared, matvec, signed_perms, unflatten
 
 
 @dataclass(frozen=True)
@@ -118,18 +118,21 @@ def verify_cocycle(L: Hom3LieAlgebra, r: Representation, th: Cocycle) -> Cocycle
 
     H is alternating in (p, q) and in (i, j, k), so the sum is
     alternating in (x, y, z) and in (u, v) (:class:`Sweep`).
+
+    Integers (:func:`cleared`): B, rho and theta share one D, so with
+    alpha = alpha~/d every H value has degree D^2 d^2.
     """
     n, m = L.dim, r.module_dim
     if th.algebra_dim != n or r.algebra_dim != n or th.module_dim != m:
         raise DimensionMismatch("algebra, representation and cocycle dimensions must agree")
-    acols = [L.twist.col(i).support for i in range(n)]
-    taa = th.alt.pairs(acols)
-    raa = {key: unflatten(flat, m) for key, flat in r.alt.pairs(acols).items()}
-    h = {}
-    for p, q in itertools.combinations(range(n), 2):
-        values = {key: Vec.sparse(m, matvec(taa[p, q], L.alt.get(*key)))
-                       + Vec.sparse(m, matvec(raa[p, q], th.alt.get(*key)))
-                  for key in L.table.keys() | th.table.keys()}
+    (alt, ralt, talt), _ = cleared(L.alt, r.alt, th.alt)
+    (acols,), _ = cleared([L.twist.col(i).support for i in range(n)])
+    joint = {key: {**alt.get(*key), **{n + c: v for c, v in talt.get(*key).items()}}
+             for key in L.table.keys() | th.table.keys()}  # B_ijk, then theta_ijk
+    taa, raa, h = talt.pairs(acols), ralt.pairs(acols), {}
+    for p, q in itertools.combinations(range(n), 2):  # [Theta_pq | rho(ap, aq)] on joint
+        block = {**taa[p, q], **{n + c: col for c, col in unflatten(raa[p, q], m).items()}}
+        values = {key: Vec.sparse(m, matvec(block, x)) for key, x in joint.items()}
         h[p, q] = AltTable(3, n, m, values, "cocycle identity").get
     log = Sweep(3, 2)
     for x, y, z, u, v in log.reps(n):
@@ -225,20 +228,20 @@ def cyclic_part(th: Cocycle) -> Cocycle:
     Viewing theta as a 4-tensor W(i,j,k,l) = theta(i,j,k)(l), the
     identity says W is antisymmetric in (k, l); combined with skewness
     in (i,j,k) that makes W totally antisymmetric, so the projector is
-    full alternation over the symmetric group S4.
+    full alternation over S4: per increasing 4-tuple, 24 signed lookups on
+    numerators (:func:`cleared`) over 24 D, written at its four (triple, l)
+    with the sign that moves l to the end.
     """
     n = th.algebra_dim
     if th.module_dim != n:
         raise DimensionMismatch("cyclic projection concerns cocycles with values in L*")
-    perms = signed_perms(4)
-
-    def alternated(w: tuple[int, ...]) -> Fraction:
-        terms = (sign * th.alt.get(w[p[0]], w[p[1]], w[p[2]]).get(w[p[3]], 0) for p, sign in perms)
-        return Fraction(sum(terms), 24)
-
-    table = {(i, j, k): Vec(tuple(alternated((i, j, k, l)) for l in range(n)))
-             for i, j, k in increasing_triples(n)}
-    return Cocycle(n, n, table)
+    (alt,), D = cleared(th.alt)
+    perms, table = signed_perms(4), {}
+    for w in itertools.combinations(range(n), 4):
+        if s := sum(sign * alt.get(w[p[0]], w[p[1]], w[p[2]]).get(w[p[3]], 0) for p, sign in perms):
+            for r in range(4):
+                table.setdefault(w[:r] + w[r + 1:], {})[w[r]] = Fraction(s if r % 2 else -s, 24 * D)
+    return Cocycle(n, n, {key: Vec.sparse(n, col) for key, col in sorted(table.items())})
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from typing import Optional
 from .algebras import MAX_WITNESSES, Hom3LieAlgebra, Sweep
 from .errors import DimensionMismatch, RepresentationInvalid
 from .linalg import Mat, Support, Vec, pruned
-from .sparse import AltTable, SparseMat, add_matvec, matvec, unflatten
+from .sparse import AltTable, SparseMat, add_matvec, cleared, matvec, unflatten
 
 
 @dataclass(frozen=True)
@@ -110,20 +110,25 @@ def verify_representation(L: Hom3LieAlgebra, r: Representation) -> Representatio
     in (x, y, z), its right side a cyclic sum of terms skew in two slots;
     (R3) skew in (x, y) and in (z, u), which trades its last two terms.
     Witnesses: (R1), then by quadruple, (R2) before (R3) at each.
+
+    Integers (:func:`cleared`): B and rho share one D, alpha and A one d.
+    (R1) has degree D d^3 on the left and D d on the right, whose side is
+    multiplied by d^2; every term of (R2) and (R3) has degree D^2 d^2.
     """
     if r.algebra_dim != L.dim:
         raise DimensionMismatch("representation is over a different algebra dimension")
     n, m = L.dim, r.module_dim
-    acols = [L.twist.col(i).support for i in range(n)]
-    a_flat = r.twist.vectorize().support
-    a_cols = {c: r.twist.col(c).support for c in range(m)}
-    rho, raa = r.alt.get, {key: unflatten(flat, m) for key, flat in r.alt.pairs(acols).items()}
-    twisted = [{t: q for t, flat in r.alt.partial(a).items()  # t -> rho(a e_u, e_t) A
+    (alt, ralt), _ = cleared(L.alt, r.alt)
+    (acols, [a_flat]), d = cleared([L.twist.col(i).support for i in range(n)],
+                                   [r.twist.vectorize().support])
+    a_cols = unflatten({k: d * d * v for k, v in a_flat.items()}, m)  # A d^2, for (R1)
+    rho, raa = ralt.get, {key: unflatten(flat, m) for key, flat in ralt.pairs(acols).items()}
+    twisted = [{t: q for t, flat in ralt.partial(a).items()  # t -> rho(a e_u, e_t) A
                 if (q := pruned(_products(m, [(unflatten(flat, m), a_flat)], {})))}
                for a in acols]
 
     def bracket_action(x: int, y: int, z: int, u: int) -> Support:  # rho([x,y,z], a u) A
-        return {k: -v for k, v in matvec(twisted[u], L.alt.get(x, y, z)).items()}
+        return {k: -v for k, v in matvec(twisted[u], alt.get(x, y, z)).items()}
 
     twist, r2, r3 = Sweep(2), Sweep(3), Sweep(2, 2)
     for i, j in twist.reps(n):
@@ -138,7 +143,7 @@ def verify_representation(L: Hom3LieAlgebra, r: Representation) -> Representatio
                 r2.add((x, y, z, u))
     for x, y, z, u in r3.reps(n):
         rhs = _products(m, [(raa[z, u], rho(x, y))], bracket_action(x, y, z, u))
-        add_matvec(rhs, twisted[z], L.alt.get(x, y, u))
+        add_matvec(rhs, twisted[z], alt.get(x, y, u))
         if pruned(_products(m, [(raa[x, y], rho(z, u))], {})) != pruned(rhs):
             r3.add((x, y, z, u))
 

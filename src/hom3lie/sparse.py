@@ -19,6 +19,7 @@ cost nothing.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -27,8 +28,6 @@ from .errors import DimensionMismatch
 from .linalg import Support, Vec, add_scaled, pruned
 
 SparseMat = dict[int, Support]
-
-_ONE = Fraction(1)
 
 
 def signed_perms(k: int) -> list[tuple[tuple[int, ...], int]]:
@@ -57,6 +56,18 @@ def matvec(m: SparseMat, x: Support) -> Support:
     acc: dict[int, Fraction] = {}
     add_matvec(acc, m, x)
     return pruned(acc)
+
+
+def cleared(*parts: "AltTable | list[Support]") -> tuple[list, int]:
+    """The parts times the common denominator D of all their values, and D;
+    tables and lists of supports come back as such, over int supports."""
+    groups = [[v.support for v in p.values.values()] if isinstance(p, AltTable) else p
+              for p in parts]
+    scale = math.lcm(*{a.denominator for g in groups for s in g for a in s.values()})
+    ints = [[{i: a.numerator * (scale // a.denominator) for i, a in s.items()} for s in g]
+            for g in groups]
+    return [AltTable(p.arity, p.dim, p.size, {k: Vec.sparse(p.size, s) for k, s in zip(p.values, g)},
+                     p.what) if isinstance(p, AltTable) else g for p, g in zip(parts, ints)], scale
 
 
 class AltTable:
@@ -111,7 +122,7 @@ class AltTable:
 
     def partial(self, *args: Support) -> SparseMat:
         """The last slot as a sparse matrix, the other slots fixed to ``args``."""
-        level = [(self.trie, _ONE)]
+        level = [(self.trie, 1)]
         for x in args:
             level = [(node[i], c * xi) for node, c in level for i, xi in x.items() if i in node]
         cols: dict[int, dict[int, Fraction]] = {}

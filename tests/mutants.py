@@ -37,6 +37,8 @@ PAIRS = "tests/test_pairs.py::test_pairs_match_partial_and_evaluate_on_every_ord
 RECONSTRUCTION = "tests/test_pairs.py::test_reconstruction_matches_the_change_of_basis_construction"
 VEC_MAT = "tests/test_sparse_linalg.py"
 CYCLIC = "tests/test_extensions.py::test_theta_cyclic_ok_matches_the_pairwise_sweep"
+MORPHISM = "tests/test_pairs.py::test_a_morphism_between_algebras_of_coprime_denominators"
+COPRIME_REP = SWEEPS + "test_representation_sweep_matches_the_dense_sweep_on_coprime_scales"
 CLI_BYTES = "tests/test_cli_bytes.py::test_cli_runs_match_the_byte_table"
 
 # (name, file under src/hom3lie, old text, new text, tests that must fail)
@@ -76,7 +78,7 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      (TRUNCATED, PAIRS)),
     ("pairs-diagonal-non-empty", "sparse.py",
      "{(a, a): {} for a in range(len(images))}",
-     "{(a, a): {a: {a: _ONE}} for a in range(len(images))}",
+     "{(a, a): {a: {a: Fraction(1)}} for a in range(len(images))}",
      (PAIRS,)),
     ("metric-no-transpose", "extensions.py",
      "sorted(cells | {(d, c) for c, d in cells})", "sorted(cells)",
@@ -106,8 +108,25 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "return self.row_vecs == other.row_vecs",
      (VEC_MAT,)),
     ("cyclic-part-unsigned", "extensions.py",
-     "terms = (sign * th.alt.get(", "terms = (th.alt.get(",
+     "sum(sign * alt.get(", "sum(alt.get(",
      (CYCLIC,)),
+    ("cyclic-part-position-unsigned", "extensions.py",
+     "Fraction(s if r % 2 else -s, 24 * D)", "Fraction(s, 24 * D)",
+     (CYCLIC,)),
+    ("bracket-images-multiplier-d", "algebras.py",
+     "{r: d * d * dg * x for", "{r: d * dg * x for",
+     (MORPHISM,)),
+    ("r1-rhs-multiplier-dropped", "representations.py",
+     "a_cols = unflatten({k: d * d * v for k, v in a_flat.items()}, m)",
+     "a_cols = unflatten(a_flat, m)",
+     (COPRIME_REP,)),
+    ("hom-jacobi-witness-scale-short-of-d", "algebras.py",
+     'n, (D * d) ** 2)', 'n, D * d * d)',
+     (TRUNCATED,)),
+    ("rho-over-its-own-denominator", "representations.py",
+     "(alt, ralt), _ = cleared(L.alt, r.alt)",
+     "((alt,), _), ((ralt,), _) = cleared(L.alt), cleared(r.alt)",
+     (COPRIME_REP,)),
     ("extend-verifies-multiplicativity-only", "cli.py",
      "            report = verify_axioms(result)", "            report = verify_multiplicative(result)",
      (CLI_BYTES,)),

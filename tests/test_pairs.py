@@ -15,13 +15,19 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hom3lie.algebras import direct_sum, increasing_triples, preserves_bracket, quotient
+from hom3lie.algebras import (
+    direct_sum,
+    increasing_triples,
+    is_morphism,
+    preserves_bracket,
+    quotient,
+)
 from hom3lie.derivations import fixed_space, inner_space, twist_power
 from hom3lie.extensions import Cocycle, cyclic_part, t_star_extension
 from hom3lie.linalg import Mat, Subspace, Vec, inverse
 from hom3lie.sparse import AltTable, matvec
 from hom3lie.structure import isotropic_complement, reconstruct_t_star
-from test_sparse_sweeps import BASES, perturbed, small
+from test_sparse_sweeps import BASES, factors, perturbed, rescaled_bracket, small, yau_a4
 
 
 def support(values) -> dict:
@@ -123,6 +129,45 @@ def maps(draw):
 def test_preserves_bracket_matches_direct_brackets(case):
     phi, L, G = case
     assert preserves_bracket(phi, L, G) == _preserves_directly(phi, L, G)
+
+
+@st.composite
+def coprime_maps(draw):
+    """phi = lam I or lam alpha from L, the base bracket times c, to G, the
+    base bracket times c / lam^2 (a morphism when the base is
+    multiplicative) or times a drawn factor, with separately drawn
+    factors; sometimes one entry of phi is changed by another."""
+    base = draw(st.sampled_from(BASES))
+    n = base.dim
+    c, lam = draw(factors), draw(factors)
+    L = rescaled_bracket(base, c, base.twist)
+    G = rescaled_bracket(base, draw(st.just(c / lam ** 2) | factors), base.twist)
+    phi = draw(st.sampled_from([Mat.identity(n), base.twist])).scale(lam)
+    rows = [list(v.entries) for v in phi.row_vecs]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] += draw(factors)
+    return Mat.from_rows(rows), L, G
+
+
+@given(coprime_maps())
+def test_morphisms_between_algebras_of_coprime_denominators_match_direct_brackets(case):
+    phi, L, G = case
+    direct = _preserves_directly(phi, L, G)
+    assert preserves_bracket(phi, L, G) == direct
+    assert is_morphism(phi, L, G) == (phi @ L.twist == G.twist @ phi and direct)
+
+
+def test_a_morphism_between_algebras_of_coprime_denominators():
+    """A4y with its bracket over 3 to A4y with its bracket times 121/147,
+    along 7/11 times the twist (denominator 125)."""
+    ya, lam = yau_a4(), Fraction(7, 11)
+    L = rescaled_bracket(ya, Fraction(1, 3), ya.twist)
+    G = rescaled_bracket(ya, Fraction(1, 3) / lam ** 2, ya.twist)
+    phi = ya.twist.scale(lam)
+    assert is_morphism(phi, L, G) and _preserves_directly(phi, L, G)
+    rows = [list(v.entries) for v in phi.row_vecs]
+    rows[0][1] += Fraction(1, 7)
+    assert not preserves_bracket(Mat.from_rows(rows), L, G)
 
 
 @settings(max_examples=30)

@@ -12,6 +12,11 @@ symmetry (``Sweep``); the oracles visit every ordered tuple.  The
 violations whose orbits alternate in lexicographic order, which is
 where expanding the orbits back into the ordered sweep's witnesses can
 go wrong.
+
+The library sweeps run on integers, each tensor scaled by its common
+denominator.  The ``coprime`` cases scale the bracket, the twist, the
+action, the module twist and theta by factors whose denominators are
+drawn separately from 1, 3, 7 and 11, so that a wrong multiplier shows.
 """
 
 import itertools
@@ -118,6 +123,81 @@ def test_cocycle_sweep_matches_the_dense_sweep(pair, data):
     table = {key: Vec(tuple(data.draw(st.lists(small, min_size=m, max_size=m))))
              for key in keys}
     th = Cocycle(n, m, table)
+    assert verify_cocycle(L, r, th) == oracle.cocycle(L, r, th)
+
+
+# Rationals whose denominators are 1 or coprime to each other and to the
+# 5s of A4y, so that each tensor's common denominator is its own: a
+# multiplier of the integer sweeps that is off by one of them shows.
+DENOMINATORS = (1, 3, 7, 11)
+factors = st.builds(Fraction, st.sampled_from([1, -1, 2, -5]), st.sampled_from(DENOMINATORS))
+
+
+def rescaled_bracket(L: Hom3LieAlgebra, c: Fraction, twist: Mat) -> Hom3LieAlgebra:
+    return Hom3LieAlgebra(L.dim, {key: v.scale(c) for key, v in L.table.items()}, twist)
+
+
+@st.composite
+def coprime_algebras(draw):
+    """A base algebra with its bracket and its twist scaled by separately
+    drawn factors, and sometimes one structure constant changed by a third.
+    Scaling the bracket keeps both identities; a twist scaled by other than
+    +-1 breaks multiplicativity, a changed constant mostly hom-Jacobi."""
+    L = draw(st.sampled_from(BASES))
+    n = L.dim
+    L = rescaled_bracket(L, draw(factors), L.twist.scale(draw(st.just(1) | factors)))
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(list(increasing_triples(n))))
+        change = Vec.basis(n, draw(st.integers(0, n - 1))).scale(draw(factors))
+        L = Hom3LieAlgebra(n, {**L.table, key: L.table.get(key, Vec.zero(n)) + change}, L.twist)
+    return L
+
+
+@given(coprime_algebras())
+def test_hom_jacobi_and_multiplicativity_match_the_dense_sweeps_on_coprime_scales(L):
+    assert verify_hom_jacobi(L) == oracle.hom_jacobi(L)
+    assert verify_multiplicative(L) == oracle.multiplicative(L)
+
+
+@st.composite
+def coprime_modules(draw):
+    """A coprime-scaled algebra with its adjoint or coadjoint action scaled by c
+    and the module twist by c (the identities can hold, with rho's common
+    denominator not the bracket's) or by its own factor, and sometimes one
+    action entry changed by another."""
+    L = draw(coprime_algebras())
+    r = draw(st.sampled_from([adjoint_rep, coadjoint_rep]))(L)
+    n, m, c = L.dim, r.module_dim, draw(factors)
+    table = {key: mat.scale(c) for key, mat in r.table.items()}
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(list(itertools.combinations(range(n), 2))))
+        rows = [list(table.get(key, Mat.zero(m, m)).row(i)) for i in range(m)]
+        rows[draw(st.integers(0, m - 1))][draw(st.integers(0, m - 1))] += draw(factors)
+        table[key] = Mat.from_rows(rows)
+    return L, Representation(n, m, r.twist.scale(draw(st.just(c) | factors)), table)
+
+
+@settings(max_examples=25)
+@given(coprime_modules())
+def test_representation_sweep_matches_the_dense_sweep_on_coprime_scales(pair):
+    L, r = pair
+    assert verify_representation(L, r) == oracle.representation(L, r)
+
+
+@settings(max_examples=20)
+@given(coprime_modules(), factors, st.data())
+def test_cocycle_sweep_matches_the_dense_sweep_on_coprime_scales(pair, c, data):
+    """theta a multiple of the coboundary of the identity (a cocycle when
+    the action is a representation with the twist as module twist) or
+    drawn entries, with its own denominator."""
+    L, r = pair
+    n, m = L.dim, r.module_dim
+    if data.draw(st.booleans()):
+        th = coboundary(L, r, Mat.identity(n).scale(c))
+    else:
+        keys = data.draw(st.lists(st.sampled_from(list(increasing_triples(n))), max_size=2))
+        th = Cocycle(n, m, {key: Vec.basis(m, data.draw(st.integers(0, m - 1))).scale(c)
+                            for key in keys})
     assert verify_cocycle(L, r, th) == oracle.cocycle(L, r, th)
 
 
