@@ -9,9 +9,11 @@ along theta, with the hyperbolic form.
 
 Each layer is run REPEAT times in this process; a cell is the median
 wall time in seconds, unscaled, so compare only runs made on the
-same host.  A second table gives each layer's violation total, which
-must not depend on the code version: at the sizes in ``TOTALS`` the
-script exits 1 when one differs from the recorded value.  Run with
+same host.  A second table gives each layer's violation total (for
+the derivation spaces their dimension, for the descending central
+series the sum of its term dimensions), which must not depend on the
+code version: at the sizes in ``TOTALS`` the script exits 1 when one
+differs from the recorded value.  Run with
 ``PYTHONPATH`` pointing at any checkout's ``src`` to compare two versions:
 
     PYTHONPATH=src python3 scripts/reference_points.py [--sizes 7 11]
@@ -32,13 +34,15 @@ from hom3lie.extensions import coboundary, t_star_extension, verify_cocycle, ver
 from hom3lie.fixtures import l3
 from hom3lie.linalg import Mat
 from hom3lie.representations import adjoint_rep, coadjoint_rep, verify_representation
+from hom3lie.structure import series
 from perfbench.inputs import yau_twisted_a4
 
 COLUMNS = ("hom-Jacobi", "hom-Jacobi on T* (2n)", "adjoint rep. sweep", "cocycle sweep",
-           "metric on T*", "`derivation_space(k=0)`", "same on T*")
+           "metric on T*", "`derivation_space(k=0)`", "same on T*", "descending series on T*")
 REPEAT = 3
-# each column's violation total (derivation columns: dimension), per size
-TOTALS = {7: (0, 392, 0, 144, 136, 8, 15), 11: (0, 784, 0, 288, 262, 10, 17)}
+# each column's violation total (derivation columns: dimension; series: the sum of
+# the term dimensions), per size
+TOTALS = {7: (0, 392, 0, 144, 136, 8, 15, 26), 11: (0, 784, 0, 288, 262, 10, 17, 42)}
 
 
 def family(n: int) -> Hom3LieAlgebra:
@@ -62,6 +66,7 @@ def layers(n: int) -> dict:
         lambda: verify_metric(tstar, form).violations_total,
         lambda: derivation_space(L, 0).dimension,
         lambda: derivation_space(tstar, 0).dimension,
+        lambda: sum(t.dim for t in series(tstar, "central_descending").terms),
     )))
 
 
@@ -95,7 +100,8 @@ def main() -> int:
     print("seconds, median of", REPEAT)
     print(table(("n",) + COLUMNS, timings))
     print()
-    print("violations total (the two derivation columns: dimension)")
+    print("violations total (the two derivation columns: dimension; the series: "
+          "sum of the term dimensions)")
     print(table(("n",) + COLUMNS, results))
     for line in moved:
         print("MOVED", line, file=sys.stderr)

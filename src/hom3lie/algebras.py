@@ -256,7 +256,7 @@ def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> tuple[int
     times the right; taken d^2 D_G and D_L times, both are s = d^3 D_L D_G.
     """
     (cols,), d = cleared([phi.col(i).support for i in range(L.dim)])
-    ((left,), dl), ((right,), dg) = cleared(L.alt), cleared(G.alt)
+    ((left,), dl), ((right,), dg) = [cleared(L.alt)] * 2 if G is L else map(cleared, (L.alt, G.alt))
     t = right.pairs(cols)
     lcols = {i: {r: d * d * dg * x for r, x in c.items()} for i, c in enumerate(cols)}
     rcols = [{r: dl * x for r, x in c.items()} for c in cols]
@@ -364,12 +364,21 @@ def quotient(L: Hom3LieAlgebra, ideal: Subspace) -> tuple[Hom3LieAlgebra, Mat]:
 
 
 def subspace_bracket(L: Hom3LieAlgebra, s1: Subspace, s2: Subspace, s3: Subspace) -> Subspace:
-    """Canonical span of all brackets of basis triples from the three subspaces."""
-    for s in (s1, s2, s3):
-        if s.ambient_dim != L.dim:
-            raise DimensionMismatch("subspace ambient dimension does not match the algebra")
+    """Canonical span of all brackets of basis triples from the three subspaces.
+
+    Where the first two or the last two slots receive equal subspaces,
+    only triples whose indices increase across them are bracketed, with
+    the same span: the bracket is alternating, so any other triple has a
+    repeated vector in equal slots and brackets to 0, or is a reordering
+    within equal slots of a bracketed one and brackets to plus or minus it.
+    """
+    if any(s.ambient_dim != L.dim for s in (s1, s2, s3)):
+        raise DimensionMismatch("subspace ambient dimension does not match the algebra")
+    same12, same23 = s1 == s2, s2 == s3
     gens = []
-    for a, b in itertools.product(s1.basis, s2.basis):
-        ab = L.alt.partial(a.support, b.support)
-        gens += [Vec.sparse(L.dim, v) for c in s3.basis if (v := matvec(ab, c.support))]
+    for i, a in enumerate(s1.basis):
+        for j in range(i + 1 if same12 else 0, s2.dim):
+            ab = L.alt.partial(a.support, s2.basis[j].support)
+            low = j + 1 if same23 else 0
+            gens += [Vec.sparse(L.dim, v) for c in s3.basis[low:] if (v := matvec(ab, c.support))]
     return Subspace.span(L.dim, gens)

@@ -11,13 +11,14 @@ safe to share between workers.
 Vectors are stored as *supports*: dicts mapping a coordinate to a
 nonzero Fraction, read-only once built; a matrix is a tuple of row
 vectors.  Dense entries are only a derived view.  Every elimination
-(``rref``, ``rank``, ``nullspace``, ``solve``, ``inverse`` and the
-subspace reductions) runs on one sparse Gauss-Jordan routine over the
-row supports.
+(``rref``, ``rank``, ``nullspace``, ``solve``, ``inverse`` and
+``Subspace.span``) runs on one sparse, fraction-free Gauss-Jordan
+routine over the row supports cleared to ints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -331,46 +332,53 @@ def pruned(acc: dict[int, Fraction]) -> Support:
     return {t: a for t, a in acc.items() if a}
 
 
-def _reduce(row: Support, pivots: dict[int, Support]) -> Support:
-    """row minus row[p] times the pivot row of p, for every pivot p.
+def integral(s: Support, scale: int = 0) -> dict[int, int]:
+    """``scale`` times the support, as ints; by default the least scale that clears it."""
+    scale = scale or math.lcm(*[a.denominator for a in s.values()])
+    return {i: a.numerator * (scale // a.denominator) for i, a in s.items()}
 
-    Reduced pivot rows vanish at each other's pivots, so one pass
-    clears every pivot coordinate; the result is zero iff row lies in
-    their span.
-    """
-    acc = dict(row)
-    for p, a in row.items():
-        if p in pivots:
-            add_scaled(acc, -a, pivots[p])
-    return pruned(acc)
+
+def _combination(m: int, row: dict[int, int], terms: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
+    """m row less f s for each (f, s) in ``terms``, over its content (signed to lead positive)."""
+    acc = {c: m * a for c, a in row.items()}
+    for f, s in terms:
+        add_scaled(acc, -f, s)
+    if not (acc := pruned(acc)):
+        return acc
+    g = math.gcd(*acc.values()) * (-1 if acc[min(acc)] < 0 else 1)
+    return acc if g == 1 else {c: a // g for c, a in acc.items()}
 
 
 def _eliminate(rows: Iterable[Support]) -> dict[int, Support]:
     """The nonzero rows of the RREF of ``rows``, keyed by pivot, in pivot order.
 
-    Gauss-Jordan one row at a time: a row is reduced by the pivot rows
-    found so far; a nonzero remainder is scaled to a leading one at its
-    first column and cleared from the earlier pivot rows.  The pivot
-    rows are in reduced echelon form after every step, so at the end
-    they are the rows of the unique RREF of the span, whatever the row
-    order.
+    Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) on int
+    rows, each pivot row zero at the other pivots.  A row, cleared to
+    ints (:func:`integral`), is taken m times, m the lcm of the leads of
+    the pivot rows p it meets, less m / lead_p * row[p] times each; a
+    nonzero rest is the pivot row of its first column and is cleared the
+    same way from the earlier ones.  Row scales, multipliers and contents
+    (:func:`_combination`) are nonzero, and a nonzero multiple of a row
+    spans the same line, so the span never changes.  Divided once by its
+    lead at the end, each pivot row has a leading one and zeros at the
+    other pivots: the rows are the unique RREF of the span.
     """
-    pivots: dict[int, Support] = {}
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        rest = _reduce(row, pivots)
-        if not rest:
+        if row:
+            row = integral(row)
+            m = math.lcm(*[pivots[p][p] for p in row if p in pivots])
+            row = _combination(m, row, [(m // pivots[p][p] * a, pivots[p])
+                                        for p, a in row.items() if p in pivots])
+        if not row:
             continue
-        p = min(rest)
-        if rest[p] != 1:
-            inv = 1 / rest[p]
-            rest = {c: a * inv for c, a in rest.items()}
+        p = min(row)
         for q, prow in pivots.items():
             if p in prow:
-                acc = dict(prow)
-                add_scaled(acc, -prow[p], rest)
-                pivots[q] = pruned(acc)
-        pivots[p] = rest
-    return dict(sorted(pivots.items()))
+                g = math.gcd(row[p], prow[p])
+                pivots[q] = _combination(row[p] // g, prow, [(prow[p] // g, row)])
+        pivots[p] = row
+    return {p: {c: Fraction(a, row[p]) for c, a in row.items()} for p, row in sorted(pivots.items())}
 
 
 def rref(m: Mat) -> Mat:
@@ -453,10 +461,14 @@ class Subspace:
         return list(self.pivot_rows)
 
     def reduce(self, v: Vec) -> Vec:
-        """Residual of v after eliminating the pivot coordinates; zero iff v is in the span."""
+        """v less v[p] times each pivot row p (zero at the other pivots); zero iff v is in the span."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        return Vec.sparse(self.ambient_dim, _reduce(v.support, self.pivot_rows))
+        acc, rows = dict(v.support), self.pivot_rows
+        for p, a in v.support.items():
+            if p in rows:
+                add_scaled(acc, -a, rows[p])
+        return Vec.sparse(self.ambient_dim, pruned(acc))
 
 
 def nullspace(m: Mat) -> Subspace:

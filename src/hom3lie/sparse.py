@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch
-from .linalg import Support, Vec, add_scaled, pruned
+from .linalg import Support, Vec, add_scaled, integral, pruned
 
 SparseMat = dict[int, Support]
 
@@ -64,8 +64,7 @@ def cleared(*parts: "AltTable | list[Support]") -> tuple[list, int]:
     groups = [[v.support for v in p.values.values()] if isinstance(p, AltTable) else p
               for p in parts]
     scale = math.lcm(*{a.denominator for g in groups for s in g for a in s.values()})
-    ints = [[{i: a.numerator * (scale // a.denominator) for i, a in s.items()} for s in g]
-            for g in groups]
+    ints = [[integral(s, scale) for s in g] for g in groups]
     return [AltTable(p.arity, p.dim, p.size, {k: Vec.sparse(p.size, s) for k, s in zip(p.values, g)},
                      p.what) if isinstance(p, AltTable) else g for p, g in zip(parts, ints)], scale
 

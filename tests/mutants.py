@@ -33,6 +33,8 @@ ORBITS = SWEEPS + "test_orbits_partition_the_tuples_with_distinct_indices_in_eac
 TRUNCATED = SWEEPS + "test_truncated_witnesses_match_the_dense_sweeps"
 METRIC = SWEEPS + "test_metric_sweep_matches_the_dense_sweep"
 KERNEL = "tests/test_elimination_kernel.py::test_rref_rank_and_nullspace_match_the_dense_oracle"
+WIDE = "tests/test_elimination_kernel.py::test_wide_entries_match_the_dense_oracle"
+SUBSPACE_BRACKET = "tests/test_algebras.py::test_subspace_bracket_matches_the_span_of_all_ordered_triples"
 PAIRS = "tests/test_pairs.py::test_pairs_match_partial_and_evaluate_on_every_ordered_pair"
 RECONSTRUCTION = "tests/test_pairs.py::test_reconstruction_matches_the_change_of_basis_construction"
 VEC_MAT = "tests/test_sparse_linalg.py"
@@ -67,11 +69,26 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "            if p in prow:\n", "            if False:\n",
      (KERNEL,)),
     ("kernel-pivot-at-last-column", "linalg.py",
-     "p = min(rest)", "p = max(rest)",
+     "p = min(row)", "p = max(row)",
      (KERNEL,)),
     ("kernel-no-normalisation", "linalg.py",
-     "if rest[p] != 1:", "if False:",
+     "Fraction(a, row[p])", "Fraction(a)",
      (KERNEL,)),
+    ("kernel-lcm-multiplier-dropped", "linalg.py",
+     "(m // pivots[p][p] * a, pivots[p])", "(a, pivots[p])",
+     (KERNEL, WIDE)),
+    ("kernel-back-substitution-multiplier-dropped", "linalg.py",
+     "_combination(row[p] // g, prow,", "_combination(1, prow,",
+     (KERNEL, WIDE)),
+    ("kernel-row-cleared-without-dividing-the-scale", "linalg.py",
+     "a.numerator * (scale // a.denominator)", "a.numerator * scale",
+     (KERNEL, WIDE)),
+    ("subspace-bracket-skips-a-pair", "algebras.py",
+     "j + 1 if same23 else 0", "j + 2 if same23 else 0",
+     (SUBSPACE_BRACKET,)),
+    ("bracket-images-reuse-the-source-bracket-for-any-target", "algebras.py",
+     "[cleared(L.alt)] * 2 if G is L", "[cleared(L.alt)] * 2 if True",
+     (MORPHISM,)),
     ("pairs-no-negation", "sparse.py",
      "out[b, a] = {k: {t: -v for t, v in col.items()} for k, col in val.items()}",
      "out[b, a] = val",

@@ -187,6 +187,34 @@ def test_subspace_bracket_examples():
     assert subspace_bracket(n4(), span(4, e(4, 3)), full4, full4).dim == 0
 
 
+@st.composite
+def bracket_tables(draw) -> Hom3LieAlgebra:
+    """An alternating bracket with a few random nonzero values; the twist plays no part."""
+    n = draw(st.integers(3, 5))
+    keys = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 3))),
+                         unique=True, max_size=6))
+    table = {k: Vec.of(*draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))) for k in keys}
+    return Hom3LieAlgebra(n, table, Mat.identity(n))
+
+
+def subspaces(n: int):
+    rows = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    return st.lists(rows, max_size=n).map(lambda rs: Subspace.span(n, [Vec.of(*r) for r in rs]))
+
+
+@given(bracket_tables(), st.data())
+def test_subspace_bracket_matches_the_span_of_all_ordered_triples(L, data):
+    """The series' slot patterns (s, s, L) and (s, L, L), distinct subspaces,
+    all three slots equal, and equal subspaces held as distinct objects."""
+    n = L.dim
+    s, t = data.draw(subspaces(n)), data.draw(subspaces(n))
+    full, same = Subspace.full(n), Subspace(n, s.basis)
+    for slots in ((s, s, full), (s, full, full), (s, t, full), (t, s, full), (s, t, s),
+                  (s, same, s), (s, s, s), (full, full, full)):
+        ordered = [L.bracket(a, b, c) for a, b, c in itertools.product(*(x.basis for x in slots))]
+        assert subspace_bracket(L, *slots) == Subspace.span(n, ordered)
+
+
 def test_skew_validator_accepts_the_stored_extension():
     L = a4()
     w = skew_violations(4, L.bracket_basis)

@@ -6,6 +6,13 @@ zeroes out a few of their rows and columns.  ``rref``, ``rank``,
 ``nullspace``, ``solve``, ``inverse`` and ``Subspace.span`` must agree
 exactly with ``dense_elimination``, and ``rref`` also with sympy's
 ``DomainMatrix`` over QQ when sympy is installed.
+
+The kernel clears each row to ints and divides by the leads only at the
+end, so ``wide_matrices`` draws the entries that exercise the clearing
+and the growth of the contents: denominators drawn separately per row
+from 1, 3, 7 and 11 over numerators up to 10^6, int-valued rows, and
+rows that are rational multiples of each other.  The oracles get the
+same matrices with Fraction entries.
 """
 
 from fractions import Fraction
@@ -111,6 +118,84 @@ def test_subspace_reduce_kernel_is_the_span(m, data):
 @given(matrices())
 def test_rref_matches_sympy_domain_matrix(m):
     rows = [[QQ(a.numerator, a.denominator) for a in m.row(i)] for i in range(m.rows)]
+    reduced, pivots = DomainMatrix(rows, (m.rows, m.cols), QQ).rref()
+    expected = [Fraction(int(a.numerator), int(a.denominator))
+                for row in reduced.to_list() for a in row]
+    assert list(rref(m).entries) == expected
+    assert rank(m) == len(pivots)
+
+
+DENOMINATORS = (1, 3, 7, 11)
+numerators = st.integers(-10**6, 10**6)
+
+
+@st.composite
+def wide_matrices(draw, square: bool = False) -> tuple[Mat, Mat]:
+    """A matrix for the kernel and the same matrix with Fraction entries for the oracles."""
+    rows = draw(st.integers(0, 6))
+    cols = rows if square else draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["per_row_denominator", "int_valued", "multiples"]))
+
+    def row() -> list:
+        den = draw(st.sampled_from(DENOMINATORS))
+        return [Fraction(draw(numerators), den) if draw(st.integers(0, 2)) else Fraction(0)
+                for _ in range(cols)]
+
+    if kind == "multiples":
+        base = [row() for _ in range(draw(st.integers(1, 2)))]
+        cells = [[Fraction(draw(numerators), draw(st.sampled_from(DENOMINATORS))) * a
+                  for a in draw(st.sampled_from(base))] for _ in range(rows)]
+    elif kind == "int_valued":
+        cells = [[draw(numerators) if draw(st.integers(0, 2)) else 0 for _ in range(cols)]
+                 for _ in range(rows)]
+    else:
+        cells = [row() for _ in range(rows)]
+    entries = tuple(a for r in cells for a in r)
+    return Mat(rows, cols, entries), Mat(rows, cols, tuple(Fraction(a) for a in entries))
+
+
+def assert_fractions(m: Mat) -> None:
+    assert all(type(a) is Fraction for v in m.row_vecs for a in v.support.values())
+
+
+@given(wide_matrices())
+def test_wide_entries_match_the_dense_oracle(pair):
+    m, exact = pair
+    reduced = rref(m)
+    assert reduced == dense.rref(exact)
+    assert_fractions(reduced)
+    assert rank(m) == dense.rank(exact)
+    assert nullspace(m) == dense.nullspace(exact)
+    rows = [m.row(i) for i in range(m.rows)]
+    span = Subspace.span(m.cols, rows[::-1])
+    assert span == dense.span(m.cols, [exact.row(i) for i in range(m.rows)])
+    assert_fractions(Mat.sparse(m.cols, span.basis))
+
+
+@given(wide_matrices(), st.data())
+def test_wide_solve_matches_the_dense_oracle(pair, data):
+    m, exact = pair
+    b = Vec(tuple(data.draw(numerators) for _ in range(m.rows)))
+    assert solve(m, b) == dense.solve(exact, Vec(tuple(Fraction(x) for x in b)))
+    x = Vec(tuple(Fraction(data.draw(numerators), data.draw(st.sampled_from(DENOMINATORS)))
+                  for _ in range(m.cols)))
+    assert solve(m, exact.apply(x)) == dense.solve(exact, exact.apply(x))
+
+
+@given(wide_matrices(square=True))
+def test_wide_inverse_matches_the_dense_oracle(pair):
+    m, exact = pair
+    inv = inverse(m)
+    assert inv == dense.inverse(exact)
+    if inv is not None:
+        assert_fractions(inv)
+
+
+@pytest.mark.skipif(DomainMatrix is None, reason="sympy is not installed")
+@given(wide_matrices())
+def test_wide_entries_match_sympy_domain_matrix(pair):
+    m, exact = pair
+    rows = [[QQ(a.numerator, a.denominator) for a in exact.row(i)] for i in range(m.rows)]
     reduced, pivots = DomainMatrix(rows, (m.rows, m.cols), QQ).rref()
     expected = [Fraction(int(a.numerator), int(a.denominator))
                 for row in reduced.to_list() for a in row]
