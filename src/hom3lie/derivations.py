@@ -27,6 +27,7 @@ from .algebras import (
 )
 from .errors import DimensionMismatch, FixedPointRequired, RegularTwistRequired
 from .linalg import Mat, Subspace, Vec, nullspace, pruned, subspace_contains
+from .sparse import cleared
 
 
 def twist_power(L: Hom3LieAlgebra, k: int) -> Mat:
@@ -52,16 +53,9 @@ def is_alpha_k_derivation(L: Hom3LieAlgebra, d: Mat, k: int) -> bool:
     ak = twist_power(L, k)
     akc = [ak.col(i) for i in range(L.dim)]
     dc = [d.col(i) for i in range(L.dim)]
-    for i, j, kk in increasing_triples(L.dim):
-        lhs = d.apply(L.bracket_basis(i, j, kk))
-        rhs = (
-            L.bracket(dc[i], akc[j], akc[kk])
-            + L.bracket(akc[i], dc[j], akc[kk])
-            + L.bracket(akc[i], akc[j], dc[kk])
-        )
-        if lhs != rhs:
-            return False
-    return True
+    return all(d.apply(L.bracket_basis(i, j, kk)) == L.bracket(dc[i], akc[j], akc[kk])
+               + L.bracket(akc[i], dc[j], akc[kk]) + L.bracket(akc[i], akc[j], dc[kk])
+               for i, j, kk in increasing_triples(L.dim))
 
 
 @dataclass(frozen=True)
@@ -92,41 +86,44 @@ class DerivationSpace:
 def derivation_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
     """Solve the stacked linear system for grade-k derivations.
 
-    Unknowns are the n^2 entries of D (row-major).  Rows come from the
-    twist-commutation constraint (n^2 equations) and from the twisted
-    Leibniz rule on increasing basis triples (n per triple).
+    Unknowns are the n^2 entries of D (row-major); rows come from D a = a D
+    and from the twisted Leibniz rule on increasing basis triples, one per
+    output coordinate.  There (D B_ijk)_out is nonzero at every coordinate
+    when B_ijk is, and each twisted-action term only in its image, so a row
+    left out (B_ijk = 0, out in no image) reads 0 = 0; the RREF is unique,
+    so dropping zero rows and reordering or rescaling rows keep the basis.
+    Integers (:func:`cleared`): with a = a~/e, a^k = A~/d and B = B~/s, a
+    commutation row is e times its equation and a Leibniz row s d^2 times
+    its, d^2 B~_ijk against the actions of the pairs of A~'s columns over B~.
     """
     n = L.dim
-    ak = twist_power(L, k)
-    acols = [L.twist.col(i).support for i in range(n)]
-    arows = [L.twist.row(p).support for p in range(n)]
-    rows: list[Vec] = []
-
-    # D a - a D = 0, one equation per output entry (p, q).
-    for p in range(n):
-        for q in range(n):
-            row = {p * n + c: a for c, a in acols[q].items()}
-            for c, a in arows[p].items():
-                row[c * n + q] = row.get(c * n + q, 0) - a
-            rows.append(Vec.sparse(n * n, pruned(row)))
-
-    # Twisted Leibniz rule on each increasing triple, one equation per
-    # output coordinate.  [D e_i, a^k e_j, a^k e_k] = [a^k e_j, a^k e_k, D e_i]
-    # is linear in column i of D, with the twisted action of (a^k e_j,
-    # a^k e_k) as coefficient matrix; likewise for the other two slots.
-    tk = L.alt.pairs([ak.col(i).support for i in range(n)])
+    (akcols,), d = cleared([twist_power(L, k).col(i).support for i in range(n)])
+    (acols,), _ = cleared([L.twist.col(i).support for i in range(n)])
+    (alt,), _ = cleared(L.alt)
+    rows: list[dict[int, int]] = []
+    for p, q in itertools.product(range(n), repeat=2):  # (D a - a D)[p, q] = 0
+        row = {p * n + c: a for c, a in acols[q].items()}
+        for c, col in enumerate(acols):
+            if p in col:
+                row[c * n + q] = row.get(c * n + q, 0) - col[p]
+        rows.append(row)
+    # [D e_i, a^k e_j, a^k e_k] = [a^k e_j, a^k e_k, D e_i] is linear in column
+    # i of D, with the twisted action T = tk[j, k] as coefficient matrix: D[r, i]
+    # meets T e_r, at each coordinate of T e_r; likewise for the other two slots.
+    tk = alt.pairs(akcols)
     for i, j, kk in increasing_triples(n):
-        bval = L.alt.get(i, j, kk)
-        terms = [(i, tk[j, kk]), (j, tk[kk, i]), (kk, tk[i, j])]
-        for out in range(n):
-            row = {out * n + t: bt for t, bt in bval.items()}
-            for col, action in terms:
-                for r, vec in action.items():
-                    if out in vec:
-                        row[r * n + col] = row.get(r * n + col, 0) - vec[out]
-            rows.append(Vec.sparse(n * n, pruned(row)))
+        bval = alt.get(i, j, kk)
+        by_out = {out: {out * n + t: d * d * b for t, b in bval.items()} for out in range(n) if bval}
+        for col, action in ((i, tk[j, kk]), (j, tk[kk, i]), (kk, tk[i, j])):
+            for r, vec in action.items():
+                for out, a in vec.items():
+                    row = by_out.setdefault(out, {})
+                    row[r * n + col] = row.get(r * n + col, 0) - a
+        rows += by_out.values()
 
-    sol = nullspace(Mat.sparse(n * n, rows))
+    # nonzero int rows, shortest first (less fill); the kernel takes ints as they are
+    rows = sorted(filter(None, map(pruned, rows)), key=len)
+    sol = nullspace(Mat.sparse(n * n, [Vec.sparse(n * n, s) for s in rows]))
     basis = tuple(Mat.unvectorize(n, n, v) for v in sol.basis)
     return DerivationSpace(k, n, basis)
 

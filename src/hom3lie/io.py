@@ -80,9 +80,12 @@ def _expect_int(x: Any, where: str) -> int:
 
 
 def format_rat(x: Fraction) -> str:
-    """str(x) without the 4,300-digit limit of str() on an int: a Decimal prints exactly."""
-    num = str(decimal.Decimal(x.numerator))
-    return num if x.denominator == 1 else f"{num}/{decimal.Decimal(x.denominator)}"
+    """str(x); past the 4,300-digit limit of str() on an int (ValueError), a Decimal prints exactly."""
+    try:
+        return str(x)
+    except ValueError:
+        num = str(decimal.Decimal(x.numerator))
+        return num if x.denominator == 1 else f"{num}/{decimal.Decimal(x.denominator)}"
 
 
 def vec_to_sparse(v: Vec) -> dict[str, str]:

@@ -42,6 +42,7 @@ CYCLIC = "tests/test_extensions.py::test_theta_cyclic_ok_matches_the_pairwise_sw
 MORPHISM = "tests/test_pairs.py::test_a_morphism_between_algebras_of_coprime_denominators"
 COPRIME_REP = SWEEPS + "test_representation_sweep_matches_the_dense_sweep_on_coprime_scales"
 CLI_BYTES = "tests/test_cli_bytes.py::test_cli_runs_match_the_byte_table"
+DERIVATIONS = "tests/test_derivations.py"
 
 # (name, file under src/hom3lie, old text, new text, tests that must fail)
 MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
@@ -147,6 +148,15 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("extend-verifies-multiplicativity-only", "cli.py",
      "            report = verify_axioms(result)", "            report = verify_multiplicative(result)",
      (CLI_BYTES,)),
+    ("derivation-commutation-rows-dropped", "derivations.py",
+     "for p, q in itertools.product(range(n), repeat=2):", "for p, q in ():",
+     (DERIVATIONS,)),
+    ("derivation-left-side-without-d-squared", "derivations.py",
+     "{out * n + t: d * d * b for", "{out * n + t: b for",
+     (DERIVATIONS,)),
+    ("derivation-action-only-coordinates-dropped", "derivations.py",
+     "rows += by_out.values()", "rows += by_out.values() if bval else []",
+     (DERIVATIONS,)),
 )
 
 

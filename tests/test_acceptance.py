@@ -10,7 +10,7 @@ from fractions import Fraction
 from importlib import resources
 
 from conftest import random_mat
-from test_derivations import naive_derivation_dim, elementary
+from test_derivations import elementary, naive_derivation_space
 
 from hom3lie.algebras import (
     Hom3LieAlgebra,
@@ -134,7 +134,7 @@ def test_criterion_03_derivation_space_dimensions(algebras):
     for name, want in expected.items():
         L = algebras[name]
         space = derivation_space(L, 0)
-        oracle = naive_derivation_dim(L, 0)
+        oracle = naive_derivation_space(L, 0).dim
         census = sum(
             1 for r in range(3) for c in range(3)
             if is_alpha_k_derivation(L, elementary(3, r, c), 0)

@@ -1,11 +1,14 @@
-"""Byte table of ``hom3lie extend`` and ``hom3lie reconstruct`` runs.
+"""Byte table of ``hom3lie extend``, ``reconstruct`` and ``derivations`` runs.
 
 ``cli_bytes.json`` records, for each command line of ``CASES``, the exit
 code and the sha256 digests of stdout, stderr and every file the run
 writes.  Every extension kind runs a pass, a failing check, a rejected
 input, a wrong number of inputs and a missing file, each as text and as
 ``--json``, with and without ``--output``; ``reconstruct`` runs with and
-without ``--output-dir``.  The test replays each line through
+without ``--output-dir``; ``derivations`` runs on A4y + L3 (A4y the Yau
+twist of A4 by a dense rotation) at grades -1 to 2, with and without
+``--inner`` and ``--output``, on L3, on a singular twist at a negative
+grade and past ``--max-k``.  The test replays each line through
 ``cli.main`` in a directory holding the inputs, with relative paths, so
 that no digest depends on where the directory is.
 
@@ -24,11 +27,13 @@ import os
 import shutil
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
+from hom3lie.algebras import Hom3LieAlgebra, direct_sum
 from hom3lie.cli import main
 from hom3lie.extensions import Cocycle, cyclic_part, t_star_extension
-from hom3lie.fixtures import a4, l3
+from hom3lie.fixtures import a4, l3, l3h
 from hom3lie.io import (
     algebra_to_dict,
     cocycle_to_dict,
@@ -87,6 +92,11 @@ RECONSTRUCT = (
     ["tstar.json", "q.json", "ideal-short.json"],
     ["tstar.json", "q.json", "missing.json"],
 )
+DERIVATIONS = [
+    ["A4yL3.json", "--k", str(k), *inner]
+    for k in (-1, 0, 1, 2)
+    for inner in ([], ["--inner"])
+] + [["L3.json", "--k", "0"], ["L3-singular.json", "--k", "-1"], ["A4yL3.json", "--k", "4"]]
 CASES = [
     [*mode, "extend", kind, *inputs, *out]
     for kind, scenarios in EXTEND.items()
@@ -98,7 +108,24 @@ CASES = [
     for inputs in RECONSTRUCT
     for mode in ([], ["--json"])
     for out in ([], ["--output-dir", "bundle"])
-]
+] + [
+    [*mode, "derivations", *args, *out]
+    for args in DERIVATIONS
+    for mode in ([], ["--json"])
+    for out in ([], ["--output", "out.json"])
+] + [[*mode, "--max-k", "1", "derivations", "A4yL3.json", "--k", "-2"] for mode in ([], ["--json"])]
+
+
+def yau_twisted_a4() -> Hom3LieAlgebra:
+    """A4 with bracket alpha o [.,.,.] and twist alpha = R12 R23 R34, each
+    Rij the rotation of the (i, j) plane with cosine 3/5 and sine 4/5."""
+    alpha = Mat.identity(4)
+    for i in range(3):
+        rows = [[int(r == c) for c in range(4)] for r in range(4)]
+        rows[i][i] = rows[i + 1][i + 1] = Fraction(3, 5)
+        rows[i][i + 1], rows[i + 1][i] = Fraction(-4, 5), Fraction(4, 5)
+        alpha = alpha @ Mat.from_rows(rows)
+    return Hom3LieAlgebra(4, {key: alpha.apply(v) for key, v in a4().table.items()}, alpha)
 
 
 def write_inputs(d: Path) -> None:
@@ -107,6 +134,8 @@ def write_inputs(d: Path) -> None:
     nonmult["alpha"] = [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "1"]]
     files = {
         "L3.json": algebra_to_dict(L),
+        "L3-singular.json": algebra_to_dict(l3h(0)),
+        "A4yL3.json": algebra_to_dict(direct_sum(yau_twisted_a4(), L)),
         "A4.json": algebra_to_dict(A),
         "L3-nonmult.json": nonmult,
         "D.json": matrix_to_dict(Mat.diagonal([0, 1, -1])),

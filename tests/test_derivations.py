@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import naive_rank, random_mat
-from hom3lie.algebras import increasing_triples
+import dense_elimination
+from conftest import random_mat
+from hom3lie.algebras import Hom3LieAlgebra, direct_sum, increasing_triples, verify_regular
 from hom3lie.derivations import (
     commutator,
     derivation_extension,
@@ -25,43 +26,41 @@ def elementary(n, r, c):
     return Mat.from_rows(rows)
 
 
-def naive_derivation_dim(L, k):
-    """Second elimination path: collect the constraint rows by brute force.
+def naive_derivation_space(L, k):
+    """Second elimination path: the defining identities by brute force.
 
-    Evaluates both sides of the defining identities entrywise for each
-    elementary-matrix direction and row-reduces with the standalone
-    eliminator from conftest.
+    The system is linear in D, so its column for the entry (r, c) is the
+    residual of the elementary matrix E_rc: D a - a D entrywise, then
+    D B_ijk less the three twisted brackets on every increasing triple,
+    each evaluated densely.  The kernel comes from the dense oracle.
     """
     n = L.dim
     ak = L.twist.power(k)
-    rows = []
-    units = [(r, c) for r in range(n) for c in range(n)]
+    cols = []
+    for r, c in itertools.product(range(n), repeat=2):
+        d = elementary(n, r, c)
+        res = list((d @ L.twist - L.twist @ d).entries)
+        for i, j, kk in increasing_triples(n):
+            res += d.apply(L.bracket_basis(i, j, kk)) - (
+                L.bracket(d.col(i), ak.col(j), ak.col(kk))
+                + L.bracket(ak.col(i), d.col(j), ak.col(kk))
+                + L.bracket(ak.col(i), ak.col(j), d.col(kk)))
+        cols.append(res)
+    return dense_elimination.nullspace(Mat.from_rows([list(row) for row in zip(*cols)]))
 
-    def bracket3(x, y, z):
-        return L.bracket(x, y, z)
 
-    for p in range(n):
-        for q in range(n):
-            row = []
-            for r, c in units:
-                d = elementary(n, r, c)
-                lhs = (d @ L.twist).at(p, q) - (L.twist @ d).at(p, q)
-                row.append(lhs)
-            rows.append(row)
-    for i, j, kk in increasing_triples(n):
-        for out in range(n):
-            row = []
-            for r, c in units:
-                d = elementary(n, r, c)
-                lhs = d.apply(L.bracket_basis(i, j, kk))[out]
-                rhs = (
-                    bracket3(d.col(i), ak.col(j), ak.col(kk))
-                    + bracket3(ak.col(i), d.col(j), ak.col(kk))
-                    + bracket3(ak.col(i), ak.col(j), d.col(kk))
-                )[out]
-                row.append(lhs - rhs)
-            rows.append(row)
-    return n * n - naive_rank(rows)
+def coprime_algebras():
+    """Regular algebras with the bracket over 3 and the twist over 7.
+
+    Yau twists of L3 and N4, their brackets divided by 3, by automorphisms
+    of determinant one that fix the bracket's image, and their direct sum:
+    grade-k systems with k != 0 then clear B and a^k by coprime scales.
+    """
+    m2 = Mat.from_rows([[1, "1/7"], ["2/7", "51/49"]])
+    m3 = Mat.from_rows([[1, "1/7", "3/7"], [0, 1, "2/7"], [0, 0, 1]])
+    l3c = Hom3LieAlgebra(3, {(0, 1, 2): Vec.of("1/3", 0, 0)}, Mat.identity(1).block_diag(m2))
+    n4c = Hom3LieAlgebra(4, {(0, 1, 2): Vec.of(0, 0, 0, "1/3")}, m3.block_diag(Mat.identity(1)))
+    return [l3c, n4c, direct_sum(l3c, n4c)]
 
 
 def test_derivation_space_dimensions_with_oracle():
@@ -69,13 +68,22 @@ def test_derivation_space_dimensions_with_oracle():
     for L, k, expected in cases:
         space = derivation_space(L, k)
         assert space.dimension == expected
-        assert naive_derivation_dim(L, k) == expected
+        assert space.as_subspace() == naive_derivation_space(L, k)
         # elementary-matrix census agrees with the solved space
         n = L.dim
         for r in range(n):
             for c in range(n):
                 d = elementary(n, r, c)
                 assert is_alpha_k_derivation(L, d, k) == space.contains(d)
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1, 2])
+def test_derivation_space_is_the_brute_force_nullspace_on_coprime_scales(k):
+    for L in coprime_algebras():
+        assert verify_regular(L).regular_ok
+        space = derivation_space(L, k)
+        assert space.as_subspace() == naive_derivation_space(L, k)
+        assert all(is_alpha_k_derivation(L, d, k) for d in space.basis)
 
 
 def test_derivation_space_members_pass_and_nonmembers_fail():

@@ -17,6 +17,7 @@ from hom3lie.io import (
     canonical_dumps,
     cocycle_to_dict,
     form_to_dict,
+    format_rat,
     load_algebra,
     load_cocycle,
     load_representation,
@@ -453,6 +454,15 @@ def test_cli_integers_over_4300_digits_exit_2(tmp_path, capsys, case, where):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and where in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_format_rat_matches_the_decimal_form():
+    # str() is the fast path; past 4,300 digits it raises and Decimal prints
+    big = 10 ** 4999 + 1  # 5,000 digits
+    for x in (Fraction(0), Fraction(7), Fraction(-7), Fraction(3, 4), Fraction(-22, 7),
+              Fraction(big), Fraction(-big), Fraction(1, big), Fraction(-big, big + 2)):
+        num = str(decimal.Decimal(x.numerator))
+        assert format_rat(x) == (num if x.denominator == 1 else f"{num}/{decimal.Decimal(x.denominator)}")
 
 
 def test_cli_witnesses_over_4300_digits_are_written(tmp_path, capsys):
