@@ -5,7 +5,12 @@ code and the sha256 digests of stdout, stderr and every file the run
 writes.  Every extension kind runs a pass, a failing check, a rejected
 input, a wrong number of inputs and a missing file, each as text and as
 ``--json``, with and without ``--output``; ``reconstruct`` runs with and
-without ``--output-dir``; ``derivations`` runs on A4y + L3 (A4y the Yau
+without ``--output-dir``, on the T*-double of A4 and on that of A4y + L3
+(cyclic theta, dim 14), the latter also with its base part as the complement, with the base
+part as the subspace, which is no ideal (exit 1) and with a subspace that is
+not twist-stable (exit 1); ``metric`` runs on both doubles and rejects
+the double of A4y + L3 along a coboundary that is not cyclic, with more
+witnesses than it keeps; ``derivations`` runs on A4y + L3 (A4y the Yau
 twist of A4 by a dense rotation) at grades -1 to 2, with and without
 ``--inner`` and ``--output``, on L3, on a singular twist at a negative
 grade and past ``--max-k``.  The test replays each line through
@@ -30,9 +35,9 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from hom3lie.algebras import Hom3LieAlgebra, direct_sum
+from hom3lie.algebras import Hom3LieAlgebra, direct_sum, increasing_triples
 from hom3lie.cli import main
-from hom3lie.extensions import Cocycle, cyclic_part, t_star_extension
+from hom3lie.extensions import Cocycle, coboundary, cyclic_part, t_star_extension
 from hom3lie.fixtures import a4, l3, l3h
 from hom3lie.io import (
     algebra_to_dict,
@@ -44,7 +49,7 @@ from hom3lie.io import (
     write_json,
 )
 from hom3lie.linalg import Mat, Subspace, Vec
-from hom3lie.representations import Representation
+from hom3lie.representations import Representation, coadjoint_rep
 
 TABLE = Path(__file__).with_name("cli_bytes.json")
 
@@ -91,6 +96,15 @@ RECONSTRUCT = (
     ["tstar.json", "q.json", "ideal.json", "complement.json"],
     ["tstar.json", "q.json", "ideal-short.json"],
     ["tstar.json", "q.json", "missing.json"],
+    ["tstar-A4yL3.json", "q14.json", "ideal14.json"],
+    ["tstar-A4yL3.json", "q14.json", "ideal14.json", "base14.json"],
+    ["tstar-A4yL3.json", "q14.json", "base14.json"],
+    ["tstar-A4yL3.json", "q14.json", "unstable14.json"],
+)
+METRIC = (
+    ["tstar.json", "q.json"],
+    ["tstar-A4yL3.json", "q14.json"],
+    ["tstar-A4yL3-coboundary.json", "q14.json"],
 )
 DERIVATIONS = [
     ["A4yL3.json", "--k", str(k), *inner]
@@ -108,6 +122,8 @@ CASES = [
     for inputs in RECONSTRUCT
     for mode in ([], ["--json"])
     for out in ([], ["--output-dir", "bundle"])
+] + [
+    [*mode, "metric", *inputs] for inputs in METRIC for mode in ([], ["--json"])
 ] + [
     [*mode, "derivations", *args, *out]
     for args in DERIVATIONS
@@ -159,6 +175,24 @@ def write_inputs(d: Path) -> None:
         "ideal.json": subspace_to_dict(Subspace.span(8, dual)),
         "complement.json": subspace_to_dict(Subspace.span(8, [Vec.basis(8, i) for i in range(4)])),
         "ideal-short.json": subspace_to_dict(Subspace.span(8, dual[:2])),
+    })
+    base = direct_sum(yau_twisted_a4(), L)
+    alpha, n = base.twist, base.dim
+    f = alpha.scale(2) + Mat.identity(n) - alpha @ alpha
+    raw = Cocycle(n, n, {key: Vec(tuple((sum(key) + 2 * l) % 5 - 2 for l in range(n)))
+                         for key in increasing_triples(n)})
+    tstar, q = t_star_extension(base, cyclic_part(raw))
+    dual = [Vec.basis(2 * n, n + i) for i in range(n)]
+    twisted = [Vec.basis(2 * n, 0) + Vec.basis(2 * n, n + 1)] + dual[1:]
+    files.update({
+        "tstar-A4yL3.json": algebra_to_dict(tstar),
+        "tstar-A4yL3-coboundary.json": algebra_to_dict(
+            t_star_extension(base, coboundary(base, coadjoint_rep(base), f))[0]),
+        "q14.json": form_to_dict(q),
+        "ideal14.json": subspace_to_dict(Subspace.span(2 * n, dual)),
+        "base14.json": subspace_to_dict(
+            Subspace.span(2 * n, [Vec.basis(2 * n, i) for i in range(n)])),
+        "unstable14.json": subspace_to_dict(Subspace.span(2 * n, twisted)),
     })
     for name, payload in files.items():
         write_json(d / name, payload)
