@@ -7,13 +7,21 @@ coboundary, for the coadjoint action, of the twist-commuting map
 f = 2 alpha + I - alpha^2, and its T*-double is the dual-space extension
 along theta, with the hyperbolic form.  The derivation extension extends
 the algebra by D, the first basis vector of its grade-1 derivations.
+The reconstruction takes the T*-double along a cyclic map (the
+hyperbolic form is invariant only then), the cyclic part of the map
+(i, j, k) -> ((i + j + k + 2 l) mod 5) - 2 at l, back to a dual-space
+extension by its dual ideal.
 
 Each layer is run REPEAT times in this process, or once when its first
-run takes over SLOW seconds; a cell is the median wall time in seconds,
-unscaled, so compare only runs made on the same host.  A second table
+run takes over SLOW seconds, each time on its algebras and cocycles built
+anew, so that no trie or cleared table carries over from one run to the
+next; a cell is the median wall time in seconds, unscaled, so compare
+only runs made on the same host.  A second table
 gives each layer's violation total (for the derivation spaces their
 dimension, for the descending central series the sum of its term
-dimensions), which must not depend on the code version: at the sizes
+dimensions, for the reconstruction the nonzero entries of the
+reconstructed theta, or -1 when its isometry check fails), which must
+not depend on the code version: at the sizes
 in ``TOTALS`` the script exits 1 when one
 differs from the recorded value.  Run with
 ``PYTHONPATH`` pointing at any checkout's ``src`` to compare two versions:
@@ -30,23 +38,31 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from hom3lie.algebras import Hom3LieAlgebra, direct_sum, verify_hom_jacobi
+from hom3lie.algebras import Hom3LieAlgebra, direct_sum, increasing_triples, verify_hom_jacobi
 from hom3lie.derivations import derivation_extension, derivation_space
-from hom3lie.extensions import coboundary, t_star_extension, verify_cocycle, verify_metric
+from hom3lie.extensions import (
+    Cocycle,
+    coboundary,
+    cyclic_part,
+    t_star_extension,
+    verify_cocycle,
+    verify_metric,
+)
 from hom3lie.fixtures import l3
-from hom3lie.linalg import Mat
+from hom3lie.linalg import Mat, Subspace, Vec
 from hom3lie.representations import adjoint_rep, coadjoint_rep, verify_representation
-from hom3lie.structure import series
+from hom3lie.structure import reconstruct_t_star, series
 from perfbench.inputs import yau_twisted_a4
 
 COLUMNS = ("hom-Jacobi", "hom-Jacobi on T* (2n)", "adjoint rep. sweep", "cocycle sweep",
            "metric on T*", "`derivation_space(k=0)`", "same on T*", "descending series on T*",
-           "derivation extension")
+           "derivation extension", "reconstruct on T*")
 REPEAT = 3
 SLOW = 1.0
 # each column's violation total (`derivation_space` columns: dimension; series: the sum of
-# the term dimensions), per size
-TOTALS = {7: (0, 392, 0, 144, 136, 8, 15, 26, 114), 11: (0, 784, 0, 288, 262, 10, 17, 42, 194)}
+# the term dimensions; reconstruction: nonzero entries of theta), per size
+TOTALS = {7: (0, 392, 0, 144, 136, 8, 15, 26, 114, 132),
+          11: (0, 784, 0, 288, 262, 10, 17, 42, 194, 1192)}
 
 
 def family(n: int) -> Hom3LieAlgebra:
@@ -55,32 +71,56 @@ def family(n: int) -> Hom3LieAlgebra:
     return reduce(direct_sum, [yau_twisted_a4()] * ((n - 3) // 4) + [l3()])
 
 
+def reconstructed_nonzeros(g: Hom3LieAlgebra, form, ideal: Subspace) -> int:
+    """The nonzero entries of the reconstructed theta, or -1 when the
+    reconstruction fails its isometry check."""
+    res = reconstruct_t_star(g, form, ideal)
+    return sum(len(v.support) for v in res.theta.table.values()) if res.isometry_ok else -1
+
+
 def layers(n: int) -> dict:
-    """Each column's call, returning the number it reports as its violation total."""
+    """Each column's call, returning the number it reports as its violation
+    total, and the inputs it takes."""
     L = family(n)
     alpha, one = L.twist, Mat.identity(n)
     f = alpha.scale(2) + one - alpha @ alpha
     theta = coboundary(L, coadjoint_rep(L), f)
     tstar, form = t_star_extension(L, theta)
     d = derivation_space(L, 1).basis[0]
+    raw = {key: Vec(tuple((sum(key) + 2 * l) % 5 - 2 for l in range(n)))
+           for key in increasing_triples(n)}
+    double, double_form = t_star_extension(L, cyclic_part(Cocycle(n, n, raw)))
+    dual = Subspace.span(2 * n, [Vec.basis(2 * n, n + i) for i in range(n)])
     return dict(zip(COLUMNS, (
-        lambda: verify_hom_jacobi(L).violations_total,
-        lambda: verify_hom_jacobi(tstar).violations_total,
-        lambda: verify_representation(L, adjoint_rep(L)).violations_total,
-        lambda: verify_cocycle(L, coadjoint_rep(L), theta).violations_total,
-        lambda: verify_metric(tstar, form).violations_total,
-        lambda: derivation_space(L, 0).dimension,
-        lambda: derivation_space(tstar, 0).dimension,
-        lambda: sum(t.dim for t in series(tstar, "central_descending").terms),
-        lambda: derivation_extension(L, d)[1].violations_total,
+        (lambda A: verify_hom_jacobi(A).violations_total, L),
+        (lambda A: verify_hom_jacobi(A).violations_total, tstar),
+        (lambda A: verify_representation(A, adjoint_rep(A)).violations_total, L),
+        (lambda A, th: verify_cocycle(A, coadjoint_rep(A), th).violations_total, L, theta),
+        (lambda A, B: verify_metric(A, B).violations_total, tstar, form),
+        (lambda A: derivation_space(A, 0).dimension, L),
+        (lambda A: derivation_space(A, 0).dimension, tstar),
+        (lambda A: sum(t.dim for t in series(A, "central_descending").terms), tstar),
+        (lambda A, D: derivation_extension(A, D)[1].violations_total, L, d),
+        (reconstructed_nonzeros, double, double_form, dual),
     )))
 
 
-def measure(call) -> tuple[float, int]:
+def cold(x):
+    """An algebra or a cocycle built anew, without the tries and cleared
+    tables that earlier calls left on it, as one CLI call loads it."""
+    if isinstance(x, Hom3LieAlgebra):
+        return Hom3LieAlgebra(x.dim, x.table, x.twist)
+    if isinstance(x, Cocycle):
+        return Cocycle(x.algebra_dim, x.module_dim, x.table)
+    return x
+
+
+def measure(call, *inputs) -> tuple[float, int]:
     times, result = [], None
     for _ in range(REPEAT):
+        args = [cold(x) for x in inputs]
         start = time.perf_counter()
-        result = call()
+        result = call(*args)
         times.append(time.perf_counter() - start)
         if times[0] > SLOW:
             break
@@ -99,7 +139,7 @@ def main() -> int:
 
     timings, results, moved = [], [], []
     for n in args.sizes:
-        cells = [measure(call) for call in layers(n).values()]
+        cells = [measure(*column) for column in layers(n).values()]
         timings.append([str(n)] + [f"{t:.4f}" for t, _ in cells])
         results.append([str(n)] + [str(r) for _, r in cells])
         moved += [f"n = {n}, {column}: {r}, recorded {want}"
@@ -109,7 +149,7 @@ def main() -> int:
     print(table(("n",) + COLUMNS, timings))
     print()
     print("violations total (the two `derivation_space` columns: dimension; the series: "
-          "sum of the term dimensions)")
+          "sum of the term dimensions; the reconstruction: nonzero entries of theta)")
     print(table(("n",) + COLUMNS, results))
     for line in moved:
         print("MOVED", line, file=sys.stderr)

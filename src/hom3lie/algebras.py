@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import DimensionMismatch, IdealRequired
-from .linalg import Mat, Subspace, Vec, pruned, rank, subspace_contains
-from .sparse import AltTable, add_matvec, cleared, matvec, signed_perms
+from .linalg import Mat, Subspace, Vec, pruned, rank, rational, subspace_contains
+from .sparse import AltTable, SparseMat, add_matvec, cleared, matvec, signed_perms
 
 MAX_WITNESSES = 16
 
@@ -201,8 +200,8 @@ def skew_violations(dim: int, value_at: Callable[[int, int, int], Vec]) -> Sweep
 
 def _rational(w: Sweep, identity: str, n: int, scale: int) -> tuple[Violation, ...]:
     """The kept witnesses of a sweep whose sides are int supports, ``scale`` times theirs."""
-    return tuple(Violation(identity, m, *(Vec.sparse(n, {i: Fraction(s * x, scale) for i, x
-                                                          in side.items()}) for side in sides))
+    return tuple(Violation(identity, m, *(Vec.sparse(n, rational({i: s * x for i, x in side.items()},
+                                                                  scale)) for side in sides))
                  for m, s, sides in w.kept)
 
 
@@ -225,7 +224,7 @@ def verify_hom_jacobi(L: Hom3LieAlgebra) -> AlgebraReport:
     sides have degree 2 in B and in alpha, so are D^2 d^2 times theirs.
     """
     n = L.dim
-    (alt,), D = cleared(L.alt)
+    alt, D = L.alt.integral
     (acols,), d = cleared([L.twist.col(i).support for i in range(n)])
     t = alt.pairs(acols)
     triples = [(u, v, wi, alt.get(u, v, wi)) for u, v, wi in increasing_triples(n)]
@@ -256,7 +255,7 @@ def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> tuple[int
     times the right; taken d^2 D_G and D_L times, both are s = d^3 D_L D_G.
     """
     (cols,), d = cleared([phi.col(i).support for i in range(L.dim)])
-    ((left,), dl), ((right,), dg) = [cleared(L.alt)] * 2 if G is L else map(cleared, (L.alt, G.alt))
+    (left, dl), (right, dg) = L.alt.integral, G.alt.integral
     t = right.pairs(cols)
     lcols = {i: {r: d * d * dg * x for r, x in c.items()} for i, c in enumerate(cols)}
     rcols = [{r: dl * x for r, x in c.items()} for c in cols]
@@ -303,15 +302,46 @@ def is_subalgebra(L: Hom3LieAlgebra, s: Subspace) -> bool:
     )
 
 
+def _projection(s: Subspace) -> tuple[dict[int, int], SparseMat, int]:
+    """The positions of the non-pivot coordinates of s, and e times the
+    projection onto them along s, as int columns over those positions, and e.
+
+    Column g of the projection is e_g when g is not a pivot and
+    -(row_g off its pivot) when it is, row_g the RREF row with pivot g;
+    the rows are cleared together to row~_g = e row_g (:func:`cleared`).
+    So proj v is v less v_p row_p for each pivot p, read at the
+    non-pivots; that rest is 0 at every pivot and lies in s iff v does,
+    and the only such vector in s is 0: v lies in s iff proj v = 0.
+    """
+    rows = s.pivot_rows
+    pos = {g: a for a, g in enumerate(g for g in range(s.ambient_dim) if g not in rows)}
+    (irows,), e = cleared(list(rows.values()))
+    cols = {g: {a: e} for g, a in pos.items()}
+    for p, row in zip(rows, irows):
+        if col := {pos[c]: -x for c, x in row.items() if c != p}:
+            cols[p] = col
+    return pos, cols, e
+
+
 def is_ideal(L: Hom3LieAlgebra, s: Subspace) -> bool:
     """True iff s is twist-stable and [s, L, L] lies in s.
 
     Twist stability is required so the quotient twist is well defined.
+    Integers: v lies in s iff (e proj) v~ = 0 (:func:`_projection`) for
+    any nonzero multiple v~ of v, so with the twist, the bracket and the
+    basis of s cleared, each basis vector b is tested for alpha~ b and
+    for every column of [b, e_j, .], for each j.
     """
-    return _twist_stable(L, s) and all(
-        subspace_contains(s, Vec.sparse(L.dim, matvec(L.alt.get(j, k), v.support)))
-        for v in s.basis for j, k in itertools.combinations(range(L.dim), 2)
-    )
+    if s.ambient_dim != L.dim:
+        raise DimensionMismatch("subspace ambient dimension does not match the algebra")
+    _, proj, _ = _projection(s)
+    alt, _ = L.alt.integral
+    (acols, basis), _ = cleared([L.twist.col(i).support for i in range(L.dim)],
+                                [v.support for v in s.basis])
+    acols = dict(enumerate(acols))
+    return (all(not matvec(proj, matvec(acols, b)) for b in basis)
+            and all(not matvec(proj, col) for b in basis for j in range(L.dim)
+                    for col in alt.partial(b, {j: 1}).values()))
 
 
 def direct_sum(L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> Hom3LieAlgebra:
@@ -347,20 +377,25 @@ def quotient(L: Hom3LieAlgebra, ideal: Subspace) -> tuple[Hom3LieAlgebra, Mat]:
     """Quotient algebra by a twist-stable ideal, plus the projection matrix.
 
     The quotient basis consists of the non-pivot coordinates of the
-    ideal's canonical basis, which makes the output deterministic.
+    ideal's canonical basis, which makes the output deterministic.  With
+    e proj from :func:`_projection` and B = B~/D, alpha = alpha~/d cleared,
+    e proj B~ is e D times the quotient bracket on the increasing triples
+    of non-pivots and e proj alpha~ is e d times the twist columns there;
+    each is divided once.
     """
     if not is_ideal(L, ideal):
         raise IdealRequired("quotient needs a twist-stable ideal")
     n = L.dim
-    pivots = ideal.pivots()
-    comp = [c for c in range(n) if c not in pivots]
-    q = len(comp)
-    residues = Mat.from_cols([ideal.reduce(Vec.basis(n, g)) for g in range(n)])
-    proj = Mat.from_rows([residues.row(c) for c in comp], cols=n)
-    table = {(a, b, c): proj.apply(L.bracket_basis(comp[a], comp[b], comp[c]))
-             for a, b, c in increasing_triples(q)}
-    twist = Mat.from_cols([proj.apply(L.twist.col(comp[a])) for a in range(q)]) if q else Mat.zero(0, 0)
-    return Hom3LieAlgebra(q, table, twist), proj
+    pos, cols, e = _projection(ideal)
+    q = len(pos)
+    alt, D = L.alt.integral
+    (acols,), d = cleared([L.twist.col(g).support for g in pos])
+    table = {tuple(pos[i] for i in key): Vec.sparse(q, rational(matvec(cols, v.support), e * D))
+             for key, v in alt.values.items() if all(i in pos for i in key)}
+    twist = (Mat.from_cols([Vec.sparse(q, rational(matvec(cols, c), e * d)) for c in acols])
+             if q else Mat.zero(0, 0))
+    proj = Mat.sparse(q, [Vec.sparse(q, rational(cols.get(g, {}), e)) for g in range(n)])
+    return Hom3LieAlgebra(q, table, twist), proj.transpose()
 
 
 def subspace_bracket(L: Hom3LieAlgebra, s1: Subspace, s2: Subspace, s3: Subspace) -> Subspace:

@@ -46,6 +46,7 @@ from .io import (
     subspace_to_dict,
     vec_to_dense,
     write_json,
+    write_text,
 )
 from .representations import adjoint_rep, coadjoint_rep, semidirect_product
 from .structure import reconstruct_t_star, series
@@ -107,9 +108,10 @@ def _violations_payload(report: AlgebraReport) -> list[dict]:
             for v in report.violations]
 
 
-def _emit(verdict: Verdict, as_json: bool) -> int:
+def _emit(verdict: Verdict, as_json: bool, dumped: Optional[str] = None) -> int:
+    """Print the verdict; ``dumped`` is its canonical JSON when already made."""
     if as_json:
-        sys.stdout.write(canonical_dumps(verdict.payload()))
+        sys.stdout.write(dumped or canonical_dumps(verdict.payload()))
     else:
         print(verdict.render_text())
     return verdict.exit_code
@@ -295,13 +297,15 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         "isometry_ok": res.isometry_ok,
     }
     verdict.derived_data = bundle
-    if args.output_dir:
-        out = Path(args.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for name in ("quotient", "theta", "tstar", "sigma"):
-            write_json(out / f"{name}.json", bundle[name])
-        write_json(out / "verdict.json", verdict.payload())
-    return _emit(verdict, args.json)
+    if not args.output_dir:
+        return _emit(verdict, args.json)
+    out = Path(args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name in ("quotient", "theta", "tstar", "sigma"):
+        write_json(out / f"{name}.json", bundle[name])
+    dumped = canonical_dumps(verdict.payload())
+    write_text(out / "verdict.json", dumped)
+    return _emit(verdict, args.json, dumped)
 
 
 def cmd_fixtures(args: argparse.Namespace) -> int:

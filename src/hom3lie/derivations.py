@@ -99,7 +99,7 @@ def derivation_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
     n = L.dim
     (akcols,), d = cleared([twist_power(L, k).col(i).support for i in range(n)])
     (acols,), _ = cleared([L.twist.col(i).support for i in range(n)])
-    (alt,), _ = cleared(L.alt)
+    alt, _ = L.alt.integral
     rows: list[dict[int, int]] = []
     for p, q in itertools.product(range(n), repeat=2):  # (D a - a D)[p, q] = 0
         row = {p * n + c: a for c, a in acols[q].items()}

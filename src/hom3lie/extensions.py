@@ -235,7 +235,7 @@ def cyclic_part(th: Cocycle) -> Cocycle:
     n = th.algebra_dim
     if th.module_dim != n:
         raise DimensionMismatch("cyclic projection concerns cocycles with values in L*")
-    (alt,), D = cleared(th.alt)
+    alt, D = th.alt.integral
     perms, table = signed_perms(4), {}
     for w in itertools.combinations(range(n), 4):
         if s := sum(sign * alt.get(w[p[0]], w[p[1]], w[p[2]]).get(w[p[3]], 0) for p, sign in perms):
@@ -272,6 +272,9 @@ def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> MetricReport:
     support of M_ab or of its transpose are visited, in sorted order; at
     every other (c, d) both terms are 0.  M_ab is skew in (a, b)
     (:class:`Sweep`).
+
+    Integers (:func:`cleared`): from B = B~/D and the rows of the Gram
+    matrix G = G~/s, M_ab is built D s times itself, which is skew iff it is.
     """
     n = alg.dim
     if form.dim != n:
@@ -279,10 +282,12 @@ def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> MetricReport:
     gram = form.gram
     symmetric = gram == gram.transpose()
     nondeg = rank(gram) == n
-    gt = {c: row.support for c, row in enumerate(gram.row_vecs)}  # the columns of gram^T
+    alt, _ = alg.alt.integral
+    (rows,), _ = cleared([row.support for row in gram.row_vecs])
+    gt = dict(enumerate(rows))  # the columns of G^T
     log = Sweep(2)
     for a, b in log.reps(n):
-        m = {c: row for c, col in alg.alt.get(a, b).items() if (row := matvec(gt, col))}
+        m = {c: row for c, col in alt.get(a, b).items() if (row := matvec(gt, col))}
         cells = {(c, d) for c, row in m.items() for d in row}
         for c, d in sorted(cells | {(d, c) for c, d in cells}):
             if m.get(c, {}).get(d, 0) + m.get(d, {}).get(c, 0) != 0:

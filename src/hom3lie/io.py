@@ -50,18 +50,25 @@ class FileFormatError(ValueError):
         super().__init__(f"{location}: {message}" if location else message)
 
 
-def parse_rat(x: Any, where: str) -> Fraction:
+def parse_rat(x: Any, where: str, memo: Optional[dict[str, Fraction]] = None) -> Fraction:
+    """An int or a ``"p/q"`` literal as a Fraction; ``memo`` maps the literals
+    of one file already parsed to their values, and takes in new ones."""
     if isinstance(x, bool) or isinstance(x, float):
         raise FileFormatError(f"expected an exact rational, got {x!r}", where)
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if memo is not None and x in memo:
+            return memo[x]
         if not _RATIONAL.fullmatch(x):  # Fraction alone also takes "0.5", "1e3"
             raise FileFormatError(f"bad rational literal {x!r}", where)
         try:
-            return Fraction(x)
+            value = Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:  # ValueError: int() refuses > 4,300 digits
             raise FileFormatError(f"bad rational literal {x!r}", where) from exc
+        if memo is not None:
+            memo[x] = value
+        return value
     raise FileFormatError(f"expected an exact rational, got {type(x).__name__}", where)
 
 
@@ -92,7 +99,7 @@ def vec_to_sparse(v: Vec) -> dict[str, str]:
     return {str(i + 1): format_rat(x) for i, x in v.nonzero()}
 
 
-def vec_from_sparse(d: Any, n: int, where: str) -> Vec:
+def vec_from_sparse(d: Any, n: int, where: str, memo: Optional[dict] = None) -> Vec:
     if not isinstance(d, dict):
         raise FileFormatError("expected an object of index -> rational", where)
     support = {}
@@ -101,7 +108,7 @@ def vec_from_sparse(d: Any, n: int, where: str) -> Vec:
             raise FileFormatError(f"bad index {key!r}", where)
         if len(key) > len(str(n)) or int(key) > n:  # int() refuses keys over 4,300 digits
             raise FileFormatError(f"index {key} out of range 1..{n}", where)
-        if value := parse_rat(raw, f"{where}[{key}]"):
+        if value := parse_rat(raw, f"{where}[{key}]", memo):
             support[int(key) - 1] = value
     return Vec.sparse(n, support)
 
@@ -110,20 +117,21 @@ def vec_to_dense(v: Vec) -> list[str]:
     return [format_rat(x) for x in v]
 
 
-def vec_from_dense(raw: Any, where: str, length: Optional[int] = None) -> Vec:
+def vec_from_dense(raw: Any, where: str, length: Optional[int] = None,
+                   memo: Optional[dict] = None) -> Vec:
     if not isinstance(raw, list):
         raise FileFormatError("expected a list of rationals", where)
     if length is not None and len(raw) != length:
         raise FileFormatError(f"expected {length} entries, got {len(raw)}", where)
-    return Vec(tuple(parse_rat(x, f"{where}[{i}]") for i, x in enumerate(raw)))
+    return Vec(tuple(parse_rat(x, f"{where}[{i}]", memo) for i, x in enumerate(raw)))
 
 
 def mat_to_lists(m: Mat) -> list[list[str]]:
     return [vec_to_dense(v) for v in m.row_vecs]
 
 
-def mat_from_lists(raw: Any, where: str,
-                   rows: Optional[int] = None, cols: Optional[int] = None) -> Mat:
+def mat_from_lists(raw: Any, where: str, rows: Optional[int] = None, cols: Optional[int] = None,
+                   memo: Optional[dict] = None) -> Mat:
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
         raise FileFormatError("expected a non-empty list of rows", where)
     ncols = len(raw[0])
@@ -135,7 +143,7 @@ def mat_from_lists(raw: Any, where: str,
         raise FileFormatError(f"expected {cols} columns, got {ncols}", where)
     return Mat.sparse(ncols, (
         Vec.sparse(ncols, {c: a for c, x in enumerate(row)
-                           if (a := parse_rat(x, f"{where}[{r}][{c}]"))})
+                           if (a := parse_rat(x, f"{where}[{r}][{c}]", memo))})
         for r, row in enumerate(raw)
     ))
 
@@ -189,10 +197,10 @@ def algebra_to_dict(L: Hom3LieAlgebra) -> dict:
 
 
 def algebra_from_dict(d: Any, where: str = "algebra") -> Hom3LieAlgebra:
-    n = _positive_dim(d, "dim", where)
-    alpha = mat_from_lists(_expect(d, "alpha", where), f"{where}.alpha", rows=n, cols=n)
+    n, memo = _positive_dim(d, "dim", where), {}
+    alpha = mat_from_lists(_expect(d, "alpha", where), f"{where}.alpha", n, n, memo)
     table = _keyed_entries(d, "brackets", 3, n, where, "bracket",
-                           lambda raw, loc: vec_from_sparse(raw, n, loc), "value")
+                           lambda raw, loc: vec_from_sparse(raw, n, loc, memo), "value")
     return Hom3LieAlgebra(n, table, alpha)
 
 
@@ -208,10 +216,10 @@ def representation_to_dict(r: Representation, algebra_ref: str) -> dict:
 def representation_from_dict(
     d: Any, algebra: Hom3LieAlgebra, where: str = "representation"
 ) -> Representation:
-    m = _positive_dim(d, "module_dim", where)
-    twist = mat_from_lists(_expect(d, "A", where), f"{where}.A", rows=m, cols=m)
+    m, memo = _positive_dim(d, "module_dim", where), {}
+    twist = mat_from_lists(_expect(d, "A", where), f"{where}.A", m, m, memo)
     table = _keyed_entries(d, "rho", 2, algebra.dim, where, "action",
-                           lambda raw, loc: mat_from_lists(raw, loc, rows=m, cols=m), "matrix")
+                           lambda raw, loc: mat_from_lists(raw, loc, m, m, memo), "matrix")
     return Representation(algebra.dim, m, twist, table)
 
 
@@ -224,9 +232,9 @@ def cocycle_to_dict(th: Cocycle, algebra_ref: str) -> dict:
 
 
 def cocycle_from_dict(d: Any, algebra: Hom3LieAlgebra, where: str = "cocycle") -> Cocycle:
-    m = _positive_dim(d, "module_dim", where)
+    m, memo = _positive_dim(d, "module_dim", where), {}
     table = _keyed_entries(d, "theta", 3, algebra.dim, where, "value",
-                           lambda raw, loc: vec_from_sparse(raw, m, loc), "value")
+                           lambda raw, loc: vec_from_sparse(raw, m, loc, memo), "value")
     return Cocycle(algebra.dim, m, table)
 
 
@@ -238,7 +246,7 @@ def matrix_to_dict(m: Mat) -> dict:
 
 
 def matrix_from_dict(d: Any, where: str = "matrix") -> Mat:
-    return mat_from_lists(_expect(d, "matrix", where), f"{where}.matrix")
+    return mat_from_lists(_expect(d, "matrix", where), f"{where}.matrix", memo={})
 
 
 def form_to_dict(b: BilinForm) -> dict:
@@ -247,8 +255,7 @@ def form_to_dict(b: BilinForm) -> dict:
 
 def form_from_dict(d: Any, where: str = "form") -> BilinForm:
     n = _positive_dim(d, "dim", where)
-    return BilinForm(n, mat_from_lists(_expect(d, "gram", where), f"{where}.gram",
-                                       rows=n, cols=n))
+    return BilinForm(n, mat_from_lists(_expect(d, "gram", where), f"{where}.gram", n, n, {}))
 
 
 def subspace_to_dict(s: Subspace) -> dict:
@@ -260,7 +267,8 @@ def subspace_from_dict(d: Any, where: str = "subspace") -> Subspace:
     raw = _expect(d, "basis", where)
     if not isinstance(raw, list):
         raise FileFormatError("expected a list of vectors", f"{where}.basis")
-    vecs = [vec_from_dense(row, f"{where}.basis[{i}]", length=n) for i, row in enumerate(raw)]
+    memo: dict = {}
+    vecs = [vec_from_dense(row, f"{where}.basis[{i}]", n, memo) for i, row in enumerate(raw)]
     return Subspace.span(n, vecs)
 
 
@@ -289,11 +297,15 @@ def read_json(path: Union[str, Path]) -> Any:
         raise FileFormatError("invalid JSON: nested too deeply", str(p)) from exc
 
 
-def write_json(path: Union[str, Path], payload: Any) -> None:
+def write_text(path: Union[str, Path], text: str) -> None:
     try:
-        Path(path).write_text(canonical_dumps(payload), encoding="utf-8")
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise FileFormatError(f"cannot write: {exc.strerror or exc}", str(path)) from exc
+
+
+def write_json(path: Union[str, Path], payload: Any) -> None:
+    write_text(path, canonical_dumps(payload))
 
 
 def load_algebra(path: Union[str, Path]) -> Hom3LieAlgebra:

@@ -338,6 +338,11 @@ def integral(s: Support, scale: int = 0) -> dict[int, int]:
     return {i: a.numerator * (scale // a.denominator) for i, a in s.items()}
 
 
+def rational(s: dict[int, int], scale: int) -> Support:
+    """The int support over ``scale``, as Fractions: the inverse of :func:`integral`."""
+    return {i: Fraction(a, scale) for i, a in s.items()}
+
+
 def _combination(m: int, row: dict[int, int], terms: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
     """m row less f s for each (f, s) in ``terms``, over its content (signed to lead positive)."""
     acc = {c: m * a for c, a in row.items()}
@@ -354,19 +359,21 @@ def _eliminate(rows: Iterable[Support]) -> dict[int, Support]:
 
     Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) on int
     rows, each pivot row zero at the other pivots.  A row, cleared to
-    ints (:func:`integral`), is taken m times, m the lcm of the leads of
-    the pivot rows p it meets, less m / lead_p * row[p] times each; a
-    nonzero rest is the pivot row of its first column and is cleared the
-    same way from the earlier ones.  Row scales, multipliers and contents
-    (:func:`_combination`) are nonzero, and a nonzero multiple of a row
-    spans the same line, so the span never changes.  Divided once by its
-    lead at the end, each pivot row has a leading one and zeros at the
-    other pivots: the rows are the unique RREF of the span.
+    ints (:func:`integral`) unless it holds ints already, is taken m
+    times, m the lcm of the leads of the pivot rows p it meets, less
+    m / lead_p * row[p] times each; a nonzero rest is the pivot row of
+    its first column and is cleared the same way from the earlier ones.
+    Row scales, multipliers and contents (:func:`_combination`) are
+    nonzero, and a nonzero multiple of a row spans the same line, so the
+    span never changes.  Divided once by its lead at the end, each pivot
+    row has a leading one and zeros at the other pivots: the rows are the
+    unique RREF of the span.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         if row:
-            row = integral(row)
+            if not all(type(a) is int for a in row.values()):
+                row = integral(row)
             m = math.lcm(*[pivots[p][p] for p in row if p in pivots])
             row = _combination(m, row, [(m // pivots[p][p] * a, pivots[p])
                                         for p, a in row.items() if p in pivots])

@@ -106,6 +106,13 @@ class AltTable:
                 node[key[p[-1]]] = pos if sign == 1 else neg
         return trie
 
+    @cached_property
+    def integral(self) -> tuple["AltTable", int]:
+        """:func:`cleared` on this table alone, built on first use: each
+        table is cleared, and its integer trie built, once."""
+        (alt,), scale = cleared(self)
+        return alt, scale
+
     def get(self, *idx: int) -> Support:
         """Signed support of the value on basis vectors given in any order.
 

@@ -42,10 +42,11 @@ from .linalg import (
     Vec,
     inverse,
     nullspace,
+    rational,
     solve,
     subspace_sum,
 )
-from .sparse import matvec
+from .sparse import cleared, matvec
 
 SERIES_KINDS = ("derived", "central_descending", "central_ascending")
 
@@ -223,10 +224,13 @@ def reconstruct_t_star(
     # pair(v)_s = B(l_s, v).  The complement is isotropic, so its part of
     # v pairs to zero with every lift: pair reads the ideal part of v as a
     # functional on L.  metric_ok made G symmetric: B(l_s, v) = B(v, l_s).
+    # On ints, B = B~/D, l = l~/d and pair = pair~/e give e D d^3 theta.
     pair = lifts @ form.gram
-    cols = [v.support for v in lifts.row_vecs]
-    t = g.alt.pairs(cols)
-    table = {(p, q, r): pair.apply(Vec.sparse(n2, matvec(t[p, q], cols[r])))
+    alt, D = g.alt.integral
+    (cols,), d = cleared([v.support for v in lifts.row_vecs])
+    (pcols,), e = cleared([v.support for v in pair.transpose().row_vecs])
+    t, pcols, scale = alt.pairs(cols), dict(enumerate(pcols)), e * D * d ** 3
+    table = {(p, q, r): Vec.sparse(k, rational(matvec(pcols, matvec(t[p, q], cols[r])), scale))
              for p, q, r in increasing_triples(k)}
     theta = Cocycle(k, k, table)
 

@@ -1,7 +1,8 @@
 """Dense reference sweeps, kept as oracles for the library's sparse sweeps.
 
 These are the hom-Jacobi, multiplicativity, representation, cocycle,
-metric-invariance and cyclicity sweeps written the direct way: every
+metric-invariance and cyclicity sweeps, and the ideal test and the
+quotient, written the direct way: every
 bracket, action and cocycle value is evaluated from the stored increasing-key table by
 its skew multilinear extension, one basis tuple of the arguments'
 supports at a time, with no twisted actions computed ahead.  They share no evaluation
@@ -15,9 +16,15 @@ import itertools
 from fractions import Fraction
 
 import dense_elimination
-from hom3lie.algebras import MAX_WITNESSES, AlgebraReport, Violation, increasing_triples
+from hom3lie.algebras import (
+    MAX_WITNESSES,
+    AlgebraReport,
+    Hom3LieAlgebra,
+    Violation,
+    increasing_triples,
+)
 from hom3lie.extensions import CocycleReport, MetricReport
-from hom3lie.linalg import Mat, Vec
+from hom3lie.linalg import Mat, Subspace, Vec, subspace_contains
 from hom3lie.representations import RepresentationReport
 
 
@@ -205,3 +212,28 @@ def theta_cyclic(th) -> bool:
     n = th.algebra_dim
     return all(theta_basis(th, i, j, k)[l] + theta_basis(th, i, j, l)[k] == 0
                for i, j, k in increasing_triples(n) for l in range(n))
+
+
+def is_ideal(L, s: Subspace) -> bool:
+    """alpha b and [b, e_j, e_k] in s for every basis vector b of s and every
+    ordered pair (j, k), each by ``subspace_contains``; the bracket is
+    alternating, so b in the other slots gives the same vectors up to sign."""
+    n = L.dim
+    basis = [Vec.basis(n, i) for i in range(n)]
+    return (all(subspace_contains(s, L.twist.apply(b)) for b in s.basis)
+            and all(subspace_contains(s, bracket(L, b, x, y))
+                    for b in s.basis for x, y in itertools.product(basis, repeat=2)))
+
+
+def quotient(L, s: Subspace) -> tuple[Hom3LieAlgebra, Mat]:
+    """The quotient on the non-pivot coordinates c of s: proj has the columns
+    ``s.reduce(e_g)`` read at c, the bracket is proj [e_a, e_b, e_c] and the
+    twist proj alpha e_a, for a, b, c among them."""
+    n = L.dim
+    comp = [g for g in range(n) if g not in s.pivots()]
+    residues = [s.reduce(Vec.basis(n, g)) for g in range(n)]
+    proj = Mat.from_rows([[residues[g][c] for g in range(n)] for c in comp], cols=n)
+    table = {(a, b, c): proj.apply(bracket_basis(L, comp[a], comp[b], comp[c]))
+             for a, b, c in increasing_triples(len(comp))}
+    twist = Mat.from_cols([proj.apply(L.twist.col(g)) for g in comp]) if comp else Mat.zero(0, 0)
+    return Hom3LieAlgebra(len(comp), table, twist), proj

@@ -37,6 +37,8 @@ WIDE = "tests/test_elimination_kernel.py::test_wide_entries_match_the_dense_orac
 SUBSPACE_BRACKET = "tests/test_algebras.py::test_subspace_bracket_matches_the_span_of_all_ordered_triples"
 PAIRS = "tests/test_pairs.py::test_pairs_match_partial_and_evaluate_on_every_ordered_pair"
 RECONSTRUCTION = "tests/test_pairs.py::test_reconstruction_matches_the_change_of_basis_construction"
+THETA = "tests/test_pairs.py::test_reconstructed_theta_matches_direct_brackets"
+IDEAL = "tests/test_algebras.py::test_is_ideal_and_quotient_match_the_brute_force_oracle"
 VEC_MAT = "tests/test_sparse_linalg.py"
 CYCLIC = "tests/test_extensions.py::test_theta_cyclic_ok_matches_the_pairwise_sweep"
 MORPHISM = "tests/test_pairs.py::test_a_morphism_between_algebras_of_coprime_denominators"
@@ -88,7 +90,7 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "j + 1 if same23 else 0", "j + 2 if same23 else 0",
      (SUBSPACE_BRACKET,)),
     ("bracket-images-reuse-the-source-bracket-for-any-target", "algebras.py",
-     "[cleared(L.alt)] * 2 if G is L", "[cleared(L.alt)] * 2 if True",
+     "L.alt.integral, G.alt.integral", "L.alt.integral, L.alt.integral",
      (MORPHISM,)),
     ("pairs-no-negation", "sparse.py",
      "out[b, a] = {k: {t: -v for t, v in col.items()} for k, col in val.items()}",
@@ -148,6 +150,23 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("extend-verifies-multiplicativity-only", "cli.py",
      "            report = verify_axioms(result)", "            report = verify_multiplicative(result)",
      (CLI_BYTES,)),
+    ("kernel-int-check-reads-the-first-entry", "linalg.py",
+     "if not all(type(a) is int for a in row.values()):",
+     "if type(next(iter(row.values()))) is not int:",
+     (WIDE,)),
+    ("theta-divided-without-d-cubed", "structure.py",
+     "e * D * d ** 3", "e * D",
+     (THETA, RECONSTRUCTION)),
+    ("theta-divided-without-e", "structure.py",
+     "e * D * d ** 3", "D * d ** 3",
+     (THETA, RECONSTRUCTION)),
+    ("projection-pivot-column-sign", "algebras.py",
+     "{pos[c]: -x for c, x in row.items() if c != p}", "{pos[c]: x for c, x in row.items() if c != p}",
+     (IDEAL,)),
+    ("metric-reads-gram-columns", "extensions.py",
+     "cleared([row.support for row in gram.row_vecs])",
+     "cleared([gram.col(c).support for c in range(n)])",
+     (METRIC,)),
     ("derivation-commutation-rows-dropped", "derivations.py",
      "for p, q in itertools.product(range(n), repeat=2):", "for p, q in ():",
      (DERIVATIONS,)),

@@ -2,9 +2,10 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle as oracle
 from conftest import random_mat, random_vec
 from hom3lie.algebras import (
     Hom3LieAlgebra,
@@ -21,8 +22,10 @@ from hom3lie.algebras import (
     verify_regular,
 )
 from hom3lie.errors import DimensionMismatch, IdealRequired
+from hom3lie.extensions import Cocycle, cyclic_part, t_star_extension
 from hom3lie.fixtures import a4, ab3, ab3s, catalog, l3, l3h, n4
 from hom3lie.linalg import Mat, Subspace, Vec
+from test_sparse_sweeps import BASES, carried, conjugations, factors
 
 
 def e(n, i):
@@ -259,3 +262,55 @@ def test_hom_jacobi_holds_on_random_vectors(seed, name):
         + L.bracket(al.apply(u), al.apply(v), L.bracket(x, y, w))
     )
     assert lhs == rhs
+
+
+@st.composite
+def subspace_cases(draw):
+    """A base algebra, a direct sum of two or a T*-double, and a subspace:
+    an ideal candidate ([L, L, L], the second summand, the dual part, 0 or
+    L; not twist-stable where the twist is not multiplicative), the span
+    of basis vectors or of drawn vectors (mostly no ideal and not
+    twist-stable); often both carried along a map with denominators 3, 7
+    and 11, so that the pivot rows carry off-pivot entries."""
+    L = draw(st.sampled_from(BASES))
+    n = L.dim
+    kind = draw(st.sampled_from(["base", "sum", "tstar"]))
+    ideals = []
+    if kind == "sum":
+        G = draw(st.sampled_from(BASES))
+        L = direct_sum(L, G)
+        ideals.append(Subspace.span(n + G.dim, [Vec.basis(n + G.dim, n + i) for i in range(G.dim)]))
+    elif kind == "tstar":
+        raw = {key: Vec.basis(n, draw(st.integers(0, n - 1)))
+               for key in draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 3))),
+                                        max_size=2))}
+        L, _ = t_star_extension(L, cyclic_part(Cocycle(n, n, raw)))
+        ideals.append(Subspace.span(2 * n, [Vec.basis(2 * n, n + i) for i in range(n)]))
+    n = L.dim
+    full = Subspace.full(n)
+    ideals += [subspace_bracket(L, full, full, full), Subspace.zero(n), full]
+    choice = draw(st.sampled_from(["ideal", "ideal", "basis", "drawn"]))
+    if choice == "ideal":
+        s = draw(st.sampled_from(ideals[:1] * 3 + ideals))
+    elif choice == "basis":
+        s = span(n, *(e(n, i) for i in draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    else:
+        vecs = draw(st.lists(st.lists(factors, min_size=n, max_size=n), min_size=1, max_size=3))
+        s = Subspace.span(n, [Vec(tuple(v)) for v in vecs])
+    if draw(st.sampled_from([True, True, False])):
+        phi, psi = draw(conjugations(n))
+        L, s = carried(L, phi, psi), Subspace.span(n, [phi.apply(v) for v in s.basis])
+    return L, s
+
+
+@settings(max_examples=100)
+@given(subspace_cases())
+def test_is_ideal_and_quotient_match_the_brute_force_oracle(case):
+    L, s = case
+    ideal = oracle.is_ideal(L, s)
+    assert is_ideal(L, s) == ideal
+    if ideal:
+        assert quotient(L, s) == oracle.quotient(L, s)
+    else:
+        with pytest.raises(IdealRequired):
+            quotient(L, s)

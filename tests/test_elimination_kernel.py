@@ -10,8 +10,9 @@ exactly with ``dense_elimination``, and ``rref`` also with sympy's
 The kernel clears each row to ints and divides by the leads only at the
 end, so ``wide_matrices`` draws the entries that exercise the clearing
 and the growth of the contents: denominators drawn separately per row
-from 1, 3, 7 and 11 over numerators up to 10^6, int-valued rows, and
-rows that are rational multiples of each other.  The oracles get the
+from 1, 3, 7 and 11 over numerators up to 10^6, int-valued rows, rows
+of ints and Fractions mixed (the kernel takes rows of ints as they are),
+and rows that are rational multiples of each other.  The oracles get the
 same matrices with Fraction entries.
 """
 
@@ -134,7 +135,7 @@ def wide_matrices(draw, square: bool = False) -> tuple[Mat, Mat]:
     """A matrix for the kernel and the same matrix with Fraction entries for the oracles."""
     rows = draw(st.integers(0, 6))
     cols = rows if square else draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(["per_row_denominator", "int_valued", "multiples"]))
+    kind = draw(st.sampled_from(["per_row_denominator", "int_valued", "mixed", "multiples"]))
 
     def row() -> list:
         den = draw(st.sampled_from(DENOMINATORS))
@@ -148,6 +149,10 @@ def wide_matrices(draw, square: bool = False) -> tuple[Mat, Mat]:
     elif kind == "int_valued":
         cells = [[draw(numerators) if draw(st.integers(0, 2)) else 0 for _ in range(cols)]
                  for _ in range(rows)]
+    elif kind == "mixed":  # ints up front, then some Fractions, in one row
+        cells = [[draw(numerators) if c < cols // 2 or draw(st.booleans())
+                  else Fraction(draw(numerators), draw(st.sampled_from(DENOMINATORS)))
+                  for c in range(cols)] for _ in range(rows)]
     else:
         cells = [row() for _ in range(rows)]
     entries = tuple(a for r in cells for a in r)

@@ -5,8 +5,10 @@ other order by negation and the diagonal as empty.  The first test
 checks every ordered pair against ``partial`` and ``evaluate`` on
 random tables and images; the others check ``preserves_bracket``,
 ``inner_space`` and the theta table of ``reconstruct_t_star`` against
-brackets evaluated one by one through ``Hom3LieAlgebra.bracket``, and
-theta and sigma against the change-of-basis construction.
+brackets evaluated one by one through ``Hom3LieAlgebra.bracket`` (the
+theta table through the dense oracle's), and theta and sigma against
+the change-of-basis construction, on T*-doubles carried along maps with
+denominators 3, 7 and 11.
 """
 
 import itertools
@@ -15,19 +17,23 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hom3lie.algebras import (
-    direct_sum,
-    increasing_triples,
-    is_morphism,
-    preserves_bracket,
-    quotient,
-)
+import dense_oracle as oracle
+from hom3lie.algebras import direct_sum, increasing_triples, is_morphism, preserves_bracket
 from hom3lie.derivations import fixed_space, inner_space, twist_power
-from hom3lie.extensions import Cocycle, cyclic_part, t_star_extension
+from hom3lie.extensions import BilinForm, Cocycle, cyclic_part, t_star_extension
 from hom3lie.linalg import Mat, Subspace, Vec, inverse
 from hom3lie.sparse import AltTable, matvec
 from hom3lie.structure import isotropic_complement, reconstruct_t_star
-from test_sparse_sweeps import BASES, factors, perturbed, rescaled_bracket, small, yau_a4
+from test_sparse_sweeps import (
+    BASES,
+    carried,
+    conjugations,
+    factors,
+    perturbed,
+    rescaled_bracket,
+    small,
+    yau_a4,
+)
 
 
 def support(values) -> dict:
@@ -184,21 +190,36 @@ def test_inner_space_matches_direct_brackets(L, k):
 @st.composite
 def tstar_cases(draw):
     """A dual-space extension of a base algebra with a cyclic cocycle, its
-    metric, the dual ideal, a complement (None: completed from the form,
-    else the graph of an antisymmetric map L -> L*) and the lifts into it."""
+    metric, the dual ideal and a complement (None: completed from the form,
+    else the graph of an antisymmetric map L -> L*); mostly all carried
+    along a map with denominators 3, 7 and 11, so that the Gram matrix,
+    the ideal's pivot rows and the lifts carry scales of their own."""
     L = draw(st.sampled_from(BASES))
     n = L.dim
     raw = {key: Vec(tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))))
            for key in increasing_triples(n)}
     g, form = t_star_extension(L, cyclic_part(Cocycle(n, n, raw)))
     ideal = Subspace.span(2 * n, [Vec.basis(2 * n, n + i) for i in range(n)])
+    comp = None
     if draw(st.booleans()):
-        return g, form, ideal, None, list(isotropic_complement(form, ideal).basis)
-    s = {(i, j): draw(small) for i, j in itertools.combinations(range(n), 2)}
-    lifts = [Vec.basis(n, i).concat(Vec(tuple(s.get((i, j), 0) - s.get((j, i), 0)
-                                               for j in range(n))))
-             for i in range(n)]
-    return g, form, ideal, Subspace.span(2 * n, lifts), lifts
+        s = {(i, j): draw(small) for i, j in itertools.combinations(range(n), 2)}
+        comp = Subspace.span(2 * n, [Vec.basis(n, i).concat(Vec(tuple(
+            s.get((i, j), 0) - s.get((j, i), 0) for j in range(n)))) for i in range(n)])
+    if draw(st.sampled_from([True, True, False])):
+        phi, psi = draw(conjugations(2 * n))
+        g, form = carried(g, phi, psi), BilinForm(2 * n, psi.transpose() @ form.gram @ psi)
+        ideal, comp = (None if s is None else Subspace.span(2 * n, [phi.apply(v) for v in s.basis])
+                       for s in (ideal, comp))
+    return g, form, ideal, comp
+
+
+def lifts(g, ideal: Subspace, comp: Subspace) -> list[Vec]:
+    """The vectors of the complement that the oracle's projection takes to
+    the quotient basis: the columns of C (proj C)^-1, C the complement basis."""
+    _, proj = oracle.quotient(g, ideal)
+    c = Mat.from_cols(list(comp.basis))
+    lift = c @ inverse(proj @ c)
+    return [lift.col(p) for p in range(ideal.dim)]
 
 
 @settings(max_examples=20)
@@ -207,15 +228,14 @@ def test_reconstructed_theta_matches_direct_brackets(case):
     """theta(p, q, r)(s) = B([l_p, l_q, l_r], l_s) for the lifts l of the
     quotient basis into the isotropic complement: the complement part of
     the bracket pairs to zero with l_s."""
-    g, form, ideal, comp, lifts = case
+    g, form, ideal, comp = case
     n = ideal.dim
-    for p, lift in enumerate(lifts):  # each lift projects to e_p on the quotient L
-        assert Vec.sparse(n, {i: x for i, x in lift.support.items() if i < n}) == Vec.basis(n, p)
     result = reconstruct_t_star(g, form, ideal, comp)
     assert result.isometry_ok
+    ls = lifts(g, ideal, comp or isotropic_complement(form, ideal))
     for p, q, r in increasing_triples(n):
-        bracket = g.bracket(lifts[p], lifts[q], lifts[r])
-        expected = Vec(tuple(form.eval(bracket, lifts[s]) for s in range(n)))
+        bracket = oracle.bracket(g, ls[p], ls[q], ls[r])
+        expected = Vec(tuple(form.eval(bracket, ls[s]) for s in range(n)))
         assert result.theta.value_basis(p, q, r) == expected
 
 
@@ -224,15 +244,13 @@ def change_of_basis_reconstruction(g, form, ideal: Subspace, comp: Subspace):
     from the inverse of that change of basis, then the pairing
     delta(i)(x) = B(i, lift x) applied to the ideal coordinates."""
     n2, k = g.dim, ideal.dim
-    _, proj = quotient(g, ideal)
-    lift = Mat.from_cols(list(comp.basis)) @ inverse(
-        Mat.from_cols([proj.apply(b) for b in comp.basis]))
+    _, proj = oracle.quotient(g, ideal)
+    ls = lifts(g, ideal, comp)
     cinv = inverse(Mat.from_cols(list(comp.basis) + list(ideal.basis)))
     ideal_coords = Mat.sparse(n2, cinv.row_vecs[k:])
-    delta = Mat.from_rows([[form.eval(ideal.basis[c], lift.col(r)) for c in range(k)]
+    delta = Mat.from_rows([[form.eval(ideal.basis[c], ls[r]) for c in range(k)]
                            for r in range(k)], cols=k)
-    lifts = [lift.col(p) for p in range(k)]
-    table = {(p, q, r): delta.apply(ideal_coords.apply(g.bracket(lifts[p], lifts[q], lifts[r])))
+    table = {(p, q, r): delta.apply(ideal_coords.apply(oracle.bracket(g, ls[p], ls[q], ls[r])))
              for p, q, r in increasing_triples(k)}
     return Cocycle(k, k, table), Mat.sparse(n2, proj.row_vecs + (delta @ ideal_coords).row_vecs)
 
@@ -240,7 +258,7 @@ def change_of_basis_reconstruction(g, form, ideal: Subspace, comp: Subspace):
 @settings(max_examples=20)
 @given(tstar_cases())
 def test_reconstruction_matches_the_change_of_basis_construction(case):
-    g, form, ideal, comp, _ = case
+    g, form, ideal, comp = case
     result = reconstruct_t_star(g, form, ideal, comp)
     theta, sigma = change_of_basis_reconstruction(
         g, form, ideal, comp or isotropic_complement(form, ideal))

@@ -45,7 +45,7 @@ from hom3lie.extensions import (
     verify_metric,
 )
 from hom3lie.fixtures import a4, catalog
-from hom3lie.linalg import Mat, Vec
+from hom3lie.linalg import Mat, Vec, inverse
 from hom3lie.representations import (
     Representation,
     adjoint_rep,
@@ -135,6 +135,31 @@ factors = st.builds(Fraction, st.sampled_from([1, -1, 2, -5]), st.sampled_from(D
 
 def rescaled_bracket(L: Hom3LieAlgebra, c: Fraction, twist: Mat) -> Hom3LieAlgebra:
     return Hom3LieAlgebra(L.dim, {key: v.scale(c) for key, v in L.table.items()}, twist)
+
+
+@st.composite
+def conjugations(draw, n: int):
+    """An invertible map phi and its inverse: a unit lower times a unit upper
+    triangular matrix, each with up to n off-diagonal entries +-1 or +-2
+    over 3, 7 or 11, so that what phi carries gets its own denominators."""
+    entry = st.builds(Fraction, st.sampled_from([1, -1, 2, -2]), st.sampled_from([3, 7, 11]))
+    phi = Mat.identity(n)
+    for below in (True, False):
+        rows = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+        cells = [(r, c) for r in range(n) for c in range(n) if r != c and (r > c) == below]
+        for r, c in draw(st.lists(st.sampled_from(cells), max_size=n)) if cells else ():
+            rows[r][c] = draw(entry)
+        phi = phi @ Mat.from_rows(rows)
+    return phi, inverse(phi)
+
+
+def carried(L: Hom3LieAlgebra, phi: Mat, psi: Mat) -> Hom3LieAlgebra:
+    """L carried along phi, psi its inverse: [x, y, z] -> phi [psi x, psi y, psi z]
+    and alpha -> phi alpha psi, an isomorphic algebra."""
+    cols = [psi.col(i) for i in range(L.dim)]
+    table = {(i, j, k): phi.apply(L.bracket(cols[i], cols[j], cols[k]))
+             for i, j, k in increasing_triples(L.dim)}
+    return Hom3LieAlgebra(L.dim, table, phi @ L.twist @ psi)
 
 
 @st.composite
