@@ -13,7 +13,12 @@ the double of A4y + L3 along a coboundary that is not cyclic, with more
 witnesses than it keeps; ``derivations`` runs on A4y + L3 (A4y the Yau
 twist of A4 by a dense rotation) at grades -1 to 2, with and without
 ``--inner`` and ``--output``, on L3, on a singular twist at a negative
-grade and past ``--max-k``.  The test replays each line through
+grade and past ``--max-k``; ``extend derivation`` also runs, as text and
+as ``--json``, on A4y and on A4y + L3 with an accepted D (the first basis
+vector of the grade-1 derivations) and a rejected one, and with D = 0 on
+L3 with a twist it does not commute with and on A4 with a shear twist,
+which fails hom-Jacobi, so that their hom-Jacobi and multiplicativity
+witnesses, not skewness ones, reach the output.  The test replays each line through
 ``cli.main`` in a directory holding the inputs, with relative paths, so
 that no digest depends on where the directory is.
 
@@ -37,6 +42,7 @@ from pathlib import Path
 
 from hom3lie.algebras import Hom3LieAlgebra, direct_sum, increasing_triples
 from hom3lie.cli import main
+from hom3lie.derivations import derivation_space
 from hom3lie.extensions import Cocycle, coboundary, cyclic_part, t_star_extension
 from hom3lie.fixtures import a4, l3, l3h
 from hom3lie.io import (
@@ -111,6 +117,14 @@ DERIVATIONS = [
     for k in (-1, 0, 1, 2)
     for inner in ([], ["--inner"])
 ] + [["L3.json", "--k", "0"], ["L3-singular.json", "--k", "-1"], ["A4yL3.json", "--k", "4"]]
+DERIVATION_EXTENSIONS = (
+    ["A4y.json", "D-A4y.json"],
+    ["A4y.json", "D-A4y-bad.json"],
+    ["A4yL3.json", "D-A4yL3.json"],
+    ["A4yL3.json", "D-A4yL3-bad.json"],
+    ["L3-nonmult.json", "D-zero.json"],
+    ["A4-shear.json", "D-zero-4.json"],
+)
 CASES = [
     [*mode, "extend", kind, *inputs, *out]
     for kind, scenarios in EXTEND.items()
@@ -129,7 +143,9 @@ CASES = [
     for args in DERIVATIONS
     for mode in ([], ["--json"])
     for out in ([], ["--output", "out.json"])
-] + [[*mode, "--max-k", "1", "derivations", "A4yL3.json", "--k", "-2"] for mode in ([], ["--json"])]
+] + [[*mode, "--max-k", "1", "derivations", "A4yL3.json", "--k", "-2"] for mode in ([], ["--json"])] + [
+    [*mode, "extend", "derivation", *inputs] for inputs in DERIVATION_EXTENSIONS for mode in ([], ["--json"])
+]
 
 
 def yau_twisted_a4() -> Hom3LieAlgebra:
@@ -144,19 +160,33 @@ def yau_twisted_a4() -> Hom3LieAlgebra:
     return Hom3LieAlgebra(4, {key: alpha.apply(v) for key, v in a4().table.items()}, alpha)
 
 
+def elementary(n: int, r: int, c: int) -> Mat:
+    """The n x n matrix with a single 1 at row r, column c."""
+    return Mat.from_rows([[int((i, j) == (r, c)) for j in range(n)] for i in range(n)])
+
+
 def write_inputs(d: Path) -> None:
-    L, A = l3(), a4()
+    L, A, Ay = l3(), a4(), yau_twisted_a4()
+    Ay3 = direct_sum(Ay, L)
     nonmult = algebra_to_dict(L)
     nonmult["alpha"] = [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "1"]]
     files = {
         "L3.json": algebra_to_dict(L),
         "L3-singular.json": algebra_to_dict(l3h(0)),
-        "A4yL3.json": algebra_to_dict(direct_sum(yau_twisted_a4(), L)),
+        "A4yL3.json": algebra_to_dict(Ay3),
+        "A4y.json": algebra_to_dict(Ay),
         "A4.json": algebra_to_dict(A),
+        "A4-shear.json": algebra_to_dict(Hom3LieAlgebra(4, A.table, Mat.identity(4) + elementary(4, 0, 1))),
         "L3-nonmult.json": nonmult,
         "D.json": matrix_to_dict(Mat.diagonal([0, 1, -1])),
-        "D-bad.json": matrix_to_dict(Mat.from_rows([[0, 0, 0], [1, 0, 0], [0, 0, 0]])),
+        "D-bad.json": matrix_to_dict(elementary(3, 1, 0)),
         "D-2x2.json": matrix_to_dict(Mat.identity(2)),
+        "D-A4y.json": matrix_to_dict(derivation_space(Ay, 1).basis[0]),
+        "D-A4y-bad.json": matrix_to_dict(elementary(4, 1, 0)),
+        "D-A4yL3.json": matrix_to_dict(derivation_space(Ay3, 1).basis[0]),
+        "D-A4yL3-bad.json": matrix_to_dict(elementary(7, 1, 0)),
+        "D-zero.json": matrix_to_dict(Mat.zero(3, 3)),
+        "D-zero-4.json": matrix_to_dict(Mat.zero(4, 4)),
         "rep-zero.json": representation_to_dict(
             Representation(3, 2, Mat.identity(2), {}), "L3-nonmult.json"),
         "rep-bad.json": representation_to_dict(
@@ -176,7 +206,7 @@ def write_inputs(d: Path) -> None:
         "complement.json": subspace_to_dict(Subspace.span(8, [Vec.basis(8, i) for i in range(4)])),
         "ideal-short.json": subspace_to_dict(Subspace.span(8, dual[:2])),
     })
-    base = direct_sum(yau_twisted_a4(), L)
+    base = Ay3
     alpha, n = base.twist, base.dim
     f = alpha.scale(2) + Mat.identity(n) - alpha @ alpha
     raw = Cocycle(n, n, {key: Vec(tuple((sum(key) + 2 * l) % 5 - 2 for l in range(n)))
