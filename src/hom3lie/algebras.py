@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import DimensionMismatch, IdealRequired
 from .linalg import Mat, Subspace, Vec, pruned, rank, rational, subspace_contains
@@ -170,32 +170,6 @@ class Sweep:
     def violations(self, identity: str) -> list[Violation]:
         return [Violation(identity, m, *(sides if s == 1 else [-v for v in sides]))
                 for m, s, sides in self.kept]
-
-
-def skew_violations(dim: int, value_at: Callable[[int, int, int], Vec]) -> Sweep:
-    """Check a full ordered-triple table for skew-symmetry.
-
-    ``value_at`` gives the table on arbitrary ordered basis triples.
-    Repeated indices must yield zero; permutations must flip sign.
-    """
-    w = Sweep()
-    perms = signed_perms(3)
-    for i, j, k in itertools.product(range(dim), repeat=3):
-        if len({i, j, k}) < 3:
-            v = value_at(i, j, k)
-            if not v.is_zero():
-                w.add((i, j, k), v, Vec.zero(len(v)))
-            continue
-        if not (i < j < k):
-            continue
-        base = value_at(i, j, k)
-        for p, sign in perms:
-            perm = tuple((i, j, k)[t] for t in p)
-            expected = base if sign == 1 else -base
-            got = value_at(*perm)
-            if got != expected:
-                w.add(perm, got, expected)
-    return w
 
 
 def _rational(w: Sweep, identity: str, n: int, scale: int) -> tuple[Violation, ...]:

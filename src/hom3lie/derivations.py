@@ -13,21 +13,24 @@ are available exactly when the twist is an algebra automorphism.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Iterator
 
 from .algebras import (
     MAX_WITNESSES,
     AlgebraReport,
     Hom3LieAlgebra,
     Sweep,
+    _bracket_images,
+    _rational,
     increasing_triples,
-    skew_violations,
+    verify_hom_jacobi,
     verify_regular,
 )
 from .errors import DimensionMismatch, FixedPointRequired, RegularTwistRequired
-from .linalg import Mat, Subspace, Vec, nullspace, pruned, subspace_contains
-from .sparse import cleared
+from .linalg import Mat, Subspace, Support, Vec, nullspace, pruned, subspace_contains
+from .sparse import add_matvec, cleared, matvec, signed_perms
 
 
 def twist_power(L: Hom3LieAlgebra, k: int) -> Mat:
@@ -44,18 +47,34 @@ def commutator(d: Mat, dp: Mat) -> Mat:
     return d @ dp - dp @ d
 
 
+def _leibniz(L: Hom3LieAlgebra, d: Mat, k: int) -> tuple[int, Iterator]:
+    """A scale s and, for i < j < k, (i, j, k) with both sides of the grade-k
+    Leibniz rule as int supports, s times theirs: D B_ijk, and the twisted
+    actions T_jk D e_i + T_ki D e_j + T_ij D e_k as in :func:`derivation_space`.
+
+    With D and a^k cleared together to D~/c and A~/c and B = B~/b
+    (:func:`cleared`), c^2 D~ B~ and the actions of A~ on D~ are b c^3 times theirs.
+    """
+    n = L.dim
+    (akcols, dcols), c = cleared([twist_power(L, k).col(i).support for i in range(n)],
+                                 [d.col(i).support for i in range(n)])
+    alt, b = L.alt.integral
+    t = alt.pairs(akcols)
+    lcols = {i: {r: c * c * x for r, x in col.items()} for i, col in enumerate(dcols)}
+
+    def sides(i: int, j: int, kk: int) -> tuple:
+        acc: dict = {}
+        for m, col in ((t[j, kk], dcols[i]), (t[kk, i], dcols[j]), (t[i, j], dcols[kk])):
+            add_matvec(acc, m, col)
+        return (i, j, kk), matvec(lcols, alt.get(i, j, kk)), pruned(acc)
+    return b * c ** 3, (sides(*key) for key in increasing_triples(n))
+
+
 def is_alpha_k_derivation(L: Hom3LieAlgebra, d: Mat, k: int) -> bool:
     """Decide the grade-k derivation property for a multiplicative algebra."""
     if (d.rows, d.cols) != (L.dim, L.dim):
         raise DimensionMismatch("derivation candidate has the wrong shape")
-    if d @ L.twist != L.twist @ d:
-        return False
-    ak = twist_power(L, k)
-    akc = [ak.col(i) for i in range(L.dim)]
-    dc = [d.col(i) for i in range(L.dim)]
-    return all(d.apply(L.bracket_basis(i, j, kk)) == L.bracket(dc[i], akc[j], akc[kk])
-               + L.bracket(akc[i], dc[j], akc[kk]) + L.bracket(akc[i], akc[j], dc[kk])
-               for i, j, kk in increasing_triples(L.dim))
+    return d @ L.twist == L.twist @ d and all(lhs == rhs for _, lhs, rhs in _leibniz(L, d, k)[1])
 
 
 @dataclass(frozen=True)
@@ -159,31 +178,37 @@ def inner_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
     return DerivationSpace(k, n, tuple(Mat.unvectorize(n, n, v) for v in span.basis))
 
 
+def _slot_term(m: Mat, i: int, j: int, k: int) -> Support:
+    """[i=n] m e_j + [j=n] m e_k - [k=n] m e_i, with n = m.cols and m e_n = 0:
+    a term needs n in its slot and an index below n in the next, so at
+    most one term is nonzero."""
+    for sign, x, y in ((1, i, j), (1, j, k), (-1, k, i)):
+        if x == m.cols > y:
+            return {t: sign * a for t, a in m.col(y).support.items()}
+    return {}
+
+
 @dataclass(frozen=True)
 class DerivationExtension:
     """One-dimensional extension of an algebra by a candidate derivation.
 
-    The bracket on L + <D> is the literal rule
+    The bracket on L + <D>, D the last basis vector e_n, is the literal rule
 
         [u + l D, v + m D, w + n D] = [u, v, w] + l D(v) + m D(w) - n D(u)
 
-    evaluated by :meth:`rule` and stored on all ordered basis triples as
-    a dense table.  Two quirks of the rule are kept visible instead of
-    being repaired: it is not skew-symmetric for nonzero D (swapping the
-    first two slots does not negate it), and it is not trilinear (the
-    l D(v) term is constant in the third slot), so the table, read by
-    :meth:`value`, describes the rule on basis vectors only.
+    evaluated by :meth:`rule`.  Two quirks of the rule are kept visible
+    instead of being repaired: it is not skew-symmetric for nonzero D
+    (swapping the first two slots does not negate it), and it is not
+    trilinear (the l D(v) term is constant in the third slot), so
+    :meth:`value` describes the rule on basis vectors only.
     """
 
     base: Hom3LieAlgebra
     derivation: Mat
-    values: tuple[tuple[tuple[Vec, ...], ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        basis = [Vec.basis(self.dim, i) for i in range(self.dim)]
-        values = tuple(tuple(tuple(self.rule(x, y, z) for z in basis) for y in basis)
-                       for x in basis)
-        object.__setattr__(self, "values", values)
+        if (self.derivation.rows, self.derivation.cols) != (self.base.dim, self.base.dim):
+            raise DimensionMismatch("derivation candidate has the wrong shape")
 
     @property
     def dim(self) -> int:
@@ -194,7 +219,9 @@ class DerivationExtension:
         return self.base.twist.block_diag(Mat.identity(1))
 
     def value(self, i: int, j: int, k: int) -> Vec:
-        return self.values[i][j][k]
+        """:meth:`rule` on basis vectors, B_ijk + [i=n] D e_j + [j=n] D e_k - [k=n] D e_i,
+        B_ijk taken only when i, j, k < n (``alt.get`` is empty on keys holding n)."""
+        return Vec.sparse(self.dim, _slot_term(self.derivation, i, j, k) or self.base.alt.get(i, j, k))
 
     def _split(self, v: Vec) -> tuple[Vec, Fraction]:
         n = self.base.dim
@@ -221,69 +248,67 @@ class DerivationExtension:
 def derivation_extension(L: Hom3LieAlgebra, d: Mat) -> tuple[DerivationExtension, AlgebraReport]:
     """Extend a multiplicative algebra by D and verify the construction.
 
-    All sweeps evaluate the literal defining rule (:meth:`DerivationExtension.rule`),
-    matching the quantities the extension theorem actually computes.
-    The returned report:
+    Every sweep is :meth:`DerivationExtension.rule` on basis vectors, in
+    the closed form of :meth:`DerivationExtension.value`, with the twist
+    a' = a + 1 (a' e_n = e_n), each in lexicographic order:
 
-    * ``multiplicative_ok`` sweeps the extended twist over every ordered
-      basis triple, which (for multiplicative L) amounts to D commuting
-      with the twist;
-    * ``hom_jacobi_ok`` is the theorem's verdict: the pure-L hom-Jacobi
-      sweep, the sweep obtained by placing D in the second slot (the
-      grade-1 twisted Leibniz rule), and the multiplicativity sweep must
-      all hold, so the flag is true exactly when D is a grade-1
-      derivation of L;
-    * ``skew_ok`` reports the literal table's skewness, which fails for
-      every nonzero D.
+    * ``skew_ok``: skewness of the value table, false for every nonzero D;
+    * ``multiplicative_ok``: a' [e_i, e_j, e_k] against the rule on the
+      a'-images, for all ordered triples.  Below n both are L's and
+      alternating, so L's i < j < k give every ordering (:class:`Sweep`);
+      on a triple holding n they are the closed form with a D and with D a;
+    * ``hom_jacobi_ok``: the theorem's verdict, the hom-Jacobi instances
+      (x, y, u, v, w) with u < v < w below n and (x, y) ordered below n
+      or y = n, and multiplicativity: true exactly when D is a grade-1
+      derivation.  Below n the instances are L's (:func:`verify_hom_jacobi`).
+      With y = n, [a' e_x, e_n, B_uvw] = D B_uvw and [e_x, e_n, e_t] = D e_t
+      whether x is n or not, so each of the n + 1 values of x gives the
+      grade-1 Leibniz rule on (u, v, w) (:func:`_leibniz`).
 
-    A full hom-Jacobi sweep over the non-skew table is intentionally not
-    used: instantiations with D in the *first* slot reduce to
-    D(alpha(y)) = [D y, a v, a w] + [a u, D y, a w] + [a u, a v, D y],
-    which already fails for nonzero D on abelian algebras, so it is not
-    the identity the construction is designed to satisfy.
+    The instances with D in the *first* slot are left out on purpose: they
+    reduce to D(alpha(y)) = [D y, a v, a w] + [a u, D y, a w] + [a u, a v, D y],
+    which fails for nonzero D even on abelian algebras.
     """
-    n = L.dim
-    if (d.rows, d.cols) != (n, n):
-        raise DimensionMismatch("derivation candidate has the wrong shape")
-    nn = n + 1
     ext = DerivationExtension(L, d)
-    twist = ext.twist
+    n, nn = L.dim, L.dim + 1
+    skew = Sweep()  # off n the values are L's, skew by construction
+    for key in itertools.product(range(nn), repeat=3):
+        if len(set(key)) < 3 and (v := ext.value(*key)).support:
+            skew.add(key, v, Vec.zero(nn))
+        elif key[0] < key[1] < key[2] == n:
+            for p, sign in signed_perms(3):
+                perm = tuple(key[t] for t in p)
+                if (got := ext.value(*perm)) != (want := ext.value(*key).scale(sign)):
+                    skew.add(perm, got, want)
 
-    skew = skew_violations(nn, ext.value)
-
-    mult = Sweep()
-    tcols = [twist.col(i) for i in range(nn)]
-    for i, j, k in itertools.product(range(nn), repeat=3):
-        lhs = twist.apply(ext.value(i, j, k))
-        rhs = ext.rule(tcols[i], tcols[j], tcols[k])
+    below, at_n = Sweep(3), Sweep()
+    scale, images = _bracket_images(L.twist, L, L)
+    for key, lhs, rhs in images:
         if lhs != rhs:
-            mult.add((i, j, k), lhs, rhs)
+            below.add(key, lhs, rhs)
+    ad, da = L.twist @ d, d @ L.twist
+    for key in itertools.product(range(nn), repeat=3):
+        if (lhs := _slot_term(ad, *key)) != (rhs := _slot_term(da, *key)):
+            at_n.add(key, Vec.sparse(nn, lhs), Vec.sparse(nn, rhs))
+    mult = sorted(_rational(below, "multiplicative", nn, scale)
+                  + tuple(at_n.violations("multiplicative")), key=lambda v: v.indices)
 
-    jac = Sweep()
-    dslot = n  # basis index of D inside the extension
-    for a in range(nn):
-        second_slots = list(range(n)) if a < n else []
-        second_slots.append(dslot)
-        for b in second_slots:
-            for u, v, w in increasing_triples(n):
-                inner = ext.value(u, v, w)
-                lhs = ext.rule(tcols[a], tcols[b], inner)
-                rhs = (
-                    ext.rule(ext.value(a, b, u), tcols[v], tcols[w])
-                    + ext.rule(tcols[u], ext.value(a, b, v), tcols[w])
-                    + ext.rule(tcols[u], tcols[v], ext.value(a, b, w))
-                )
-                if lhs != rhs:
-                    jac.add((a, b, u, v, w), lhs, rhs)
-
-    hom_jacobi_ok = jac.clean and mult.clean
-    witnesses = (skew.violations("skew") + jac.violations("hom_jacobi")
-                 + mult.violations("multiplicative"))
-    report = AlgebraReport(
+    own, leibniz = verify_hom_jacobi(L), Sweep()
+    scale, residuals = _leibniz(L, d, 1)
+    for key, lhs, rhs in residuals:
+        if lhs != rhs:
+            leibniz.add(key, lhs, rhs)
+    rows = _rational(leibniz, "hom_jacobi", nn, scale)
+    jac = sorted([replace(v, left=Vec.sparse(nn, v.left.support), right=Vec.sparse(nn, v.right.support))
+                  for v in own.violations]
+                 + [replace(v, indices=(x, n, *v.indices)) for x in range(nn) for v in rows],
+                 key=lambda v: v.indices)
+    jac_total = own.violations_total + nn * leibniz.total
+    mult_total = below.total + at_n.total
+    return ext, AlgebraReport(
         skew_ok=skew.clean,
-        hom_jacobi_ok=hom_jacobi_ok,
-        multiplicative_ok=mult.clean,
-        violations=tuple(witnesses[:MAX_WITNESSES]),
-        violations_total=skew.total + jac.total + mult.total,
+        hom_jacobi_ok=jac_total == 0 and mult_total == 0,
+        multiplicative_ok=mult_total == 0,
+        violations=tuple((skew.violations("skew") + jac + mult)[:MAX_WITNESSES]),
+        violations_total=skew.total + jac_total + mult_total,
     )
-    return ext, report

@@ -7,7 +7,10 @@ bracket, action and cocycle value is evaluated from the stored increasing-key ta
 its skew multilinear extension, one basis tuple of the arguments'
 supports at a time, with no twisted actions computed ahead.  They share no evaluation
 code with the library, so the library's reports must equal theirs field
-for field, witnesses included.
+for field, witnesses included.  The one exception is the derivation
+extension's oracle, which evaluates the extension's documented meaning,
+``DerivationExtension.rule``, on every basis triple and every twisted
+basis image, where the library reads a closed form and L's own sweeps.
 """
 
 from __future__ import annotations
@@ -237,3 +240,54 @@ def quotient(L, s: Subspace) -> tuple[Hom3LieAlgebra, Mat]:
              for a, b, c in increasing_triples(len(comp))}
     twist = Mat.from_cols([proj.apply(L.twist.col(g)) for g in comp]) if comp else Mat.zero(0, 0)
     return Hom3LieAlgebra(len(comp), table, twist), proj
+
+
+def derivation_extension(ext) -> AlgebraReport:
+    """The report of ``derivations.derivation_extension`` from the literal rule.
+
+    Every value and every side is :meth:`DerivationExtension.rule` on basis
+    vectors and their images under ``ext.twist``, over all ordered triples
+    (skewness, multiplicativity) and over the hom-Jacobi instances with
+    (x, y) ordered below n or y = n and u < v < w below n, each in
+    lexicographic order, as the ordered sweeps keep their witnesses.
+    """
+    n, nn = ext.base.dim, ext.dim
+    basis = [Vec.basis(nn, i) for i in range(nn)]
+    tcols = [ext.twist.col(i) for i in range(nn)]
+
+    def value(i: int, j: int, k: int) -> Vec:
+        return ext.rule(basis[i], basis[j], basis[k])
+
+    skew = _Log()
+    for i, j, k in itertools.product(range(nn), repeat=3):
+        if len({i, j, k}) < 3:
+            if not value(i, j, k).is_zero():
+                skew.add(Violation("skew", (i, j, k), value(i, j, k), Vec.zero(nn)))
+        elif i < j < k:
+            for perm in itertools.permutations((i, j, k)):
+                expected = skew_value({(i, j, k): value(i, j, k)}, Vec.zero(nn), perm)
+                if value(*perm) != expected:
+                    skew.add(Violation("skew", perm, value(*perm), expected))
+    mult = _Log()
+    for i, j, k in itertools.product(range(nn), repeat=3):
+        lhs = ext.twist.apply(value(i, j, k))
+        rhs = ext.rule(tcols[i], tcols[j], tcols[k])
+        if lhs != rhs:
+            mult.add(Violation("multiplicative", (i, j, k), lhs, rhs))
+    jac = _Log()
+    for a in range(nn):
+        for b in (list(range(n)) if a < n else []) + [n]:
+            for u, v, w in increasing_triples(n):
+                lhs = ext.rule(tcols[a], tcols[b], value(u, v, w))
+                rhs = (ext.rule(value(a, b, u), tcols[v], tcols[w])
+                       + ext.rule(tcols[u], value(a, b, v), tcols[w])
+                       + ext.rule(tcols[u], tcols[v], value(a, b, w)))
+                if lhs != rhs:
+                    jac.add(Violation("hom_jacobi", (a, b, u, v, w), lhs, rhs))
+    return AlgebraReport(
+        skew_ok=skew.total == 0,
+        hom_jacobi_ok=jac.total == 0 and mult.total == 0,
+        multiplicative_ok=mult.total == 0,
+        violations=tuple((skew.items + jac.items + mult.items)[:MAX_WITNESSES]),
+        violations_total=skew.total + jac.total + mult.total,
+    )

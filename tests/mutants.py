@@ -176,6 +176,18 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("derivation-action-only-coordinates-dropped", "derivations.py",
      "rows += by_out.values()", "rows += by_out.values() if bval else []",
      (DERIVATIONS,)),
+    ("leibniz-left-side-without-c-squared", "derivations.py",
+     "{r: c * c * x for r, x in col.items()}", "{r: x for r, x in col.items()}",
+     (DERIVATIONS,)),
+    ("extension-d-e-i-sign", "derivations.py",
+     "(-1, k, i)", "(1, k, i)",
+     (DERIVATIONS,)),
+    ("extension-d-slot-twist-not-identity", "derivations.py",
+     "block_diag(Mat.identity(1))", "block_diag(Mat.identity(1).scale(2))",
+     (DERIVATIONS,)),
+    ("extension-leibniz-failures-counted-once", "derivations.py",
+     "nn * leibniz.total", "leibniz.total",
+     (DERIVATIONS,)),
 )
 
 

@@ -15,7 +15,6 @@ from hom3lie.algebras import (
     is_morphism,
     is_subalgebra,
     quotient,
-    skew_violations,
     subspace_bracket,
     verify_hom_jacobi,
     verify_multiplicative,
@@ -216,21 +215,6 @@ def test_subspace_bracket_matches_the_span_of_all_ordered_triples(L, data):
                   (s, same, s), (s, s, s), (full, full, full)):
         ordered = [L.bracket(a, b, c) for a, b, c in itertools.product(*(x.basis for x in slots))]
         assert subspace_bracket(L, *slots) == Subspace.span(n, ordered)
-
-
-def test_skew_validator_accepts_the_stored_extension():
-    L = a4()
-    w = skew_violations(4, L.bracket_basis)
-    assert w.clean
-
-
-def test_skew_validator_flags_a_nonskew_table():
-    vals = {(0, 1, 0): Vec.of(1, 0)}
-
-    def value_at(i, j, k):
-        return vals.get((i, j, k), Vec.zero(2))
-
-    assert not skew_violations(2, value_at).clean
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -3,10 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import dense_elimination
+import dense_oracle as oracle
 from conftest import random_mat
 from hom3lie.algebras import Hom3LieAlgebra, direct_sum, increasing_triples, verify_regular
 from hom3lie.derivations import (
+    DerivationExtension,
     commutator,
     derivation_extension,
     derivation_space,
@@ -17,7 +22,7 @@ from hom3lie.derivations import (
     twist_power,
 )
 from hom3lie.errors import DimensionMismatch, FixedPointRequired, RegularTwistRequired
-from hom3lie.fixtures import ab3, ab3s, l3, l3h, n4
+from hom3lie.fixtures import ab3, ab3s, catalog, l3, l3h, n4
 from hom3lie.linalg import Mat, Subspace, Vec
 
 
@@ -239,3 +244,63 @@ def test_derivation_extension_literal_values():
     assert ext.value(3, 1, 2) == Vec.of(0, 1, 0, 0)
     assert ext.value(1, 2, 3) == Vec.of(0, -1, 0, 0)
     assert ext.value(0, 1, 2) == Vec.of(1, 0, 0, 0)
+
+
+def test_derivation_extension_rejects_a_map_of_the_wrong_shape():
+    for d in (Mat.identity(2), Mat.zero(3, 2), Mat.identity(4)):
+        with pytest.raises(DimensionMismatch):
+            DerivationExtension(l3(), d)
+        with pytest.raises(DimensionMismatch):
+            derivation_extension(l3(), d)
+
+
+# entries over the denominators 1, 3 and 7, so that a wrong scale shows
+entries = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 3, 7)))
+
+
+@st.composite
+def extension_cases(draw):
+    """A catalog algebra of dimension at most 5, or an alternating bracket of
+    dimension 2 to 5 with a multiplicative twist (I, -I or 0) or a drawn one,
+    and a D that is 0, drawn, nonzero only in its last column or a drawn
+    combination of grade-1 derivations.  Any nonzero D breaks skewness; a D
+    nonzero only at e_(n-1) breaks it on 6 + 3 (n - 1) ordered triples,
+    fewer than the kept witnesses for n = 3 and 4, so that Leibniz and
+    multiplicativity witnesses still reach them."""
+    small = [L for L in catalog().values() if L.dim <= 5]
+    if draw(st.booleans()):
+        L = draw(st.sampled_from(small))
+    else:
+        n = draw(st.integers(2, 5))
+        keys = draw(st.lists(st.sampled_from(list(increasing_triples(n))), max_size=3,
+                             unique=True)) if n > 2 else []
+        table = {key: Vec(tuple(draw(st.lists(entries, min_size=n, max_size=n)))) for key in keys}
+        twist = draw(st.sampled_from([Mat.identity(n), Mat.identity(n).scale(-1), Mat.zero(n, n),
+                                      Mat.from_rows([[draw(entries) for _ in range(n)] for _ in range(n)])]))
+        L = Hom3LieAlgebra(n, table, twist)
+    n = L.dim
+    kind = draw(st.sampled_from(["zero", "drawn", "column", "derivation"]))
+    if kind == "zero":
+        return L, Mat.zero(n, n)
+    if kind == "drawn":
+        return L, Mat.from_rows([[draw(entries) for _ in range(n)] for _ in range(n)])
+    if kind == "column":
+        return L, Mat.from_rows([[draw(entries) if c == n - 1 else 0 for c in range(n)] for _ in range(n)])
+    d = Mat.zero(n, n)
+    for b in derivation_space(L, 1).basis:
+        d = d + b.scale(draw(entries))
+    return L, d
+
+
+@settings(max_examples=80)
+@given(extension_cases())
+def test_derivation_extension_matches_the_literal_rule_sweeps(case):
+    """Report and values against the rule on every basis triple: the closed
+    form, L's hom-Jacobi and multiplicativity sweeps and the Leibniz residual
+    must give the literal sweeps' flags, totals and witnesses, in order."""
+    L, d = case
+    ext, report = derivation_extension(L, d)
+    assert report == oracle.derivation_extension(ext)
+    basis = [Vec.basis(ext.dim, i) for i in range(ext.dim)]
+    for i, j, k in itertools.product(range(ext.dim), repeat=3):
+        assert ext.value(i, j, k) == ext.rule(basis[i], basis[j], basis[k])
