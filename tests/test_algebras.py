@@ -20,6 +20,7 @@ from hom3lie.algebras import (
     verify_multiplicative,
     verify_regular,
 )
+from hom3lie.derivations import derivation_extension
 from hom3lie.errors import DimensionMismatch, IdealRequired
 from hom3lie.extensions import Cocycle, cyclic_part, t_star_extension
 from hom3lie.fixtures import a4, ab3, ab3s, catalog, l3, l3h, n4
@@ -215,6 +216,27 @@ def test_subspace_bracket_matches_the_span_of_all_ordered_triples(L, data):
                   (s, same, s), (s, s, s), (full, full, full)):
         ordered = [L.bracket(a, b, c) for a, b, c in itertools.product(*(x.basis for x in slots))]
         assert subspace_bracket(L, *slots) == Subspace.span(n, ordered)
+
+
+def test_skew_validator_accepts_the_stored_extension():
+    """With D = 0 the extension's table is A4's, padded by zeros, and skew."""
+    ext, report = derivation_extension(a4(), Mat.zero(4, 4))
+    assert report.skew_ok
+    assert not [v for v in report.violations if v.identity == "skew"]
+    for i, j, k in itertools.product(range(5), repeat=3):
+        want = oracle.bracket_basis(a4(), i, j, k).concat(Vec.zero(1)) if 4 not in (i, j, k) else Vec.zero(5)
+        assert ext.value(i, j, k) == want
+
+
+def test_skew_validator_flags_a_nonskew_table():
+    """A nonzero D breaks skewness; the first witness is the repeated index (0, 0, n)."""
+    d = Mat.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    ext, report = derivation_extension(l3(), d)
+    assert not report.skew_ok
+    first = report.violations[0]
+    assert (first.identity, first.indices) == ("skew", (0, 0, 3))
+    assert first.left == ext.value(0, 0, 3) == -Vec.basis(4, 0)
+    assert first.right == Vec.zero(4)
 
 
 @given(st.integers(0, 2**32 - 1))
