@@ -32,7 +32,7 @@ from .representations import (
     coadjoint_rep,
     verify_representation,
 )
-from .sparse import AltTable, cleared, matvec, signed_perms, unflatten
+from .sparse import AltTable, cleared, matvec, signed_perms
 
 
 @dataclass(frozen=True)
@@ -125,15 +125,16 @@ def verify_cocycle(L: Hom3LieAlgebra, r: Representation, th: Cocycle) -> Cocycle
     n, m = L.dim, r.module_dim
     if th.algebra_dim != n or r.algebra_dim != n or th.module_dim != m:
         raise DimensionMismatch("algebra, representation and cocycle dimensions must agree")
-    (alt, ralt, talt), _ = cleared(L.alt, r.alt, th.alt)
+    theta = AltTable(3, n, n + m, {k: Vec.zero(n).concat(v) for k, v in th.table.items()}, "cocycle")
+    (alt, ralt, talt), _ = cleared(L.alt, r.alt, theta)
     (acols,), _ = cleared([L.twist.col(i).support for i in range(n)])
-    joint = {key: {**alt.get(*key), **{n + c: v for c, v in talt.get(*key).items()}}
+    joint = {key: {**alt.get(*key), **talt.get(*key)}
              for key in L.table.keys() | th.table.keys()}  # B_ijk, then theta_ijk
     taa, raa, h = talt.pairs(acols), ralt.pairs(acols), {}
     for p, q in itertools.combinations(range(n), 2):  # [Theta_pq | rho(ap, aq)] on joint
-        block = {**taa[p, q], **{n + c: col for c, col in unflatten(raa[p, q], m).items()}}
-        values = {key: Vec.sparse(m, matvec(block, x)) for key, x in joint.items()}
-        h[p, q] = AltTable(3, n, m, values, "cocycle identity").get
+        block = {**taa[p, q], **raa[p, q]}  # values on L + V, in V's coordinates
+        values = {key: Vec.sparse(n + m, matvec(block, x)) for key, x in joint.items()}
+        h[p, q] = AltTable(3, n, n + m, values, "cocycle identity").get
     log = Sweep(3, 2)
     for x, y, z, u, v in log.reps(n):
         acc: dict = {}
@@ -151,6 +152,8 @@ def coboundary(L: Hom3LieAlgebra, r: Representation, f: Mat) -> Cocycle:
         theta_f(x,y,z) = f([x,y,z]) - rho(x,y) f(z) - rho(z,x) f(y) - rho(y,z) f(x).
     """
     n = L.dim
+    if r.algebra_dim != n:
+        raise DimensionMismatch("representation is over a different algebra dimension")
     if f.cols != n or f.rows != r.module_dim:
         raise DimensionMismatch("coboundary map has the wrong shape")
     fc = [f.col(i) for i in range(n)]

@@ -27,7 +27,7 @@ from typing import Optional
 from .algebras import MAX_WITNESSES, Hom3LieAlgebra, Sweep
 from .errors import DimensionMismatch, RepresentationInvalid
 from .linalg import Mat, Support, Vec, pruned
-from .sparse import AltTable, SparseMat, add_matvec, cleared, matvec, unflatten
+from .sparse import AltTable, SparseMat, add_matvec, cleared, matvec
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,9 @@ class Representation:
 
     ``table`` maps increasing 0-based pairs (i, j) to the endomorphism
     rho(e_i, e_j); zero matrices are omitted.  ``twist`` is the module
-    twist A.  ``alt`` is the sparse alternating table of the action,
-    with each matrix flattened row-major.
+    twist A.  ``alt`` is the [L, L, V] block of the semidirect bracket on
+    L + V: with n = algebra_dim, its value on (i, j, n + c) is column c of
+    rho(e_i, e_j), moved to the coordinates n, ..., n + m - 1 of L + V.
     """
 
     algebra_dim: int
@@ -47,24 +48,37 @@ class Representation:
     alt: AltTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = self.module_dim
+        n, m = self.algebra_dim, self.module_dim
         if (self.twist.rows, self.twist.cols) != (m, m):
             raise DimensionMismatch("module twist must be square of the module dimension")
+        cols: dict[tuple[int, int, int], Support] = {}
         for key, mat in self.table.items():
             if (mat.rows, mat.cols) != (m, m):
                 raise DimensionMismatch(f"action value for {key} has the wrong shape")
-        alt = AltTable(2, self.algebra_dim, m * m,
-                       {key: mat.vectorize() for key, mat in self.table.items()}, "action")
-        object.__setattr__(self, "table", {key: self.table[key] for key in alt.values})
-        object.__setattr__(self, "alt", alt)
+            if len(key) != 2 or not 0 <= key[0] < key[1] < n:
+                raise DimensionMismatch(f"action key {key} is not strictly increasing in range")
+            for r, row in enumerate(mat.row_vecs):
+                for c, a in row.support.items():
+                    cols.setdefault((*key, n + c), {})[n + r] = a
+        values = {key: Vec.sparse(n + m, col) for key, col in cols.items()}
+        object.__setattr__(self, "table", {k: v for k, v in self.table.items() if not v.is_zero()})
+        object.__setattr__(self, "alt", AltTable(3, n + m, n + m, values, "action"))
 
     def rho_basis(self, i: int, j: int) -> Mat:
         """rho on two basis vectors, in any order, with sign extension."""
-        return Mat.unvectorize(self.module_dim, self.module_dim, self.alt.basis_value(i, j))
+        return self._mat(self.alt.get(i, j))
 
     def apply(self, x: Vec, y: Vec) -> Mat:
         """Bilinear skew extension rho(x, y) for arbitrary vectors."""
-        return Mat.unvectorize(self.module_dim, self.module_dim, self.alt.evaluate(x, y))
+        if len(x) != self.algebra_dim or len(y) != self.algebra_dim:
+            raise DimensionMismatch("action arguments must match the algebra dimension")
+        return self._mat(self.alt.partial(x.support, y.support))
+
+    def _mat(self, cols: SparseMat) -> Mat:
+        """The module endomorphism of a sparse column matrix on L + V."""
+        n, m = self.algebra_dim, self.module_dim
+        return Mat.sparse(m, [Vec.sparse(m, {r - n: a for r, a in cols.get(n + c, {}).items()})
+                              for c in range(m)]).transpose()
 
 
 @dataclass(frozen=True)
@@ -82,29 +96,26 @@ class RepresentationReport:
         return self.twist_ok and self.bracket_action_ok and self.exchange_ok
 
 
-def _products(m: int, pairs: list[tuple[SparseMat, Support]], start: Support) -> dict:
-    """start + sum of left @ right over ``pairs``, as a row-major accumulator.
-
-    The matrices are m x m: ``left`` is a sparse matrix of columns,
-    ``right`` and ``start`` are row-major flattened supports.
-    """
-    acc = dict(start)
+def _compose(size: int, pairs: list[tuple[SparseMat, SparseMat]],
+             start: Optional[Support] = None) -> Support:
+    """start + sum of left @ right over ``pairs`` on Q^size, pruned, keyed c * size + row."""
+    acc = dict(start or {})
     for left, right in pairs:
-        for idx, v in right.items():
-            k, c = divmod(idx, m)
-            for row, a in left.get(k, {}).items():
-                key = row * m + c
-                acc[key] = acc[key] + a * v if key in acc else a * v
-    return acc
+        for c, col in right.items():
+            for k, v in col.items():
+                for row, a in left.get(k, {}).items():
+                    key = c * size + row
+                    acc[key] = acc[key] + a * v if key in acc else a * v
+    return pruned(acc)
 
 
 def verify_representation(L: Hom3LieAlgebra, r: Representation) -> RepresentationReport:
     """Sweep (R1) over basis pairs and (R2)-(R3) over basis quadruples.
 
-    Matrices are sparse and flattened row-major.  The twisted actions
-    rho(a e_p, a e_q) and Q_u[t] = rho(a e_u, e_t) A are computed once
-    per call, so that rho([x,y,z], a u) A = -sum_t [x,y,z]_t Q_u[t] and
-    rho(a z, [x,y,u]) A = sum_t [x,y,u]_t Q_z[t] are sparse mat-vecs.
+    Matrices are the sparse column matrices on L + V of ``r.alt``.  The
+    twisted actions rho(a e_p, a e_q) and Q_u[t] = rho(a e_u, e_t) A are
+    computed once per call, so rho([x,y,z], a u) A = -sum_t [x,y,z]_t Q_u[t]
+    and rho(a z, [x,y,u]) A = sum_t [x,y,u]_t Q_z[t] are sparse mat-vecs.
 
     Symmetries (:class:`Sweep`): (R1) is skew in (x, y); (R2) alternating
     in (x, y, z), its right side a cyclic sum of terms skew in two slots;
@@ -117,34 +128,33 @@ def verify_representation(L: Hom3LieAlgebra, r: Representation) -> Representatio
     """
     if r.algebra_dim != L.dim:
         raise DimensionMismatch("representation is over a different algebra dimension")
-    n, m = L.dim, r.module_dim
+    n, size = L.dim, r.alt.dim
     (alt, ralt), _ = cleared(L.alt, r.alt)
-    (acols, [a_flat]), d = cleared([L.twist.col(i).support for i in range(n)],
-                                   [r.twist.vectorize().support])
-    a_cols = unflatten({k: d * d * v for k, v in a_flat.items()}, m)  # A d^2, for (R1)
-    rho, raa = ralt.get, {key: unflatten(flat, m) for key, flat in ralt.pairs(acols).items()}
-    twisted = [{t: q for t, flat in ralt.partial(a).items()  # t -> rho(a e_u, e_t) A
-                if (q := pruned(_products(m, [(unflatten(flat, m), a_flat)], {})))}
-               for a in acols]
+    (cols,), d = cleared([c.support for c in L.twist.block_diag(r.twist).transpose().row_vecs])
+    acols, a = cols[:n], dict(enumerate(cols[n:], n))  # alpha, and A on L + V
+    ad2 = {c: {t: d * d * v for t, v in col.items()} for c, col in a.items()}  # A d^2, for (R1)
+    rho, raa = ralt.get, ralt.pairs(acols)
+    twisted = [{t: q for t in range(n) if (q := _compose(size, [(ralt.partial(x, {t: 1}), a)]))}
+               for x in acols]  # t -> rho(a e_u, e_t) A
 
     def bracket_action(x: int, y: int, z: int, u: int) -> Support:  # rho([x,y,z], a u) A
         return {k: -v for k, v in matvec(twisted[u], alt.get(x, y, z)).items()}
 
     twist, r2, r3 = Sweep(2), Sweep(3), Sweep(2, 2)
     for i, j in twist.reps(n):
-        lhs = _products(m, [(raa[i, j], a_flat)], {})
-        if pruned(lhs) != pruned(_products(m, [(a_cols, rho(i, j))], {})):
+        if _compose(size, [(raa[i, j], a)]) != _compose(size, [(ad2, rho(i, j))]):
             twist.add((i, j))
     for x, y, z in r2.reps(n):
         for u in range(n):
-            rhs = _products(m, [(raa[x, y], rho(z, u)), (raa[y, z], rho(x, u)),
-                                (raa[z, x], rho(y, u))], {})
-            if pruned(bracket_action(x, y, z, u)) != pruned(rhs):
+            rhs = _compose(size, [(raa[x, y], rho(z, u)), (raa[y, z], rho(x, u)),
+                                  (raa[z, x], rho(y, u))])
+            if bracket_action(x, y, z, u) != rhs:
                 r2.add((x, y, z, u))
     for x, y, z, u in r3.reps(n):
-        rhs = _products(m, [(raa[z, u], rho(x, y))], bracket_action(x, y, z, u))
-        add_matvec(rhs, twisted[z], alt.get(x, y, u))
-        if pruned(_products(m, [(raa[x, y], rho(z, u))], {})) != pruned(rhs):
+        start = bracket_action(x, y, z, u)
+        add_matvec(start, twisted[z], alt.get(x, y, u))
+        lhs = _compose(size, [(raa[x, y], rho(z, u))])
+        if lhs != _compose(size, [(raa[z, u], rho(x, y))], start):
             r3.add((x, y, z, u))
 
     logs = (("twist", twist), ("bracket_action", r2), ("exchange", r3))
@@ -203,15 +213,15 @@ def _semidirect_table(
 ) -> Hom3LieAlgebra:
     """Unchecked semidirect-product table; see :func:`semidirect_product`.
 
-    ``theta`` (increasing triples to module vectors) is added in the
-    module component, which gives the theta-extension table.
+    The table merges L's with the action block ``r.alt.values``; ``theta``
+    (increasing triples to module vectors) is added in the module
+    component, which gives the theta-extension table.
     """
     n, m = L.dim, r.module_dim
+    if r.algebra_dim != n:  # its keys would land on L's own
+        raise DimensionMismatch("representation is over a different algebra dimension")
     zmod, zalg = Vec.zero(m), Vec.zero(n)
-    table = {key: value.concat(zmod) for key, value in L.table.items()}
-    for (i, j), mat in r.table.items():
-        for c in range(m):
-            table[(i, j, n + c)] = zalg.concat(mat.col(c))
+    table = {**{key: value.concat(zmod) for key, value in L.table.items()}, **r.alt.values}
     for key, value in (theta or {}).items():
         table[key] = table.get(key, Vec.zero(n + m)) + zalg.concat(value)
     return Hom3LieAlgebra(n + m, table, L.twist.block_diag(r.twist))

@@ -2,8 +2,8 @@
 
 One type, :class:`AltTable`, backs every skew structure of the package:
 the bracket of an algebra (three slots, values in the algebra), a
-cocycle (three slots, values in a module) and a representation (two
-slots, values in the module's endomorphisms, flattened row-major).
+cocycle (three slots, values in a module) and a representation (the
+[L, L, V] block of its semidirect bracket on L + V, three slots).
 Values are stored on strictly increasing basis keys; the full map is
 the unique alternating extension, so skew-symmetry holds by
 construction.
@@ -34,15 +34,6 @@ def signed_perms(k: int) -> list[tuple[tuple[int, ...], int]]:
     """All permutations of range(k) with their signs, in itertools order."""
     return [(p, (-1) ** sum(a > b for a, b in itertools.combinations(p, 2)))
             for p in itertools.permutations(range(k))]
-
-
-def unflatten(flat: Support, m: int) -> SparseMat:
-    """A row-major flattened m x m matrix as a sparse matrix."""
-    cols: SparseMat = {}
-    for idx, v in flat.items():
-        row, c = divmod(idx, m)
-        cols.setdefault(c, {})[row] = v
-    return cols
 
 
 def add_matvec(acc: dict[int, Fraction], m: SparseMat, x: Support) -> None:
@@ -137,23 +128,18 @@ class AltTable:
                 add_scaled(cols.setdefault(k, {}), c, val)
         return {k: s for k, col in cols.items() if (s := pruned(col))}
 
-    def pairs(self, images: Sequence[Support]) -> dict[tuple[int, int], dict]:
-        """The first two slots fixed at every ordered pair of ``images``.
+    def pairs(self, images: Sequence[Support]) -> dict[tuple[int, int], SparseMat]:
+        """:meth:`partial` of a three-slot map at every ordered pair of ``images``.
 
         ``images`` are basis images (columns of a twist, a morphism or a
-        lift) or a subspace basis.  Arity 3 gives the sparse matrix of the
-        last slot, arity 2 the support of the value.  Each unordered pair
-        is contracted once: the map is alternating, so (b, a) is the exact
-        negation of (a, b) and (a, a) is empty.  Nothing is cached.
+        lift) or a subspace basis.  Each unordered pair is contracted once:
+        the map is alternating, so (b, a) is the exact negation of (a, b)
+        and (a, a) is empty.  Nothing is cached.
         """
-        out: dict[tuple[int, int], dict] = {(a, a): {} for a in range(len(images))}
+        out: dict[tuple[int, int], SparseMat] = {(a, a): {} for a in range(len(images))}
         for a, b in itertools.combinations(range(len(images)), 2):
-            if self.arity == 2:
-                out[a, b] = val = matvec(self.partial(images[a]), images[b])
-                out[b, a] = {t: -v for t, v in val.items()}
-            else:
-                out[a, b] = val = self.partial(images[a], images[b])
-                out[b, a] = {k: {t: -v for t, v in col.items()} for k, col in val.items()}
+            out[a, b] = val = self.partial(images[a], images[b])
+            out[b, a] = {k: {t: -v for t, v in col.items()} for k, col in val.items()}
         return out
 
     def basis_value(self, *idx: int) -> Vec:

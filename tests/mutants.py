@@ -43,6 +43,9 @@ VEC_MAT = "tests/test_sparse_linalg.py"
 CYCLIC = "tests/test_extensions.py::test_theta_cyclic_ok_matches_the_pairwise_sweep"
 MORPHISM = "tests/test_pairs.py::test_a_morphism_between_algebras_of_coprime_denominators"
 COPRIME_REP = SWEEPS + "test_representation_sweep_matches_the_dense_sweep_on_coprime_scales"
+OTHER_M_REP = SWEEPS + "test_representation_sweep_matches_the_dense_sweep_on_another_module_dimension"
+OTHER_M_SEMIDIRECT = SWEEPS + "test_semidirect_table_matches_the_literal_bracket_on_another_module_dimension"
+OTHER_M_ACTION = SWEEPS + "test_action_matches_the_skew_extension_of_its_table_on_another_module_dimension"
 CLI_BYTES = "tests/test_cli_bytes.py::test_cli_runs_match_the_byte_table"
 DERIVATIONS = "tests/test_derivations.py"
 
@@ -137,9 +140,19 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "{r: d * d * dg * x for", "{r: d * dg * x for",
      (MORPHISM,)),
     ("r1-rhs-multiplier-dropped", "representations.py",
-     "a_cols = unflatten({k: d * d * v for k, v in a_flat.items()}, m)",
-     "a_cols = unflatten(a_flat, m)",
+     "ad2 = {c: {t: d * d * v for t, v in col.items()} for c, col in a.items()}",
+     "ad2 = a",
      (COPRIME_REP,)),
+    ("action-rows-without-module-offset", "representations.py",
+     "cols.setdefault((*key, n + c), {})[n + r] = a", "cols.setdefault((*key, n + c), {})[r] = a",
+     (OTHER_M_REP, OTHER_M_SEMIDIRECT, OTHER_M_ACTION)),
+    ("action-columns-offset-by-the-module-dimension", "representations.py",
+     "(*key, n + c)", "(*key, m + c)",
+     (OTHER_M_REP, OTHER_M_SEMIDIRECT, OTHER_M_ACTION)),
+    ("semidirect-without-the-action-block", "representations.py",
+     "table = {**{key: value.concat(zmod) for key, value in L.table.items()}, **r.alt.values}",
+     "table = {key: value.concat(zmod) for key, value in L.table.items()}",
+     (OTHER_M_SEMIDIRECT, "tests/test_representations.py::test_semidirect_components")),
     ("hom-jacobi-witness-scale-short-of-d", "algebras.py",
      'n, (D * d) ** 2)', 'n, D * d * d)',
      (TRUNCATED,)),

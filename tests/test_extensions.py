@@ -61,6 +61,16 @@ def test_cocycle_shape_guard():
         verify_cocycle(L, adjoint_rep(L), Cocycle.zero(3, 2))
 
 
+def test_an_action_over_another_algebra_dimension_is_rejected():
+    # adjoint action of L3 (dim 3) offered to A4 (dim 4), with a 3 x 4 map
+    L, r = a4(), adjoint_rep(l3())
+    f = Mat.from_rows([[1, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]])
+    with pytest.raises(DimensionMismatch, match="different algebra dimension"):
+        coboundary(L, r, f)
+    with pytest.raises(DimensionMismatch, match="different algebra dimension"):
+        shift_isomorphism(L, r, Cocycle.zero(4, 3), f)
+
+
 def test_coboundary_values():
     L = l3()
     r = adjoint_rep(L)

@@ -3,7 +3,7 @@
 ``pairs`` contracts each unordered pair of images once and fills in the
 other order by negation and the diagonal as empty.  The first test
 checks every ordered pair against ``partial`` and ``evaluate`` on
-random tables and images; the others check ``preserves_bracket``,
+random three-slot tables and images; the others check ``preserves_bracket``,
 ``inner_space`` and the theta table of ``reconstruct_t_star`` against
 brackets evaluated one by one through ``Hom3LieAlgebra.bracket`` (the
 theta table through the dense oracle's), and theta and sigma against
@@ -42,13 +42,12 @@ def support(values) -> dict:
 
 @st.composite
 def tables(draw):
-    arity = draw(st.sampled_from([2, 3]))
     dim, size = draw(st.integers(1, 5)), draw(st.integers(1, 3))
-    combos = list(itertools.combinations(range(dim), arity))
+    combos = list(itertools.combinations(range(dim), 3))
     keys = draw(st.lists(st.sampled_from(combos), max_size=6)) if combos else []
     values = {key: Vec(tuple(draw(st.lists(small, min_size=size, max_size=size))))
               for key in keys}
-    return AltTable(arity, dim, size, values, "table")
+    return AltTable(3, dim, size, values, "table")
 
 
 @st.composite
@@ -95,11 +94,8 @@ def test_pairs_match_partial_and_evaluate_on_every_ordered_pair(case):
     assert set(got) == set(itertools.product(range(len(ims)), repeat=2))
     for a, b in got:
         x, y = Vec.sparse(dim, ims[a]), Vec.sparse(dim, ims[b])
-        if table.arity == 3:
-            assert got[a, b] == table.partial(ims[a], ims[b])
-            assert matvec(got[a, b], support(z)) == table.evaluate(x, y, Vec(z)).support
-        else:
-            assert got[a, b] == table.evaluate(x, y).support
+        assert got[a, b] == table.partial(ims[a], ims[b])
+        assert matvec(got[a, b], support(z)) == table.evaluate(x, y, Vec(z)).support
         if a == b:
             assert got[a, b] == {}
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -32,6 +33,19 @@ def test_rho_apply_examples():
     assert r.apply(e(1), e(0)) == -e13()
     with pytest.raises(DimensionMismatch):
         r.apply(Vec.basis(4, 0), e(1))
+
+
+@pytest.mark.parametrize("key", [(0, 3), (1, 0), (2, 2), (-1, 1), (0, 1, 2)])
+@pytest.mark.parametrize("mat", [Mat.identity(2), Mat.zero(2, 2)], ids=["nonzero", "zero"])
+def test_action_keys_must_be_increasing_pairs_in_range(key, mat):
+    message = f"action key {key} is not strictly increasing in range"
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        Representation(3, 2, Mat.identity(2), {(0, 1): Mat.identity(2), key: mat})
+
+
+def test_action_values_must_be_square_of_the_module_dimension():
+    with pytest.raises(DimensionMismatch, match=re.escape("action value for (0, 1) has the wrong shape")):
+        Representation(3, 2, Mat.identity(2), {(0, 1): Mat.identity(3)})
 
 
 def test_adjoint_values():

@@ -48,6 +48,7 @@ from hom3lie.fixtures import a4, catalog
 from hom3lie.linalg import Mat, Vec, inverse
 from hom3lie.representations import (
     Representation,
+    _semidirect_table,
     adjoint_rep,
     coadjoint_rep,
     verify_representation,
@@ -224,6 +225,96 @@ def test_cocycle_sweep_matches_the_dense_sweep_on_coprime_scales(pair, c, data):
         th = Cocycle(n, m, {key: Vec.basis(m, data.draw(st.integers(0, m - 1))).scale(c)
                             for key in keys})
     assert verify_cocycle(L, r, th) == oracle.cocycle(L, r, th)
+
+
+# Module dimensions other than the algebra's, so that an offset that
+# mixes up n and m in the [L, L, V] table of an action shows.
+entries = st.just(0) | factors
+
+
+def drawn_mat(draw, rows: int, cols: int) -> Mat:
+    return Mat.from_rows([[draw(entries) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+@st.composite
+def foreign_modules(draw):
+    """A base or coprime-scaled algebra acting on a module of dimension
+    m != n: for m > n its adjoint or coadjoint action padded with zero rows
+    and columns (a representation when the action is one, whatever the
+    twist on the padding), for m < n one to three drawn action matrices
+    with a drawn module twist; one action entry changed by a factor half
+    the time."""
+    L = draw(st.sampled_from(BASES) | coprime_algebras())
+    n = L.dim
+    m = draw(st.integers(1, n - 1) | st.integers(n + 1, n + 2))
+    if m > n:
+        r = draw(st.sampled_from([adjoint_rep, coadjoint_rep]))(L)
+        twist = r.twist.block_diag(drawn_mat(draw, m - n, m - n))
+        table = {key: mat.block_diag(Mat.zero(m - n, m - n)) for key, mat in r.table.items()}
+    else:
+        twist, pairs = drawn_mat(draw, m, m), list(itertools.combinations(range(n), 2))
+        table = {key: drawn_mat(draw, m, m)
+                 for key in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3))}
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(list(itertools.combinations(range(n), 2))))
+        change = Mat.from_rows([[int(i == j == 0) for j in range(m)] for i in range(m)])
+        table[key] = table.get(key, Mat.zero(m, m)) + change.scale(draw(factors))
+    return L, Representation(n, m, twist, table)
+
+
+def drawn_cocycle(data, n: int, m: int) -> Cocycle:
+    keys = data.draw(st.lists(st.sampled_from(list(increasing_triples(n))), max_size=3))
+    return Cocycle(n, m, {key: Vec(tuple(data.draw(entries) for _ in range(m))) for key in keys})
+
+
+@settings(max_examples=25)
+@given(foreign_modules())
+def test_representation_sweep_matches_the_dense_sweep_on_another_module_dimension(pair):
+    L, r = pair
+    assert verify_representation(L, r) == oracle.representation(L, r)
+
+
+@settings(max_examples=10)
+@given(foreign_modules(), st.data())
+def test_cocycle_sweep_matches_the_dense_sweep_on_another_module_dimension(pair, data):
+    """theta the coboundary of a drawn map L -> V, or drawn entries."""
+    L, r = pair
+    n, m = L.dim, r.module_dim
+    if data.draw(st.booleans()):
+        th = coboundary(L, r, drawn_mat(data.draw, m, n))
+    else:
+        th = drawn_cocycle(data, n, m)
+    assert verify_cocycle(L, r, th) == oracle.cocycle(L, r, th)
+
+
+@settings(max_examples=15)
+@given(foreign_modules(), st.data())
+def test_semidirect_table_matches_the_literal_bracket_on_another_module_dimension(pair, data):
+    """[u+X, v+Y, w+Z] = [u,v,w] + theta(u,v,w) + rho(u,v) Z + rho(w,u) Y
+    + rho(v,w) X on every ordered triple of basis vectors of L + V, the
+    right side from the dense oracle."""
+    L, r = pair
+    n, m = L.dim, r.module_dim
+    th = drawn_cocycle(data, n, m)
+    ext = _semidirect_table(L, r, th.table)
+    parts = [(Vec.basis(n, t), Vec.zero(m)) for t in range(n)]
+    parts += [(Vec.zero(n), Vec.basis(m, c)) for c in range(m)]
+    for (u, x), (v, y), (w, z) in itertools.product(parts, repeat=3):
+        module = (oracle.theta(th, u, v, w) + oracle.rho(r, u, v).apply(z)
+                  + oracle.rho(r, w, u).apply(y) + oracle.rho(r, v, w).apply(x))
+        expected = oracle.bracket(L, u, v, w).concat(module)
+        assert ext.bracket(u.concat(x), v.concat(y), w.concat(z)) == expected
+
+
+@settings(max_examples=25)
+@given(foreign_modules(), st.data())
+def test_action_matches_the_skew_extension_of_its_table_on_another_module_dimension(pair, data):
+    L, r = pair
+    n = L.dim
+    for i, j in itertools.product(range(n), repeat=2):
+        assert r.rho_basis(i, j) == oracle.rho_basis(r, i, j)
+    x, y = (Vec(tuple(data.draw(entries) for _ in range(n))) for _ in range(2))
+    assert r.apply(x, y) == oracle.rho(r, x, y)
 
 
 @st.composite
