@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .errors import DimensionMismatch, IdealRequired
@@ -69,6 +70,13 @@ class Hom3LieAlgebra:
 
     def is_abelian(self) -> bool:
         return not self.table
+
+    @cached_property
+    def twisted(self) -> tuple[dict[tuple[int, int], SparseMat], int]:
+        """T~_ab = [alpha~ e_a, alpha~ e_b, .] for the cleared bracket B~ = D B
+        and twist alpha~ = d alpha (:func:`cleared`), and d; kept for reuse."""
+        (acols,), d = cleared([self.twist.col(i).support for i in range(self.dim)])
+        return self.alt.integral[0].pairs(acols), d
 
 
 @dataclass(frozen=True)
@@ -179,58 +187,62 @@ def _rational(w: Sweep, identity: str, n: int, scale: int) -> tuple[Violation, .
                  for m, s, sides in w.kept)
 
 
-def verify_hom_jacobi(L: Hom3LieAlgebra) -> AlgebraReport:
-    """Sweep the hom-Jacobi identity over all basis instantiations.
+def hom_jacobi_sides(L: Hom3LieAlgebra, pairs: Iterable[tuple[int, int]],
+                     triples: Iterable[tuple[int, int, int]]) -> Iterator:
+    """The failing hom-Jacobi instances of L at (e_a, e_b; e_u, e_v, e_w) on
+    ``pairs`` x ``triples``, as (a, b, u, v, w) with both sides as int supports.
 
-    (x, y) = (e_a, e_b) ranges over the pairs a < b and (u, v, w) over
-    strictly increasing triples; by multilinearity and skewness this is
-    equivalent to the identity on arbitrary vectors.  With the twisted
-    actions T_ab = [alpha e_a, alpha e_b, .] and B_abc = [e_a, e_b, e_c],
+    With T_ab = [alpha e_a, alpha e_b, .] and B_abc = [e_a, e_b, e_c],
     skewness turns each instance into four sparse mat-vecs,
 
         T_ab B_uvw == T_vw B_abu + T_wu B_abv + T_uv B_abw,
 
     since [X, a v, a w] = [a v, a w, X] and [a u, X, a w] = [a w, a u, X].
-    Both sides are skew in (a, b) (:class:`Sweep`).  A pair whose T_ab
-    and B_ab. both vanish only has instances 0 == 0.
+    A pair whose T_ab and B_ab. both vanish only has instances 0 == 0.
 
-    Integers (:func:`cleared`): with B = B~/D and alpha = alpha~/d, both
-    sides have degree 2 in B and in alpha, so are D^2 d^2 times theirs.
+    Integers (:attr:`Hom3LieAlgebra.twisted`): with B = B~/D and alpha =
+    alpha~/d, both sides have degree 2 in each, so are D^2 d^2 times theirs.
     """
-    n = L.dim
-    alt, D = L.alt.integral
-    (acols,), d = cleared([L.twist.col(i).support for i in range(n)])
-    t = alt.pairs(acols)
-    triples = [(u, v, wi, alt.get(u, v, wi)) for u, v, wi in increasing_triples(n)]
-    w = Sweep(2)
-    for a, b in w.reps(n):
+    (alt, _), (t, _) = L.alt.integral, L.twisted
+    triples = [(u, v, w, alt.get(u, v, w)) for u, v, w in triples]
+    for a, b in pairs:
         tab, bab = t[a, b], alt.get(a, b)
         if not tab and not bab:
             continue
-        for u, v, wi, buvw in triples:
+        for u, v, w, buvw in triples:
             lhs = matvec(tab, buvw)
             acc: dict = {}
-            for i, m in ((u, t[v, wi]), (v, t[wi, u]), (wi, t[u, v])):
+            for i, m in ((u, t[v, w]), (v, t[w, u]), (w, t[u, v])):
                 if i in bab:
                     add_matvec(acc, m, bab[i])
-            rhs = pruned(acc)
-            if lhs != rhs:
-                w.add((a, b, u, v, wi), lhs, rhs)
+            if lhs != (rhs := pruned(acc)):
+                yield (a, b, u, v, w), lhs, rhs
+
+
+def verify_hom_jacobi(L: Hom3LieAlgebra) -> AlgebraReport:
+    """Sweep hom-Jacobi (:func:`hom_jacobi_sides`) over the pairs a < b and
+    the increasing triples: by multilinearity and skewness, the identity on
+    all vectors.  Both sides are skew in (a, b) (:class:`Sweep`)."""
+    n, w = L.dim, Sweep(2)
+    for key, lhs, rhs in hom_jacobi_sides(L, w.reps(n), increasing_triples(n)):
+        w.add(key, lhs, rhs)
+    scale = (L.alt.integral[1] * L.twisted[1]) ** 2
     return AlgebraReport(hom_jacobi_ok=w.clean, violations_total=w.total,
-                         violations=_rational(w, "hom_jacobi", n, (D * d) ** 2))
+                         violations=_rational(w, "hom_jacobi", n, scale))
 
 
 def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> tuple[int, Iterator]:
     """A scale s and, for i < j < k, (i, j, k) with phi [e_i,e_j,e_k] and
     [phi e_i,phi e_j,phi e_k] as int supports, s times theirs.
 
-    With phi = phi~/d, B_L = B~_L/D_L, B_G = B~_G/D_G (:func:`cleared`),
-    phi~ B~_L is d D_L times the left and B~_G(phi~, phi~, phi~) d^3 D_G
-    times the right; taken d^2 D_G and D_L times, both are s = d^3 D_L D_G.
+    With phi = phi~/d, B_L = B~_L/D_L, B_G = B~_G/D_G (:func:`cleared`; the
+    pairs of phi~ over B~_G are G.twisted when phi is G's twist), phi~ B~_L
+    is d D_L times the left and B~_G(phi~, phi~, phi~) d^3 D_G times the
+    right; taken d^2 D_G and D_L times, both are s = d^3 D_L D_G.
     """
     (cols,), d = cleared([phi.col(i).support for i in range(L.dim)])
     (left, dl), (right, dg) = L.alt.integral, G.alt.integral
-    t = right.pairs(cols)
+    t = G.twisted[0] if phi == G.twist else right.pairs(cols)
     lcols = {i: {r: d * d * dg * x for r, x in c.items()} for i, c in enumerate(cols)}
     rcols = [{r: dl * x for r, x in c.items()} for c in cols]
     return d ** 3 * dl * dg, (((i, j, k), matvec(lcols, left.get(i, j, k)), matvec(t[i, j], rcols[k]))

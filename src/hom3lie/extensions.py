@@ -19,18 +19,19 @@ from .algebras import (
     AlgebraReport,
     Hom3LieAlgebra,
     Sweep,
+    hom_jacobi_sides,
     increasing_triples,
     is_morphism,
     preserves_bracket,
     verify_axioms,
 )
-from .errors import CocycleInvalid, DimensionMismatch, RepresentationInvalid
-from .linalg import Mat, Vec, add_scaled, pruned, rank
+from .errors import CocycleInvalid, DimensionMismatch
+from .linalg import Mat, Vec, rank
 from .representations import (
     Representation,
+    _representation_checked,
     _semidirect_table,
     coadjoint_rep,
-    verify_representation,
 )
 from .sparse import AltTable, cleared, matvec, signed_perms
 
@@ -108,40 +109,27 @@ def verify_cocycle(L: Hom3LieAlgebra, r: Representation, th: Cocycle) -> Cocycle
         + rho(ay, az) theta(x,u,v) + rho(az, ax) theta(y,u,v)
         + rho(ax, ay) theta(z,u,v) - rho(au, av) theta(x,y,z)
 
-    must vanish.  With Theta_pq = theta(., ap, aq), so that by skewness
-    theta(X, ay, az) = Theta_yz X and theta(ax, ay, X) = Theta_xy X, the
-    table H(p,q; i,j,k) = Theta_pq B_ijk + rho(ap, aq) theta(i,j,k), built
-    once per call on p < q and on the triples where B or theta is
-    nonzero, makes the sum four signed lookups,
-
-        H(y,z; x,u,v) + H(z,x; y,u,v) + H(x,y; z,u,v) - H(u,v; x,y,z).
-
-    H is alternating in (p, q) and in (i, j, k), so the sum is
-    alternating in (x, y, z) and in (u, v) (:class:`Sweep`).
-
-    Integers (:func:`cleared`): B, rho and theta share one D, so with
-    alpha = alpha~/d every H value has degree D^2 d^2.
+    must vanish.  On the theta-extension E (:func:`t_theta_extension`),
+    [x, y, z] = B_xyz + theta_xyz, so [au, av, [x, y, z]] has module part
+    theta(B_xyz, au, av) + rho(au, av) theta_xyz, and likewise each term
+    of the right side, as [u, v, x] = [x, u, v]: the sum is the module part
+    (coordinates n and up) of hom-Jacobi on E at (e_u, e_v; e_x, e_y, e_z),
+    right side less left side.  It is alternating in (x, y, z) and in
+    (u, v) (:class:`Sweep`), so hom-Jacobi runs on u < v and the increasing
+    triples of L, its sides a positive multiple (:func:`hom_jacobi_sides`).
     """
     n, m = L.dim, r.module_dim
     if th.algebra_dim != n or r.algebra_dim != n or th.module_dim != m:
         raise DimensionMismatch("algebra, representation and cocycle dimensions must agree")
-    theta = AltTable(3, n, n + m, {k: Vec.zero(n).concat(v) for k, v in th.table.items()}, "cocycle")
-    (alt, ralt, talt), _ = cleared(L.alt, r.alt, theta)
-    (acols,), _ = cleared([L.twist.col(i).support for i in range(n)])
-    joint = {key: {**alt.get(*key), **talt.get(*key)}
-             for key in L.table.keys() | th.table.keys()}  # B_ijk, then theta_ijk
-    taa, raa, h = talt.pairs(acols), ralt.pairs(acols), {}
-    for p, q in itertools.combinations(range(n), 2):  # [Theta_pq | rho(ap, aq)] on joint
-        block = {**taa[p, q], **raa[p, q]}  # values on L + V, in V's coordinates
-        values = {key: Vec.sparse(n + m, matvec(block, x)) for key, x in joint.items()}
-        h[p, q] = AltTable(3, n, n + m, values, "cocycle identity").get
+    return _cocycle_sweep(_semidirect_table(L, r, th.table), n)
+
+
+def _cocycle_sweep(E: Hom3LieAlgebra, n: int) -> CocycleReport:
+    """:func:`verify_cocycle` on the theta-extension E of L, n = dim L."""
     log = Sweep(3, 2)
-    for x, y, z, u, v in log.reps(n):
-        acc: dict = {}
-        for sign, pair, triple in ((1, (y, z), (x, u, v)), (-1, (x, z), (y, u, v)),
-                                   (1, (x, y), (z, u, v)), (-1, (u, v), (x, y, z))):
-            add_scaled(acc, sign, h[pair](*triple))
-        if pruned(acc):
+    for (u, v, x, y, z), lhs, rhs in hom_jacobi_sides(
+            E, itertools.combinations(range(n), 2), increasing_triples(n)):
+        if {k: a for k, a in lhs.items() if k >= n} != {k: a for k, a in rhs.items() if k >= n}:
             log.add((x, y, z, u, v))
     return CocycleReport(ok=log.clean, witnesses=tuple(log.witnesses), violations_total=log.total)
 
@@ -180,18 +168,16 @@ def t_theta_extension(
 
     The representation and cocycle identities are preconditions;
     violations raise :class:`RepresentationInvalid` or :class:`CocycleInvalid`.
+    Both are checked on the extension, built once (:func:`verify_representation`,
+    :func:`verify_cocycle`); a theta of the wrong shape is reported after
+    the representation, checked on the semidirect product then.
     """
-    rep = verify_representation(L, r)
-    if not rep.ok:
-        raise RepresentationInvalid(
-            f"action fails the representation identities ({rep.violations_total} violations)"
-        )
-    co = verify_cocycle(L, r, th)
-    if not co.ok:
-        raise CocycleInvalid(
-            f"map fails the cocycle identity ({co.violations_total} violations)"
-        )
-    alg = _semidirect_table(L, r, th.table)
+    fits = (th.algebra_dim, th.module_dim) == (L.dim, r.module_dim)
+    alg = _representation_checked(_semidirect_table(L, r, th.table if fits else None), L.dim)
+    if not fits:
+        raise DimensionMismatch("algebra, representation and cocycle dimensions must agree")
+    if not (co := _cocycle_sweep(alg, L.dim)).ok:
+        raise CocycleInvalid(f"map fails the cocycle identity ({co.violations_total} violations)")
     return alg, verify_axioms(alg)
 
 

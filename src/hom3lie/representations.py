@@ -24,10 +24,17 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebras import MAX_WITNESSES, Hom3LieAlgebra, Sweep
+from .algebras import (
+    MAX_WITNESSES,
+    Hom3LieAlgebra,
+    Sweep,
+    _bracket_images,
+    hom_jacobi_sides,
+    increasing_triples,
+)
 from .errors import DimensionMismatch, RepresentationInvalid
-from .linalg import Mat, Support, Vec, pruned
-from .sparse import AltTable, SparseMat, add_matvec, cleared, matvec
+from .linalg import Mat, Support, Vec
+from .sparse import AltTable, SparseMat
 
 
 @dataclass(frozen=True)
@@ -96,77 +103,58 @@ class RepresentationReport:
         return self.twist_ok and self.bracket_action_ok and self.exchange_ok
 
 
-def _compose(size: int, pairs: list[tuple[SparseMat, SparseMat]],
-             start: Optional[Support] = None) -> Support:
-    """start + sum of left @ right over ``pairs`` on Q^size, pruned, keyed c * size + row."""
-    acc = dict(start or {})
-    for left, right in pairs:
-        for c, col in right.items():
-            for k, v in col.items():
-                for row, a in left.get(k, {}).items():
-                    key = c * size + row
-                    acc[key] = acc[key] + a * v if key in acc else a * v
-    return pruned(acc)
-
-
 def verify_representation(L: Hom3LieAlgebra, r: Representation) -> RepresentationReport:
     """Sweep (R1) over basis pairs and (R2)-(R3) over basis quadruples.
 
-    Matrices are the sparse column matrices on L + V of ``r.alt``.  The
-    twisted actions rho(a e_p, a e_q) and Q_u[t] = rho(a e_u, e_t) A are
-    computed once per call, so rho([x,y,z], a u) A = -sum_t [x,y,z]_t Q_u[t]
-    and rho(a z, [x,y,u]) A = sum_t [x,y,u]_t Q_z[t] are sparse mat-vecs.
+    On E = L + V (:func:`semidirect_product`), [e_x, e_y, e_{n+c}] is
+    rho(x, y) e_c and a bracket of two module vectors is 0, so column c of
+    each identity is an instance of E's multiplicativity or hom-Jacobi:
+
+      (R1) at (x, y) is multiplicativity on (x, y, n + c);
+      (R2) at (x, y, z, u) is hom-Jacobi on (e_u, e_{n+c}; e_x, e_y, e_z);
+      (R3) at (x, y, z, u) is hom-Jacobi on (e_x, e_y; e_z, e_u, e_{n+c}).
+
+    An identity fails iff one of its columns does, so failures are grouped
+    over c.  A cocycle added to E only meets these instances in brackets
+    with two module vectors, so it drops out of them.
 
     Symmetries (:class:`Sweep`): (R1) is skew in (x, y); (R2) alternating
     in (x, y, z), its right side a cyclic sum of terms skew in two slots;
     (R3) skew in (x, y) and in (z, u), which trades its last two terms.
-    Witnesses: (R1), then by quadruple, (R2) before (R3) at each.
-
-    Integers (:func:`cleared`): B and rho share one D, alpha and A one d.
-    (R1) has degree D d^3 on the left and D d on the right, whose side is
-    multiplied by d^2; every term of (R2) and (R3) has degree D^2 d^2.
+    Only their representatives are visited, on sides scaled by a positive
+    integer.  Witnesses: (R1), then by quadruple, (R2) before (R3) at each.
     """
-    if r.algebra_dim != L.dim:
-        raise DimensionMismatch("representation is over a different algebra dimension")
-    n, size = L.dim, r.alt.dim
-    (alt, ralt), _ = cleared(L.alt, r.alt)
-    (cols,), d = cleared([c.support for c in L.twist.block_diag(r.twist).transpose().row_vecs])
-    acols, a = cols[:n], dict(enumerate(cols[n:], n))  # alpha, and A on L + V
-    ad2 = {c: {t: d * d * v for t, v in col.items()} for c, col in a.items()}  # A d^2, for (R1)
-    rho, raa = ralt.get, ralt.pairs(acols)
-    twisted = [{t: q for t in range(n) if (q := _compose(size, [(ralt.partial(x, {t: 1}), a)]))}
-               for x in acols]  # t -> rho(a e_u, e_t) A
+    return _representation_sweep(_semidirect_table(L, r), L.dim)
 
-    def bracket_action(x: int, y: int, z: int, u: int) -> Support:  # rho([x,y,z], a u) A
-        return {k: -v for k, v in matvec(twisted[u], alt.get(x, y, z)).items()}
 
+def _representation_sweep(E: Hom3LieAlgebra, n: int) -> RepresentationReport:
+    """:func:`verify_representation` on the extension E of L, n = dim L, by V."""
+    module, low = range(n, E.dim), list(itertools.combinations(range(n), 2))
     twist, r2, r3 = Sweep(2), Sweep(3), Sweep(2, 2)
-    for i, j in twist.reps(n):
-        if _compose(size, [(raa[i, j], a)]) != _compose(size, [(ad2, rho(i, j))]):
-            twist.add((i, j))
-    for x, y, z in r2.reps(n):
-        for u in range(n):
-            rhs = _compose(size, [(raa[x, y], rho(z, u)), (raa[y, z], rho(x, u)),
-                                  (raa[z, x], rho(y, u))])
-            if bracket_action(x, y, z, u) != rhs:
-                r2.add((x, y, z, u))
-    for x, y, z, u in r3.reps(n):
-        start = bracket_action(x, y, z, u)
-        add_matvec(start, twisted[z], alt.get(x, y, u))
-        lhs = _compose(size, [(raa[x, y], rho(z, u))])
-        if lhs != _compose(size, [(raa[z, u], rho(x, y))], start):
-            r3.add((x, y, z, u))
-
+    _, images = _bracket_images(E.twist, E, E)
+    for log, keys in (
+        (twist, {(x, y) for (x, y, c), lhs, rhs in images if c >= n and lhs != rhs}),
+        (r2, {(x, y, z, u) for (u, _, x, y, z), _, _ in hom_jacobi_sides(
+            E, itertools.product(range(n), module), increasing_triples(n))}),
+        (r3, {key[:4] for key, _, _ in hom_jacobi_sides(
+            E, low, [(z, u, c) for z, u in low for c in module])}),
+    ):
+        for key in keys:
+            log.add(key)
     logs = (("twist", twist), ("bracket_action", r2), ("exchange", r3))
     witnesses = sorted(((name, idx) for name, log in logs for idx in log.witnesses),
                        key=lambda w: (len(w[1]), w[1], w[0]))
-    return RepresentationReport(
-        twist_ok=twist.clean,
-        bracket_action_ok=r2.clean,
-        exchange_ok=r3.clean,
-        witnesses=tuple(witnesses[:MAX_WITNESSES]),
-        violations_total=twist.total + r2.total + r3.total,
-    )
+    return RepresentationReport(twist_ok=twist.clean, bracket_action_ok=r2.clean,
+                                exchange_ok=r3.clean, witnesses=tuple(witnesses[:MAX_WITNESSES]),
+                                violations_total=twist.total + r2.total + r3.total)
+
+
+def _representation_checked(E: Hom3LieAlgebra, n: int) -> Hom3LieAlgebra:
+    """E, whose action passed :func:`_representation_sweep` (:class:`RepresentationInvalid`)."""
+    if not (rep := _representation_sweep(E, n)).ok:
+        raise RepresentationInvalid(
+            f"action fails the representation identities ({rep.violations_total} violations)")
+    return E
 
 
 def adjoint_rep(L: Hom3LieAlgebra) -> Representation:
@@ -198,14 +186,10 @@ def semidirect_product(L: Hom3LieAlgebra, r: Representation) -> Hom3LieAlgebra:
         [u+X, v+Y, w+Z] = [u,v,w] + rho(u,v) Z + rho(w,u) Y + rho(v,w) X
 
     and block-diagonal twist.  The sign pattern is skew-consistent, so
-    the result is an ordinary structure-constant table.
+    the result is an ordinary structure-constant table.  It is built once,
+    and the representation identities are checked on it.
     """
-    rep = verify_representation(L, r)
-    if not rep.ok:
-        raise RepresentationInvalid(
-            f"action fails the representation identities ({rep.violations_total} violations)"
-        )
-    return _semidirect_table(L, r)
+    return _representation_checked(_semidirect_table(L, r), L.dim)
 
 
 def _semidirect_table(

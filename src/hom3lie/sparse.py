@@ -49,15 +49,11 @@ def matvec(m: SparseMat, x: Support) -> Support:
     return pruned(acc)
 
 
-def cleared(*parts: "AltTable | list[Support]") -> tuple[list, int]:
-    """The parts times the common denominator D of all their values, and D;
-    tables and lists of supports come back as such, over int supports."""
-    groups = [[v.support for v in p.values.values()] if isinstance(p, AltTable) else p
-              for p in parts]
-    scale = math.lcm(*{a.denominator for g in groups for s in g for a in s.values()})
-    ints = [[integral(s, scale) for s in g] for g in groups]
-    return [AltTable(p.arity, p.dim, p.size, {k: Vec.sparse(p.size, s) for k, s in zip(p.values, g)},
-                     p.what) if isinstance(p, AltTable) else g for p, g in zip(parts, ints)], scale
+def cleared(*parts: list[Support]) -> tuple[list[list[Support]], int]:
+    """The lists of supports times the common denominator D of all their
+    values, as int supports, and D."""
+    scale = math.lcm(*{a.denominator for g in parts for s in g for a in s.values()})
+    return [[integral(s, scale) for s in g] for g in parts], scale
 
 
 class AltTable:
@@ -99,10 +95,12 @@ class AltTable:
 
     @cached_property
     def integral(self) -> tuple["AltTable", int]:
-        """:func:`cleared` on this table alone, built on first use: each
-        table is cleared, and its integer trie built, once."""
-        (alt,), scale = cleared(self)
-        return alt, scale
+        """This table over the int supports :func:`cleared` makes of its values,
+        and their scale; built on first use, so each table is cleared, and
+        its integer trie built, once."""
+        (ints,), scale = cleared([v.support for v in self.values.values()])
+        values = {key: Vec.sparse(self.size, s) for key, s in zip(self.values, ints)}
+        return AltTable(self.arity, self.dim, self.size, values, self.what), scale
 
     def get(self, *idx: int) -> Support:
         """Signed support of the value on basis vectors given in any order.

@@ -43,6 +43,7 @@ VEC_MAT = "tests/test_sparse_linalg.py"
 CYCLIC = "tests/test_extensions.py::test_theta_cyclic_ok_matches_the_pairwise_sweep"
 MORPHISM = "tests/test_pairs.py::test_a_morphism_between_algebras_of_coprime_denominators"
 COPRIME_REP = SWEEPS + "test_representation_sweep_matches_the_dense_sweep_on_coprime_scales"
+ZERO_ACTION = SWEEPS + "test_extension_by_the_zero_action_fails_hom_jacobi_where_the_base_does"
 OTHER_M_REP = SWEEPS + "test_representation_sweep_matches_the_dense_sweep_on_another_module_dimension"
 OTHER_M_SEMIDIRECT = SWEEPS + "test_semidirect_table_matches_the_literal_bracket_on_another_module_dimension"
 OTHER_M_ACTION = SWEEPS + "test_action_matches_the_skew_extension_of_its_table_on_another_module_dimension"
@@ -65,9 +66,16 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("witnesses-in-sweep-order", "algebras.py",
      "        if self.blocks:\n", "        if False:\n",
      (ORBITS, TRUNCATED)),
-    ("h-lookup-sign", "extensions.py",
-     "(-1, (x, z), (y, u, v))", "(1, (x, z), (y, u, v))",
-     (TRUNCATED, SWEEPS + "test_cocycle_sweep_matches_the_dense_sweep")),
+    ("cocycle-sweep-compares-the-algebra-coordinates", "extensions.py",
+     "if {k: a for k, a in lhs.items() if k >= n} != {k: a for k, a in rhs.items() if k >= n}:",
+     "if lhs != rhs:",
+     (ZERO_ACTION, SWEEPS + "test_cocycle_sweep_matches_the_dense_sweep")),
+    ("r1-admits-triples-without-a-module-index", "representations.py",
+     "if c >= n and lhs != rhs", "if lhs != rhs",
+     (ZERO_ACTION, CLI_BYTES)),
+    ("r2-key-from-the-wrong-slots", "representations.py",
+     "for (u, _, x, y, z), _, _ in", "for (x, _, u, y, z), _, _ in",
+     (TRUNCATED, COPRIME_REP)),
     ("r3-before-r2", "representations.py",
      "key=lambda w: (len(w[1]), w[1], w[0])", "key=lambda w: (len(w[1]), w[0], w[1])",
      (TRUNCATED,)),
@@ -139,10 +147,9 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("bracket-images-multiplier-d", "algebras.py",
      "{r: d * d * dg * x for", "{r: d * dg * x for",
      (MORPHISM,)),
-    ("r1-rhs-multiplier-dropped", "representations.py",
-     "ad2 = {c: {t: d * d * v for t, v in col.items()} for c, col in a.items()}",
-     "ad2 = a",
-     (COPRIME_REP,)),
+    ("hom-jacobi-witness-scale-drops-a-d", "algebras.py",
+     "(L.alt.integral[1] * L.twisted[1]) ** 2", "L.alt.integral[1] ** 2 * L.twisted[1]",
+     (TRUNCATED,)),
     ("action-rows-without-module-offset", "representations.py",
      "cols.setdefault((*key, n + c), {})[n + r] = a", "cols.setdefault((*key, n + c), {})[r] = a",
      (OTHER_M_REP, OTHER_M_SEMIDIRECT, OTHER_M_ACTION)),
@@ -153,13 +160,6 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "table = {**{key: value.concat(zmod) for key, value in L.table.items()}, **r.alt.values}",
      "table = {key: value.concat(zmod) for key, value in L.table.items()}",
      (OTHER_M_SEMIDIRECT, "tests/test_representations.py::test_semidirect_components")),
-    ("hom-jacobi-witness-scale-short-of-d", "algebras.py",
-     'n, (D * d) ** 2)', 'n, D * d * d)',
-     (TRUNCATED,)),
-    ("rho-over-its-own-denominator", "representations.py",
-     "(alt, ralt), _ = cleared(L.alt, r.alt)",
-     "((alt,), _), ((ralt,), _) = cleared(L.alt), cleared(r.alt)",
-     (COPRIME_REP,)),
     ("extend-verifies-multiplicativity-only", "cli.py",
      "            report = verify_axioms(result)", "            report = verify_multiplicative(result)",
      (CLI_BYTES,)),

@@ -4,7 +4,11 @@
 code and the sha256 digests of stdout, stderr and every file the run
 writes.  Every extension kind runs a pass, a failing check, a rejected
 input, a wrong number of inputs and a missing file, each as text and as
-``--json``, with and without ``--output``; ``reconstruct`` runs with and
+``--json``, with and without ``--output``; ``extend t-theta`` also runs
+with a module-dimension-1 action that is no representation and a cocycle
+on a module of dimension 2 (RepresentationInvalid, exit 1), and with the
+coadjoint action and that cocycle (exit 2), which pins the order of its
+checks; ``reconstruct`` runs with and
 without ``--output-dir``, on the T*-double of A4 and on that of A4y + L3
 (cyclic theta, dim 14), the latter also with its base part as the complement, with the base
 part as the subspace, which is no ideal (exit 1) and with a subspace that is
@@ -86,6 +90,8 @@ EXTEND = {
         "pass": ["L3.json", "coadjoint", "theta-L3.json"],
         "check": ["L3-nonmult.json", "rep-zero.json", "theta-zero.json"],
         "rejected": ["A4.json", "coadjoint", "theta-A4.json"],
+        "rep-invalid": ["L3.json", "rep-bad.json", "theta-module-2.json"],
+        "theta-shape": ["L3.json", "coadjoint", "theta-module-2.json"],
         "arity": ["L3.json", "coadjoint"],
         "missing": ["L3.json", "adjoint", "missing.json"],
     },

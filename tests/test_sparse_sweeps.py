@@ -350,6 +350,40 @@ def test_metric_sweep_matches_the_dense_sweep(case):
     assert verify_metric(g, form) == oracle.metric(g, form)
 
 
+# On the extension E = L + V along an action and theta, the instances of
+# hom-Jacobi with one module index are the representation identities, the
+# module part of those with none is the cocycle identity, and those with
+# two or more read 0 == 0.  So when the action and theta pass, E fails
+# hom-Jacobi exactly where L does.
+
+
+def assert_extension_fails_where_the_base_does(L, r, th):
+    assert verify_representation(L, r).ok and verify_cocycle(L, r, th).ok
+    whole, base = verify_hom_jacobi(_semidirect_table(L, r, th.table)), verify_hom_jacobi(L)
+    assert whole.violations_total == base.violations_total
+    assert [v.indices for v in whole.violations] == [v.indices for v in base.violations]
+
+
+@settings(max_examples=25)
+@given(perturbed(), st.integers(1, 3), st.data())
+def test_extension_by_the_zero_action_fails_hom_jacobi_where_the_base_does(L, m, data):
+    """A perturbed L that fails hom-Jacobi, the zero action on a module with
+    a drawn twist and theta = 0, which pass whatever L is."""
+    assume(not verify_hom_jacobi(L).hom_jacobi_ok)
+    r = Representation(L.dim, m, drawn_mat(data.draw, m, m), {})
+    assert_extension_fails_where_the_base_does(L, r, Cocycle.zero(L.dim, m))
+
+
+@settings(max_examples=15)
+@given(st.sampled_from(BASES), st.lists(entries, min_size=3, max_size=3))
+def test_extension_along_a_coboundary_fails_hom_jacobi_where_the_base_does(L, coefficients):
+    """A multiplicative base with its adjoint action, theta the coboundary of
+    a polynomial in alpha, a map that commutes with alpha."""
+    (a, b, c), alpha, r = coefficients, L.twist, adjoint_rep(L)
+    f = Mat.identity(L.dim).scale(a) + alpha.scale(b) + (alpha @ alpha).scale(c)
+    assert_extension_fails_where_the_base_does(L, r, coboundary(L, r, f))
+
+
 def test_truncated_witnesses_match_the_dense_sweeps():
     # inputs with more than MAX_WITNESSES violations of each identity
     ya = yau_a4()
