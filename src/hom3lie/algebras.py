@@ -141,8 +141,9 @@ class Sweep:
     other lies in one orbit, with residual the representative's times the
     sign of its block permutations.  So :meth:`add` counts the orbit, and
     the witnesses are the MAX_WITNESSES smallest violating tuples with
-    signed sides, as in the sweep over all ordered tuples.  Without
-    blocks, orbits are single tuples, kept in the order added.
+    signed sides, as in the sweep over all ordered tuples; once that many
+    are kept, only a tuple before the last kept (orbits are disjoint) can
+    enter.  Without blocks, orbits are single tuples, kept in the order added.
     """
 
     def __init__(self, *blocks: int) -> None:
@@ -162,7 +163,11 @@ class Sweep:
         """Record the orbit of a violating representative with its sides."""
         self.total += len(self.maps)
         w = sum(self.blocks)
-        self.kept += [(tuple(rep[i] for i in m) + rep[w:], s, sides) for m, s in self.maps]
+        new = [(tuple(rep[i] for i in m) + rep[w:], s, sides) for m, s in self.maps]
+        if self.blocks and len(self.kept) == MAX_WITNESSES:
+            if not (new := [entry for entry in new if entry[0] < self.kept[-1][0]]):
+                return
+        self.kept += new
         if self.blocks:
             self.kept.sort(key=lambda entry: entry[0])
         del self.kept[MAX_WITNESSES:]
@@ -198,18 +203,27 @@ def hom_jacobi_sides(L: Hom3LieAlgebra, pairs: Iterable[tuple[int, int]],
         T_ab B_uvw == T_vw B_abu + T_wu B_abv + T_uv B_abw,
 
     since [X, a v, a w] = [a v, a w, X] and [a u, X, a w] = [a w, a u, X].
-    A pair whose T_ab and B_ab. both vanish only has instances 0 == 0.
+    Per pair only candidates are visited, in the order of ``triples``: those
+    in the support of B if T_ab != 0, and for each key i of B_ab. those holding
+    i with T of the other two, in cyclic order, nonzero.  Any other reads
+    0 == 0: its left side as T_ab = 0 or B_uvw = 0, and the term of each i on
+    the right as i is no key of B_ab. or T of the other two is 0.
 
     Integers (:attr:`Hom3LieAlgebra.twisted`): with B = B~/D and alpha =
     alpha~/d, both sides have degree 2 in each, so are D^2 d^2 times theirs.
     """
     (alt, _), (t, _) = L.alt.integral, L.twisted
     triples = [(u, v, w, alt.get(u, v, w)) for u, v, w in triples]
+    live = [p for p, (*_, buvw) in enumerate(triples) if buvw]
+    holding: dict[int, list[int]] = {}
+    for p, (u, v, w, _) in enumerate(triples):
+        for i, j, k in ((u, v, w), (v, w, u), (w, u, v)):
+            if t[j, k]:
+                holding.setdefault(i, []).append(p)
     for a, b in pairs:
         tab, bab = t[a, b], alt.get(a, b)
-        if not tab and not bab:
-            continue
-        for u, v, w, buvw in triples:
+        for p in sorted({*(live if tab else ()), *(q for i in bab for q in holding.get(i, ()))}):
+            u, v, w, buvw = triples[p]
             lhs = matvec(tab, buvw)
             acc: dict = {}
             for i, m in ((u, t[v, w]), (v, t[w, u]), (w, t[u, v])):
@@ -231,9 +245,10 @@ def verify_hom_jacobi(L: Hom3LieAlgebra) -> AlgebraReport:
                          violations=_rational(w, "hom_jacobi", n, scale))
 
 
-def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> tuple[int, Iterator]:
-    """A scale s and, for i < j < k, (i, j, k) with phi [e_i,e_j,e_k] and
-    [phi e_i,phi e_j,phi e_k] as int supports, s times theirs.
+def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra,
+                    triples: Optional[Iterable[tuple[int, int, int]]] = None) -> tuple[int, Iterator]:
+    """A scale s and, for each (i, j, k) of ``triples`` (default: all i < j < k),
+    phi [e_i,e_j,e_k] and [phi e_i,phi e_j,phi e_k] as int supports, s times theirs.
 
     With phi = phi~/d, B_L = B~_L/D_L, B_G = B~_G/D_G (:func:`cleared`; the
     pairs of phi~ over B~_G are G.twisted when phi is G's twist), phi~ B~_L
@@ -246,7 +261,7 @@ def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> tuple[int
     lcols = {i: {r: d * d * dg * x for r, x in c.items()} for i, c in enumerate(cols)}
     rcols = [{r: dl * x for r, x in c.items()} for c in cols]
     return d ** 3 * dl * dg, (((i, j, k), matvec(lcols, left.get(i, j, k)), matvec(t[i, j], rcols[k]))
-                              for i, j, k in increasing_triples(L.dim))
+                              for i, j, k in (increasing_triples(L.dim) if triples is None else triples))
 
 
 def verify_multiplicative(L: Hom3LieAlgebra) -> AlgebraReport:

@@ -130,14 +130,14 @@ def verify_representation(L: Hom3LieAlgebra, r: Representation) -> Representatio
 def _representation_sweep(E: Hom3LieAlgebra, n: int) -> RepresentationReport:
     """:func:`verify_representation` on the extension E of L, n = dim L, by V."""
     module, low = range(n, E.dim), list(itertools.combinations(range(n), 2))
+    mixed = [(x, y, c) for x, y in low for c in module]
     twist, r2, r3 = Sweep(2), Sweep(3), Sweep(2, 2)
-    _, images = _bracket_images(E.twist, E, E)
+    _, images = _bracket_images(E.twist, E, E, mixed)
     for log, keys in (
-        (twist, {(x, y) for (x, y, c), lhs, rhs in images if c >= n and lhs != rhs}),
+        (twist, {(x, y) for (x, y, _), lhs, rhs in images if lhs != rhs}),
         (r2, {(x, y, z, u) for (u, _, x, y, z), _, _ in hom_jacobi_sides(
             E, itertools.product(range(n), module), increasing_triples(n))}),
-        (r3, {key[:4] for key, _, _ in hom_jacobi_sides(
-            E, low, [(z, u, c) for z, u in low for c in module])}),
+        (r3, {key[:4] for key, _, _ in hom_jacobi_sides(E, low, mixed)}),
     ):
         for key in keys:
             log.add(key)

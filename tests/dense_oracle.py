@@ -7,10 +7,13 @@ bracket, action and cocycle value is evaluated from the stored increasing-key ta
 its skew multilinear extension, one basis tuple of the arguments'
 supports at a time, with no twisted actions computed ahead.  They share no evaluation
 code with the library, so the library's reports must equal theirs field
-for field, witnesses included.  The one exception is the derivation
-extension's oracle, which evaluates the extension's documented meaning,
+for field, witnesses included.  There are two exceptions.  The derivation
+extension's oracle evaluates the extension's documented meaning,
 ``DerivationExtension.rule``, on every basis triple and every twisted
 basis image, where the library reads a closed form and L's own sweeps.
+:func:`hom_jacobi_sides` is the library's hom-Jacobi loop on the same
+integer tables, run on every instance where the library runs only on
+the candidates that can fail.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ from hom3lie.algebras import (
     increasing_triples,
 )
 from hom3lie.extensions import CocycleReport, MetricReport
-from hom3lie.linalg import Mat, Subspace, Vec, subspace_contains
+from hom3lie.linalg import Mat, Subspace, Vec, pruned, subspace_contains
 from hom3lie.representations import RepresentationReport
+from hom3lie.sparse import add_matvec, matvec
 
 
 def skew_value(table: dict, zero, idx: tuple[int, ...]):
@@ -110,6 +114,24 @@ def hom_jacobi(L) -> AlgebraReport:
                     w.add(Violation("hom_jacobi", (a, b, u, v, wi), lhs, rhs))
     return AlgebraReport(hom_jacobi_ok=w.total == 0, violations=tuple(w.items),
                          violations_total=w.total)
+
+
+def hom_jacobi_sides(L, pairs, triples) -> list:
+    """``algebras.hom_jacobi_sides`` on every pair and every triple: the same
+    integer tables and mat-vecs, with no candidate selection, so that the
+    library's list must equal this one, in the same order."""
+    (alt, _), (t, _) = L.alt.integral, L.twisted
+    failing = []
+    for a, b in pairs:
+        tab, bab = t[a, b], alt.get(a, b)
+        for u, v, w in triples:
+            lhs = matvec(tab, alt.get(u, v, w))
+            acc: dict = {}
+            for i, m in ((u, t[v, w]), (v, t[w, u]), (w, t[u, v])):
+                add_matvec(acc, m, bab.get(i, {}))
+            if lhs != (rhs := pruned(acc)):
+                failing.append(((a, b, u, v, w), lhs, rhs))
+    return failing
 
 
 def multiplicative(L) -> AlgebraReport:

@@ -47,6 +47,7 @@ ZERO_ACTION = SWEEPS + "test_extension_by_the_zero_action_fails_hom_jacobi_where
 OTHER_M_REP = SWEEPS + "test_representation_sweep_matches_the_dense_sweep_on_another_module_dimension"
 OTHER_M_SEMIDIRECT = SWEEPS + "test_semidirect_table_matches_the_literal_bracket_on_another_module_dimension"
 OTHER_M_ACTION = SWEEPS + "test_action_matches_the_skew_extension_of_its_table_on_another_module_dimension"
+SIDES = SWEEPS + "test_hom_jacobi_sides_yield_the_unrestricted_loop_in_order"
 CLI_BYTES = "tests/test_cli_bytes.py::test_cli_runs_match_the_byte_table"
 DERIVATIONS = "tests/test_derivations.py"
 
@@ -71,8 +72,21 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "if lhs != rhs:",
      (ZERO_ACTION, SWEEPS + "test_cocycle_sweep_matches_the_dense_sweep")),
     ("r1-admits-triples-without-a-module-index", "representations.py",
-     "if c >= n and lhs != rhs", "if lhs != rhs",
+     "_bracket_images(E.twist, E, E, mixed)",
+     "_bracket_images(E.twist, E, E)",
      (ZERO_ACTION, CLI_BYTES)),
+    ("bracket-images-read-no-triples-as-all", "algebras.py",
+     "(increasing_triples(L.dim) if triples is None else triples)",
+     "(triples or increasing_triples(L.dim))",
+     ("tests/test_representations.py::"
+      "test_a_module_of_dimension_zero_is_a_representation_of_a_non_multiplicative_algebra",)),
+    ("hom-jacobi-candidates-from-the-b-support-only", "algebras.py",
+     "{*(live if tab else ()), *(q for i in bab for q in holding.get(i, ()))}",
+     "{*(live if tab else ())}",
+     (SIDES, CLI_BYTES)),
+    ("hom-jacobi-candidates-from-the-keys-only", "algebras.py",
+     "{*(live if tab else ()), *(q for", "{*(q for",
+     (SIDES, OTHER_M_REP)),
     ("r2-key-from-the-wrong-slots", "representations.py",
      "for (u, _, x, y, z), _, _ in", "for (x, _, u, y, z), _, _ in",
      (TRUNCATED, COPRIME_REP)),

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_vec
-from hom3lie.algebras import verify_hom_jacobi, verify_multiplicative
+from hom3lie.algebras import Hom3LieAlgebra, verify_hom_jacobi, verify_multiplicative
 from hom3lie.errors import DimensionMismatch, RepresentationInvalid
 from hom3lie.fixtures import a4, ab3, l3, n4
 from hom3lie.linalg import Mat, Vec
@@ -59,6 +59,13 @@ def test_adjoint_values():
 def test_zero_action_is_a_representation():
     r = Representation(3, 2, Mat.identity(2), {})
     assert verify_representation(ab3(), r).ok
+
+
+def test_a_module_of_dimension_zero_is_a_representation_of_a_non_multiplicative_algebra():
+    # (R1) checks only the triples with a module index, and there are none
+    L = Hom3LieAlgebra(3, l3().table, Mat.identity(3).scale(2))
+    assert not verify_multiplicative(L).multiplicative_ok
+    assert verify_representation(L, Representation(3, 0, Mat.zero(0, 0), {})).ok
 
 
 def test_adjoint_verifies_on_all_fixtures(algebras):
