@@ -7,7 +7,8 @@ coboundary, for the coadjoint action, of the twist-commuting map
 f = 2 alpha + I - alpha^2, and its T*-double is the dual-space extension
 along theta, with the hyperbolic form.  The coadjoint action of the
 family fails the representation identities, so its column counts
-violations where the adjoint's reads 0.  The
+violations where the adjoint's reads 0.  The coboundary column builds
+the coadjoint action and theta from f.  The
 derivation extension extends
 the algebra by D, the first basis vector of its grade-1 derivations.
 The reconstruction takes the T*-double along a cyclic map (the
@@ -20,8 +21,8 @@ run takes over SLOW seconds, each time on its algebras and cocycles built
 anew, so that no trie or cleared table carries over from one run to the
 next; a cell is the median wall time in seconds, unscaled, so compare
 only runs made on the same host.  A second table
-gives each layer's violation total (for the derivation spaces their
-dimension, for the descending central series the sum of its term
+gives each layer's violation total (for the coboundary the nonzero
+entries of theta, for the derivation spaces their dimension, for the descending central series the sum of its term
 dimensions, for the reconstruction the nonzero entries of the
 reconstructed theta, or -1 when its isometry check fails), which must
 not depend on the code version: at the sizes
@@ -58,14 +59,15 @@ from hom3lie.structure import reconstruct_t_star, series
 from perfbench.inputs import yau_twisted_a4
 
 COLUMNS = ("hom-Jacobi", "hom-Jacobi on T* (2n)", "adjoint rep. sweep", "coadjoint rep. sweep",
-           "cocycle sweep", "metric on T*", "`derivation_space(k=0)`", "same on T*", "descending series on T*",
+           "coboundary", "cocycle sweep", "metric on T*", "`derivation_space(k=0)`", "same on T*", "descending series on T*",
            "derivation extension", "reconstruct on T*")
 REPEAT = 3
 SLOW = 1.0
-# each column's violation total (`derivation_space` columns: dimension; series: the sum of
-# the term dimensions; reconstruction: nonzero entries of theta), per size
-TOTALS = {7: (0, 392, 0, 228, 144, 136, 8, 15, 26, 114, 132),
-          11: (0, 784, 0, 456, 288, 262, 10, 17, 42, 194, 1192)}
+# each column's violation total (coboundary: nonzero entries of theta; `derivation_space`
+# columns: dimension; series: the sum of the term dimensions; reconstruction: nonzero
+# entries of theta), per size
+TOTALS = {7: (0, 392, 0, 228, 16, 144, 136, 8, 15, 26, 114, 132),
+          11: (0, 784, 0, 456, 31, 288, 262, 10, 17, 42, 194, 1192)}
 
 
 def family(n: int) -> Hom3LieAlgebra:
@@ -74,11 +76,15 @@ def family(n: int) -> Hom3LieAlgebra:
     return reduce(direct_sum, [yau_twisted_a4()] * ((n - 3) // 4) + [l3()])
 
 
+def nonzeros(th: Cocycle) -> int:
+    return sum(len(v.support) for v in th.table.values())
+
+
 def reconstructed_nonzeros(g: Hom3LieAlgebra, form, ideal: Subspace) -> int:
     """The nonzero entries of the reconstructed theta, or -1 when the
     reconstruction fails its isometry check."""
     res = reconstruct_t_star(g, form, ideal)
-    return sum(len(v.support) for v in res.theta.table.values()) if res.isometry_ok else -1
+    return nonzeros(res.theta) if res.isometry_ok else -1
 
 
 def layers(n: int) -> dict:
@@ -99,6 +105,7 @@ def layers(n: int) -> dict:
         (lambda A: verify_hom_jacobi(A).violations_total, tstar),
         (lambda A: verify_representation(A, adjoint_rep(A)).violations_total, L),
         (lambda A: verify_representation(A, coadjoint_rep(A)).violations_total, L),
+        (lambda A, g: nonzeros(coboundary(A, coadjoint_rep(A), g)), L, f),
         (lambda A, th: verify_cocycle(A, coadjoint_rep(A), th).violations_total, L, theta),
         (lambda A, B: verify_metric(A, B).violations_total, tstar, form),
         (lambda A: derivation_space(A, 0).dimension, L),
@@ -152,8 +159,9 @@ def main() -> int:
     print(f"seconds, median of {REPEAT} (one run when the first takes over {SLOW} s)")
     print(table(("n",) + COLUMNS, timings))
     print()
-    print("violations total (the two `derivation_space` columns: dimension; the series: "
-          "sum of the term dimensions; the reconstruction: nonzero entries of theta)")
+    print("violations total (the coboundary: nonzero entries of theta; the two "
+          "`derivation_space` columns: dimension; the series: sum of the term dimensions; "
+          "the reconstruction: nonzero entries of theta)")
     print(table(("n",) + COLUMNS, results))
     for line in moved:
         print("MOVED", line, file=sys.stderr)

@@ -19,6 +19,7 @@ from .algebras import (
     AlgebraReport,
     Hom3LieAlgebra,
     Sweep,
+    _bracket_images,
     hom_jacobi_sides,
     increasing_triples,
     is_morphism,
@@ -138,21 +139,17 @@ def coboundary(L: Hom3LieAlgebra, r: Representation, f: Mat) -> Cocycle:
     """The cocycle of a linear map f: L -> V,
 
         theta_f(x,y,z) = f([x,y,z]) - rho(x,y) f(z) - rho(z,x) f(y) - rho(y,z) f(x).
+
+    With the shear S: x -> x + f(x) of L into E = L + V (:func:`_shear`),
+    theta_f is S[x,y,z] - [Sx,Sy,Sz], as a bracket of two module vectors is 0;
+    both sides come s times theirs (:func:`_bracket_images`), their parts
+    below n cancel, and the difference is divided by s once.
     """
-    n = L.dim
-    if r.algebra_dim != n:
-        raise DimensionMismatch("representation is over a different algebra dimension")
-    if f.cols != n or f.rows != r.module_dim:
-        raise DimensionMismatch("coboundary map has the wrong shape")
-    fc = [f.col(i) for i in range(n)]
-    table = {
-        (i, j, k): f.apply(L.bracket_basis(i, j, k))
-        - r.rho_basis(i, j).apply(fc[k])
-        - r.rho_basis(k, i).apply(fc[j])
-        - r.rho_basis(j, k).apply(fc[i])
-        for i, j, k in increasing_triples(n)
-    }
-    return Cocycle(n, r.module_dim, table)
+    n, m = L.dim, r.module_dim
+    scale, images = _bracket_images(_shear(L, r, f), L, _semidirect_table(L, r))
+    return Cocycle(n, m, {key: Vec.sparse(m, {t - n: Fraction(a, scale) for t in lhs.keys() | rhs.keys()
+                                              if (a := lhs.get(t, 0) - rhs.get(t, 0))})
+                          for key, lhs, rhs in images})
 
 
 def t_theta_extension(
@@ -196,8 +193,7 @@ def t_star_extension(L: Hom3LieAlgebra, th: Cocycle) -> tuple[Hom3LieAlgebra, Bi
     n = L.dim
     if th.algebra_dim != n or th.module_dim != n:
         raise DimensionMismatch("dual-space extension needs a cocycle with values in L*")
-    alg = _semidirect_table(L, coadjoint_rep(L), th.table)
-    return alg, hyperbolic_form(n)
+    return _semidirect_table(L, coadjoint_rep(L), th.table), hyperbolic_form(n)
 
 
 def theta_cyclic_ok(L: Hom3LieAlgebra, th: Cocycle) -> bool:
@@ -292,24 +288,27 @@ def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> MetricReport:
     )
 
 
+def _shear(L: Hom3LieAlgebra, r: Representation, f: Mat) -> Mat:
+    """The block map [[I, 0], [f, I]] on L + V: x + v -> x + f(x) + v."""
+    n, m = L.dim, r.module_dim
+    if f.cols != n or f.rows != m:
+        raise DimensionMismatch("map f: L -> V has the wrong shape")
+    return Mat.from_rows([Vec.basis(n + m, i) for i in range(n)]
+                         + [f.row(i).concat(Vec.basis(m, i)) for i in range(m)], cols=n + m)
+
+
 def shift_isomorphism(
     L: Hom3LieAlgebra, r: Representation, th: Cocycle, f: Mat
 ) -> tuple[Mat, bool]:
     """The shift x + v -> x + f(x) + v between theta- and (theta+theta_f)-extensions.
 
-    Returns the block map [[I, 0], [f, I]] together with the verdict of
-    checking it as an algebra morphism between the two extensions
-    (bracket preservation and twist intertwining) plus invertibility.
+    Returns the block map [[I, 0], [f, I]], invertible for every f, and
+    whether it is an algebra morphism between the two extensions (bracket
+    preservation and twist intertwining).
     """
-    n, m = L.dim, r.module_dim
-    if f.cols != n or f.rows != m:
-        raise DimensionMismatch("shift map has the wrong shape")
-    src = _semidirect_table(L, r, th.table)
+    sigma, src = _shear(L, r, f), _semidirect_table(L, r, th.table)
     dst = _semidirect_table(L, r, (th + coboundary(L, r, f)).table)
-    sigma = Mat.from_rows([Vec.basis(n + m, i) for i in range(n)]
-                          + [f.row(i).concat(Vec.basis(m, i)) for i in range(m)], cols=n + m)
-    ok = rank(sigma) == n + m and is_morphism(sigma, src, dst)
-    return sigma, ok
+    return sigma, is_morphism(sigma, src, dst)
 
 
 def is_isometry(

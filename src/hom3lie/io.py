@@ -208,7 +208,7 @@ def algebra_from_dict(d: Any, where: str = "algebra") -> Hom3LieAlgebra:
 
 
 def representation_to_dict(r: Representation, algebra_ref: str) -> dict:
-    rho = _keyed_list(r.table, "matrix", mat_to_lists)
+    rho = _keyed_list({p: r.rho_basis(*p) for p in {key[:2] for key in r.table}}, "matrix", mat_to_lists)
     return {"algebra": algebra_ref, "module_dim": r.module_dim, "A": mat_to_lists(r.twist),
             "rho": rho}
 
@@ -216,11 +216,13 @@ def representation_to_dict(r: Representation, algebra_ref: str) -> dict:
 def representation_from_dict(
     d: Any, algebra: Hom3LieAlgebra, where: str = "representation"
 ) -> Representation:
-    m, memo = _positive_dim(d, "module_dim", where), {}
+    n, m, memo = algebra.dim, _positive_dim(d, "module_dim", where), {}
     twist = mat_from_lists(_expect(d, "A", where), f"{where}.A", m, m, memo)
-    table = _keyed_entries(d, "rho", 2, algebra.dim, where, "action",
-                           lambda raw, loc: mat_from_lists(raw, loc, m, m, memo), "matrix")
-    return Representation(algebra.dim, m, twist, table)
+    mats = _keyed_entries(d, "rho", 2, n, where, "action",
+                          lambda raw, loc: mat_from_lists(raw, loc, m, m, memo), "matrix")
+    table = {(i, j, n + c): Vec.zero(n).concat(col)
+             for (i, j), mat in mats.items() for c, col in enumerate(mat.transpose().row_vecs)}
+    return Representation(n, m, twist, table)
 
 
 # -- cocycle ---------------------------------------------------------------

@@ -33,7 +33,7 @@ from .algebras import (
     increasing_triples,
 )
 from .errors import DimensionMismatch, RepresentationInvalid
-from .linalg import Mat, Support, Vec
+from .linalg import Mat, Vec
 from .sparse import AltTable, SparseMat
 
 
@@ -41,35 +41,28 @@ from .sparse import AltTable, SparseMat
 class Representation:
     """Skew bilinear action of an algebra on a module.
 
-    ``table`` maps increasing 0-based pairs (i, j) to the endomorphism
-    rho(e_i, e_j); zero matrices are omitted.  ``twist`` is the module
-    twist A.  ``alt`` is the [L, L, V] block of the semidirect bracket on
-    L + V: with n = algebra_dim, its value on (i, j, n + c) is column c of
-    rho(e_i, e_j), moved to the coordinates n, ..., n + m - 1 of L + V.
+    ``table`` is the [L, L, V] block of the semidirect bracket on L + V:
+    with n = algebra_dim, its value on an increasing key (i, j, n + c) is
+    rho(e_i, e_j) e_c in the coordinates n, ..., n + m - 1 of L + V; zero
+    values are omitted.  ``twist`` is the module twist A; ``alt`` evaluates it.
     """
 
     algebra_dim: int
     module_dim: int
     twist: Mat
-    table: dict[tuple[int, int], Mat]
+    table: dict[tuple[int, int, int], Vec]
     alt: AltTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n, m = self.algebra_dim, self.module_dim
         if (self.twist.rows, self.twist.cols) != (m, m):
             raise DimensionMismatch("module twist must be square of the module dimension")
-        cols: dict[tuple[int, int, int], Support] = {}
-        for key, mat in self.table.items():
-            if (mat.rows, mat.cols) != (m, m):
-                raise DimensionMismatch(f"action value for {key} has the wrong shape")
-            if len(key) != 2 or not 0 <= key[0] < key[1] < n:
-                raise DimensionMismatch(f"action key {key} is not strictly increasing in range")
-            for r, row in enumerate(mat.row_vecs):
-                for c, a in row.support.items():
-                    cols.setdefault((*key, n + c), {})[n + r] = a
-        values = {key: Vec.sparse(n + m, col) for key, col in cols.items()}
-        object.__setattr__(self, "table", {k: v for k, v in self.table.items() if not v.is_zero()})
-        object.__setattr__(self, "alt", AltTable(3, n + m, n + m, values, "action"))
+        alt = AltTable(3, n + m, n + m, self.table, "action")
+        for key, value in self.table.items():  # (i, j, n + c) to a module vector
+            if key[1] >= n or key[2] < n or min(value.support, default=n) < n:
+                raise DimensionMismatch(f"action value for {key} lies outside the [L, L, V] block")
+        object.__setattr__(self, "table", alt.values)
+        object.__setattr__(self, "alt", alt)
 
     def rho_basis(self, i: int, j: int) -> Mat:
         """rho on two basis vectors, in any order, with sign extension."""
@@ -158,10 +151,12 @@ def _representation_checked(E: Hom3LieAlgebra, n: int) -> Hom3LieAlgebra:
 
 
 def adjoint_rep(L: Hom3LieAlgebra) -> Representation:
-    """The algebra acting on itself by ad(x, y) = [x, y, .]."""
-    n = L.dim
-    table = {(i, j): Mat.from_cols([L.bracket_basis(i, j, c) for c in range(n)])
-             for i, j in itertools.combinations(range(n), 2)}
+    """The algebra acting on itself by ad(x, y) = [x, y, .]: each stored B_abc,
+    a < b < c, is ad(e_a, e_b) e_c, ad(e_b, e_c) e_a and -ad(e_a, e_c) e_b."""
+    n, table = L.dim, {}
+    for (a, b, c), value in L.table.items():
+        table[a, b, n + c] = table[b, c, n + a] = Vec.zero(n).concat(value)
+        table[a, c, n + b] = -table[a, b, n + c]
     return Representation(n, n, L.twist, table)
 
 
@@ -169,10 +164,14 @@ def dual_rep(r: Representation) -> Representation:
     """Dual module: rho*(x, y) = -rho(x, y)^T with twist A^T.
 
     In dual coordinates, (rho*(x,y) f)(v) = -f(rho(x,y) v) and the
-    twist acts by precomposition, whose matrix is the transpose.
+    twist acts by precomposition, whose matrix is the transpose: coordinate
+    n + c of rho*'s value on (i, j, n + t) is -(rho's on (i, j, n + c))_{n+t}.
     """
-    table = {key: -mat.transpose() for key, mat in r.table.items()}
-    return Representation(r.algebra_dim, r.module_dim, r.twist.transpose(), table)
+    n, m, cols = r.algebra_dim, r.module_dim, {}
+    for (i, j, c), value in r.table.items():
+        for t, x in value.support.items():
+            cols.setdefault((i, j, t), {})[c] = -x
+    return Representation(n, m, r.twist.transpose(), {k: Vec.sparse(n + m, v) for k, v in cols.items()})
 
 
 def coadjoint_rep(L: Hom3LieAlgebra) -> Representation:
@@ -197,7 +196,7 @@ def _semidirect_table(
 ) -> Hom3LieAlgebra:
     """Unchecked semidirect-product table; see :func:`semidirect_product`.
 
-    The table merges L's with the action block ``r.alt.values``; ``theta``
+    The table merges L's with the action block ``r.table``; ``theta``
     (increasing triples to module vectors) is added in the module
     component, which gives the theta-extension table.
     """
@@ -205,7 +204,7 @@ def _semidirect_table(
     if r.algebra_dim != n:  # its keys would land on L's own
         raise DimensionMismatch("representation is over a different algebra dimension")
     zmod, zalg = Vec.zero(m), Vec.zero(n)
-    table = {**{key: value.concat(zmod) for key, value in L.table.items()}, **r.alt.values}
+    table = {**{key: value.concat(zmod) for key, value in L.table.items()}, **r.table}
     for key, value in (theta or {}).items():
         table[key] = table.get(key, Vec.zero(n + m)) + zalg.concat(value)
     return Hom3LieAlgebra(n + m, table, L.twist.block_diag(r.twist))

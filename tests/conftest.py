@@ -38,6 +38,13 @@ def random_mat(rng: random.Random, rows: int, cols: int) -> Mat:
     return Mat.from_rows([[random_fraction(rng) for _ in range(cols)] for _ in range(rows)])
 
 
+def action_block(n: int, m: int, mats: dict[tuple[int, int], Mat]) -> dict[tuple[int, int, int], Vec]:
+    """The [L, L, V] block of the action whose matrices on increasing pairs
+    (i, j) are ``mats``: column c of each, moved to the coordinates n and
+    up, on the key (i, j, n + c)."""
+    return {(i, j, n + c): Vec.zero(n).concat(mat.col(c)) for (i, j), mat in mats.items() for c in range(m)}
+
+
 def naive_rank(rows: list[list[Fraction]]) -> int:
     """Plain fraction Gaussian elimination, independent of the library path."""
     grid = [list(r) for r in rows]

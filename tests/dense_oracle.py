@@ -5,7 +5,9 @@ metric-invariance and cyclicity sweeps, and the ideal test and the
 quotient, written the direct way: every
 bracket, action and cocycle value is evaluated from the stored increasing-key table by
 its skew multilinear extension, one basis tuple of the arguments'
-supports at a time, with no twisted actions computed ahead.  They share no evaluation
+supports at a time, with no twisted actions computed ahead; an action's
+matrices are sliced off its [L, L, V] block here, by
+:func:`action_matrices`, not through the library.  They share no evaluation
 code with the library, so the library's reports must equal theirs field
 for field, witnesses included.  There are two exceptions.  The derivation
 extension's oracle evaluates the extension's documented meaning,
@@ -66,12 +68,26 @@ def bracket_basis(L, i: int, j: int, k: int) -> Vec:
     return skew_value(L.table, Vec.zero(L.dim), (i, j, k))
 
 
-def rho(r, x: Vec, y: Vec) -> Mat:
-    return multilinear(r.table, Mat.zero(r.module_dim, r.module_dim), x, y)
+def action_matrices(r) -> dict[tuple[int, int], Mat]:
+    """rho(e_i, e_j) on the increasing pairs of the stored keys, sliced off
+    the [L, L, V] block ``r.table``: entry (t, c) is coordinate n + t of
+    its value on (i, j, n + c)."""
+    n, m = r.algebra_dim, r.module_dim
+    zero = Vec.zero(n + m)
+    return {(i, j): Mat.from_rows([[r.table.get((i, j, n + c), zero)[n + t] for c in range(m)]
+                                   for t in range(m)], cols=m)
+            for i, j in sorted({key[:2] for key in r.table})}
 
 
-def rho_basis(r, i: int, j: int) -> Mat:
-    return skew_value(r.table, Mat.zero(r.module_dim, r.module_dim), (i, j))
+def rho(r, x: Vec, y: Vec, mats=None) -> Mat:
+    """The skew bilinear extension of ``mats``, by default :func:`action_matrices`."""
+    mats = action_matrices(r) if mats is None else mats
+    return multilinear(mats, Mat.zero(r.module_dim, r.module_dim), x, y)
+
+
+def rho_basis(r, i: int, j: int, mats=None) -> Mat:
+    mats = action_matrices(r) if mats is None else mats
+    return skew_value(mats, Mat.zero(r.module_dim, r.module_dim), (i, j))
 
 
 def theta(th, x: Vec, y: Vec, z: Vec) -> Vec:
@@ -149,8 +165,8 @@ def multiplicative(L) -> AlgebraReport:
 def representation(L, r) -> RepresentationReport:
     n = L.dim
     acols = twist_cols(L)
-    a = r.twist
-    raa = {(i, j): rho(r, acols[i], acols[j]) for i in range(n) for j in range(n)}
+    a, mats = r.twist, action_matrices(r)
+    raa = {(i, j): rho(r, acols[i], acols[j], mats) for i in range(n) for j in range(n)}
     w = _Log()
     totals = [0, 0, 0]
 
@@ -160,18 +176,18 @@ def representation(L, r) -> RepresentationReport:
 
     for i in range(n):
         for j in range(n):
-            if raa[(i, j)] @ a != a @ rho_basis(r, i, j):
+            if raa[(i, j)] @ a != a @ rho_basis(r, i, j, mats):
                 note(0, "twist", (i, j))
     for x, y, z, u in itertools.product(range(n), repeat=4):
-        rbr = rho(r, bracket_basis(L, x, y, z), acols[u])
+        rbr = rho(r, bracket_basis(L, x, y, z), acols[u], mats)
         lhs = rbr @ a
-        rhs = (raa[(y, z)] @ rho_basis(r, x, u) + raa[(z, x)] @ rho_basis(r, y, u)
-               + raa[(x, y)] @ rho_basis(r, z, u))
+        rhs = (raa[(y, z)] @ rho_basis(r, x, u, mats) + raa[(z, x)] @ rho_basis(r, y, u, mats)
+               + raa[(x, y)] @ rho_basis(r, z, u, mats))
         if lhs != rhs:
             note(1, "bracket_action", (x, y, z, u))
-        lhs3 = raa[(x, y)] @ rho_basis(r, z, u)
-        rhs3 = (raa[(z, u)] @ rho_basis(r, x, y) + rbr @ a
-                + rho(r, acols[z], bracket_basis(L, x, y, u)) @ a)
+        lhs3 = raa[(x, y)] @ rho_basis(r, z, u, mats)
+        rhs3 = (raa[(z, u)] @ rho_basis(r, x, y, mats) + rbr @ a
+                + rho(r, acols[z], bracket_basis(L, x, y, u), mats) @ a)
         if lhs3 != rhs3:
             note(2, "exchange", (x, y, z, u))
     return RepresentationReport(
@@ -186,7 +202,8 @@ def representation(L, r) -> RepresentationReport:
 def cocycle(L, r, th) -> CocycleReport:
     n = L.dim
     acols = twist_cols(L)
-    raa = {(i, j): rho(r, acols[i], acols[j]) for i in range(n) for j in range(n)}
+    mats = action_matrices(r)
+    raa = {(i, j): rho(r, acols[i], acols[j], mats) for i in range(n) for j in range(n)}
     b, t = bracket_basis, theta_basis
     w = _Log()
     for x, y, z, u, v in itertools.product(range(n), repeat=5):

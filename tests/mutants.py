@@ -48,6 +48,8 @@ OTHER_M_REP = SWEEPS + "test_representation_sweep_matches_the_dense_sweep_on_ano
 OTHER_M_SEMIDIRECT = SWEEPS + "test_semidirect_table_matches_the_literal_bracket_on_another_module_dimension"
 OTHER_M_ACTION = SWEEPS + "test_action_matches_the_skew_extension_of_its_table_on_another_module_dimension"
 SIDES = SWEEPS + "test_hom_jacobi_sides_yield_the_unrestricted_loop_in_order"
+LITERAL_ACTIONS = SWEEPS + "test_adjoint_coadjoint_and_dual_blocks_match_the_literal_matrices"
+LITERAL_COBOUNDARY = SWEEPS + "test_coboundary_matches_the_literal_formula"
 CLI_BYTES = "tests/test_cli_bytes.py::test_cli_runs_match_the_byte_table"
 DERIVATIONS = "tests/test_derivations.py"
 
@@ -165,15 +167,24 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "(L.alt.integral[1] * L.twisted[1]) ** 2", "L.alt.integral[1] ** 2 * L.twisted[1]",
      (TRUNCATED,)),
     ("action-rows-without-module-offset", "representations.py",
-     "cols.setdefault((*key, n + c), {})[n + r] = a", "cols.setdefault((*key, n + c), {})[r] = a",
-     (OTHER_M_REP, OTHER_M_SEMIDIRECT, OTHER_M_ACTION)),
-    ("action-columns-offset-by-the-module-dimension", "representations.py",
-     "(*key, n + c)", "(*key, m + c)",
-     (OTHER_M_REP, OTHER_M_SEMIDIRECT, OTHER_M_ACTION)),
+     "{r - n: a for r, a in cols.get(n + c, {}).items()}", "{r: a for r, a in cols.get(n + c, {}).items()}",
+     (OTHER_M_ACTION, CLI_BYTES)),
+    ("action-columns-offset-by-the-module-dimension", "io.py",
+     "(i, j, n + c): Vec.zero(n).concat(col)", "(i, j, m + c): Vec.zero(n).concat(col)",
+     ("tests/test_io_cli.py::test_representation_files_on_another_module_dimension_round_trip", CLI_BYTES)),
     ("semidirect-without-the-action-block", "representations.py",
-     "table = {**{key: value.concat(zmod) for key, value in L.table.items()}, **r.alt.values}",
+     "table = {**{key: value.concat(zmod) for key, value in L.table.items()}, **r.table}",
      "table = {key: value.concat(zmod) for key, value in L.table.items()}",
      (OTHER_M_SEMIDIRECT, "tests/test_representations.py::test_semidirect_components")),
+    ("coadjoint-sign-dropped", "representations.py",
+     "cols.setdefault((i, j, t), {})[c] = -x", "cols.setdefault((i, j, t), {})[c] = x",
+     (LITERAL_ACTIONS, CLI_BYTES)),
+    ("dual-without-the-transposed-index", "representations.py",
+     "cols.setdefault((i, j, t), {})[c] = -x", "cols.setdefault((i, j, c), {})[t] = -x",
+     (LITERAL_ACTIONS, CLI_BYTES)),
+    ("shear-with-minus-f", "extensions.py",
+     "f.row(i).concat(Vec.basis(m, i))", "(-f.row(i)).concat(Vec.basis(m, i))",
+     (LITERAL_COBOUNDARY, "tests/test_extensions.py::test_coboundary_values")),
     ("extend-verifies-multiplicativity-only", "cli.py",
      "            report = verify_axioms(result)", "            report = verify_multiplicative(result)",
      (CLI_BYTES,)),

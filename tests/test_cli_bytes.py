@@ -22,7 +22,15 @@ as ``--json``, on A4y and on A4y + L3 with an accepted D (the first basis
 vector of the grade-1 derivations) and a rejected one, and with D = 0 on
 L3 with a twist it does not commute with and on A4 with a shear twist,
 which fails hom-Jacobi, so that their hom-Jacobi and multiplicativity
-witnesses, not skewness ones, reach the output.  The test replays each line through
+witnesses, not skewness ones, reach the output.  On A4y, ``extend
+semidirect`` runs with the adjoint and the coadjoint action and with a
+representation file written from the coadjoint action (which fails
+there, so a file of A4's coadjoint action, which passes, is read back
+on A4 too), and ``extend
+t-theta`` with the adjoint action and the coboundary of 2 alpha + I -
+alpha^2, each as text and as ``--json``, with and without ``--output``,
+so that the builders of both actions and of coboundaries reach the
+output on a 4-dimensional base.  The test replays each line through
 ``cli.main`` in a directory holding the inputs, with relative paths, so
 that no digest depends on where the directory is.
 
@@ -44,6 +52,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+from conftest import action_block
 from hom3lie.algebras import Hom3LieAlgebra, direct_sum, increasing_triples
 from hom3lie.cli import main
 from hom3lie.derivations import derivation_space
@@ -59,7 +68,7 @@ from hom3lie.io import (
     write_json,
 )
 from hom3lie.linalg import Mat, Subspace, Vec
-from hom3lie.representations import Representation, coadjoint_rep
+from hom3lie.representations import Representation, adjoint_rep, coadjoint_rep
 
 TABLE = Path(__file__).with_name("cli_bytes.json")
 
@@ -131,6 +140,13 @@ DERIVATION_EXTENSIONS = (
     ["L3-nonmult.json", "D-zero.json"],
     ["A4-shear.json", "D-zero-4.json"],
 )
+MODULE_EXTENSIONS = (
+    ["semidirect", "A4y.json", "adjoint"],
+    ["semidirect", "A4y.json", "coadjoint"],
+    ["semidirect", "A4y.json", "rep-coadjoint-A4y.json"],
+    ["semidirect", "A4.json", "rep-coadjoint-A4.json"],
+    ["t-theta", "A4y.json", "adjoint", "theta-A4y-coboundary.json"],
+)
 CASES = [
     [*mode, "extend", kind, *inputs, *out]
     for kind, scenarios in EXTEND.items()
@@ -151,6 +167,11 @@ CASES = [
     for out in ([], ["--output", "out.json"])
 ] + [[*mode, "--max-k", "1", "derivations", "A4yL3.json", "--k", "-2"] for mode in ([], ["--json"])] + [
     [*mode, "extend", "derivation", *inputs] for inputs in DERIVATION_EXTENSIONS for mode in ([], ["--json"])
+] + [
+    [*mode, "extend", *inputs, *out]
+    for inputs in MODULE_EXTENSIONS
+    for mode in ([], ["--json"])
+    for out in ([], ["--output", "out.json"])
 ]
 
 
@@ -174,6 +195,7 @@ def elementary(n: int, r: int, c: int) -> Mat:
 def write_inputs(d: Path) -> None:
     L, A, Ay = l3(), a4(), yau_twisted_a4()
     Ay3 = direct_sum(Ay, L)
+    commuting = Ay.twist.scale(2) + Mat.identity(4) - Ay.twist @ Ay.twist
     nonmult = algebra_to_dict(L)
     nonmult["alpha"] = [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "1"]]
     files = {
@@ -196,11 +218,15 @@ def write_inputs(d: Path) -> None:
         "rep-zero.json": representation_to_dict(
             Representation(3, 2, Mat.identity(2), {}), "L3-nonmult.json"),
         "rep-bad.json": representation_to_dict(
-            Representation(3, 1, Mat.identity(1), {(0, 1): Mat.identity(1)}), "L3.json"),
+            Representation(3, 1, Mat.identity(1), action_block(3, 1, {(0, 1): Mat.identity(1)})), "L3.json"),
         "theta-L3.json": cocycle_to_dict(Cocycle(3, 3, {(0, 1, 2): Vec.basis(3, 0)}), "L3.json"),
         "theta-zero.json": cocycle_to_dict(Cocycle.zero(3, 2), "L3-nonmult.json"),
         "theta-A4.json": cocycle_to_dict(Cocycle(4, 4, {(0, 1, 2): Vec.basis(4, 0)}), "A4.json"),
         "theta-module-2.json": cocycle_to_dict(Cocycle.zero(3, 2), "L3.json"),
+        "rep-coadjoint-A4y.json": representation_to_dict(coadjoint_rep(Ay), "A4y.json"),
+        "rep-coadjoint-A4.json": representation_to_dict(coadjoint_rep(A), "A4.json"),
+        "theta-A4y-coboundary.json": cocycle_to_dict(
+            coboundary(Ay, adjoint_rep(Ay), commuting), "A4y.json"),
     }
     cyclic = cyclic_part(Cocycle(4, 4, {(0, 1, 2): Vec.basis(4, 3)}))
     tstar, q = t_star_extension(A, cyclic)

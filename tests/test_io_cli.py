@@ -1,11 +1,13 @@
 import decimal
 import json
+import re
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from conftest import action_block
 from hom3lie.algebras import verify_multiplicative
 from hom3lie.cli import main
 from hom3lie.extensions import BilinForm, Cocycle
@@ -23,6 +25,7 @@ from hom3lie.io import (
     load_representation,
     matrix_to_dict,
     parse_rat,
+    representation_from_dict,
     representation_to_dict,
     subspace_from_dict,
     subspace_to_dict,
@@ -30,7 +33,7 @@ from hom3lie.io import (
     write_json,
 )
 from hom3lie.linalg import Mat, Subspace, Vec
-from hom3lie.representations import adjoint_rep
+from hom3lie.representations import Representation, adjoint_rep
 
 
 def data_file(name: str) -> str:
@@ -79,6 +82,29 @@ def test_algebra_dict_validation_errors():
         mutate(d)
         with pytest.raises(FileFormatError):
             algebra_from_dict(d)
+
+
+def test_representation_files_on_another_module_dimension_round_trip():
+    # column c of the matrix on (i, j) is the value on (i, j, n + c), so n != m shows a mixed-up offset
+    mats = {(0, 1): Mat.from_rows([[1, "2/3"], [0, -1]]), (1, 2): Mat.from_rows([[0, 0], [5, 0]])}
+    r = Representation(3, 2, Mat.from_rows([[0, 1], [1, 0]]), action_block(3, 2, mats))
+    d = representation_to_dict(r, "L3.json")
+    assert [entry["matrix"] for entry in d["rho"]] == [
+        [["1", "2/3"], ["0", "-1"]], [["0", "0"], ["5", "0"]]]
+    assert representation_from_dict(d, l3()) == r
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"args": [1, 2], "matrix": [["1", "0", "0"]] * 3}, "rho[0].matrix: expected 2 rows, got 3"),
+    ({"args": [1, 2], "matrix": [["1", "0", "0"]] * 2}, "rho[0].matrix: expected 2 columns, got 3"),
+    ({"args": [2, 1], "matrix": [["1", "0"]] * 2}, "rho[0].args: indices [2, 1] must be strictly increasing"),
+    ({"args": [1, 4], "matrix": [["1", "0"]] * 2}, "rho[0].args: index 4 out of range 1..3"),
+    ({"args": [1, 2, 3], "matrix": [["1", "0"]] * 2}, "rho[0].args: expected 2 indices"),
+])
+def test_representation_file_shape_and_key_errors(entry, message):
+    d = {"algebra": "L3.json", "module_dim": 2, "A": [["1", "0"], ["0", "1"]], "rho": [entry]}
+    with pytest.raises(FileFormatError, match=re.escape(message)):
+        representation_from_dict(d, l3())
 
 
 def test_representation_and_cocycle_files(tmp_path):

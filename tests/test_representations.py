@@ -35,17 +35,37 @@ def test_rho_apply_examples():
         r.apply(Vec.basis(4, 0), e(1))
 
 
+# an action of a 3-dimensional algebra on a 2-dimensional module: its
+# block lives on L + V of dimension 5, with module indices 3 and 4
+MODULE_E1 = Vec.basis(5, 3)
+
+
 @pytest.mark.parametrize("key", [(0, 3), (1, 0), (2, 2), (-1, 1), (0, 1, 2)])
-@pytest.mark.parametrize("mat", [Mat.identity(2), Mat.zero(2, 2)], ids=["nonzero", "zero"])
-def test_action_keys_must_be_increasing_pairs_in_range(key, mat):
-    message = f"action key {key} is not strictly increasing in range"
+@pytest.mark.parametrize("value", [MODULE_E1, Vec.zero(5)], ids=["nonzero", "zero"])
+def test_action_keys_must_be_increasing_pairs_in_range(key, value):
+    block_key = (*key, 3)
+    message = f"action key {block_key} is not strictly increasing in range"
     with pytest.raises(DimensionMismatch, match=re.escape(message)):
-        Representation(3, 2, Mat.identity(2), {(0, 1): Mat.identity(2), key: mat})
+        Representation(3, 2, Mat.identity(2), {(0, 1, 3): MODULE_E1, block_key: value})
 
 
-def test_action_values_must_be_square_of_the_module_dimension():
-    with pytest.raises(DimensionMismatch, match=re.escape("action value for (0, 1) has the wrong shape")):
-        Representation(3, 2, Mat.identity(2), {(0, 1): Mat.identity(3)})
+@pytest.mark.parametrize("key", [(0, 3, 4), (0, 1, 2)], ids=["second-module-index", "no-module-index"])
+@pytest.mark.parametrize("value", [MODULE_E1, Vec.zero(5)], ids=["nonzero", "zero"])
+def test_action_keys_must_pair_two_algebra_indices_with_a_module_index(key, value):
+    message = f"action value for {key} lies outside the [L, L, V] block"
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        Representation(3, 2, Mat.identity(2), {key: value})
+
+
+def test_action_values_must_lie_in_the_module_coordinates():
+    message = "action value for (0, 1, 3) lies outside the [L, L, V] block"
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        Representation(3, 2, Mat.identity(2), {(0, 1, 3): MODULE_E1 + Vec.basis(5, 2)})
+
+
+def test_action_values_must_have_the_length_of_l_plus_v():
+    with pytest.raises(DimensionMismatch, match=re.escape("action value for (0, 1, 3) has the wrong length")):
+        Representation(3, 2, Mat.identity(2), {(0, 1, 3): Vec.basis(4, 3)})
 
 
 def test_adjoint_values():
