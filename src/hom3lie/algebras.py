@@ -104,32 +104,20 @@ class AlgebraReport:
     regular_ok: Optional[bool] = None
     violations: tuple[Violation, ...] = ()
     violations_total: int = 0
+    FLAGS = ("skew_ok", "hom_jacobi_ok", "multiplicative_ok", "regular_ok")  # unannotated: no field
 
     @property
     def ok(self) -> bool:
         """True when every checked identity holds."""
-        return not any(
-            flag is False
-            for flag in (self.skew_ok, self.hom_jacobi_ok, self.multiplicative_ok, self.regular_ok)
-        )
+        return not any(getattr(self, flag) is False for flag in self.FLAGS)
 
     def merged(self, other: "AlgebraReport") -> "AlgebraReport":
-        def pick(a: Optional[bool], b: Optional[bool]) -> Optional[bool]:
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return a and b
-
-        witnesses = (self.violations + other.violations)[:MAX_WITNESSES]
-        return AlgebraReport(
-            skew_ok=pick(self.skew_ok, other.skew_ok),
-            hom_jacobi_ok=pick(self.hom_jacobi_ok, other.hom_jacobi_ok),
-            multiplicative_ok=pick(self.multiplicative_ok, other.multiplicative_ok),
-            regular_ok=pick(self.regular_ok, other.regular_ok),
-            violations=witnesses,
-            violations_total=self.violations_total + other.violations_total,
-        )
+        """The flags checked in either, anded where both checked; witnesses in order."""
+        both = {flag: (getattr(self, flag), getattr(other, flag)) for flag in self.FLAGS}
+        return AlgebraReport(**{flag: b if a is None else a if b is None else a and b
+                                for flag, (a, b) in both.items()},
+                             violations=(self.violations + other.violations)[:MAX_WITNESSES],
+                             violations_total=self.violations_total + other.violations_total)
 
 
 class Sweep:
@@ -185,11 +173,16 @@ class Sweep:
                 for m, s, sides in self.kept]
 
 
-def _rational(w: Sweep, identity: str, n: int, scale: int) -> tuple[Violation, ...]:
-    """The kept witnesses of a sweep whose sides are int supports, ``scale`` times theirs."""
-    return tuple(Violation(identity, m, *(Vec.sparse(n, rational({i: s * x for i, x in side.items()},
-                                                                  scale)) for side in sides))
-                 for m, s, sides in w.kept)
+def _report(w: Sweep, identity: str, n: int, scale: int) -> AlgebraReport:
+    """The report of a sweep of ``identity`` whose sides are int supports, ``scale`` times theirs."""
+    kept = tuple(Violation(identity, m, *(Vec.sparse(n, rational({i: s * x for i, x in side.items()}, scale))
+                                          for side in sides)) for m, s, sides in w.kept)
+    return AlgebraReport(**{f"{identity}_ok": w.clean}, violations_total=w.total, violations=kept)
+
+
+def _jacobi_scale(L: Hom3LieAlgebra) -> int:
+    """The scale of the sides of :func:`hom_jacobi_sides` on L."""
+    return (L.alt.integral[1] * L.twisted[1]) ** 2
 
 
 def hom_jacobi_sides(L: Hom3LieAlgebra, pairs: Iterable[tuple[int, int]],
@@ -240,9 +233,7 @@ def verify_hom_jacobi(L: Hom3LieAlgebra) -> AlgebraReport:
     n, w = L.dim, Sweep(2)
     for key, lhs, rhs in hom_jacobi_sides(L, w.reps(n), increasing_triples(n)):
         w.add(key, lhs, rhs)
-    scale = (L.alt.integral[1] * L.twisted[1]) ** 2
-    return AlgebraReport(hom_jacobi_ok=w.clean, violations_total=w.total,
-                         violations=_rational(w, "hom_jacobi", n, scale))
+    return _report(w, "hom_jacobi", n, _jacobi_scale(L))
 
 
 def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra,
@@ -271,8 +262,7 @@ def verify_multiplicative(L: Hom3LieAlgebra) -> AlgebraReport:
     for key, lhs, rhs in images:
         if lhs != rhs:
             w.add(key, lhs, rhs)
-    return AlgebraReport(multiplicative_ok=w.clean, violations_total=w.total,
-                         violations=_rational(w, "multiplicative", L.dim, scale))
+    return _report(w, "multiplicative", L.dim, scale)
 
 
 def verify_axioms(L: Hom3LieAlgebra) -> AlgebraReport:

@@ -29,7 +29,7 @@ from .algebras import (
 )
 from .derivations import derivation_extension, derivation_space, inner_space
 from .errors import DimensionMismatch, PreconditionError
-from .extensions import t_star_extension, t_theta_extension, verify_metric
+from .extensions import Cocycle, t_star_extension, t_theta_extension, verify_metric
 from .io import (
     FileFormatError,
     algebra_to_dict,
@@ -48,7 +48,7 @@ from .io import (
     write_json,
     write_text,
 )
-from .representations import adjoint_rep, coadjoint_rep, semidirect_product
+from .representations import _extension_sweep, adjoint_rep, coadjoint_rep
 from .structure import reconstruct_t_star, series
 
 DEFAULT_CHECKS = ("skew", "jacobi", "multiplicative")
@@ -210,20 +210,19 @@ def cmd_extend(args: argparse.Namespace) -> int:
             # the literal extension rule is not skew, so only the
             # extension-theorem verdict and the twist check gate the exit
             report = replace(report, skew_ok=None)
-        elif kind == "t-theta":
+        elif kind in ("t-theta", "semidirect"):  # semidirect: the extension along theta = 0
             rep = _resolve_rep(alg, inputs[1])
-            _, th = load_cocycle(inputs[2], algebra=alg)
+            th = (load_cocycle(inputs[2], algebra=alg)[1] if kind == "t-theta"
+                  else Cocycle.zero(alg.dim, rep.module_dim))
             result, report = t_theta_extension(alg, rep, th)
         elif kind == "direct-sum":
             result = direct_sum(alg, load_algebra(inputs[1]))
-        elif kind == "semidirect":
-            result = semidirect_product(alg, _resolve_rep(alg, inputs[1]))
+            report = verify_axioms(result)
         else:  # t-star
             _, th = load_cocycle(inputs[1], algebra=alg)
             result, form = t_star_extension(alg, th)
+            report = _extension_sweep(result, alg.dim)[2]
             data["q_gram"] = mat_to_lists(form.gram)
-        if kind not in ("derivation", "t-theta"):  # the two that verify their own result
-            report = verify_axioms(result)
         if kind != "derivation":
             data["algebra"] = algebra_to_dict(result)
     except PreconditionError as exc:

@@ -23,7 +23,7 @@ from .algebras import (
     Hom3LieAlgebra,
     Sweep,
     _bracket_images,
-    _rational,
+    _report,
     increasing_triples,
     verify_hom_jacobi,
     verify_regular,
@@ -290,7 +290,7 @@ def derivation_extension(L: Hom3LieAlgebra, d: Mat) -> tuple[DerivationExtension
     for key in itertools.product(range(nn), repeat=3):
         if (lhs := _slot_term(ad, *key)) != (rhs := _slot_term(da, *key)):
             at_n.add(key, Vec.sparse(nn, lhs), Vec.sparse(nn, rhs))
-    mult = sorted(_rational(below, "multiplicative", nn, scale)
+    mult = sorted(_report(below, "multiplicative", nn, scale).violations
                   + tuple(at_n.violations("multiplicative")), key=lambda v: v.indices)
 
     own, leibniz = verify_hom_jacobi(L), Sweep()
@@ -298,7 +298,7 @@ def derivation_extension(L: Hom3LieAlgebra, d: Mat) -> tuple[DerivationExtension
     for key, lhs, rhs in residuals:
         if lhs != rhs:
             leibniz.add(key, lhs, rhs)
-    rows = _rational(leibniz, "hom_jacobi", nn, scale)
+    rows = _report(leibniz, "hom_jacobi", nn, scale).violations
     jac = sorted([replace(v, left=Vec.sparse(nn, v.left.support), right=Vec.sparse(nn, v.right.support))
                   for v in own.violations]
                  + [replace(v, indices=(x, n, *v.indices)) for x in range(nn) for v in rows],

@@ -20,17 +20,15 @@ from .algebras import (
     Hom3LieAlgebra,
     Sweep,
     _bracket_images,
-    hom_jacobi_sides,
-    increasing_triples,
     is_morphism,
     preserves_bracket,
-    verify_axioms,
 )
-from .errors import CocycleInvalid, DimensionMismatch
+from .errors import CocycleInvalid, DimensionMismatch, RepresentationInvalid
 from .linalg import Mat, Vec, rank
 from .representations import (
+    CocycleReport,
     Representation,
-    _representation_checked,
+    _extension_sweep,
     _semidirect_table,
     coadjoint_rep,
 )
@@ -93,13 +91,6 @@ def hyperbolic_form(n: int) -> BilinForm:
     return BilinForm(2 * n, Mat.from_rows(rows, cols=2 * n))
 
 
-@dataclass(frozen=True)
-class CocycleReport:
-    ok: bool
-    witnesses: tuple[tuple[int, ...], ...]
-    violations_total: int
-
-
 def verify_cocycle(L: Hom3LieAlgebra, r: Representation, th: Cocycle) -> CocycleReport:
     """Sweep the twisted cocycle identity over basis 5-tuples, one per orbit.
 
@@ -117,22 +108,12 @@ def verify_cocycle(L: Hom3LieAlgebra, r: Representation, th: Cocycle) -> Cocycle
     (coordinates n and up) of hom-Jacobi on E at (e_u, e_v; e_x, e_y, e_z),
     right side less left side.  It is alternating in (x, y, z) and in
     (u, v) (:class:`Sweep`), so hom-Jacobi runs on u < v and the increasing
-    triples of L, its sides a positive multiple (:func:`hom_jacobi_sides`).
+    triples of L, its sides a positive multiple (:func:`_extension_sweep`).
     """
     n, m = L.dim, r.module_dim
     if th.algebra_dim != n or r.algebra_dim != n or th.module_dim != m:
         raise DimensionMismatch("algebra, representation and cocycle dimensions must agree")
-    return _cocycle_sweep(_semidirect_table(L, r, th.table), n)
-
-
-def _cocycle_sweep(E: Hom3LieAlgebra, n: int) -> CocycleReport:
-    """:func:`verify_cocycle` on the theta-extension E of L, n = dim L."""
-    log = Sweep(3, 2)
-    for (u, v, x, y, z), lhs, rhs in hom_jacobi_sides(
-            E, itertools.combinations(range(n), 2), increasing_triples(n)):
-        if {k: a for k, a in lhs.items() if k >= n} != {k: a for k, a in rhs.items() if k >= n}:
-            log.add((x, y, z, u, v))
-    return CocycleReport(ok=log.clean, witnesses=tuple(log.witnesses), violations_total=log.total)
+    return _extension_sweep(_semidirect_table(L, r, th.table), n)[1]
 
 
 def coboundary(L: Hom3LieAlgebra, r: Representation, f: Mat) -> Cocycle:
@@ -165,17 +146,21 @@ def t_theta_extension(
 
     The representation and cocycle identities are preconditions;
     violations raise :class:`RepresentationInvalid` or :class:`CocycleInvalid`.
-    Both are checked on the extension, built once (:func:`verify_representation`,
-    :func:`verify_cocycle`); a theta of the wrong shape is reported after
+    Both come with the report from one sweep of the extension, built once
+    (:func:`_extension_sweep`); a theta of the wrong shape is reported after
     the representation, checked on the semidirect product then.
     """
     fits = (th.algebra_dim, th.module_dim) == (L.dim, r.module_dim)
-    alg = _representation_checked(_semidirect_table(L, r, th.table if fits else None), L.dim)
+    alg = _semidirect_table(L, r, th.table if fits else None)
+    rep, co, report = _extension_sweep(alg, L.dim)
+    if not rep.ok:
+        raise RepresentationInvalid(
+            f"action fails the representation identities ({rep.violations_total} violations)")
     if not fits:
         raise DimensionMismatch("algebra, representation and cocycle dimensions must agree")
-    if not (co := _cocycle_sweep(alg, L.dim)).ok:
+    if not co.ok:
         raise CocycleInvalid(f"map fails the cocycle identity ({co.violations_total} violations)")
-    return alg, verify_axioms(alg)
+    return alg, report
 
 
 def t_star_extension(L: Hom3LieAlgebra, th: Cocycle) -> tuple[Hom3LieAlgebra, BilinForm]:

@@ -21,14 +21,17 @@ not commute with the action.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .algebras import (
     MAX_WITNESSES,
+    AlgebraReport,
     Hom3LieAlgebra,
     Sweep,
     _bracket_images,
+    _jacobi_scale,
+    _report,
     hom_jacobi_sides,
     increasing_triples,
 )
@@ -97,19 +100,8 @@ class RepresentationReport:
 
 
 def verify_representation(L: Hom3LieAlgebra, r: Representation) -> RepresentationReport:
-    """Sweep (R1) over basis pairs and (R2)-(R3) over basis quadruples.
-
-    On E = L + V (:func:`semidirect_product`), [e_x, e_y, e_{n+c}] is
-    rho(x, y) e_c and a bracket of two module vectors is 0, so column c of
-    each identity is an instance of E's multiplicativity or hom-Jacobi:
-
-      (R1) at (x, y) is multiplicativity on (x, y, n + c);
-      (R2) at (x, y, z, u) is hom-Jacobi on (e_u, e_{n+c}; e_x, e_y, e_z);
-      (R3) at (x, y, z, u) is hom-Jacobi on (e_x, e_y; e_z, e_u, e_{n+c}).
-
-    An identity fails iff one of its columns does, so failures are grouped
-    over c.  A cocycle added to E only meets these instances in brackets
-    with two module vectors, so it drops out of them.
+    """Sweep (R1) over basis pairs and (R2)-(R3) over basis quadruples, as
+    the representation part of :func:`_extension_sweep` on L + V.
 
     Symmetries (:class:`Sweep`): (R1) is skew in (x, y); (R2) alternating
     in (x, y, z), its right side a cyclic sum of terms skew in two slots;
@@ -117,37 +109,7 @@ def verify_representation(L: Hom3LieAlgebra, r: Representation) -> Representatio
     Only their representatives are visited, on sides scaled by a positive
     integer.  Witnesses: (R1), then by quadruple, (R2) before (R3) at each.
     """
-    return _representation_sweep(_semidirect_table(L, r), L.dim)
-
-
-def _representation_sweep(E: Hom3LieAlgebra, n: int) -> RepresentationReport:
-    """:func:`verify_representation` on the extension E of L, n = dim L, by V."""
-    module, low = range(n, E.dim), list(itertools.combinations(range(n), 2))
-    mixed = [(x, y, c) for x, y in low for c in module]
-    twist, r2, r3 = Sweep(2), Sweep(3), Sweep(2, 2)
-    _, images = _bracket_images(E.twist, E, E, mixed)
-    for log, keys in (
-        (twist, {(x, y) for (x, y, _), lhs, rhs in images if lhs != rhs}),
-        (r2, {(x, y, z, u) for (u, _, x, y, z), _, _ in hom_jacobi_sides(
-            E, itertools.product(range(n), module), increasing_triples(n))}),
-        (r3, {key[:4] for key, _, _ in hom_jacobi_sides(E, low, mixed)}),
-    ):
-        for key in keys:
-            log.add(key)
-    logs = (("twist", twist), ("bracket_action", r2), ("exchange", r3))
-    witnesses = sorted(((name, idx) for name, log in logs for idx in log.witnesses),
-                       key=lambda w: (len(w[1]), w[1], w[0]))
-    return RepresentationReport(twist_ok=twist.clean, bracket_action_ok=r2.clean,
-                                exchange_ok=r3.clean, witnesses=tuple(witnesses[:MAX_WITNESSES]),
-                                violations_total=twist.total + r2.total + r3.total)
-
-
-def _representation_checked(E: Hom3LieAlgebra, n: int) -> Hom3LieAlgebra:
-    """E, whose action passed :func:`_representation_sweep` (:class:`RepresentationInvalid`)."""
-    if not (rep := _representation_sweep(E, n)).ok:
-        raise RepresentationInvalid(
-            f"action fails the representation identities ({rep.violations_total} violations)")
-    return E
+    return _extension_sweep(_semidirect_table(L, r), L.dim)[0]
 
 
 def adjoint_rep(L: Hom3LieAlgebra) -> Representation:
@@ -188,7 +150,11 @@ def semidirect_product(L: Hom3LieAlgebra, r: Representation) -> Hom3LieAlgebra:
     the result is an ordinary structure-constant table.  It is built once,
     and the representation identities are checked on it.
     """
-    return _representation_checked(_semidirect_table(L, r), L.dim)
+    E = _semidirect_table(L, r)
+    if not (rep := _extension_sweep(E, L.dim)[0]).ok:
+        raise RepresentationInvalid(
+            f"action fails the representation identities ({rep.violations_total} violations)")
+    return E
 
 
 def _semidirect_table(
@@ -208,3 +174,62 @@ def _semidirect_table(
     for key, value in (theta or {}).items():
         table[key] = table.get(key, Vec.zero(n + m)) + zalg.concat(value)
     return Hom3LieAlgebra(n + m, table, L.twist.block_diag(r.twist))
+
+
+@dataclass(frozen=True)
+class CocycleReport:
+    ok: bool
+    witnesses: tuple[tuple[int, ...], ...]
+    violations_total: int
+
+
+def _extension_sweep(E: Hom3LieAlgebra, n: int) -> tuple[RepresentationReport, CocycleReport,
+                                                          AlgebraReport]:
+    """The reports of the action and theta that extend L, n = dim L, to
+    E = L + V (:func:`_semidirect_table`), and E's as :func:`verify_axioms` gives it.
+
+    A bracket of E with two module vectors is 0, one with one lies in V, and
+    the twist keeps L and V, so every twisted, nested bracket in E's
+    identities is 0 at two or more module indices, and so is the instance.
+    The rest is swept once: multiplicativity on E's increasing triples, in
+    E's order, and hom-Jacobi in three blocks, (a < b < n; L's triples),
+    (u, n + c; L's triples) and (a < b < n; z < u < n, n + c).  As
+    [e_x, e_y, e_{n+c}] = rho(x, y) e_c, column c of (R1) at (x, y) is the
+    first on (x, y, n + c), and of (R2), (R3) at (x, y, z, u) hom-Jacobi on
+    (e_u, e_{n+c}; e_x, e_y, e_z), (e_x, e_y; e_z, e_u, e_{n+c}), with both
+    sides in V; the module part of the first block is the cocycle identity
+    (:func:`verify_cocycle`).  Logs with blocks sort their witnesses
+    (:class:`Sweep`), so the blocks may come in any order.  theta meets
+    (R1)-(R3) only in brackets with two module vectors.
+    """
+    low, module = list(itertools.combinations(range(n), 2)), range(n, E.dim)
+    jacobi, mult, twist, cocycle, r2, r3 = Sweep(2), Sweep(), Sweep(2), Sweep(3, 2), Sweep(3), Sweep(2, 2)
+    found: dict[Sweep, set] = {twist: set(), cocycle: set(), r2: set(), r3: set()}
+    upto_one = [(x, y, k) for x, y in low for k in range(y + 1, E.dim)]
+    scale, images = _bracket_images(E.twist, E, E, upto_one)
+    for key, lhs, rhs in images:
+        if lhs != rhs:
+            mult.add(key, lhs, rhs)
+            if key[2] >= n:
+                found[twist].add(key[:2])
+    blocks = ((cocycle, low, increasing_triples(n), lambda u, v, x, y, z: (x, y, z, u, v)),
+              (r2, itertools.product(range(n), module), increasing_triples(n),
+               lambda u, _, x, y, z: (x, y, z, u)),
+              (r3, low, [(x, y, c) for x, y in low for c in module], lambda x, y, z, u, _: (x, y, z, u)))
+    for log, pairs, triples, part in blocks:
+        for key, lhs, rhs in hom_jacobi_sides(E, pairs, triples):
+            jacobi.add(key, lhs, rhs)
+            if {k: a for k, a in lhs.items() if k >= n} != {k: a for k, a in rhs.items() if k >= n}:
+                found[log].add(part(*key))
+    for log, keys in found.items():
+        for key in keys:
+            log.add(key)
+    named = (("twist", twist), ("bracket_action", r2), ("exchange", r3))
+    witnesses = sorted(((name, idx) for name, log in named for idx in log.witnesses),
+                       key=lambda w: (len(w[1]), w[1], w[0]))
+    rep = RepresentationReport(twist_ok=twist.clean, bracket_action_ok=r2.clean, exchange_ok=r3.clean,
+                               witnesses=tuple(witnesses[:MAX_WITNESSES]),
+                               violations_total=twist.total + r2.total + r3.total)
+    co = CocycleReport(ok=cocycle.clean, witnesses=tuple(cocycle.witnesses), violations_total=cocycle.total)
+    own = _report(jacobi, "hom_jacobi", E.dim, _jacobi_scale(E))
+    return rep, co, replace(own.merged(_report(mult, "multiplicative", E.dim, scale)), skew_ok=True)

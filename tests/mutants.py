@@ -48,9 +48,12 @@ OTHER_M_REP = SWEEPS + "test_representation_sweep_matches_the_dense_sweep_on_ano
 OTHER_M_SEMIDIRECT = SWEEPS + "test_semidirect_table_matches_the_literal_bracket_on_another_module_dimension"
 OTHER_M_ACTION = SWEEPS + "test_action_matches_the_skew_extension_of_its_table_on_another_module_dimension"
 SIDES = SWEEPS + "test_hom_jacobi_sides_yield_the_unrestricted_loop_in_order"
+EXTENSION = SWEEPS + "test_extension_sweep_matches_the_full_sweep_and_the_dense_sweeps"
 LITERAL_ACTIONS = SWEEPS + "test_adjoint_coadjoint_and_dual_blocks_match_the_literal_matrices"
 LITERAL_COBOUNDARY = SWEEPS + "test_coboundary_matches_the_literal_formula"
 CLI_BYTES = "tests/test_cli_bytes.py::test_cli_runs_match_the_byte_table"
+ZERO_MODULE = ("tests/test_representations.py::"
+               "test_a_module_of_dimension_zero_is_a_representation_of_a_non_multiplicative_algebra")
 DERIVATIONS = "tests/test_derivations.py"
 
 # (name, file under src/hom3lie, old text, new text, tests that must fail)
@@ -69,19 +72,23 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("witnesses-in-sweep-order", "algebras.py",
      "        if self.blocks:\n", "        if False:\n",
      (ORBITS, TRUNCATED)),
-    ("cocycle-sweep-compares-the-algebra-coordinates", "extensions.py",
+    ("cocycle-sweep-compares-the-algebra-coordinates", "representations.py",
      "if {k: a for k, a in lhs.items() if k >= n} != {k: a for k, a in rhs.items() if k >= n}:",
      "if lhs != rhs:",
      (ZERO_ACTION, SWEEPS + "test_cocycle_sweep_matches_the_dense_sweep")),
+    ("cocycle-witness-in-the-hom-jacobi-slots", "representations.py",
+     "lambda u, v, x, y, z: (x, y, z, u, v)", "lambda x, y, z, u, v: (x, y, z, u, v)",
+     (EXTENSION, SWEEPS + "test_cocycle_sweep_matches_the_dense_sweep")),
     ("r1-admits-triples-without-a-module-index", "representations.py",
-     "_bracket_images(E.twist, E, E, mixed)",
-     "_bracket_images(E.twist, E, E)",
-     (ZERO_ACTION, CLI_BYTES)),
-    ("bracket-images-read-no-triples-as-all", "algebras.py",
-     "(increasing_triples(L.dim) if triples is None else triples)",
-     "(triples or increasing_triples(L.dim))",
-     ("tests/test_representations.py::"
-      "test_a_module_of_dimension_zero_is_a_representation_of_a_non_multiplicative_algebra",)),
+     "            if key[2] >= n:\n", "            if True:\n",
+     (ZERO_ACTION, CLI_BYTES, ZERO_MODULE)),
+    ("extension-multiplicativity-below-n-only", "representations.py",
+     "range(y + 1, E.dim)", "range(y + 1, n)",
+     (EXTENSION, COPRIME_REP)),
+    ("extension-hom-jacobi-from-the-algebra-block-only", "representations.py",
+     "            jacobi.add(key, lhs, rhs)\n",
+     "            if log is cocycle:\n                jacobi.add(key, lhs, rhs)\n",
+     (EXTENSION, CLI_BYTES)),
     ("hom-jacobi-candidates-from-the-b-support-only", "algebras.py",
      "{*(live if tab else ()), *(q for i in bab for q in holding.get(i, ()))}",
      "{*(live if tab else ())}",
@@ -90,7 +97,7 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "{*(live if tab else ()), *(q for", "{*(q for",
      (SIDES, OTHER_M_REP)),
     ("r2-key-from-the-wrong-slots", "representations.py",
-     "for (u, _, x, y, z), _, _ in", "for (x, _, u, y, z), _, _ in",
+     "lambda u, _, x, y, z: (x, y, z, u)", "lambda x, _, u, y, z: (x, y, z, u)",
      (TRUNCATED, COPRIME_REP)),
     ("r3-before-r2", "representations.py",
      "key=lambda w: (len(w[1]), w[1], w[0])", "key=lambda w: (len(w[1]), w[0], w[1])",
@@ -185,9 +192,10 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("shear-with-minus-f", "extensions.py",
      "f.row(i).concat(Vec.basis(m, i))", "(-f.row(i)).concat(Vec.basis(m, i))",
      (LITERAL_COBOUNDARY, "tests/test_extensions.py::test_coboundary_values")),
-    ("extend-verifies-multiplicativity-only", "cli.py",
-     "            report = verify_axioms(result)", "            report = verify_multiplicative(result)",
-     (CLI_BYTES,)),
+    ("extend-verifies-multiplicativity-only", "representations.py",
+     "replace(own.merged(_report(mult, \"multiplicative\", E.dim, scale)), skew_ok=True)",
+     "replace(_report(mult, \"multiplicative\", E.dim, scale), skew_ok=True)",
+     (EXTENSION, CLI_BYTES)),
     ("kernel-int-check-reads-the-first-entry", "linalg.py",
      "if not all(type(a) is int for a in row.values()):",
      "if type(next(iter(row.values()))) is not int:",

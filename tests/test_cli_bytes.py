@@ -30,13 +30,24 @@ on A4 too), and ``extend
 t-theta`` with the adjoint action and the coboundary of 2 alpha + I -
 alpha^2, each as text and as ``--json``, with and without ``--output``,
 so that the builders of both actions and of coboundaries reach the
-output on a 4-dimensional base.  The test replays each line through
+output on a 4-dimensional base.  ``extend t-star`` runs on A4y with that
+coboundary, whose extension fails (R2) and (R3) of the coadjoint action,
+and ``extend t-theta`` and ``extend semidirect`` on A4 with the shear
+twist, which fails hom-Jacobi, with the zero action on a 2-dimensional
+module and theta = 0, so that failures of every block of the one
+extension sweep reach the output.  The test replays each line through
 ``cli.main`` in a directory holding the inputs, with relative paths, so
 that no digest depends on where the directory is.
 
-Running this file prints the table for the ``hom3lie`` on the path:
+``cli_inputs.json`` records the sha256 digest of each input file, which
+the library's writers and builders make, so that a change to one shows
+even where no command reads that file back.
+
+Running this file prints the table for the ``hom3lie`` on the path, and
+with the argument ``inputs`` the input digests:
 
     PYTHONPATH=src python3 tests/test_cli_bytes.py > tests/cli_bytes.json
+    PYTHONPATH=src python3 tests/test_cli_bytes.py inputs > tests/cli_inputs.json
 """
 
 from __future__ import annotations
@@ -71,6 +82,7 @@ from hom3lie.linalg import Mat, Subspace, Vec
 from hom3lie.representations import Representation, adjoint_rep, coadjoint_rep
 
 TABLE = Path(__file__).with_name("cli_bytes.json")
+INPUTS = Path(__file__).with_name("cli_inputs.json")
 
 # inputs per kind and scenario; "missing.json" is never written
 EXTEND = {
@@ -146,6 +158,9 @@ MODULE_EXTENSIONS = (
     ["semidirect", "A4y.json", "rep-coadjoint-A4y.json"],
     ["semidirect", "A4.json", "rep-coadjoint-A4.json"],
     ["t-theta", "A4y.json", "adjoint", "theta-A4y-coboundary.json"],
+    ["t-star", "A4y.json", "theta-A4y-coboundary.json"],
+    ["t-theta", "A4-shear.json", "rep-zero-4.json", "theta-zero-4.json"],
+    ["semidirect", "A4-shear.json", "rep-zero-4.json"],
 )
 CASES = [
     [*mode, "extend", kind, *inputs, *out]
@@ -221,6 +236,9 @@ def write_inputs(d: Path) -> None:
             Representation(3, 1, Mat.identity(1), action_block(3, 1, {(0, 1): Mat.identity(1)})), "L3.json"),
         "theta-L3.json": cocycle_to_dict(Cocycle(3, 3, {(0, 1, 2): Vec.basis(3, 0)}), "L3.json"),
         "theta-zero.json": cocycle_to_dict(Cocycle.zero(3, 2), "L3-nonmult.json"),
+        "rep-zero-4.json": representation_to_dict(
+            Representation(4, 2, Mat.identity(2), {}), "A4-shear.json"),
+        "theta-zero-4.json": cocycle_to_dict(Cocycle.zero(4, 2), "A4-shear.json"),
         "theta-A4.json": cocycle_to_dict(Cocycle(4, 4, {(0, 1, 2): Vec.basis(4, 0)}), "A4.json"),
         "theta-module-2.json": cocycle_to_dict(Cocycle.zero(3, 2), "L3.json"),
         "rep-coadjoint-A4y.json": representation_to_dict(coadjoint_rep(Ay), "A4y.json"),
@@ -288,6 +306,19 @@ def run_case(argv: list[str]) -> dict:
             "files": {name: digest(data) for name, data in files.items()}}
 
 
+def input_digests(d: Path) -> dict[str, str]:
+    """The sha256 digest of each file :func:`write_inputs` writes into ``d``."""
+    return {f.name: digest(f.read_bytes()) for f in sorted(d.iterdir())}
+
+
+def test_input_files_match_their_digests(tmp_path):
+    """The writers and builders behind the inputs, seen even where no command reads one back."""
+    write_inputs(tmp_path)
+    table, written = json.loads(INPUTS.read_text(encoding="utf-8")), input_digests(tmp_path)
+    changed = sorted(name for name in table.keys() | written.keys() if table.get(name) != written.get(name))
+    assert not changed, "input files differ from their digests: " + ", ".join(changed)
+
+
 def test_cli_runs_match_the_byte_table(tmp_path, monkeypatch):
     write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
@@ -300,6 +331,9 @@ def test_cli_runs_match_the_byte_table(tmp_path, monkeypatch):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(Path(tmp))
+        if sys.argv[1:] == ["inputs"]:
+            sys.stdout.write(json.dumps(input_digests(Path(tmp)), indent=1) + "\n")
+            sys.exit()
         os.chdir(tmp)
         rows = [run_case(argv) for argv in CASES]
     sys.stdout.write("[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n")

@@ -11,7 +11,9 @@ symmetry (``Sweep``); the oracles visit every ordered tuple.  The
 ``interleaved`` cases pick inputs with more than MAX_WITNESSES
 violations whose orbits alternate in lexicographic order, which is
 where expanding the orbits back into the ordered sweep's witnesses can
-go wrong.
+go wrong.  The one sweep of a module extension E, which gives the
+representation, cocycle and E reports together, is also held to
+``verify_axioms(E)``, the full sweep of E.
 
 The library sweeps run on integers, each tensor scaled by its common
 denominator.  The ``coprime`` cases scale the bracket, the twist, the
@@ -34,6 +36,7 @@ from hom3lie.algebras import (
     Sweep,
     hom_jacobi_sides,
     increasing_triples,
+    verify_axioms,
     verify_hom_jacobi,
     verify_multiplicative,
 )
@@ -50,6 +53,7 @@ from hom3lie.fixtures import a4, catalog
 from hom3lie.linalg import Mat, Vec, inverse
 from hom3lie.representations import (
     Representation,
+    _extension_sweep,
     _semidirect_table,
     adjoint_rep,
     coadjoint_rep,
@@ -419,6 +423,24 @@ def test_hom_jacobi_sides_yield_the_unrestricted_loop_in_order(case, data):
                    (low, [(z, u, c) for z, u in low for c in module])]
     for pairs, triples in inputs:
         assert list(hom_jacobi_sides(E, pairs, triples)) == oracle.hom_jacobi_sides(E, pairs, triples)
+
+
+@settings(max_examples=30)
+@given(st.one_of(module_pairs(), coprime_modules(), foreign_modules()), st.data())
+def test_extension_sweep_matches_the_full_sweep_and_the_dense_sweeps(pair, data):
+    """One sweep of the extension E along a drawn action and a drawn theta
+    (the coboundary of a drawn map L -> V, or drawn entries), on perturbed
+    or coprime-scaled bases, which often fail hom-Jacobi or multiplicativity:
+    E's report is that of the full sweep ``verify_axioms(E)``, and the
+    representation and cocycle parts are the dense oracle's."""
+    L, r = pair
+    n, m = L.dim, r.module_dim
+    th = coboundary(L, r, drawn_mat(data.draw, m, n)) if data.draw(st.booleans()) else drawn_cocycle(data, n, m)
+    E = _semidirect_table(L, r, th.table)
+    rep, co, report = _extension_sweep(E, n)
+    assert report == verify_axioms(E)
+    assert rep == oracle.representation(L, r)
+    assert co == oracle.cocycle(L, r, th)
 
 
 # On the extension E = L + V along an action and theta, the instances of
