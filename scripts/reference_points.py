@@ -20,12 +20,13 @@ extension by its dual ideal.
 
 Each layer is run REPEAT times in this process, or once when its first
 run takes over SLOW seconds, each time on its algebras and cocycles built
-anew, so that no trie or cleared table carries over from one run to the
+anew, so that no trie, twisted action or projection carries over from one run to the
 next; a cell is the median wall time in seconds, unscaled, so compare
 only runs made on the same host.  A second table
 gives each layer's violation total (for the coboundary the nonzero
-entries of theta, for the derivation spaces their dimension, for the descending central series the sum of its term
-dimensions, for the reconstruction the nonzero entries of the
+entries of theta, for the derivation spaces and the inner derivations their
+dimension, for the descending and the ascending central series the sum of
+their term dimensions, for the reconstruction the nonzero entries of the
 reconstructed theta, or -1 when its isometry check fails), which must
 not depend on the code version: at the sizes
 in ``TOTALS`` the script exits 1 when one
@@ -45,7 +46,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from hom3lie.algebras import Hom3LieAlgebra, direct_sum, increasing_triples, verify_hom_jacobi
-from hom3lie.derivations import derivation_extension, derivation_space
+from hom3lie.derivations import derivation_extension, derivation_space, inner_space
 from hom3lie.extensions import (
     Cocycle,
     coboundary,
@@ -62,15 +63,16 @@ from hom3lie.structure import reconstruct_t_star, series
 from perfbench.inputs import yau_twisted_a4
 
 COLUMNS = ("hom-Jacobi", "hom-Jacobi on T* (2n)", "adjoint rep. sweep", "coadjoint rep. sweep",
-           "coboundary", "cocycle sweep", "t-theta extension", "metric on T*", "`derivation_space(k=0)`", "same on T*", "descending series on T*",
+           "coboundary", "cocycle sweep", "t-theta extension", "metric on T*", "`derivation_space(k=0)`", "same on T*",
+           "`inner_space(k=1)` on T*", "descending series on T*", "ascending series on T*",
            "derivation extension", "reconstruct on T*")
 REPEAT = 3
 SLOW = 1.0
 # each column's violation total (coboundary: nonzero entries of theta; `derivation_space`
-# columns: dimension; series: the sum of the term dimensions; reconstruction: nonzero
-# entries of theta), per size
-TOTALS = {7: (0, 392, 0, 228, 16, 144, 0, 136, 8, 15, 26, 114, 132),
-          11: (0, 784, 0, 456, 31, 288, 0, 262, 10, 17, 42, 194, 1192)}
+# and `inner_space` columns: dimension; series: the sum of the term dimensions;
+# reconstruction: nonzero entries of theta), per size
+TOTALS = {7: (0, 392, 0, 228, 16, 144, 0, 136, 8, 15, 6, 26, 2, 114, 132),
+          11: (0, 784, 0, 456, 31, 288, 0, 262, 10, 17, 6, 42, 2, 194, 1192)}
 
 
 def family(n: int) -> Hom3LieAlgebra:
@@ -115,19 +117,24 @@ def layers(n: int) -> dict:
         (lambda A, B: verify_metric(A, B).violations_total, tstar, form),
         (lambda A: derivation_space(A, 0).dimension, L),
         (lambda A: derivation_space(A, 0).dimension, tstar),
+        (lambda A: inner_space(A, 1).dimension, tstar),
         (lambda A: sum(t.dim for t in series(A, "central_descending").terms), tstar),
+        (lambda A: sum(t.dim for t in series(A, "central_ascending").terms), tstar),
         (lambda A, D: derivation_extension(A, D)[1].violations_total, L, d),
         (reconstructed_nonzeros, double, double_form, dual),
     )))
 
 
 def cold(x):
-    """An algebra or a cocycle built anew, without the tries and cleared
-    tables that earlier calls left on it, as one CLI call loads it."""
+    """An algebra, a cocycle or a subspace built anew, without the trie,
+    twisted actions, pivot rows or projection that earlier calls left on
+    it, as one CLI call loads it."""
     if isinstance(x, Hom3LieAlgebra):
         return Hom3LieAlgebra(x.dim, x.table, x.twist)
     if isinstance(x, Cocycle):
         return Cocycle(x.algebra_dim, x.module_dim, x.table)
+    if isinstance(x, Subspace):
+        return Subspace(x.ambient_dim, x.basis)
     return x
 
 
@@ -164,8 +171,8 @@ def main() -> int:
     print(f"seconds, median of {REPEAT} (one run when the first takes over {SLOW} s)")
     print(table(("n",) + COLUMNS, timings))
     print()
-    print("violations total (the coboundary: nonzero entries of theta; the two "
-          "`derivation_space` columns: dimension; the series: sum of the term dimensions; "
+    print("violations total (the coboundary: nonzero entries of theta; the `derivation_space` "
+          "and `inner_space` columns: dimension; the series: sum of the term dimensions; "
           "the reconstruction: nonzero entries of theta)")
     print(table(("n",) + COLUMNS, results))
     for line in moved:

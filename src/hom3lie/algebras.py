@@ -28,8 +28,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .errors import DimensionMismatch, IdealRequired
-from .linalg import Mat, Subspace, Vec, pruned, rank, rational, subspace_contains
-from .sparse import AltTable, SparseMat, add_matvec, cleared, matvec, signed_perms
+from .linalg import Mat, Subspace, Vec, cleared, pruned, rank, rational, subspace_contains
+from .sparse import AltTable, SparseMat, add_matvec, matvec, signed_perms
 
 MAX_WITNESSES = 16
 
@@ -73,10 +73,10 @@ class Hom3LieAlgebra:
 
     @cached_property
     def twisted(self) -> tuple[dict[tuple[int, int], SparseMat], int]:
-        """T~_ab = [alpha~ e_a, alpha~ e_b, .] for the cleared bracket B~ = D B
-        and twist alpha~ = d alpha (:func:`cleared`), and d; kept for reuse."""
+        """T~_ab = [alpha~ e_a, alpha~ e_b, .] for the numerators B~ = D B (:class:`AltTable`)
+        and the cleared twist alpha~ = d alpha (:func:`cleared`), and d; kept for reuse."""
         (acols,), d = cleared([self.twist.col(i).support for i in range(self.dim)])
-        return self.alt.integral[0].pairs(acols), d
+        return self.alt.pairs(acols), d
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ def _report(w: Sweep, identity: str, n: int, scale: int) -> AlgebraReport:
 
 def _jacobi_scale(L: Hom3LieAlgebra) -> int:
     """The scale of the sides of :func:`hom_jacobi_sides` on L."""
-    return (L.alt.integral[1] * L.twisted[1]) ** 2
+    return (L.alt.scale * L.twisted[1]) ** 2
 
 
 def hom_jacobi_sides(L: Hom3LieAlgebra, pairs: Iterable[tuple[int, int]],
@@ -205,7 +205,7 @@ def hom_jacobi_sides(L: Hom3LieAlgebra, pairs: Iterable[tuple[int, int]],
     Integers (:attr:`Hom3LieAlgebra.twisted`): with B = B~/D and alpha =
     alpha~/d, both sides have degree 2 in each, so are D^2 d^2 times theirs.
     """
-    (alt, _), (t, _) = L.alt.integral, L.twisted
+    alt, (t, _) = L.alt, L.twisted
     triples = [(u, v, w, alt.get(u, v, w)) for u, v, w in triples]
     live = [p for p, (*_, buvw) in enumerate(triples) if buvw]
     holding: dict[int, list[int]] = {}
@@ -241,13 +241,13 @@ def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra,
     """A scale s and, for each (i, j, k) of ``triples`` (default: all i < j < k),
     phi [e_i,e_j,e_k] and [phi e_i,phi e_j,phi e_k] as int supports, s times theirs.
 
-    With phi = phi~/d, B_L = B~_L/D_L, B_G = B~_G/D_G (:func:`cleared`; the
-    pairs of phi~ over B~_G are G.twisted when phi is G's twist), phi~ B~_L
+    With phi = phi~/d (:func:`cleared`), B_L = B~_L/D_L and B_G = B~_G/D_G (numerators;
+    the pairs of phi~ over B~_G are G.twisted when phi is G's twist), phi~ B~_L
     is d D_L times the left and B~_G(phi~, phi~, phi~) d^3 D_G times the
     right; taken d^2 D_G and D_L times, both are s = d^3 D_L D_G.
     """
     (cols,), d = cleared([phi.col(i).support for i in range(L.dim)])
-    (left, dl), (right, dg) = L.alt.integral, G.alt.integral
+    (left, dl), (right, dg) = (L.alt, L.alt.scale), (G.alt, G.alt.scale)
     t = G.twisted[0] if phi == G.twist else right.pairs(cols)
     lcols = {i: {r: d * d * dg * x for r, x in c.items()} for i, c in enumerate(cols)}
     rcols = [{r: dl * x for r, x in c.items()} for c in cols]
@@ -293,46 +293,24 @@ def is_subalgebra(L: Hom3LieAlgebra, s: Subspace) -> bool:
     )
 
 
-def _projection(s: Subspace) -> tuple[dict[int, int], SparseMat, int]:
-    """The positions of the non-pivot coordinates of s, and e times the
-    projection onto them along s, as int columns over those positions, and e.
-
-    Column g of the projection is e_g when g is not a pivot and
-    -(row_g off its pivot) when it is, row_g the RREF row with pivot g;
-    the rows are cleared together to row~_g = e row_g (:func:`cleared`).
-    So proj v is v less v_p row_p for each pivot p, read at the
-    non-pivots; that rest is 0 at every pivot and lies in s iff v does,
-    and the only such vector in s is 0: v lies in s iff proj v = 0.
-    """
-    rows = s.pivot_rows
-    pos = {g: a for a, g in enumerate(g for g in range(s.ambient_dim) if g not in rows)}
-    (irows,), e = cleared(list(rows.values()))
-    cols = {g: {a: e} for g, a in pos.items()}
-    for p, row in zip(rows, irows):
-        if col := {pos[c]: -x for c, x in row.items() if c != p}:
-            cols[p] = col
-    return pos, cols, e
-
-
 def is_ideal(L: Hom3LieAlgebra, s: Subspace) -> bool:
     """True iff s is twist-stable and [s, L, L] lies in s.
 
     Twist stability is required so the quotient twist is well defined.
-    Integers: v lies in s iff (e proj) v~ = 0 (:func:`_projection`) for
-    any nonzero multiple v~ of v, so with the twist, the bracket and the
-    basis of s cleared, each basis vector b is tested for alpha~ b and
-    for every column of [b, e_j, .], for each j.
+    Integers: v lies in s iff (e proj) v~ = 0 (:attr:`Subspace.projection`)
+    for any nonzero multiple v~ of v, so with the twist and the basis of s
+    cleared, each basis vector b is tested for alpha~ b and for every
+    column of the bracket's numerators [b, e_j, .], for each j.
     """
     if s.ambient_dim != L.dim:
         raise DimensionMismatch("subspace ambient dimension does not match the algebra")
-    _, proj, _ = _projection(s)
-    alt, _ = L.alt.integral
+    _, proj, _ = s.projection
     (acols, basis), _ = cleared([L.twist.col(i).support for i in range(L.dim)],
                                 [v.support for v in s.basis])
     acols = dict(enumerate(acols))
     return (all(not matvec(proj, matvec(acols, b)) for b in basis)
             and all(not matvec(proj, col) for b in basis for j in range(L.dim)
-                    for col in alt.partial(b, {j: 1}).values()))
+                    for col in L.alt.partial(b, {j: 1}).values()))
 
 
 def direct_sum(L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> Hom3LieAlgebra:
@@ -369,20 +347,19 @@ def quotient(L: Hom3LieAlgebra, ideal: Subspace) -> tuple[Hom3LieAlgebra, Mat]:
 
     The quotient basis consists of the non-pivot coordinates of the
     ideal's canonical basis, which makes the output deterministic.  With
-    e proj from :func:`_projection` and B = B~/D, alpha = alpha~/d cleared,
-    e proj B~ is e D times the quotient bracket on the increasing triples
-    of non-pivots and e proj alpha~ is e d times the twist columns there;
-    each is divided once.
+    e proj from :attr:`Subspace.projection` (shared with :func:`is_ideal`),
+    the numerators B~ = D B and alpha = alpha~/d cleared, e proj B~ is e D
+    times the quotient bracket on the increasing triples of non-pivots and
+    e proj alpha~ is e d times the twist columns there; each is divided once.
     """
     if not is_ideal(L, ideal):
         raise IdealRequired("quotient needs a twist-stable ideal")
-    n = L.dim
-    pos, cols, e = _projection(ideal)
+    n, alt = L.dim, L.alt
+    pos, cols, e = ideal.projection
     q = len(pos)
-    alt, D = L.alt.integral
     (acols,), d = cleared([L.twist.col(g).support for g in pos])
-    table = {tuple(pos[i] for i in key): Vec.sparse(q, rational(matvec(cols, v.support), e * D))
-             for key, v in alt.values.items() if all(i in pos for i in key)}
+    table = {tuple(pos[i] for i in key): Vec.sparse(q, rational(matvec(cols, alt.get(*key)), e * alt.scale))
+             for key in L.table if all(i in pos for i in key)}
     twist = (Mat.from_cols([Vec.sparse(q, rational(matvec(cols, c), e * d)) for c in acols])
              if q else Mat.zero(0, 0))
     proj = Mat.sparse(q, [Vec.sparse(q, rational(cols.get(g, {}), e)) for g in range(n)])
@@ -397,6 +374,7 @@ def subspace_bracket(L: Hom3LieAlgebra, s1: Subspace, s2: Subspace, s3: Subspace
     the same span: the bracket is alternating, so any other triple has a
     repeated vector in equal slots and brackets to 0, or is a reordering
     within equal slots of a bracketed one and brackets to plus or minus it.
+    The generators are numerators (:meth:`AltTable.partial`): a nonzero scale changes no span.
     """
     if any(s.ambient_dim != L.dim for s in (s1, s2, s3)):
         raise DimensionMismatch("subspace ambient dimension does not match the algebra")

@@ -29,8 +29,8 @@ from .algebras import (
     verify_regular,
 )
 from .errors import DimensionMismatch, FixedPointRequired, RegularTwistRequired
-from .linalg import Mat, Subspace, Support, Vec, nullspace, pruned, subspace_contains
-from .sparse import add_matvec, cleared, matvec, signed_perms
+from .linalg import Mat, Subspace, Support, Vec, cleared, nullspace, pruned, subspace_contains
+from .sparse import add_matvec, matvec, signed_perms
 
 
 def twist_power(L: Hom3LieAlgebra, k: int) -> Mat:
@@ -52,13 +52,13 @@ def _leibniz(L: Hom3LieAlgebra, d: Mat, k: int) -> tuple[int, Iterator]:
     Leibniz rule as int supports, s times theirs: D B_ijk, and the twisted
     actions T_jk D e_i + T_ki D e_j + T_ij D e_k as in :func:`derivation_space`.
 
-    With D and a^k cleared together to D~/c and A~/c and B = B~/b
-    (:func:`cleared`), c^2 D~ B~ and the actions of A~ on D~ are b c^3 times theirs.
+    With D and a^k cleared together to D~/c and A~/c (:func:`cleared`) and B~ = b B
+    the numerators, c^2 D~ B~ and the actions of A~ on D~ are b c^3 times theirs.
     """
     n = L.dim
     (akcols, dcols), c = cleared([twist_power(L, k).col(i).support for i in range(n)],
                                  [d.col(i).support for i in range(n)])
-    alt, b = L.alt.integral
+    alt, b = L.alt, L.alt.scale
     t = alt.pairs(akcols)
     lcols = {i: {r: c * c * x for r, x in col.items()} for i, col in enumerate(dcols)}
 
@@ -111,14 +111,13 @@ def derivation_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
     when B_ijk is, and each twisted-action term only in its image, so a row
     left out (B_ijk = 0, out in no image) reads 0 = 0; the RREF is unique,
     so dropping zero rows and reordering or rescaling rows keep the basis.
-    Integers (:func:`cleared`): with a = a~/e, a^k = A~/d and B = B~/s, a
-    commutation row is e times its equation and a Leibniz row s d^2 times
-    its, d^2 B~_ijk against the actions of the pairs of A~'s columns over B~.
+    Integers (:func:`cleared`): with a = a~/e, a^k = A~/d and B~ = s B the
+    numerators, a commutation row is e times its equation and a Leibniz row
+    s d^2 times its, d^2 B~_ijk against the actions of A~'s column pairs over B~.
     """
     n = L.dim
     (akcols,), d = cleared([twist_power(L, k).col(i).support for i in range(n)])
     (acols,), _ = cleared([L.twist.col(i).support for i in range(n)])
-    alt, _ = L.alt.integral
     rows: list[dict[int, int]] = []
     for p, q in itertools.product(range(n), repeat=2):  # (D a - a D)[p, q] = 0
         row = {p * n + c: a for c, a in acols[q].items()}
@@ -129,9 +128,9 @@ def derivation_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
     # [D e_i, a^k e_j, a^k e_k] = [a^k e_j, a^k e_k, D e_i] is linear in column
     # i of D, with the twisted action T = tk[j, k] as coefficient matrix: D[r, i]
     # meets T e_r, at each coordinate of T e_r; likewise for the other two slots.
-    tk = alt.pairs(akcols)
+    tk = L.alt.pairs(akcols)
     for i, j, kk in increasing_triples(n):
-        bval = alt.get(i, j, kk)
+        bval = L.alt.get(i, j, kk)
         by_out = {out: {out * n + t: d * d * b for t, b in bval.items()} for out in range(n) if bval}
         for col, action in ((i, tk[j, kk]), (j, tk[kk, i]), (kk, tk[i, j])):
             for r, vec in action.items():
@@ -165,7 +164,8 @@ def inner_derivation(L: Hom3LieAlgebra, u1: Vec, u2: Vec, k: int) -> Mat:
 
 
 def inner_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
-    """Canonical span of the inner grade-k derivations (k >= 1)."""
+    """Canonical span of the inner grade-k derivations (k >= 1), spanned by
+    numerators (:meth:`AltTable.pairs`): a nonzero scale changes no span."""
     if k < 1:
         raise ValueError("inner derivations exist from grade 1 upward")
     n = L.dim
@@ -220,8 +220,9 @@ class DerivationExtension:
 
     def value(self, i: int, j: int, k: int) -> Vec:
         """:meth:`rule` on basis vectors, B_ijk + [i=n] D e_j + [j=n] D e_k - [k=n] D e_i,
-        B_ijk taken only when i, j, k < n (``alt.get`` is empty on keys holding n)."""
-        return Vec.sparse(self.dim, _slot_term(self.derivation, i, j, k) or self.base.alt.get(i, j, k))
+        B_ijk taken only when i, j, k < n (``bracket_basis`` is 0 on keys holding n)."""
+        slot = _slot_term(self.derivation, i, j, k)
+        return Vec.sparse(self.dim, slot or self.base.bracket_basis(i, j, k).support)
 
     def _split(self, v: Vec) -> tuple[Vec, Fraction]:
         n = self.base.dim

@@ -24,7 +24,7 @@ from .algebras import (
     preserves_bracket,
 )
 from .errors import CocycleInvalid, DimensionMismatch, RepresentationInvalid
-from .linalg import Mat, Vec, rank
+from .linalg import Mat, Vec, cleared, rank
 from .representations import (
     CocycleReport,
     Representation,
@@ -32,7 +32,7 @@ from .representations import (
     _semidirect_table,
     coadjoint_rep,
 )
-from .sparse import AltTable, cleared, matvec, signed_perms
+from .sparse import AltTable, matvec, signed_perms
 
 
 @dataclass(frozen=True)
@@ -199,13 +199,13 @@ def cyclic_part(th: Cocycle) -> Cocycle:
     identity says W is antisymmetric in (k, l); combined with skewness
     in (i,j,k) that makes W totally antisymmetric, so the projector is
     full alternation over S4: per increasing 4-tuple, 24 signed lookups on
-    numerators (:func:`cleared`) over 24 D, written at its four (triple, l)
-    with the sign that moves l to the end.
+    the numerators over 24 D (D = ``alt.scale``), written at its four
+    (triple, l) with the sign that moves l to the end.
     """
     n = th.algebra_dim
     if th.module_dim != n:
         raise DimensionMismatch("cyclic projection concerns cocycles with values in L*")
-    alt, D = th.alt.integral
+    alt, D = th.alt, th.alt.scale
     perms, table = signed_perms(4), {}
     for w in itertools.combinations(range(n), 4):
         if s := sum(sign * alt.get(w[p[0]], w[p[1]], w[p[2]]).get(w[p[3]], 0) for p, sign in perms):
@@ -243,8 +243,8 @@ def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> MetricReport:
     every other (c, d) both terms are 0.  M_ab is skew in (a, b)
     (:class:`Sweep`).
 
-    Integers (:func:`cleared`): from B = B~/D and the rows of the Gram
-    matrix G = G~/s, M_ab is built D s times itself, which is skew iff it is.
+    Integers: from the numerators B~ = D B and the rows of the Gram matrix
+    G = G~/s (:func:`cleared`), M_ab is built D s times itself, skew iff it is.
     """
     n = alg.dim
     if form.dim != n:
@@ -252,12 +252,11 @@ def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> MetricReport:
     gram = form.gram
     symmetric = gram == gram.transpose()
     nondeg = rank(gram) == n
-    alt, _ = alg.alt.integral
     (rows,), _ = cleared([row.support for row in gram.row_vecs])
     gt = dict(enumerate(rows))  # the columns of G^T
     log = Sweep(2)
     for a, b in log.reps(n):
-        m = {c: row for c, col in alt.get(a, b).items() if (row := matvec(gt, col))}
+        m = {c: row for c, col in alg.alt.get(a, b).items() if (row := matvec(gt, col))}
         cells = {(c, d) for c, row in m.items() for d in row}
         for c, d in sorted(cells | {(d, c) for c, d in cells}):
             if m.get(c, {}).get(d, 0) + m.get(d, {}).get(c, 0) != 0:

@@ -338,9 +338,16 @@ def integral(s: Support, scale: int = 0) -> dict[int, int]:
     return {i: a.numerator * (scale // a.denominator) for i, a in s.items()}
 
 
-def rational(s: dict[int, int], scale: int) -> Support:
-    """The int support over ``scale``, as Fractions: the inverse of :func:`integral`."""
+def rational(s: dict[int, Union[int, Fraction]], scale: int) -> Support:
+    """The support over ``scale``, as Fractions: the inverse of :func:`integral`."""
     return {i: Fraction(a, scale) for i, a in s.items()}
+
+
+def cleared(*parts: list[Support]) -> tuple[list[list[Support]], int]:
+    """The lists of supports times the common denominator D of all their
+    values, as int supports, and D."""
+    scale = math.lcm(*{a.denominator for g in parts for s in g for a in s.values()})
+    return [[integral(s, scale) for s in g] for g in parts], scale
 
 
 def _combination(m: int, row: dict[int, int], terms: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
@@ -463,6 +470,24 @@ class Subspace:
     def pivot_rows(self) -> dict[int, Support]:
         """The basis as supports keyed by pivot, built on first use."""
         return {min(v.support): v.support for v in self.basis}
+
+    @cached_property
+    def projection(self) -> tuple[dict[int, int], dict[int, dict[int, int]], int]:
+        """The positions of the non-pivot coordinates, e times the projection
+        onto them along the span as int columns over them, and e; built once.
+
+        Column g is e_g when g is not a pivot and -(row_g off its pivot) when
+        it is, row_g the basis row with pivot g, the rows cleared together to
+        row~_g = e row_g (:func:`cleared`).  So proj v is v less v_p row_p for
+        each pivot p, read at the non-pivots; that rest is 0 at every pivot and
+        lies in the span iff v does, and the only such vector in it is 0.
+        """
+        rows = self.pivot_rows
+        pos = {g: a for a, g in enumerate(g for g in range(self.ambient_dim) if g not in rows)}
+        (irows,), e = cleared(list(rows.values()))
+        cols = {g: {a: e} for g, a in pos.items()}
+        cols.update((p, {pos[c]: -x for c, x in row.items() if c != p}) for p, row in zip(rows, irows))
+        return pos, cols, e
 
     def pivots(self) -> list[int]:
         return list(self.pivot_rows)

@@ -36,7 +36,7 @@ from .algebras import (
     increasing_triples,
 )
 from .errors import DimensionMismatch, RepresentationInvalid
-from .linalg import Mat, Vec
+from .linalg import Mat, Vec, rational
 from .sparse import AltTable, SparseMat
 
 
@@ -78,10 +78,11 @@ class Representation:
         return self._mat(self.alt.partial(x.support, y.support))
 
     def _mat(self, cols: SparseMat) -> Mat:
-        """The module endomorphism of a sparse column matrix on L + V."""
+        """The module endomorphism of the numerators ``cols`` of a sparse column
+        matrix on L + V, divided by ``alt.scale``."""
         n, m = self.algebra_dim, self.module_dim
-        return Mat.sparse(m, [Vec.sparse(m, {r - n: a for r, a in cols.get(n + c, {}).items()})
-                              for c in range(m)]).transpose()
+        return Mat.sparse(m, [Vec.sparse(m, rational({r - n: a for r, a in cols.get(n + c, {}).items()},
+                                                     self.alt.scale)) for c in range(m)]).transpose()
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch
-from .linalg import Support, Vec, add_scaled, integral, pruned
+from .linalg import Support, Vec, add_scaled, integral, pruned, rational
 
 SparseMat = dict[int, Support]
 
@@ -49,21 +49,17 @@ def matvec(m: SparseMat, x: Support) -> Support:
     return pruned(acc)
 
 
-def cleared(*parts: list[Support]) -> tuple[list[list[Support]], int]:
-    """The lists of supports times the common denominator D of all their
-    values, as int supports, and D."""
-    scale = math.lcm(*{a.denominator for g in parts for s in g for a in s.values()})
-    return [[integral(s, scale) for s in g] for g in parts], scale
-
-
 class AltTable:
     """Alternating multilinear map (Q^dim)^arity -> Q^size.
 
-    ``values`` holds the nonzero values on strictly increasing keys.
-    Every ordering of every stored key is indexed in ``trie``, nested
-    dicts whose leaves are signed supports, so a lookup on any ordered
-    key is a few dict reads.  The trie is built on first use, so that
-    loading a file pays only for validation.
+    ``values`` holds the nonzero values on strictly increasing keys, and
+    ``scale`` their least common denominator D (1 if there are none).  The
+    map is held once, as numerators: every ordering of every stored key is
+    indexed in ``trie``, nested dicts whose leaves are signed int supports
+    of D times the value, so a lookup on any ordered key is a few dict
+    reads.  :meth:`get`, :meth:`partial` and :meth:`pairs` return
+    numerators, and :meth:`basis_value` and :meth:`evaluate` divide by D.
+    The trie is built on first use; loading pays for validation and D.
     """
 
     def __init__(self, arity: int, dim: int, size: int,
@@ -78,13 +74,14 @@ class AltTable:
                 raise DimensionMismatch(f"{what} value for {key} has the wrong length")
             if not value.is_zero():
                 self.values[key] = value
+        self.scale = math.lcm(*{a.denominator for v in self.values.values() for a in v.support.values()})
 
     @cached_property
     def trie(self) -> dict:
         trie: dict = {}
         perms = signed_perms(self.arity)
         for key, value in self.values.items():
-            pos = value.support
+            pos = integral(value.support, self.scale)
             neg = {t: -a for t, a in pos.items()}
             for p, sign in perms:
                 node = trie
@@ -93,20 +90,12 @@ class AltTable:
                 node[key[p[-1]]] = pos if sign == 1 else neg
         return trie
 
-    @cached_property
-    def integral(self) -> tuple["AltTable", int]:
-        """This table over the int supports :func:`cleared` makes of its values,
-        and their scale; built on first use, so each table is cleared, and
-        its integer trie built, once."""
-        (ints,), scale = cleared([v.support for v in self.values.values()])
-        values = {key: Vec.sparse(self.size, s) for key, s in zip(self.values, ints)}
-        return AltTable(self.arity, self.dim, self.size, values, self.what), scale
+    def get(self, *idx: int) -> dict[int, int]:
+        """Numerators of the value on basis vectors given in any order:
+        ``scale`` times the value, as a signed int support.
 
-    def get(self, *idx: int) -> Support:
-        """Signed support of the value on basis vectors given in any order.
-
-        With one index fewer than the arity, the sparse matrix of the
-        last slot instead.
+        With one index fewer than the arity, ``scale`` times the sparse
+        matrix of the last slot instead.
         """
         node = self.trie
         for i in idx:
@@ -116,7 +105,8 @@ class AltTable:
         return node
 
     def partial(self, *args: Support) -> SparseMat:
-        """The last slot as a sparse matrix, the other slots fixed to ``args``."""
+        """Numerators of the last slot as a sparse matrix, the other slots
+        fixed to ``args``: ``scale`` times it, with int values for int ``args``."""
         level = [(self.trie, 1)]
         for x in args:
             level = [(node[i], c * xi) for node, c in level for i, xi in x.items() if i in node]
@@ -127,7 +117,8 @@ class AltTable:
         return {k: s for k, col in cols.items() if (s := pruned(col))}
 
     def pairs(self, images: Sequence[Support]) -> dict[tuple[int, int], SparseMat]:
-        """:meth:`partial` of a three-slot map at every ordered pair of ``images``.
+        """:meth:`partial` of a three-slot map at every ordered pair of
+        ``images``: numerators, ``scale`` times the contractions.
 
         ``images`` are basis images (columns of a twist, a morphism or a
         lift) or a subspace basis.  Each unordered pair is contracted once:
@@ -141,11 +132,12 @@ class AltTable:
         return out
 
     def basis_value(self, *idx: int) -> Vec:
-        return Vec.sparse(self.size, self.get(*idx))
+        """The value on basis vectors given in any order: :meth:`get` over ``scale``."""
+        return Vec.sparse(self.size, rational(self.get(*idx), self.scale))
 
     def evaluate(self, *args: Vec) -> Vec:
-        """The multilinear map on arbitrary vectors."""
+        """The multilinear map on arbitrary vectors: :meth:`partial` over ``scale``."""
         if any(len(x) != self.dim for x in args):
             raise DimensionMismatch(f"{self.what} arguments must match the algebra dimension")
         last = self.partial(*(x.support for x in args[:-1]))
-        return Vec.sparse(self.size, matvec(last, args[-1].support))
+        return Vec.sparse(self.size, rational(matvec(last, args[-1].support), self.scale))

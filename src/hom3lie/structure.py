@@ -40,13 +40,14 @@ from .linalg import (
     Mat,
     Subspace,
     Vec,
+    cleared,
     inverse,
     nullspace,
     rational,
     solve,
     subspace_sum,
 )
-from .sparse import cleared, matvec
+from .sparse import matvec
 
 SERIES_KINDS = ("derived", "central_descending", "central_ascending")
 
@@ -67,9 +68,10 @@ class SeriesResult:
 
 
 def _centralizer(L: Hom3LieAlgebra, target: Subspace) -> Subspace:
-    """C(I) = { a : [a, e_j, e_k] in I for all j < k }, by one nullspace."""
+    """C(I) = { a : [a, e_j, e_k] in I for all j < k }, by one nullspace of
+    the reduced numerators (:meth:`AltTable.get`): a nonzero scale changes no kernel."""
     n = L.dim
-    blocks = [Mat.from_cols([target.reduce(L.bracket_basis(a, j, k)) for a in range(n)])
+    blocks = [Mat.from_cols([target.reduce(Vec.sparse(n, L.alt.get(a, j, k))) for a in range(n)])
               for j, k in itertools.combinations(range(n), 2)]
     return nullspace(Mat.sparse(n, (v for b in blocks for v in b.row_vecs)))
 
@@ -224,9 +226,9 @@ def reconstruct_t_star(
     # pair(v)_s = B(l_s, v).  The complement is isotropic, so its part of
     # v pairs to zero with every lift: pair reads the ideal part of v as a
     # functional on L.  metric_ok made G symmetric: B(l_s, v) = B(v, l_s).
-    # On ints, B = B~/D, l = l~/d and pair = pair~/e give e D d^3 theta.
+    # On ints, the numerators B = B~/D, l = l~/d and pair = pair~/e give e D d^3 theta.
     pair = lifts @ form.gram
-    alt, D = g.alt.integral
+    alt, D = g.alt, g.alt.scale
     (cols,), d = cleared([v.support for v in lifts.row_vecs])
     (pcols,), e = cleared([v.support for v in pair.transpose().row_vecs])
     t, pcols, scale = alt.pairs(cols), dict(enumerate(pcols)), e * D * d ** 3

@@ -136,7 +136,7 @@ def hom_jacobi_sides(L, pairs, triples) -> list:
     """``algebras.hom_jacobi_sides`` on every pair and every triple: the same
     integer tables and mat-vecs, with no candidate selection, so that the
     library's list must equal this one, in the same order."""
-    (alt, _), (t, _) = L.alt.integral, L.twisted
+    alt, (t, _) = L.alt, L.twisted
     failing = []
     for a, b in pairs:
         tab, bab = t[a, b], alt.get(a, b)

@@ -52,6 +52,7 @@ EXTENSION = SWEEPS + "test_extension_sweep_matches_the_full_sweep_and_the_dense_
 LITERAL_ACTIONS = SWEEPS + "test_adjoint_coadjoint_and_dual_blocks_match_the_literal_matrices"
 LITERAL_COBOUNDARY = SWEEPS + "test_coboundary_matches_the_literal_formula"
 CLI_BYTES = "tests/test_cli_bytes.py::test_cli_runs_match_the_byte_table"
+INPUT_DIGESTS = "tests/test_cli_bytes.py::test_input_files_match_their_digests"
 ZERO_MODULE = ("tests/test_representations.py::"
                "test_a_module_of_dimension_zero_is_a_representation_of_a_non_multiplicative_algebra")
 DERIVATIONS = "tests/test_derivations.py"
@@ -124,7 +125,7 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "j + 1 if same23 else 0", "j + 2 if same23 else 0",
      (SUBSPACE_BRACKET,)),
     ("bracket-images-reuse-the-source-bracket-for-any-target", "algebras.py",
-     "L.alt.integral, G.alt.integral", "L.alt.integral, L.alt.integral",
+     "(G.alt, G.alt.scale)", "(L.alt, L.alt.scale)",
      (MORPHISM,)),
     ("pairs-no-negation", "sparse.py",
      "out[b, a] = {k: {t: -v for t, v in col.items()} for k, col in val.items()}",
@@ -171,11 +172,14 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "{r: d * d * dg * x for", "{r: d * dg * x for",
      (MORPHISM,)),
     ("hom-jacobi-witness-scale-drops-a-d", "algebras.py",
-     "(L.alt.integral[1] * L.twisted[1]) ** 2", "L.alt.integral[1] ** 2 * L.twisted[1]",
+     "(L.alt.scale * L.twisted[1]) ** 2", "L.alt.scale ** 2 * L.twisted[1]",
      (TRUNCATED,)),
     ("action-rows-without-module-offset", "representations.py",
      "{r - n: a for r, a in cols.get(n + c, {}).items()}", "{r: a for r, a in cols.get(n + c, {}).items()}",
      (OTHER_M_ACTION, CLI_BYTES)),
+    ("action-matrix-not-divided-by-the-scale", "representations.py",
+     "self.alt.scale)) for c in range(m)]", "1)) for c in range(m)]",
+     (OTHER_M_ACTION, INPUT_DIGESTS)),
     ("action-columns-offset-by-the-module-dimension", "io.py",
      "(i, j, n + c): Vec.zero(n).concat(col)", "(i, j, m + c): Vec.zero(n).concat(col)",
      ("tests/test_io_cli.py::test_representation_files_on_another_module_dimension_round_trip", CLI_BYTES)),
@@ -206,7 +210,7 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("theta-divided-without-e", "structure.py",
      "e * D * d ** 3", "D * d ** 3",
      (THETA, RECONSTRUCTION)),
-    ("projection-pivot-column-sign", "algebras.py",
+    ("projection-pivot-column-sign", "linalg.py",
      "{pos[c]: -x for c, x in row.items() if c != p}", "{pos[c]: x for c, x in row.items() if c != p}",
      (IDEAL,)),
     ("metric-reads-gram-columns", "extensions.py",
@@ -231,6 +235,9 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("extension-d-slot-twist-not-identity", "derivations.py",
      "block_diag(Mat.identity(1))", "block_diag(Mat.identity(1).scale(2))",
      (DERIVATIONS,)),
+    ("derivation-extension-value-not-divided", "derivations.py",
+     "self.base.bracket_basis(i, j, k).support", "self.base.alt.get(i, j, k)",
+     (DERIVATIONS, CLI_BYTES)),
     ("extension-leibniz-failures-counted-once", "derivations.py",
      "nn * leibniz.total", "leibniz.total",
      (DERIVATIONS,)),

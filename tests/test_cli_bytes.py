@@ -1,4 +1,4 @@
-"""Byte table of ``hom3lie extend``, ``reconstruct`` and ``derivations`` runs.
+"""Byte table of ``hom3lie`` runs of every subcommand.
 
 ``cli_bytes.json`` records, for each command line of ``CASES``, the exit
 code and the sha256 digests of stdout, stderr and every file the run
@@ -35,7 +35,12 @@ coboundary, whose extension fails (R2) and (R3) of the coadjoint action,
 and ``extend t-theta`` and ``extend semidirect`` on A4 with the shear
 twist, which fails hom-Jacobi, with the zero action on a 2-dimensional
 module and theta = 0, so that failures of every block of the one
-extension sweep reach the output.  The test replays each line through
+extension sweep reach the output.  ``verify`` runs with the default checks
+and with ``--checks regular`` on A4y, A4y + L3, A4 with the shear twist
+(which fails hom-Jacobi), L3 with a twist that is not multiplicative and
+L3 with a singular twist; ``series`` runs every kind on A4y + L3 and on
+its T*-double; ``fixtures`` writes its six files into ``fx``, whose
+digests are recorded.  The test replays each line through
 ``cli.main`` in a directory holding the inputs, with relative paths, so
 that no digest depends on where the directory is.
 
@@ -162,6 +167,13 @@ MODULE_EXTENSIONS = (
     ["t-theta", "A4-shear.json", "rep-zero-4.json", "theta-zero-4.json"],
     ["semidirect", "A4-shear.json", "rep-zero-4.json"],
 )
+VERIFY = [
+    [name, *checks]
+    for name in ("A4y.json", "A4yL3.json", "A4-shear.json", "L3-nonmult.json", "L3-singular.json")
+    for checks in ([], ["--checks", "regular"])
+]
+SERIES = [[name, "--kind", kind] for name in ("A4yL3.json", "tstar-A4yL3.json")
+          for kind in ("derived", "descending", "ascending")]
 CASES = [
     [*mode, "extend", kind, *inputs, *out]
     for kind, scenarios in EXTEND.items()
@@ -187,7 +199,11 @@ CASES = [
     for inputs in MODULE_EXTENSIONS
     for mode in ([], ["--json"])
     for out in ([], ["--output", "out.json"])
-]
+] + [
+    [*mode, "verify", *args] for args in VERIFY for mode in ([], ["--json"])
+] + [
+    [*mode, "series", *args] for args in SERIES for mode in ([], ["--json"])
+] + [[*mode, "fixtures", "--output-dir", "fx"] for mode in ([], ["--json"])]
 
 
 def yau_twisted_a4() -> Hom3LieAlgebra:
@@ -301,7 +317,7 @@ def run(argv: list[str], outputs: list[Path]) -> tuple[int, str, str, dict[str, 
 
 def run_case(argv: list[str]) -> dict:
     """Run one command line in the current directory and digest what it leaves."""
-    code, out, err, files = run(argv, [Path("out.json"), Path("bundle")])
+    code, out, err, files = run(argv, [Path("out.json"), Path("bundle"), Path("fx")])
     return {"argv": argv, "exit": code, "stdout": digest(out.encode()), "stderr": digest(err.encode()),
             "files": {name: digest(data) for name, data in files.items()}}
 

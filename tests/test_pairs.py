@@ -3,7 +3,12 @@
 ``pairs`` contracts each unordered pair of images once and fills in the
 other order by negation and the diagonal as empty.  The first test
 checks every ordered pair against ``partial`` and ``evaluate`` on
-random three-slot tables and images; the others check ``preserves_bracket``,
+random three-slot tables and images; ``pairs`` and ``partial`` return
+numerators, ``scale`` times the map, so ``evaluate`` is compared with
+them over the scale.  The second holds ``get``, ``partial`` and
+``pairs`` to that contract against the dense oracle, on a bracket, an
+action block and a cocycle with coprime denominators and on an empty
+table; the others check ``preserves_bracket``,
 ``inner_space`` and the theta table of ``reconstruct_t_star`` against
 brackets evaluated one by one through ``Hom3LieAlgebra.bracket`` (the
 theta table through the dense oracle's), and theta and sigma against
@@ -21,14 +26,18 @@ import dense_oracle as oracle
 from hom3lie.algebras import direct_sum, increasing_triples, is_morphism, preserves_bracket
 from hom3lie.derivations import fixed_space, inner_space, twist_power
 from hom3lie.extensions import BilinForm, Cocycle, cyclic_part, t_star_extension
-from hom3lie.linalg import Mat, Subspace, Vec, inverse
+from hom3lie.linalg import Mat, Subspace, Vec, inverse, rational
 from hom3lie.sparse import AltTable, matvec
 from hom3lie.structure import isotropic_complement, reconstruct_t_star
 from test_sparse_sweeps import (
     BASES,
     carried,
     conjugations,
+    coprime_algebras,
+    coprime_modules,
+    entries,
     factors,
+    foreign_modules,
     perturbed,
     rescaled_bracket,
     small,
@@ -95,9 +104,48 @@ def test_pairs_match_partial_and_evaluate_on_every_ordered_pair(case):
     for a, b in got:
         x, y = Vec.sparse(dim, ims[a]), Vec.sparse(dim, ims[b])
         assert got[a, b] == table.partial(ims[a], ims[b])
-        assert matvec(got[a, b], support(z)) == table.evaluate(x, y, Vec(z)).support
+        assert rational(matvec(got[a, b], support(z)), table.scale) == table.evaluate(x, y, Vec(z)).support
         if a == b:
             assert got[a, b] == {}
+
+
+@st.composite
+def numerator_cases(draw):
+    """A table and images for ``pairs``: the bracket of a coprime-scaled
+    algebra, the action block of a coprime-scaled or foreign-dimension
+    module, a cocycle with entries over 1, 3, 7 and 11, or an empty table."""
+    kind = draw(st.sampled_from(["bracket", "action", "cocycle", "empty"]))
+    if kind == "bracket":
+        alt = draw(coprime_algebras()).alt
+    elif kind == "action":
+        alt = draw(coprime_modules() | foreign_modules())[1].alt
+    elif kind == "cocycle":
+        n, m = draw(st.integers(3, 5)), draw(st.integers(1, 4))
+        keys = draw(st.lists(st.sampled_from(list(increasing_triples(n))), max_size=4))
+        alt = Cocycle(n, m, {key: Vec(tuple(draw(entries) for _ in range(m))) for key in keys}).alt
+    else:
+        alt = AltTable(3, draw(st.integers(1, 4)), 2, {}, "table")
+    return alt, draw(images(alt.dim))
+
+
+@settings(max_examples=40, deadline=None)
+@given(numerator_cases())
+def test_get_partial_and_pairs_are_numerators_over_the_scale(case):
+    """``get`` over ``scale`` is the oracle's value on every ordered key, as
+    ints; ``partial`` and ``pairs`` are ``scale`` times its contraction."""
+    alt, ims = case
+    zero, dim, scale = Vec.zero(alt.size), alt.dim, alt.scale
+    assert scale >= 1 and (scale == 1 or alt.values)
+    for key in itertools.product(range(dim), repeat=3):
+        got = alt.get(*key)
+        assert all(type(a) is int for a in got.values())
+        assert rational(got, scale) == oracle.skew_value(alt.values, zero, key).support
+    got = alt.pairs(ims)
+    for a, b in got:
+        x, y = Vec.sparse(dim, ims[a]), Vec.sparse(dim, ims[b])
+        cols = {c: oracle.multilinear(alt.values, zero, x, y, Vec.basis(dim, c)).support for c in range(dim)}
+        want = {c: {t: scale * v for t, v in col.items()} for c, col in cols.items() if col}
+        assert got[a, b] == want == alt.partial(ims[a], ims[b])
 
 
 def _preserves_directly(phi: Mat, L, G) -> bool:
