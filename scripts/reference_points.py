@@ -12,7 +12,8 @@ the coadjoint action and theta from f.  The t-theta extension column
 extends the algebra along its adjoint action and the coboundary of f
 for that action, built ahead, and reports the extension's violations.
 The derivation extension extends
-the algebra by D, the first basis vector of its grade-1 derivations.
+the algebra by D, the first basis vector of its grade-1 derivations, and
+the one of a non-derivation by D + E_00, which fails the Leibniz rule.
 The reconstruction takes the T*-double along a cyclic map (the
 hyperbolic form is invariant only then), the cyclic part of the map
 (i, j, k) -> ((i + j + k + 2 l) mod 5) - 2 at l, back to a dual-space
@@ -65,14 +66,14 @@ from perfbench.inputs import yau_twisted_a4
 COLUMNS = ("hom-Jacobi", "hom-Jacobi on T* (2n)", "adjoint rep. sweep", "coadjoint rep. sweep",
            "coboundary", "cocycle sweep", "t-theta extension", "metric on T*", "`derivation_space(k=0)`", "same on T*",
            "`inner_space(k=1)` on T*", "descending series on T*", "ascending series on T*",
-           "derivation extension", "reconstruct on T*")
+           "derivation extension", "derivation extension of a non-derivation", "reconstruct on T*")
 REPEAT = 3
 SLOW = 1.0
 # each column's violation total (coboundary: nonzero entries of theta; `derivation_space`
 # and `inner_space` columns: dimension; series: the sum of the term dimensions;
 # reconstruction: nonzero entries of theta), per size
-TOTALS = {7: (0, 392, 0, 228, 16, 144, 0, 136, 8, 15, 6, 26, 2, 114, 132),
-          11: (0, 784, 0, 456, 31, 288, 0, 262, 10, 17, 6, 42, 2, 194, 1192)}
+TOTALS = {7: (0, 392, 0, 228, 16, 144, 0, 136, 8, 15, 6, 26, 2, 114, 242, 132),
+          11: (0, 784, 0, 456, 31, 288, 0, 262, 10, 17, 6, 42, 2, 194, 386, 1192)}
 
 
 def family(n: int) -> Hom3LieAlgebra:
@@ -102,6 +103,7 @@ def layers(n: int) -> dict:
     theta_ad = coboundary(L, adjoint_rep(L), f)
     tstar, form = t_star_extension(L, theta)
     d = derivation_space(L, 1).basis[0]
+    e00 = Mat.from_rows([[int(r == c == 0) for c in range(n)] for r in range(n)])
     raw = {key: Vec(tuple((sum(key) + 2 * l) % 5 - 2 for l in range(n)))
            for key in increasing_triples(n)}
     double, double_form = t_star_extension(L, cyclic_part(Cocycle(n, n, raw)))
@@ -121,6 +123,7 @@ def layers(n: int) -> dict:
         (lambda A: sum(t.dim for t in series(A, "central_descending").terms), tstar),
         (lambda A: sum(t.dim for t in series(A, "central_ascending").terms), tstar),
         (lambda A, D: derivation_extension(A, D)[1].violations_total, L, d),
+        (lambda A, D: derivation_extension(A, D)[1].violations_total, L, d + e00),
         (reconstructed_nonzeros, double, double_form, dual),
     )))
 

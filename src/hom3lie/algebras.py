@@ -173,10 +173,12 @@ class Sweep:
                 for m, s, sides in self.kept]
 
 
-def _report(w: Sweep, identity: str, n: int, scale: int) -> AlgebraReport:
-    """The report of a sweep of ``identity`` whose sides are int supports, ``scale`` times theirs."""
+def _report(w: Sweep, identity: str, n: int, scale: int, sides: Iterable = ()) -> AlgebraReport:
+    """The report of ``w`` with the failing ``sides`` added, supports ``scale`` times theirs."""
+    for key, lhs, rhs in sides:
+        w.add(key, lhs, rhs)
     kept = tuple(Violation(identity, m, *(Vec.sparse(n, rational({i: s * x for i, x in side.items()}, scale))
-                                          for side in sides)) for m, s, sides in w.kept)
+                                          for side in pair)) for m, s, pair in w.kept)
     return AlgebraReport(**{f"{identity}_ok": w.clean}, violations_total=w.total, violations=kept)
 
 
@@ -185,27 +187,19 @@ def _jacobi_scale(L: Hom3LieAlgebra) -> int:
     return (L.alt.scale * L.twisted[1]) ** 2
 
 
-def hom_jacobi_sides(L: Hom3LieAlgebra, pairs: Iterable[tuple[int, int]],
-                     triples: Iterable[tuple[int, int, int]]) -> Iterator:
-    """The failing hom-Jacobi instances of L at (e_a, e_b; e_u, e_v, e_w) on
-    ``pairs`` x ``triples``, as (a, b, u, v, w) with both sides as int supports.
+def leibniz_sides(alt: AltTable, t: dict, ops: Iterable, triples: Iterable[tuple[int, int, int]]) -> Iterator:
+    """The failing instances of the Leibniz rule of X over Y, for each (key, X, Y)
+    of ``ops`` and (u, v, w) of ``triples``, as (*key, u, v, w) with both sides:
 
-    With T_ab = [alpha e_a, alpha e_b, .] and B_abc = [e_a, e_b, e_c],
-    skewness turns each instance into four sparse mat-vecs,
+        X B_uvw == T_vw Y e_u + T_wu Y e_v + T_uv Y e_w,
 
-        T_ab B_uvw == T_vw B_abu + T_wu B_abv + T_uv B_abw,
-
-    since [X, a v, a w] = [a v, a w, X] and [a u, X, a w] = [a w, a u, X].
-    Per pair only candidates are visited, in the order of ``triples``: those
-    in the support of B if T_ab != 0, and for each key i of B_ab. those holding
-    i with T of the other two, in cyclic order, nonzero.  Any other reads
-    0 == 0: its left side as T_ab = 0 or B_uvw = 0, and the term of each i on
-    the right as i is no key of B_ab. or T of the other two is 0.
-
-    Integers (:attr:`Hom3LieAlgebra.twisted`): with B = B~/D and alpha =
-    alpha~/d, both sides have degree 2 in each, so are D^2 d^2 times theirs.
+    B the numerators of ``alt``, T its twisted actions ``t`` (:meth:`AltTable.pairs`),
+    X and Y sparse int matrices.  Per operator only candidates are visited, in
+    the order of ``triples``: those in the support of B if X != 0, and for each
+    column i of Y those holding i with T of the other two, in cyclic order,
+    nonzero.  Any other reads 0 == 0: its left side as X = 0 or B_uvw = 0, and
+    the term of each i on the right as Y e_i = 0 or T of the other two is 0.
     """
-    alt, (t, _) = L.alt, L.twisted
     triples = [(u, v, w, alt.get(u, v, w)) for u, v, w in triples]
     live = [p for p, (*_, buvw) in enumerate(triples) if buvw]
     holding: dict[int, list[int]] = {}
@@ -213,17 +207,33 @@ def hom_jacobi_sides(L: Hom3LieAlgebra, pairs: Iterable[tuple[int, int]],
         for i, j, k in ((u, v, w), (v, w, u), (w, u, v)):
             if t[j, k]:
                 holding.setdefault(i, []).append(p)
-    for a, b in pairs:
-        tab, bab = t[a, b], alt.get(a, b)
-        for p in sorted({*(live if tab else ()), *(q for i in bab for q in holding.get(i, ()))}):
+    for key, x, y in ops:
+        for p in sorted({*(live if x else ()), *(q for i in y for q in holding.get(i, ()))}):
             u, v, w, buvw = triples[p]
-            lhs = matvec(tab, buvw)
+            lhs = matvec(x, buvw)
             acc: dict = {}
             for i, m in ((u, t[v, w]), (v, t[w, u]), (w, t[u, v])):
-                if i in bab:
-                    add_matvec(acc, m, bab[i])
+                if i in y:
+                    add_matvec(acc, m, y[i])
             if lhs != (rhs := pruned(acc)):
-                yield (a, b, u, v, w), lhs, rhs
+                yield (*key, u, v, w), lhs, rhs
+
+
+def hom_jacobi_sides(L: Hom3LieAlgebra, pairs: Iterable[tuple[int, int]],
+                     triples: Iterable[tuple[int, int, int]]) -> Iterator:
+    """The failing hom-Jacobi instances of L at (e_a, e_b; e_u, e_v, e_w) on
+    ``pairs`` x ``triples``, as (a, b, u, v, w) with both sides as int supports:
+    with T_ab = [alpha e_a, alpha e_b, .] and B_abc = [e_a, e_b, e_c], skewness
+    ([X, a v, a w] = [a v, a w, X], [a u, X, a w] = [a w, a u, X]) makes each the
+    Leibniz rule of T_ab over B_ab. (:func:`leibniz_sides`),
+
+        T_ab B_uvw == T_vw B_abu + T_wu B_abv + T_uv B_abw.
+
+    Integers (:attr:`Hom3LieAlgebra.twisted`): with B = B~/D and alpha =
+    alpha~/d, both sides have degree 2 in each, so are D^2 d^2 times theirs.
+    """
+    alt, (t, _) = L.alt, L.twisted
+    return leibniz_sides(alt, t, (((a, b), t[a, b], alt.get(a, b)) for a, b in pairs), triples)
 
 
 def verify_hom_jacobi(L: Hom3LieAlgebra) -> AlgebraReport:
@@ -231,15 +241,15 @@ def verify_hom_jacobi(L: Hom3LieAlgebra) -> AlgebraReport:
     the increasing triples: by multilinearity and skewness, the identity on
     all vectors.  Both sides are skew in (a, b) (:class:`Sweep`)."""
     n, w = L.dim, Sweep(2)
-    for key, lhs, rhs in hom_jacobi_sides(L, w.reps(n), increasing_triples(n)):
-        w.add(key, lhs, rhs)
-    return _report(w, "hom_jacobi", n, _jacobi_scale(L))
+    sides = hom_jacobi_sides(L, w.reps(n), increasing_triples(n))
+    return _report(w, "hom_jacobi", n, _jacobi_scale(L), sides)
 
 
 def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra,
                     triples: Optional[Iterable[tuple[int, int, int]]] = None) -> tuple[int, Iterator]:
-    """A scale s and, for each (i, j, k) of ``triples`` (default: all i < j < k),
-    phi [e_i,e_j,e_k] and [phi e_i,phi e_j,phi e_k] as int supports, s times theirs.
+    """A scale s and, for each (i, j, k) of ``triples`` (default: all i < j < k)
+    where they differ, phi [e_i,e_j,e_k] and [phi e_i,phi e_j,phi e_k] as int
+    supports, s times theirs.
 
     With phi = phi~/d (:func:`cleared`), B_L = B~_L/D_L and B_G = B~_G/D_G (numerators;
     the pairs of phi~ over B~_G are G.twisted when phi is G's twist), phi~ B~_L
@@ -251,18 +261,14 @@ def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra,
     t = G.twisted[0] if phi == G.twist else right.pairs(cols)
     lcols = {i: {r: d * d * dg * x for r, x in c.items()} for i, c in enumerate(cols)}
     rcols = [{r: dl * x for r, x in c.items()} for c in cols]
-    return d ** 3 * dl * dg, (((i, j, k), matvec(lcols, left.get(i, j, k)), matvec(t[i, j], rcols[k]))
-                              for i, j, k in (increasing_triples(L.dim) if triples is None else triples))
+    keys = increasing_triples(L.dim) if triples is None else triples
+    images = (((i, j, k), matvec(lcols, left.get(i, j, k)), matvec(t[i, j], rcols[k])) for i, j, k in keys)
+    return d ** 3 * dl * dg, ((key, lhs, rhs) for key, lhs, rhs in images if lhs != rhs)
 
 
 def verify_multiplicative(L: Hom3LieAlgebra) -> AlgebraReport:
     """Check alpha([e_i,e_j,e_k]) = [alpha e_i, alpha e_j, alpha e_k] on all i<j<k."""
-    w = Sweep()
-    scale, images = _bracket_images(L.twist, L, L)
-    for key, lhs, rhs in images:
-        if lhs != rhs:
-            w.add(key, lhs, rhs)
-    return _report(w, "multiplicative", L.dim, scale)
+    return _report(Sweep(), "multiplicative", L.dim, *_bracket_images(L.twist, L, L))
 
 
 def verify_axioms(L: Hom3LieAlgebra) -> AlgebraReport:
@@ -324,7 +330,7 @@ def direct_sum(L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> Hom3LieAlgebra:
 
 def preserves_bracket(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> bool:
     """phi [e_i, e_j, e_k] == [phi e_i, phi e_j, phi e_k] on all i < j < k."""
-    return all(lhs == rhs for _, lhs, rhs in _bracket_images(phi, L, G)[1])
+    return next(_bracket_images(phi, L, G)[1], None) is None
 
 
 def is_morphism(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> bool:

@@ -25,12 +25,13 @@ from .algebras import (
     _bracket_images,
     _report,
     increasing_triples,
+    leibniz_sides,
     verify_hom_jacobi,
     verify_regular,
 )
 from .errors import DimensionMismatch, FixedPointRequired, RegularTwistRequired
 from .linalg import Mat, Subspace, Support, Vec, cleared, nullspace, pruned, subspace_contains
-from .sparse import add_matvec, matvec, signed_perms
+from .sparse import signed_perms
 
 
 def twist_power(L: Hom3LieAlgebra, k: int) -> Mat:
@@ -48,9 +49,10 @@ def commutator(d: Mat, dp: Mat) -> Mat:
 
 
 def _leibniz(L: Hom3LieAlgebra, d: Mat, k: int) -> tuple[int, Iterator]:
-    """A scale s and, for i < j < k, (i, j, k) with both sides of the grade-k
-    Leibniz rule as int supports, s times theirs: D B_ijk, and the twisted
-    actions T_jk D e_i + T_ki D e_j + T_ij D e_k as in :func:`derivation_space`.
+    """A scale s and the increasing triples (i, j, k) failing the grade-k Leibniz
+    rule, with both sides as int supports, s times theirs: D B_ijk against the
+    twisted actions T_jk D e_i + T_ki D e_j + T_ij D e_k (:func:`derivation_space`),
+    the one operator (c^2 D~, D~) of :func:`leibniz_sides` over the pairs of A~.
 
     With D and a^k cleared together to D~/c and A~/c (:func:`cleared`) and B~ = b B
     the numerators, c^2 D~ B~ and the actions of A~ on D~ are b c^3 times theirs.
@@ -58,23 +60,17 @@ def _leibniz(L: Hom3LieAlgebra, d: Mat, k: int) -> tuple[int, Iterator]:
     n = L.dim
     (akcols, dcols), c = cleared([twist_power(L, k).col(i).support for i in range(n)],
                                  [d.col(i).support for i in range(n)])
-    alt, b = L.alt, L.alt.scale
-    t = alt.pairs(akcols)
-    lcols = {i: {r: c * c * x for r, x in col.items()} for i, col in enumerate(dcols)}
-
-    def sides(i: int, j: int, kk: int) -> tuple:
-        acc: dict = {}
-        for m, col in ((t[j, kk], dcols[i]), (t[kk, i], dcols[j]), (t[i, j], dcols[kk])):
-            add_matvec(acc, m, col)
-        return (i, j, kk), matvec(lcols, alt.get(i, j, kk)), pruned(acc)
-    return b * c ** 3, (sides(*key) for key in increasing_triples(n))
+    dmat = {i: col for i, col in enumerate(dcols) if col}
+    lcols = {i: {r: c * c * x for r, x in col.items()} for i, col in dmat.items()}
+    return L.alt.scale * c ** 3, leibniz_sides(L.alt, L.alt.pairs(akcols), [((), lcols, dmat)],
+                                               increasing_triples(n))
 
 
 def is_alpha_k_derivation(L: Hom3LieAlgebra, d: Mat, k: int) -> bool:
     """Decide the grade-k derivation property for a multiplicative algebra."""
     if (d.rows, d.cols) != (L.dim, L.dim):
         raise DimensionMismatch("derivation candidate has the wrong shape")
-    return d @ L.twist == L.twist @ d and all(lhs == rhs for _, lhs, rhs in _leibniz(L, d, k)[1])
+    return d @ L.twist == L.twist @ d and next(_leibniz(L, d, k)[1], None) is None
 
 
 @dataclass(frozen=True)
@@ -283,23 +279,14 @@ def derivation_extension(L: Hom3LieAlgebra, d: Mat) -> tuple[DerivationExtension
                     skew.add(perm, got, want)
 
     below, at_n = Sweep(3), Sweep()
-    scale, images = _bracket_images(L.twist, L, L)
-    for key, lhs, rhs in images:
-        if lhs != rhs:
-            below.add(key, lhs, rhs)
     ad, da = L.twist @ d, d @ L.twist
-    for key in itertools.product(range(nn), repeat=3):
-        if (lhs := _slot_term(ad, *key)) != (rhs := _slot_term(da, *key)):
-            at_n.add(key, Vec.sparse(nn, lhs), Vec.sparse(nn, rhs))
-    mult = sorted(_report(below, "multiplicative", nn, scale).violations
-                  + tuple(at_n.violations("multiplicative")), key=lambda v: v.indices)
+    slots = ((key, lhs, rhs) for key in itertools.product(range(nn), repeat=3)
+             if (lhs := _slot_term(ad, *key)) != (rhs := _slot_term(da, *key)))
+    mult = sorted(_report(below, "multiplicative", nn, *_bracket_images(L.twist, L, L)).violations
+                  + _report(at_n, "multiplicative", nn, 1, slots).violations, key=lambda v: v.indices)
 
     own, leibniz = verify_hom_jacobi(L), Sweep()
-    scale, residuals = _leibniz(L, d, 1)
-    for key, lhs, rhs in residuals:
-        if lhs != rhs:
-            leibniz.add(key, lhs, rhs)
-    rows = _report(leibniz, "hom_jacobi", nn, scale).violations
+    rows = _report(leibniz, "hom_jacobi", nn, *_leibniz(L, d, 1)).violations
     jac = sorted([replace(v, left=Vec.sparse(nn, v.left.support), right=Vec.sparse(nn, v.right.support))
                   for v in own.violations]
                  + [replace(v, indices=(x, n, *v.indices)) for x in range(nn) for v in rows],

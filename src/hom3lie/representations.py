@@ -209,10 +209,9 @@ def _extension_sweep(E: Hom3LieAlgebra, n: int) -> tuple[RepresentationReport, C
     upto_one = [(x, y, k) for x, y in low for k in range(y + 1, E.dim)]
     scale, images = _bracket_images(E.twist, E, E, upto_one)
     for key, lhs, rhs in images:
-        if lhs != rhs:
-            mult.add(key, lhs, rhs)
-            if key[2] >= n:
-                found[twist].add(key[:2])
+        mult.add(key, lhs, rhs)
+        if key[2] >= n:
+            found[twist].add(key[:2])
     blocks = ((cocycle, low, increasing_triples(n), lambda u, v, x, y, z: (x, y, z, u, v)),
               (r2, itertools.product(range(n), module), increasing_triples(n),
                lambda u, _, x, y, z: (x, y, z, u)),

@@ -1,8 +1,8 @@
 """Dense reference sweeps, kept as oracles for the library's sparse sweeps.
 
-These are the hom-Jacobi, multiplicativity, representation, cocycle,
-metric-invariance and cyclicity sweeps, and the ideal test and the
-quotient, written the direct way: every
+These are the hom-Jacobi, multiplicativity, Leibniz, representation,
+cocycle, metric-invariance and cyclicity sweeps, and the ideal test and
+the quotient, written the direct way: every
 bracket, action and cocycle value is evaluated from the stored increasing-key table by
 its skew multilinear extension, one basis tuple of the arguments'
 supports at a time, with no twisted actions computed ahead; an action's
@@ -147,6 +147,25 @@ def hom_jacobi_sides(L, pairs, triples) -> list:
                 add_matvec(acc, m, bab.get(i, {}))
             if lhs != (rhs := pruned(acc)):
                 failing.append(((a, b, u, v, w), lhs, rhs))
+    return failing
+
+
+def leibniz(L, d: Mat, k: int) -> list:
+    """The increasing triples (i, j, k) where the grade-k Leibniz rule of d
+    fails, with both sides: d [e_i, e_j, e_k] and [d e_i, a^k e_j, a^k e_k]
+    + [a^k e_i, d e_j, a^k e_k] + [a^k e_i, a^k e_j, d e_k], a^k by the dense
+    inverse for k < 0, on every triple."""
+    a = L.twist if k >= 0 else dense_elimination.inverse(L.twist)
+    ak = Mat.identity(L.dim)
+    for _ in range(abs(k)):
+        ak = ak @ a
+    failing = []
+    for i, j, kk in increasing_triples(L.dim):
+        lhs = d.apply(bracket_basis(L, i, j, kk))
+        rhs = (bracket(L, d.col(i), ak.col(j), ak.col(kk)) + bracket(L, ak.col(i), d.col(j), ak.col(kk))
+               + bracket(L, ak.col(i), ak.col(j), d.col(kk)))
+        if lhs != rhs:
+            failing.append(((i, j, kk), lhs, rhs))
     return failing
 
 

@@ -12,6 +12,7 @@ from conftest import random_mat
 from hom3lie.algebras import Hom3LieAlgebra, direct_sum, increasing_triples, verify_regular
 from hom3lie.derivations import (
     DerivationExtension,
+    _leibniz,
     commutator,
     derivation_extension,
     derivation_space,
@@ -23,7 +24,7 @@ from hom3lie.derivations import (
 )
 from hom3lie.errors import DimensionMismatch, FixedPointRequired, RegularTwistRequired
 from hom3lie.fixtures import ab3, ab3s, catalog, l3, l3h, n4
-from hom3lie.linalg import Mat, Subspace, Vec
+from hom3lie.linalg import Mat, Subspace, Vec, rational
 
 
 def elementary(n, r, c):
@@ -256,6 +257,35 @@ def test_derivation_extension_rejects_a_map_of_the_wrong_shape():
 
 # entries over the denominators 1, 3 and 7, so that a wrong scale shows
 entries = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 3, 7)))
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(range(3)), st.integers(-1, 2), st.sampled_from(["inside", "outside", "column"]),
+       st.data())
+def test_leibniz_sides_match_the_dense_rule_on_coprime_scales(which, k, kind, data):
+    """``_leibniz`` yields the failing triples of the rule evaluated densely,
+    in order, with its sides over its scale.  D is a drawn member of the
+    grade-k derivation space, such a member changed at one to three drawn
+    entries, or nonzero only in its last column, where a triple can fail
+    through D B_uvw alone."""
+    L = coprime_algebras()[which]
+    n = L.dim
+    if kind == "column":
+        d = Mat.from_rows([[data.draw(entries) if c == n - 1 else 0 for c in range(n)] for _ in range(n)])
+    else:
+        d = Mat.zero(n, n)
+        for b in derivation_space(L, k).basis:
+            d = d + b.scale(data.draw(entries))
+    if kind == "outside":
+        for _ in range(data.draw(st.integers(1, 3))):
+            r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            d = d + elementary(n, r, c).scale(data.draw(entries))
+    scale, sides = _leibniz(L, d, k)
+    got = [(key, Vec.sparse(n, rational(lhs, scale)), Vec.sparse(n, rational(rhs, scale)))
+           for key, lhs, rhs in sides]
+    assert got == oracle.leibniz(L, d, k)
+    if kind == "inside":
+        assert not got
 
 
 @st.composite
