@@ -46,7 +46,6 @@ from .io import (
     subspace_to_dict,
     vec_to_dense,
     write_json,
-    write_text,
 )
 from .representations import _extension_sweep, adjoint_rep, coadjoint_rep
 from .structure import reconstruct_t_star, series
@@ -64,22 +63,12 @@ class Verdict:
     flags: dict[str, bool] = field(default_factory=dict)
     witnesses: list[dict] = field(default_factory=list)
     witnesses_total: int = 0
-    derived_data: Optional[dict] = None
+    derived_data: Any = None  # a dict, or its text as written to a file
     error: Optional[str] = None
 
     def payload(self) -> dict:
-        out: dict[str, Any] = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "flags": self.flags,
-            "witnesses": self.witnesses,
-            "witnesses_total": self.witnesses_total,
-        }
-        if self.derived_data is not None:
-            out["derived_data"] = self.derived_data
-        if self.error is not None:
-            out["error"] = self.error
-        return out
+        """The fields by name, leaving out ``derived_data`` and ``error`` when unset."""
+        return {name: value for name, value in vars(self).items() if value is not None}
 
     @property
     def exit_code(self) -> int:
@@ -167,7 +156,7 @@ def cmd_derivations(args: argparse.Namespace) -> int:
         verdict.error = f"{type(exc).__name__}: {exc}"
         return _emit(verdict, args.json)
     if args.output:
-        write_json(args.output, verdict.derived_data)
+        verdict.derived_data = write_json(args.output, verdict.derived_data)
     return _emit(verdict, args.json)
 
 
@@ -233,8 +222,10 @@ def cmd_extend(args: argparse.Namespace) -> int:
     verdict.witnesses = _violations_payload(report)
     verdict.witnesses_total = report.violations_total
     verdict.derived_data = data
-    if args.output:
-        write_json(args.output, data.get("algebra", data))
+    if args.output and "algebra" in data:
+        data["algebra"] = write_json(args.output, data["algebra"])
+    elif args.output:
+        verdict.derived_data = write_json(args.output, data)
     return _emit(verdict, args.json)
 
 
@@ -301,9 +292,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name in ("quotient", "theta", "tstar", "sigma"):
-        write_json(out / f"{name}.json", bundle[name])
-    dumped = canonical_dumps(verdict.payload())
-    write_text(out / "verdict.json", dumped)
+        bundle[name] = write_json(out / f"{name}.json", bundle[name])
+    dumped = write_json(out / "verdict.json", verdict.payload())
     return _emit(verdict, args.json, dumped)
 
 

@@ -3,9 +3,17 @@
 Rationals serialize as strings ``"p/q"`` (or ``"p"`` when the
 denominator is one); plain integers are accepted as shorthand on input,
 floats and decimal or exponent strings are rejected.  Basis indices are
-1-based in files and 0-based in the Python API.  Output is canonical:
-sorted keys, two-space indent, a single trailing newline, so equal
-values produce identical bytes.
+1-based in files and 0-based in the Python API.
+
+Output is canonical: the bytes of ``json.dumps(value, sort_keys=True,
+indent=2)`` and one trailing newline, so equal values produce identical
+bytes.  One writer makes them, :func:`canonical_dumps`, for the shapes
+the command line emits: dicts with str keys, lists, str, int, bool and
+None.  It stays off json's pure-Python indent path.  Its result is a
+:class:`Dumped`, and a payload holding one splices its text in, every
+line break re-indented to the depth it sits at; ASCII-escaped output
+holds no raw newline, so this is exact.  A file written once is thus
+not serialized again inside the verdict.
 
 Schemas
 -------
@@ -30,6 +38,7 @@ import decimal
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
@@ -277,8 +286,29 @@ def subspace_from_dict(d: Any, where: str = "subspace") -> Subspace:
 # -- files -----------------------------------------------------------------
 
 
-def canonical_dumps(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+class Dumped(str):
+    """Text of :func:`canonical_dumps`, spliced as it is into a payload holding it."""
+
+
+def _dump(value: Any, nl: str) -> str:
+    """``value`` at the depth whose line break and indent is ``nl``."""
+    if type(value) is str:
+        return _encode(value)
+    if type(value) is int:  # as json.dumps writes it, without its per-call cost
+        return int.__repr__(value)
+    if isinstance(value, Dumped):  # ensure_ascii output holds no raw newline
+        return value[:-1].replace("\n", nl)
+    inner = nl + "  "
+    if value and isinstance(value, dict):
+        return "{" + inner + ("," + inner).join(
+            _encode(k) + ": " + _dump(value[k], inner) for k in sorted(value)) + nl + "}"
+    if value and isinstance(value, (list, tuple)):
+        return "[" + inner + ("," + inner).join(_dump(v, inner) for v in value) + nl + "]"
+    return json.dumps(value)
+
+
+def canonical_dumps(payload: Any) -> Dumped:
+    return Dumped(_dump(payload, "\n") + "\n")
 
 
 def read_json(path: Union[str, Path]) -> Any:
@@ -299,15 +329,14 @@ def read_json(path: Union[str, Path]) -> Any:
         raise FileFormatError("invalid JSON: nested too deeply", str(p)) from exc
 
 
-def write_text(path: Union[str, Path], text: str) -> None:
+def write_json(path: Union[str, Path], payload: Any) -> Dumped:
+    """Write ``payload`` canonically to ``path``; returns the text, to splice."""
+    text = canonical_dumps(payload)
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise FileFormatError(f"cannot write: {exc.strerror or exc}", str(path)) from exc
-
-
-def write_json(path: Union[str, Path], payload: Any) -> None:
-    write_text(path, canonical_dumps(payload))
+    return text
 
 
 def load_algebra(path: Union[str, Path]) -> Hom3LieAlgebra:

@@ -11,7 +11,7 @@ matrices are sliced off its [L, L, V] block here, by
 code with the library, so the library's reports must equal theirs field
 for field, witnesses included.  There are two exceptions.  The derivation
 extension's oracle evaluates the extension's documented meaning,
-``DerivationExtension.rule``, on every basis triple and every twisted
+:func:`extension_rule`, on every basis triple and every twisted
 basis image, where the library reads a closed form and L's own sweeps.
 :func:`hom_jacobi_sides` is the library's hom-Jacobi loop on the same
 integer tables, run on every instance where the library runs only on
@@ -300,10 +300,25 @@ def quotient(L, s: Subspace) -> tuple[Hom3LieAlgebra, Mat]:
     return Hom3LieAlgebra(len(comp), table, twist), proj
 
 
+def extension_rule(ext, x: Vec, y: Vec, z: Vec) -> Vec:
+    """The literal defining rule of ``derivations.DerivationExtension``,
+    [u + l D, v + m D, w + n D] = [u, v, w] + l D(v) + m D(w) - n D(u),
+    on the decompositions of x, y and z as u + l D (D the last basis vector)."""
+    n, d = ext.base.dim, ext.derivation
+
+    def split(v: Vec) -> tuple[Vec, Fraction]:
+        return Vec.sparse(n, {i: a for i, a in v.support.items() if i < n}), v[n]
+
+    (xv, l), (yv, m), (zv, nn) = split(x), split(y), split(z)
+    out = (ext.base.bracket(xv, yv, zv) + d.apply(yv).scale(l) + d.apply(zv).scale(m)
+           - d.apply(xv).scale(nn))
+    return out.concat(Vec.zero(1))
+
+
 def derivation_extension(ext) -> AlgebraReport:
     """The report of ``derivations.derivation_extension`` from the literal rule.
 
-    Every value and every side is :meth:`DerivationExtension.rule` on basis
+    Every value and every side is :func:`extension_rule` on basis
     vectors and their images under ``ext.twist``, over all ordered triples
     (skewness, multiplicativity) and over the hom-Jacobi instances with
     (x, y) ordered below n or y = n and u < v < w below n, each in
@@ -314,7 +329,7 @@ def derivation_extension(ext) -> AlgebraReport:
     tcols = [ext.twist.col(i) for i in range(nn)]
 
     def value(i: int, j: int, k: int) -> Vec:
-        return ext.rule(basis[i], basis[j], basis[k])
+        return extension_rule(ext, basis[i], basis[j], basis[k])
 
     skew = _Log()
     for i, j, k in itertools.product(range(nn), repeat=3):
@@ -329,17 +344,17 @@ def derivation_extension(ext) -> AlgebraReport:
     mult = _Log()
     for i, j, k in itertools.product(range(nn), repeat=3):
         lhs = ext.twist.apply(value(i, j, k))
-        rhs = ext.rule(tcols[i], tcols[j], tcols[k])
+        rhs = extension_rule(ext, tcols[i], tcols[j], tcols[k])
         if lhs != rhs:
             mult.add(Violation("multiplicative", (i, j, k), lhs, rhs))
     jac = _Log()
     for a in range(nn):
         for b in (list(range(n)) if a < n else []) + [n]:
             for u, v, w in increasing_triples(n):
-                lhs = ext.rule(tcols[a], tcols[b], value(u, v, w))
-                rhs = (ext.rule(value(a, b, u), tcols[v], tcols[w])
-                       + ext.rule(tcols[u], value(a, b, v), tcols[w])
-                       + ext.rule(tcols[u], tcols[v], value(a, b, w)))
+                lhs = extension_rule(ext, tcols[a], tcols[b], value(u, v, w))
+                rhs = (extension_rule(ext, value(a, b, u), tcols[v], tcols[w])
+                       + extension_rule(ext, tcols[u], value(a, b, v), tcols[w])
+                       + extension_rule(ext, tcols[u], tcols[v], value(a, b, w)))
                 if lhs != rhs:
                     jac.add(Violation("hom_jacobi", (a, b, u, v, w), lhs, rhs))
     return AlgebraReport(

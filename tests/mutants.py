@@ -9,14 +9,20 @@ reports failing tests.  The tests first run once against an unmutated
 copy and must pass there, so a mutant cannot be caught by a test that
 fails anyway.
 
+With ``--alone`` each listed test runs on its own against its mutant,
+and every listed test that passes there is reported: a mutant must be
+caught by each of its tests, not only by the set of them.
+
 Needs only pytest and the standard library (the suite itself needs
 hypothesis).  Usage, from anywhere:
 
     python3 tests/mutants.py
+    python3 tests/mutants.py --alone
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -58,6 +64,8 @@ ZERO_MODULE = ("tests/test_representations.py::"
 DERIVATIONS = "tests/test_derivations.py"
 LEIBNIZ = DERIVATIONS + "::test_leibniz_sides_match_the_dense_rule_on_coprime_scales"
 PRESERVES = "tests/test_pairs.py::test_preserves_bracket_matches_direct_brackets"
+WRITER = "tests/test_canonical_dumps.py::test_canonical_dumps_matches_json_dumps"
+SPLICE = "tests/test_canonical_dumps.py::test_a_dumped_subvalue_splices_to_the_same_bytes"
 
 # (name, file under src/hom3lie, old text, new text, tests that must fail)
 MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
@@ -249,6 +257,12 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("extension-leibniz-failures-counted-once", "derivations.py",
      "nn * leibniz.total", "leibniz.total",
      (DERIVATIONS,)),
+    ("splice-without-reindent", "io.py",
+     'return value[:-1].replace("\\n", nl)', "return value[:-1]",
+     (SPLICE, CLI_BYTES)),
+    ("writer-unsorted-keys", "io.py",
+     "for k in sorted(value))", "for k in value)",
+     (WRITER, CLI_BYTES, INPUT_DIGESTS)),
 )
 
 
@@ -262,12 +276,11 @@ def run_tests(src: Path, tests: tuple[str, ...]) -> int:
                           stderr=subprocess.DEVNULL).returncode
 
 
-def check(tmp: Path, name: str, file: str, old: str, new: str, tests: tuple[str, ...]) -> str:
-    """Run ``tests`` on a copy of ``src/`` with the mutant in place; '' if it is caught.
-
-    The unmutated entry (no file) must instead pass.
+def check(tmp: Path, file: str, old: str, new: str, tests: tuple[str, ...]) -> str:
+    """Run ``tests`` on a copy of ``src/`` in ``tmp`` with the mutant in place;
+    '' if it is caught.  The unmutated entry (no file) must instead pass.
     """
-    src = tmp / name / "src"
+    src = tmp / "src"
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
     if file:
         path = src / "hom3lie" / file
@@ -281,11 +294,18 @@ def check(tmp: Path, name: str, file: str, old: str, new: str, tests: tuple[str,
     return ""
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Check that the tests catch each mutant.")
+    parser.add_argument("--alone", action="store_true",
+                        help="run each listed test on its own against its mutant")
+    alone = parser.parse_args(argv).alone
     unmutated = ("unmutated", "", "", "", tuple(sorted({t for m in MUTANTS for t in m[4]})))
+    mutants = [(f"{name}  {test}", file, old, new, (test,))
+               for name, file, old, new, tests in MUTANTS for test in tests] if alone else MUTANTS
+    entries = [unmutated, *mutants]
     with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(WORKERS) as pool:
-        results = list(pool.map(lambda entry: check(Path(tmp), *entry), [unmutated, *MUTANTS]))
-    for (name, *_), problem in zip([unmutated, *MUTANTS], results):
+        results = list(pool.map(lambda i: check(Path(tmp) / str(i), *entries[i][1:]), range(len(entries))))
+    for (name, *_), problem in zip(entries, results):
         verdict = "passes" if name == "unmutated" else "caught"
         print(f"{'FAILED  ' + problem if problem else verdict}  {name}")
     missed = sum(bool(problem) for problem in results)
@@ -294,4 +314,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

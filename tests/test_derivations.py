@@ -333,4 +333,4 @@ def test_derivation_extension_matches_the_literal_rule_sweeps(case):
     assert report == oracle.derivation_extension(ext)
     basis = [Vec.basis(ext.dim, i) for i in range(ext.dim)]
     for i, j, k in itertools.product(range(ext.dim), repeat=3):
-        assert ext.value(i, j, k) == ext.rule(basis[i], basis[j], basis[k])
+        assert ext.value(i, j, k) == oracle.extension_rule(ext, basis[i], basis[j], basis[k])

@@ -549,6 +549,12 @@ def test_orbits_partition_the_tuples_with_distinct_indices_in_each_block(blocks)
     expected = {idx + tail for idx in itertools.product(range(n), repeat=width)
                 if all(len(set(part)) == len(part) for part in _blocks_of(idx, blocks))}
     assert set(seen) == expected
+    # every orbit in one sweep: members of different orbits interleave, and
+    # the witnesses are still the smallest tuples, in order
+    log = Sweep(*blocks)
+    for rep in log.reps(n):
+        log.add(rep + tail, Vec.of(1), Vec.of(2))
+    assert log.total == len(seen) and log.witnesses == sorted(seen)[:MAX_WITNESSES]
 
 
 def _interleaved(indices, blocks: tuple[int, ...]) -> bool:
