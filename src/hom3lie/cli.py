@@ -67,8 +67,10 @@ class Verdict:
     error: Optional[str] = None
 
     def payload(self) -> dict:
-        """The fields by name, leaving out ``derived_data`` and ``error`` when unset."""
-        return {name: value for name, value in vars(self).items() if value is not None}
+        out = {"command": self.command, "inputs": self.inputs, "flags": self.flags,
+               "witnesses": self.witnesses, "witnesses_total": self.witnesses_total}
+        unless_unset = {"derived_data": self.derived_data, "error": self.error}
+        return {**out, **{key: value for key, value in unless_unset.items() if value is not None}}
 
     @property
     def exit_code(self) -> int:
@@ -221,11 +223,10 @@ def cmd_extend(args: argparse.Namespace) -> int:
     verdict.flags = _report_flags(report)
     verdict.witnesses = _violations_payload(report)
     verdict.witnesses_total = report.violations_total
+    if args.output:  # the algebra, or a derivation extension's whole data
+        text = write_json(args.output, data.get("algebra", data))
+        data = dict(data, algebra=text) if "algebra" in data else text
     verdict.derived_data = data
-    if args.output and "algebra" in data:
-        data["algebra"] = write_json(args.output, data["algebra"])
-    elif args.output:
-        verdict.derived_data = write_json(args.output, data)
     return _emit(verdict, args.json)
 
 

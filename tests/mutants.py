@@ -3,26 +3,21 @@
 Each entry of ``MUTANTS`` names a file under ``src/hom3lie``, a piece of
 its text that occurs exactly once, a replacement that breaks the
 library on purpose, and the tests that must then fail.  For each entry
-``src/`` is copied to a temporary directory, the replacement is made
-there, and the tests run against the copy; the check fails unless pytest
-reports failing tests.  The tests first run once against an unmutated
-copy and must pass there, so a mutant cannot be caught by a test that
-fails anyway.
-
-With ``--alone`` each listed test runs on its own against its mutant,
-and every listed test that passes there is reported: a mutant must be
-caught by each of its tests, not only by the set of them.
+and each of its tests, ``src/`` is copied to a temporary directory, the
+replacement is made there, and that test runs alone against the copy;
+the check fails unless pytest reports it failing, so a mutant must be
+caught by each of its tests, not only by the set of them.  The tests
+first run once against an unmutated copy and must pass there, so a
+mutant cannot be caught by a test that fails anyway.
 
 Needs only pytest and the standard library (the suite itself needs
 hypothesis).  Usage, from anywhere:
 
     python3 tests/mutants.py
-    python3 tests/mutants.py --alone
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -294,15 +289,10 @@ def check(tmp: Path, file: str, old: str, new: str, tests: tuple[str, ...]) -> s
     return ""
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description="Check that the tests catch each mutant.")
-    parser.add_argument("--alone", action="store_true",
-                        help="run each listed test on its own against its mutant")
-    alone = parser.parse_args(argv).alone
+def main() -> int:
     unmutated = ("unmutated", "", "", "", tuple(sorted({t for m in MUTANTS for t in m[4]})))
-    mutants = [(f"{name}  {test}", file, old, new, (test,))
-               for name, file, old, new, tests in MUTANTS for test in tests] if alone else MUTANTS
-    entries = [unmutated, *mutants]
+    entries = [unmutated, *((f"{name}  {test}", file, old, new, (test,))
+                            for name, file, old, new, tests in MUTANTS for test in tests)]
     with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(WORKERS) as pool:
         results = list(pool.map(lambda i: check(Path(tmp) / str(i), *entries[i][1:]), range(len(entries))))
     for (name, *_), problem in zip(entries, results):
@@ -314,4 +304,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
