@@ -14,6 +14,8 @@ for that action, built ahead, and reports the extension's violations.
 The derivation extension extends
 the algebra by D, the first basis vector of its grade-1 derivations, and
 the one of a non-derivation by D + E_00, which fails the Leibniz rule.
+The second ascending series column runs on the T*-double of N4 + the
+algebra along theta = 0, whose ascending series has three terms.
 The reconstruction takes the T*-double along a cyclic map (the
 hyperbolic form is invariant only then), the cyclic part of the map
 (i, j, k) -> ((i + j + k + 2 l) mod 5) - 2 at l, back to a dual-space
@@ -57,7 +59,7 @@ from hom3lie.extensions import (
     verify_cocycle,
     verify_metric,
 )
-from hom3lie.fixtures import l3
+from hom3lie.fixtures import l3, n4
 from hom3lie.linalg import Mat, Subspace, Vec
 from hom3lie.representations import adjoint_rep, coadjoint_rep, verify_representation
 from hom3lie.structure import reconstruct_t_star, series
@@ -66,14 +68,15 @@ from perfbench.inputs import yau_twisted_a4
 COLUMNS = ("hom-Jacobi", "hom-Jacobi on T* (2n)", "adjoint rep. sweep", "coadjoint rep. sweep",
            "coboundary", "cocycle sweep", "t-theta extension", "metric on T*", "`derivation_space(k=0)`", "same on T*",
            "`inner_space(k=1)` on T*", "descending series on T*", "ascending series on T*",
+           "ascending series on T* of N4 + the algebra, theta = 0",
            "derivation extension", "derivation extension of a non-derivation", "reconstruct on T*")
 REPEAT = 3
 SLOW = 1.0
 # each column's violation total (coboundary: nonzero entries of theta; `derivation_space`
 # and `inner_space` columns: dimension; series: the sum of the term dimensions;
 # reconstruction: nonzero entries of theta), per size
-TOTALS = {7: (0, 392, 0, 228, 16, 144, 0, 136, 8, 15, 6, 26, 2, 114, 242, 132),
-          11: (0, 784, 0, 456, 31, 288, 0, 262, 10, 17, 6, 42, 2, 194, 386, 1192)}
+TOTALS = {7: (0, 392, 0, 228, 16, 144, 0, 136, 8, 15, 6, 26, 2, 16, 114, 242, 132),
+          11: (0, 784, 0, 456, 31, 288, 0, 262, 10, 17, 6, 42, 2, 16, 194, 386, 1192)}
 
 
 def family(n: int) -> Hom3LieAlgebra:
@@ -108,6 +111,7 @@ def layers(n: int) -> dict:
            for key in increasing_triples(n)}
     double, double_form = t_star_extension(L, cyclic_part(Cocycle(n, n, raw)))
     dual = Subspace.span(2 * n, [Vec.basis(2 * n, n + i) for i in range(n)])
+    n4_double, _ = t_star_extension(direct_sum(n4(), L), Cocycle.zero(n + 4, n + 4))
     return dict(zip(COLUMNS, (
         (lambda A: verify_hom_jacobi(A).violations_total, L),
         (lambda A: verify_hom_jacobi(A).violations_total, tstar),
@@ -122,6 +126,7 @@ def layers(n: int) -> dict:
         (lambda A: inner_space(A, 1).dimension, tstar),
         (lambda A: sum(t.dim for t in series(A, "central_descending").terms), tstar),
         (lambda A: sum(t.dim for t in series(A, "central_ascending").terms), tstar),
+        (lambda A: sum(t.dim for t in series(A, "central_ascending").terms), n4_double),
         (lambda A, D: derivation_extension(A, D)[1].violations_total, L, d),
         (lambda A, D: derivation_extension(A, D)[1].violations_total, L, d + e00),
         (reconstructed_nonzeros, double, double_form, dual),
@@ -130,8 +135,8 @@ def layers(n: int) -> dict:
 
 def cold(x):
     """An algebra, a cocycle or a subspace built anew, without the trie,
-    twisted actions, pivot rows or projection that earlier calls left on
-    it, as one CLI call loads it."""
+    twisted actions or projection that earlier calls left on it, as one
+    CLI call loads it."""
     if isinstance(x, Hom3LieAlgebra):
         return Hom3LieAlgebra(x.dim, x.table, x.twist)
     if isinstance(x, Cocycle):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterator
 
 from .algebras import (
@@ -30,7 +31,7 @@ from .algebras import (
 )
 from .errors import DimensionMismatch, FixedPointRequired, RegularTwistRequired
 from .linalg import Mat, Subspace, Support, Vec, cleared, nullspace, pruned, subspace_contains
-from .sparse import signed_perms
+from .sparse import matvec, signed_perms
 
 
 def twist_power(L: Hom3LieAlgebra, k: int) -> Mat:
@@ -74,27 +75,35 @@ def is_alpha_k_derivation(L: Hom3LieAlgebra, d: Mat, k: int) -> bool:
 
 @dataclass(frozen=True)
 class DerivationSpace:
-    """Canonical basis of the grade-k derivations of one algebra.
-
-    Basis matrices are the row-major unvectorisations of the reduced
-    basis of the underlying solution space, so equal spaces have equal
-    bases.
+    """The grade-k derivations of one algebra, as ``as_subspace``: the
+    canonical solution space in the n^2 entries, row-major.  ``basis``
+    holds its rows as matrices, built once, so equal spaces have equal bases.
     """
 
     k: int
     algebra_dim: int
-    basis: tuple[Mat, ...]
+    as_subspace: Subspace
+
+    @cached_property
+    def basis(self) -> tuple[Mat, ...]:
+        n, out = self.algebra_dim, []
+        for v in self.as_subspace.basis:
+            rows: list[Support] = [{} for _ in range(n)]
+            for i, a in v.support.items():
+                rows[i // n][i % n] = a
+            out.append(Mat.sparse(n, (Vec.sparse(n, r) for r in rows)))
+        return tuple(out)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
-
-    def as_subspace(self) -> Subspace:
-        n2 = self.algebra_dim * self.algebra_dim
-        return Subspace(n2, tuple(m.vectorize() for m in self.basis))
+        return self.as_subspace.dim
 
     def contains(self, d: Mat) -> bool:
-        return subspace_contains(self.as_subspace(), d.vectorize())
+        n = self.algebra_dim
+        if (d.rows, d.cols) != (n, n):
+            raise DimensionMismatch("derivation candidate has the wrong shape")
+        flat = {r * n + c: a for r, v in enumerate(d.row_vecs) for c, a in v.support.items()}
+        return subspace_contains(self.as_subspace, Vec.sparse(n * n, flat))
 
 
 def derivation_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
@@ -136,9 +145,7 @@ def derivation_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
 
     # nonzero int rows, shortest first (less fill); the kernel takes ints as they are
     rows = sorted(filter(None, map(pruned, rows)), key=len)
-    sol = nullspace(Mat.sparse(n * n, [Vec.sparse(n * n, s) for s in rows]))
-    basis = tuple(Mat.unvectorize(n, n, v) for v in sol.basis)
-    return DerivationSpace(k, n, basis)
+    return DerivationSpace(k, n, nullspace(Mat.sparse(n * n, [Vec.sparse(n * n, s) for s in rows])))
 
 
 def fixed_space(L: Hom3LieAlgebra) -> Subspace:
@@ -159,18 +166,20 @@ def inner_derivation(L: Hom3LieAlgebra, u1: Vec, u2: Vec, k: int) -> Mat:
 
 
 def inner_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
-    """Canonical span of the inner grade-k derivations (k >= 1), spanned by
-    numerators (:meth:`AltTable.pairs`): a nonzero scale changes no span."""
+    """Canonical span of the inner grade-k derivations (k >= 1): the maps
+    T_ab a^(k-1), row-major, with T_ab = [u_a, u_b, .] on the fixed basis.
+    Column c of one is T_ab applied to column c of a^(k-1); both are taken as
+    numerators (:meth:`AltTable.pairs`, :func:`cleared`): a nonzero scale changes no span."""
     if k < 1:
         raise ValueError("inner derivations exist from grade 1 upward")
     n = L.dim
     fixed = fixed_space(L)
-    ak = twist_power(L, k - 1)
+    (akcols,), _ = cleared([twist_power(L, k - 1).col(c).support for c in range(n)])
     t = L.alt.pairs([u.support for u in fixed.basis])
-    gens = [(Mat.from_cols([Vec.sparse(n, t[a, b].get(c, {})) for c in range(n)]) @ ak).vectorize()
+    gens = [Vec.sparse(n * n, {r * n + c: x for c, col in enumerate(akcols)
+                               for r, x in matvec(t[a, b], col).items()})
             for a, b in itertools.combinations(range(fixed.dim), 2)]
-    span = Subspace.span(n * n, gens)
-    return DerivationSpace(k, n, tuple(Mat.unvectorize(n, n, v) for v in span.basis))
+    return DerivationSpace(k, n, Subspace.span(n * n, gens))
 
 
 def _slot_term(m: Mat, i: int, j: int, k: int) -> Support:

@@ -213,7 +213,7 @@ class Mat:
 
     @cached_property
     def entries(self) -> tuple[Fraction, ...]:
-        return self.vectorize().entries
+        return tuple(a for v in self.row_vecs for a in v.entries)
 
     def at(self, r: int, c: int) -> Fraction:
         return self.row_vecs[r][c]
@@ -300,22 +300,6 @@ class Mat:
         for _ in range(k):
             acc = acc @ self
         return acc
-
-    def vectorize(self) -> Vec:
-        """Flatten row-major into a vector of length rows*cols."""
-        n = self.cols
-        return Vec.sparse(self.rows * n, {r * n + c: a for r, v in enumerate(self.row_vecs)
-                                          for c, a in v.support.items()})
-
-    @staticmethod
-    def unvectorize(rows: int, cols: int, v: Vec) -> "Mat":
-        if len(v) != rows * cols:
-            raise DimensionMismatch("vector length does not match target shape")
-        split: list[Support] = [{} for _ in range(rows)]
-        for i, a in v.support.items():
-            r, c = divmod(i, cols)
-            split[r][c] = a
-        return Mat.sparse(cols, (Vec.sparse(cols, s) for s in split))
 
     def __repr__(self) -> str:
         lines = ["[" + ", ".join(str(a) for a in v.entries) + "]" for v in self.row_vecs]
@@ -467,11 +451,6 @@ class Subspace:
         return len(self.basis)
 
     @cached_property
-    def pivot_rows(self) -> dict[int, Support]:
-        """The basis as supports keyed by pivot, built on first use."""
-        return {min(v.support): v.support for v in self.basis}
-
-    @cached_property
     def projection(self) -> tuple[dict[int, int], dict[int, dict[int, int]], int]:
         """The positions of the non-pivot coordinates, e times the projection
         onto them along the span as int columns over them, and e; built once.
@@ -482,25 +461,12 @@ class Subspace:
         each pivot p, read at the non-pivots; that rest is 0 at every pivot and
         lies in the span iff v does, and the only such vector in it is 0.
         """
-        rows = self.pivot_rows
+        rows = {min(v.support): v.support for v in self.basis}
         pos = {g: a for a, g in enumerate(g for g in range(self.ambient_dim) if g not in rows)}
         (irows,), e = cleared(list(rows.values()))
         cols = {g: {a: e} for g, a in pos.items()}
         cols.update((p, {pos[c]: -x for c, x in row.items() if c != p}) for p, row in zip(rows, irows))
         return pos, cols, e
-
-    def pivots(self) -> list[int]:
-        return list(self.pivot_rows)
-
-    def reduce(self, v: Vec) -> Vec:
-        """v less v[p] times each pivot row p (zero at the other pivots); zero iff v is in the span."""
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector length does not match ambient dimension")
-        acc, rows = dict(v.support), self.pivot_rows
-        for p, a in v.support.items():
-            if p in rows:
-                add_scaled(acc, -a, rows[p])
-        return Vec.sparse(self.ambient_dim, pruned(acc))
 
 
 def nullspace(m: Mat) -> Subspace:
@@ -522,7 +488,13 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_contains(a: Subspace, v: Vec) -> bool:
-    return a.reduce(v).is_zero()
+    """v lies in a iff its projection along a is 0 (:attr:`Subspace.projection`)."""
+    if len(v) != a.ambient_dim:
+        raise DimensionMismatch("vector length does not match ambient dimension")
+    acc, (_, proj, _) = {}, a.projection
+    for g, x in v.support.items():
+        add_scaled(acc, x, proj[g])
+    return not pruned(acc)
 
 
 def subspace_leq(a: Subspace, b: Subspace) -> bool:

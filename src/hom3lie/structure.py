@@ -16,7 +16,6 @@ of assuming it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -68,12 +67,19 @@ class SeriesResult:
 
 
 def _centralizer(L: Hom3LieAlgebra, target: Subspace) -> Subspace:
-    """C(I) = { a : [a, e_j, e_k] in I for all j < k }, by one nullspace of
-    the reduced numerators (:meth:`AltTable.get`): a nonzero scale changes no kernel."""
-    n = L.dim
-    blocks = [Mat.from_cols([target.reduce(Vec.sparse(n, L.alt.get(a, j, k))) for a in range(n)])
-              for j, k in itertools.combinations(range(n), 2)]
-    return nullspace(Mat.sparse(n, (v for b in blocks for v in b.row_vecs)))
+    """C(I) = { a : [a, e_j, e_k] in I for all j < k }: the kernel of the rows
+    (j, k, g), g a non-pivot of I, holding e proj [e_a, e_j, e_k] at g in
+    column a (:attr:`Subspace.projection`), on the numerators (:meth:`AltTable.get`),
+    as a nonzero scale changes no kernel.  The stored key x < y < z gives the
+    entries of column x in the rows of (y, z), of column y in those of (x, z),
+    with sign -1, and of column z in those of (x, y), and no other key does."""
+    _, proj, _ = target.projection
+    rows: dict[tuple[int, int, int], dict[int, int]] = {}
+    for x, y, z in L.table:
+        for g, c in matvec(proj, L.alt.get(x, y, z)).items():
+            for (j, k), a, sign in (((y, z), x, 1), ((x, z), y, -1), ((x, y), z, 1)):
+                rows.setdefault((j, k, g), {})[a] = sign * c
+    return nullspace(Mat.sparse(L.dim, [Vec.sparse(L.dim, r) for r in rows.values()]))
 
 
 def series(L: Hom3LieAlgebra, kind: str, max_steps: int = 64) -> SeriesResult:

@@ -1,13 +1,14 @@
 """Dense reference sweeps, kept as oracles for the library's sparse sweeps.
 
 These are the hom-Jacobi, multiplicativity, Leibniz, representation,
-cocycle, metric-invariance and cyclicity sweeps, and the ideal test and
-the quotient, written the direct way: every
+cocycle, metric-invariance and cyclicity sweeps, and the ideal test, the
+centralizer and the quotient, written the direct way: every
 bracket, action and cocycle value is evaluated from the stored increasing-key table by
 its skew multilinear extension, one basis tuple of the arguments'
 supports at a time, with no twisted actions computed ahead; an action's
 matrices are sliced off its [L, L, V] block here, by
-:func:`action_matrices`, not through the library.  They share no evaluation
+:func:`action_matrices`, not through the library, and membership in a
+subspace is decided by the dense elimination of ``dense_elimination``.  They share no evaluation
 code with the library, so the library's reports must equal theirs field
 for field, witnesses included.  There are two exceptions.  The derivation
 extension's oracle evaluates the extension's documented meaning,
@@ -32,7 +33,7 @@ from hom3lie.algebras import (
     increasing_triples,
 )
 from hom3lie.extensions import CocycleReport, MetricReport
-from hom3lie.linalg import Mat, Subspace, Vec, pruned, subspace_contains
+from hom3lie.linalg import Mat, Subspace, Vec, pruned
 from hom3lie.representations import RepresentationReport
 from hom3lie.sparse import add_matvec, matvec
 
@@ -275,24 +276,45 @@ def theta_cyclic(th) -> bool:
                for i, j, k in increasing_triples(n) for l in range(n))
 
 
+def contains_all(s: Subspace, vectors) -> bool:
+    """Membership by rank: the vectors lie in s iff adding them all to its
+    basis keeps the dimension."""
+    return dense_elimination.rank(Mat.from_rows([*s.basis, *vectors], cols=s.ambient_dim)) == s.dim
+
+
 def is_ideal(L, s: Subspace) -> bool:
     """alpha b and [b, e_j, e_k] in s for every basis vector b of s and every
-    ordered pair (j, k), each by ``subspace_contains``; the bracket is
+    ordered pair (j, k), by :func:`contains_all`; the bracket is
     alternating, so b in the other slots gives the same vectors up to sign."""
     n = L.dim
     basis = [Vec.basis(n, i) for i in range(n)]
-    return (all(subspace_contains(s, L.twist.apply(b)) for b in s.basis)
-            and all(subspace_contains(s, bracket(L, b, x, y))
-                    for b in s.basis for x, y in itertools.product(basis, repeat=2)))
+    return contains_all(s, [L.twist.apply(b) for b in s.basis]
+                        + [bracket(L, b, x, y) for b in s.basis for x, y in itertools.product(basis, repeat=2)])
+
+
+def centralizer(L, s: Subspace) -> Subspace:
+    """{a : [a, e_j, e_k] in s for every ordered pair (j, k)}, from the dense
+    elimination: the kernel W of s's basis rows is the annihilator of s, so
+    v lies in s iff w . v = 0 for every w in W (the ranks of s and W add up
+    to n), and the centralizer is the kernel of the rows (w . [e_a, e_j, e_k])_a."""
+    n = L.dim
+    annihilator = dense_elimination.nullspace(Mat.from_rows(list(s.basis), cols=n)).basis
+    values = {(j, k): [bracket_basis(L, a, j, k) for a in range(n)]
+              for j, k in itertools.product(range(n), repeat=2)}
+    rows = [[w.dot(v) for v in vals] for w in annihilator for vals in values.values()]
+    return dense_elimination.nullspace(Mat.from_rows(rows, cols=n))
 
 
 def quotient(L, s: Subspace) -> tuple[Hom3LieAlgebra, Mat]:
-    """The quotient on the non-pivot coordinates c of s: proj has the columns
-    ``s.reduce(e_g)`` read at c, the bracket is proj [e_a, e_b, e_c] and the
-    twist proj alpha e_a, for a, b, c among them."""
+    """The quotient on the non-pivot coordinates c of the dense RREF of s's
+    basis: proj e_g is e_g, less the RREF row with pivot g if there is one,
+    read at c; the bracket is proj [e_a, e_b, e_c] and the twist proj alpha
+    e_a, for a, b, c among them."""
     n = L.dim
-    comp = [g for g in range(n) if g not in s.pivots()]
-    residues = [s.reduce(Vec.basis(n, g)) for g in range(n)]
+    reduced = dense_elimination.rref(Mat.from_rows(list(s.basis), cols=n))
+    rows = {p: reduced.row(r) for r, p in enumerate(dense_elimination.pivot_cols(reduced))}
+    comp = [g for g in range(n) if g not in rows]
+    residues = [Vec.basis(n, g) - rows[g] if g in rows else Vec.basis(n, g) for g in range(n)]
     proj = Mat.from_rows([[residues[g][c] for g in range(n)] for c in comp], cols=n)
     table = {(a, b, c): proj.apply(bracket_basis(L, comp[a], comp[b], comp[c]))
              for a, b, c in increasing_triples(len(comp))}

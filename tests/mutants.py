@@ -61,6 +61,7 @@ LEIBNIZ = DERIVATIONS + "::test_leibniz_sides_match_the_dense_rule_on_coprime_sc
 PRESERVES = "tests/test_pairs.py::test_preserves_bracket_matches_direct_brackets"
 WRITER = "tests/test_canonical_dumps.py::test_canonical_dumps_matches_json_dumps"
 SPLICE = "tests/test_canonical_dumps.py::test_a_dumped_subvalue_splices_to_the_same_bytes"
+CENTRALIZER = "tests/test_structure.py::test_centralizer_and_ascending_series_match_the_dense_oracle"
 
 # (name, file under src/hom3lie, old text, new text, tests that must fail)
 MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
@@ -224,6 +225,9 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("projection-pivot-column-sign", "linalg.py",
      "{pos[c]: -x for c, x in row.items() if c != p}", "{pos[c]: x for c, x in row.items() if c != p}",
      (IDEAL,)),
+    ("centralizer-middle-placement-unsigned", "structure.py",
+     "((x, z), y, -1)", "((x, z), y, 1)",
+     (CENTRALIZER,)),
     ("metric-reads-gram-columns", "extensions.py",
      "cleared([row.support for row in gram.row_vecs])",
      "cleared([gram.col(c).support for c in range(n)])",

@@ -39,7 +39,8 @@ extension sweep reach the output.  ``verify`` runs with the default checks
 and with ``--checks regular`` on A4y, A4y + L3, A4 with the shear twist
 (which fails hom-Jacobi), L3 with a twist that is not multiplicative and
 L3 with a singular twist; ``series`` runs every kind on A4y + L3 and on
-its T*-double; ``fixtures`` writes its six files into ``fx``, whose
+its T*-double, and the descending and ascending kinds on N4 and on its
+T*-double along theta = 0, whose ascending series have three terms; ``fixtures`` writes its six files into ``fx``, whose
 digests are recorded.  The test replays each line through
 ``cli.main`` in a directory holding the inputs, with relative paths, so
 that no digest depends on where the directory is.
@@ -73,7 +74,7 @@ from hom3lie.algebras import Hom3LieAlgebra, direct_sum, increasing_triples
 from hom3lie.cli import main
 from hom3lie.derivations import derivation_space
 from hom3lie.extensions import Cocycle, coboundary, cyclic_part, t_star_extension
-from hom3lie.fixtures import a4, l3, l3h
+from hom3lie.fixtures import a4, l3, l3h, n4
 from hom3lie.io import (
     algebra_to_dict,
     cocycle_to_dict,
@@ -173,7 +174,8 @@ VERIFY = [
     for checks in ([], ["--checks", "regular"])
 ]
 SERIES = [[name, "--kind", kind] for name in ("A4yL3.json", "tstar-A4yL3.json")
-          for kind in ("derived", "descending", "ascending")]
+          for kind in ("derived", "descending", "ascending")] + [
+    [name, "--kind", kind] for name in ("N4.json", "tstar-N4.json") for kind in ("descending", "ascending")]
 CASES = [
     [*mode, "extend", kind, *inputs, *out]
     for kind, scenarios in EXTEND.items()
@@ -235,6 +237,8 @@ def write_inputs(d: Path) -> None:
         "A4yL3.json": algebra_to_dict(Ay3),
         "A4y.json": algebra_to_dict(Ay),
         "A4.json": algebra_to_dict(A),
+        "N4.json": algebra_to_dict(n4()),
+        "tstar-N4.json": algebra_to_dict(t_star_extension(n4(), Cocycle.zero(4, 4))[0]),
         "A4-shear.json": algebra_to_dict(Hom3LieAlgebra(4, A.table, Mat.identity(4) + elementary(4, 0, 1))),
         "L3-nonmult.json": nonmult,
         "D.json": matrix_to_dict(Mat.diagonal([0, 1, -1])),

@@ -5,7 +5,10 @@ shape up to 7 x 7 (tall, wide, square, and with no rows at all), then
 zeroes out a few of their rows and columns.  ``rref``, ``rank``,
 ``nullspace``, ``solve``, ``inverse`` and ``Subspace.span`` must agree
 exactly with ``dense_elimination``, and ``rref`` also with sympy's
-``DomainMatrix`` over QQ when sympy is installed.
+``DomainMatrix`` over QQ when sympy is installed.  ``Subspace.projection``,
+the one reduction modulo a subspace, must vanish exactly on the span
+(membership by dense rank), be the identity off the pivots, and leave
+each vector less the lift of its projection in the span.
 
 The kernel clears each row to ints and divides by the leads only at the
 end, so ``wide_matrices`` draws the entries that exercise the clearing
@@ -23,6 +26,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dense_elimination as dense
+from dense_oracle import contains_all
 from hom3lie.linalg import (
     Mat,
     Subspace,
@@ -98,20 +102,35 @@ def test_inverse_matches_the_dense_oracle(m):
     assert inverse(m) == dense.inverse(m)
 
 
+def project(s: Subspace, v: Vec) -> list[Fraction]:
+    """e proj v at the non-pivots of s, summed entry by entry from the columns
+    of ``s.projection``."""
+    pos, cols, _ = s.projection
+    out = [Fraction(0)] * len(pos)
+    for g, x in v.support.items():
+        for a, y in cols[g].items():
+            out[a] += x * y
+    return out
+
+
 @given(matrices(), st.data())
-def test_subspace_reduce_kernel_is_the_span(m, data):
+def test_subspace_projection_kernel_is_the_span(m, data):
     n = m.cols
     s = Subspace.span(n, [m.row(i) for i in range(m.rows)])
+    pos, cols, e = s.projection
+    assert [g for g in range(n) if g not in pos] == dense.pivot_cols(dense.rref(m))
+    assert list(pos) == sorted(pos) and sorted(pos.values()) == list(range(len(pos)))
+    assert all(cols[g] == {a: e} for g, a in pos.items())
     for v in s.basis:
-        assert s.reduce(v).is_zero()
+        assert not any(project(s, v)) and subspace_contains(s, v)
     v = data.draw(vectors(n))
-    res = s.reduce(v)
-    assert all(res[p] == 0 for p in s.pivots())
-    assert subspace_contains(s, v - res)
-    assert s.pivots() == dense.pivot_cols(dense.rref(m))
-    residual = Mat.from_cols([s.reduce(Vec.basis(n, i)) for i in range(n)])
-    assert nullspace(residual) == s
-    # the cached pivot rows take no part in equality
+    res = project(s, v)
+    assert (not any(res)) == contains_all(s, [v]) == subspace_contains(s, v)
+    lifted = Vec.sparse(n, {g: res[a] / e for g, a in pos.items() if res[a]})
+    assert contains_all(s, [v - lifted])
+    matrix = Mat.from_rows([[cols[g].get(a, 0) for g in range(n)] for a in range(len(pos))], cols=n)
+    assert nullspace(matrix) == s
+    # the cached projection takes no part in equality
     assert s == Subspace(s.ambient_dim, s.basis)
 
 

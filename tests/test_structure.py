@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hom3lie.algebras import Hom3LieAlgebra, increasing_triples
+import dense_oracle as oracle
+from hom3lie.algebras import Hom3LieAlgebra, direct_sum, increasing_triples
 from hom3lie.errors import (
     ComplementInvalid,
     DimensionMismatch,
@@ -15,6 +18,7 @@ from hom3lie.extensions import BilinForm, Cocycle, cyclic_part, t_star_extension
 from hom3lie.fixtures import a4, ab3, catalog, l3, n4
 from hom3lie.linalg import Mat, Subspace, Vec, subspace_leq, subspace_sum
 from hom3lie.structure import (
+    _centralizer,
     is_isotropic,
     is_nilpotent,
     is_solvable,
@@ -23,6 +27,7 @@ from hom3lie.structure import (
     series,
     tstar_solvability_check,
 )
+from test_sparse_sweeps import carried, conjugations, factors, rescaled_bracket
 
 
 def rand_theta(rng, n):
@@ -78,6 +83,42 @@ def test_series_monotonicity_and_stabilization(algebras):
         assert s.stabilized
         for a, b in zip(s.terms, s.terms[1:]):
             assert subspace_leq(a, b)
+
+
+def abelian(k: int) -> Hom3LieAlgebra:
+    return Hom3LieAlgebra(k, {}, Mat.identity(k))
+
+
+@st.composite
+def centralizer_cases(draw):
+    """An algebra whose ascending series often has three terms: N4, AB3, or
+    N4, L3 or A4 plus an abelian summand of dimension 1 or 2, often the
+    T*-double of one along theta = 0; its bracket scaled by a factor over 1,
+    3, 7 or 11 and carried along a map with denominators 3, 7 and 11, which
+    mixes the rows of the centralizer's system.  And a target that is mostly
+    no ideal: the span of basis vectors or of drawn vectors."""
+    k = draw(st.integers(1, 2))
+    L = draw(st.sampled_from([n4(), ab3(), direct_sum(n4(), abelian(k)), direct_sum(l3(), abelian(k)),
+                              direct_sum(abelian(k), a4())]))
+    if draw(st.booleans()):
+        L, _ = t_star_extension(L, Cocycle.zero(L.dim, L.dim))
+    n = L.dim
+    phi, psi = draw(conjugations(n))
+    L = carried(rescaled_bracket(L, draw(factors), L.twist), phi, psi)
+    if draw(st.booleans()):
+        s = Subspace.span(n, [Vec.basis(n, i) for i in draw(st.sets(st.integers(0, n - 1)))])
+    else:
+        vecs = draw(st.lists(st.lists(factors, min_size=n, max_size=n), min_size=1, max_size=3))
+        s = Subspace.span(n, [Vec(tuple(v)) for v in vecs])
+    return L, s
+
+
+@given(centralizer_cases())
+def test_centralizer_and_ascending_series_match_the_dense_oracle(case):
+    L, s = case
+    assert _centralizer(L, s) == oracle.centralizer(L, s)
+    terms = series(L, "central_ascending").terms
+    assert all(b == oracle.centralizer(L, a) for a, b in zip(terms, terms[1:]))
 
 
 def test_solvable_nilpotent_examples():
