@@ -28,7 +28,7 @@ from .algebras import (
     verify_regular,
 )
 from .derivations import derivation_extension, derivation_space, inner_space
-from .errors import DimensionMismatch, PreconditionError
+from .errors import DimensionMismatch
 from .extensions import Cocycle, t_star_extension, t_theta_extension, verify_metric
 from .io import (
     FileFormatError,
@@ -93,22 +93,19 @@ class Verdict:
         return "\n".join(lines)
 
 
-def _violations_payload(report: AlgebraReport) -> list[dict]:
-    return [{"identity": v.identity, "indices": [i + 1 for i in v.indices],
-             "left": vec_to_dense(v.left), "right": vec_to_dense(v.right)}
-            for v in report.violations]
+def _record(verdict: Verdict, report: AlgebraReport, checks: tuple[str, ...]) -> None:
+    """Set the flags ``report`` checked among ``checks``, its witnesses and their total."""
+    flags = {"skew": report.skew_ok, "jacobi": report.hom_jacobi_ok,
+             "multiplicative": report.multiplicative_ok, "regular": report.regular_ok}
+    verdict.flags = {name: ok for name, ok in flags.items() if ok is not None and name in checks}
+    verdict.witnesses = [{"identity": v.identity, "indices": [i + 1 for i in v.indices],
+                          "left": vec_to_dense(v.left), "right": vec_to_dense(v.right)}
+                         for v in report.violations]
+    verdict.witnesses_total = report.violations_total
 
 
-def _emit(verdict: Verdict, as_json: bool, dumped: Optional[str] = None) -> int:
-    """Print the verdict; ``dumped`` is its canonical JSON when already made."""
-    if as_json:
-        sys.stdout.write(dumped or canonical_dumps(verdict.payload()))
-    else:
-        print(verdict.render_text())
-    return verdict.exit_code
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace, verdict: Verdict) -> None:
+    verdict.inputs = [args.file]
     alg = load_algebra(args.file)
     checks = DEFAULT_CHECKS if args.checks is None else tuple(args.checks.split(","))
     if not any(checks):
@@ -116,56 +113,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for c in checks:
         if c not in ALL_CHECKS:
             raise FileFormatError(f"unknown check {c!r}; choose from {', '.join(ALL_CHECKS)}")
-    verdict = Verdict("verify", [args.file])
-    report = AlgebraReport()
-    if "skew" in checks:
-        # increasing-triple storage makes skewness structural
-        verdict.flags["skew"] = True
+    report = AlgebraReport(skew_ok=True)  # increasing-triple storage makes skewness structural
     if "jacobi" in checks:
         report = report.merged(verify_hom_jacobi(alg))
-        verdict.flags["jacobi"] = bool(report.hom_jacobi_ok)
     if "multiplicative" in checks or "regular" in checks:
-        rep = verify_regular(alg) if "regular" in checks else verify_multiplicative(alg)
-        report = report.merged(rep)
-        if "multiplicative" in checks:
-            verdict.flags["multiplicative"] = bool(rep.multiplicative_ok)
-        if "regular" in checks:
-            verdict.flags["regular"] = bool(rep.regular_ok)
-    verdict.witnesses = _violations_payload(report)
-    verdict.witnesses_total = report.violations_total
-    return _emit(verdict, args.json)
+        report = report.merged(verify_regular(alg) if "regular" in checks else verify_multiplicative(alg))
+    _record(verdict, report, checks)
 
 
-def cmd_derivations(args: argparse.Namespace) -> int:
+def cmd_derivations(args: argparse.Namespace, verdict: Verdict) -> None:
+    verdict.inputs = [args.file]
     alg = load_algebra(args.file)
-    verdict = Verdict("derivations", [args.file])
     if abs(args.k) > args.max_k:
         verdict.error = f"grade {args.k} outside configured range |k| <= {args.max_k}"
-        return _emit(verdict, args.json)
-    try:
-        space = derivation_space(alg, args.k)
-        data: dict[str, Any] = {
-            "k": args.k,
-            "dimension": space.dimension,
-            "basis": [mat_to_lists(m) for m in space.basis],
-        }
-        if args.inner:
-            inner = inner_space(alg, args.k)
-            data["inner_dimension"] = inner.dimension
-            data["inner_basis"] = [mat_to_lists(m) for m in inner.basis]
-        verdict.derived_data = data
-    except (PreconditionError, ValueError) as exc:
-        verdict.error = f"{type(exc).__name__}: {exc}"
-        return _emit(verdict, args.json)
-    if args.output:
-        verdict.derived_data = write_json(args.output, verdict.derived_data)
-    return _emit(verdict, args.json)
-
-
-def _report_flags(report: AlgebraReport) -> dict[str, bool]:
-    flags = {"skew": report.skew_ok, "jacobi": report.hom_jacobi_ok,
-             "multiplicative": report.multiplicative_ok}
-    return {name: ok for name, ok in flags.items() if ok is not None}
+        return
+    space = derivation_space(alg, args.k)
+    data: dict[str, Any] = {
+        "k": args.k,
+        "dimension": space.dimension,
+        "basis": [mat_to_lists(m) for m in space.basis],
+    }
+    if args.inner:
+        inner = inner_space(alg, args.k)
+        data["inner_dimension"] = inner.dimension
+        data["inner_basis"] = [mat_to_lists(m) for m in inner.basis]
+    verdict.derived_data = write_json(args.output, data) if args.output else data
 
 
 def _resolve_rep(alg: Hom3LieAlgebra, source: str):
@@ -177,67 +149,59 @@ def _resolve_rep(alg: Hom3LieAlgebra, source: str):
     return rep
 
 
-def cmd_extend(args: argparse.Namespace) -> int:
+def cmd_extend(args: argparse.Namespace, verdict: Verdict) -> None:
     kind = args.kind
     inputs = list(args.inputs)
-    verdict = Verdict("extend", [kind] + inputs)
+    verdict.inputs = [kind] + inputs
     arity = 3 if kind == "t-theta" else 2
     if len(inputs) != arity:
         raise FileFormatError(f"extend {kind} expects {arity} inputs, got {len(inputs)}")
     alg = load_algebra(inputs[0])
-    try:
-        data: dict[str, Any] = {}
-        if kind == "derivation":
-            ext, report = derivation_extension(alg, load_matrix(inputs[1]))
-            table = [{"args": [i + 1 for i in key], "value": vec_to_dense(v)}
-                     for key in itertools.product(range(ext.dim), repeat=3)
-                     if not (v := ext.value(*key)).is_zero()]
-            data = {
-                "dim": ext.dim,
-                "alpha_prime": mat_to_lists(ext.twist),
-                "table": table,
-                "skew": bool(report.skew_ok),
-            }
-            # the literal extension rule is not skew, so only the
-            # extension-theorem verdict and the twist check gate the exit
-            report = replace(report, skew_ok=None)
-        elif kind in ("t-theta", "semidirect"):  # semidirect: the extension along theta = 0
-            rep = _resolve_rep(alg, inputs[1])
-            th = (load_cocycle(inputs[2], algebra=alg)[1] if kind == "t-theta"
-                  else Cocycle.zero(alg.dim, rep.module_dim))
-            result, report = t_theta_extension(alg, rep, th)
-        elif kind == "direct-sum":
-            result = direct_sum(alg, load_algebra(inputs[1]))
-            report = verify_axioms(result)
-        else:  # t-star
-            _, th = load_cocycle(inputs[1], algebra=alg)
-            result, form = t_star_extension(alg, th)
-            report = _extension_sweep(result, alg.dim)[2]
-            data["q_gram"] = mat_to_lists(form.gram)
-        if kind != "derivation":
-            data["algebra"] = algebra_to_dict(result)
-    except PreconditionError as exc:
-        verdict.error = f"{type(exc).__name__}: {exc}"
-        return _emit(verdict, args.json)
-
-    verdict.flags = _report_flags(report)
-    verdict.witnesses = _violations_payload(report)
-    verdict.witnesses_total = report.violations_total
+    data: dict[str, Any] = {}
+    if kind == "derivation":
+        ext, report = derivation_extension(alg, load_matrix(inputs[1]))
+        table = [{"args": [i + 1 for i in key], "value": vec_to_dense(v)}
+                 for key in itertools.product(range(ext.dim), repeat=3)
+                 if not (v := ext.value(*key)).is_zero()]
+        data = {
+            "dim": ext.dim,
+            "alpha_prime": mat_to_lists(ext.twist),
+            "table": table,
+            "skew": bool(report.skew_ok),
+        }
+        # the literal extension rule is not skew, so only the
+        # extension-theorem verdict and the twist check gate the exit
+        report = replace(report, skew_ok=None)
+    elif kind in ("t-theta", "semidirect"):  # semidirect: the extension along theta = 0
+        rep = _resolve_rep(alg, inputs[1])
+        th = (load_cocycle(inputs[2], algebra=alg)[1] if kind == "t-theta"
+              else Cocycle.zero(alg.dim, rep.module_dim))
+        result, report = t_theta_extension(alg, rep, th)
+    elif kind == "direct-sum":
+        result = direct_sum(alg, load_algebra(inputs[1]))
+        report = verify_axioms(result)
+    else:  # t-star
+        _, th = load_cocycle(inputs[1], algebra=alg)
+        result, form = t_star_extension(alg, th)
+        report = _extension_sweep(result, alg.dim)[2]
+        data["q_gram"] = mat_to_lists(form.gram)
+    if kind != "derivation":
+        data["algebra"] = algebra_to_dict(result)
+    _record(verdict, report, ALL_CHECKS)
     if args.output:  # the algebra, or a derivation extension's whole data
         text = write_json(args.output, data.get("algebra", data))
         data = dict(data, algebra=text) if "algebra" in data else text
     verdict.derived_data = data
-    return _emit(verdict, args.json)
 
 
-def cmd_series(args: argparse.Namespace) -> int:
+def cmd_series(args: argparse.Namespace, verdict: Verdict) -> None:
+    verdict.inputs = [args.file]
     if args.max_steps < 1:
         raise FileFormatError(f"--max-steps must be at least 1, got {args.max_steps}")
     alg = load_algebra(args.file)
     kind = {"derived": "derived", "descending": "central_descending",
             "ascending": "central_ascending"}[args.kind]
     result = series(alg, kind, max_steps=args.max_steps)
-    verdict = Verdict("series", [args.file])
     verdict.flags["stabilized"] = result.stabilized
     verdict.derived_data = {
         "kind": result.kind,
@@ -245,14 +209,13 @@ def cmd_series(args: argparse.Namespace) -> int:
         "length": result.length,
         "terms": [subspace_to_dict(t) for t in result.terms],
     }
-    return _emit(verdict, args.json)
 
 
-def cmd_metric(args: argparse.Namespace) -> int:
+def cmd_metric(args: argparse.Namespace, verdict: Verdict) -> None:
+    verdict.inputs = [args.file, args.form]
     alg = load_algebra(args.file)
     form = load_form(args.form)
     report = verify_metric(alg, form)
-    verdict = Verdict("metric", [args.file, args.form])
     verdict.flags = {
         "symmetric": report.symmetric_ok,
         "nondegenerate": report.nondegenerate_ok,
@@ -262,23 +225,16 @@ def cmd_metric(args: argparse.Namespace) -> int:
                          for w in report.witnesses]
     verdict.witnesses_total = report.violations_total
     verdict.derived_data = {"twist_invariant": report.twist_invariant_ok}
-    return _emit(verdict, args.json)
 
 
-def cmd_reconstruct(args: argparse.Namespace) -> int:
+def cmd_reconstruct(args: argparse.Namespace, verdict: Verdict) -> Optional[str]:
+    """With ``--output-dir``, the text of the ``verdict.json`` it writes."""
+    verdict.inputs = [args.file, args.form, args.ideal] + ([args.complement] if args.complement else [])
     alg = load_algebra(args.file)
     form = load_form(args.form)
     ideal = load_subspace(args.ideal)
     comp = load_subspace(args.complement) if args.complement else None
-    verdict = Verdict(
-        "reconstruct",
-        [args.file, args.form, args.ideal] + ([args.complement] if args.complement else []),
-    )
-    try:
-        res = reconstruct_t_star(alg, form, ideal, comp)
-    except PreconditionError as exc:
-        verdict.error = f"{type(exc).__name__}: {exc}"
-        return _emit(verdict, args.json)
+    res = reconstruct_t_star(alg, form, ideal, comp)
     verdict.flags["isometry"] = res.isometry_ok
     bundle = {
         "quotient": algebra_to_dict(res.quotient),
@@ -289,16 +245,15 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     }
     verdict.derived_data = bundle
     if not args.output_dir:
-        return _emit(verdict, args.json)
+        return None
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name in ("quotient", "theta", "tstar", "sigma"):
         bundle[name] = write_json(out / f"{name}.json", bundle[name])
-    dumped = write_json(out / "verdict.json", verdict.payload())
-    return _emit(verdict, args.json, dumped)
+    return write_json(out / "verdict.json", verdict.payload())
 
 
-def cmd_fixtures(args: argparse.Namespace) -> int:
+def cmd_fixtures(args: argparse.Namespace, verdict: Verdict) -> None:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = []
@@ -306,9 +261,7 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
         path = out / f"{name}.json"
         write_json(path, algebra_to_dict(alg))
         names.append(str(path))
-    verdict = Verdict("fixtures", [])
     verdict.derived_data = {"written": names}
-    return _emit(verdict, args.json)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,13 +324,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and print its verdict; the one place an outcome becomes an exit code."""
+    args = build_parser().parse_args(argv)
+    verdict, dumped = Verdict(args.subcommand, []), None
     try:
-        return args.func(args)
+        dumped = args.func(args, verdict)
     except (FileFormatError, DimensionMismatch, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # a PreconditionError, or a library's other refusal
+        verdict.error = f"{type(exc).__name__}: {exc}"
+    if args.json:
+        sys.stdout.write(dumped or canonical_dumps(verdict.payload()))
+    else:
+        print(verdict.render_text())
+    return verdict.exit_code
 
 
 def main_entry() -> None:

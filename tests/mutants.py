@@ -62,6 +62,7 @@ PRESERVES = "tests/test_pairs.py::test_preserves_bracket_matches_direct_brackets
 WRITER = "tests/test_canonical_dumps.py::test_canonical_dumps_matches_json_dumps"
 SPLICE = "tests/test_canonical_dumps.py::test_a_dumped_subvalue_splices_to_the_same_bytes"
 CENTRALIZER = "tests/test_structure.py::test_centralizer_and_ascending_series_match_the_dense_oracle"
+CONTRACT = "tests/test_cli_fuzz.py::test_a_raising_library_call_keeps_the_cli_contract"
 
 # (name, file under src/hom3lie, old text, new text, tests that must fail)
 MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
@@ -227,7 +228,7 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      (IDEAL,)),
     ("centralizer-middle-placement-unsigned", "structure.py",
      "((x, z), y, -1)", "((x, z), y, 1)",
-     (CENTRALIZER,)),
+     (CENTRALIZER, CLI_BYTES)),
     ("metric-reads-gram-columns", "extensions.py",
      "cleared([row.support for row in gram.row_vecs])",
      "cleared([gram.col(c).support for c in range(n)])",
@@ -262,6 +263,21 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("writer-unsorted-keys", "io.py",
      "for k in sorted(value))", "for k in value)",
      (WRITER, CLI_BYTES, INPUT_DIGESTS)),
+    ("refusal-caught-before-malformed-input", "cli.py",
+     "    except (FileFormatError, DimensionMismatch, OSError) as exc:\n"
+     "        print(f\"error: {exc}\", file=sys.stderr)\n"
+     "        return 2\n"
+     "    except ValueError as exc:  # a PreconditionError, or a library's other refusal\n"
+     "        verdict.error = f\"{type(exc).__name__}: {exc}\"\n",
+     "    except ValueError as exc:\n"
+     "        verdict.error = f\"{type(exc).__name__}: {exc}\"\n"
+     "    except (FileFormatError, DimensionMismatch, OSError) as exc:\n"
+     "        print(f\"error: {exc}\", file=sys.stderr)\n"
+     "        return 2\n",
+     (CLI_BYTES, CONTRACT)),
+    ("record-ignores-the-selected-checks", "cli.py",
+     "if ok is not None and name in checks}", "if ok is not None}",
+     (CLI_BYTES,)),
 )
 
 

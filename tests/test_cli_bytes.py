@@ -40,7 +40,11 @@ and with ``--checks regular`` on A4y, A4y + L3, A4 with the shear twist
 (which fails hom-Jacobi), L3 with a twist that is not multiplicative and
 L3 with a singular twist; ``series`` runs every kind on A4y + L3 and on
 its T*-double, and the descending and ascending kinds on N4 and on its
-T*-double along theta = 0, whose ascending series have three terms; ``fixtures`` writes its six files into ``fx``, whose
+T*-double along theta = 0, whose ascending series have three terms,
+and, as ``--json`` only, the ascending kind on N4 carried along a map
+with denominators 3, 7 and 11 and on its T*-double along theta = 0,
+whose centralizer systems have rows of several entries, so that their
+signs reach the output; ``fixtures`` writes its six files into ``fx``, whose
 digests are recorded.  The test replays each line through
 ``cli.main`` in a directory holding the inputs, with relative paths, so
 that no digest depends on where the directory is.
@@ -70,6 +74,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from conftest import action_block
+from test_sparse_sweeps import carried
 from hom3lie.algebras import Hom3LieAlgebra, direct_sum, increasing_triples
 from hom3lie.cli import main
 from hom3lie.derivations import derivation_space
@@ -84,7 +89,7 @@ from hom3lie.io import (
     subspace_to_dict,
     write_json,
 )
-from hom3lie.linalg import Mat, Subspace, Vec
+from hom3lie.linalg import Mat, Subspace, Vec, inverse
 from hom3lie.representations import Representation, adjoint_rep, coadjoint_rep
 
 TABLE = Path(__file__).with_name("cli_bytes.json")
@@ -205,6 +210,8 @@ CASES = [
     [*mode, "verify", *args] for args in VERIFY for mode in ([], ["--json"])
 ] + [
     [*mode, "series", *args] for args in SERIES for mode in ([], ["--json"])
+] + [
+    ["--json", "series", name, "--kind", "ascending"] for name in ("N4-carried.json", "tstar-N4-carried.json")
 ] + [[*mode, "fixtures", "--output-dir", "fx"] for mode in ([], ["--json"])]
 
 
@@ -225,8 +232,19 @@ def elementary(n: int, r: int, c: int) -> Mat:
     return Mat.from_rows([[int((i, j) == (r, c)) for j in range(n)] for i in range(n)])
 
 
+def carried_n4() -> Hom3LieAlgebra:
+    """N4 carried along phi, a unit lower times a unit upper triangular map
+    with entries over 3, 7 and 11, so that its table and twist get denominators."""
+    phi = Mat.identity(4)
+    for cells in ({(1, 0): (1, 3), (2, 0): (-2, 7), (3, 1): (1, 11), (3, 2): (2, 3)},
+                  {(0, 1): (-1, 7), (0, 3): (2, 11), (1, 2): (1, 3), (2, 3): (-2, 11)}):
+        phi = phi @ Mat.from_rows([[Fraction(*cells.get((r, c), (int(r == c), 1))) for c in range(4)]
+                                   for r in range(4)])
+    return carried(n4(), phi, inverse(phi))
+
+
 def write_inputs(d: Path) -> None:
-    L, A, Ay = l3(), a4(), yau_twisted_a4()
+    L, A, Ay, N = l3(), a4(), yau_twisted_a4(), carried_n4()
     Ay3 = direct_sum(Ay, L)
     commuting = Ay.twist.scale(2) + Mat.identity(4) - Ay.twist @ Ay.twist
     nonmult = algebra_to_dict(L)
@@ -239,6 +257,8 @@ def write_inputs(d: Path) -> None:
         "A4.json": algebra_to_dict(A),
         "N4.json": algebra_to_dict(n4()),
         "tstar-N4.json": algebra_to_dict(t_star_extension(n4(), Cocycle.zero(4, 4))[0]),
+        "N4-carried.json": algebra_to_dict(N),
+        "tstar-N4-carried.json": algebra_to_dict(t_star_extension(N, Cocycle.zero(4, 4))[0]),
         "A4-shear.json": algebra_to_dict(Hom3LieAlgebra(4, A.table, Mat.identity(4) + elementary(4, 0, 1))),
         "L3-nonmult.json": nonmult,
         "D.json": matrix_to_dict(Mat.diagonal([0, 1, -1])),

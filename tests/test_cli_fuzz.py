@@ -9,6 +9,12 @@ thousands of levels deep or by bytes that are not UTF-8.  ``cli.main``
 runs in process, twice.  It must return 0, 1 or 2 without raising,
 write errors as one ``error:`` line and no traceback, and give the same
 exit code, stdout, stderr and output files both times.
+
+Every subcommand also runs on valid files with one library function it
+calls replaced by one that raises.  A refusal, a ``ValueError`` such as
+a ``PreconditionError``, must give exit 1, a verdict whose ``error``
+names its type and nothing on stderr; a ``DimensionMismatch`` or a
+``FileFormatError`` exit 2 and one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -19,9 +25,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hom3lie import cli
+from hom3lie.errors import DimensionMismatch, PreconditionError
 from hom3lie.extensions import Cocycle, t_star_extension
 from hom3lie.fixtures import l3
 from hom3lie.io import (
+    FileFormatError,
     algebra_to_dict,
     cocycle_to_dict,
     form_to_dict,
@@ -134,3 +143,34 @@ def test_broken_input_keeps_the_cli_contract(work, argv, slot, data):
     assert "Traceback" not in err
     assert err == "" if code < 2 else err.startswith("error: ") and err.count("\n") == 1
     assert run(argv, outputs) == first
+
+
+# one library function each subcommand calls through ``hom3lie.cli``
+CALLS = (
+    (["verify", "algebra"], cli, "verify_hom_jacobi"),
+    (["derivations", "algebra", "--k", "1"], cli, "derivation_space"),
+    (["extend", "t-theta", "algebra", "rep", "theta"], cli, "t_theta_extension"),
+    (["series", "algebra"], cli, "series"),
+    (["metric", "tstar", "form"], cli, "verify_metric"),
+    (["reconstruct", "tstar", "form", "ideal"], cli, "reconstruct_t_star"),
+    (["fixtures", "--output-dir", "fx"], cli.fixture_mod, "catalog"),
+)
+
+
+@pytest.mark.parametrize("exc", [PreconditionError, ValueError, DimensionMismatch, FileFormatError])
+@pytest.mark.parametrize("argv, module, name", CALLS, ids=[argv[0] for argv, *_ in CALLS])
+def test_a_raising_library_call_keeps_the_cli_contract(tmp_path, monkeypatch, argv, module, name, exc):
+    for slot, doc in VALID.items():
+        (tmp_path / slot).write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise exc("refused")
+
+    monkeypatch.setattr(module, name, refuse)
+    code, out, err, _ = run(["--json", *argv], [tmp_path / "fx"])
+    if exc in (DimensionMismatch, FileFormatError):
+        assert (code, out, err) == (2, "", "error: refused\n")
+    else:
+        assert (code, err) == (1, "")
+        assert json.loads(out)["error"] == f"{exc.__name__}: refused"
