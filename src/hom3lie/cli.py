@@ -11,6 +11,7 @@ rendered as text by default or as canonical JSON with ``--json``.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 from dataclasses import dataclass, field, replace
@@ -141,12 +142,8 @@ def cmd_derivations(args: argparse.Namespace, verdict: Verdict) -> None:
 
 
 def _resolve_rep(alg: Hom3LieAlgebra, source: str):
-    if source == "adjoint":
-        return adjoint_rep(alg)
-    if source == "coadjoint":
-        return coadjoint_rep(alg)
-    _, rep = load_representation(source, algebra=alg)
-    return rep
+    builtin = {"adjoint": adjoint_rep, "coadjoint": coadjoint_rep}.get(source)
+    return builtin(alg) if builtin else load_representation(source, algebra=alg)[1]
 
 
 def cmd_extend(args: argparse.Namespace, verdict: Verdict) -> None:
@@ -264,6 +261,7 @@ def cmd_fixtures(args: argparse.Namespace, verdict: Verdict) -> None:
     verdict.derived_data = {"written": names}
 
 
+@functools.cache  # built on the first call, not at import; each parse_args makes a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hom3lie",

@@ -63,6 +63,7 @@ WRITER = "tests/test_canonical_dumps.py::test_canonical_dumps_matches_json_dumps
 SPLICE = "tests/test_canonical_dumps.py::test_a_dumped_subvalue_splices_to_the_same_bytes"
 CENTRALIZER = "tests/test_structure.py::test_centralizer_and_ascending_series_match_the_dense_oracle"
 CONTRACT = "tests/test_cli_fuzz.py::test_a_raising_library_call_keeps_the_cli_contract"
+REUSE = "tests/test_io_cli.py::test_cli_main_called_again_in_one_process_repeats_each_run"
 
 # (name, file under src/hom3lie, old text, new text, tests that must fail)
 MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
@@ -278,6 +279,14 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("record-ignores-the-selected-checks", "cli.py",
      "if ok is not None and name in checks}", "if ok is not None}",
      (CLI_BYTES,)),
+    ("parse-into-a-shared-namespace", "cli.py",
+     "def main(argv: Optional[list[str]] = None) -> int:\n"
+     "    \"\"\"Run one command and print its verdict; the one place an outcome becomes an exit code.\"\"\"\n"
+     "    args = build_parser().parse_args(argv)\n",
+     "_SHARED = argparse.Namespace()\n\n\n"
+     "def main(argv: Optional[list[str]] = None) -> int:\n"
+     "    args = build_parser().parse_args(argv, namespace=_SHARED)\n",
+     (REUSE, CLI_BYTES)),
 )
 
 

@@ -1,12 +1,17 @@
 import decimal
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import hom3lie
 from conftest import action_block
 from hom3lie.algebras import verify_multiplicative
 from hom3lie.cli import main
@@ -534,3 +539,54 @@ def test_cli_cocycle_module_dim_past_the_index_range_exits_2(tmp_path, capsys, k
     rep = ["coadjoint"] if kind == "t-theta" else []
     assert main(["extend", kind, data_file("L3"), *rep, str(tmp_path / "theta.json")]) == 2
     _assert_one_line_error(capsys)
+
+
+def _run_catching_usage_errors(argv, out, capsys):
+    """Exit code, stdout, stderr and the files written into ``out`` by one
+    in-process ``main`` call; a usage error's ``SystemExit`` gives its code."""
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+def test_cli_main_called_again_in_one_process_repeats_each_run(tmp_path, capsys):
+    """``main`` reuses one parser: no option or default of one call reaches the next."""
+    out = tmp_path / "out"
+    theta = tmp_path / "theta.json"
+    write_json(theta, cocycle_to_dict(Cocycle(3, 3, {(0, 1, 2): Vec.basis(3, 0)}), "L3.json"))
+    a4, l3_file = data_file("A4"), data_file("L3")
+    sequence = [
+        ["derivations", a4, "--k", "1", "--inner", "--output", str(out / "d.json")],
+        ["derivations", a4, "--k", "1", "--output", str(out / "d.json")],
+        ["--json", "verify", a4],
+        ["verify", a4],
+        ["--max-k", "1", "derivations", l3_file, "--k", "2"],
+        ["derivations", l3_file, "--k", "2"],
+        ["--json", "extend", "t-theta", l3_file, "coadjoint", str(theta), "--output", str(out / "e.json")],
+        ["reconstruct", l3_file],
+        ["--json", "extend", "t-star", l3_file, str(theta), "--output", str(out / "e.json")],
+    ]
+    first = [_run_catching_usage_errors(argv, out, capsys) for argv in sequence]
+    again = [_run_catching_usage_errors(argv, out, capsys) for argv in reversed(sequence)]
+    assert again[::-1] == first
+    # each option changes what its pair gives, so a value carried over would show
+    for i in (0, 2, 4):
+        assert first[i] != first[i + 1]
+    assert [run[0] for run in first] == [0, 0, 0, 0, 1, 0, 0, 2, 0]
+    assert first[7][2].startswith("usage: hom3lie reconstruct")
+
+
+def test_cli_in_a_fresh_process_gives_the_in_process_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal width
+    env = dict(os.environ, PYTHONPATH=str(Path(hom3lie.__file__).resolve().parent.parent))
+    for argv in (["--json", "verify", data_file("A4")], ["verify"]):
+        done = subprocess.run([sys.executable, "-m", "hom3lie.cli", *argv], env=env,
+                              capture_output=True, text=True, cwd=tmp_path)
+        code, out, err, _ = _run_catching_usage_errors(argv, tmp_path / "out", capsys)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+    assert code == 2 and err.startswith("usage: hom3lie verify")
