@@ -254,14 +254,17 @@ def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra,
     With phi = phi~/d (:func:`cleared`), B_L = B~_L/D_L and B_G = B~_G/D_G (numerators;
     the pairs of phi~ over B~_G are G.twisted when phi is G's twist), phi~ B~_L
     is d D_L times the left and B~_G(phi~, phi~, phi~) d^3 D_G times the
-    right; taken d^2 D_G and D_L times, both are s = d^3 D_L D_G.
+    right; taken d^2 D_G and D_L times, both are s = d^3 D_L D_G.  Only
+    candidates are evaluated: on a triple where B_L is 0 and the columns of
+    T_ij = [phi e_i, phi e_j, .] miss the support of phi e_k, both sides are 0.
     """
     (cols,), d = cleared([phi.col(i).support for i in range(L.dim)])
     (left, dl), (right, dg) = (L.alt, L.alt.scale), (G.alt, G.alt.scale)
     t = G.twisted[0] if phi == G.twist else right.pairs(cols)
     lcols = {i: {r: d * d * dg * x for r, x in c.items()} for i, c in enumerate(cols)}
     rcols = [{r: dl * x for r, x in c.items()} for c in cols]
-    keys = increasing_triples(L.dim) if triples is None else triples
+    keys = (key for key in (increasing_triples(L.dim) if triples is None else triples)
+            if left.get(*key) or not t[key[:2]].keys().isdisjoint(cols[key[2]]))
     images = (((i, j, k), matvec(lcols, left.get(i, j, k)), matvec(t[i, j], rcols[k])) for i, j, k in keys)
     return d ** 3 * dl * dg, ((key, lhs, rhs) for key, lhs, rhs in images if lhs != rhs)
 
@@ -380,15 +383,17 @@ def subspace_bracket(L: Hom3LieAlgebra, s1: Subspace, s2: Subspace, s3: Subspace
     the same span: the bracket is alternating, so any other triple has a
     repeated vector in equal slots and brackets to 0, or is a reordering
     within equal slots of a bracketed one and brackets to plus or minus it.
-    The generators are numerators (:meth:`AltTable.partial`): a nonzero scale changes no span.
+    The three bases are cleared together (:func:`cleared`) and the generators
+    are numerators (:meth:`AltTable.partial`): a nonzero scale changes no span.
     """
     if any(s.ambient_dim != L.dim for s in (s1, s2, s3)):
         raise DimensionMismatch("subspace ambient dimension does not match the algebra")
     same12, same23 = s1 == s2, s2 == s3
+    (b1, b2, b3), _ = cleared(*([v.support for v in s.basis] for s in (s1, s2, s3)))
     gens = []
-    for i, a in enumerate(s1.basis):
-        for j in range(i + 1 if same12 else 0, s2.dim):
-            ab = L.alt.partial(a.support, s2.basis[j].support)
+    for i, a in enumerate(b1):
+        for j in range(i + 1 if same12 else 0, len(b2)):
+            ab = L.alt.partial(a, b2[j])
             low = j + 1 if same23 else 0
-            gens += [Vec.sparse(L.dim, v) for c in s3.basis[low:] if (v := matvec(ab, c.support))]
+            gens += [Vec.sparse(L.dim, v) for c in b3[low:] if (v := matvec(ab, c))]
     return Subspace.span(L.dim, gens)

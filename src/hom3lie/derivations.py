@@ -57,9 +57,8 @@ def _leibniz(L: Hom3LieAlgebra, d: Mat, k: int) -> tuple[int, Iterator]:
     With D and a^k cleared together to D~/c and A~/c (:func:`cleared`) and B~ = b B
     the numerators, c^2 D~ B~ and the actions of A~ on D~ are b c^3 times theirs.
     """
-    n = L.dim
-    (akcols, dcols), c = cleared([twist_power(L, k).col(i).support for i in range(n)],
-                                 [d.col(i).support for i in range(n)])
+    n, ak = L.dim, twist_power(L, k)
+    (akcols, dcols), c = cleared([ak.col(i).support for i in range(n)], [d.col(i).support for i in range(n)])
     dmat = {i: col for i, col in enumerate(dcols) if col}
     lcols = {i: {r: c * c * x for r, x in col.items()} for i, col in dmat.items()}
     return L.alt.scale * c ** 3, leibniz_sides(L.alt, L.alt.pairs(akcols), [((), lcols, dmat)],
@@ -119,8 +118,8 @@ def derivation_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
     numerators, a commutation row is e times its equation and a Leibniz row
     s d^2 times its, d^2 B~_ijk against the actions of A~'s column pairs over B~.
     """
-    n = L.dim
-    (akcols,), d = cleared([twist_power(L, k).col(i).support for i in range(n)])
+    n, ak = L.dim, twist_power(L, k)
+    (akcols,), d = cleared([ak.col(i).support for i in range(n)])
     (acols,), _ = cleared([L.twist.col(i).support for i in range(n)])
     rows: list[dict[int, int]] = []
     for p, q in itertools.product(range(n), repeat=2):  # (D a - a D)[p, q] = 0
@@ -172,9 +171,8 @@ def inner_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
     numerators (:meth:`AltTable.pairs`, :func:`cleared`): a nonzero scale changes no span."""
     if k < 1:
         raise ValueError("inner derivations exist from grade 1 upward")
-    n = L.dim
-    fixed = fixed_space(L)
-    (akcols,), _ = cleared([twist_power(L, k - 1).col(c).support for c in range(n)])
+    n, fixed, ak = L.dim, fixed_space(L), twist_power(L, k - 1)
+    (akcols,), _ = cleared([ak.col(c).support for c in range(n)])
     t = L.alt.pairs([u.support for u in fixed.basis])
     gens = [Vec.sparse(n * n, {r * n + c: x for c, col in enumerate(akcols)
                                for r, x in matvec(t[a, b], col).items()})

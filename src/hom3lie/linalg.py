@@ -112,8 +112,12 @@ class Vec:
     def __add__(self, other: "Vec") -> "Vec":
         self._check(other)
         acc = dict(self.support)
-        add_scaled(acc, _ONE, other.support)
-        return Vec.sparse(self.n, pruned(acc))
+        for i, b in other.support.items():  # arithmetic only where the supports meet
+            if s := (acc[i] + b if i in acc else b):
+                acc[i] = s
+            else:
+                del acc[i]
+        return Vec.sparse(self.n, acc)
 
     def __sub__(self, other: "Vec") -> "Vec":
         return self + -other

@@ -17,15 +17,9 @@ of assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .algebras import (
-    Hom3LieAlgebra,
-    increasing_triples,
-    quotient,
-    subspace_bracket,
-)
+from .algebras import Hom3LieAlgebra, increasing_triples, quotient, subspace_bracket
 from .errors import (
     ComplementInvalid,
     DimensionMismatch,
@@ -35,17 +29,7 @@ from .errors import (
     MetricRequired,
 )
 from .extensions import BilinForm, Cocycle, is_isometry, t_star_extension, verify_metric
-from .linalg import (
-    Mat,
-    Subspace,
-    Vec,
-    cleared,
-    inverse,
-    nullspace,
-    rational,
-    solve,
-    subspace_sum,
-)
+from .linalg import Mat, Subspace, Vec, _eliminate, cleared, inverse, nullspace, rational, subspace_sum
 from .sparse import matvec
 
 SERIES_KINDS = ("derived", "central_descending", "central_ascending")
@@ -124,20 +108,26 @@ def is_isotropic(form: BilinForm, s: Subspace) -> bool:
     """True iff the form vanishes on all pairs from the subspace."""
     if form.dim != s.ambient_dim:
         raise DimensionMismatch("form and subspace dimensions differ")
-    images = [form.gram.apply(b) for b in s.basis]
+    rows = dict(enumerate(r.support for r in form.gram.row_vecs))  # a . G^T b = B(b, a), all pairs
+    images = [Vec.sparse(form.dim, matvec(rows, b.support)) for b in s.basis]
     return all(a.dot(gb) == 0 for a in s.basis for gb in images)
 
 
 def isotropic_complement(form: BilinForm, iso: Subspace) -> Subspace:
     """An isotropic complement of a maximal isotropic subspace.
 
-    Hyperbolic completion: pick dual vectors f_j with B(i_l, f_j) equal
-    to the Kronecker delta, then straighten
+    Hyperbolic completion: one elimination, the RREF of the rows [G i_j | e_j],
+    gives f0_j with B(i_l, f0_j) the Kronecker delta and its free coordinates
+    at zero (a pivot at or past column n: the form is degenerate); then
 
-        f_j <- f_j - (1/2) B(f_j, f_j) i_j - sum_{l<j} B(f_j, f_l) i_l
+        f_j = f0_j - (1/2) h_jj i_j - sum_{l<j} h_jl i_l,  h_jl = B(f0_j, f0_l).
 
-    which keeps duality (corrections lie in the isotropic subspace) and
-    kills all products among the f's.  Needs characteristic zero.
+    That is the sequential straightening f_j <- f_j - (1/2) B(f_j, f_j) i_j,
+    then f_j <- f_j - B(f_j, f_l) i_l for l < j in turn: as B(i_m, f_l) is the
+    Kronecker delta and the i's pair to zero, no update changes a later
+    pairing, which stays h_jl.  The corrections lie in the isotropic subspace,
+    so duality holds, and they kill all products among the f's.  Needs
+    characteristic zero.
     """
     if form.dim != 2 * iso.dim:
         raise HalfDimensionRequired("complement needs an isotropic subspace of half dimension")
@@ -147,16 +137,17 @@ def isotropic_complement(form: BilinForm, iso: Subspace) -> Subspace:
     if not is_isotropic(form, iso):
         raise IsotropicRequired("complement needs an isotropic subspace")
     n, k = form.dim, iso.dim
-    pair_rows = Mat.from_rows([gram.apply(b) for b in iso.basis], cols=n)
-    duals: list[Vec] = []
-    for j in range(k):
-        f = solve(pair_rows, Vec.basis(k, j))
-        if f is None:
-            raise MetricRequired("form is degenerate on the given data")
-        half = Fraction(1, 2) * form.eval(f, f)
-        f = f - iso.basis[j].scale(half)
-        for l in range(j):
-            f = f - iso.basis[l].scale(form.eval(f, duals[l]))
+    rows = dict(enumerate(r.support for r in gram.row_vecs))  # the columns of G^T, and G is symmetric
+    reduced = _eliminate({**matvec(rows, b.support), n + j: 1} for j, b in enumerate(iso.basis))
+    if any(p >= n for p in reduced):
+        raise MetricRequired("form is degenerate on the given data")
+    f0 = [Vec.sparse(n, {p: row[c] for p, row in reduced.items() if c in row}) for c in range(n, n + k)]
+    images = [Vec.sparse(n, matvec(rows, f.support)) for f in f0]
+    duals = []
+    for j, f in enumerate(f0):
+        for l in range(j + 1):
+            h = f0[j].dot(images[l])
+            f -= iso.basis[l].scale(h / 2 if l == j else h)
         duals.append(f)
     return Subspace.span(n, duals)
 

@@ -2,7 +2,7 @@
 
 These are the hom-Jacobi, multiplicativity, Leibniz, representation,
 cocycle, metric-invariance and cyclicity sweeps, and the ideal test, the
-centralizer and the quotient, written the direct way: every
+centralizer, the quotient and the isotropic complement, written the direct way: every
 bracket, action and cocycle value is evaluated from the stored increasing-key table by
 its skew multilinear extension, one basis tuple of the arguments'
 supports at a time, with no twisted actions computed ahead; an action's
@@ -320,6 +320,25 @@ def quotient(L, s: Subspace) -> tuple[Hom3LieAlgebra, Mat]:
              for a, b, c in increasing_triples(len(comp))}
     twist = Mat.from_cols([proj.apply(L.twist.col(g)) for g in comp]) if comp else Mat.zero(0, 0)
     return Hom3LieAlgebra(len(comp), table, twist), proj
+
+
+def isotropic_complement(form, iso: Subspace) -> Subspace:
+    """The hyperbolic completion the sequential way: for each j its own dense
+    solve of B(i_l, f) = delta_jl (free coordinates at zero), then
+    f <- f - (1/2) B(f, f) i_j and f <- f - B(f, f_l) i_l for each l < j in
+    turn, f_l the straightened earlier ones; the span of the f's, by the
+    dense elimination.  The form is taken as a symmetric metric and iso as
+    an isotropic subspace of half its dimension."""
+    n, k = form.dim, iso.dim
+    pair_rows = Mat.from_rows([form.gram.apply(b) for b in iso.basis], cols=n)
+    duals: list[Vec] = []
+    for j in range(k):
+        f = dense_elimination.solve(pair_rows, Vec.basis(k, j))
+        f = f - iso.basis[j].scale(Fraction(1, 2) * form.eval(f, f))
+        for l in range(j):
+            f = f - iso.basis[l].scale(form.eval(f, duals[l]))
+        duals.append(f)
+    return dense_elimination.span(n, duals)
 
 
 def extension_rule(ext, x: Vec, y: Vec, z: Vec) -> Vec:

@@ -64,6 +64,9 @@ SPLICE = "tests/test_canonical_dumps.py::test_a_dumped_subvalue_splices_to_the_s
 CENTRALIZER = "tests/test_structure.py::test_centralizer_and_ascending_series_match_the_dense_oracle"
 CONTRACT = "tests/test_cli_fuzz.py::test_a_raising_library_call_keeps_the_cli_contract"
 REUSE = "tests/test_io_cli.py::test_cli_main_called_again_in_one_process_repeats_each_run"
+COMPLEMENT = "tests/test_structure.py::test_isotropic_complement_matches_the_sequential_oracle"
+COMPLEMENT_EXAMPLES = "tests/test_structure.py::test_isotropic_complement_examples"
+IMAGES = "tests/test_pairs.py::test_bracket_images_yield_what_every_increasing_triple_yields"
 
 # (name, file under src/hom3lie, old text, new text, tests that must fail)
 MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
@@ -138,6 +141,9 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("subspace-bracket-skips-a-pair", "algebras.py",
      "j + 1 if same23 else 0", "j + 2 if same23 else 0",
      (SUBSPACE_BRACKET,)),
+    ("bracket-images-filter-reads-the-right-side-only", "algebras.py",
+     "if left.get(*key) or not t[key[:2]]", "if not t[key[:2]]",
+     (IMAGES, SWEEPS + "test_hom_jacobi_and_multiplicativity_match_the_dense_sweeps")),
     ("bracket-images-reuse-the-source-bracket-for-any-target", "algebras.py",
      "(G.alt, G.alt.scale)", "(L.alt, L.alt.scale)",
      (MORPHISM,)),
@@ -227,6 +233,12 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("projection-pivot-column-sign", "linalg.py",
      "{pos[c]: -x for c, x in row.items() if c != p}", "{pos[c]: x for c, x in row.items() if c != p}",
      (IDEAL,)),
+    ("complement-diagonal-without-its-half", "structure.py",
+     "h / 2 if l == j else h", "h if l == j else h",
+     (COMPLEMENT, COMPLEMENT_EXAMPLES)),
+    ("complement-diagonal-dropped", "structure.py",
+     "for l in range(j + 1):", "for l in range(j):",
+     (COMPLEMENT, COMPLEMENT_EXAMPLES)),
     ("centralizer-middle-placement-unsigned", "structure.py",
      "((x, z), y, -1)", "((x, z), y, 1)",
      (CENTRALIZER, CLI_BYTES)),

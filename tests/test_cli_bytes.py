@@ -16,7 +16,8 @@ not twist-stable (exit 1); ``metric`` runs on both doubles and rejects
 the double of A4y + L3 along a coboundary that is not cyclic, with more
 witnesses than it keeps; ``derivations`` runs on A4y + L3 (A4y the Yau
 twist of A4 by a dense rotation) at grades -1 to 2, with and without
-``--inner`` and ``--output``, on L3, on a singular twist at a negative
+``--inner`` and ``--output``, on A4y + A4y + L3 at grades -1 and 2 and
+with ``--inner`` at grade 2, on L3, on a singular twist at a negative
 grade and past ``--max-k``; ``extend derivation`` also runs, as text and
 as ``--json``, on A4y and on A4y + L3 with an accepted D (the first basis
 vector of the grade-1 derivations) and a rejected one, and with D = 0 on
@@ -154,7 +155,8 @@ DERIVATIONS = [
     ["A4yL3.json", "--k", str(k), *inner]
     for k in (-1, 0, 1, 2)
     for inner in ([], ["--inner"])
-] + [["L3.json", "--k", "0"], ["L3-singular.json", "--k", "-1"], ["A4yL3.json", "--k", "4"]]
+] + [["L3.json", "--k", "0"], ["L3-singular.json", "--k", "-1"], ["A4yL3.json", "--k", "4"]] + [
+    ["A4yA4yL3.json", "--k", k, *inner] for k, inner in (("-1", []), ("2", []), ("2", ["--inner"]))]
 DERIVATION_EXTENSIONS = (
     ["A4y.json", "D-A4y.json"],
     ["A4y.json", "D-A4y-bad.json"],
@@ -253,6 +255,7 @@ def write_inputs(d: Path) -> None:
         "L3.json": algebra_to_dict(L),
         "L3-singular.json": algebra_to_dict(l3h(0)),
         "A4yL3.json": algebra_to_dict(Ay3),
+        "A4yA4yL3.json": algebra_to_dict(direct_sum(Ay, Ay3)),
         "A4y.json": algebra_to_dict(Ay),
         "A4.json": algebra_to_dict(A),
         "N4.json": algebra_to_dict(n4()),

@@ -8,7 +8,8 @@ numerators, ``scale`` times the map, so ``evaluate`` is compared with
 them over the scale.  The second holds ``get``, ``partial`` and
 ``pairs`` to that contract against the dense oracle, on a bracket, an
 action block and a cocycle with coprime denominators and on an empty
-table; the others check ``preserves_bracket``,
+table; the others check the candidates of ``_bracket_images`` against
+every triple and ``preserves_bracket``,
 ``inner_space`` and the theta table of ``reconstruct_t_star`` against
 brackets evaluated one by one through ``Hom3LieAlgebra.bracket`` (the
 theta table through the dense oracle's), and theta and sigma against
@@ -23,9 +24,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as oracle
-from hom3lie.algebras import direct_sum, increasing_triples, is_morphism, preserves_bracket
+from hom3lie.algebras import _bracket_images, direct_sum, increasing_triples, is_morphism, preserves_bracket
 from hom3lie.derivations import fixed_space, inner_space, twist_power
 from hom3lie.extensions import BilinForm, Cocycle, cyclic_part, t_star_extension
+from hom3lie.fixtures import l3
 from hom3lie.linalg import Mat, Subspace, Vec, inverse, rational
 from hom3lie.sparse import AltTable, matvec
 from hom3lie.structure import isotropic_complement, reconstruct_t_star
@@ -179,6 +181,45 @@ def maps(draw):
 def test_preserves_bracket_matches_direct_brackets(case):
     phi, L, G = case
     assert preserves_bracket(phi, L, G) == _preserves_directly(phi, L, G)
+
+
+@st.composite
+def image_maps(draw):
+    """phi from L to G with the triples to run on (None: every increasing
+    triple of L, or a drawn list of them in a drawn order): G's twist with
+    G = L, or a drawn map, dense (no zero entry) or sparse with one or two
+    zero columns, so singular."""
+    L = draw(perturbed())
+    kind = draw(st.sampled_from(["twist", "dense", "singular"]))
+    triples = draw(st.none() | st.lists(st.sampled_from(list(increasing_triples(L.dim))), unique=True))
+    if kind == "twist":
+        return L.twist, L, L, triples
+    G = draw(perturbed())
+    n, m = L.dim, G.dim
+    entries = small.filter(bool) if kind == "dense" else st.sampled_from([0, 0, 1, -1, Fraction(1, 2)])
+    cols = [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(n)]
+    if kind == "singular":
+        for c in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
+            cols[c] = [0] * m
+    return Mat.from_cols([Vec.of(*col) for col in cols]), L, G, triples
+
+
+@example((Mat.diagonal([1, 1, 0]), l3(), l3(), None))  # phi B_L(0, 1, 2) = e_0, phi e_2 = 0
+@given(image_maps())
+def test_bracket_images_yield_what_every_increasing_triple_yields(case):
+    """The candidates of ``_bracket_images`` against phi [e_i, e_j, e_k] and
+    [phi e_i, phi e_j, phi e_k] from the dense oracle on every given triple,
+    in order, where they differ, both times the returned scale."""
+    phi, L, G, triples = case
+    scale, images = _bracket_images(phi, L, G, triples)
+    expected = []
+    for key in increasing_triples(L.dim) if triples is None else triples:
+        lhs = phi.apply(oracle.bracket_basis(L, *key))
+        rhs = oracle.bracket(G, *(phi.col(i) for i in key))
+        if lhs != rhs:
+            expected.append((key, {t: scale * x for t, x in lhs.support.items()},
+                             {t: scale * x for t, x in rhs.support.items()}))
+    assert list(images) == expected
 
 
 @st.composite

@@ -25,7 +25,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as oracle
@@ -609,20 +609,48 @@ def test_interleaved_cocycle_orbits_match_the_dense_sweep(L, action, data):
     assert co == oracle.cocycle(L, action(L), th)
 
 
-@settings(max_examples=12)
-@given(st.sampled_from(FOURS), st.booleans(), st.data())
-def test_interleaved_metric_orbits_match_the_dense_sweep(L, double, data):
-    """An invariant form, the identity on A4 or A4y or the pairing of a
-    dual-space extension, with one or two Gram entries changed."""
+def changed_form(L: Hom3LieAlgebra, double: bool, changes) -> tuple[Hom3LieAlgebra, BilinForm]:
+    """L with an invariant form, the identity or (double) the pairing of the
+    dual-space extension of L along theta = 0, with each (r, c, delta) of
+    ``changes`` added to its Gram matrix."""
     if double:
         L, form = t_star_extension(L, Cocycle.zero(4, 4))
         gram = [list(form.gram.row(r)) for r in range(8)]
     else:
         gram = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-    n = len(gram)
-    for _ in range(data.draw(st.integers(1, 2))):
-        gram[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] += data.draw(small)
-    form = BilinForm(n, Mat.from_rows(gram))
+    for r, c, delta in changes:
+        gram[r][c] += delta
+    return L, BilinForm(len(gram), Mat.from_rows(gram))
+
+
+# (algebra, double, rows, entries changed): found once by enumerating the
+# changes of one entry, and of two on the identity, by each nonzero delta of
+# ``small``.  A change of any one entry in these rows of the pairing
+# interleaves the witnesses, and of two distinct entries of the identity on
+# A4 does for 7,632 of the 7,680 choices of entries and deltas.  On the
+# identity of A4y no change of one entry does, and of two only 2 choices.
+INTERLEAVING = [(FOURS[0], False, range(4), 2), (FOURS[0], True, range(4, 8), 1),
+                (FOURS[1], True, range(4), 1)]
+
+
+@st.composite
+def interleaving_forms(draw):
+    L, double, rows, count = draw(st.sampled_from(INTERLEAVING))
+    n = 8 if double else 4
+    cells = draw(st.lists(st.tuples(st.sampled_from(rows), st.integers(0, n - 1)),
+                          min_size=count, max_size=count, unique=True))
+    return changed_form(L, double, [(r, c, draw(small.filter(bool))) for r, c in cells])
+
+
+@settings(max_examples=12)
+@example(changed_form(FOURS[0], False, [(0, 1, Fraction(1)), (2, 3, Fraction(-1, 2))]))
+@example(changed_form(FOURS[0], True, [(5, 2, Fraction(3, 2))]))
+@example(changed_form(FOURS[1], True, [(1, 6, Fraction(-2))]))
+@given(interleaving_forms())
+def test_interleaved_metric_orbits_match_the_dense_sweep(case):
+    """An invariant form, the identity on A4 or the pairing of a dual-space
+    extension of A4 or A4y, with Gram entries changed (:data:`INTERLEAVING`)."""
+    L, form = case
     met = verify_metric(L, form)
     assume(met.violations_total > MAX_WITNESSES and _interleaved(met.witnesses, (2,)))
     assert any(idx[0] > idx[1] for idx in met.witnesses)

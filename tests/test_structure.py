@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dense_oracle as oracle
@@ -16,7 +16,7 @@ from hom3lie.errors import (
 )
 from hom3lie.extensions import BilinForm, Cocycle, cyclic_part, t_star_extension
 from hom3lie.fixtures import a4, ab3, catalog, l3, n4
-from hom3lie.linalg import Mat, Subspace, Vec, subspace_leq, subspace_sum
+from hom3lie.linalg import Mat, Subspace, Vec, inverse, subspace_leq, subspace_sum
 from hom3lie.structure import (
     _centralizer,
     is_isotropic,
@@ -27,7 +27,7 @@ from hom3lie.structure import (
     series,
     tstar_solvability_check,
 )
-from test_sparse_sweeps import carried, conjugations, factors, rescaled_bracket
+from test_sparse_sweeps import carried, conjugations, factors, rescaled_bracket, small
 
 
 def rand_theta(rng, n):
@@ -161,6 +161,40 @@ def test_isotropic_complement_postconditions():
         assert comp.dim == n
         assert is_isotropic(q, comp)
         assert subspace_sum(comp, ideal).dim == 2 * n
+
+
+@st.composite
+def split_forms(draw):
+    """P^T [[0, I], [I, S]] P on Q^2k, S symmetric and P a lower triangular
+    map with a nonzero diagonal times a unit upper triangular one times a
+    permutation, so the form is symmetric and non-degenerate; with the
+    isotropic subspace spanned by the columns of P^-1 at the first k
+    coordinates, which for most P is spanned by no coordinates."""
+    k = draw(st.integers(1, 4))
+    n = 2 * k
+    s = {(r, c): draw(small) for r in range(k) for c in range(r, k)}
+    hyper = Mat.from_rows([[int(c == r + k or r == c + k) if r < k or c < k else s[min(r, c) - k, max(r, c) - k]
+                            for c in range(n)] for r in range(n)])
+    lower = Mat.from_rows([[draw(small.filter(bool)) if r == c else draw(small) if r > c else 0
+                            for c in range(n)] for r in range(n)])
+    upper = Mat.from_rows([[int(r == c) if r >= c else draw(small) for c in range(n)] for r in range(n)])
+    perm = draw(st.permutations(range(n)))
+    p = lower @ upper @ Mat.from_rows([[int(c == perm[r]) for c in range(n)] for r in range(n)])
+    back = inverse(p)
+    form = BilinForm(n, p.transpose() @ hyper @ p)
+    return form, Subspace.span(n, [back.col(i) for i in range(k)])
+
+
+@example((BilinForm(2, Mat.from_rows([[1, 0], [0, -1]])), Subspace.span(2, [Vec.of(1, 1)])))
+@given(split_forms())
+def test_isotropic_complement_matches_the_sequential_oracle(case):
+    """One elimination and the closed form against k solves and the
+    sequential straightening, on forms where the duals f0_j mostly pair
+    nonzero with themselves and each other, so every term counts."""
+    form, iso = case
+    comp = isotropic_complement(form, iso)
+    assert comp == oracle.isotropic_complement(form, iso)
+    assert is_isotropic(form, comp) and subspace_sum(comp, iso).dim == form.dim
 
 
 def test_isotropic_complement_preconditions():
