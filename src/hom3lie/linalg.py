@@ -142,10 +142,6 @@ class Vec:
     def is_zero(self) -> bool:
         return not self.support
 
-    def nonzero(self) -> Iterator[tuple[int, Fraction]]:
-        """Yield (index, value) for the nonzero coordinates, in index order."""
-        return iter(sorted(self.support.items()))
-
     def concat(self, other: "Vec") -> "Vec":
         n = self.n
         shifted = {i + n: a for i, a in other.support.items()}

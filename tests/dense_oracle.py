@@ -17,12 +17,20 @@ basis image, where the library reads a closed form and L's own sweeps.
 :func:`hom_jacobi_sides` is the library's hom-Jacobi loop on the same
 integer tables, run on every instance where the library runs only on
 the candidates that can fail.
+
+The codec's oracles are ``io``'s writers and readers as they were before
+they walked supports: the writer formats every coordinate of the dense
+view, and the readers parse every entry through :func:`parse_rat` with
+its location built first.  The library must give the same rows, values,
+exception types and messages.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
+from typing import Any, Callable, Optional
 
 import dense_elimination
 from hom3lie.algebras import (
@@ -33,6 +41,7 @@ from hom3lie.algebras import (
     increasing_triples,
 )
 from hom3lie.extensions import CocycleReport, MetricReport
+from hom3lie.io import FileFormatError, _args_tuple, _expect, format_rat
 from hom3lie.linalg import Mat, Subspace, Vec, pruned
 from hom3lie.representations import RepresentationReport
 from hom3lie.sparse import add_matvec, matvec
@@ -52,7 +61,7 @@ def skew_value(table: dict, zero, idx: tuple[int, ...]):
 def multilinear(table: dict, zero, *args: Vec):
     """The skew multilinear extension of ``table`` on arbitrary vectors."""
     acc = zero
-    for terms in itertools.product(*(list(v.nonzero()) for v in args)):
+    for terms in itertools.product(*(sorted(v.support.items()) for v in args)):
         idx = tuple(i for i, _ in terms)
         coeff = Fraction(1)
         for _, c in terms:
@@ -405,3 +414,98 @@ def derivation_extension(ext) -> AlgebraReport:
         violations=tuple((skew.items + jac.items + mult.items)[:MAX_WITNESSES]),
         violations_total=skew.total + jac.total + mult.total,
     )
+
+
+# -- the codec, coordinate by coordinate -----------------------------------
+
+
+def vec_to_dense(v: Vec) -> list[str]:
+    return [format_rat(x) for x in v]
+
+
+def mat_to_lists(m: Mat) -> list[list[str]]:
+    return [vec_to_dense(v) for v in m.row_vecs]
+
+
+def subspace_to_dict(s: Subspace) -> dict:
+    return {"ambient_dim": s.ambient_dim, "basis": [vec_to_dense(v) for v in s.basis]}
+
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INDEX = re.compile(r"[1-9][0-9]*")
+
+
+def parse_rat(x: Any, where: str, memo: Optional[dict[str, Fraction]] = None) -> Fraction:
+    if isinstance(x, bool) or isinstance(x, float):
+        raise FileFormatError(f"expected an exact rational, got {x!r}", where)
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
+        if memo is not None and x in memo:
+            return memo[x]
+        if not _RATIONAL.fullmatch(x):
+            raise FileFormatError(f"bad rational literal {x!r}", where)
+        try:
+            value = Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FileFormatError(f"bad rational literal {x!r}", where) from exc
+        if memo is not None:
+            memo[x] = value
+        return value
+    raise FileFormatError(f"expected an exact rational, got {type(x).__name__}", where)
+
+
+def vec_from_sparse(d: Any, n: int, where: str, memo: Optional[dict] = None) -> Vec:
+    if not isinstance(d, dict):
+        raise FileFormatError("expected an object of index -> rational", where)
+    support = {}
+    for key, raw in d.items():
+        if not (isinstance(key, str) and _INDEX.fullmatch(key)):
+            raise FileFormatError(f"bad index {key!r}", where)
+        if len(key) > len(str(n)) or int(key) > n:
+            raise FileFormatError(f"index {key} out of range 1..{n}", where)
+        if value := parse_rat(raw, f"{where}[{key}]", memo):
+            support[int(key) - 1] = value
+    return Vec.sparse(n, support)
+
+
+def vec_from_dense(raw: Any, where: str, length: Optional[int] = None,
+                   memo: Optional[dict] = None) -> Vec:
+    if not isinstance(raw, list):
+        raise FileFormatError("expected a list of rationals", where)
+    if length is not None and len(raw) != length:
+        raise FileFormatError(f"expected {length} entries, got {len(raw)}", where)
+    return Vec(tuple(parse_rat(x, f"{where}[{i}]", memo) for i, x in enumerate(raw)))
+
+
+def mat_from_lists(raw: Any, where: str, rows: Optional[int] = None, cols: Optional[int] = None,
+                   memo: Optional[dict] = None) -> Mat:
+    if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
+        raise FileFormatError("expected a non-empty list of rows", where)
+    ncols = len(raw[0])
+    if any(len(r) != ncols for r in raw):
+        raise FileFormatError("ragged rows", where)
+    if rows is not None and len(raw) != rows:
+        raise FileFormatError(f"expected {rows} rows, got {len(raw)}", where)
+    if cols is not None and ncols != cols:
+        raise FileFormatError(f"expected {cols} columns, got {ncols}", where)
+    return Mat.sparse(ncols, (
+        Vec.sparse(ncols, {c: a for c, x in enumerate(row)
+                           if (a := parse_rat(x, f"{where}[{r}][{c}]", memo))})
+        for r, row in enumerate(raw)
+    ))
+
+
+def keyed_entries(d: Any, key: str, count: int, n: int, where: str, what: str,
+                  parse: Callable[[Any, str], Any], field: str) -> dict:
+    raw = _expect(d, key, where)
+    if not isinstance(raw, list):
+        raise FileFormatError("expected a list", f"{where}.{key}")
+    table: dict = {}
+    for pos, entry in enumerate(raw):
+        loc = f"{where}.{key}[{pos}]"
+        args = _args_tuple(_expect(entry, "args", loc), count, n, f"{loc}.args")
+        if args in table:
+            raise FileFormatError(f"duplicate {what} for {[a + 1 for a in args]}", loc)
+        table[args] = parse(_expect(entry, field, loc), f"{loc}.{field}")
+    return table

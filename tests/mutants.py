@@ -67,6 +67,8 @@ REUSE = "tests/test_io_cli.py::test_cli_main_called_again_in_one_process_repeats
 COMPLEMENT = "tests/test_structure.py::test_isotropic_complement_matches_the_sequential_oracle"
 COMPLEMENT_EXAMPLES = "tests/test_structure.py::test_isotropic_complement_examples"
 IMAGES = "tests/test_pairs.py::test_bracket_images_yield_what_every_increasing_triple_yields"
+CODEC = "tests/test_codec_oracle.py::"
+ROWS_WRITER = "tests/test_canonical_dumps.py::test_rows_and_dicts_of_plain_strings_match_json_dumps"
 
 # (name, file under src/hom3lie, old text, new text, tests that must fail)
 MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
@@ -276,6 +278,21 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("writer-unsorted-keys", "io.py",
      "for k in sorted(value))", "for k in value)",
      (WRITER, CLI_BYTES, INPUT_DIGESTS)),
+    ("support-writer-off-by-one", "io.py",
+     "        row[i] = format_rat(x)\n", "        row[i - 1] = format_rat(x)\n",
+     (CODEC + "test_vec_to_dense_matches_the_dense_writer", CODEC + "test_mat_to_lists_matches_the_dense_writer",
+      CLI_BYTES)),
+    ("sparse-reader-accepts-a-leading-zero", "io.py",
+     'key.isdigit() and key[0] != "0"):', "key.isdigit()):",
+     (CODEC + "test_vec_from_sparse_matches_the_validating_reader",
+      CODEC + "test_each_bad_key_after_good_ones_matches_the_validating_reader",
+      "tests/test_io_cli.py::test_sparse_index_keys_must_be_canonical")),
+    ("keyed-fast-path-one-past-n", "io.py",
+     "and args[-1] <= n and", "and args[-1] <= n + 1 and",
+     (CODEC + "test_keyed_entries_with_each_edit_of_good_args_match_the_validating_reader",)),
+    ("leaf-row-without-escapes", "io.py",
+     "map(_encode, value) if", "('\"' + s + '\"' for s in value) if",
+     (ROWS_WRITER,)),
     ("refusal-caught-before-malformed-input", "cli.py",
      "    except (FileFormatError, DimensionMismatch, OSError) as exc:\n"
      "        print(f\"error: {exc}\", file=sys.stderr)\n"

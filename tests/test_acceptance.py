@@ -83,7 +83,7 @@ def test_criterion_01_axiom_suite(algebras):
     failures_witnessed = 0
     for _ in range(20):
         key = keys[rng.randrange(len(keys))]
-        support = {i for i, _ in a4.table[key].nonzero()}
+        support = set(a4.table[key].support)
         coord = rng.choice([c for c in range(4) if c not in support])
         entries = list(a4.table[key].entries)
         entries[coord] += nonzero_fraction(rng)

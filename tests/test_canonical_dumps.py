@@ -6,7 +6,10 @@ indent path, and splices any ``Dumped`` text it meets.  The oracle is
 json itself, on drawn payloads of every shape the command line emits:
 str-keyed dicts, lists, str, int, bool and None, with escapes, non-ASCII
 and lone surrogates in keys and values, empty containers and deep
-nesting.
+nesting.  Wide lists and dicts of plain str, rational literals mixed with
+those characters, take the writer's one-pass path for rows of plain str;
+a ``Dumped`` among them, a str subclass, must send its row to the
+general path.
 """
 
 from __future__ import annotations
@@ -89,3 +92,22 @@ def test_a_dumped_subvalue_splices_to_the_same_bytes(payload):
     for path in _paths(payload):
         spliced = _replaced(payload, path, canonical_dumps(_at(payload, path)))
         assert canonical_dumps(spliced) == want, path
+
+
+# a matrix row or a sparse vector as the writers build them, with escapes mixed in
+LEAF = st.one_of(st.fractions().map(str), st.sampled_from(["0", "-1/2"]), TEXT)
+ROWS = st.lists(LEAF, min_size=1, max_size=40)
+STR_DICTS = st.dictionaries(TEXT, LEAF, min_size=1, max_size=12)
+
+
+@given(ROWS | STR_DICTS | st.lists(ROWS | STR_DICTS, max_size=4) | st.dictionaries(TEXT, ROWS, max_size=3))
+def test_rows_and_dicts_of_plain_strings_match_json_dumps(payload):
+    assert canonical_dumps(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@given(ROWS, st.data())
+def test_a_dumped_inside_a_row_of_strings_splices(row, data):
+    """A row of plain str holding one ``Dumped`` is spliced, not encoded as a string."""
+    at, inner = data.draw(st.integers(0, len(row))), data.draw(LEAF | PAYLOADS)
+    spliced = [*row[:at], canonical_dumps(inner), *row[at:]]
+    assert canonical_dumps(spliced) == json.dumps([*row[:at], inner, *row[at:]], sort_keys=True, indent=2) + "\n"

@@ -75,7 +75,7 @@ def test_vec_arithmetic_matches_dense(data):
     assert u.dot(v) == sum((a * b for a, b in zip(x, y)), ZERO)
     assert clean(u.concat(v)) == x + y
     assert u.is_zero() == (not any(x))
-    assert list(u.nonzero()) == [(i, a) for i, a in enumerate(x) if a]
+    assert u.support == {i: a for i, a in enumerate(x) if a}
 
 
 @given(dims.flatmap(lambda n: st.tuples(dense_vecs(n), dense_vecs(n))))
