@@ -46,6 +46,7 @@ from .extensions import (
     cyclic_part,
     hyperbolic_form,
     is_isometry,
+    semidirect_product,
     shift_isomorphism,
     t_star_extension,
     t_theta_extension,
@@ -72,7 +73,6 @@ from .representations import (
     adjoint_rep,
     coadjoint_rep,
     dual_rep,
-    semidirect_product,
     verify_representation,
 )
 from .structure import (

@@ -168,10 +168,6 @@ class Sweep:
     def witnesses(self) -> list[tuple[int, ...]]:
         return [m for m, _, _ in self.kept]
 
-    def violations(self, identity: str) -> list[Violation]:
-        return [Violation(identity, m, *(sides if s == 1 else [-v for v in sides]))
-                for m, s, sides in self.kept]
-
 
 def _report(w: Sweep, identity: str, n: int, scale: int, sides: Iterable = ()) -> AlgebraReport:
     """The report of ``w`` with the failing ``sides`` added, supports ``scale`` times theirs."""

@@ -23,10 +23,11 @@ from .algebras import (
     Hom3LieAlgebra,
     Sweep,
     _bracket_images,
+    _jacobi_scale,
     _report,
+    hom_jacobi_sides,
     increasing_triples,
     leibniz_sides,
-    verify_hom_jacobi,
     verify_regular,
 )
 from .errors import DimensionMismatch, FixedPointRequired, RegularTwistRequired
@@ -242,7 +243,7 @@ def derivation_extension(L: Hom3LieAlgebra, d: Mat) -> tuple[DerivationExtension
     * ``hom_jacobi_ok``: the theorem's verdict, the hom-Jacobi instances
       (x, y, u, v, w) with u < v < w below n and (x, y) ordered below n
       or y = n, and multiplicativity: true exactly when D is a grade-1
-      derivation.  Below n the instances are L's (:func:`verify_hom_jacobi`).
+      derivation.  Below n the instances are L's (:func:`hom_jacobi_sides`).
       With y = n, [a' e_x, e_n, B_uvw] = D B_uvw and [e_x, e_n, e_t] = D e_t
       whether x is n or not, so each of the n + 1 values of x gives the
       grade-1 Leibniz rule on (u, v, w) (:func:`_leibniz`).
@@ -256,12 +257,12 @@ def derivation_extension(L: Hom3LieAlgebra, d: Mat) -> tuple[DerivationExtension
     skew = Sweep()  # off n the values are L's, skew by construction
     for key in itertools.product(range(nn), repeat=3):
         if len(set(key)) < 3 and (v := ext.value(*key)).support:
-            skew.add(key, v, Vec.zero(nn))
+            skew.add(key, v.support, {})
         elif key[0] < key[1] < key[2] == n:
             for p, sign in signed_perms(3):
                 perm = tuple(key[t] for t in p)
                 if (got := ext.value(*perm)) != (want := ext.value(*key).scale(sign)):
-                    skew.add(perm, got, want)
+                    skew.add(perm, got.support, want.support)
 
     below, at_n = Sweep(3), Sweep()
     ad, da = L.twist @ d, d @ L.twist
@@ -270,18 +271,18 @@ def derivation_extension(L: Hom3LieAlgebra, d: Mat) -> tuple[DerivationExtension
     mult = sorted(_report(below, "multiplicative", nn, *_bracket_images(L.twist, L, L)).violations
                   + _report(at_n, "multiplicative", nn, 1, slots).violations, key=lambda v: v.indices)
 
-    own, leibniz = verify_hom_jacobi(L), Sweep()
+    own, leibniz = Sweep(2), Sweep()
+    sides = hom_jacobi_sides(L, own.reps(n), increasing_triples(n))
     rows = _report(leibniz, "hom_jacobi", nn, *_leibniz(L, d, 1)).violations
-    jac = sorted([replace(v, left=Vec.sparse(nn, v.left.support), right=Vec.sparse(nn, v.right.support))
-                  for v in own.violations]
-                 + [replace(v, indices=(x, n, *v.indices)) for x in range(nn) for v in rows],
+    jac = sorted([*_report(own, "hom_jacobi", nn, _jacobi_scale(L), sides).violations,
+                  *(replace(v, indices=(x, n, *v.indices)) for x in range(nn) for v in rows)],
                  key=lambda v: v.indices)
-    jac_total = own.violations_total + nn * leibniz.total
+    jac_total = own.total + nn * leibniz.total
     mult_total = below.total + at_n.total
     return ext, AlgebraReport(
         skew_ok=skew.clean,
         hom_jacobi_ok=jac_total == 0 and mult_total == 0,
         multiplicative_ok=mult_total == 0,
-        violations=tuple((skew.violations("skew") + jac + mult)[:MAX_WITNESSES]),
+        violations=tuple([*_report(skew, "skew", nn, 1).violations, *jac, *mult][:MAX_WITNESSES]),
         violations_total=skew.total + jac_total + mult_total,
     )

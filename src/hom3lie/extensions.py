@@ -87,8 +87,7 @@ class BilinForm:
 
 def hyperbolic_form(n: int) -> BilinForm:
     """The pairing q((x,f),(y,g)) = f(y) + g(x) on L + L*: Gram [[0,I],[I,0]]."""
-    rows = [[1 if j == i + n or i == j + n else 0 for j in range(2 * n)] for i in range(2 * n)]
-    return BilinForm(2 * n, Mat.from_rows(rows, cols=2 * n))
+    return BilinForm(2 * n, Mat.sparse(2 * n, (Vec.basis(2 * n, (i + n) % (2 * n)) for i in range(2 * n))))
 
 
 def verify_cocycle(L: Hom3LieAlgebra, r: Representation, th: Cocycle) -> CocycleReport:
@@ -161,6 +160,20 @@ def t_theta_extension(
     if not co.ok:
         raise CocycleInvalid(f"map fails the cocycle identity ({co.violations_total} violations)")
     return alg, report
+
+
+def semidirect_product(L: Hom3LieAlgebra, r: Representation) -> Hom3LieAlgebra:
+    """Algebra on L + V with bracket
+
+        [u+X, v+Y, w+Z] = [u,v,w] + rho(u,v) Z + rho(w,u) Y + rho(v,w) X
+
+    and block-diagonal twist.  The sign pattern is skew-consistent, so
+    the result is an ordinary structure-constant table.  It is the
+    extension along theta = 0 (:func:`t_theta_extension`), which raises on
+    a failed representation; its cocycle check cannot fail: with theta = 0
+    every bracket of algebra vectors stays in L, so the module part is 0.
+    """
+    return t_theta_extension(L, r, Cocycle.zero(L.dim, r.module_dim))[0]
 
 
 def t_star_extension(L: Hom3LieAlgebra, th: Cocycle) -> tuple[Hom3LieAlgebra, BilinForm]:

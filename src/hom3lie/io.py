@@ -64,7 +64,7 @@ class FileFormatError(ValueError):
         super().__init__(f"{location}: {message}" if location else message)
 
 
-def parse_rat(x: Any, where: str, memo: Optional[dict[str, Fraction]] = None) -> Fraction:
+def parse_rat(x: Any, where: str, memo: dict[str, Fraction]) -> Fraction:
     """An int or a ``"p/q"`` literal as a Fraction; ``memo``, the literals of
     one file already parsed, takes in a new one (the readers look there first)."""
     if isinstance(x, bool) or isinstance(x, float):
@@ -78,8 +78,7 @@ def parse_rat(x: Any, where: str, memo: Optional[dict[str, Fraction]] = None) ->
             value = Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:  # ValueError: int() refuses > 4,300 digits
             raise FileFormatError(f"bad rational literal {x!r}", where) from exc
-        if memo is not None:
-            memo[x] = value
+        memo[x] = value
         return value
     raise FileFormatError(f"expected an exact rational, got {type(x).__name__}", where)
 
@@ -111,10 +110,10 @@ def vec_to_sparse(v: Vec) -> dict[str, str]:
     return {str(i + 1): format_rat(x) for i, x in v.support.items()}  # canonical_dumps sorts the keys
 
 
-def vec_from_sparse(d: Any, n: int, where: str, memo: Optional[dict] = None) -> Vec:
+def vec_from_sparse(d: Any, n: int, where: str, memo: dict) -> Vec:
     if not isinstance(d, dict):
         raise FileFormatError("expected an object of index -> rational", where)
-    support, memo, width = {}, {} if memo is None else memo, len(str(n))
+    support, width = {}, len(str(n))
     for key, raw in d.items():  # int() also takes "01", " 1", "+1", "1_0" and "١"
         if not (isinstance(key, str) and key.isascii() and key.isdigit() and key[0] != "0"):
             raise FileFormatError(f"bad index {key!r}", where)

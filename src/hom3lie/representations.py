@@ -35,7 +35,7 @@ from .algebras import (
     hom_jacobi_sides,
     increasing_triples,
 )
-from .errors import DimensionMismatch, RepresentationInvalid
+from .errors import DimensionMismatch
 from .linalg import Mat, Vec, rational
 from .sparse import AltTable, SparseMat
 
@@ -142,26 +142,10 @@ def coadjoint_rep(L: Hom3LieAlgebra) -> Representation:
     return dual_rep(adjoint_rep(L))
 
 
-def semidirect_product(L: Hom3LieAlgebra, r: Representation) -> Hom3LieAlgebra:
-    """Algebra on L + V with bracket
-
-        [u+X, v+Y, w+Z] = [u,v,w] + rho(u,v) Z + rho(w,u) Y + rho(v,w) X
-
-    and block-diagonal twist.  The sign pattern is skew-consistent, so
-    the result is an ordinary structure-constant table.  It is built once,
-    and the representation identities are checked on it.
-    """
-    E = _semidirect_table(L, r)
-    if not (rep := _extension_sweep(E, L.dim)[0]).ok:
-        raise RepresentationInvalid(
-            f"action fails the representation identities ({rep.violations_total} violations)")
-    return E
-
-
 def _semidirect_table(
     L: Hom3LieAlgebra, r: Representation, theta: Optional[dict[tuple[int, int, int], Vec]] = None
 ) -> Hom3LieAlgebra:
-    """Unchecked semidirect-product table; see :func:`semidirect_product`.
+    """Unchecked semidirect-product table; see :func:`.extensions.semidirect_product`.
 
     The table merges L's with the action block ``r.table``; ``theta``
     (increasing triples to module vectors) is added in the module

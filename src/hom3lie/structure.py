@@ -29,7 +29,7 @@ from .errors import (
     MetricRequired,
 )
 from .extensions import BilinForm, Cocycle, is_isometry, t_star_extension, verify_metric
-from .linalg import Mat, Subspace, Vec, _eliminate, cleared, inverse, nullspace, rational, subspace_sum
+from .linalg import Mat, Subspace, Vec, _eliminate, cleared, inverse, nullspace, rank, rational, subspace_sum
 from .sparse import matvec
 
 SERIES_KINDS = ("derived", "central_descending", "central_ascending")
@@ -118,7 +118,8 @@ def isotropic_complement(form: BilinForm, iso: Subspace) -> Subspace:
 
     Hyperbolic completion: one elimination, the RREF of the rows [G i_j | e_j],
     gives f0_j with B(i_l, f0_j) the Kronecker delta and its free coordinates
-    at zero (a pivot at or past column n: the form is degenerate); then
+    at zero.  Every pivot lies below n: G is non-degenerate and the i_j are
+    independent, so no combination of the G i_j is 0.  Then
 
         f_j = f0_j - (1/2) h_jj i_j - sum_{l<j} h_jl i_l,  h_jl = B(f0_j, f0_l).
 
@@ -129,18 +130,15 @@ def isotropic_complement(form: BilinForm, iso: Subspace) -> Subspace:
     so duality holds, and they kill all products among the f's.  Needs
     characteristic zero.
     """
-    if form.dim != 2 * iso.dim:
+    n, k, gram = form.dim, iso.dim, form.gram
+    if n != 2 * k:
         raise HalfDimensionRequired("complement needs an isotropic subspace of half dimension")
-    gram = form.gram
-    if gram != gram.transpose() or nullspace(gram).dim != 0:
+    if gram != gram.transpose() or rank(gram) != n:
         raise MetricRequired("complement needs a symmetric non-degenerate form")
     if not is_isotropic(form, iso):
         raise IsotropicRequired("complement needs an isotropic subspace")
-    n, k = form.dim, iso.dim
     rows = dict(enumerate(r.support for r in gram.row_vecs))  # the columns of G^T, and G is symmetric
     reduced = _eliminate({**matvec(rows, b.support), n + j: 1} for j, b in enumerate(iso.basis))
-    if any(p >= n for p in reduced):
-        raise MetricRequired("form is degenerate on the given data")
     f0 = [Vec.sparse(n, {p: row[c] for p, row in reduced.items() if c in row}) for c in range(n, n + k)]
     images = [Vec.sparse(n, matvec(rows, f.support)) for f in f0]
     duals = []

@@ -316,6 +316,13 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "def main(argv: Optional[list[str]] = None) -> int:\n"
      "    args = build_parser().parse_args(argv, namespace=_SHARED)\n",
      (REUSE, CLI_BYTES)),
+    ("complement-rank-against-the-subspace-dimension", "structure.py",
+     "rank(gram) != n", "rank(gram) != k",
+     ("tests/test_structure.py::test_isotropic_complement_rejects_a_degenerate_form_of_the_subspace_rank",)),
+    ("hyperbolic-form-without-the-wrap", "extensions.py",
+     "Vec.basis(2 * n, (i + n) % (2 * n))", "Vec.basis(2 * n, i + n)",
+     ("tests/test_extensions.py::test_hyperbolic_form_evaluates_like_the_pairing", COMPLEMENT_EXAMPLES,
+      CLI_BYTES)),
 )
 
 

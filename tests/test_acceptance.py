@@ -34,6 +34,7 @@ from hom3lie.extensions import (
     coboundary,
     cyclic_part,
     is_isometry,
+    semidirect_product,
     shift_isomorphism,
     t_star_extension,
     theta_cyclic_ok,
@@ -42,7 +43,7 @@ from hom3lie.extensions import (
 )
 from hom3lie.io import algebra_to_dict, canonical_dumps, load_algebra
 from hom3lie.linalg import Mat, Subspace, Vec
-from hom3lie.representations import adjoint_rep, coadjoint_rep, semidirect_product
+from hom3lie.representations import adjoint_rep, coadjoint_rep
 from hom3lie.structure import reconstruct_t_star, tstar_solvability_check
 
 

@@ -39,7 +39,8 @@ module and theta = 0, so that failures of every block of the one
 extension sweep reach the output.  ``verify`` runs with the default checks
 and with ``--checks regular`` on A4y, A4y + L3, A4 with the shear twist
 (which fails hom-Jacobi), L3 with a twist that is not multiplicative and
-L3 with a singular twist; ``series`` runs every kind on A4y + L3 and on
+L3 with a singular twist, and on A4 with an unknown check after a known one
+(exit 2); ``series`` runs every kind on A4y + L3 and on
 its T*-double, and the descending and ascending kinds on N4 and on its
 T*-double along theta = 0, whose ascending series have three terms,
 and, as ``--json`` only, the ascending kind on N4 carried along a map
@@ -210,7 +211,7 @@ CASES = [
     for out in ([], ["--output", "out.json"])
 ] + [
     [*mode, "verify", *args] for args in VERIFY for mode in ([], ["--json"])
-] + [
+] + [["verify", "A4.json", "--checks", "jacobi,bogus"]] + [
     [*mode, "series", *args] for args in SERIES for mode in ([], ["--json"])
 ] + [
     ["--json", "series", name, "--kind", "ascending"] for name in ("N4-carried.json", "tstar-N4-carried.json")

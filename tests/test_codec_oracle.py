@@ -108,7 +108,7 @@ def test_vec_from_sparse_matches_the_validating_reader(data):
     new, old = dict(seed), dict(seed)
     assert outcome(io.vec_from_sparse, d, n, "v", new) == outcome(oracle.vec_from_sparse, d, n, "v", old)
     assert new == old
-    assert outcome(io.vec_from_sparse, d, n, "v") == outcome(oracle.vec_from_sparse, d, n, "v")
+    assert outcome(io.vec_from_sparse, d, n, "v", {}) == outcome(oracle.vec_from_sparse, d, n, "v", {})
 
 
 @settings(max_examples=150)

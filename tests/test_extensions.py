@@ -15,6 +15,7 @@ from hom3lie.extensions import (
     cyclic_part,
     hyperbolic_form,
     is_isometry,
+    semidirect_product,
     shift_isomorphism,
     t_star_extension,
     t_theta_extension,
@@ -28,7 +29,6 @@ from hom3lie.representations import (
     Representation,
     adjoint_rep,
     coadjoint_rep,
-    semidirect_product,
     verify_representation,
 )
 
@@ -69,6 +69,13 @@ def test_an_action_over_another_algebra_dimension_is_rejected():
         coboundary(L, r, f)
     with pytest.raises(DimensionMismatch, match="different algebra dimension"):
         shift_isomorphism(L, r, Cocycle.zero(4, 3), f)
+
+
+def test_coboundary_rejects_a_map_of_the_wrong_shape():
+    L = l3()
+    for f in (Mat.zero(3, 2), Mat.zero(2, 3)):
+        with pytest.raises(DimensionMismatch, match="map f: L -> V has the wrong shape"):
+            coboundary(L, adjoint_rep(L), f)
 
 
 def test_coboundary_values():

@@ -46,19 +46,19 @@ def data_file(name: str) -> str:
 
 
 def test_parse_rat():
-    assert parse_rat("3/4", "x") == Fraction(3, 4)
-    assert parse_rat(-2, "x") == Fraction(-2)
+    assert parse_rat("3/4", "x", {}) == Fraction(3, 4)
+    assert parse_rat(-2, "x", {}) == Fraction(-2)
     for bad in ("1/0", "abc", 1.5, True, None):
         with pytest.raises(FileFormatError):
-            parse_rat(bad, "x")
+            parse_rat(bad, "x", {})
 
 
 def test_vec_sparse_guards():
     with pytest.raises(FileFormatError):
-        vec_from_sparse({"0": "1"}, 3, "v")
+        vec_from_sparse({"0": "1"}, 3, "v", {})
     with pytest.raises(FileFormatError):
-        vec_from_sparse({"4": "1"}, 3, "v")
-    assert vec_from_sparse({"2": "1/2"}, 3, "v") == Vec.of(0, "1/2", 0)
+        vec_from_sparse({"4": "1"}, 3, "v", {})
+    assert vec_from_sparse({"2": "1/2"}, 3, "v", {}) == Vec.of(0, "1/2", 0)
 
 
 def test_algebra_round_trip_values(algebras):
@@ -127,6 +127,12 @@ def test_representation_and_cocycle_files(tmp_path):
     # explicit algebra wins over the file reference
     _, again = load_cocycle(tmp_path / "theta.json", algebra=L)
     assert again == th
+    # a standalone file must name its algebra by a path string
+    d = cocycle_to_dict(th, "L3.json")
+    d["algebra"] = 3
+    write_json(tmp_path / "theta-ref.json", d)
+    with pytest.raises(FileFormatError, match="algebra reference must be a path string"):
+        load_cocycle(tmp_path / "theta-ref.json")
 
 
 def test_subspace_round_trip():
@@ -348,8 +354,8 @@ def test_cli_text_output(capsys):
 def test_parse_rat_rejects_decimal_and_exponent_literals(tmp_path, capsys):
     for bad in ("0.5", "1.0", "1e3", "-2.5/3", " 1", "1_000", "inf"):
         with pytest.raises(FileFormatError):
-            parse_rat(bad, "x")
-    assert parse_rat("+7", "x") == 7 and parse_rat("-10/4", "x") == Fraction(-5, 2)
+            parse_rat(bad, "x", {})
+    assert parse_rat("+7", "x", {}) == 7 and parse_rat("-10/4", "x", {}) == Fraction(-5, 2)
     d = algebra_to_dict(l3())
     d["brackets"][0]["value"]["1"] = "0.5"
     path = tmp_path / "decimal.json"
@@ -408,8 +414,8 @@ def test_cli_non_utf8_input_exits_2_and_names_the_path(tmp_path, capsys):
 def test_sparse_index_keys_must_be_canonical(tmp_path, capsys):
     for bad in (" 1", "1 ", "01", "+1", "1_0", "0", "-1", "1.0", "", "١"):
         with pytest.raises(FileFormatError):
-            vec_from_sparse({bad: "1"}, 3, "v")
-    assert vec_from_sparse({"3": "2", "1": "1"}, 3, "v") == Vec.of(1, 0, 2)
+            vec_from_sparse({bad: "1"}, 3, "v", {})
+    assert vec_from_sparse({"3": "2", "1": "1"}, 3, "v", {}) == Vec.of(1, 0, 2)
     d = algebra_to_dict(l3())
     d["brackets"][0]["value"] = {"1": "1", "01": "2"}
     path = tmp_path / "padded.json"

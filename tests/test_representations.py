@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_vec
 from hom3lie.algebras import Hom3LieAlgebra, verify_hom_jacobi, verify_multiplicative
 from hom3lie.errors import DimensionMismatch, RepresentationInvalid
+from hom3lie.extensions import semidirect_product
 from hom3lie.fixtures import a4, ab3, l3, n4
 from hom3lie.linalg import Mat, Vec
 from hom3lie.representations import (
@@ -15,7 +16,6 @@ from hom3lie.representations import (
     adjoint_rep,
     coadjoint_rep,
     dual_rep,
-    semidirect_product,
     verify_representation,
 )
 

@@ -34,6 +34,7 @@ from hom3lie.algebras import (
     MAX_WITNESSES,
     Hom3LieAlgebra,
     Sweep,
+    _report,
     hom_jacobi_sides,
     increasing_triples,
     verify_axioms,
@@ -534,9 +535,9 @@ def test_orbits_partition_the_tuples_with_distinct_indices_in_each_block(blocks)
     seen = {}
     for rep in Sweep(*blocks).reps(n):
         log = Sweep(*blocks)
-        log.add(rep + tail, Vec.of(1), Vec.of(2))
-        members = [(v.indices, v.left) for v in log.violations("orbit")]
-        assert all(v.right == v.left.scale(2) for v in log.violations("orbit"))
+        kept = _report(log, "skew", 1, 1, [(rep + tail, {0: 1}, {0: 2})]).violations
+        members = [(v.indices, v.left) for v in kept]
+        assert all(v.right == v.left.scale(2) for v in kept)
         assert log.total == len(members) == len(set(members))
         assert [idx for idx, _ in members] == sorted(idx for idx, _ in members)
         for idx, side in members:

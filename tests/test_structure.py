@@ -208,6 +208,14 @@ def test_isotropic_complement_preconditions():
         isotropic_complement(degenerate, Subspace.span(2, [Vec.of(1, 0)]))
 
 
+def test_isotropic_complement_rejects_a_degenerate_form_of_the_subspace_rank():
+    # G = E12 + E21 on Q^4 has rank 2, the dimension of the isotropic span(e1, e3)
+    gram = Mat.from_rows([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    iso = Subspace.span(4, [Vec.basis(4, 0), Vec.basis(4, 2)])
+    with pytest.raises(MetricRequired, match="complement needs a symmetric non-degenerate form"):
+        isotropic_complement(BilinForm(4, gram), iso)
+
+
 def test_reconstruction_round_trip():
     rng = random.Random(23)
     for name in ("L3", "N4", "AB3"):
@@ -336,5 +344,7 @@ def test_tstar_solvability_checks():
             assert rep.solvable_bound_ok
     rep = tstar_solvability_check(l3(), Cocycle.zero(3, 3))
     assert rep.solvable_length == 2 and rep.tstar_solvable_length == 3
+    rep = tstar_solvability_check(a4(), Cocycle.zero(4, 4))  # not solvable: the bound says nothing
+    assert rep.solvable_length is None and rep.solvable_bound_ok
     rep = tstar_solvability_check(ab3(), Cocycle.zero(3, 3))
     assert rep.tstar_solvable_length <= 2
