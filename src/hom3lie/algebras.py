@@ -187,37 +187,39 @@ def leibniz_sides(alt: AltTable, t: dict, ops: Iterable, triples: Iterable[tuple
     """The failing instances of the Leibniz rule of X over Y, for each (key, X, Y)
     of ``ops`` and (u, v, w) of ``triples``, as (*key, u, v, w) with both sides:
 
-        X B_uvw == T_vw Y e_u + T_wu Y e_v + T_uv Y e_w,
+        X B_uvw == T_vw Y e_u - T_uw Y e_v + T_uv Y e_w,
 
-    B the numerators of ``alt``, T its twisted actions ``t`` (:meth:`AltTable.pairs`),
-    X and Y sparse int matrices.  Per operator only candidates are visited, in
-    the order of ``triples``: those in the support of B if X != 0, and for each
+    B the numerators of ``alt``, T its twisted actions ``t`` (:meth:`AltTable.pairs`,
+    so u < v < w: T_wu is -T_uw, and the sign goes on the column Y e_v), X and Y
+    sparse int matrices.  Per operator only candidates are visited, in the
+    order of ``triples``: those in the support of B if X != 0, and for each
     column i of Y those holding i with T of the other two, in cyclic order,
     nonzero.  Any other reads 0 == 0: its left side as X = 0 or B_uvw = 0, and
     the term of each i on the right as Y e_i = 0 or T of the other two is 0.
     """
     triples = [(u, v, w, alt.get(u, v, w)) for u, v, w in triples]
     live = [p for p, (*_, buvw) in enumerate(triples) if buvw]
+    terms = [[(i, t[jk], i == v) for i, jk in ((u, (v, w)), (v, (u, w)), (w, (u, v))) if jk in t]
+             for u, v, w, _ in triples]
     holding: dict[int, list[int]] = {}
-    for p, (u, v, w, _) in enumerate(triples):
-        for i, j, k in ((u, v, w), (v, w, u), (w, u, v)):
-            if t[j, k]:
-                holding.setdefault(i, []).append(p)
+    for p, row in enumerate(terms):
+        for i, *_ in row:
+            holding.setdefault(i, []).append(p)
     for key, x, y in ops:
         for p in sorted({*(live if x else ()), *(q for i in y for q in holding.get(i, ()))}):
             u, v, w, buvw = triples[p]
             lhs = matvec(x, buvw)
             acc: dict = {}
-            for i, m in ((u, t[v, w]), (v, t[w, u]), (w, t[u, v])):
+            for i, m, negated in terms[p]:
                 if i in y:
-                    add_matvec(acc, m, y[i])
+                    add_matvec(acc, m, {r: -a for r, a in y[i].items()} if negated else y[i])
             if lhs != (rhs := pruned(acc)):
                 yield (*key, u, v, w), lhs, rhs
 
 
 def hom_jacobi_sides(L: Hom3LieAlgebra, pairs: Iterable[tuple[int, int]],
                      triples: Iterable[tuple[int, int, int]]) -> Iterator:
-    """The failing hom-Jacobi instances of L at (e_a, e_b; e_u, e_v, e_w) on
+    """The failing hom-Jacobi instances of L at (e_a, e_b; e_u, e_v, e_w), a < b and u < v < w, on
     ``pairs`` x ``triples``, as (a, b, u, v, w) with both sides as int supports:
     with T_ab = [alpha e_a, alpha e_b, .] and B_abc = [e_a, e_b, e_c], skewness
     ([X, a v, a w] = [a v, a w, X], [a u, X, a w] = [a w, a u, X]) makes each the
@@ -229,7 +231,7 @@ def hom_jacobi_sides(L: Hom3LieAlgebra, pairs: Iterable[tuple[int, int]],
     alpha~/d, both sides have degree 2 in each, so are D^2 d^2 times theirs.
     """
     alt, (t, _) = L.alt, L.twisted
-    return leibniz_sides(alt, t, (((a, b), t[a, b], alt.get(a, b)) for a, b in pairs), triples)
+    return leibniz_sides(alt, t, (((a, b), t.get((a, b), {}), alt.get(a, b)) for a, b in pairs), triples)
 
 
 def verify_hom_jacobi(L: Hom3LieAlgebra) -> AlgebraReport:
@@ -260,8 +262,8 @@ def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra,
     lcols = {i: {r: d * d * dg * x for r, x in c.items()} for i, c in enumerate(cols)}
     rcols = [{r: dl * x for r, x in c.items()} for c in cols]
     keys = (key for key in (increasing_triples(L.dim) if triples is None else triples)
-            if left.get(*key) or not t[key[:2]].keys().isdisjoint(cols[key[2]]))
-    images = (((i, j, k), matvec(lcols, left.get(i, j, k)), matvec(t[i, j], rcols[k])) for i, j, k in keys)
+            if left.get(*key) or not t.get(key[:2], {}).keys().isdisjoint(cols[key[2]]))
+    images = ((key, matvec(lcols, left.get(*key)), matvec(t.get(key[:2], {}), rcols[key[2]])) for key in keys)
     return d ** 3 * dl * dg, ((key, lhs, rhs) for key, lhs, rhs in images if lhs != rhs)
 
 

@@ -75,20 +75,14 @@ class Verdict:
 
     @property
     def exit_code(self) -> int:
-        if self.error is not None:
-            return 1
-        return 0 if all(self.flags.values()) else 1
+        return 0 if self.error is None and all(self.flags.values()) else 1
 
     def render_text(self) -> str:
-        lines = [f"command: {self.command}"]
-        for name in self.inputs:
-            lines.append(f"input: {name}")
-        for name in sorted(self.flags):
-            lines.append(f"check {name}: {'pass' if self.flags[name] else 'FAIL'}")
+        lines = [f"command: {self.command}", *(f"input: {name}" for name in self.inputs)]
+        lines += [f"check {name}: {'pass' if self.flags[name] else 'FAIL'}" for name in sorted(self.flags)]
         if self.witnesses_total:
             lines.append(f"violations: {self.witnesses_total} (showing {len(self.witnesses)})")
-            for w in self.witnesses:
-                lines.append(f"  {w}")
+            lines += [f"  {w}" for w in self.witnesses]
         if self.error is not None:
             lines.append(f"error: {self.error}")
         return "\n".join(lines)
@@ -160,12 +154,8 @@ def cmd_extend(args: argparse.Namespace, verdict: Verdict) -> None:
         table = [{"args": [i + 1 for i in key], "value": vec_to_dense(v)}
                  for key in itertools.product(range(ext.dim), repeat=3)
                  if not (v := ext.value(*key)).is_zero()]
-        data = {
-            "dim": ext.dim,
-            "alpha_prime": mat_to_lists(ext.twist),
-            "table": table,
-            "skew": bool(report.skew_ok),
-        }
+        data = {"dim": ext.dim, "alpha_prime": mat_to_lists(ext.twist), "table": table,
+                "skew": bool(report.skew_ok)}
         # the literal extension rule is not skew, so only the
         # extension-theorem verdict and the twist check gate the exit
         report = replace(report, skew_ok=None)
@@ -200,12 +190,8 @@ def cmd_series(args: argparse.Namespace, verdict: Verdict) -> None:
             "ascending": "central_ascending"}[args.kind]
     result = series(alg, kind, max_steps=args.max_steps)
     verdict.flags["stabilized"] = result.stabilized
-    verdict.derived_data = {
-        "kind": result.kind,
-        "dims": [t.dim for t in result.terms],
-        "length": result.length,
-        "terms": [subspace_to_dict(t) for t in result.terms],
-    }
+    verdict.derived_data = {"kind": result.kind, "dims": [t.dim for t in result.terms],
+                            "length": result.length, "terms": [subspace_to_dict(t) for t in result.terms]}
 
 
 def cmd_metric(args: argparse.Namespace, verdict: Verdict) -> None:

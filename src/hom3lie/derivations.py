@@ -131,16 +131,17 @@ def derivation_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
         rows.append(row)
     # [D e_i, a^k e_j, a^k e_k] = [a^k e_j, a^k e_k, D e_i] is linear in column
     # i of D, with the twisted action T = tk[j, k] as coefficient matrix: D[r, i]
-    # meets T e_r, at each coordinate of T e_r; likewise for the other two slots.
+    # meets T e_r, at each coordinate of T e_r; likewise for the other two slots,
+    # where T_ki = -T_ik (:meth:`AltTable.pairs` holds i < k).
     tk = L.alt.pairs(akcols)
     for i, j, kk in increasing_triples(n):
         bval = L.alt.get(i, j, kk)
         by_out = {out: {out * n + t: d * d * b for t, b in bval.items()} for out in range(n) if bval}
-        for col, action in ((i, tk[j, kk]), (j, tk[kk, i]), (kk, tk[i, j])):
-            for r, vec in action.items():
+        for col, pair, sign in ((i, (j, kk), 1), (j, (i, kk), -1), (kk, (i, j), 1)):
+            for r, vec in tk.get(pair, {}).items():
                 for out, a in vec.items():
                     row = by_out.setdefault(out, {})
-                    row[r * n + col] = row.get(r * n + col, 0) - a
+                    row[r * n + col] = row.get(r * n + col, 0) - sign * a
         rows += by_out.values()
 
     # nonzero int rows, shortest first (less fill); the kernel takes ints as they are
@@ -167,7 +168,8 @@ def inner_derivation(L: Hom3LieAlgebra, u1: Vec, u2: Vec, k: int) -> Mat:
 
 def inner_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
     """Canonical span of the inner grade-k derivations (k >= 1): the maps
-    T_ab a^(k-1), row-major, with T_ab = [u_a, u_b, .] on the fixed basis.
+    T_ab a^(k-1), row-major, with T_ab = [u_a, u_b, .] on the fixed basis, a < b
+    and T_ab != 0 (any other T is 0 or the negation of one of these).
     Column c of one is T_ab applied to column c of a^(k-1); both are taken as
     numerators (:meth:`AltTable.pairs`, :func:`cleared`): a nonzero scale changes no span."""
     if k < 1:
@@ -176,8 +178,7 @@ def inner_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
     (akcols,), _ = cleared([ak.col(c).support for c in range(n)])
     t = L.alt.pairs([u.support for u in fixed.basis])
     gens = [Vec.sparse(n * n, {r * n + c: x for c, col in enumerate(akcols)
-                               for r, x in matvec(t[a, b], col).items()})
-            for a, b in itertools.combinations(range(fixed.dim), 2)]
+                               for r, x in matvec(m, col).items()}) for m in t.values()]
     return DerivationSpace(k, n, Subspace.span(n * n, gens))
 
 

@@ -32,7 +32,7 @@ from .representations import (
     _semidirect_table,
     coadjoint_rep,
 )
-from .sparse import AltTable, matvec, signed_perms
+from .sparse import AltTable, SparseMat, matvec, signed_perms
 
 
 @dataclass(frozen=True)
@@ -250,8 +250,9 @@ class MetricReport:
 def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> MetricReport:
     """Check B([x1,x2,x3], x4) + B([x1,x2,x4], x3) = 0 over basis 4-tuples.
 
-    That is, M_ab[c][d] = B([e_a, e_b, e_c], e_d) is skew.  M_ab is built
-    from the nonzero columns of [e_a, e_b, .], and only the (c, d) in the
+    That is, M_ab[c][d] = B([e_a, e_b, e_c], e_d) is skew.  Each stored key
+    x < y < z gives the rows M_xy[z] = -M_xz[y] = M_yz[x] = G^T [e_x, e_y, e_z],
+    and the other rows are 0 (possibly absent).  Only the (c, d) in the
     support of M_ab or of its transpose are visited, in sorted order; at
     every other (c, d) both terms are 0.  M_ab is skew in (a, b)
     (:class:`Sweep`).
@@ -267,9 +268,14 @@ def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> MetricReport:
     nondeg = rank(gram) == n
     (rows,), _ = cleared([row.support for row in gram.row_vecs])
     gt = dict(enumerate(rows))  # the columns of G^T
+    ms: dict[tuple[int, int], SparseMat] = {}
+    for x, y, z in alg.table:
+        row = matvec(gt, alg.alt.get(x, y, z))
+        for ab, c, r in (((x, y), z, row), ((x, z), y, {d: -v for d, v in row.items()}), ((y, z), x, row)):
+            ms.setdefault(ab, {})[c] = r
     log = Sweep(2)
     for a, b in log.reps(n):
-        m = {c: row for c, col in alg.alt.get(a, b).items() if (row := matvec(gt, col))}
+        m = ms.get((a, b), {})
         cells = {(c, d) for c, row in m.items() for d in row}
         for c, d in sorted(cells | {(d, c) for c, d in cells}):
             if m.get(c, {}).get(d, 0) + m.get(d, {}).get(c, 0) != 0:

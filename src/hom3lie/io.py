@@ -298,9 +298,10 @@ def _dump(value: Any, nl: str) -> str:
     if isinstance(value, Dumped):  # ensure_ascii output holds no raw newline
         return value[:-1].replace("\n", nl)
     inner = nl + "  "
-    if value and isinstance(value, dict):
+    if value and isinstance(value, dict):  # str leaves inline, as a sparse vector holds them
         return "{" + inner + ("," + inner).join(
-            _encode(k) + ": " + _dump(value[k], inner) for k in sorted(value)) + nl + "}"
+            _encode(k) + ": " + (_encode(v) if type(v := value[k]) is str else _dump(v, inner))
+            for k in sorted(value)) + nl + "}"
     if value and isinstance(value, (list, tuple)):  # a row of plain str in one C-level pass
         items = map(_encode, value) if set(map(type, value)) == {str} else (_dump(v, inner) for v in value)
         return "[" + inner + ("," + inner).join(items) + nl + "]"

@@ -106,10 +106,14 @@ class AltTable:
 
     def partial(self, *args: Support) -> SparseMat:
         """Numerators of the last slot as a sparse matrix, the other slots
-        fixed to ``args``: ``scale`` times it, with int values for int ``args``."""
+        fixed to ``args``: ``scale`` times it, with int values for int ``args``;
+        read-only, as at basis vectors (one node reached, coefficient 1) it is
+        that node of the trie, the leaf :meth:`get` returns."""
         level = [(self.trie, 1)]
         for x in args:
             level = [(node[i], c * xi) for node, c in level for i, xi in x.items() if i in node]
+        if len(level) == 1 and level[0][1] == 1:
+            return level[0][0]
         cols: dict[int, dict[int, Fraction]] = {}
         for node, c in level:
             for k, val in node.items():
@@ -117,19 +121,14 @@ class AltTable:
         return {k: s for k, col in cols.items() if (s := pruned(col))}
 
     def pairs(self, images: Sequence[Support]) -> dict[tuple[int, int], SparseMat]:
-        """:meth:`partial` of a three-slot map at every ordered pair of
-        ``images``: numerators, ``scale`` times the contractions.
+        """:meth:`partial` of a three-slot map at the pairs a < b of ``images``
+        (basis images or a subspace basis) where it is nonzero: numerators.
 
-        ``images`` are basis images (columns of a twist, a morphism or a
-        lift) or a subspace basis.  Each unordered pair is contracted once:
-        the map is alternating, so (b, a) is the exact negation of (a, b)
-        and (a, a) is empty.  Nothing is cached.
+        A pair left out contracts to 0, so callers read ``t.get((a, b), {})``;
+        the map is alternating, so (b, a) is -(a, b) and (a, a) is 0.  Nothing is cached.
         """
-        out: dict[tuple[int, int], SparseMat] = {(a, a): {} for a in range(len(images))}
-        for a, b in itertools.combinations(range(len(images)), 2):
-            out[a, b] = val = self.partial(images[a], images[b])
-            out[b, a] = {k: {t: -v for t, v in col.items()} for k, col in val.items()}
-        return out
+        return {(a, b): val for a, b in itertools.combinations(range(len(images)), 2)
+                if (val := self.partial(images[a], images[b]))}
 
     def basis_value(self, *idx: int) -> Vec:
         """The value on basis vectors given in any order: :meth:`get` over ``scale``."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebras import Hom3LieAlgebra, increasing_triples, quotient, subspace_bracket
+from .algebras import Hom3LieAlgebra, quotient, subspace_bracket
 from .errors import (
     ComplementInvalid,
     DimensionMismatch,
@@ -114,11 +114,22 @@ def is_isotropic(form: BilinForm, s: Subspace) -> bool:
 
 
 def isotropic_complement(form: BilinForm, iso: Subspace) -> Subspace:
-    """An isotropic complement of a maximal isotropic subspace.
+    """An isotropic complement of a maximal isotropic subspace (:func:`_complete`)."""
+    n, k, gram = form.dim, iso.dim, form.gram
+    if n != 2 * k:
+        raise HalfDimensionRequired("complement needs an isotropic subspace of half dimension")
+    if gram != gram.transpose() or rank(gram) != n:
+        raise MetricRequired("complement needs a symmetric non-degenerate form")
+    if not is_isotropic(form, iso):
+        raise IsotropicRequired("complement needs an isotropic subspace")
+    return _complete(form, iso)
 
-    Hyperbolic completion: one elimination, the RREF of the rows [G i_j | e_j],
-    gives f0_j with B(i_l, f0_j) the Kronecker delta and its free coordinates
-    at zero.  Every pivot lies below n: G is non-degenerate and the i_j are
+
+def _complete(form: BilinForm, iso: Subspace) -> Subspace:
+    """Hyperbolic completion of ``iso``, where :func:`isotropic_complement`'s
+    checks hold.  One elimination, the RREF of the rows [G i_j | e_j], gives
+    f0_j with B(i_l, f0_j) the Kronecker delta and its free coordinates at
+    zero.  Every pivot lies below n: G is non-degenerate and the i_j are
     independent, so no combination of the G i_j is 0.  Then
 
         f_j = f0_j - (1/2) h_jj i_j - sum_{l<j} h_jl i_l,  h_jl = B(f0_j, f0_l).
@@ -130,14 +141,8 @@ def isotropic_complement(form: BilinForm, iso: Subspace) -> Subspace:
     so duality holds, and they kill all products among the f's.  Needs
     characteristic zero.
     """
-    n, k, gram = form.dim, iso.dim, form.gram
-    if n != 2 * k:
-        raise HalfDimensionRequired("complement needs an isotropic subspace of half dimension")
-    if gram != gram.transpose() or rank(gram) != n:
-        raise MetricRequired("complement needs a symmetric non-degenerate form")
-    if not is_isotropic(form, iso):
-        raise IsotropicRequired("complement needs an isotropic subspace")
-    rows = dict(enumerate(r.support for r in gram.row_vecs))  # the columns of G^T, and G is symmetric
+    n, k = form.dim, iso.dim
+    rows = dict(enumerate(r.support for r in form.gram.row_vecs))  # the columns of G^T, and G is symmetric
     reduced = _eliminate({**matvec(rows, b.support), n + j: 1} for j, b in enumerate(iso.basis))
     f0 = [Vec.sparse(n, {p: row[c] for p, row in reduced.items() if c in row}) for c in range(n, n + k)]
     images = [Vec.sparse(n, matvec(rows, f.support)) for f in f0]
@@ -174,8 +179,8 @@ def reconstruct_t_star(
     Preconditions (each with its own error): the form is a metric for
     the algebra; the subspace is a twist-stable ideal, isotropic and of
     exactly half the dimension.  A supplied complement must be isotropic
-    and complementary; otherwise :func:`isotropic_complement` completes one,
-    whose checks repeat ones made here and so cannot fail.
+    and complementary; otherwise one is completed (:func:`_complete`) without
+    the checks of :func:`isotropic_complement`, which repeat ones made here.
 
     Such an ideal is abelian: B([i1,i2,g], h) = -B([g,i1,h], i2) = 0 by
     invariance, as [g,i1,h] lies in the isotropic ideal, and the form is
@@ -202,7 +207,7 @@ def reconstruct_t_star(
     if not is_isotropic(form, ideal):
         raise IsotropicRequired("reconstruction needs an isotropic ideal")
     if complement is None:
-        comp = isotropic_complement(form, ideal)
+        comp = _complete(form, ideal)
     else:
         comp = complement
         if (
@@ -227,8 +232,8 @@ def reconstruct_t_star(
     (cols,), d = cleared([v.support for v in lifts.row_vecs])
     (pcols,), e = cleared([v.support for v in pair.transpose().row_vecs])
     t, pcols, scale = alt.pairs(cols), dict(enumerate(pcols)), e * D * d ** 3
-    table = {(p, q, r): Vec.sparse(k, rational(matvec(pcols, matvec(t[p, q], cols[r])), scale))
-             for p, q, r in increasing_triples(k)}
+    table = {(p, q, r): Vec.sparse(k, rational(matvec(pcols, matvec(m, cols[r])), scale))
+             for (p, q), m in t.items() for r in range(q + 1, k)}
     theta = Cocycle(k, k, table)
 
     tstar, qform = t_star_extension(lq, theta)

@@ -15,8 +15,9 @@ extension's oracle evaluates the extension's documented meaning,
 :func:`extension_rule`, on every basis triple and every twisted
 basis image, where the library reads a closed form and L's own sweeps.
 :func:`hom_jacobi_sides` is the library's hom-Jacobi loop on the same
-integer tables, run on every instance where the library runs only on
-the candidates that can fail.
+integer tables, run on every instance and every ordered pair of
+twisted actions where the library runs only on the candidates that can
+fail and reads one orientation.
 
 The codec's oracles are ``io``'s writers and readers as they were before
 they walked supports: the writer formats every coordinate of the dense
@@ -42,7 +43,7 @@ from hom3lie.algebras import (
 )
 from hom3lie.extensions import CocycleReport, MetricReport
 from hom3lie.io import FileFormatError, _args_tuple, _expect, format_rat
-from hom3lie.linalg import Mat, Subspace, Vec, pruned
+from hom3lie.linalg import Mat, Subspace, Vec, cleared, pruned
 from hom3lie.representations import RepresentationReport
 from hom3lie.sparse import add_matvec, matvec
 
@@ -144,9 +145,12 @@ def hom_jacobi(L) -> AlgebraReport:
 
 def hom_jacobi_sides(L, pairs, triples) -> list:
     """``algebras.hom_jacobi_sides`` on every pair and every triple: the same
-    integer tables and mat-vecs, with no candidate selection, so that the
+    integer tables and mat-vecs, with no candidate selection and each twisted
+    action contracted by ``partial`` at its own ordered pair, so that the
     library's list must equal this one, in the same order."""
-    alt, (t, _) = L.alt, L.twisted
+    alt, n = L.alt, L.dim
+    (acols,), _ = cleared([L.twist.col(i).support for i in range(n)])
+    t = {(a, b): alt.partial(acols[a], acols[b]) for a, b in itertools.product(range(n), repeat=2)}
     failing = []
     for a, b in pairs:
         tab, bab = t[a, b], alt.get(a, b)

@@ -37,6 +37,8 @@ KERNEL = "tests/test_elimination_kernel.py::test_rref_rank_and_nullspace_match_t
 WIDE = "tests/test_elimination_kernel.py::test_wide_entries_match_the_dense_oracle"
 SUBSPACE_BRACKET = "tests/test_algebras.py::test_subspace_bracket_matches_the_span_of_all_ordered_triples"
 PAIRS = "tests/test_pairs.py::test_pairs_match_partial_and_evaluate_on_every_ordered_pair"
+LEAF = "tests/test_pairs.py::test_partial_at_basis_vectors_is_the_stored_leaf"
+NUMERATORS = "tests/test_pairs.py::test_get_partial_and_pairs_are_numerators_over_the_scale"
 RECONSTRUCTION = "tests/test_pairs.py::test_reconstruction_matches_the_change_of_basis_construction"
 THETA = "tests/test_pairs.py::test_reconstructed_theta_matches_direct_brackets"
 IDEAL = "tests/test_algebras.py::test_is_ideal_and_quotient_match_the_brute_force_oracle"
@@ -144,19 +146,26 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "j + 1 if same23 else 0", "j + 2 if same23 else 0",
      (SUBSPACE_BRACKET,)),
     ("bracket-images-filter-reads-the-right-side-only", "algebras.py",
-     "if left.get(*key) or not t[key[:2]]", "if not t[key[:2]]",
+     "if left.get(*key) or not t.get(key[:2], {})", "if not t.get(key[:2], {})",
      (IMAGES, SWEEPS + "test_hom_jacobi_and_multiplicativity_match_the_dense_sweeps")),
     ("bracket-images-reuse-the-source-bracket-for-any-target", "algebras.py",
      "(G.alt, G.alt.scale)", "(L.alt, L.alt.scale)",
      (MORPHISM,)),
-    ("pairs-no-negation", "sparse.py",
-     "out[b, a] = {k: {t: -v for t, v in col.items()} for k, col in val.items()}",
-     "out[b, a] = val",
-     (TRUNCATED, PAIRS)),
-    ("pairs-diagonal-non-empty", "sparse.py",
-     "{(a, a): {} for a in range(len(images))}",
-     "{(a, a): {a: {a: Fraction(1)}} for a in range(len(images))}",
+    ("partial-shares-the-leaf-at-any-coefficient", "sparse.py",
+     "if len(level) == 1 and level[0][1] == 1:", "if len(level) == 1:",
+     (LEAF, NUMERATORS)),
+    ("pairs-keeps-empty-contractions", "sparse.py",
+     "if (val := self.partial(images[a], images[b]))}", "if (val := self.partial(images[a], images[b])) or 1}",
      (PAIRS,)),
+    ("leibniz-lower-orientation-unsigned", "algebras.py",
+     "{r: -a for r, a in y[i].items()} if negated else y[i]", "y[i]",
+     (SIDES, LEIBNIZ, TRUNCATED)),
+    ("derivation-lower-orientation-unsigned", "derivations.py",
+     "(j, (i, kk), -1)", "(j, (i, kk), 1)",
+     (DERIVATIONS,)),
+    ("metric-middle-row-unsigned", "extensions.py",
+     "((x, z), y, {d: -v for d, v in row.items()})", "((x, z), y, row)",
+     (METRIC,)),
     ("metric-no-transpose", "extensions.py",
      "sorted(cells | {(d, c) for c, d in cells})", "sorted(cells)",
      (TRUNCATED, METRIC)),

@@ -1,24 +1,29 @@
 """``AltTable.pairs`` and the code built on it, against direct evaluation.
 
-``pairs`` contracts each unordered pair of images once and fills in the
-other order by negation and the diagonal as empty.  The first test
-checks every ordered pair against ``partial`` and ``evaluate`` on
-random three-slot tables and images; ``pairs`` and ``partial`` return
-numerators, ``scale`` times the map, so ``evaluate`` is compared with
-them over the scale.  The second holds ``get``, ``partial`` and
-``pairs`` to that contract against the dense oracle, on a bracket, an
-action block and a cocycle with coprime denominators and on an empty
-table; the others check the candidates of ``_bracket_images`` against
-every triple and ``preserves_bracket``,
-``inner_space`` and the theta table of ``reconstruct_t_star`` against
-brackets evaluated one by one through ``Hom3LieAlgebra.bracket`` (the
-theta table through the dense oracle's), and theta and sigma against
-the change-of-basis construction, on T*-doubles carried along maps with
-denominators 3, 7 and 11.
+``pairs`` contracts each pair a < b of images once and keeps it only
+when the contraction is nonzero; (b, a) is its negation and (a, a) is
+empty.  The first test checks every ordered pair, through that rule,
+against ``partial`` and ``evaluate`` on random three-slot tables and
+images; ``pairs`` and ``partial`` return numerators, ``scale`` times the
+map, so ``evaluate`` is compared with them over the scale.  The second
+holds ``get``, ``partial`` and ``pairs`` to that contract against the
+dense oracle, on a bracket, an action block and a cocycle with coprime
+denominators and on an empty table, and the third ``partial`` at basis
+vectors, which hands out the trie's own leaf, against ``get`` and the
+oracle; a CLI run of ``reconstruct``, ``verify``, ``derivations
+--inner``, ``metric`` and ``series`` must leave every trie as it was
+built.  The others check the candidates of ``_bracket_images`` against
+every triple and ``preserves_bracket``, ``inner_space`` and the theta
+table of ``reconstruct_t_star`` against brackets evaluated one by one
+through ``Hom3LieAlgebra.bracket`` (the theta table through the dense
+oracle's), and theta and sigma against the change-of-basis construction,
+on T*-doubles carried along maps with denominators 3, 7 and 11.
 """
 
+import copy
 import itertools
 from fractions import Fraction
+from functools import cached_property
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,6 +36,7 @@ from hom3lie.fixtures import l3
 from hom3lie.linalg import Mat, Subspace, Vec, inverse, rational
 from hom3lie.sparse import AltTable, matvec
 from hom3lie.structure import isotropic_complement, reconstruct_t_star
+from test_cli_bytes import run, write_inputs
 from test_sparse_sweeps import (
     BASES,
     carried,
@@ -99,16 +105,20 @@ def pair_cases(draw):
           [0, 0, 1]))
 @given(pair_cases())
 def test_pairs_match_partial_and_evaluate_on_every_ordered_pair(case):
+    """Each ordered pair read through the contract (a < b as kept, else 0; (b, a)
+    negated; (a, a) empty) is ``partial`` and ``evaluate``: so every pair left
+    out has an empty contraction."""
     table, ims, z = case
     dim = table.dim
     got = table.pairs(ims)
-    assert set(got) == set(itertools.product(range(len(ims)), repeat=2))
-    for a, b in got:
+    assert all(a < b and val for (a, b), val in got.items())
+    for a, b in itertools.product(range(len(ims)), repeat=2):
         x, y = Vec.sparse(dim, ims[a]), Vec.sparse(dim, ims[b])
-        assert got[a, b] == table.partial(ims[a], ims[b])
-        assert rational(matvec(got[a, b], support(z)), table.scale) == table.evaluate(x, y, Vec(z)).support
-        if a == b:
-            assert got[a, b] == {}
+        val = got.get((min(a, b), max(a, b)), {}) if a != b else {}
+        if a > b:
+            val = {k: {t: -v for t, v in col.items()} for k, col in val.items()}
+        assert val == table.partial(ims[a], ims[b])
+        assert rational(matvec(val, support(z)), table.scale) == table.evaluate(x, y, Vec(z)).support
 
 
 @st.composite
@@ -143,11 +153,31 @@ def test_get_partial_and_pairs_are_numerators_over_the_scale(case):
         assert all(type(a) is int for a in got.values())
         assert rational(got, scale) == oracle.skew_value(alt.values, zero, key).support
     got = alt.pairs(ims)
-    for a, b in got:
+    assert all(a < b for a, b in got)
+    for a, b in itertools.combinations(range(len(ims)), 2):
         x, y = Vec.sparse(dim, ims[a]), Vec.sparse(dim, ims[b])
         cols = {c: oracle.multilinear(alt.values, zero, x, y, Vec.basis(dim, c)).support for c in range(dim)}
         want = {c: {t: scale * v for t, v in col.items()} for c, col in cols.items() if col}
-        assert got[a, b] == want == alt.partial(ims[a], ims[b])
+        assert got.get((a, b), {}) == want == alt.partial(ims[a], ims[b])
+
+
+@settings(max_examples=40, deadline=None)
+@given(numerator_cases(), st.sampled_from([1, Fraction(1)]), st.sampled_from([-1, 2, Fraction(1, 3)]))
+def test_partial_at_basis_vectors_is_the_stored_leaf(case, one, c):
+    """``partial`` at two unit basis vectors returns the object ``get`` returns
+    wherever that is nonzero, and the oracle's contraction times ``scale``; at
+    any other coefficient a new dict, that many times it, leaving the leaf as it was."""
+    alt, _ = case
+    zero, dim, scale = Vec.zero(alt.size), alt.dim, alt.scale
+    for a, b in itertools.product(range(dim), repeat=2):
+        x, y = Vec.basis(dim, a), Vec.basis(dim, b)
+        cols = {k: oracle.multilinear(alt.values, zero, x, y, Vec.basis(dim, k)).support for k in range(dim)}
+        want = {k: {t: scale * v for t, v in col.items()} for k, col in cols.items() if col}
+        leaf, got = alt.get(a, b), alt.partial({a: one}, {b: 1})
+        assert got == leaf == want and (got is leaf or not leaf)
+        scaled = alt.partial({a: c}, {b: 1})
+        assert scaled is not leaf and alt.get(a, b) == want
+        assert scaled == {k: {t: c * v for t, v in col.items()} for k, col in want.items()}
 
 
 def _preserves_directly(phi: Mat, L, G) -> bool:
@@ -350,3 +380,34 @@ def test_reconstruction_matches_the_change_of_basis_construction(case):
         g, form, ideal, comp or isotropic_complement(form, ideal))
     assert result.theta == theta
     assert result.sigma == sigma
+
+
+def test_cli_runs_leave_every_trie_as_it_was_built(tmp_path, monkeypatch):
+    """``get`` and ``partial`` at basis vectors hand out the trie's own leaves,
+    so a caller that changed one would change the map.  Each trie built while
+    ``reconstruct`` runs on the T*-double of A4 (identity twist) and on that of
+    A4y + L3 (its complement completed, then supplied), and ``verify``,
+    ``derivations --k 1 --inner``, ``metric`` and every ``series`` kind on
+    A4y + L3 and its T*-double, is deep-copied as it is built, and equals
+    that copy after the runs."""
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    built, build = [], AltTable.trie.func
+
+    def recorded(self):
+        trie = build(self)
+        built.append((trie, copy.deepcopy(trie)))
+        return trie
+
+    prop = cached_property(recorded)
+    prop.__set_name__(AltTable, "trie")
+    monkeypatch.setattr(AltTable, "trie", prop)
+    runs = [["reconstruct", "tstar.json", "q.json", "ideal.json"]]
+    runs += [["reconstruct", "tstar-A4yL3.json", "q14.json", "ideal14.json", *comp] for comp in ([], ["base14.json"])]
+    runs += [["verify", "A4yL3.json"], ["derivations", "A4yL3.json", "--k", "1", "--inner"],
+             ["metric", "tstar-A4yL3.json", "q14.json"]]
+    runs += [["series", name, "--kind", kind] for name in ("A4yL3.json", "tstar-A4yL3.json")
+             for kind in ("derived", "descending", "ascending")]
+    assert [run(argv, [])[0] for argv in runs] == [0] * len(runs)
+    assert len(built) >= len(runs)
+    assert all(trie == before for trie, before in built)
