@@ -28,8 +28,9 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .errors import DimensionMismatch, IdealRequired
-from .linalg import Mat, Subspace, Vec, cleared, pruned, rank, rational, subspace_contains
-from .sparse import AltTable, SparseMat, add_matvec, matvec, signed_perms
+from .linalg import (Mat, SparseMat, Subspace, Vec, add_matvec, cleared, matvec, pruned, rank, rational,
+                     subspace_contains)
+from .sparse import AltTable, signed_perms
 
 MAX_WITNESSES = 16
 
@@ -129,9 +130,12 @@ class Sweep:
     other lies in one orbit, with residual the representative's times the
     sign of its block permutations.  So :meth:`add` counts the orbit, and
     the witnesses are the MAX_WITNESSES smallest violating tuples with
-    signed sides, as in the sweep over all ordered tuples; once that many
-    are kept, only a tuple before the last kept (orbits are disjoint) can
-    enter.  Without blocks, orbits are single tuples, kept in the order added.
+    signed sides, as in the sweep over all ordered tuples.  Once that many
+    are kept, an orbit whose representative does not sort before the last
+    kept is only counted: every caller passes a tuple of :meth:`reps`, the
+    least member of its orbit, and orbits are disjoint, so none of its
+    members could enter.  Without blocks, orbits are single tuples, kept
+    in the order added, so none enters once that many are kept.
     """
 
     def __init__(self, *blocks: int) -> None:
@@ -150,12 +154,10 @@ class Sweep:
     def add(self, rep: tuple[int, ...], *sides: Vec) -> None:
         """Record the orbit of a violating representative with its sides."""
         self.total += len(self.maps)
+        if len(self.kept) == MAX_WITNESSES and (not self.blocks or rep >= self.kept[-1][0]):
+            return
         w = sum(self.blocks)
-        new = [(tuple(rep[i] for i in m) + rep[w:], s, sides) for m, s in self.maps]
-        if self.blocks and len(self.kept) == MAX_WITNESSES:
-            if not (new := [entry for entry in new if entry[0] < self.kept[-1][0]]):
-                return
-        self.kept += new
+        self.kept += [(tuple(rep[i] for i in m) + rep[w:], s, sides) for m, s in self.maps]
         if self.blocks:
             self.kept.sort(key=lambda entry: entry[0])
         del self.kept[MAX_WITNESSES:]
@@ -208,12 +210,12 @@ def leibniz_sides(alt: AltTable, t: dict, ops: Iterable, triples: Iterable[tuple
     for key, x, y in ops:
         for p in sorted({*(live if x else ()), *(q for i in y for q in holding.get(i, ()))}):
             u, v, w, buvw = triples[p]
-            lhs = matvec(x, buvw)
-            acc: dict = {}
+            lhs, rhs = {}, {}
+            add_matvec(lhs, x, buvw)
             for i, m, negated in terms[p]:
                 if i in y:
-                    add_matvec(acc, m, {r: -a for r, a in y[i].items()} if negated else y[i])
-            if lhs != (rhs := pruned(acc)):
+                    add_matvec(rhs, m, y[i], -1 if negated else 1)
+            if lhs != rhs and (lhs := pruned(lhs)) != (rhs := pruned(rhs)):
                 yield (*key, u, v, w), lhs, rhs
 
 
@@ -306,14 +308,15 @@ def is_ideal(L: Hom3LieAlgebra, s: Subspace) -> bool:
     Twist stability is required so the quotient twist is well defined.
     Integers: v lies in s iff (e proj) v~ = 0 (:attr:`Subspace.projection`)
     for any nonzero multiple v~ of v, so with the twist and the basis of s
-    cleared, each basis vector b is tested for alpha~ b and for every
-    column of the bracket's numerators [b, e_j, .], for each j.
+    cleared apart (a unit basis vector stays one, and :meth:`AltTable.partial`
+    hands out its stored node), each basis vector b is tested for alpha~ b
+    and for every column of the bracket's numerators [b, e_j, .], for each j.
     """
     if s.ambient_dim != L.dim:
         raise DimensionMismatch("subspace ambient dimension does not match the algebra")
     _, proj, _ = s.projection
-    (acols, basis), _ = cleared([L.twist.col(i).support for i in range(L.dim)],
-                                [v.support for v in s.basis])
+    (acols,), _ = cleared([L.twist.col(i).support for i in range(L.dim)])
+    (basis,), _ = cleared([v.support for v in s.basis])
     acols = dict(enumerate(acols))
     return (all(not matvec(proj, matvec(acols, b)) for b in basis)
             and all(not matvec(proj, col) for b in basis for j in range(L.dim)

@@ -31,8 +31,8 @@ from .algebras import (
     verify_regular,
 )
 from .errors import DimensionMismatch, FixedPointRequired, RegularTwistRequired
-from .linalg import Mat, Subspace, Support, Vec, cleared, nullspace, pruned, subspace_contains
-from .sparse import matvec, signed_perms
+from .linalg import Mat, Subspace, Support, Vec, cleared, matvec, nullspace, pruned, subspace_contains
+from .sparse import signed_perms
 
 
 def twist_power(L: Hom3LieAlgebra, k: int) -> Mat:

@@ -24,7 +24,7 @@ from .algebras import (
     preserves_bracket,
 )
 from .errors import CocycleInvalid, DimensionMismatch, RepresentationInvalid
-from .linalg import Mat, Vec, cleared, rank
+from .linalg import Mat, SparseMat, Vec, cleared, matvec, rank
 from .representations import (
     CocycleReport,
     Representation,
@@ -32,7 +32,7 @@ from .representations import (
     _semidirect_table,
     coadjoint_rep,
 )
-from .sparse import AltTable, SparseMat, matvec, signed_perms
+from .sparse import AltTable, signed_perms
 
 
 @dataclass(frozen=True)

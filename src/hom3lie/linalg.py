@@ -10,10 +10,12 @@ safe to share between workers.
 
 Vectors are stored as *supports*: dicts mapping a coordinate to a
 nonzero Fraction, read-only once built; a matrix is a tuple of row
-vectors.  Dense entries are only a derived view.  Every elimination
-(``rref``, ``rank``, ``nullspace``, ``solve``, ``inverse`` and
-``Subspace.span``) runs on one sparse, fraction-free Gauss-Jordan
-routine over the row supports cleared to ints.
+vectors.  Dense entries are only a derived view.  Every sparse product
+(``Mat @ Mat``, a projection, a contraction) accumulates in one loop,
+:func:`add_matvec`, and every elimination (``rref``, ``rank``,
+``nullspace``, ``solve``, ``inverse`` and ``Subspace.span``) runs on one
+sparse, fraction-free Gauss-Jordan routine over the row supports cleared
+to ints.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .errors import DimensionMismatch
 
 Scalar = Union[Fraction, int, str]
 Support = dict[int, Fraction]
+SparseMat = dict[int, Support]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -256,13 +259,8 @@ class Mat:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out = []
-        for v in self.row_vecs:
-            acc: dict[int, Fraction] = {}
-            for k, a in v.support.items():
-                add_scaled(acc, a, other.row_vecs[k].support)
-            out.append(Vec.sparse(other.cols, pruned(acc)))
-        return Mat.sparse(other.cols, out)
+        rows = {k: v.support for k, v in enumerate(other.row_vecs)}
+        return Mat.sparse(other.cols, [Vec.sparse(other.cols, matvec(rows, v.support)) for v in self.row_vecs])
 
     def apply(self, v: Vec) -> Vec:
         """Matrix-vector product."""
@@ -314,6 +312,21 @@ def add_scaled(acc: dict[int, Fraction], c: Fraction, s: Support) -> None:
 
 def pruned(acc: dict[int, Fraction]) -> Support:
     return {t: a for t, a in acc.items() if a}
+
+
+def add_matvec(acc: dict[int, Fraction], m: SparseMat, x: Support, sign: int = 1) -> None:
+    """acc += sign m x in place, sign 1 or -1; cancellations leave zeros (see :func:`pruned`)."""
+    for c, xc in x.items():
+        if c in m:
+            f = xc if sign > 0 else -xc
+            for t, a in m[c].items():
+                acc[t] = acc[t] + f * a if t in acc else f * a
+
+
+def matvec(m: SparseMat, x: Support) -> Support:
+    acc: dict[int, Fraction] = {}
+    add_matvec(acc, m, x)
+    return pruned(acc)
 
 
 def integral(s: Support, scale: int = 0) -> dict[int, int]:
@@ -491,10 +504,7 @@ def subspace_contains(a: Subspace, v: Vec) -> bool:
     """v lies in a iff its projection along a is 0 (:attr:`Subspace.projection`)."""
     if len(v) != a.ambient_dim:
         raise DimensionMismatch("vector length does not match ambient dimension")
-    acc, (_, proj, _) = {}, a.projection
-    for g, x in v.support.items():
-        add_scaled(acc, x, proj[g])
-    return not pruned(acc)
+    return not matvec(a.projection[1], v.support)
 
 
 def subspace_leq(a: Subspace, b: Subspace) -> bool:

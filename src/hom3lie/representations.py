@@ -36,8 +36,8 @@ from .algebras import (
     increasing_triples,
 )
 from .errors import DimensionMismatch
-from .linalg import Mat, Vec, rational
-from .sparse import AltTable, SparseMat
+from .linalg import Mat, SparseMat, Vec, rational
+from .sparse import AltTable
 
 
 @dataclass(frozen=True)

@@ -25,28 +25,13 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch
-from .linalg import Support, Vec, add_scaled, integral, pruned, rational
-
-SparseMat = dict[int, Support]
+from .linalg import SparseMat, Support, Vec, add_scaled, integral, matvec, pruned, rational
 
 
 def signed_perms(k: int) -> list[tuple[tuple[int, ...], int]]:
     """All permutations of range(k) with their signs, in itertools order."""
     return [(p, (-1) ** sum(a > b for a, b in itertools.combinations(p, 2)))
             for p in itertools.permutations(range(k))]
-
-
-def add_matvec(acc: dict[int, Fraction], m: SparseMat, x: Support) -> None:
-    """acc += m x in place."""
-    for c, xc in x.items():
-        if c in m:
-            add_scaled(acc, xc, m[c])
-
-
-def matvec(m: SparseMat, x: Support) -> Support:
-    acc: dict[int, Fraction] = {}
-    add_matvec(acc, m, x)
-    return pruned(acc)
 
 
 class AltTable:

@@ -29,8 +29,8 @@ from .errors import (
     MetricRequired,
 )
 from .extensions import BilinForm, Cocycle, is_isometry, t_star_extension, verify_metric
-from .linalg import Mat, Subspace, Vec, _eliminate, cleared, inverse, nullspace, rank, rational, subspace_sum
-from .sparse import matvec
+from .linalg import (Mat, Subspace, Vec, _eliminate, cleared, inverse, matvec, nullspace, rank, rational,
+                     subspace_sum)
 
 SERIES_KINDS = ("derived", "central_descending", "central_ascending")
 

@@ -43,9 +43,8 @@ from hom3lie.algebras import (
 )
 from hom3lie.extensions import CocycleReport, MetricReport
 from hom3lie.io import FileFormatError, _args_tuple, _expect, format_rat
-from hom3lie.linalg import Mat, Subspace, Vec, cleared, pruned
+from hom3lie.linalg import Mat, Subspace, Vec, add_matvec, cleared, matvec, pruned
 from hom3lie.representations import RepresentationReport
-from hom3lie.sparse import add_matvec, matvec
 
 
 def skew_value(table: dict, zero, idx: tuple[int, ...]):

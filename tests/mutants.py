@@ -70,6 +70,8 @@ COMPLEMENT = "tests/test_structure.py::test_isotropic_complement_matches_the_seq
 COMPLEMENT_EXAMPLES = "tests/test_structure.py::test_isotropic_complement_examples"
 IMAGES = "tests/test_pairs.py::test_bracket_images_yield_what_every_increasing_triple_yields"
 CODEC = "tests/test_codec_oracle.py::"
+SWEEP_ORACLE = SWEEPS + "test_sweep_keeps_what_merging_every_member_and_sorting_keeps"
+SIGNED_MATVEC = "tests/test_sparse_linalg.py::test_add_matvec_adds_the_signed_dense_product_in_place"
 ROWS_WRITER = "tests/test_canonical_dumps.py::test_rows_and_dicts_of_plain_strings_match_json_dumps"
 
 # (name, file under src/hom3lie, old text, new text, tests that must fail)
@@ -158,8 +160,17 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "if (val := self.partial(images[a], images[b]))}", "if (val := self.partial(images[a], images[b])) or 1}",
      (PAIRS,)),
     ("leibniz-lower-orientation-unsigned", "algebras.py",
-     "{r: -a for r, a in y[i].items()} if negated else y[i]", "y[i]",
+     "-1 if negated else 1", "1",
      (SIDES, LEIBNIZ, TRUNCATED)),
+    ("leibniz-compares-unpruned-sides", "algebras.py",
+     "if lhs != rhs and (lhs := pruned(lhs)) != (rhs := pruned(rhs)):", "if lhs != rhs:",
+     (SIDES, LEIBNIZ)),
+    ("add-matvec-ignores-the-sign", "linalg.py",
+     "f = xc if sign > 0 else -xc", "f = xc",
+     (SIGNED_MATVEC, SIDES, LEIBNIZ)),
+    ("sweep-early-exit-before-the-witnesses-are-full", "algebras.py",
+     "if len(self.kept) == MAX_WITNESSES and", "if self.kept and",
+     (SWEEP_ORACLE, TRUNCATED)),
     ("derivation-lower-orientation-unsigned", "derivations.py",
      "(j, (i, kk), -1)", "(j, (i, kk), 1)",
      (DERIVATIONS,)),

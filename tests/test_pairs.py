@@ -33,8 +33,8 @@ from hom3lie.algebras import _bracket_images, direct_sum, increasing_triples, is
 from hom3lie.derivations import fixed_space, inner_space, twist_power
 from hom3lie.extensions import BilinForm, Cocycle, cyclic_part, t_star_extension
 from hom3lie.fixtures import l3
-from hom3lie.linalg import Mat, Subspace, Vec, inverse, rational
-from hom3lie.sparse import AltTable, matvec
+from hom3lie.linalg import Mat, Subspace, Vec, inverse, matvec, rational
+from hom3lie.sparse import AltTable
 from hom3lie.structure import isotropic_complement, reconstruct_t_star
 from test_cli_bytes import run, write_inputs
 from test_sparse_sweeps import (

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hom3lie.errors import DimensionMismatch
-from hom3lie.linalg import Mat, Vec
+from hom3lie.linalg import Mat, Vec, add_matvec, pruned
 
 ZERO = Fraction(0)
 
@@ -173,6 +173,35 @@ def test_mat_products_match_dense(data):
     assert clean(a.apply(Vec(z))) == expected
     # a product that cancels to zero everywhere stores nothing
     assert clean_mat(a @ (b - b)) == (ZERO,) * (n * m)
+
+
+@pytest.mark.parametrize("kind", [int, Fraction])
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda s: st.tuples(st.just(s), dense_mats(*s), dense_vecs(s[1]), dense_vecs(s[0]))),
+    st.sampled_from([1, -1]))
+def test_add_matvec_adds_the_signed_dense_product_in_place(kind, data, sign):
+    """acc += sign m x on dict supports: the values keep their type (ints stay
+    ints), and a coordinate the sum cancels keeps a stored zero for pruned."""
+    (n, k), x, z, w = data
+    if kind is int:
+        x, z, w = ([int(2 * a) for a in t] for t in (x, z, w))
+    m = {c: {r: x[r * k + c] for r in range(n) if x[r * k + c]} for c in range(k)}
+    acc = {r: a for r, a in enumerate(w) if a}
+    before = dict(acc)
+    add_matvec(acc, m, {c: a for c, a in enumerate(z) if a}, sign)
+    want = [w[r] + sign * sum(x[r * k + c] * z[c] for c in range(k)) for r in range(n)]
+    assert {r: a for r, a in enumerate(want) if a} == pruned(acc)
+    assert all(acc[r] == want[r] and type(acc[r]) is kind for r in acc)
+    assert before.keys() <= acc.keys()
+
+
+def test_add_matvec_leaves_cancellations_as_zeros():
+    acc = {0: 2}
+    add_matvec(acc, {0: {0: 2, 1: 1}, 1: {1: 1}}, {0: 1, 1: -1}, -1)
+    assert acc == {0: 0, 1: 0} and pruned(acc) == {}
+    acc = {}
+    add_matvec(acc, {0: {0: Fraction(1, 2)}, 1: {0: Fraction(1, 2)}}, {0: Fraction(1), 1: Fraction(-1)})
+    assert acc == {0: 0} and type(acc[0]) is Fraction and pruned(acc) == {}
 
 
 @given(st.integers(0, 4).flatmap(lambda n: st.tuples(st.just(n), dense_mats(n, n),

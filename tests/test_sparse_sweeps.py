@@ -22,6 +22,7 @@ drawn separately from 1, 3, 7 and 11, so that a wrong multiplier shows.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -556,6 +557,44 @@ def test_orbits_partition_the_tuples_with_distinct_indices_in_each_block(blocks)
     for rep in log.reps(n):
         log.add(rep + tail, Vec.of(1), Vec.of(2))
     assert log.total == len(seen) and log.witnesses == sorted(seen)[:MAX_WITNESSES]
+
+
+@st.composite
+def sweep_streams(draw):
+    """Block sizes and a shuffled stream of distinct representatives (increasing
+    in each block, then a free tail) whose orbits hold more than MAX_WITNESSES
+    members."""
+    blocks = draw(st.sampled_from([(), (2,), (3,), (2, 2), (3, 2)]))
+    n = draw(st.integers(4, 6))
+    heads = list(Sweep(*blocks).reps(n))
+    tails = list(itertools.product(range(n), repeat=2 if blocks else 3))
+    size = math.prod(math.factorial(k) for k in blocks)
+    reps = draw(st.lists(st.tuples(st.sampled_from(heads), st.sampled_from(tails)).map(lambda p: p[0] + p[1]),
+                         min_size=MAX_WITNESSES // size + 1, max_size=3 * MAX_WITNESSES, unique=True))
+    return blocks, draw(st.permutations(reps))
+
+
+@given(sweep_streams())
+def test_sweep_keeps_what_merging_every_member_and_sorting_keeps(stream):
+    """The early exit of Sweep.add against every member of every orbit: with
+    blocks the smallest MAX_WITNESSES, without them the first added."""
+    blocks, reps = stream
+    width = sum(blocks)
+    log, members = Sweep(*blocks), []
+    for k, rep in enumerate(reps):
+        sides = (Vec.of(k), Vec.of(-k))
+        log.add(rep, *sides)
+        for perm in itertools.product(*(itertools.permutations(part) for part in _blocks_of(rep, blocks))):
+            member = sum(perm, ()) + rep[width:]
+            sign = 1
+            for part in perm:
+                sign *= _parity(part)
+            members.append((member, sign, sides))
+    if blocks:
+        members.sort(key=lambda entry: entry[0])
+    assert log.total == len(members) > MAX_WITNESSES
+    assert log.kept == members[:MAX_WITNESSES]
+    assert log.witnesses == [member for member, _, _ in members[:MAX_WITNESSES]]
 
 
 def _interleaved(indices, blocks: tuple[int, ...]) -> bool:
