@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Optional
 from .errors import DimensionMismatch, IdealRequired
 from .linalg import (Mat, SparseMat, Subspace, Vec, add_matvec, cleared, matvec, pruned, rank, rational,
                      subspace_contains)
-from .sparse import AltTable, signed_perms
+from .sparse import AltTable, signed_perms, splits
 
 MAX_WITNESSES = 16
 
@@ -57,7 +57,7 @@ class Hom3LieAlgebra:
         n = self.dim
         if self.twist.rows != n or self.twist.cols != n:
             raise DimensionMismatch("twist must be a square matrix of the algebra dimension")
-        alt = AltTable(3, n, n, self.table, "bracket")
+        alt = AltTable(n, n, self.table, "bracket")
         object.__setattr__(self, "table", alt.values)
         object.__setattr__(self, "alt", alt)
 
@@ -180,11 +180,6 @@ def _report(w: Sweep, identity: str, n: int, scale: int, sides: Iterable = ()) -
     return AlgebraReport(**{f"{identity}_ok": w.clean}, violations_total=w.total, violations=kept)
 
 
-def _jacobi_scale(L: Hom3LieAlgebra) -> int:
-    """The scale of the sides of :func:`hom_jacobi_sides` on L."""
-    return (L.alt.scale * L.twisted[1]) ** 2
-
-
 def leibniz_sides(alt: AltTable, t: dict, ops: Iterable, triples: Iterable[tuple[int, int, int]]) -> Iterator:
     """The failing instances of the Leibniz rule of X over Y, for each (key, X, Y)
     of ``ops`` and (u, v, w) of ``triples``, as (*key, u, v, w) with both sides:
@@ -192,7 +187,7 @@ def leibniz_sides(alt: AltTable, t: dict, ops: Iterable, triples: Iterable[tuple
         X B_uvw == T_vw Y e_u - T_uw Y e_v + T_uv Y e_w,
 
     B the numerators of ``alt``, T its twisted actions ``t`` (:meth:`AltTable.pairs`,
-    so u < v < w: T_wu is -T_uw, and the sign goes on the column Y e_v), X and Y
+    so u < v < w: each term takes the sign of its :func:`splits`), X and Y
     sparse int matrices.  Per operator only candidates are visited, in the
     order of ``triples``: those in the support of B if X != 0, and for each
     column i of Y those holding i with T of the other two, in cyclic order,
@@ -201,8 +196,7 @@ def leibniz_sides(alt: AltTable, t: dict, ops: Iterable, triples: Iterable[tuple
     """
     triples = [(u, v, w, alt.get(u, v, w)) for u, v, w in triples]
     live = [p for p, (*_, buvw) in enumerate(triples) if buvw]
-    terms = [[(i, t[jk], i == v) for i, jk in ((u, (v, w)), (v, (u, w)), (w, (u, v))) if jk in t]
-             for u, v, w, _ in triples]
+    terms = [[(i, t[jk], s) for i, jk, s in splits(u, v, w) if jk in t] for u, v, w, _ in triples]
     holding: dict[int, list[int]] = {}
     for p, row in enumerate(terms):
         for i, *_ in row:
@@ -212,17 +206,17 @@ def leibniz_sides(alt: AltTable, t: dict, ops: Iterable, triples: Iterable[tuple
             u, v, w, buvw = triples[p]
             lhs, rhs = {}, {}
             add_matvec(lhs, x, buvw)
-            for i, m, negated in terms[p]:
+            for i, m, s in terms[p]:
                 if i in y:
-                    add_matvec(rhs, m, y[i], -1 if negated else 1)
+                    add_matvec(rhs, m, y[i], s)
             if lhs != rhs and (lhs := pruned(lhs)) != (rhs := pruned(rhs)):
                 yield (*key, u, v, w), lhs, rhs
 
 
 def hom_jacobi_sides(L: Hom3LieAlgebra, pairs: Iterable[tuple[int, int]],
-                     triples: Iterable[tuple[int, int, int]]) -> Iterator:
-    """The failing hom-Jacobi instances of L at (e_a, e_b; e_u, e_v, e_w), a < b and u < v < w, on
-    ``pairs`` x ``triples``, as (a, b, u, v, w) with both sides as int supports:
+                     triples: Iterable[tuple[int, int, int]]) -> tuple[int, Iterator]:
+    """A scale and the failing hom-Jacobi instances of L at (e_a, e_b; e_u, e_v, e_w), a < b and
+    u < v < w, on ``pairs`` x ``triples``, as (a, b, u, v, w) with both sides as int supports:
     with T_ab = [alpha e_a, alpha e_b, .] and B_abc = [e_a, e_b, e_c], skewness
     ([X, a v, a w] = [a v, a w, X], [a u, X, a w] = [a w, a u, X]) makes each the
     Leibniz rule of T_ab over B_ab. (:func:`leibniz_sides`),
@@ -230,10 +224,11 @@ def hom_jacobi_sides(L: Hom3LieAlgebra, pairs: Iterable[tuple[int, int]],
         T_ab B_uvw == T_vw B_abu + T_wu B_abv + T_uv B_abw.
 
     Integers (:attr:`Hom3LieAlgebra.twisted`): with B = B~/D and alpha =
-    alpha~/d, both sides have degree 2 in each, so are D^2 d^2 times theirs.
+    alpha~/d, both sides have degree 2 in each, so are D^2 d^2 times theirs: the scale.
     """
-    alt, (t, _) = L.alt, L.twisted
-    return leibniz_sides(alt, t, (((a, b), t.get((a, b), {}), alt.get(a, b)) for a, b in pairs), triples)
+    alt, (t, d) = L.alt, L.twisted
+    ops = (((a, b), t.get((a, b), {}), alt.get(a, b)) for a, b in pairs)
+    return (alt.scale * d) ** 2, leibniz_sides(alt, t, ops, triples)
 
 
 def verify_hom_jacobi(L: Hom3LieAlgebra) -> AlgebraReport:
@@ -241,8 +236,7 @@ def verify_hom_jacobi(L: Hom3LieAlgebra) -> AlgebraReport:
     the increasing triples: by multilinearity and skewness, the identity on
     all vectors.  Both sides are skew in (a, b) (:class:`Sweep`)."""
     n, w = L.dim, Sweep(2)
-    sides = hom_jacobi_sides(L, w.reps(n), increasing_triples(n))
-    return _report(w, "hom_jacobi", n, _jacobi_scale(L), sides)
+    return _report(w, "hom_jacobi", n, *hom_jacobi_sides(L, w.reps(n), increasing_triples(n)))
 
 
 def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra,
@@ -290,9 +284,15 @@ def verify_regular(L: Hom3LieAlgebra) -> AlgebraReport:
 
 
 def _twist_stable(L: Hom3LieAlgebra, s: Subspace) -> bool:
+    """alpha s <= s.  Integers: v lies in s iff (e proj) v~ = 0 (:attr:`Subspace.projection`)
+    for any nonzero multiple v~ of v, so with the twist and the basis of s cleared
+    apart, each basis vector b is tested for alpha~ b."""
     if s.ambient_dim != L.dim:
         raise DimensionMismatch("subspace ambient dimension does not match the algebra")
-    return all(subspace_contains(s, L.twist.apply(v)) for v in s.basis)
+    (acols,), _ = cleared([L.twist.col(i).support for i in range(L.dim)])
+    (basis,), _ = cleared([v.support for v in s.basis])
+    acols = dict(enumerate(acols))
+    return all(not matvec(s.projection[1], matvec(acols, b)) for b in basis)
 
 
 def is_subalgebra(L: Hom3LieAlgebra, s: Subspace) -> bool:
@@ -305,22 +305,17 @@ def is_subalgebra(L: Hom3LieAlgebra, s: Subspace) -> bool:
 def is_ideal(L: Hom3LieAlgebra, s: Subspace) -> bool:
     """True iff s is twist-stable and [s, L, L] lies in s.
 
-    Twist stability is required so the quotient twist is well defined.
-    Integers: v lies in s iff (e proj) v~ = 0 (:attr:`Subspace.projection`)
-    for any nonzero multiple v~ of v, so with the twist and the basis of s
-    cleared apart (a unit basis vector stays one, and :meth:`AltTable.partial`
-    hands out its stored node), each basis vector b is tested for alpha~ b
-    and for every column of the bracket's numerators [b, e_j, .], for each j.
+    Twist stability (:func:`_twist_stable`) is required so the quotient twist
+    is well defined.  Integers, as there: with the basis of s cleared (a unit
+    basis vector stays one, and :meth:`AltTable.partial` hands out its stored
+    node), each basis vector b is tested for every column of the bracket's
+    numerators [b, e_j, .], for each j.
     """
-    if s.ambient_dim != L.dim:
-        raise DimensionMismatch("subspace ambient dimension does not match the algebra")
-    _, proj, _ = s.projection
-    (acols,), _ = cleared([L.twist.col(i).support for i in range(L.dim)])
+    if not _twist_stable(L, s):
+        return False
     (basis,), _ = cleared([v.support for v in s.basis])
-    acols = dict(enumerate(acols))
-    return (all(not matvec(proj, matvec(acols, b)) for b in basis)
-            and all(not matvec(proj, col) for b in basis for j in range(L.dim)
-                    for col in L.alt.partial(b, {j: 1}).values()))
+    return all(not matvec(s.projection[1], col) for b in basis for j in range(L.dim)
+               for col in L.alt.partial(b, {j: 1}).values())
 
 
 def direct_sum(L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> Hom3LieAlgebra:

@@ -23,7 +23,6 @@ from .algebras import (
     Hom3LieAlgebra,
     Sweep,
     _bracket_images,
-    _jacobi_scale,
     _report,
     hom_jacobi_sides,
     increasing_triples,
@@ -32,7 +31,7 @@ from .algebras import (
 )
 from .errors import DimensionMismatch, FixedPointRequired, RegularTwistRequired
 from .linalg import Mat, Subspace, Support, Vec, cleared, matvec, nullspace, pruned, subspace_contains
-from .sparse import signed_perms
+from .sparse import signed_perms, splits
 
 
 def twist_power(L: Hom3LieAlgebra, k: int) -> Mat:
@@ -131,13 +130,12 @@ def derivation_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
         rows.append(row)
     # [D e_i, a^k e_j, a^k e_k] = [a^k e_j, a^k e_k, D e_i] is linear in column
     # i of D, with the twisted action T = tk[j, k] as coefficient matrix: D[r, i]
-    # meets T e_r, at each coordinate of T e_r; likewise for the other two slots,
-    # where T_ki = -T_ik (:meth:`AltTable.pairs` holds i < k).
+    # meets T e_r, at each coordinate of T e_r; likewise for the other :func:`splits`.
     tk = L.alt.pairs(akcols)
     for i, j, kk in increasing_triples(n):
         bval = L.alt.get(i, j, kk)
         by_out = {out: {out * n + t: d * d * b for t, b in bval.items()} for out in range(n) if bval}
-        for col, pair, sign in ((i, (j, kk), 1), (j, (i, kk), -1), (kk, (i, j), 1)):
+        for col, pair, sign in splits(i, j, kk):
             for r, vec in tk.get(pair, {}).items():
                 for out, a in vec.items():
                     row = by_out.setdefault(out, {})
@@ -273,10 +271,9 @@ def derivation_extension(L: Hom3LieAlgebra, d: Mat) -> tuple[DerivationExtension
                   + _report(at_n, "multiplicative", nn, 1, slots).violations, key=lambda v: v.indices)
 
     own, leibniz = Sweep(2), Sweep()
-    sides = hom_jacobi_sides(L, own.reps(n), increasing_triples(n))
+    base = _report(own, "hom_jacobi", nn, *hom_jacobi_sides(L, own.reps(n), increasing_triples(n))).violations
     rows = _report(leibniz, "hom_jacobi", nn, *_leibniz(L, d, 1)).violations
-    jac = sorted([*_report(own, "hom_jacobi", nn, _jacobi_scale(L), sides).violations,
-                  *(replace(v, indices=(x, n, *v.indices)) for x in range(nn) for v in rows)],
+    jac = sorted([*base, *(replace(v, indices=(x, n, *v.indices)) for x in range(nn) for v in rows)],
                  key=lambda v: v.indices)
     jac_total = own.total + nn * leibniz.total
     mult_total = below.total + at_n.total

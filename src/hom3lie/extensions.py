@@ -32,7 +32,7 @@ from .representations import (
     _semidirect_table,
     coadjoint_rep,
 )
-from .sparse import AltTable, signed_perms
+from .sparse import AltTable, splits
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class Cocycle:
     alt: AltTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        alt = AltTable(3, self.algebra_dim, self.module_dim, self.table, "cocycle")
+        alt = AltTable(self.algebra_dim, self.module_dim, self.table, "cocycle")
         object.__setattr__(self, "table", alt.values)
         object.__setattr__(self, "alt", alt)
 
@@ -211,19 +211,19 @@ def cyclic_part(th: Cocycle) -> Cocycle:
     Viewing theta as a 4-tensor W(i,j,k,l) = theta(i,j,k)(l), the
     identity says W is antisymmetric in (k, l); combined with skewness
     in (i,j,k) that makes W totally antisymmetric, so the projector is
-    full alternation over S4: per increasing 4-tuple, 24 signed lookups on
-    the numerators over 24 D (D = ``alt.scale``), written at its four
-    (triple, l) with the sign that moves l to the end.
+    full alternation over S4.  Per increasing 4-tuple w, theta being alternating
+    in its first three slots, its 24 signed terms are 6 times the four at the
+    splits (w less w_r, w_r), each signed to move w_r to the end: their sum on the
+    numerators over 4 D (D = ``alt.scale``) is written there with the same signs.
     """
     n = th.algebra_dim
     if th.module_dim != n:
         raise DimensionMismatch("cyclic projection concerns cocycles with values in L*")
-    alt, D = th.alt, th.alt.scale
-    perms, table = signed_perms(4), {}
+    alt, D, table = th.alt, th.alt.scale, {}
     for w in itertools.combinations(range(n), 4):
-        if s := sum(sign * alt.get(w[p[0]], w[p[1]], w[p[2]]).get(w[p[3]], 0) for p, sign in perms):
+        if s := sum(alt.get(*w[:r], *w[r + 1:]).get(w[r], 0) * (1 if r % 2 else -1) for r in range(4)):
             for r in range(4):
-                table.setdefault(w[:r] + w[r + 1:], {})[w[r]] = Fraction(s if r % 2 else -s, 24 * D)
+                table.setdefault(w[:r] + w[r + 1:], {})[w[r]] = Fraction(s if r % 2 else -s, 4 * D)
     return Cocycle(n, n, {key: Vec.sparse(n, col) for key, col in sorted(table.items())})
 
 
@@ -251,11 +251,11 @@ def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> MetricReport:
     """Check B([x1,x2,x3], x4) + B([x1,x2,x4], x3) = 0 over basis 4-tuples.
 
     That is, M_ab[c][d] = B([e_a, e_b, e_c], e_d) is skew.  Each stored key
-    x < y < z gives the rows M_xy[z] = -M_xz[y] = M_yz[x] = G^T [e_x, e_y, e_z],
-    and the other rows are 0 (possibly absent).  Only the (c, d) in the
-    support of M_ab or of its transpose are visited, in sorted order; at
-    every other (c, d) both terms are 0.  M_ab is skew in (a, b)
-    (:class:`Sweep`).
+    x < y < z gives the rows M_ab[c] = s G^T [e_x, e_y, e_z] at its
+    :func:`splits` (c, (a, b), s), and the other rows are 0 (possibly
+    absent).  Only the (c, d) in the support of M_ab or of its transpose
+    are visited, in sorted order; at every other (c, d) both terms are 0.
+    M_ab is skew in (a, b) (:class:`Sweep`).
 
     Integers: from the numerators B~ = D B and the rows of the Gram matrix
     G = G~/s (:func:`cleared`), M_ab is built D s times itself, skew iff it is.
@@ -269,10 +269,10 @@ def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> MetricReport:
     (rows,), _ = cleared([row.support for row in gram.row_vecs])
     gt = dict(enumerate(rows))  # the columns of G^T
     ms: dict[tuple[int, int], SparseMat] = {}
-    for x, y, z in alg.table:
-        row = matvec(gt, alg.alt.get(x, y, z))
-        for ab, c, r in (((x, y), z, row), ((x, z), y, {d: -v for d, v in row.items()}), ((y, z), x, row)):
-            ms.setdefault(ab, {})[c] = r
+    for key in alg.table:
+        row = matvec(gt, alg.alt.get(*key))
+        for c, ab, s in splits(*key):
+            ms.setdefault(ab, {})[c] = row if s > 0 else {d: -v for d, v in row.items()}
     log = Sweep(2)
     for a, b in log.reps(n):
         m = ms.get((a, b), {})

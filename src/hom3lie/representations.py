@@ -30,14 +30,13 @@ from .algebras import (
     Hom3LieAlgebra,
     Sweep,
     _bracket_images,
-    _jacobi_scale,
     _report,
     hom_jacobi_sides,
     increasing_triples,
 )
 from .errors import DimensionMismatch
 from .linalg import Mat, SparseMat, Vec, rational
-from .sparse import AltTable
+from .sparse import AltTable, splits
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ class Representation:
         n, m = self.algebra_dim, self.module_dim
         if (self.twist.rows, self.twist.cols) != (m, m):
             raise DimensionMismatch("module twist must be square of the module dimension")
-        alt = AltTable(3, n + m, n + m, self.table, "action")
+        alt = AltTable(n + m, n + m, self.table, "action")
         for key, value in self.table.items():  # (i, j, n + c) to a module vector
             if key[1] >= n or key[2] < n or min(value.support, default=n) < n:
                 raise DimensionMismatch(f"action value for {key} lies outside the [L, L, V] block")
@@ -114,12 +113,13 @@ def verify_representation(L: Hom3LieAlgebra, r: Representation) -> Representatio
 
 
 def adjoint_rep(L: Hom3LieAlgebra) -> Representation:
-    """The algebra acting on itself by ad(x, y) = [x, y, .]: each stored B_abc,
-    a < b < c, is ad(e_a, e_b) e_c, ad(e_b, e_c) e_a and -ad(e_a, e_c) e_b."""
+    """The algebra acting on itself by ad(x, y) = [x, y, .]: each stored B_xyz
+    is s ad(e_a, e_b) e_c at each of its :func:`splits` (c, (a, b), s)."""
     n, table = L.dim, {}
-    for (a, b, c), value in L.table.items():
-        table[a, b, n + c] = table[b, c, n + a] = Vec.zero(n).concat(value)
-        table[a, c, n + b] = -table[a, b, n + c]
+    for key, value in L.table.items():
+        image = Vec.zero(n).concat(value)
+        for c, (a, b), s in splits(*key):
+            table[a, b, n + c] = image if s > 0 else -image
     return Representation(n, n, L.twist, table)
 
 
@@ -201,7 +201,8 @@ def _extension_sweep(E: Hom3LieAlgebra, n: int) -> tuple[RepresentationReport, C
                lambda u, _, x, y, z: (x, y, z, u)),
               (r3, low, [(x, y, c) for x, y in low for c in module], lambda x, y, z, u, _: (x, y, z, u)))
     for log, pairs, triples, part in blocks:
-        for key, lhs, rhs in hom_jacobi_sides(E, pairs, triples):
+        jscale, sides = hom_jacobi_sides(E, pairs, triples)
+        for key, lhs, rhs in sides:
             jacobi.add(key, lhs, rhs)
             if {k: a for k, a in lhs.items() if k >= n} != {k: a for k, a in rhs.items() if k >= n}:
                 found[log].add(part(*key))
@@ -215,5 +216,5 @@ def _extension_sweep(E: Hom3LieAlgebra, n: int) -> tuple[RepresentationReport, C
                                witnesses=tuple(witnesses[:MAX_WITNESSES]),
                                violations_total=twist.total + r2.total + r3.total)
     co = CocycleReport(ok=cocycle.clean, witnesses=tuple(cocycle.witnesses), violations_total=cocycle.total)
-    own = _report(jacobi, "hom_jacobi", E.dim, _jacobi_scale(E))
+    own = _report(jacobi, "hom_jacobi", E.dim, jscale)
     return rep, co, replace(own.merged(_report(mult, "multiplicative", E.dim, scale)), skew_ok=True)

@@ -34,25 +34,32 @@ def signed_perms(k: int) -> list[tuple[tuple[int, ...], int]]:
             for p in itertools.permutations(range(k))]
 
 
+def splits(u: int, v: int, w: int) -> tuple[tuple[int, tuple[int, int], int], ...]:
+    """The splits (c, (a, b), s) of an increasing key u < v < w, one per index c, a < b
+    the other two: [e_a, e_b, e_c] is s times [e_u, e_v, e_w].  Every reader of a
+    three-slot table at increasing pairs (:meth:`AltTable.pairs`) takes its signs here."""
+    return (u, (v, w), 1), (v, (u, w), -1), (w, (u, v), 1)
+
+
 class AltTable:
-    """Alternating multilinear map (Q^dim)^arity -> Q^size.
+    """Alternating trilinear map (Q^dim)^3 -> Q^size.
 
     ``values`` holds the nonzero values on strictly increasing keys, and
     ``scale`` their least common denominator D (1 if there are none).  The
-    map is held once, as numerators: every ordering of every stored key is
-    indexed in ``trie``, nested dicts whose leaves are signed int supports
-    of D times the value, so a lookup on any ordered key is a few dict
-    reads.  :meth:`get`, :meth:`partial` and :meth:`pairs` return
-    numerators, and :meth:`basis_value` and :meth:`evaluate` divide by D.
+    map is held once, as numerators: every ordering of every stored key
+    (its :func:`splits`, each pair both ways) is indexed in ``trie``, nested
+    dicts whose leaves are signed int supports of D times the value, so a
+    lookup on any ordered key is a few dict reads.  :meth:`get`,
+    :meth:`partial` and :meth:`pairs` return numerators, and
+    :meth:`basis_value` and :meth:`evaluate` divide by D.
     The trie is built on first use; loading pays for validation and D.
     """
 
-    def __init__(self, arity: int, dim: int, size: int,
-                 values: Mapping[tuple[int, ...], Vec], what: str) -> None:
-        self.arity, self.dim, self.size, self.what = arity, dim, size, what
+    def __init__(self, dim: int, size: int, values: Mapping[tuple[int, ...], Vec], what: str) -> None:
+        self.dim, self.size, self.what = dim, size, what
         self.values: dict[tuple[int, ...], Vec] = {}
         for key, value in values.items():
-            if (len(key) != arity or not 0 <= key[0] <= key[-1] < dim
+            if (len(key) != 3 or not 0 <= key[0] <= key[-1] < dim
                     or any(a >= b for a, b in zip(key, key[1:]))):
                 raise DimensionMismatch(f"{what} key {key} is not strictly increasing in range")
             if value.n != size:  # len() fails past sys.maxsize
@@ -64,23 +71,19 @@ class AltTable:
     @cached_property
     def trie(self) -> dict:
         trie: dict = {}
-        perms = signed_perms(self.arity)
         for key, value in self.values.items():
             pos = integral(value.support, self.scale)
             neg = {t: -a for t, a in pos.items()}
-            for p, sign in perms:
-                node = trie
-                for slot in p[:-1]:
-                    node = node.setdefault(key[slot], {})
-                node[key[p[-1]]] = pos if sign == 1 else neg
+            for c, (a, b), s in splits(*key):  # [e_b, e_a, e_c] is -[e_a, e_b, e_c]
+                trie.setdefault(a, {}).setdefault(b, {})[c] = pos if s > 0 else neg
+                trie.setdefault(b, {}).setdefault(a, {})[c] = neg if s > 0 else pos
         return trie
 
     def get(self, *idx: int) -> dict[int, int]:
         """Numerators of the value on basis vectors given in any order:
         ``scale`` times the value, as a signed int support.
 
-        With one index fewer than the arity, ``scale`` times the sparse
-        matrix of the last slot instead.
+        With two indices, ``scale`` times the sparse matrix of the last slot instead.
         """
         node = self.trie
         for i in idx:

@@ -31,6 +31,7 @@ from .errors import (
 from .extensions import BilinForm, Cocycle, is_isometry, t_star_extension, verify_metric
 from .linalg import (Mat, Subspace, Vec, _eliminate, cleared, inverse, matvec, nullspace, rank, rational,
                      subspace_sum)
+from .sparse import splits
 
 SERIES_KINDS = ("derived", "central_descending", "central_ascending")
 
@@ -55,13 +56,13 @@ def _centralizer(L: Hom3LieAlgebra, target: Subspace) -> Subspace:
     (j, k, g), g a non-pivot of I, holding e proj [e_a, e_j, e_k] at g in
     column a (:attr:`Subspace.projection`), on the numerators (:meth:`AltTable.get`),
     as a nonzero scale changes no kernel.  The stored key x < y < z gives the
-    entries of column x in the rows of (y, z), of column y in those of (x, z),
-    with sign -1, and of column z in those of (x, y), and no other key does."""
+    entry of column a in the rows of (j, k), with its sign, for each of its
+    :func:`splits` (a, (j, k), sign), and no other key does."""
     _, proj, _ = target.projection
     rows: dict[tuple[int, int, int], dict[int, int]] = {}
     for x, y, z in L.table:
         for g, c in matvec(proj, L.alt.get(x, y, z)).items():
-            for (j, k), a, sign in (((y, z), x, 1), ((x, z), y, -1), ((x, y), z, 1)):
+            for a, (j, k), sign in splits(x, y, z):
                 rows.setdefault((j, k, g), {})[a] = sign * c
     return nullspace(Mat.sparse(L.dim, [Vec.sparse(L.dim, r) for r in rows.values()]))
 

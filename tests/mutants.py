@@ -159,8 +159,8 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("pairs-keeps-empty-contractions", "sparse.py",
      "if (val := self.partial(images[a], images[b]))}", "if (val := self.partial(images[a], images[b])) or 1}",
      (PAIRS,)),
-    ("leibniz-lower-orientation-unsigned", "algebras.py",
-     "-1 if negated else 1", "1",
+    ("leibniz-drops-the-split-sign", "algebras.py",
+     "add_matvec(rhs, m, y[i], s)", "add_matvec(rhs, m, y[i])",
      (SIDES, LEIBNIZ, TRUNCATED)),
     ("leibniz-compares-unpruned-sides", "algebras.py",
      "if lhs != rhs and (lhs := pruned(lhs)) != (rhs := pruned(rhs)):", "if lhs != rhs:",
@@ -171,11 +171,11 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("sweep-early-exit-before-the-witnesses-are-full", "algebras.py",
      "if len(self.kept) == MAX_WITNESSES and", "if self.kept and",
      (SWEEP_ORACLE, TRUNCATED)),
-    ("derivation-lower-orientation-unsigned", "derivations.py",
-     "(j, (i, kk), -1)", "(j, (i, kk), 1)",
+    ("derivation-drops-the-split-sign", "derivations.py",
+     "row.get(r * n + col, 0) - sign * a", "row.get(r * n + col, 0) - a",
      (DERIVATIONS,)),
-    ("metric-middle-row-unsigned", "extensions.py",
-     "((x, z), y, {d: -v for d, v in row.items()})", "((x, z), y, row)",
+    ("metric-drops-the-split-sign", "extensions.py",
+     "row if s > 0 else {d: -v for d, v in row.items()}", "row",
      (METRIC,)),
     ("metric-no-transpose", "extensions.py",
      "sorted(cells | {(d, c) for c, d in cells})", "sorted(cells)",
@@ -205,16 +205,16 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "return self.row_vecs == other.row_vecs",
      (VEC_MAT,)),
     ("cyclic-part-unsigned", "extensions.py",
-     "sum(sign * alt.get(", "sum(alt.get(",
+     ".get(w[r], 0) * (1 if r % 2 else -1)", ".get(w[r], 0)",
      (CYCLIC,)),
     ("cyclic-part-position-unsigned", "extensions.py",
-     "Fraction(s if r % 2 else -s, 24 * D)", "Fraction(s, 24 * D)",
+     "Fraction(s if r % 2 else -s, 4 * D)", "Fraction(s, 4 * D)",
      (CYCLIC,)),
     ("bracket-images-multiplier-d", "algebras.py",
      "{r: d * d * dg * x for", "{r: d * dg * x for",
      (MORPHISM,)),
     ("hom-jacobi-witness-scale-drops-a-d", "algebras.py",
-     "(L.alt.scale * L.twisted[1]) ** 2", "L.alt.scale ** 2 * L.twisted[1]",
+     "(alt.scale * d) ** 2", "alt.scale ** 2 * d",
      (TRUNCATED,)),
     ("action-rows-without-module-offset", "representations.py",
      "{r - n: a for r, a in cols.get(n + c, {}).items()}", "{r: a for r, a in cols.get(n + c, {}).items()}",
@@ -261,9 +261,21 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("complement-diagonal-dropped", "structure.py",
      "for l in range(j + 1):", "for l in range(j):",
      (COMPLEMENT, COMPLEMENT_EXAMPLES)),
-    ("centralizer-middle-placement-unsigned", "structure.py",
-     "((x, z), y, -1)", "((x, z), y, 1)",
+    ("centralizer-drops-the-split-sign", "structure.py",
+     "[a] = sign * c", "[a] = c",
      (CENTRALIZER, CLI_BYTES)),
+    ("adjoint-drops-the-split-sign", "representations.py",
+     "image if s > 0 else -image", "image",
+     (LITERAL_ACTIONS, CLI_BYTES)),
+    ("splits-middle-unsigned", "sparse.py",
+     "(v, (u, w), -1)", "(v, (u, w), 1)",
+     (NUMERATORS,)),
+    ("trie-swapped-pair-unsigned", "sparse.py",
+     "neg if s > 0 else pos", "pos if s > 0 else neg",
+     (PAIRS, NUMERATORS)),
+    ("twist-stable-skips-the-twist", "algebras.py",
+     "matvec(s.projection[1], matvec(acols, b))", "matvec(s.projection[1], b)",
+     (IDEAL, "tests/test_algebras.py::test_subalgebra_and_ideal_examples")),
     ("metric-reads-gram-columns", "extensions.py",
      "cleared([row.support for row in gram.row_vecs])",
      "cleared([gram.col(c).support for c in range(n)])",

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as oracle
@@ -311,6 +311,7 @@ def subspace_cases(draw):
 
 @settings(max_examples=100)
 @given(subspace_cases())
+@example((ab3s(), span(3, Vec.of(1, 1, 0))))  # [s, L, L] = 0 lies in s, but alpha s does not
 def test_is_ideal_and_quotient_match_the_brute_force_oracle(case):
     L, s = case
     ideal = oracle.is_ideal(L, s)

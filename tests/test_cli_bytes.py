@@ -40,8 +40,9 @@ extension sweep reach the output.  ``verify`` runs with the default checks
 and with ``--checks regular`` on A4y, A4y + L3, A4 with the shear twist
 (which fails hom-Jacobi), L3 with a twist that is not multiplicative and
 L3 with a singular twist, and on A4 with an unknown check after a known one
-(exit 2); ``series`` runs every kind on A4y + L3 and on
-its T*-double, and the descending and ascending kinds on N4 and on its
+(exit 2), and on a file whose bracket value is a list, and ``reconstruct``
+on a subspace file whose basis is no list (exit 2 each); ``series`` runs
+every kind on A4y + L3 and on its T*-double, and the descending and ascending kinds on N4 and on its
 T*-double along theta = 0, whose ascending series have three terms,
 and, as ``--json`` only, the ascending kind on N4 carried along a map
 with denominators 3, 7 and 11 and on its T*-double along theta = 0,
@@ -211,7 +212,8 @@ CASES = [
     for out in ([], ["--output", "out.json"])
 ] + [
     [*mode, "verify", *args] for args in VERIFY for mode in ([], ["--json"])
-] + [["verify", "A4.json", "--checks", "jacobi,bogus"]] + [
+] + [["verify", "A4.json", "--checks", "jacobi,bogus"], ["verify", "L3-list-value.json"],
+      ["reconstruct", "tstar.json", "q.json", "basis-not-list.json"]] + [
     [*mode, "series", *args] for args in SERIES for mode in ([], ["--json"])
 ] + [
     ["--json", "series", name, "--kind", "ascending"] for name in ("N4-carried.json", "tstar-N4-carried.json")
@@ -250,8 +252,9 @@ def write_inputs(d: Path) -> None:
     L, A, Ay, N = l3(), a4(), yau_twisted_a4(), carried_n4()
     Ay3 = direct_sum(Ay, L)
     commuting = Ay.twist.scale(2) + Mat.identity(4) - Ay.twist @ Ay.twist
-    nonmult = algebra_to_dict(L)
+    nonmult, list_value = algebra_to_dict(L), algebra_to_dict(L)
     nonmult["alpha"] = [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "1"]]
+    list_value["brackets"][0]["value"] = ["1", "0", "0"]
     files = {
         "L3.json": algebra_to_dict(L),
         "L3-singular.json": algebra_to_dict(l3h(0)),
@@ -265,6 +268,8 @@ def write_inputs(d: Path) -> None:
         "tstar-N4-carried.json": algebra_to_dict(t_star_extension(N, Cocycle.zero(4, 4))[0]),
         "A4-shear.json": algebra_to_dict(Hom3LieAlgebra(4, A.table, Mat.identity(4) + elementary(4, 0, 1))),
         "L3-nonmult.json": nonmult,
+        "L3-list-value.json": list_value,
+        "basis-not-list.json": {"ambient_dim": 8, "basis": "1"},
         "D.json": matrix_to_dict(Mat.diagonal([0, 1, -1])),
         "D-bad.json": matrix_to_dict(elementary(3, 1, 0)),
         "D-2x2.json": matrix_to_dict(Mat.identity(2)),

@@ -414,7 +414,7 @@ def test_hom_jacobi_sides_yield_the_unrestricted_loop_in_order(case, data):
     (hom-Jacobi, the cocycle sweep), and on an extension E = L + V along an
     action and a drawn theta, the pairs (u, n + c) with the increasing
     triples of L ((R2)) and the pairs x < y with the triples (z, u, n + c)
-    ((R3))."""
+    ((R3)); its scale is (D d)^2, for the numerators D B and d alpha."""
     L, r = case
     n = L.dim
     E = L if r is None else _semidirect_table(L, r, drawn_cocycle(data, n, r.module_dim).table)
@@ -424,7 +424,9 @@ def test_hom_jacobi_sides_yield_the_unrestricted_loop_in_order(case, data):
         inputs += [(list(itertools.product(range(n), module)), list(increasing_triples(n))),
                    (low, [(z, u, c) for z, u in low for c in module])]
     for pairs, triples in inputs:
-        assert list(hom_jacobi_sides(E, pairs, triples)) == oracle.hom_jacobi_sides(E, pairs, triples)
+        scale, sides = hom_jacobi_sides(E, pairs, triples)
+        assert scale == (E.alt.scale * E.twisted[1]) ** 2
+        assert list(sides) == oracle.hom_jacobi_sides(E, pairs, triples)
 
 
 @settings(max_examples=30)
