@@ -52,7 +52,7 @@ def main() -> int:
             result = reconstruct_t_star(ext, q, dual)
             if result.isometry_ok and result.theta.table == theta.table:
                 recovered += 1
-            assert metric.metric_ok
+            assert metric.ok
         print(
             f"{name}: {recovered}/{args.samples} exact round trips"
             f" ({nonzero} with a nonzero cocycle)"

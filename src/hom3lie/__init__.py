@@ -14,8 +14,8 @@ cli              the ``hom3lie`` command
 """
 
 from .algebras import (
-    AlgebraReport,
     Hom3LieAlgebra,
+    Report,
     Violation,
     direct_sum,
     graph,

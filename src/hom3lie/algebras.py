@@ -23,7 +23,7 @@ strictly increasing triples (u, v, w).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
@@ -82,43 +82,45 @@ class Hom3LieAlgebra:
 
 @dataclass(frozen=True)
 class Violation:
-    """One failed instance of an identity, with both evaluated sides."""
+    """One failed instance of an identity, with both evaluated sides if its check keeps them."""
 
     identity: str
     indices: tuple[int, ...]
-    left: Vec
-    right: Vec
+    left: Optional[Vec] = None
+    right: Optional[Vec] = None
 
 
 @dataclass(frozen=True)
-class AlgebraReport:
-    """Outcome of verification sweeps over an algebra.
-
-    Flags are None when the corresponding identity was not checked.
-    Witnesses are capped at MAX_WITNESSES; ``violations_total`` is the
-    exact count.
+class Report:
+    """Outcome of identity sweeps: ``flags`` maps each check that ran to
+    whether it held, ``violations`` are the first MAX_WITNESSES witnesses
+    and ``violations_total`` is the exact count.
     """
 
-    skew_ok: Optional[bool] = None
-    hom_jacobi_ok: Optional[bool] = None
-    multiplicative_ok: Optional[bool] = None
-    regular_ok: Optional[bool] = None
+    flags: dict[str, bool] = field(default_factory=dict)
     violations: tuple[Violation, ...] = ()
     violations_total: int = 0
-    FLAGS = ("skew_ok", "hom_jacobi_ok", "multiplicative_ok", "regular_ok")  # unannotated: no field
+
+    def __getattr__(self, name: str) -> bool:
+        """``<check>_ok`` reads ``flags[<check>]``, for perfbench; a check that did not run has none."""
+        flags = self.__dict__.get("flags", {})
+        if name.endswith("_ok") and name[:-3] in flags:
+            return flags[name[:-3]]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def ok(self) -> bool:
-        """True when every checked identity holds."""
-        return not any(getattr(self, flag) is False for flag in self.FLAGS)
+        """True when every check that ran holds; ``twist_invariant`` is informational."""
+        return all(ok for name, ok in self.flags.items() if name != "twist_invariant")
 
-    def merged(self, other: "AlgebraReport") -> "AlgebraReport":
-        """The flags checked in either, anded where both checked; witnesses in order."""
-        both = {flag: (getattr(self, flag), getattr(other, flag)) for flag in self.FLAGS}
-        return AlgebraReport(**{flag: b if a is None else a if b is None else a and b
-                                for flag, (a, b) in both.items()},
-                             violations=(self.violations + other.violations)[:MAX_WITNESSES],
-                             violations_total=self.violations_total + other.violations_total)
+    def merged(self, *others: "Report") -> "Report":
+        """The flags of all, anded where shared; the witnesses in order, cut to MAX_WITNESSES."""
+        reports, flags = (self, *others), {}
+        for r in reports:
+            for name, ok in r.flags.items():
+                flags[name] = flags.get(name, True) and ok
+        return Report(flags, tuple(v for r in reports for v in r.violations)[:MAX_WITNESSES],
+                      sum(r.violations_total for r in reports))
 
 
 class Sweep:
@@ -166,18 +168,15 @@ class Sweep:
     def clean(self) -> bool:
         return self.total == 0
 
-    @property
-    def witnesses(self) -> list[tuple[int, ...]]:
-        return [m for m, _, _ in self.kept]
 
-
-def _report(w: Sweep, identity: str, n: int, scale: int, sides: Iterable = ()) -> AlgebraReport:
-    """The report of ``w`` with the failing ``sides`` added, supports ``scale`` times theirs."""
+def _report(w: Sweep, identity: str, n: int = 0, scale: int = 1, sides: Iterable = ()) -> Report:
+    """The report of ``w`` with the failing ``sides`` added, supports of dimension n and
+    ``scale`` times theirs; a witness added without sides keeps none."""
     for key, lhs, rhs in sides:
         w.add(key, lhs, rhs)
     kept = tuple(Violation(identity, m, *(Vec.sparse(n, rational({i: s * x for i, x in side.items()}, scale))
                                           for side in pair)) for m, s, pair in w.kept)
-    return AlgebraReport(**{f"{identity}_ok": w.clean}, violations_total=w.total, violations=kept)
+    return Report({identity: w.clean}, kept, w.total)
 
 
 def leibniz_sides(alt: AltTable, t: dict, ops: Iterable, triples: Iterable[tuple[int, int, int]]) -> Iterator:
@@ -231,7 +230,7 @@ def hom_jacobi_sides(L: Hom3LieAlgebra, pairs: Iterable[tuple[int, int]],
     return (alt.scale * d) ** 2, leibniz_sides(alt, t, ops, triples)
 
 
-def verify_hom_jacobi(L: Hom3LieAlgebra) -> AlgebraReport:
+def verify_hom_jacobi(L: Hom3LieAlgebra) -> Report:
     """Sweep hom-Jacobi (:func:`hom_jacobi_sides`) over the pairs a < b and
     the increasing triples: by multilinearity and skewness, the identity on
     all vectors.  Both sides are skew in (a, b) (:class:`Sweep`)."""
@@ -263,24 +262,24 @@ def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra,
     return d ** 3 * dl * dg, ((key, lhs, rhs) for key, lhs, rhs in images if lhs != rhs)
 
 
-def verify_multiplicative(L: Hom3LieAlgebra) -> AlgebraReport:
+def verify_multiplicative(L: Hom3LieAlgebra) -> Report:
     """Check alpha([e_i,e_j,e_k]) = [alpha e_i, alpha e_j, alpha e_k] on all i<j<k."""
     return _report(Sweep(), "multiplicative", L.dim, *_bracket_images(L.twist, L, L))
 
 
-def verify_axioms(L: Hom3LieAlgebra) -> AlgebraReport:
+def verify_axioms(L: Hom3LieAlgebra) -> Report:
     """Hom-Jacobi and multiplicativity sweeps, with skewness marked as holding.
 
     Increasing-key storage makes skewness structural, so a constructed
     algebra re-verified here only sweeps the other two identities.
     """
-    return replace(verify_hom_jacobi(L).merged(verify_multiplicative(L)), skew_ok=True)
+    return Report({"skew": True}).merged(verify_hom_jacobi(L), verify_multiplicative(L))
 
 
-def verify_regular(L: Hom3LieAlgebra) -> AlgebraReport:
+def verify_regular(L: Hom3LieAlgebra) -> Report:
     """Regular = multiplicative with an invertible twist."""
     rep = verify_multiplicative(L)
-    return replace(rep, regular_ok=bool(rep.multiplicative_ok) and rank(L.twist) == L.dim)
+    return rep.merged(Report({"regular": rep.ok and rank(L.twist) == L.dim}))
 
 
 def _twist_stable(L: Hom3LieAlgebra, s: Subspace) -> bool:

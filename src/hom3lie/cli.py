@@ -14,14 +14,14 @@ import argparse
 import functools
 import itertools
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
 from . import fixtures as fixture_mod
 from .algebras import (
-    AlgebraReport,
     Hom3LieAlgebra,
+    Report,
     direct_sum,
     verify_axioms,
     verify_hom_jacobi,
@@ -88,13 +88,14 @@ class Verdict:
         return "\n".join(lines)
 
 
-def _record(verdict: Verdict, report: AlgebraReport, checks: tuple[str, ...]) -> None:
-    """Set the flags ``report`` checked among ``checks``, its witnesses and their total."""
-    flags = {"skew": report.skew_ok, "jacobi": report.hom_jacobi_ok,
-             "multiplicative": report.multiplicative_ok, "regular": report.regular_ok}
-    verdict.flags = {name: ok for name, ok in flags.items() if ok is not None and name in checks}
+def _record(verdict: Verdict, report: Report, checks: tuple[str, ...]) -> None:
+    """Set the flags ``report`` checked among ``checks`` (``jacobi`` is ``hom_jacobi``),
+    its witnesses, with their sides where it keeps them, and their total."""
+    flags = {("jacobi" if name == "hom_jacobi" else name): ok for name, ok in report.flags.items()}
+    verdict.flags = {name: ok for name, ok in flags.items() if name in checks}
     verdict.witnesses = [{"identity": v.identity, "indices": [i + 1 for i in v.indices],
-                          "left": vec_to_dense(v.left), "right": vec_to_dense(v.right)}
+                          **({} if v.left is None else
+                             {"left": vec_to_dense(v.left), "right": vec_to_dense(v.right)})}
                          for v in report.violations]
     verdict.witnesses_total = report.violations_total
 
@@ -108,7 +109,7 @@ def cmd_verify(args: argparse.Namespace, verdict: Verdict) -> None:
     for c in checks:
         if c not in ALL_CHECKS:
             raise FileFormatError(f"unknown check {c!r}; choose from {', '.join(ALL_CHECKS)}")
-    report = AlgebraReport(skew_ok=True)  # increasing-triple storage makes skewness structural
+    report = Report({"skew": True})  # increasing-triple storage makes skewness structural
     if "jacobi" in checks:
         report = report.merged(verify_hom_jacobi(alg))
     if "multiplicative" in checks or "regular" in checks:
@@ -155,10 +156,7 @@ def cmd_extend(args: argparse.Namespace, verdict: Verdict) -> None:
                  for key in itertools.product(range(ext.dim), repeat=3)
                  if not (v := ext.value(*key)).is_zero()]
         data = {"dim": ext.dim, "alpha_prime": mat_to_lists(ext.twist), "table": table,
-                "skew": bool(report.skew_ok)}
-        # the literal extension rule is not skew, so only the
-        # extension-theorem verdict and the twist check gate the exit
-        report = replace(report, skew_ok=None)
+                "skew": report.flags["skew"]}
     elif kind in ("t-theta", "semidirect"):  # semidirect: the extension along theta = 0
         rep = _resolve_rep(alg, inputs[1])
         th = (load_cocycle(inputs[2], algebra=alg)[1] if kind == "t-theta"
@@ -174,7 +172,9 @@ def cmd_extend(args: argparse.Namespace, verdict: Verdict) -> None:
         data["q_gram"] = mat_to_lists(form.gram)
     if kind != "derivation":
         data["algebra"] = algebra_to_dict(result)
-    _record(verdict, report, ALL_CHECKS)
+    # the literal derivation extension rule is not skew, so only the
+    # extension-theorem verdict and the twist check gate its exit
+    _record(verdict, report, ALL_CHECKS[1:] if kind == "derivation" else ALL_CHECKS)
     if args.output:  # the algebra, or a derivation extension's whole data
         text = write_json(args.output, data.get("algebra", data))
         data = dict(data, algebra=text) if "algebra" in data else text
@@ -199,15 +199,8 @@ def cmd_metric(args: argparse.Namespace, verdict: Verdict) -> None:
     alg = load_algebra(args.file)
     form = load_form(args.form)
     report = verify_metric(alg, form)
-    verdict.flags = {
-        "symmetric": report.symmetric_ok,
-        "nondegenerate": report.nondegenerate_ok,
-        "invariant": report.invariant_ok,
-    }
-    verdict.witnesses = [{"identity": "invariant", "indices": [i + 1 for i in w]}
-                         for w in report.witnesses]
-    verdict.witnesses_total = report.violations_total
-    verdict.derived_data = {"twist_invariant": report.twist_invariant_ok}
+    _record(verdict, report, ("symmetric", "nondegenerate", "invariant"))
+    verdict.derived_data = {"twist_invariant": report.flags["twist_invariant"]}
 
 
 def cmd_reconstruct(args: argparse.Namespace, verdict: Verdict) -> Optional[str]:

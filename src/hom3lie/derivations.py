@@ -19,8 +19,8 @@ from typing import Iterator
 
 from .algebras import (
     MAX_WITNESSES,
-    AlgebraReport,
     Hom3LieAlgebra,
+    Report,
     Sweep,
     _bracket_images,
     _report,
@@ -36,7 +36,7 @@ from .sparse import signed_perms, splits
 
 def twist_power(L: Hom3LieAlgebra, k: int) -> Mat:
     """alpha^k; negative k demands a regular algebra."""
-    if k < 0 and not verify_regular(L).regular_ok:
+    if k < 0 and not verify_regular(L).ok:
         raise RegularTwistRequired("negative twist powers need a regular algebra")
     return L.twist.power(k)
 
@@ -227,19 +227,19 @@ class DerivationExtension:
         return Vec.sparse(self.dim, slot or self.base.bracket_basis(i, j, k).support)
 
 
-def derivation_extension(L: Hom3LieAlgebra, d: Mat) -> tuple[DerivationExtension, AlgebraReport]:
+def derivation_extension(L: Hom3LieAlgebra, d: Mat) -> tuple[DerivationExtension, Report]:
     """Extend a multiplicative algebra by D and verify the construction.
 
     Every sweep is the rule of :class:`DerivationExtension` on basis vectors, in
     the closed form of :meth:`DerivationExtension.value`, with the twist
     a' = a + 1 (a' e_n = e_n), each in lexicographic order:
 
-    * ``skew_ok``: skewness of the value table, false for every nonzero D;
-    * ``multiplicative_ok``: a' [e_i, e_j, e_k] against the rule on the
+    * ``skew``: skewness of the value table, false for every nonzero D;
+    * ``multiplicative``: a' [e_i, e_j, e_k] against the rule on the
       a'-images, for all ordered triples.  Below n both are L's and
       alternating, so L's i < j < k give every ordering (:class:`Sweep`);
       on a triple holding n they are the closed form with a D and with D a;
-    * ``hom_jacobi_ok``: the theorem's verdict, the hom-Jacobi instances
+    * ``hom_jacobi``: the theorem's verdict, the hom-Jacobi instances
       (x, y, u, v, w) with u < v < w below n and (x, y) ordered below n
       or y = n, and multiplicativity: true exactly when D is a grade-1
       derivation.  Below n the instances are L's (:func:`hom_jacobi_sides`).
@@ -277,10 +277,7 @@ def derivation_extension(L: Hom3LieAlgebra, d: Mat) -> tuple[DerivationExtension
                  key=lambda v: v.indices)
     jac_total = own.total + nn * leibniz.total
     mult_total = below.total + at_n.total
-    return ext, AlgebraReport(
-        skew_ok=skew.clean,
-        hom_jacobi_ok=jac_total == 0 and mult_total == 0,
-        multiplicative_ok=mult_total == 0,
-        violations=tuple([*_report(skew, "skew", nn, 1).violations, *jac, *mult][:MAX_WITNESSES]),
-        violations_total=skew.total + jac_total + mult_total,
-    )
+    flags = {"skew": skew.clean, "hom_jacobi": jac_total == 0 and mult_total == 0,
+             "multiplicative": mult_total == 0}
+    return ext, Report(flags, tuple([*_report(skew, "skew", nn).violations, *jac, *mult][:MAX_WITNESSES]),
+                       skew.total + jac_total + mult_total)

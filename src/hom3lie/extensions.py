@@ -16,17 +16,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebras import (
-    AlgebraReport,
     Hom3LieAlgebra,
+    Report,
     Sweep,
     _bracket_images,
+    _report,
     is_morphism,
     preserves_bracket,
 )
 from .errors import CocycleInvalid, DimensionMismatch, RepresentationInvalid
 from .linalg import Mat, SparseMat, Vec, cleared, matvec, rank
 from .representations import (
-    CocycleReport,
     Representation,
     _extension_sweep,
     _semidirect_table,
@@ -90,7 +90,7 @@ def hyperbolic_form(n: int) -> BilinForm:
     return BilinForm(2 * n, Mat.sparse(2 * n, (Vec.basis(2 * n, (i + n) % (2 * n)) for i in range(2 * n))))
 
 
-def verify_cocycle(L: Hom3LieAlgebra, r: Representation, th: Cocycle) -> CocycleReport:
+def verify_cocycle(L: Hom3LieAlgebra, r: Representation, th: Cocycle) -> Report:
     """Sweep the twisted cocycle identity over basis 5-tuples, one per orbit.
 
     For each (x, y, z, u, v) the sum
@@ -134,7 +134,7 @@ def coboundary(L: Hom3LieAlgebra, r: Representation, f: Mat) -> Cocycle:
 
 def t_theta_extension(
     L: Hom3LieAlgebra, r: Representation, th: Cocycle
-) -> tuple[Hom3LieAlgebra, AlgebraReport]:
+) -> tuple[Hom3LieAlgebra, Report]:
     """Extension of L by the module V along a 3-cocycle.
 
     The bracket is the semidirect-product bracket with theta(x1,x2,x3)
@@ -227,27 +227,7 @@ def cyclic_part(th: Cocycle) -> Cocycle:
     return Cocycle(n, n, {key: Vec.sparse(n, col) for key, col in sorted(table.items())})
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """Symmetry, non-degeneracy and invariance of a form on an algebra.
-
-    ``twist_invariant_ok`` reports compatibility with the twist as an
-    extra, informational flag; it does not enter ``metric_ok``.
-    """
-
-    symmetric_ok: bool
-    nondegenerate_ok: bool
-    invariant_ok: bool
-    twist_invariant_ok: bool
-    witnesses: tuple[tuple[int, ...], ...]
-    violations_total: int
-
-    @property
-    def metric_ok(self) -> bool:
-        return self.symmetric_ok and self.nondegenerate_ok and self.invariant_ok
-
-
-def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> MetricReport:
+def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> Report:
     """Check B([x1,x2,x3], x4) + B([x1,x2,x4], x3) = 0 over basis 4-tuples.
 
     That is, M_ab[c][d] = B([e_a, e_b, e_c], e_d) is skew.  Each stored key
@@ -259,13 +239,13 @@ def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> MetricReport:
 
     Integers: from the numerators B~ = D B and the rows of the Gram matrix
     G = G~/s (:func:`cleared`), M_ab is built D s times itself, skew iff it is.
+    The report also flags symmetry, non-degeneracy and twist invariance, the
+    last informational: :attr:`Report.ok` does not read it.
     """
     n = alg.dim
     if form.dim != n:
         raise DimensionMismatch("form dimension does not match the algebra")
     gram = form.gram
-    symmetric = gram == gram.transpose()
-    nondeg = rank(gram) == n
     (rows,), _ = cleared([row.support for row in gram.row_vecs])
     gt = dict(enumerate(rows))  # the columns of G^T
     ms: dict[tuple[int, int], SparseMat] = {}
@@ -280,15 +260,9 @@ def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> MetricReport:
         for c, d in sorted(cells | {(d, c) for c, d in cells}):
             if m.get(c, {}).get(d, 0) + m.get(d, {}).get(c, 0) != 0:
                 log.add((a, b, c, d))
-    twist_inv = alg.twist.transpose() @ gram @ alg.twist == gram
-    return MetricReport(
-        symmetric_ok=symmetric,
-        nondegenerate_ok=nondeg,
-        invariant_ok=log.clean,
-        twist_invariant_ok=twist_inv,
-        witnesses=tuple(log.witnesses),
-        violations_total=log.total,
-    )
+    flags = {"symmetric": gram == gram.transpose(), "nondegenerate": rank(gram) == n,
+             "twist_invariant": alg.twist.transpose() @ gram @ alg.twist == gram}
+    return Report(flags).merged(_report(log, "invariant"))
 
 
 def _shear(L: Hom3LieAlgebra, r: Representation, f: Mat) -> Mat:

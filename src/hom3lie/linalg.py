@@ -260,7 +260,8 @@ class Mat:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         rows = {k: v.support for k, v in enumerate(other.row_vecs)}
-        return Mat.sparse(other.cols, [Vec.sparse(other.cols, matvec(rows, v.support)) for v in self.row_vecs])
+        return Mat.sparse(other.cols,
+                          [Vec.sparse(other.cols, matvec(rows, v.support)) for v in self.row_vecs])
 
     def apply(self, v: Vec) -> Vec:
         """Matrix-vector product."""

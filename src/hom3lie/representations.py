@@ -26,8 +26,8 @@ from typing import Optional
 
 from .algebras import (
     MAX_WITNESSES,
-    AlgebraReport,
     Hom3LieAlgebra,
+    Report,
     Sweep,
     _bracket_images,
     _report,
@@ -84,22 +84,7 @@ class Representation:
                                                      self.alt.scale)) for c in range(m)]).transpose()
 
 
-@dataclass(frozen=True)
-class RepresentationReport:
-    """Per-identity outcome of the representation sweep."""
-
-    twist_ok: bool
-    bracket_action_ok: bool
-    exchange_ok: bool
-    witnesses: tuple[tuple[str, tuple[int, ...]], ...]
-    violations_total: int
-
-    @property
-    def ok(self) -> bool:
-        return self.twist_ok and self.bracket_action_ok and self.exchange_ok
-
-
-def verify_representation(L: Hom3LieAlgebra, r: Representation) -> RepresentationReport:
+def verify_representation(L: Hom3LieAlgebra, r: Representation) -> Report:
     """Sweep (R1) over basis pairs and (R2)-(R3) over basis quadruples, as
     the representation part of :func:`_extension_sweep` on L + V.
 
@@ -161,15 +146,7 @@ def _semidirect_table(
     return Hom3LieAlgebra(n + m, table, L.twist.block_diag(r.twist))
 
 
-@dataclass(frozen=True)
-class CocycleReport:
-    ok: bool
-    witnesses: tuple[tuple[int, ...], ...]
-    violations_total: int
-
-
-def _extension_sweep(E: Hom3LieAlgebra, n: int) -> tuple[RepresentationReport, CocycleReport,
-                                                          AlgebraReport]:
+def _extension_sweep(E: Hom3LieAlgebra, n: int) -> tuple[Report, Report, Report]:
     """The reports of the action and theta that extend L, n = dim L, to
     E = L + V (:func:`_semidirect_table`), and E's as :func:`verify_axioms` gives it.
 
@@ -209,12 +186,9 @@ def _extension_sweep(E: Hom3LieAlgebra, n: int) -> tuple[RepresentationReport, C
     for log, keys in found.items():
         for key in keys:
             log.add(key)
-    named = (("twist", twist), ("bracket_action", r2), ("exchange", r3))
-    witnesses = sorted(((name, idx) for name, log in named for idx in log.witnesses),
-                       key=lambda w: (len(w[1]), w[1], w[0]))
-    rep = RepresentationReport(twist_ok=twist.clean, bracket_action_ok=r2.clean, exchange_ok=r3.clean,
-                               witnesses=tuple(witnesses[:MAX_WITNESSES]),
-                               violations_total=twist.total + r2.total + r3.total)
-    co = CocycleReport(ok=cocycle.clean, witnesses=tuple(cocycle.witnesses), violations_total=cocycle.total)
-    own = _report(jacobi, "hom_jacobi", E.dim, jscale)
-    return rep, co, replace(own.merged(_report(mult, "multiplicative", E.dim, scale)), skew_ok=True)
+    parts = [_report(log, name) for name, log in (("twist", twist), ("bracket_action", r2), ("exchange", r3))]
+    kept = sorted((v for p in parts for v in p.violations),
+                  key=lambda v: (len(v.indices), v.indices, v.identity))
+    rep = replace(Report().merged(*parts), violations=tuple(kept[:MAX_WITNESSES]))
+    own = (_report(jacobi, "hom_jacobi", E.dim, jscale), _report(mult, "multiplicative", E.dim, scale))
+    return rep, _report(cocycle, "cocycle"), Report({"skew": True}).merged(*own)

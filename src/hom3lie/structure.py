@@ -199,7 +199,7 @@ def reconstruct_t_star(
     k = ideal.dim
     if n2 != 2 * k:
         raise HalfDimensionRequired("reconstruction needs an ideal of half the dimension")
-    if not verify_metric(g, form).metric_ok:
+    if not verify_metric(g, form).ok:
         raise MetricRequired("reconstruction needs a symmetric invariant non-degenerate form")
     try:
         lq, proj = quotient(g, ideal)
@@ -226,7 +226,7 @@ def reconstruct_t_star(
 
     # pair(v)_s = B(l_s, v).  The complement is isotropic, so its part of
     # v pairs to zero with every lift: pair reads the ideal part of v as a
-    # functional on L.  metric_ok made G symmetric: B(l_s, v) = B(v, l_s).
+    # functional on L.  The metric check above makes G symmetric: B(l_s, v) = B(v, l_s).
     # On ints, the numerators B = B~/D, l = l~/d and pair = pair~/e give e D d^3 theta.
     pair = lifts @ form.gram
     alt, D = g.alt, g.alt.scale

@@ -36,15 +36,13 @@ from typing import Any, Callable, Optional
 import dense_elimination
 from hom3lie.algebras import (
     MAX_WITNESSES,
-    AlgebraReport,
     Hom3LieAlgebra,
+    Report,
     Violation,
     increasing_triples,
 )
-from hom3lie.extensions import CocycleReport, MetricReport
 from hom3lie.io import FileFormatError, _args_tuple, _expect, format_rat
 from hom3lie.linalg import Mat, Subspace, Vec, add_matvec, cleared, matvec, pruned
-from hom3lie.representations import RepresentationReport
 
 
 def skew_value(table: dict, zero, idx: tuple[int, ...]):
@@ -123,7 +121,7 @@ class _Log:
             self.items.append(item)
 
 
-def hom_jacobi(L) -> AlgebraReport:
+def hom_jacobi(L) -> Report:
     n = L.dim
     acols = twist_cols(L)
     w = _Log()
@@ -138,8 +136,7 @@ def hom_jacobi(L) -> AlgebraReport:
                 )
                 if lhs != rhs:
                     w.add(Violation("hom_jacobi", (a, b, u, v, wi), lhs, rhs))
-    return AlgebraReport(hom_jacobi_ok=w.total == 0, violations=tuple(w.items),
-                         violations_total=w.total)
+    return Report({"hom_jacobi": w.total == 0}, tuple(w.items), w.total)
 
 
 def hom_jacobi_sides(L, pairs, triples) -> list:
@@ -182,7 +179,7 @@ def leibniz(L, d: Mat, k: int) -> list:
     return failing
 
 
-def multiplicative(L) -> AlgebraReport:
+def multiplicative(L) -> Report:
     acols = twist_cols(L)
     w = _Log()
     for i, j, k in increasing_triples(L.dim):
@@ -190,11 +187,10 @@ def multiplicative(L) -> AlgebraReport:
         rhs = bracket(L, acols[i], acols[j], acols[k])
         if lhs != rhs:
             w.add(Violation("multiplicative", (i, j, k), lhs, rhs))
-    return AlgebraReport(multiplicative_ok=w.total == 0, violations=tuple(w.items),
-                         violations_total=w.total)
+    return Report({"multiplicative": w.total == 0}, tuple(w.items), w.total)
 
 
-def representation(L, r) -> RepresentationReport:
+def representation(L, r) -> Report:
     n = L.dim
     acols = twist_cols(L)
     a, mats = r.twist, action_matrices(r)
@@ -204,7 +200,7 @@ def representation(L, r) -> RepresentationReport:
 
     def note(slot: int, name: str, idx: tuple[int, ...]) -> None:
         totals[slot] += 1
-        w.add((name, idx))
+        w.add(Violation(name, idx))
 
     for i in range(n):
         for j in range(n):
@@ -222,16 +218,11 @@ def representation(L, r) -> RepresentationReport:
                 + rho(r, acols[z], bracket_basis(L, x, y, u), mats) @ a)
         if lhs3 != rhs3:
             note(2, "exchange", (x, y, z, u))
-    return RepresentationReport(
-        twist_ok=totals[0] == 0,
-        bracket_action_ok=totals[1] == 0,
-        exchange_ok=totals[2] == 0,
-        witnesses=tuple(w.items),
-        violations_total=w.total,
-    )
+    flags = {"twist": totals[0] == 0, "bracket_action": totals[1] == 0, "exchange": totals[2] == 0}
+    return Report(flags, tuple(w.items), w.total)
 
 
-def cocycle(L, r, th) -> CocycleReport:
+def cocycle(L, r, th) -> Report:
     n = L.dim
     acols = twist_cols(L)
     mats = action_matrices(r)
@@ -250,11 +241,11 @@ def cocycle(L, r, th) -> CocycleReport:
             - raa[(u, v)].apply(t(th, x, y, z))
         )
         if not s.is_zero():
-            w.add((x, y, z, u, v))
-    return CocycleReport(ok=w.total == 0, witnesses=tuple(w.items), violations_total=w.total)
+            w.add(Violation("cocycle", (x, y, z, u, v)))
+    return Report({"cocycle": w.total == 0}, tuple(w.items), w.total)
 
 
-def metric(alg, form) -> MetricReport:
+def metric(alg, form) -> Report:
     """B([e_a,e_b,e_c], e_d) + B([e_a,e_b,e_d], e_c) on all ordered 4-tuples."""
     n = alg.dim
     g = [list(form.gram.row(r)) for r in range(n)]
@@ -266,17 +257,14 @@ def metric(alg, form) -> MetricReport:
     w = _Log()
     for a, b, c, d in itertools.product(range(n), repeat=4):
         if pair(bracket_basis(alg, a, b, c), d) + pair(bracket_basis(alg, a, b, d), c) != 0:
-            w.add((a, b, c, d))
+            w.add(Violation("invariant", (a, b, c, d)))
     twisted = [[sum(al[r][i] * g[r][s] * al[s][j] for r in range(n) for s in range(n))
                 for j in range(n)] for i in range(n)]
-    return MetricReport(
-        symmetric_ok=all(g[i][j] == g[j][i] for i in range(n) for j in range(n)),
-        nondegenerate_ok=dense_elimination.rank(form.gram) == n,
-        invariant_ok=w.total == 0,
-        twist_invariant_ok=twisted == g,
-        witnesses=tuple(w.items),
-        violations_total=w.total,
-    )
+    flags = {"symmetric": all(g[i][j] == g[j][i] for i in range(n) for j in range(n)),
+             "nondegenerate": dense_elimination.rank(form.gram) == n,
+             "invariant": w.total == 0,
+             "twist_invariant": twisted == g}
+    return Report(flags, tuple(w.items), w.total)
 
 
 def theta_cyclic(th) -> bool:
@@ -368,7 +356,7 @@ def extension_rule(ext, x: Vec, y: Vec, z: Vec) -> Vec:
     return out.concat(Vec.zero(1))
 
 
-def derivation_extension(ext) -> AlgebraReport:
+def derivation_extension(ext) -> Report:
     """The report of ``derivations.derivation_extension`` from the literal rule.
 
     Every value and every side is :func:`extension_rule` on basis
@@ -410,13 +398,10 @@ def derivation_extension(ext) -> AlgebraReport:
                        + extension_rule(ext, tcols[u], tcols[v], value(a, b, w)))
                 if lhs != rhs:
                     jac.add(Violation("hom_jacobi", (a, b, u, v, w), lhs, rhs))
-    return AlgebraReport(
-        skew_ok=skew.total == 0,
-        hom_jacobi_ok=jac.total == 0 and mult.total == 0,
-        multiplicative_ok=mult.total == 0,
-        violations=tuple((skew.items + jac.items + mult.items)[:MAX_WITNESSES]),
-        violations_total=skew.total + jac.total + mult.total,
-    )
+    flags = {"skew": skew.total == 0, "hom_jacobi": jac.total == 0 and mult.total == 0,
+             "multiplicative": mult.total == 0}
+    return Report(flags, tuple((skew.items + jac.items + mult.items)[:MAX_WITNESSES]),
+                  skew.total + jac.total + mult.total)
 
 
 # -- the codec, coordinate by coordinate -----------------------------------

@@ -72,6 +72,8 @@ IMAGES = "tests/test_pairs.py::test_bracket_images_yield_what_every_increasing_t
 CODEC = "tests/test_codec_oracle.py::"
 SWEEP_ORACLE = SWEEPS + "test_sweep_keeps_what_merging_every_member_and_sorting_keeps"
 SIGNED_MATVEC = "tests/test_sparse_linalg.py::test_add_matvec_adds_the_signed_dense_product_in_place"
+MERGED = "tests/test_algebras.py::test_merged_ands_shared_flags_and_keeps_the_first_witnesses"
+INFORMATIONAL = "tests/test_guards.py::test_twist_invariance_does_not_enter_ok"
 ROWS_WRITER = "tests/test_canonical_dumps.py::test_rows_and_dicts_of_plain_strings_match_json_dumps"
 
 # (name, file under src/hom3lie, old text, new text, tests that must fail)
@@ -124,8 +126,11 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "lambda u, _, x, y, z: (x, y, z, u)", "lambda x, _, u, y, z: (x, y, z, u)",
      (TRUNCATED, COPRIME_REP)),
     ("r3-before-r2", "representations.py",
-     "key=lambda w: (len(w[1]), w[1], w[0])", "key=lambda w: (len(w[1]), w[0], w[1])",
+     "v.indices, v.identity)", "v.identity, v.indices)",
      (TRUNCATED,)),
+    ("representation-witnesses-cut-before-the-sort", "representations.py",
+     "sorted((v for p in parts for v in p.violations),", "sorted(Report().merged(*parts).violations,",
+     (TRUNCATED, COPRIME_REP)),
     ("kernel-no-back-substitution", "linalg.py",
      "            if p in prow:\n", "            if False:\n",
      (KERNEL,)),
@@ -239,8 +244,9 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "f.row(i).concat(Vec.basis(m, i))", "(-f.row(i)).concat(Vec.basis(m, i))",
      (LITERAL_COBOUNDARY, "tests/test_extensions.py::test_coboundary_values")),
     ("extend-verifies-multiplicativity-only", "representations.py",
-     "replace(own.merged(_report(mult, \"multiplicative\", E.dim, scale)), skew_ok=True)",
-     "replace(_report(mult, \"multiplicative\", E.dim, scale), skew_ok=True)",
+     "own = (_report(jacobi, \"hom_jacobi\", E.dim, jscale), "
+     "_report(mult, \"multiplicative\", E.dim, scale))",
+     "own = (_report(mult, \"multiplicative\", E.dim, scale),)",
      (EXTENSION, CLI_BYTES)),
     ("kernel-int-check-reads-the-first-entry", "linalg.py",
      "if not all(type(a) is int for a in row.values()):",
@@ -338,8 +344,17 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "        return 2\n",
      (CLI_BYTES, CONTRACT)),
     ("record-ignores-the-selected-checks", "cli.py",
-     "if ok is not None and name in checks}", "if ok is not None}",
+     "for name, ok in flags.items() if name in checks}", "for name, ok in flags.items()}",
      (CLI_BYTES,)),
+    ("record-writes-sides-for-a-witness-without-them", "cli.py",
+     "{} if v.left is None else", "{\"left\": [], \"right\": []} if v.left is None else",
+     (CLI_BYTES,)),
+    ("merged-ors-the-flags", "algebras.py",
+     "flags.get(name, True) and ok", "flags.get(name, False) or ok",
+     (MERGED,)),
+    ("ok-reads-twist-invariance", "algebras.py",
+     " if name != \"twist_invariant\")", ")",
+     (INFORMATIONAL,)),
     ("parse-into-a-shared-namespace", "cli.py",
      "def main(argv: Optional[list[str]] = None) -> int:\n"
      "    \"\"\"Run one command and print its verdict; the one place an outcome becomes an exit code.\"\"\"\n"

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 import dense_oracle as oracle
 from conftest import random_mat, random_vec
 from hom3lie.algebras import (
+    MAX_WITNESSES,
     Hom3LieAlgebra,
+    Report,
+    Violation,
     direct_sum,
     graph,
     is_ideal,
@@ -71,6 +74,17 @@ def test_witness_lists_are_truncated_with_exact_totals():
     rep = verify_hom_jacobi(broken)
     assert len(rep.violations) == 16
     assert rep.violations_total == 140
+
+
+def test_merged_ands_shared_flags_and_keeps_the_first_witnesses():
+    first = tuple(Violation("skew", (i,)) for i in range(MAX_WITNESSES))
+    a = Report({"skew": True, "regular": True}, first, 20)
+    b = Report({"skew": False}, (Violation("skew", (99,)),), 1)
+    for merged in (a.merged(b), b.merged(a)):
+        assert merged.flags == {"skew": False, "regular": True} and merged.violations_total == 21
+        assert not merged.ok
+    assert a.merged(b).violations == first
+    assert b.merged(a).violations == b.violations + first[:-1]
 
 
 def test_multiplicative_examples():

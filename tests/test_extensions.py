@@ -231,7 +231,7 @@ def test_metric_flags_match_cyclicity():
 
 def test_metric_on_abelian_identity_form():
     rep = verify_metric(ab3(), BilinForm(3, Mat.identity(3)))
-    assert rep.metric_ok
+    assert rep.ok
     assert rep.twist_invariant_ok
 
 
@@ -241,7 +241,7 @@ def test_metric_witnesses_are_reported():
     assert theta_cyclic_ok(L, th) is False
     alg, q = t_star_extension(L, th)
     rep = verify_metric(alg, q)
-    assert rep.invariant_ok is False and rep.witnesses
+    assert rep.invariant_ok is False and rep.violations
 
 
 def test_shift_isomorphism_identity_case():

@@ -1,15 +1,18 @@
 """Argument guards of the library API: each raises its own exception with
 its own message before any work is done, and the equality of ``Vec`` and
-``Mat`` with another type is False rather than an error."""
+``Mat`` with another type is False rather than an error.  A report has a
+``<check>_ok`` only for the checks that ran."""
 
 import re
 
 import pytest
 
-from hom3lie.algebras import Hom3LieAlgebra, graph, is_morphism, is_subalgebra, subspace_bracket
+from hom3lie.algebras import (Hom3LieAlgebra, Report, graph, is_morphism, is_subalgebra, subspace_bracket,
+                              verify_axioms)
 from hom3lie.derivations import DerivationSpace, is_alpha_k_derivation
 from hom3lie.errors import DimensionMismatch
-from hom3lie.extensions import BilinForm, Cocycle, cyclic_part, hyperbolic_form, is_isometry, theta_cyclic_ok
+from hom3lie.extensions import (BilinForm, Cocycle, cyclic_part, hyperbolic_form, is_isometry,
+                                theta_cyclic_ok, verify_metric)
 from hom3lie.fixtures import l3, n4
 from hom3lie.linalg import Mat, Subspace, Vec, inverse, subspace_contains, subspace_leq
 from hom3lie.representations import Representation
@@ -84,3 +87,19 @@ def test_guards_raise_their_exception_and_message(exc, message, call):
 def test_vec_and_mat_are_unequal_to_other_types():
     assert (Vec.of(1) == 1) is False
     assert (Mat.identity(1) == 1) is False
+
+
+def test_a_report_has_no_flag_attribute_for_a_check_that_did_not_run():
+    with pytest.raises(AttributeError):
+        Report({"symmetric": True, "nondegenerate": True, "invariant": True}).metric_ok
+    with pytest.raises(AttributeError):
+        verify_axioms(L).regular_ok
+    assert verify_axioms(L).hom_jacobi_ok is True
+
+
+def test_twist_invariance_does_not_enter_ok():
+    stretched = Hom3LieAlgebra(3, {}, Mat.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    report = verify_metric(stretched, BilinForm(3, Mat.identity(3)))
+    assert report.flags == {"symmetric": True, "nondegenerate": True, "invariant": True,
+                            "twist_invariant": False}
+    assert report.ok

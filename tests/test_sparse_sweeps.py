@@ -510,7 +510,7 @@ def test_truncated_witnesses_match_the_dense_sweeps():
 
     form = BilinForm(4, Mat.diagonal([1, 2, 3, 4]))
     met = verify_metric(ya, form)
-    assert met.violations_total > MAX_WITNESSES and len(met.witnesses) == MAX_WITNESSES
+    assert met.violations_total > MAX_WITNESSES and len(met.violations) == MAX_WITNESSES
     assert met == oracle.metric(ya, form)
 
 
@@ -558,7 +558,7 @@ def test_orbits_partition_the_tuples_with_distinct_indices_in_each_block(blocks)
     log = Sweep(*blocks)
     for rep in log.reps(n):
         log.add(rep + tail, Vec.of(1), Vec.of(2))
-    assert log.total == len(seen) and log.witnesses == sorted(seen)[:MAX_WITNESSES]
+    assert log.total == len(seen) and [m for m, *_ in log.kept] == sorted(seen)[:MAX_WITNESSES]
 
 
 @st.composite
@@ -596,7 +596,7 @@ def test_sweep_keeps_what_merging_every_member_and_sorting_keeps(stream):
         members.sort(key=lambda entry: entry[0])
     assert log.total == len(members) > MAX_WITNESSES
     assert log.kept == members[:MAX_WITNESSES]
-    assert log.witnesses == [member for member, _, _ in members[:MAX_WITNESSES]]
+    assert [m for m, *_ in log.kept] == [member for member, _, _ in members[:MAX_WITNESSES]]
 
 
 def _interleaved(indices, blocks: tuple[int, ...]) -> bool:
@@ -635,7 +635,7 @@ def test_interleaved_representation_orbits_match_the_dense_sweep(pair):
     L, r = pair
     rep = verify_representation(L, r)
     assume(rep.violations_total > MAX_WITNESSES)
-    quads = [idx for _, idx in rep.witnesses]
+    quads = [v.indices for v in rep.violations]
     assume(any(quads.count(q) == 2 for q in quads if len(q) == 4))  # (R2) and (R3) at one tuple
     assert rep == oracle.representation(L, r)
 
@@ -647,7 +647,7 @@ def test_interleaved_cocycle_orbits_match_the_dense_sweep(L, action, data):
     th = Cocycle(4, 4, {key: Vec(tuple(data.draw(st.lists(small, min_size=4, max_size=4))))
                         for key in keys})
     co = verify_cocycle(L, action(L), th)
-    assume(co.violations_total > MAX_WITNESSES and _interleaved(co.witnesses, (3, 2)))
+    assume(co.violations_total > MAX_WITNESSES and _interleaved([v.indices for v in co.violations], (3, 2)))
     assert co == oracle.cocycle(L, action(L), th)
 
 
@@ -694,6 +694,6 @@ def test_interleaved_metric_orbits_match_the_dense_sweep(case):
     extension of A4 or A4y, with Gram entries changed (:data:`INTERLEAVING`)."""
     L, form = case
     met = verify_metric(L, form)
-    assume(met.violations_total > MAX_WITNESSES and _interleaved(met.witnesses, (2,)))
-    assert any(idx[0] > idx[1] for idx in met.witnesses)
+    assume(met.violations_total > MAX_WITNESSES and _interleaved([v.indices for v in met.violations], (2,)))
+    assert any(v.indices[0] > v.indices[1] for v in met.violations)
     assert met == oracle.metric(L, form)
