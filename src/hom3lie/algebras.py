@@ -69,9 +69,6 @@ class Hom3LieAlgebra:
         """Trilinear skew extension of the structure constants."""
         return self.alt.evaluate(x, y, z)
 
-    def is_abelian(self) -> bool:
-        return not self.table
-
     @cached_property
     def twisted(self) -> tuple[dict[tuple[int, int], SparseMat], int]:
         """T~_ab = [alpha~ e_a, alpha~ e_b, .] for the numerators B~ = D B (:class:`AltTable`)

@@ -108,12 +108,12 @@ class DerivationSpace:
 def derivation_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
     """Solve the stacked linear system for grade-k derivations.
 
-    Unknowns are the n^2 entries of D (row-major); rows come from D a = a D
-    and from the twisted Leibniz rule on increasing basis triples, one per
-    output coordinate.  There (D B_ijk)_out is nonzero at every coordinate
-    when B_ijk is, and each twisted-action term only in its image, so a row
-    left out (B_ijk = 0, out in no image) reads 0 = 0; the RREF is unique,
-    so dropping zero rows and reordering or rescaling rows keep the basis.
+    Unknowns are the n^2 entries of D (row-major); rows come from D a = a D and from the
+    twisted Leibniz rule on increasing basis triples, one per output coordinate.  There
+    (D B_ijk)_out is nonzero at every coordinate when B_ijk is, and each twisted-action term
+    only in its image, so a row left out (B_ijk = 0, out in no image) reads 0 = 0: only triples
+    with B_ijk != 0 or a nonzero action at a pair of their :func:`splits` are visited.  The RREF
+    is unique, so dropping zero rows and reordering or rescaling rows keep the basis.
     Integers (:func:`cleared`): with a = a~/e, a^k = A~/d and B~ = s B the
     numerators, a commutation row is e times its equation and a Leibniz row
     s d^2 times its, d^2 B~_ijk against the actions of A~'s column pairs over B~.
@@ -121,26 +121,26 @@ def derivation_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
     n, ak = L.dim, twist_power(L, k)
     (akcols,), d = cleared([ak.col(i).support for i in range(n)])
     (acols,), _ = cleared([L.twist.col(i).support for i in range(n)])
-    rows: list[dict[int, int]] = []
+    arows, rows = [{c: col[p] for c, col in enumerate(acols) if p in col} for p in range(n)], []
     for p, q in itertools.product(range(n), repeat=2):  # (D a - a D)[p, q] = 0
         row = {p * n + c: a for c, a in acols[q].items()}
-        for c, col in enumerate(acols):
-            if p in col:
-                row[c * n + q] = row.get(c * n + q, 0) - col[p]
+        for c, a in arows[p].items():
+            row[c * n + q] = row.get(c * n + q, 0) - a
         rows.append(row)
     # [D e_i, a^k e_j, a^k e_k] = [a^k e_j, a^k e_k, D e_i] is linear in column
     # i of D, with the twisted action T = tk[j, k] as coefficient matrix: D[r, i]
     # meets T e_r, at each coordinate of T e_r; likewise for the other :func:`splits`.
     tk = L.alt.pairs(akcols)
     for i, j, kk in increasing_triples(n):
-        bval = L.alt.get(i, j, kk)
-        by_out = {out: {out * n + t: d * d * b for t, b in bval.items()} for out in range(n) if bval}
-        for col, pair, sign in splits(i, j, kk):
-            for r, vec in tk.get(pair, {}).items():
-                for out, a in vec.items():
-                    row = by_out.setdefault(out, {})
-                    row[r * n + col] = row.get(r * n + col, 0) - sign * a
-        rows += by_out.values()
+        if (j, kk) in tk or (i, kk) in tk or (i, j) in tk or (i, j, kk) in L.alt.values:
+            bval = L.alt.get(i, j, kk)
+            outs = {out: {out * n + t: d * d * b for t, b in bval.items()} for out in range(n if bval else 0)}
+            for col, pair, sign in splits(i, j, kk):
+                for r, vec in tk.get(pair, {}).items():
+                    for out, a in vec.items():
+                        row = outs.setdefault(out, {})
+                        row[r * n + col] = row.get(r * n + col, 0) - sign * a
+            rows += outs.values()
 
     # nonzero int rows, shortest first (less fill); the kernel takes ints as they are
     rows = sorted(filter(None, map(pruned, rows)), key=len)

@@ -58,9 +58,6 @@ class Cocycle:
     def zero(algebra_dim: int, module_dim: int) -> "Cocycle":
         return Cocycle(algebra_dim, module_dim, {})
 
-    def value_basis(self, i: int, j: int, k: int) -> Vec:
-        return self.alt.basis_value(i, j, k)
-
     def __add__(self, other: "Cocycle") -> "Cocycle":
         if (self.algebra_dim, self.module_dim) != (other.algebra_dim, other.module_dim):
             raise DimensionMismatch("cocycle shapes differ")

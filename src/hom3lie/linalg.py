@@ -12,10 +12,10 @@ Vectors are stored as *supports*: dicts mapping a coordinate to a
 nonzero Fraction, read-only once built; a matrix is a tuple of row
 vectors.  Dense entries are only a derived view.  Every sparse product
 (``Mat @ Mat``, a projection, a contraction) accumulates in one loop,
-:func:`add_matvec`, and every elimination (``rref``, ``rank``,
-``nullspace``, ``solve``, ``inverse`` and ``Subspace.span``) runs on one
-sparse, fraction-free Gauss-Jordan routine over the row supports cleared
-to ints.
+:func:`add_matvec`, and every elimination (``rref``, ``rank``, ``nullspace``,
+``solve``, ``inverse``, ``Subspace.span``) runs on one sparse routine: unit
+propagation fixes the unknowns of single-entry rows, then fraction-free
+Gauss-Jordan reduces the rest, on the row supports cleared to ints.
 """
 
 from __future__ import annotations
@@ -362,26 +362,43 @@ def _combination(m: int, row: dict[int, int], terms: list[tuple[int, dict[int, i
 def _eliminate(rows: Iterable[Support]) -> dict[int, Support]:
     """The nonzero rows of the RREF of ``rows``, keyed by pivot, in pivot order.
 
-    Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) on int
-    rows, each pivot row zero at the other pivots.  A row, cleared to
-    ints (:func:`integral`) unless it holds ints already, is taken m
-    times, m the lcm of the leads of the pivot rows p it meets, less
-    m / lead_p * row[p] times each; a nonzero rest is the pivot row of
-    its first column and is cleared the same way from the earlier ones.
-    Row scales, multipliers and contents (:func:`_combination`) are
-    nonzero, and a nonzero multiple of a row spans the same line, so the
-    span never changes.  Divided once by its lead at the end, each pivot
-    row has a leading one and zeros at the other pivots: the rows are the
-    unique RREF of the span.
+    Unit propagation first: a row with one entry off the fixed columns, at c,
+    is a multiple of e_c plus ones of fixed e_c', so e_c is in the span and c
+    is fixed in turn.  The rows left, less their fixed entries (in copies), span
+    the span with the e_c and are 0 at every fixed column, as their RREF is: so
+    that RREF and the e_c together are the unique RREF of the whole span.
+    The rows left go through fraction-free Gauss-Jordan (Bareiss, Math.
+    Comp. 22, 1968) on int rows, each pivot row zero at the other pivots.
+    A row, cleared to ints (:func:`integral`) unless it holds ints
+    already, is taken m times, m the lcm of the leads of the pivot rows p
+    it meets, less m / lead_p * row[p] times each; a nonzero rest is the
+    pivot row of its first column and is cleared the same way from the
+    earlier ones.  Row scales, multipliers and contents
+    (:func:`_combination`) are nonzero, and a nonzero multiple of a row
+    spans the same line, so the span never changes.  Divided once by its
+    lead at the end, each pivot row has a leading one and zeros at the
+    other pivots: the rows are the unique RREF of their span.
     """
+    rows = list(rows)
+    live = [len(row) for row in rows]  # entries off the fixed columns
+    queue, fixed, holding = [i for i, k in enumerate(live) if k == 1], set(), {}
+    for i, row in enumerate(rows if queue else ()):
+        for c in row:
+            holding.setdefault(c, []).append(i)
+    while queue:
+        for c in rows[queue.pop()].keys() - fixed:  # its one live column; none if a duplicate fixed it
+            fixed.add(c)
+            for j in holding[c]:
+                live[j] -= 1
+            queue += [j for j in holding[c] if live[j] == 1]
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        if row:
-            if not all(type(a) is int for a in row.values()):
-                row = integral(row)
-            m = math.lcm(*[pivots[p][p] for p in row if p in pivots])
-            row = _combination(m, row, [(m // pivots[p][p] * a, pivots[p])
-                                        for p, a in row.items() if p in pivots])
+    for row in (row if k == len(row) else {c: a for c, a in row.items() if c not in fixed}
+                for row, k in zip(rows, live) if k > 1):
+        if not all(type(a) is int for a in row.values()):
+            row = integral(row)
+        m = math.lcm(*[pivots[p][p] for p in row if p in pivots])
+        row = _combination(m, row, [(m // pivots[p][p] * a, pivots[p])
+                                    for p, a in row.items() if p in pivots])
         if not row:
             continue
         p = min(row)
@@ -390,6 +407,7 @@ def _eliminate(rows: Iterable[Support]) -> dict[int, Support]:
                 g = math.gcd(row[p], prow[p])
                 pivots[q] = _combination(row[p] // g, prow, [(prow[p] // g, row)])
         pivots[p] = row
+    pivots.update((c, {c: 1}) for c in fixed)
     return {p: {c: Fraction(a, row[p]) for c, a in row.items()} for p, row in sorted(pivots.items())}
 
 

@@ -75,6 +75,11 @@ SIGNED_MATVEC = "tests/test_sparse_linalg.py::test_add_matvec_adds_the_signed_de
 MERGED = "tests/test_algebras.py::test_merged_ands_shared_flags_and_keeps_the_first_witnesses"
 INFORMATIONAL = "tests/test_guards.py::test_twist_invariance_does_not_enter_ok"
 ROWS_WRITER = "tests/test_canonical_dumps.py::test_rows_and_dicts_of_plain_strings_match_json_dumps"
+CASCADE = "tests/test_elimination_kernel.py::test_cascades_match_the_dense_oracle"
+CASCADE_SOLVE = "tests/test_elimination_kernel.py::test_cascade_solve_matches_the_dense_oracle"
+UNIT_ROWS = "tests/test_elimination_kernel.py::test_every_chain_column_is_a_unit_row_of_the_rref"
+CANDIDATES = DERIVATIONS + "::test_derivation_space_keeps_each_kind_of_candidate_triple"
+INPUTS_KEPT = "tests/test_elimination_kernel.py::test_kernel_calls_leave_every_input_support_unchanged"
 
 # (name, file under src/hom3lie, old text, new text, tests that must fail)
 MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
@@ -248,6 +253,31 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "_report(mult, \"multiplicative\", E.dim, scale))",
      "own = (_report(mult, \"multiplicative\", E.dim, scale),)",
      (EXTENSION, CLI_BYTES)),
+    ("presolve-drops-a-fixed-unit-row", "linalg.py",
+     "pivots.update((c, {c: 1}) for c in fixed)", "pivots.update((c, {c: 1}) for c in sorted(fixed)[:-1])",
+     (KERNEL, CASCADE, CASCADE_SOLVE, UNIT_ROWS)),
+    ("presolve-fixes-a-two-entry-row", "linalg.py",
+     "[i for i, k in enumerate(live) if k == 1]", "[i for i, k in enumerate(live) if k <= 2]",
+     (KERNEL, CASCADE, CASCADE_SOLVE)),
+    ("presolve-stops-after-one-round", "linalg.py",
+     "queue += [j for j in holding[c] if live[j] == 1]", "[j for j in holding[c] if live[j] == 1]",
+     (CASCADE, CASCADE_SOLVE, UNIT_ROWS)),
+    ("presolve-edits-the-callers-rows", "linalg.py",
+     "row if k == len(row) else {c: a for c, a in row.items() if c not in fixed}",
+     "row if k == len(row) else [row.pop(c) for c in fixed & row.keys()] and row",
+     (INPUTS_KEPT,)),
+    ("derivation-candidates-miss-the-first-split", "derivations.py",
+     "if (j, kk) in tk or (i, kk) in tk", "if (i, kk) in tk",
+     (CANDIDATES,)),
+    ("derivation-candidates-miss-the-middle-split", "derivations.py",
+     "(j, kk) in tk or (i, kk) in tk or", "(j, kk) in tk or",
+     (CANDIDATES,)),
+    ("derivation-candidates-miss-the-last-split", "derivations.py",
+     " or (i, j) in tk or", " or",
+     (CANDIDATES,)),
+    ("derivation-candidates-miss-the-triples-with-b-only", "derivations.py",
+     " or (i, j, kk) in L.alt.values:", ":",
+     (CANDIDATES,)),
     ("kernel-int-check-reads-the-first-entry", "linalg.py",
      "if not all(type(a) is int for a in row.values()):",
      "if type(next(iter(row.values()))) is not int:",
@@ -293,7 +323,7 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "{out * n + t: d * d * b for", "{out * n + t: b for",
      (DERIVATIONS,)),
     ("derivation-action-only-coordinates-dropped", "derivations.py",
-     "rows += by_out.values()", "rows += by_out.values() if bval else []",
+     "rows += outs.values()", "rows += outs.values() if bval else []",
      (DERIVATIONS,)),
     ("leibniz-left-side-without-c-squared", "derivations.py",
      "{r: c * c * x for r, x in col.items()}", "{r: x for r, x in col.items()}",

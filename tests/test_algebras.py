@@ -118,7 +118,7 @@ def test_subalgebra_and_ideal_examples():
 
 def test_direct_sum_examples():
     s = direct_sum(ab3(), ab3())
-    assert s.dim == 6 and s.is_abelian()
+    assert s.dim == 6 and not s.table
     mixed = direct_sum(l3(), l3())
     assert mixed.bracket(e(6, 0), e(6, 1), e(6, 3)).is_zero()
     t = direct_sum(l3(), ab3s())
@@ -169,14 +169,14 @@ def test_graph_characterizes_morphisms(algebras):
 
 def test_quotient_examples():
     q, proj = quotient(l3(), span(3, e(3, 0)))
-    assert q.dim == 2 and q.is_abelian()
+    assert q.dim == 2 and not q.table
     assert proj.rows == 2 and proj.cols == 3
 
     q2, proj2 = quotient(l3(), Subspace.zero(3))
     assert q2 == l3() and proj2 == Mat.identity(3)
 
     q3, _ = quotient(n4(), span(4, e(4, 3)))
-    assert q3.dim == 3 and q3.is_abelian()
+    assert q3.dim == 3 and not q3.table
 
     with pytest.raises(IdealRequired):
         quotient(a4(), span(4, e(4, 0)))

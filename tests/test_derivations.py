@@ -92,6 +92,19 @@ def test_derivation_space_is_the_brute_force_nullspace_on_coprime_scales(k):
         assert all(is_alpha_k_derivation(L, d, k) for d in space.basis)
 
 
+def test_derivation_space_keeps_each_kind_of_candidate_triple():
+    """derivation_space visits only the triples with B_ijk != 0 or a nonzero
+    twisted action at one of their pairs.  The zero twist at k = 1 leaves
+    B_012 with no action.  L3 on e1, e3, e4 with e2 central puts its actions
+    in the first and the middle pair of (2, 3, 4) and (1, 2, 3), and L3 + ab3
+    in the last pair of (1, 2, 4); each fixes an entry of D e2 or D e4 that no
+    other triple reaches."""
+    gap = Hom3LieAlgebra(4, {(0, 2, 3): Vec.of(1, 0, 0, 0)}, Mat.identity(4))
+    zero = Hom3LieAlgebra(3, l3().table, Mat.zero(3, 3))
+    for L, k in ((zero, 1), (gap, 0), (direct_sum(l3(), ab3()), 0)):
+        assert derivation_space(L, k).as_subspace == naive_derivation_space(L, k)
+
+
 def test_derivation_space_members_pass_and_nonmembers_fail():
     rng = random.Random(5)
     for L in (l3(), l3h(2), n4()):

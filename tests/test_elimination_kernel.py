@@ -17,6 +17,13 @@ from 1, 3, 7 and 11 over numerators up to 10^6, int-valued rows, rows
 of ints and Fractions mixed (the kernel takes rows of ints as they are),
 and rows that are rational multiples of each other.  The oracles get the
 same matrices with Fraction entries.
+
+The kernel first propagates single-entry rows (``linalg._eliminate``), so
+``cascades`` draws systems whose single-entry rows cascade at least three
+deep, with duplicate singletons on one column, which random matrices
+seldom contain; the kernel must match the dense oracle on them, return
+e_c for each column c of the chain they are built on, and leave the
+supports of every input vector as they were.
 """
 
 from fractions import Fraction
@@ -225,3 +232,100 @@ def test_wide_entries_match_sympy_domain_matrix(pair):
                 for row in reduced.to_list() for a in row]
     assert list(rref(m).entries) == expected
     assert rank(m) == len(pivots)
+
+
+nonzero = fractions.filter(bool)
+
+
+@st.composite
+def cascades(draw, square: bool = False) -> tuple[Mat, list[int]]:
+    """A shuffled sparse system and the chain c_0, ..., c_(d-1) (d >= 3) of
+    columns its single-entry rows cascade on: a row e_(c_0) (twice at times),
+    then for each t one or two rows at c_t, c_(t-1) and any earlier links, so
+    fixing c_(t-1) leaves them with one entry at c_t; noise rows with two or
+    more entries off the chain, which fix nothing and keep what they hold
+    off it.  Half the systems have duplicate rows and maybe a zero row, the
+    others one row per link; square ones get more noise rows to fit."""
+    depth, twice = draw(st.integers(3, 5)), st.integers(1, 2 if draw(st.booleans()) else 1)
+    cols = draw(st.integers(depth + 2, 8))
+    chain = draw(st.permutations(range(cols)))[:depth]
+    rows = [{chain[0]: draw(nonzero)} for _ in range(draw(twice))]
+    for t in range(1, depth):
+        for _ in range(draw(twice)):
+            links = draw(st.sets(st.sampled_from(chain[:t - 1]))) if t > 1 else set()
+            rows.append({c: draw(nonzero) for c in {chain[t], chain[t - 1], *links}})
+    cols = max(cols, len(rows) + 4) if square else cols  # room for the noise and a zero row
+    others = [c for c in range(cols) if c not in chain]
+
+    def noise() -> dict:
+        held = draw(st.sets(st.sampled_from(others), min_size=2)) | draw(st.sets(st.sampled_from(chain)))
+        return {c: draw(nonzero) for c in held}
+
+    rows += [noise() for _ in range(draw(st.integers(0, 3)))] + [{}] * (draw(twice) - 1)
+    rows += [noise() for _ in range(cols - len(rows))] if square else []
+    rows = draw(st.permutations(rows))
+    return Mat.sparse(cols, [Vec.sparse(cols, r) for r in rows]), list(chain)
+
+
+@given(cascades())
+def test_cascades_match_the_dense_oracle(system):
+    m, _ = system
+    assert rref(m) == dense.rref(m)
+    assert rank(m) == dense.rank(m)
+    assert nullspace(m) == dense.nullspace(m)
+    rows = [m.row(i) for i in range(m.rows)]
+    assert Subspace.span(m.cols, rows) == dense.span(m.cols, rows)
+
+
+@given(cascades(), st.data())
+def test_cascade_solve_matches_the_dense_oracle(system, data):
+    m, _ = system
+    x = data.draw(vectors(m.cols))
+    assert solve(m, m.apply(x)) == dense.solve(m, m.apply(x))
+    b = data.draw(vectors(m.rows))
+    assert solve(m, b) == dense.solve(m, b)
+    # 1 on one row: on a chain row the cascade fixes the right-hand column, 0 = 1
+    b = Vec.basis(m.rows, data.draw(st.integers(0, m.rows - 1)))
+    assert solve(m, b) == dense.solve(m, b)
+
+
+@given(cascades(square=True))
+def test_cascade_inverse_matches_the_dense_oracle(system):
+    m, _ = system
+    assert inverse(m) == dense.inverse(m)
+
+
+def test_a_cascade_that_fixes_the_right_hand_side_is_inconsistent():
+    # x0 = 0, then x0 + x1 = 0 fixes x1, and x1 = 1 leaves 0 = 1 at the right-hand column
+    m = Mat.from_rows([[1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 1, 1]])
+    b = Vec.of(0, 0, 1, 0)
+    assert solve(m, b) is None and dense.solve(m, b) is None
+    assert solve(m, Vec.of(0, 0, 0, 5)) == Vec.of(0, 0, 5)
+
+
+def test_a_singular_cascade_has_no_inverse():
+    # [m | I] has a single-entry row only where m has a zero row, and it fixes a column of I
+    for rows in ([[2, 0, 0], [1, 3, 0], [0, 0, 0]], [[2, 0, 0], [1, 3, 0], [0, 5, 0]]):
+        m = Mat.from_rows(rows)
+        assert inverse(m) is None and dense.inverse(m) is None
+    m = Mat.from_rows([[2, 0, 0], [1, 3, 0], [0, 5, 7]])
+    assert inverse(m) == dense.inverse(m) is not None
+
+
+@given(cascades())
+def test_every_chain_column_is_a_unit_row_of_the_rref(system):
+    # the cascade puts each e_c of the chain in the span, and then the RREF row at c is e_c
+    m, chain = system
+    rows = {min(v.support): v.support for v in rref(m).row_vecs if v.support}
+    assert all(rows.get(c) == {c: 1} for c in chain)
+
+
+@given(cascades(square=True), st.data())
+def test_kernel_calls_leave_every_input_support_unchanged(system, data):
+    m, _ = system
+    b = data.draw(vectors(m.rows))
+    inputs = [v.support for v in m.row_vecs] + [b.support]
+    before = [dict(s) for s in inputs]
+    rank(m), rref(m), nullspace(m), solve(m, b), inverse(m), Subspace.span(m.cols, list(m.row_vecs))
+    assert inputs == before
+    assert all(s is v.support for s, v in zip(inputs, m.row_vecs))

@@ -352,7 +352,7 @@ def test_reconstructed_theta_matches_direct_brackets(case):
     for p, q, r in increasing_triples(n):
         bracket = oracle.bracket(g, ls[p], ls[q], ls[r])
         expected = Vec(tuple(form.eval(bracket, ls[s]) for s in range(n)))
-        assert result.theta.value_basis(p, q, r) == expected
+        assert result.theta.alt.basis_value(p, q, r) == expected
 
 
 def change_of_basis_reconstruction(g, form, ideal: Subspace, comp: Subspace):
