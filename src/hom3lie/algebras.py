@@ -235,11 +235,9 @@ def verify_hom_jacobi(L: Hom3LieAlgebra) -> Report:
     return _report(w, "hom_jacobi", n, *hom_jacobi_sides(L, w.reps(n), increasing_triples(n)))
 
 
-def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra,
-                    triples: Optional[Iterable[tuple[int, int, int]]] = None) -> tuple[int, Iterator]:
-    """A scale s and, for each (i, j, k) of ``triples`` (default: all i < j < k)
-    where they differ, phi [e_i,e_j,e_k] and [phi e_i,phi e_j,phi e_k] as int
-    supports, s times theirs.
+def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> tuple[int, Iterator]:
+    """A scale s and, for each i < j < k where they differ, phi [e_i,e_j,e_k]
+    and [phi e_i,phi e_j,phi e_k] as int supports, s times theirs.
 
     With phi = phi~/d (:func:`cleared`), B_L = B~_L/D_L and B_G = B~_G/D_G (numerators;
     the pairs of phi~ over B~_G are G.twisted when phi is G's twist), phi~ B~_L
@@ -253,7 +251,7 @@ def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra,
     t = G.twisted[0] if phi == G.twist else right.pairs(cols)
     lcols = {i: {r: d * d * dg * x for r, x in c.items()} for i, c in enumerate(cols)}
     rcols = [{r: dl * x for r, x in c.items()} for c in cols]
-    keys = (key for key in (increasing_triples(L.dim) if triples is None else triples)
+    keys = (key for key in increasing_triples(L.dim)
             if left.get(*key) or not t.get(key[:2], {}).keys().isdisjoint(cols[key[2]]))
     images = ((key, matvec(lcols, left.get(*key)), matvec(t.get(key[:2], {}), rcols[key[2]])) for key in keys)
     return d ** 3 * dl * dg, ((key, lhs, rhs) for key, lhs, rhs in images if lhs != rhs)

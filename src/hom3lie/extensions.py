@@ -25,14 +25,14 @@ from .algebras import (
     preserves_bracket,
 )
 from .errors import CocycleInvalid, DimensionMismatch, RepresentationInvalid
-from .linalg import Mat, SparseMat, Vec, cleared, matvec, rank
+from .linalg import Mat, Vec, cleared, matvec, rank
 from .representations import (
     Representation,
     _extension_sweep,
     _semidirect_table,
     coadjoint_rep,
 )
-from .sparse import AltTable, splits
+from .sparse import AltTable
 
 
 @dataclass(frozen=True)
@@ -194,12 +194,12 @@ def t_star_extension(L: Hom3LieAlgebra, th: Cocycle) -> tuple[Hom3LieAlgebra, Bi
 def theta_cyclic_ok(L: Hom3LieAlgebra, th: Cocycle) -> bool:
     """Decide theta(x1,x2,x3)(x4) + theta(x1,x2,x4)(x3) = 0 on the basis.
 
-    The identity is skewness of W(i,j,k,l) = theta(i,j,k)(l) in slots 3, 4;
+    The identity is skewness of W(i,j,k,l) = theta(i,j,k)(l) in slots 3, 4 (:func:`_skew_last`);
     with slots 1-3 that generates S4, so it holds iff cyclic_part fixes theta.
     """
     if th.algebra_dim != L.dim or th.module_dim != L.dim:
         raise DimensionMismatch("cyclicity concerns cocycles with values in L*")
-    return cyclic_part(th) == th
+    return _skew_last(th.alt).clean
 
 
 def cyclic_part(th: Cocycle) -> Cocycle:
@@ -225,19 +225,13 @@ def cyclic_part(th: Cocycle) -> Cocycle:
 
 
 def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> Report:
-    """Check B([x1,x2,x3], x4) + B([x1,x2,x4], x3) = 0 over basis 4-tuples.
+    """Check B([x1,x2,x3], x4) + B([x1,x2,x4], x3) = 0 over basis 4-tuples:
+    W(a, b, c)(d) = B([e_a, e_b, e_c], e_d) skew in (c, d) (:func:`_skew_last`),
+    W the alternating table of G^T [e_x, e_y, e_z] at the keys x < y < z.
 
-    That is, M_ab[c][d] = B([e_a, e_b, e_c], e_d) is skew.  Each stored key
-    x < y < z gives the rows M_ab[c] = s G^T [e_x, e_y, e_z] at its
-    :func:`splits` (c, (a, b), s), and the other rows are 0 (possibly
-    absent).  Only the (c, d) in the support of M_ab or of its transpose
-    are visited, in sorted order; at every other (c, d) both terms are 0.
-    M_ab is skew in (a, b) (:class:`Sweep`).
-
-    Integers: from the numerators B~ = D B and the rows of the Gram matrix
-    G = G~/s (:func:`cleared`), M_ab is built D s times itself, skew iff it is.
-    The report also flags symmetry, non-degeneracy and twist invariance, the
-    last informational: :attr:`Report.ok` does not read it.
+    Integers: from the numerators B~ = D B and the Gram rows G = G~/s (:func:`cleared`), W is
+    built D s times itself, skew iff it is.  The report also flags symmetry, non-degeneracy
+    and twist invariance, the last informational: :attr:`Report.ok` does not read it.
     """
     n = alg.dim
     if form.dim != n:
@@ -245,21 +239,24 @@ def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> Report:
     gram = form.gram
     (rows,), _ = cleared([row.support for row in gram.row_vecs])
     gt = dict(enumerate(rows))  # the columns of G^T
-    ms: dict[tuple[int, int], SparseMat] = {}
-    for key in alg.table:
-        row = matvec(gt, alg.alt.get(*key))
-        for c, ab, s in splits(*key):
-            ms.setdefault(ab, {})[c] = row if s > 0 else {d: -v for d, v in row.items()}
-    log = Sweep(2)
-    for a, b in log.reps(n):
-        m = ms.get((a, b), {})
-        cells = {(c, d) for c, row in m.items() for d in row}
-        for c, d in sorted(cells | {(d, c) for c, d in cells}):
-            if m.get(c, {}).get(d, 0) + m.get(d, {}).get(c, 0) != 0:
-                log.add((a, b, c, d))
+    w = AltTable(n, n, {k: Vec.sparse(n, matvec(gt, alg.alt.get(*k))) for k in alg.table}, "invariance")
     flags = {"symmetric": gram == gram.transpose(), "nondegenerate": rank(gram) == n,
              "twist_invariant": alg.twist.transpose() @ gram @ alg.twist == gram}
-    return Report(flags).merged(_report(log, "invariant"))
+    return Report(flags).merged(_report(_skew_last(w), "invariant"))
+
+
+def _skew_last(w: AltTable) -> Sweep:
+    """The sweep of M_ab[c][d] + M_ab[d][c] = 0, M_ab[c][d] = w(e_a, e_b, e_c)[d] read at
+    the trie node ``w.get(a, b)``, whose rows the trie signs.  The residual is symmetric in
+    (c, d): each (c, d) in the support of M_ab is tested and a failure added with its
+    transpose, in sorted order; elsewhere both terms are 0.  M_ab is skew in (a, b) (:class:`Sweep`)."""
+    log = Sweep(2)
+    for a, b in log.reps(w.dim):
+        m = w.get(a, b)
+        bad = {(c, d) for c, row in m.items() for d, x in row.items() if x + m.get(d, {}).get(c, 0)}
+        for c, d in sorted(bad | {(d, c) for c, d in bad}):
+            log.add((a, b, c, d))
+    return log
 
 
 def _shear(L: Hom3LieAlgebra, r: Representation, f: Mat) -> Mat:

@@ -154,7 +154,10 @@ def _extension_sweep(E: Hom3LieAlgebra, n: int) -> tuple[Report, Report, Report]
     the twist keeps L and V, so every twisted, nested bracket in E's
     identities is 0 at two or more module indices, and so is the instance.
     The rest is swept once: multiplicativity on E's increasing triples, in
-    E's order, and hom-Jacobi in three blocks, (a < b < n; L's triples),
+    E's order, whose candidate filter (:func:`_bracket_images`) skips those with
+    two module indices: B_E is 0 there, T over an (algebra, module) pair has
+    algebra columns while alpha e_{n+c'} lies in V, and a (module, module)
+    pair has no T; and hom-Jacobi in three blocks, (a < b < n; L's triples),
     (u, n + c; L's triples) and (a < b < n; z < u < n, n + c).  As
     [e_x, e_y, e_{n+c}] = rho(x, y) e_c, column c of (R1) at (x, y) is the
     first on (x, y, n + c), and of (R2), (R3) at (x, y, z, u) hom-Jacobi on
@@ -167,8 +170,7 @@ def _extension_sweep(E: Hom3LieAlgebra, n: int) -> tuple[Report, Report, Report]
     low, module = list(itertools.combinations(range(n), 2)), range(n, E.dim)
     jacobi, mult, twist, cocycle, r2, r3 = Sweep(2), Sweep(), Sweep(2), Sweep(3, 2), Sweep(3), Sweep(2, 2)
     found: dict[Sweep, set] = {twist: set(), cocycle: set(), r2: set(), r3: set()}
-    upto_one = [(x, y, k) for x, y in low for k in range(y + 1, E.dim)]
-    scale, images = _bracket_images(E.twist, E, E, upto_one)
+    scale, images = _bracket_images(E.twist, E, E)
     for key, lhs, rhs in images:
         mult.add(key, lhs, rhs)
         if key[2] >= n:

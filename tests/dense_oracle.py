@@ -1,7 +1,8 @@
 """Dense reference sweeps, kept as oracles for the library's sparse sweeps.
 
 These are the hom-Jacobi, multiplicativity, Leibniz, representation,
-cocycle, metric-invariance and cyclicity sweeps, and the ideal test, the
+cocycle, metric-invariance and cyclicity sweeps, the cyclic projection
+as the literal alternation over S4, and the ideal test, the
 centralizer, the quotient and the isotropic complement, written the direct way: every
 bracket, action and cocycle value is evaluated from the stored increasing-key table by
 its skew multilinear extension, one basis tuple of the arguments'
@@ -274,6 +275,20 @@ def theta_cyclic(th) -> bool:
     n = th.algebra_dim
     return all(theta_basis(th, i, j, k)[l] + theta_basis(th, i, j, l)[k] == 0
                for i, j, k in increasing_triples(n) for l in range(n))
+
+
+def cyclic_part(th) -> dict:
+    """The alternation (1/24) sum over S4 of sgn(sigma) W o sigma of
+    W(i, j, k, l) = theta(e_i, e_j, e_k)(e_l), evaluated on every ordered
+    4-tuple, as the table of its nonzero values theta'(e_i, e_j, e_k) on
+    the increasing triples."""
+    n = th.algebra_dim
+    perms = [(p, (-1) ** sum(a > b for a, b in itertools.combinations(p, 2)))
+             for p in itertools.permutations(range(4))]
+    w = {x: theta_basis(th, *x[:3])[x[3]] for x in itertools.product(range(n), repeat=4)}
+    alt = {x: sum((s * w[tuple(x[i] for i in p)] for p, s in perms), Fraction(0)) / 24 for x in w}
+    table = {key: Vec(alt[(*key, l)] for l in range(n)) for key in increasing_triples(n)}
+    return {key: v for key, v in table.items() if not v.is_zero()}
 
 
 def contains_all(s: Subspace, vectors) -> bool:

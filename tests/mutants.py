@@ -44,6 +44,7 @@ THETA = "tests/test_pairs.py::test_reconstructed_theta_matches_direct_brackets"
 IDEAL = "tests/test_algebras.py::test_is_ideal_and_quotient_match_the_brute_force_oracle"
 VEC_MAT = "tests/test_sparse_linalg.py"
 CYCLIC = "tests/test_extensions.py::test_theta_cyclic_ok_matches_the_pairwise_sweep"
+CYCLIC_PART = "tests/test_extensions.py::test_cyclic_part_matches_the_dense_alternation"
 MORPHISM = "tests/test_pairs.py::test_a_morphism_between_algebras_of_coprime_denominators"
 COPRIME_REP = SWEEPS + "test_representation_sweep_matches_the_dense_sweep_on_coprime_scales"
 ZERO_ACTION = SWEEPS + "test_extension_by_the_zero_action_fails_hom_jacobi_where_the_base_does"
@@ -107,9 +108,9 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("r1-admits-triples-without-a-module-index", "representations.py",
      "        if key[2] >= n:\n", "        if True:\n",
      (ZERO_ACTION, CLI_BYTES, ZERO_MODULE)),
-    ("extension-multiplicativity-below-n-only", "representations.py",
-     "range(y + 1, E.dim)", "range(y + 1, n)",
-     (EXTENSION, COPRIME_REP)),
+    ("bracket-images-skip-the-last-index", "algebras.py",
+     "for key in increasing_triples(L.dim)\n", "for key in increasing_triples(L.dim - 1)\n",
+     (EXTENSION, IMAGES)),
     ("extension-hom-jacobi-from-the-algebra-block-only", "representations.py",
      "            jacobi.add(key, lhs, rhs)\n",
      "            if log is cocycle:\n                jacobi.add(key, lhs, rhs)\n",
@@ -184,16 +185,12 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("derivation-drops-the-split-sign", "derivations.py",
      "row.get(r * n + col, 0) - sign * a", "row.get(r * n + col, 0) - a",
      (DERIVATIONS,)),
-    ("metric-drops-the-split-sign", "extensions.py",
-     "row if s > 0 else {d: -v for d, v in row.items()}", "row",
-     (METRIC,)),
     ("metric-no-transpose", "extensions.py",
-     "sorted(cells | {(d, c) for c, d in cells})", "sorted(cells)",
-     (TRUNCATED, METRIC)),
+     "sorted(bad | {(d, c) for c, d in bad})", "sorted(bad)",
+     (TRUNCATED, METRIC, CYCLIC)),
     ("metric-diagonal-skipped", "extensions.py",
-     "            if m.get(c, {}).get(d, 0) + m.get(d, {}).get(c, 0) != 0:",
-     "            if c != d and m.get(c, {}).get(d, 0) + m.get(d, {}).get(c, 0) != 0:",
-     (TRUNCATED, METRIC)),
+     "if x + m.get(d, {}).get(c, 0)}", "if c != d and x + m.get(d, {}).get(c, 0)}",
+     (TRUNCATED, METRIC, CYCLIC)),
     ("reconstruction-pairs-the-ideal", "structure.py",
      "pair = lifts @ form.gram", "pair = Mat.sparse(n2, ideal.basis) @ form.gram",
      (RECONSTRUCTION,)),
@@ -216,10 +213,10 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      (VEC_MAT,)),
     ("cyclic-part-unsigned", "extensions.py",
      ".get(w[r], 0) * (1 if r % 2 else -1)", ".get(w[r], 0)",
-     (CYCLIC,)),
+     (CYCLIC_PART,)),
     ("cyclic-part-position-unsigned", "extensions.py",
      "Fraction(s if r % 2 else -s, 4 * D)", "Fraction(s, 4 * D)",
-     (CYCLIC,)),
+     (CYCLIC_PART,)),
     ("bracket-images-multiplier-d", "algebras.py",
      "{r: d * d * dg * x for", "{r: d * dg * x for",
      (MORPHISM,)),
@@ -305,7 +302,7 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      (LITERAL_ACTIONS, CLI_BYTES)),
     ("splits-middle-unsigned", "sparse.py",
      "(v, (u, w), -1)", "(v, (u, w), 1)",
-     (NUMERATORS,)),
+     (NUMERATORS, METRIC, CYCLIC)),
     ("trie-swapped-pair-unsigned", "sparse.py",
      "neg if s > 0 else pos", "pos if s > 0 else neg",
      (PAIRS, NUMERATORS)),

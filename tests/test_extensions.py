@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,11 +7,12 @@ from hypothesis import strategies as st
 
 import dense_oracle as oracle
 from conftest import random_mat, random_vec
-from hom3lie.algebras import Hom3LieAlgebra, increasing_triples
+from hom3lie.algebras import MAX_WITNESSES, Hom3LieAlgebra, increasing_triples
 from hom3lie.errors import CocycleInvalid, DimensionMismatch
 from hom3lie.extensions import (
     BilinForm,
     Cocycle,
+    _skew_last,
     coboundary,
     cyclic_part,
     hyperbolic_form,
@@ -198,8 +200,27 @@ def cyclic_candidates(draw):
 @example(EPSILON)
 @given(cyclic_candidates())
 def test_theta_cyclic_ok_matches_the_pairwise_sweep(th):
+    """``theta_cyclic_ok`` against the oracle, and the sweep behind it and
+    ``verify_metric``, on theta's own table: its total and witnesses are those
+    of the loop over every ordered 4-tuple (a, b, c, d) with
+    theta(a,b,c)(d) + theta(a,b,d)(c) != 0."""
     n = th.algebra_dim
     assert theta_cyclic_ok(Hom3LieAlgebra(n, {}, Mat.identity(n)), th) == oracle.theta_cyclic(th)
+    failing = [x for x in itertools.product(range(n), repeat=4)
+               if oracle.theta_basis(th, *x[:3])[x[3]] + oracle.theta_basis(th, *x[:2], x[3])[x[2]] != 0]
+    log = _skew_last(th.alt)
+    assert (log.total, [x for x, *_ in log.kept]) == (len(failing), failing[:MAX_WITNESSES])
+
+
+@example(EPSILON)
+@given(cyclic_candidates())
+def test_cyclic_part_matches_the_dense_alternation(th):
+    """``cyclic_part`` against the alternation over S4 on every ordered
+    4-tuple, and ``theta_cyclic_ok``, which does not project, against
+    whether the projection fixes theta."""
+    n = th.algebra_dim
+    assert cyclic_part(th).table == oracle.cyclic_part(th)
+    assert theta_cyclic_ok(Hom3LieAlgebra(n, {}, Mat.identity(n)), th) == (cyclic_part(th) == th)
 
 
 def test_cyclic_part_is_a_projector_onto_the_cyclic_class():

@@ -215,15 +215,12 @@ def test_preserves_bracket_matches_direct_brackets(case):
 
 @st.composite
 def image_maps(draw):
-    """phi from L to G with the triples to run on (None: every increasing
-    triple of L, or a drawn list of them in a drawn order): G's twist with
-    G = L, or a drawn map, dense (no zero entry) or sparse with one or two
-    zero columns, so singular."""
+    """phi from L to G: G's twist with G = L, or a drawn map, dense (no zero
+    entry) or sparse with one or two zero columns, so singular."""
     L = draw(perturbed())
     kind = draw(st.sampled_from(["twist", "dense", "singular"]))
-    triples = draw(st.none() | st.lists(st.sampled_from(list(increasing_triples(L.dim))), unique=True))
     if kind == "twist":
-        return L.twist, L, L, triples
+        return L.twist, L, L
     G = draw(perturbed())
     n, m = L.dim, G.dim
     entries = small.filter(bool) if kind == "dense" else st.sampled_from([0, 0, 1, -1, Fraction(1, 2)])
@@ -231,19 +228,19 @@ def image_maps(draw):
     if kind == "singular":
         for c in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
             cols[c] = [0] * m
-    return Mat.from_cols([Vec.of(*col) for col in cols]), L, G, triples
+    return Mat.from_cols([Vec.of(*col) for col in cols]), L, G
 
 
-@example((Mat.diagonal([1, 1, 0]), l3(), l3(), None))  # phi B_L(0, 1, 2) = e_0, phi e_2 = 0
+@example((Mat.diagonal([1, 1, 0]), l3(), l3()))  # phi B_L(0, 1, 2) = e_0, phi e_2 = 0
 @given(image_maps())
 def test_bracket_images_yield_what_every_increasing_triple_yields(case):
     """The candidates of ``_bracket_images`` against phi [e_i, e_j, e_k] and
-    [phi e_i, phi e_j, phi e_k] from the dense oracle on every given triple,
-    in order, where they differ, both times the returned scale."""
-    phi, L, G, triples = case
-    scale, images = _bracket_images(phi, L, G, triples)
+    [phi e_i, phi e_j, phi e_k] from the dense oracle on every increasing
+    triple, in order, where they differ, both times the returned scale."""
+    phi, L, G = case
+    scale, images = _bracket_images(phi, L, G)
     expected = []
-    for key in increasing_triples(L.dim) if triples is None else triples:
+    for key in increasing_triples(L.dim):
         lhs = phi.apply(oracle.bracket_basis(L, *key))
         rhs = oracle.bracket(G, *(phi.col(i) for i in key))
         if lhs != rhs:
