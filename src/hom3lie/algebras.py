@@ -239,20 +239,19 @@ def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> tuple[int
     """A scale s and, for each i < j < k where they differ, phi [e_i,e_j,e_k]
     and [phi e_i,phi e_j,phi e_k] as int supports, s times theirs.
 
-    With phi = phi~/d (:func:`cleared`), B_L = B~_L/D_L and B_G = B~_G/D_G (numerators;
-    the pairs of phi~ over B~_G are G.twisted when phi is G's twist), phi~ B~_L
-    is d D_L times the left and B~_G(phi~, phi~, phi~) d^3 D_G times the
-    right; taken d^2 D_G and D_L times, both are s = d^3 D_L D_G.  Only
-    candidates are evaluated: on a triple where B_L is 0 and the columns of
-    T_ij = [phi e_i, phi e_j, .] miss the support of phi e_k, both sides are 0.
+    With phi = phi~/d (:func:`cleared`), B_L = B~_L/D_L and B_G = B~_G/D_G (numerators; the pairs of phi~
+    over B~_G are G.twisted when phi is G's twist), phi~ B~_L is d D_L times the left and
+    B~_G(phi~, phi~, phi~) d^3 D_G times the right; taken d^2 D_G and D_L times, both are s = d^3 D_L D_G.
+    Only the candidates go, in increasing order, as over all triples: the keys of B_L, and each i < j < k
+    with the columns of T_ij = [phi e_i, phi e_j, .] meeting the support of phi e_k; elsewhere both are 0.
     """
     (cols,), d = cleared([phi.col(i).support for i in range(L.dim)])
     (left, dl), (right, dg) = (L.alt, L.alt.scale), (G.alt, G.alt.scale)
     t = G.twisted[0] if phi == G.twist else right.pairs(cols)
     lcols = {i: {r: d * d * dg * x for r, x in c.items()} for i, c in enumerate(cols)}
     rcols = [{r: dl * x for r, x in c.items()} for c in cols]
-    keys = (key for key in increasing_triples(L.dim)
-            if left.get(*key) or not t.get(key[:2], {}).keys().isdisjoint(cols[key[2]]))
+    keys = sorted({*left.values, *((i, j, k) for (i, j), m in t.items() for k in range(j + 1, L.dim)
+                                   if not m.keys().isdisjoint(cols[k]))})
     images = ((key, matvec(lcols, left.get(*key)), matvec(t.get(key[:2], {}), rcols[key[2]])) for key in keys)
     return d ** 3 * dl * dg, ((key, lhs, rhs) for key, lhs, rhs in images if lhs != rhs)
 

@@ -25,7 +25,7 @@ from .algebras import (
     preserves_bracket,
 )
 from .errors import CocycleInvalid, DimensionMismatch, RepresentationInvalid
-from .linalg import Mat, Vec, cleared, matvec, rank
+from .linalg import Mat, Vec, cleared, integral, matvec, rank
 from .representations import (
     Representation,
     _extension_sweep,
@@ -192,70 +192,71 @@ def t_star_extension(L: Hom3LieAlgebra, th: Cocycle) -> tuple[Hom3LieAlgebra, Bi
 
 
 def theta_cyclic_ok(L: Hom3LieAlgebra, th: Cocycle) -> bool:
-    """Decide theta(x1,x2,x3)(x4) + theta(x1,x2,x4)(x3) = 0 on the basis.
-
-    The identity is skewness of W(i,j,k,l) = theta(i,j,k)(l) in slots 3, 4 (:func:`_skew_last`);
-    with slots 1-3 that generates S4, so it holds iff cyclic_part fixes theta.
-    """
+    """Decide theta(x1,x2,x3)(x4) + theta(x1,x2,x4)(x3) = 0 on the basis: W(i,j,k,l) = theta(i,j,k)(l)
+    skew in slots 3, 4 (:func:`_skew_last`), with slots 1-3 alternating, iff cyclic_part fixes theta."""
     if th.algebra_dim != L.dim or th.module_dim != L.dim:
         raise DimensionMismatch("cyclicity concerns cocycles with values in L*")
     return _skew_last(th.alt).clean
 
 
 def cyclic_part(th: Cocycle) -> Cocycle:
-    """Project onto the maps satisfying the cyclic pairing identity.
-
-    Viewing theta as a 4-tensor W(i,j,k,l) = theta(i,j,k)(l), the
-    identity says W is antisymmetric in (k, l); combined with skewness
-    in (i,j,k) that makes W totally antisymmetric, so the projector is
-    full alternation over S4.  Per increasing 4-tuple w, theta being alternating
-    in its first three slots, its 24 signed terms are 6 times the four at the
-    splits (w less w_r, w_r), each signed to move w_r to the end: their sum on the
-    numerators over 4 D (D = ``alt.scale``) is written there with the same signs.
-    """
+    """Project onto the maps satisfying the cyclic pairing identity, the alternating W(i,j,k,l) =
+    theta(i,j,k)(l) (:func:`theta_cyclic_ok`): the alternation of W over S4, 0 at a repeated index.  At a
+    4-set Q, theta being skew, its 24 signed terms are 6 times each omega reaching Q (:func:`_four_sets`),
+    so it is their sum s over 4 D (D = ``alt.scale``) at Q in increasing order, written with omega's signs."""
     n = th.algebra_dim
     if th.module_dim != n:
         raise DimensionMismatch("cyclic projection concerns cocycles with values in L*")
-    alt, D, table = th.alt, th.alt.scale, {}
-    for w in itertools.combinations(range(n), 4):
-        if s := sum(alt.get(*w[:r], *w[r + 1:]).get(w[r], 0) * (1 if r % 2 else -1) for r in range(4)):
+    D, table = th.alt.scale, {}
+    for w, omegas in sorted(_four_sets(th.alt).items()):
+        if len({*w}) == 4 and (s := sum(omegas.values())):
             for r in range(4):
                 table.setdefault(w[:r] + w[r + 1:], {})[w[r]] = Fraction(s if r % 2 else -s, 4 * D)
     return Cocycle(n, n, {key: Vec.sparse(n, col) for key, col in sorted(table.items())})
 
 
 def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> Report:
-    """Check B([x1,x2,x3], x4) + B([x1,x2,x4], x3) = 0 over basis 4-tuples:
-    W(a, b, c)(d) = B([e_a, e_b, e_c], e_d) skew in (c, d) (:func:`_skew_last`),
-    W the alternating table of G^T [e_x, e_y, e_z] at the keys x < y < z.
-
-    Integers: from the numerators B~ = D B and the Gram rows G = G~/s (:func:`cleared`), W is
-    built D s times itself, skew iff it is.  The report also flags symmetry, non-degeneracy
-    and twist invariance, the last informational: :attr:`Report.ok` does not read it.
-    """
+    """Check B([x1,x2,x3], x4) + B([x1,x2,x4], x3) = 0 over basis 4-tuples: W(a, b, c)(d) =
+    B([e_a, e_b, e_c], e_d) skew in (c, d) (:func:`_skew_last`), W the alternating table of G^T
+    [e_x, e_y, e_z] at the keys x < y < z.  Integers: from the numerators B~ = D B of the stored table and
+    the Gram rows G = G~/s (:func:`cleared`), W is D s times itself, skew iff it is.  The report also flags
+    symmetry, non-degeneracy and twist invariance, the last informational, not read by :attr:`Report.ok`."""
     n = alg.dim
     if form.dim != n:
         raise DimensionMismatch("form dimension does not match the algebra")
     gram = form.gram
     (rows,), _ = cleared([row.support for row in gram.row_vecs])
     gt = dict(enumerate(rows))  # the columns of G^T
-    w = AltTable(n, n, {k: Vec.sparse(n, matvec(gt, alg.alt.get(*k))) for k in alg.table}, "invariance")
+    w = AltTable(n, n, {k: Vec.sparse(n, matvec(gt, integral(v.support, alg.alt.scale)))
+                        for k, v in alg.table.items()}, "invariance")
     flags = {"symmetric": gram == gram.transpose(), "nondegenerate": rank(gram) == n,
              "twist_invariant": alg.twist.transpose() @ gram @ alg.twist == gram}
     return Report(flags).merged(_report(_skew_last(w), "invariant"))
 
 
+def _four_sets(w: AltTable) -> dict[tuple[int, ...], dict[int, int]]:
+    """W(a, b, c)(d) = w(e_a, e_b, e_c)[d] by the sorted 4-tuple Q of its indices, in one pass over the
+    stored numerators: one at a key K and d is listed at Q, under d, as omega_d = (-1)^(3-r) times it, r
+    the place of d in Q.  If W alternates on the orderings of Q, each omega is W at Q, and none is listed
+    at a Q that repeats an index: so it does iff none is listed at Q or four equal ones are."""
+    sets: dict[tuple[int, ...], dict[int, int]] = {}
+    for key, value in w.values.items():
+        for d, x in integral(value.support, w.scale).items():
+            r = (d > key[0]) + (d > key[1]) + (d > key[2])
+            sets.setdefault(key[:r] + (d,) + key[r:], {})[d] = x if r % 2 else -x
+    return sets
+
+
 def _skew_last(w: AltTable) -> Sweep:
-    """The sweep of M_ab[c][d] + M_ab[d][c] = 0, M_ab[c][d] = w(e_a, e_b, e_c)[d] read at
-    the trie node ``w.get(a, b)``, whose rows the trie signs.  The residual is symmetric in
-    (c, d): each (c, d) in the support of M_ab is tested and a failure added with its
-    transpose, in sorted order; elsewhere both terms are 0.  M_ab is skew in (a, b) (:class:`Sweep`)."""
+    """The sweep of W(a, b, c, d) + W(a, b, d, c) = 0, W as in :func:`_four_sets`, skew in (a, b)
+    (:class:`Sweep`), on the orderings of Q = (a, b, c, d) sorted.  At Q of four indices W(a, b, c, d) is
+    the ordering's sign times omega_d (0 unlisted), so the residual is 0 iff omega_c = omega_d; at Q
+    repeating an index, 0 iff nothing is listed.  So it sweeps only the Q listed without four equal omegas."""
     log = Sweep(2)
-    for a, b in log.reps(w.dim):
-        m = w.get(a, b)
-        bad = {(c, d) for c, row in m.items() for d, x in row.items() if x + m.get(d, {}).get(c, 0)}
-        for c, d in sorted(bad | {(d, c) for c, d in bad}):
-            log.add((a, b, c, d))
+    for q, om in ((q, om) for q, om in _four_sets(w).items() if len(om) < 4 or len({*om.values()}) > 1):
+        for a, b, c, d in {p for p in itertools.permutations(q) if p[0] < p[1]}:
+            if c == d or om.get(c, 0) != om.get(d, 0):
+                log.add((a, b, c, d))
     return log
 
 

@@ -45,6 +45,8 @@ IDEAL = "tests/test_algebras.py::test_is_ideal_and_quotient_match_the_brute_forc
 VEC_MAT = "tests/test_sparse_linalg.py"
 CYCLIC = "tests/test_extensions.py::test_theta_cyclic_ok_matches_the_pairwise_sweep"
 CYCLIC_PART = "tests/test_extensions.py::test_cyclic_part_matches_the_dense_alternation"
+FOUR_SETS = "tests/test_extensions.py::test_the_four_set_reader_matches_the_dense_oracles"
+NO_TRIE = "tests/test_extensions.py::test_an_accepted_metric_check_builds_no_trie"
 MORPHISM = "tests/test_pairs.py::test_a_morphism_between_algebras_of_coprime_denominators"
 COPRIME_REP = SWEEPS + "test_representation_sweep_matches_the_dense_sweep_on_coprime_scales"
 ZERO_ACTION = SWEEPS + "test_extension_by_the_zero_action_fails_hom_jacobi_where_the_base_does"
@@ -109,8 +111,14 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "        if key[2] >= n:\n", "        if True:\n",
      (ZERO_ACTION, CLI_BYTES, ZERO_MODULE)),
     ("bracket-images-skip-the-last-index", "algebras.py",
-     "for key in increasing_triples(L.dim)\n", "for key in increasing_triples(L.dim - 1)\n",
-     (EXTENSION, IMAGES)),
+     "range(j + 1, L.dim)", "range(j + 1, L.dim - 1)",
+     (IMAGES, CLI_BYTES)),
+    ("bracket-images-action-candidates-dropped", "algebras.py",
+     "if not m.keys().isdisjoint(cols[k]))})", "if False)})",
+     (IMAGES, CLI_BYTES)),
+    ("bracket-images-candidates-unsorted", "algebras.py",
+     "keys = sorted({", "keys = list({",
+     (IMAGES, TRUNCATED, CLI_BYTES)),
     ("extension-hom-jacobi-from-the-algebra-block-only", "representations.py",
      "            jacobi.add(key, lhs, rhs)\n",
      "            if log is cocycle:\n                jacobi.add(key, lhs, rhs)\n",
@@ -159,7 +167,7 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "j + 1 if same23 else 0", "j + 2 if same23 else 0",
      (SUBSPACE_BRACKET,)),
     ("bracket-images-filter-reads-the-right-side-only", "algebras.py",
-     "if left.get(*key) or not t.get(key[:2], {})", "if not t.get(key[:2], {})",
+     "{*left.values, *(", "{*(",
      (IMAGES, SWEEPS + "test_hom_jacobi_and_multiplicativity_match_the_dense_sweeps")),
     ("bracket-images-reuse-the-source-bracket-for-any-target", "algebras.py",
      "(G.alt, G.alt.scale)", "(L.alt, L.alt.scale)",
@@ -186,11 +194,26 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "row.get(r * n + col, 0) - sign * a", "row.get(r * n + col, 0) - a",
      (DERIVATIONS,)),
     ("metric-no-transpose", "extensions.py",
-     "sorted(bad | {(d, c) for c, d in bad})", "sorted(bad)",
-     (TRUNCATED, METRIC, CYCLIC)),
+     "if p[0] < p[1]}", "if p[0] < p[1] and p[2] <= p[3]}",
+     (TRUNCATED, METRIC, CYCLIC, FOUR_SETS)),
     ("metric-diagonal-skipped", "extensions.py",
-     "if x + m.get(d, {}).get(c, 0)}", "if c != d and x + m.get(d, {}).get(c, 0)}",
-     (TRUNCATED, METRIC, CYCLIC)),
+     "c == d or om.get", "c != d and om.get",
+     (TRUNCATED, METRIC, CYCLIC, FOUR_SETS)),
+    ("four-sets-place-sign-dropped", "extensions.py",
+     "[d] = x if r % 2 else -x", "[d] = x",
+     (CYCLIC_PART, FOUR_SETS, CLI_BYTES)),
+    ("four-sets-count-dropped", "extensions.py",
+     "if len(om) < 4 or len({*om.values()}) > 1)", "if len({*om.values()}) > 1)",
+     (METRIC, CYCLIC, FOUR_SETS)),
+    ("skew-last-skips-own-index-keys", "extensions.py",
+     "if len(om) < 4 or", "if len({*q}) == 4 and len(om) < 4 or",
+     (TRUNCATED, METRIC, CYCLIC, FOUR_SETS)),
+    ("cyclic-part-reads-repeated-indices", "extensions.py",
+     "if len({*w}) == 4 and (s := sum(omegas.values())):", "if s := sum(omegas.values()):",
+     (CYCLIC_PART, FOUR_SETS)),
+    ("metric-reads-the-trie", "extensions.py",
+     "integral(v.support, alg.alt.scale)", "alg.alt.get(*k)",
+     (NO_TRIE,)),
     ("reconstruction-pairs-the-ideal", "structure.py",
      "pair = lifts @ form.gram", "pair = Mat.sparse(n2, ideal.basis) @ form.gram",
      (RECONSTRUCTION,)),
@@ -211,9 +234,6 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "return self.cols == other.cols and self.row_vecs == other.row_vecs",
      "return self.row_vecs == other.row_vecs",
      (VEC_MAT,)),
-    ("cyclic-part-unsigned", "extensions.py",
-     ".get(w[r], 0) * (1 if r % 2 else -1)", ".get(w[r], 0)",
-     (CYCLIC_PART,)),
     ("cyclic-part-position-unsigned", "extensions.py",
      "Fraction(s if r % 2 else -s, 4 * D)", "Fraction(s, 4 * D)",
      (CYCLIC_PART,)),
@@ -302,7 +322,7 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      (LITERAL_ACTIONS, CLI_BYTES)),
     ("splits-middle-unsigned", "sparse.py",
      "(v, (u, w), -1)", "(v, (u, w), 1)",
-     (NUMERATORS, METRIC, CYCLIC)),
+     (NUMERATORS, TRUNCATED, LITERAL_ACTIONS)),
     ("trie-swapped-pair-unsigned", "sparse.py",
      "neg if s > 0 else pos", "pos if s > 0 else neg",
      (PAIRS, NUMERATORS)),

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
@@ -26,6 +27,7 @@ from hom3lie.extensions import (
     verify_metric,
 )
 from hom3lie.fixtures import a4, ab3, l3, n4
+from hom3lie.io import algebra_to_dict, form_to_dict, load_algebra, load_form, write_json
 from hom3lie.linalg import Mat, Vec, rank
 from hom3lie.representations import (
     Representation,
@@ -197,19 +199,75 @@ def cyclic_candidates(draw):
     return th
 
 
-@example(EPSILON)
-@given(cyclic_candidates())
-def test_theta_cyclic_ok_matches_the_pairwise_sweep(th):
-    """``theta_cyclic_ok`` against the oracle, and the sweep behind it and
-    ``verify_metric``, on theta's own table: its total and witnesses are those
-    of the loop over every ordered 4-tuple (a, b, c, d) with
+def assert_skew_last_matches_the_ordered_tuples(th):
+    """The total and witnesses of ``_skew_last`` on theta's own table are those of
+    the loop over every ordered 4-tuple (a, b, c, d) with
     theta(a,b,c)(d) + theta(a,b,d)(c) != 0."""
     n = th.algebra_dim
-    assert theta_cyclic_ok(Hom3LieAlgebra(n, {}, Mat.identity(n)), th) == oracle.theta_cyclic(th)
     failing = [x for x in itertools.product(range(n), repeat=4)
                if oracle.theta_basis(th, *x[:3])[x[3]] + oracle.theta_basis(th, *x[:2], x[3])[x[2]] != 0]
     log = _skew_last(th.alt)
     assert (log.total, [x for x, *_ in log.kept]) == (len(failing), failing[:MAX_WITNESSES])
+
+
+@example(EPSILON)
+@given(cyclic_candidates())
+def test_theta_cyclic_ok_matches_the_pairwise_sweep(th):
+    """``theta_cyclic_ok`` against the oracle, and the sweep behind it and
+    ``verify_metric`` against the loop over every ordered 4-tuple."""
+    n = th.algebra_dim
+    assert theta_cyclic_ok(Hom3LieAlgebra(n, {}, Mat.identity(n)), th) == oracle.theta_cyclic(th)
+    assert_skew_last_matches_the_ordered_tuples(th)
+
+
+@st.composite
+def perturbed_four_forms(draw):
+    """theta(a,b,c)(d) = F(a,b,c,d) for a drawn alternating 4-form F in dimensions 4 to 6,
+    with values of coprime denominators, then perturbed: values added at one or two keys'
+    own indices (failures with a repeated index), and one 4-set given a value whose four
+    splits do not all carry their alternating sign (opposite signs on one 4-set)."""
+    n = draw(st.integers(4, 6))
+    values = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5)])
+    quads = list(itertools.combinations(range(n), 4))
+    table = {}
+
+    def put(key, i, x):
+        col = table.setdefault(key, {})
+        col[i] = col.get(i, 0) + x
+
+    for q in draw(st.lists(st.sampled_from(quads), max_size=5, unique=True)):
+        f = draw(values)
+        for r in range(4):
+            put(q[:r] + q[r + 1:], q[r], f if r % 2 else -f)
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(list(increasing_triples(n))))
+        put(key, draw(st.sampled_from(key)), draw(values))
+    if draw(st.booleans()):
+        q, f = draw(st.sampled_from(quads)), draw(values)
+        flips = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+        for r in range(4):
+            put(q[:r] + q[r + 1:], q[r], (f if r % 2 else -f) * (-1 if r in flips else 1))
+    return Cocycle(n, n, {key: Vec.of(*(col.get(i, 0) for i in range(n))) for key, col in table.items()})
+
+
+@given(perturbed_four_forms())
+def test_the_four_set_reader_matches_the_dense_oracles(th):
+    """``_skew_last`` (total and witnesses) and ``cyclic_part`` against the dense
+    oracles on alternating tables and their perturbations: failures at a
+    repeated index, and 4-sets reached by values of mixed signs."""
+    assert_skew_last_matches_the_ordered_tuples(th)
+    assert cyclic_part(th).table == oracle.cyclic_part(th)
+
+
+def test_an_accepted_metric_check_builds_no_trie(tmp_path):
+    """On an invariant T*-double read from its files, ``verify_metric`` reads the
+    stored table only: the algebra's trie is not built."""
+    g, form = t_star_extension(a4(), cyclic_part(Cocycle(4, 4, {(0, 1, 2): Vec.of(1, 2, 0, 3)})))
+    write_json(tmp_path / "g.json", algebra_to_dict(g))
+    write_json(tmp_path / "q.json", form_to_dict(form))
+    alg = load_algebra(tmp_path / "g.json")
+    assert verify_metric(alg, load_form(tmp_path / "q.json")).ok
+    assert "trie" not in alg.alt.__dict__
 
 
 @example(EPSILON)

@@ -32,7 +32,7 @@ import dense_oracle as oracle
 from hom3lie.algebras import _bracket_images, direct_sum, increasing_triples, is_morphism, preserves_bracket
 from hom3lie.derivations import fixed_space, inner_space, twist_power
 from hom3lie.extensions import BilinForm, Cocycle, cyclic_part, t_star_extension
-from hom3lie.fixtures import l3
+from hom3lie.fixtures import ab3, l3
 from hom3lie.linalg import Mat, Subspace, Vec, inverse, matvec, rational
 from hom3lie.sparse import AltTable
 from hom3lie.structure import isotropic_complement, reconstruct_t_star
@@ -232,6 +232,7 @@ def image_maps(draw):
 
 
 @example((Mat.diagonal([1, 1, 0]), l3(), l3()))  # phi B_L(0, 1, 2) = e_0, phi e_2 = 0
+@example((Mat.identity(3), ab3(), l3()))  # B_L = 0: (0, 1, 2) is a candidate by the action alone
 @given(image_maps())
 def test_bracket_images_yield_what_every_increasing_triple_yields(case):
     """The candidates of ``_bracket_images`` against phi [e_i, e_j, e_k] and
