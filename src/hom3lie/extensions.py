@@ -25,7 +25,7 @@ from .algebras import (
     preserves_bracket,
 )
 from .errors import CocycleInvalid, DimensionMismatch, RepresentationInvalid
-from .linalg import Mat, Vec, cleared, integral, matvec, rank
+from .linalg import Mat, Support, Vec, cleared, integral, matvec, rank
 from .representations import (
     Representation,
     _extension_sweep,
@@ -192,11 +192,13 @@ def t_star_extension(L: Hom3LieAlgebra, th: Cocycle) -> tuple[Hom3LieAlgebra, Bi
 
 
 def theta_cyclic_ok(L: Hom3LieAlgebra, th: Cocycle) -> bool:
-    """Decide theta(x1,x2,x3)(x4) + theta(x1,x2,x4)(x3) = 0 on the basis: W(i,j,k,l) = theta(i,j,k)(l)
-    skew in slots 3, 4 (:func:`_skew_last`), with slots 1-3 alternating, iff cyclic_part fixes theta."""
+    """Decide theta(x1,x2,x3)(x4) + theta(x1,x2,x4)(x3) = 0 on the basis: slots 1-3 alternating, iff
+    W(i,j,k,l) = theta(i,j,k)(l) alternates, iff each listed 4-set has four equal omegas (:func:`_four_sets`),
+    iff cyclic_part fixes theta.  The first 4-set that does not decides."""
     if th.algebra_dim != L.dim or th.module_dim != L.dim:
         raise DimensionMismatch("cyclicity concerns cocycles with values in L*")
-    return _skew_last(th.alt).clean
+    return all(len(om) == 4 and len({*om.values()}) == 1
+               for om in _four_sets({k: v.support for k, v in th.table.items()}, th.alt.scale).values())
 
 
 def cyclic_part(th: Cocycle) -> Cocycle:
@@ -208,7 +210,7 @@ def cyclic_part(th: Cocycle) -> Cocycle:
     if th.module_dim != n:
         raise DimensionMismatch("cyclic projection concerns cocycles with values in L*")
     D, table = th.alt.scale, {}
-    for w, omegas in sorted(_four_sets(th.alt).items()):
+    for w, omegas in sorted(_four_sets({k: v.support for k, v in th.table.items()}, D).items()):
         if len({*w}) == 4 and (s := sum(omegas.values())):
             for r in range(4):
                 table.setdefault(w[:r] + w[r + 1:], {})[w[r]] = Fraction(s if r % 2 else -s, 4 * D)
@@ -216,48 +218,41 @@ def cyclic_part(th: Cocycle) -> Cocycle:
 
 
 def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> Report:
-    """Check B([x1,x2,x3], x4) + B([x1,x2,x4], x3) = 0 over basis 4-tuples: W(a, b, c)(d) =
-    B([e_a, e_b, e_c], e_d) skew in (c, d) (:func:`_skew_last`), W the alternating table of G^T
-    [e_x, e_y, e_z] at the keys x < y < z.  Integers: from the numerators B~ = D B of the stored table and
-    the Gram rows G = G~/s (:func:`cleared`), W is D s times itself, skew iff it is.  The report also flags
-    symmetry, non-degeneracy and twist invariance, the last informational, not read by :attr:`Report.ok`."""
+    """Check B([x1,x2,x3], x4) + B([x1,x2,x4], x3) = 0 on basis 4-tuples: W(a, b, c)(d) = B([e_a, e_b,
+    e_c], e_d) skew in (c, d), W alternating in (a, b, c), with rows G^T [e_x, e_y, e_z] at keys x < y < z.
+    Integers: from the numerators B~ = D B and Gram rows G = G~/s (:func:`cleared`), G~^T B~ is D s times W.
+    Skew in (a, b) (:class:`Sweep`), it runs on the orderings of each 4-set Q: at Q of four indices W(a, b,
+    c, d) is the ordering's sign times omega_d (:func:`_four_sets`, 0 unlisted), so the residual is 0 iff
+    omega_c = omega_d, at Q repeating an index iff none is listed: it sweeps the Q listed without four equal
+    omegas.  Symmetry, non-degeneracy and twist invariance are flagged, the last not read by ``ok``."""
     n = alg.dim
     if form.dim != n:
         raise DimensionMismatch("form dimension does not match the algebra")
-    gram = form.gram
+    gram, log = form.gram, Sweep(2)
     (rows,), _ = cleared([row.support for row in gram.row_vecs])
     gt = dict(enumerate(rows))  # the columns of G^T
-    w = AltTable(n, n, {k: Vec.sparse(n, matvec(gt, integral(v.support, alg.alt.scale)))
-                        for k, v in alg.table.items()}, "invariance")
+    w = {k: matvec(gt, integral(v.support, alg.alt.scale)) for k, v in alg.table.items()}
+    for q, om in _four_sets(w, 1).items():
+        if len(om) < 4 or len({*om.values()}) > 1:
+            for a, b, c, d in {p for p in itertools.permutations(q) if p[0] < p[1]}:
+                if c == d or om.get(c, 0) != om.get(d, 0):
+                    log.add((a, b, c, d))
     flags = {"symmetric": gram == gram.transpose(), "nondegenerate": rank(gram) == n,
              "twist_invariant": alg.twist.transpose() @ gram @ alg.twist == gram}
-    return Report(flags).merged(_report(_skew_last(w), "invariant"))
+    return Report(flags).merged(_report(log, "invariant"))
 
 
-def _four_sets(w: AltTable) -> dict[tuple[int, ...], dict[int, int]]:
-    """W(a, b, c)(d) = w(e_a, e_b, e_c)[d] by the sorted 4-tuple Q of its indices, in one pass over the
-    stored numerators: one at a key K and d is listed at Q, under d, as omega_d = (-1)^(3-r) times it, r
-    the place of d in Q.  If W alternates on the orderings of Q, each omega is W at Q, and none is listed
+def _four_sets(table: dict[tuple[int, ...], Support], scale: int) -> dict[tuple[int, ...], dict[int, int]]:
+    """W(a, b, c)(d) = table[a, b, c][d] by the sorted 4-tuple Q of its indices, in one pass over the
+    numerators at ``scale``: one at a key K and d is listed at Q, under d, as omega_d = (-1)^(3-r) times it,
+    r the place of d in Q.  If W alternates on the orderings of Q, each omega is W at Q, and none is listed
     at a Q that repeats an index: so it does iff none is listed at Q or four equal ones are."""
     sets: dict[tuple[int, ...], dict[int, int]] = {}
-    for key, value in w.values.items():
-        for d, x in integral(value.support, w.scale).items():
+    for key, value in table.items():
+        for d, x in integral(value, scale).items():
             r = (d > key[0]) + (d > key[1]) + (d > key[2])
             sets.setdefault(key[:r] + (d,) + key[r:], {})[d] = x if r % 2 else -x
     return sets
-
-
-def _skew_last(w: AltTable) -> Sweep:
-    """The sweep of W(a, b, c, d) + W(a, b, d, c) = 0, W as in :func:`_four_sets`, skew in (a, b)
-    (:class:`Sweep`), on the orderings of Q = (a, b, c, d) sorted.  At Q of four indices W(a, b, c, d) is
-    the ordering's sign times omega_d (0 unlisted), so the residual is 0 iff omega_c = omega_d; at Q
-    repeating an index, 0 iff nothing is listed.  So it sweeps only the Q listed without four equal omegas."""
-    log = Sweep(2)
-    for q, om in ((q, om) for q, om in _four_sets(w).items() if len(om) < 4 or len({*om.values()}) > 1):
-        for a, b, c, d in {p for p in itertools.permutations(q) if p[0] < p[1]}:
-            if c == d or om.get(c, 0) != om.get(d, 0):
-                log.add((a, b, c, d))
-    return log
 
 
 def _shear(L: Hom3LieAlgebra, r: Representation, f: Mat) -> Mat:

@@ -112,10 +112,10 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      (ZERO_ACTION, CLI_BYTES, ZERO_MODULE)),
     ("bracket-images-skip-the-last-index", "algebras.py",
      "range(j + 1, L.dim)", "range(j + 1, L.dim - 1)",
-     (IMAGES, CLI_BYTES)),
+     (IMAGES, CLI_BYTES, PRESERVES, MORPHISM, EXTENSION)),
     ("bracket-images-action-candidates-dropped", "algebras.py",
      "if not m.keys().isdisjoint(cols[k]))})", "if False)})",
-     (IMAGES, CLI_BYTES)),
+     (IMAGES, CLI_BYTES, PRESERVES, MORPHISM, EXTENSION)),
     ("bracket-images-candidates-unsorted", "algebras.py",
      "keys = sorted({", "keys = list({",
      (IMAGES, TRUNCATED, CLI_BYTES)),
@@ -202,12 +202,23 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("four-sets-place-sign-dropped", "extensions.py",
      "[d] = x if r % 2 else -x", "[d] = x",
      (CYCLIC_PART, FOUR_SETS, CLI_BYTES)),
-    ("four-sets-count-dropped", "extensions.py",
-     "if len(om) < 4 or len({*om.values()}) > 1)", "if len({*om.values()}) > 1)",
+    ("metric-four-count-dropped", "extensions.py",
+     "if len(om) < 4 or len({*om.values()}) > 1:", "if len({*om.values()}) > 1:",
      (METRIC, CYCLIC, FOUR_SETS)),
-    ("skew-last-skips-own-index-keys", "extensions.py",
+    ("metric-skips-own-index-keys", "extensions.py",
      "if len(om) < 4 or", "if len({*q}) == 4 and len(om) < 4 or",
      (TRUNCATED, METRIC, CYCLIC, FOUR_SETS)),
+    ("cyclic-ok-four-count-dropped", "extensions.py",
+     "all(len(om) == 4 and len({*om.values()}) == 1", "all(len({*om.values()}) == 1",
+     (CYCLIC, CYCLIC_PART, FOUR_SETS)),
+    ("cyclic-ok-any-for-all", "extensions.py",
+     "return all(len(om) == 4", "return any(len(om) == 4",
+     (CYCLIC, CYCLIC_PART, FOUR_SETS)),
+    ("cyclic-ok-skips-repeated-indices", "extensions.py",
+     "for om in _four_sets({k: v.support for k, v in th.table.items()}, th.alt.scale).values())",
+     "for q, om in _four_sets({k: v.support for k, v in th.table.items()}, th.alt.scale).items()"
+     " if len({*q}) == 4)",
+     (CYCLIC, CYCLIC_PART, FOUR_SETS)),
     ("cyclic-part-reads-repeated-indices", "extensions.py",
      "if len({*w}) == 4 and (s := sum(omegas.values())):", "if s := sum(omegas.values()):",
      (CYCLIC_PART, FOUR_SETS)),

@@ -13,7 +13,6 @@ from hom3lie.errors import CocycleInvalid, DimensionMismatch
 from hom3lie.extensions import (
     BilinForm,
     Cocycle,
-    _skew_last,
     coboundary,
     cyclic_part,
     hyperbolic_form,
@@ -199,25 +198,28 @@ def cyclic_candidates(draw):
     return th
 
 
-def assert_skew_last_matches_the_ordered_tuples(th):
-    """The total and witnesses of ``_skew_last`` on theta's own table are those of
-    the loop over every ordered 4-tuple (a, b, c, d) with
-    theta(a,b,c)(d) + theta(a,b,d)(c) != 0."""
-    n = th.algebra_dim
+def assert_invariance_of_theta_matches_the_ordered_tuples(th):
+    """``verify_metric`` on the algebra with theta's table as its bracket and the
+    identity form, so W = theta: its total and witnesses are those of the loop
+    over every ordered 4-tuple (a, b, c, d) with theta(a,b,c)(d) + theta(a,b,d)(c)
+    != 0, and ``theta_cyclic_ok`` holds iff that loop finds none."""
+    n, I = th.algebra_dim, Mat.identity(th.algebra_dim)
     failing = [x for x in itertools.product(range(n), repeat=4)
                if oracle.theta_basis(th, *x[:3])[x[3]] + oracle.theta_basis(th, *x[:2], x[3])[x[2]] != 0]
-    log = _skew_last(th.alt)
-    assert (log.total, [x for x, *_ in log.kept]) == (len(failing), failing[:MAX_WITNESSES])
+    report = verify_metric(Hom3LieAlgebra(n, th.table, I), BilinForm(n, I))
+    assert report.violations_total == len(failing)
+    assert [v.indices for v in report.violations] == failing[:MAX_WITNESSES]
+    assert theta_cyclic_ok(Hom3LieAlgebra(n, {}, I), th) == (not failing)
 
 
 @example(EPSILON)
 @given(cyclic_candidates())
 def test_theta_cyclic_ok_matches_the_pairwise_sweep(th):
-    """``theta_cyclic_ok`` against the oracle, and the sweep behind it and
-    ``verify_metric`` against the loop over every ordered 4-tuple."""
+    """``theta_cyclic_ok`` against the oracle, and the invariance sweep of
+    ``verify_metric`` on theta against the loop over every ordered 4-tuple."""
     n = th.algebra_dim
     assert theta_cyclic_ok(Hom3LieAlgebra(n, {}, Mat.identity(n)), th) == oracle.theta_cyclic(th)
-    assert_skew_last_matches_the_ordered_tuples(th)
+    assert_invariance_of_theta_matches_the_ordered_tuples(th)
 
 
 @st.composite
@@ -252,10 +254,11 @@ def perturbed_four_forms(draw):
 
 @given(perturbed_four_forms())
 def test_the_four_set_reader_matches_the_dense_oracles(th):
-    """``_skew_last`` (total and witnesses) and ``cyclic_part`` against the dense
-    oracles on alternating tables and their perturbations: failures at a
-    repeated index, and 4-sets reached by values of mixed signs."""
-    assert_skew_last_matches_the_ordered_tuples(th)
+    """``verify_metric`` on theta (total and witnesses), ``theta_cyclic_ok`` and
+    ``cyclic_part`` against the dense oracles on alternating tables and their
+    perturbations: failures at a repeated index, and 4-sets reached by values
+    of mixed signs."""
+    assert_invariance_of_theta_matches_the_ordered_tuples(th)
     assert cyclic_part(th).table == oracle.cyclic_part(th)
 
 
@@ -268,6 +271,24 @@ def test_an_accepted_metric_check_builds_no_trie(tmp_path):
     alg = load_algebra(tmp_path / "g.json")
     assert verify_metric(alg, load_form(tmp_path / "q.json")).ok
     assert "trie" not in alg.alt.__dict__
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("not to be called")
+
+
+def test_the_cyclicity_check_records_no_sweep(monkeypatch):
+    """``theta_cyclic_ok`` decides from the 4-sets alone: rejecting theta adds no witness."""
+    th = Cocycle(4, 4, {(0, 1, 2): Vec.of(0, 0, 0, 1)})
+    monkeypatch.setattr("hom3lie.algebras.Sweep.add", refuse)
+    assert not theta_cyclic_ok(a4(), th)
+
+
+def test_the_metric_check_builds_no_alternating_table(monkeypatch):
+    """``verify_metric`` hands W's integer rows to the 4-set reader as they are."""
+    g, form = t_star_extension(a4(), cyclic_part(Cocycle(4, 4, {(0, 1, 2): Vec.of(1, 2, 0, 3)})))
+    monkeypatch.setattr("hom3lie.extensions.AltTable", refuse)
+    assert verify_metric(g, form).ok
 
 
 @example(EPSILON)

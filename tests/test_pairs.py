@@ -29,7 +29,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as oracle
-from hom3lie.algebras import _bracket_images, direct_sum, increasing_triples, is_morphism, preserves_bracket
+from hom3lie.algebras import (
+    Hom3LieAlgebra,
+    _bracket_images,
+    direct_sum,
+    increasing_triples,
+    is_morphism,
+    preserves_bracket,
+)
 from hom3lie.derivations import fixed_space, inner_space, twist_power
 from hom3lie.extensions import BilinForm, Cocycle, cyclic_part, t_star_extension
 from hom3lie.fixtures import ab3, l3
@@ -207,6 +214,7 @@ def maps(draw):
     return phi, L, G
 
 
+@example((Mat.identity(3), ab3(), l3()))  # B_L = 0: (0, 1, 2) fails, reached by the action alone
 @given(maps())
 def test_preserves_bracket_matches_direct_brackets(case):
     phi, L, G = case
@@ -287,6 +295,9 @@ def test_a_morphism_between_algebras_of_coprime_denominators():
     rows = [list(v.entries) for v in phi.row_vecs]
     rows[0][1] += Fraction(1, 7)
     assert not preserves_bracket(Mat.from_rows(rows), L, G)
+    # without its value at (1, 2, 3), L fails there only: a triple off its keys, at the last index
+    cut = Hom3LieAlgebra(4, {key: v for key, v in L.table.items() if key != (1, 2, 3)}, L.twist)
+    assert not _preserves_directly(phi, cut, G) and not preserves_bracket(phi, cut, G)
 
 
 @settings(max_examples=30)
