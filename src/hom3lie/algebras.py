@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Optional
 from .errors import DimensionMismatch, IdealRequired
 from .linalg import (Mat, SparseMat, Subspace, Vec, add_matvec, cleared, matvec, pruned, rank, rational,
                      subspace_contains)
-from .sparse import AltTable, signed_perms, splits
+from .sparse import AltTable, Tabled, signed_perms, splits, summed
 
 MAX_WITNESSES = 16
 
@@ -39,13 +39,13 @@ def increasing_triples(n: int) -> Iterable[tuple[int, int, int]]:
 
 
 @dataclass(frozen=True)
-class Hom3LieAlgebra:
+class Hom3LieAlgebra(Tabled):
     """Finite-dimensional hom 3-Lie algebra over the exact rationals.
 
     ``table`` maps strictly increasing 0-based triples (i, j, k) to the
     value of [e_i, e_j, e_k]; triples with zero value are omitted.
     ``twist`` is the matrix of alpha in the same basis.  ``alt`` is the
-    sparse alternating table that evaluates the bracket.
+    sparse alternating table that stores and evaluates the bracket.
     """
 
     dim: int
@@ -57,13 +57,11 @@ class Hom3LieAlgebra:
         n = self.dim
         if self.twist.rows != n or self.twist.cols != n:
             raise DimensionMismatch("twist must be a square matrix of the algebra dimension")
-        alt = AltTable(n, n, self.table, "bracket")
-        object.__setattr__(self, "table", alt.values)
-        object.__setattr__(self, "alt", alt)
+        object.__setattr__(self, "alt", AltTable.of(n, n, self.__dict__.pop("table"), "bracket"))
 
     def bracket_basis(self, i: int, j: int, k: int) -> Vec:
         """Bracket of three basis vectors, in any order, with sign extension."""
-        return self.alt.basis_value(i, j, k)
+        return Vec.sparse(self.dim, rational(self.alt.get(i, j, k), self.alt.scale))
 
     def bracket(self, x: Vec, y: Vec, z: Vec) -> Vec:
         """Trilinear skew extension of the structure constants."""
@@ -250,7 +248,7 @@ def _bracket_images(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> tuple[int
     t = G.twisted[0] if phi == G.twist else right.pairs(cols)
     lcols = {i: {r: d * d * dg * x for r, x in c.items()} for i, c in enumerate(cols)}
     rcols = [{r: dl * x for r, x in c.items()} for c in cols]
-    keys = sorted({*left.values, *((i, j, k) for (i, j), m in t.items() for k in range(j + 1, L.dim)
+    keys = sorted({*left.num, *((i, j, k) for (i, j), m in t.items() for k in range(j + 1, L.dim)
                                    if not m.keys().isdisjoint(cols[k]))})
     images = ((key, matvec(lcols, left.get(*key)), matvec(t.get(key[:2], {}), rcols[key[2]])) for key in keys)
     return d ** 3 * dl * dg, ((key, lhs, rhs) for key, lhs, rhs in images if lhs != rhs)
@@ -312,12 +310,9 @@ def is_ideal(L: Hom3LieAlgebra, s: Subspace) -> bool:
 
 
 def direct_sum(L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> Hom3LieAlgebra:
-    """Componentwise bracket on L + G with block-diagonal twist."""
-    n, m = L.dim, G.dim
-    table = {key: value.concat(Vec.zero(m)) for key, value in L.table.items()}
-    for (i, j, k), value in G.table.items():
-        table[(i + n, j + n, k + n)] = Vec.zero(n).concat(value)
-    return Hom3LieAlgebra(n + m, table, L.twist.block_diag(G.twist))
+    """Componentwise bracket on L + G, G's moved dim L up, with block-diagonal twist."""
+    table = summed((L.alt, 0, 0), (G.alt, L.dim, L.dim))
+    return Hom3LieAlgebra(L.dim + G.dim, table, L.twist.block_diag(G.twist))
 
 
 def preserves_bracket(phi: Mat, L: Hom3LieAlgebra, G: Hom3LieAlgebra) -> bool:
@@ -346,43 +341,42 @@ def quotient(L: Hom3LieAlgebra, ideal: Subspace) -> tuple[Hom3LieAlgebra, Mat]:
     The quotient basis consists of the non-pivot coordinates of the
     ideal's canonical basis, which makes the output deterministic.  With
     e proj from :attr:`Subspace.projection` (shared with :func:`is_ideal`),
-    the numerators B~ = D B and alpha = alpha~/d cleared, e proj B~ is e D
-    times the quotient bracket on the increasing triples of non-pivots and
-    e proj alpha~ is e d times the twist columns there; each is divided once.
+    the numerators B~ = D B and alpha = alpha~/d cleared, e proj B~ on the increasing
+    triples of non-pivots is the quotient bracket over e D, and e proj alpha~ its twist over e d.
     """
     if not is_ideal(L, ideal):
         raise IdealRequired("quotient needs a twist-stable ideal")
-    n, alt = L.dim, L.alt
-    pos, cols, e = ideal.projection
-    q = len(pos)
+    alt, (pos, cols, e) = L.alt, ideal.projection
+    n, q = L.dim, len(pos)
     (acols,), d = cleared([L.twist.col(g).support for g in pos])
-    table = {tuple(pos[i] for i in key): Vec.sparse(q, rational(matvec(cols, alt.get(*key)), e * alt.scale))
-             for key in L.table if all(i in pos for i in key)}
+    num = {tuple(pos[i] for i in key): matvec(cols, value) for key, value in alt.num.items()
+           if all(i in pos for i in key)}
     twist = (Mat.from_cols([Vec.sparse(q, rational(matvec(cols, c), e * d)) for c in acols])
              if q else Mat.zero(0, 0))
     proj = Mat.sparse(q, [Vec.sparse(q, rational(cols.get(g, {}), e)) for g in range(n)])
-    return Hom3LieAlgebra(q, table, twist), proj.transpose()
+    return Hom3LieAlgebra(q, (num, e * alt.scale), twist), proj.transpose()
 
 
 def subspace_bracket(L: Hom3LieAlgebra, s1: Subspace, s2: Subspace, s3: Subspace) -> Subspace:
     """Canonical span of all brackets of basis triples from the three subspaces.
 
-    Where the first two or the last two slots receive equal subspaces,
-    only triples whose indices increase across them are bracketed, with
-    the same span: the bracket is alternating, so any other triple has a
-    repeated vector in equal slots and brackets to 0, or is a reordering
-    within equal slots of a bracketed one and brackets to plus or minus it.
-    The three bases are cleared together (:func:`cleared`) and the generators
+    Where the first two or the last two slots receive equal subspaces, only triples
+    whose indices increase across them are bracketed, with the same span: the bracket
+    is alternating, so any other triple has a repeated vector in equal slots and brackets
+    to 0, or is a reordering within equal slots of a bracketed one and brackets to plus or
+    minus it.  When the last slot is the whole space (dim L basis vectors), the images of
+    ab = [a, b, .] over its basis span the image of ab, as its columns do: those, as stored,
+    are the generators.  The bases are cleared together (:func:`cleared`) and the generators
     are numerators (:meth:`AltTable.partial`): a nonzero scale changes no span.
     """
     if any(s.ambient_dim != L.dim for s in (s1, s2, s3)):
         raise DimensionMismatch("subspace ambient dimension does not match the algebra")
-    same12, same23 = s1 == s2, s2 == s3
+    same12, same23, whole = s1 == s2, s2 == s3, s3.dim == L.dim
     (b1, b2, b3), _ = cleared(*([v.support for v in s.basis] for s in (s1, s2, s3)))
     gens = []
     for i, a in enumerate(b1):
         for j in range(i + 1 if same12 else 0, len(b2)):
             ab = L.alt.partial(a, b2[j])
-            low = j + 1 if same23 else 0
-            gens += [Vec.sparse(L.dim, v) for c in b3[low:] if (v := matvec(ab, c))]
+            cols = ab.values() if whole else (matvec(ab, c) for c in b3[j + 1 if same23 else 0:])
+            gens += [Vec.sparse(L.dim, v) for v in cols if v]
     return Subspace.span(L.dim, gens)

@@ -132,7 +132,7 @@ def derivation_space(L: Hom3LieAlgebra, k: int) -> DerivationSpace:
     # meets T e_r, at each coordinate of T e_r; likewise for the other :func:`splits`.
     tk = L.alt.pairs(akcols)
     for i, j, kk in increasing_triples(n):
-        if (j, kk) in tk or (i, kk) in tk or (i, j) in tk or (i, j, kk) in L.alt.values:
+        if (j, kk) in tk or (i, kk) in tk or (i, j) in tk or (i, j, kk) in L.alt.num:
             bval = L.alt.get(i, j, kk)
             outs = {out: {out * n + t: d * d * b for t, b in bval.items()} for out in range(n if bval else 0)}
             for col, pair, sign in splits(i, j, kk):

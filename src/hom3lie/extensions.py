@@ -25,23 +25,23 @@ from .algebras import (
     preserves_bracket,
 )
 from .errors import CocycleInvalid, DimensionMismatch, RepresentationInvalid
-from .linalg import Mat, Support, Vec, cleared, integral, matvec, rank
+from .linalg import Mat, Vec, cleared, matvec, rank
 from .representations import (
     Representation,
     _extension_sweep,
     _semidirect_table,
     coadjoint_rep,
 )
-from .sparse import AltTable
+from .sparse import AltTable, Tabled, summed
 
 
 @dataclass(frozen=True)
-class Cocycle:
+class Cocycle(Tabled):
     """Skew trilinear map from algebra triples into a module.
 
     ``table`` maps increasing 0-based triples to module vectors; zero
-    values are omitted and the full map is the skew extension, evaluated
-    by the sparse alternating table ``alt``.
+    values are omitted and the full map is the skew extension, stored and
+    evaluated by the sparse alternating table ``alt``.
     """
 
     algebra_dim: int
@@ -50,8 +50,7 @@ class Cocycle:
     alt: AltTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        alt = AltTable(self.algebra_dim, self.module_dim, self.table, "cocycle")
-        object.__setattr__(self, "table", alt.values)
+        alt = AltTable.of(self.algebra_dim, self.module_dim, self.__dict__.pop("table"), "cocycle")
         object.__setattr__(self, "alt", alt)
 
     @staticmethod
@@ -61,10 +60,7 @@ class Cocycle:
     def __add__(self, other: "Cocycle") -> "Cocycle":
         if (self.algebra_dim, self.module_dim) != (other.algebra_dim, other.module_dim):
             raise DimensionMismatch("cocycle shapes differ")
-        table = dict(self.table)
-        for key, value in other.table.items():
-            table[key] = table[key] + value if key in table else value
-        return Cocycle(self.algebra_dim, self.module_dim, table)
+        return Cocycle(self.algebra_dim, self.module_dim, summed((self.alt, 0, 0), (other.alt, 0, 0)))
 
 
 @dataclass(frozen=True)
@@ -109,7 +105,7 @@ def verify_cocycle(L: Hom3LieAlgebra, r: Representation, th: Cocycle) -> Report:
     n, m = L.dim, r.module_dim
     if th.algebra_dim != n or r.algebra_dim != n or th.module_dim != m:
         raise DimensionMismatch("algebra, representation and cocycle dimensions must agree")
-    return _extension_sweep(_semidirect_table(L, r, th.table), n)[1]
+    return _extension_sweep(_semidirect_table(L, r, th.alt), n)[1]
 
 
 def coboundary(L: Hom3LieAlgebra, r: Representation, f: Mat) -> Cocycle:
@@ -120,13 +116,12 @@ def coboundary(L: Hom3LieAlgebra, r: Representation, f: Mat) -> Cocycle:
     With the shear S: x -> x + f(x) of L into E = L + V (:func:`_shear`),
     theta_f is S[x,y,z] - [Sx,Sy,Sz], as a bracket of two module vectors is 0;
     both sides come s times theirs (:func:`_bracket_images`), their parts
-    below n cancel, and the difference is divided by s once.
+    below n cancel, and the difference is theta_f's numerators over s.
     """
     n, m = L.dim, r.module_dim
     scale, images = _bracket_images(_shear(L, r, f), L, _semidirect_table(L, r))
-    return Cocycle(n, m, {key: Vec.sparse(m, {t - n: Fraction(a, scale) for t in lhs.keys() | rhs.keys()
-                                              if (a := lhs.get(t, 0) - rhs.get(t, 0))})
-                          for key, lhs, rhs in images})
+    return Cocycle(n, m, ({key: {t - n: a for t in {*lhs, *rhs} if (a := lhs.get(t, 0) - rhs.get(t, 0))}
+                           for key, lhs, rhs in images}, scale))
 
 
 def t_theta_extension(
@@ -147,7 +142,7 @@ def t_theta_extension(
     the representation, checked on the semidirect product then.
     """
     fits = (th.algebra_dim, th.module_dim) == (L.dim, r.module_dim)
-    alg = _semidirect_table(L, r, th.table if fits else None)
+    alg = _semidirect_table(L, r, th.alt if fits else None)
     rep, co, report = _extension_sweep(alg, L.dim)
     if not rep.ok:
         raise RepresentationInvalid(
@@ -188,7 +183,7 @@ def t_star_extension(L: Hom3LieAlgebra, th: Cocycle) -> tuple[Hom3LieAlgebra, Bi
     n = L.dim
     if th.algebra_dim != n or th.module_dim != n:
         raise DimensionMismatch("dual-space extension needs a cocycle with values in L*")
-    return _semidirect_table(L, coadjoint_rep(L), th.table), hyperbolic_form(n)
+    return _semidirect_table(L, coadjoint_rep(L), th.alt), hyperbolic_form(n)
 
 
 def theta_cyclic_ok(L: Hom3LieAlgebra, th: Cocycle) -> bool:
@@ -198,23 +193,22 @@ def theta_cyclic_ok(L: Hom3LieAlgebra, th: Cocycle) -> bool:
     if th.algebra_dim != L.dim or th.module_dim != L.dim:
         raise DimensionMismatch("cyclicity concerns cocycles with values in L*")
     return all(len(om) == 4 and len({*om.values()}) == 1
-               for om in _four_sets({k: v.support for k, v in th.table.items()}, th.alt.scale).values())
+               for om in _four_sets(th.alt.num).values())
 
 
 def cyclic_part(th: Cocycle) -> Cocycle:
     """Project onto the maps satisfying the cyclic pairing identity, the alternating W(i,j,k,l) =
     theta(i,j,k)(l) (:func:`theta_cyclic_ok`): the alternation of W over S4, 0 at a repeated index.  At a
     4-set Q, theta being skew, its 24 signed terms are 6 times each omega reaching Q (:func:`_four_sets`),
-    so it is their sum s over 4 D (D = ``alt.scale``) at Q in increasing order, written with omega's signs."""
-    n = th.algebra_dim
+    so it is their sum s over 4 D (D = ``alt.scale``) at Q in increasing order, omega's signs on s."""
+    n, num = th.algebra_dim, {}
     if th.module_dim != n:
         raise DimensionMismatch("cyclic projection concerns cocycles with values in L*")
-    D, table = th.alt.scale, {}
-    for w, omegas in sorted(_four_sets({k: v.support for k, v in th.table.items()}, D).items()):
+    for w, omegas in sorted(_four_sets(th.alt.num).items()):
         if len({*w}) == 4 and (s := sum(omegas.values())):
             for r in range(4):
-                table.setdefault(w[:r] + w[r + 1:], {})[w[r]] = Fraction(s if r % 2 else -s, 4 * D)
-    return Cocycle(n, n, {key: Vec.sparse(n, col) for key, col in sorted(table.items())})
+                num.setdefault(w[:r] + w[r + 1:], {})[w[r]] = s if r % 2 else -s
+    return Cocycle(n, n, (dict(sorted(num.items())), 4 * th.alt.scale))
 
 
 def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> Report:
@@ -231,8 +225,7 @@ def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> Report:
     gram, log = form.gram, Sweep(2)
     (rows,), _ = cleared([row.support for row in gram.row_vecs])
     gt = dict(enumerate(rows))  # the columns of G^T
-    w = {k: matvec(gt, integral(v.support, alg.alt.scale)) for k, v in alg.table.items()}
-    for q, om in _four_sets(w, 1).items():
+    for q, om in _four_sets({k: matvec(gt, v) for k, v in alg.alt.num.items()}).items():
         if len(om) < 4 or len({*om.values()}) > 1:
             for a, b, c, d in {p for p in itertools.permutations(q) if p[0] < p[1]}:
                 if c == d or om.get(c, 0) != om.get(d, 0):
@@ -242,14 +235,14 @@ def verify_metric(alg: Hom3LieAlgebra, form: BilinForm) -> Report:
     return Report(flags).merged(_report(log, "invariant"))
 
 
-def _four_sets(table: dict[tuple[int, ...], Support], scale: int) -> dict[tuple[int, ...], dict[int, int]]:
+def _four_sets(table: dict[tuple[int, ...], dict[int, int]]) -> dict[tuple[int, ...], dict[int, int]]:
     """W(a, b, c)(d) = table[a, b, c][d] by the sorted 4-tuple Q of its indices, in one pass over the
-    numerators at ``scale``: one at a key K and d is listed at Q, under d, as omega_d = (-1)^(3-r) times it,
+    int supports ``table``: one at a key K and d is listed at Q, under d, as omega_d = (-1)^(3-r) times it,
     r the place of d in Q.  If W alternates on the orderings of Q, each omega is W at Q, and none is listed
     at a Q that repeats an index: so it does iff none is listed at Q or four equal ones are."""
     sets: dict[tuple[int, ...], dict[int, int]] = {}
     for key, value in table.items():
-        for d, x in integral(value, scale).items():
+        for d, x in value.items():
             r = (d > key[0]) + (d > key[1]) + (d > key[2])
             sets.setdefault(key[:r] + (d,) + key[r:], {})[d] = x if r % 2 else -x
     return sets
@@ -273,8 +266,8 @@ def shift_isomorphism(
     whether it is an algebra morphism between the two extensions (bracket
     preservation and twist intertwining).
     """
-    sigma, src = _shear(L, r, f), _semidirect_table(L, r, th.table)
-    dst = _semidirect_table(L, r, (th + coboundary(L, r, f)).table)
+    sigma, src = _shear(L, r, f), _semidirect_table(L, r, th.alt)
+    dst = _semidirect_table(L, r, (th + coboundary(L, r, f)).alt)
     return sigma, is_morphism(sigma, src, dst)
 
 

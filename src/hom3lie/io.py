@@ -42,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import decimal
 import json
+import math
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode
@@ -52,6 +53,7 @@ from .algebras import Hom3LieAlgebra
 from .extensions import BilinForm, Cocycle
 from .linalg import Mat, Subspace, Vec
 from .representations import Representation
+from .sparse import AltTable, numerators
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -97,17 +99,23 @@ def _expect_int(x: Any, where: str) -> int:
     return x
 
 
-def format_rat(x: Fraction) -> str:
-    """str(x); past the 4,300-digit limit of str() on an int (ValueError), a Decimal prints exactly."""
+def format_rat(x: Union[Fraction, int], scale: int = 1) -> str:
+    """x over ``scale`` (a Fraction, or an int numerator) as str() writes that Fraction; past the
+    4,300-digit limit of str() on an int (ValueError), a Decimal prints it exactly."""
     try:
-        return str(x)
+        if scale == 1:
+            return str(x)
+        g = math.gcd(x, scale)
+        return f"{x // g}/{scale // g}" if scale > g else str(x // g)
     except ValueError:
+        x = Fraction(x, scale)
         num = str(decimal.Decimal(x.numerator))
         return num if x.denominator == 1 else f"{num}/{decimal.Decimal(x.denominator)}"
 
 
-def vec_to_sparse(v: Vec) -> dict[str, str]:
-    return {str(i + 1): format_rat(x) for i, x in v.support.items()}  # canonical_dumps sorts the keys
+def _sparse_entries(t: AltTable) -> list[dict]:
+    """Table-file entries, each value from the numerators and scale of ``t`` (canonical_dumps sorts keys)."""
+    return _keyed_list(t.num, "value", lambda v: {str(i + 1): format_rat(a, t.scale) for i, a in v.items()})
 
 
 def vec_from_sparse(d: Any, n: int, where: str, memo: dict) -> Vec:
@@ -210,23 +218,22 @@ def _positive_dim(d: Any, key: str, where: str) -> int:
 
 
 def algebra_to_dict(L: Hom3LieAlgebra) -> dict:
-    brackets = _keyed_list(L.table, "value", vec_to_sparse)
-    return {"dim": L.dim, "alpha": mat_to_lists(L.twist), "brackets": brackets}
+    return {"dim": L.dim, "alpha": mat_to_lists(L.twist), "brackets": _sparse_entries(L.alt)}
 
 
 def algebra_from_dict(d: Any, where: str = "algebra") -> Hom3LieAlgebra:
     n, memo = _positive_dim(d, "dim", where), {}
     alpha = mat_from_lists(_expect(d, "alpha", where), f"{where}.alpha", memo, n, n)
     table = _keyed_entries(d, "brackets", 3, n, where, "bracket",
-                           lambda raw, loc: vec_from_sparse(raw, n, loc, memo), "value")
-    return Hom3LieAlgebra(n, table, alpha)
+                           lambda raw, loc: vec_from_sparse(raw, n, loc, memo).support, "value")
+    return Hom3LieAlgebra(n, numerators(table), alpha)
 
 
 # -- representation --------------------------------------------------------
 
 
 def representation_to_dict(r: Representation, algebra_ref: str) -> dict:
-    rho = _keyed_list({p: r.rho_basis(*p) for p in {key[:2] for key in r.table}}, "matrix", mat_to_lists)
+    rho = _keyed_list({p: r.rho_basis(*p) for p in {key[:2] for key in r.alt.num}}, "matrix", mat_to_lists)
     return {"algebra": algebra_ref, "module_dim": r.module_dim, "A": mat_to_lists(r.twist),
             "rho": rho}
 
@@ -238,24 +245,23 @@ def representation_from_dict(
     twist = mat_from_lists(_expect(d, "A", where), f"{where}.A", memo, m, m)
     mats = _keyed_entries(d, "rho", 2, n, where, "action",
                           lambda raw, loc: mat_from_lists(raw, loc, memo, m, m), "matrix")
-    table = {(i, j, n + c): Vec.zero(n).concat(col)
+    table = {(i, j, n + c): {n + t: x for t, x in col.support.items()}
              for (i, j), mat in mats.items() for c, col in enumerate(mat.transpose().row_vecs)}
-    return Representation(n, m, twist, table)
+    return Representation(n, m, twist, numerators(table))
 
 
 # -- cocycle ---------------------------------------------------------------
 
 
 def cocycle_to_dict(th: Cocycle, algebra_ref: str) -> dict:
-    theta = _keyed_list(th.table, "value", vec_to_sparse)
-    return {"algebra": algebra_ref, "module_dim": th.module_dim, "theta": theta}
+    return {"algebra": algebra_ref, "module_dim": th.module_dim, "theta": _sparse_entries(th.alt)}
 
 
 def cocycle_from_dict(d: Any, algebra: Hom3LieAlgebra, where: str = "cocycle") -> Cocycle:
     m, memo = _positive_dim(d, "module_dim", where), {}
     table = _keyed_entries(d, "theta", 3, algebra.dim, where, "value",
-                           lambda raw, loc: vec_from_sparse(raw, m, loc, memo), "value")
-    return Cocycle(algebra.dim, m, table)
+                           lambda raw, loc: vec_from_sparse(raw, m, loc, memo).support, "value")
+    return Cocycle(algebra.dim, m, numerators(table))
 
 
 # -- simple wrappers -------------------------------------------------------

@@ -330,22 +330,16 @@ def matvec(m: SparseMat, x: Support) -> Support:
     return pruned(acc)
 
 
-def integral(s: Support, scale: int = 0) -> dict[int, int]:
-    """``scale`` times the support, as ints; by default the least scale that clears it."""
-    scale = scale or math.lcm(*[a.denominator for a in s.values()])
-    return {i: a.numerator * (scale // a.denominator) for i, a in s.items()}
-
-
 def rational(s: dict[int, Union[int, Fraction]], scale: int) -> Support:
-    """The support over ``scale``, as Fractions: the inverse of :func:`integral`."""
+    """The support over ``scale``, as Fractions: the inverse of :func:`cleared`."""
     return {i: Fraction(a, scale) for i, a in s.items()}
 
 
 def cleared(*parts: list[Support]) -> tuple[list[list[Support]], int]:
     """The lists of supports times the common denominator D of all their
     values, as int supports, and D."""
-    scale = math.lcm(*{a.denominator for g in parts for s in g for a in s.values()})
-    return [[integral(s, scale) for s in g] for g in parts], scale
+    d = math.lcm(*{a.denominator for g in parts for s in g for a in s.values()})
+    return [[{i: a.numerator * (d // a.denominator) for i, a in s.items()} for s in g] for g in parts], d
 
 
 def _combination(m: int, row: dict[int, int], terms: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
@@ -369,7 +363,7 @@ def _eliminate(rows: Iterable[Support]) -> dict[int, Support]:
     that RREF and the e_c together are the unique RREF of the whole span.
     The rows left go through fraction-free Gauss-Jordan (Bareiss, Math.
     Comp. 22, 1968) on int rows, each pivot row zero at the other pivots.
-    A row, cleared to ints (:func:`integral`) unless it holds ints
+    A row, cleared to ints (:func:`cleared`) unless it holds ints
     already, is taken m times, m the lcm of the leads of the pivot rows p
     it meets, less m / lead_p * row[p] times each; a nonzero rest is the
     pivot row of its first column and is cleared the same way from the
@@ -395,7 +389,7 @@ def _eliminate(rows: Iterable[Support]) -> dict[int, Support]:
     for row in (row if k == len(row) else {c: a for c, a in row.items() if c not in fixed}
                 for row, k in zip(rows, live) if k > 1):
         if not all(type(a) is int for a in row.values()):
-            row = integral(row)
+            ((row,),), _ = cleared([row])
         m = math.lcm(*[pivots[p][p] for p in row if p in pivots])
         row = _combination(m, row, [(m // pivots[p][p] * a, pivots[p])
                                     for p, a in row.items() if p in pivots])

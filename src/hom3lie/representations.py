@@ -36,17 +36,17 @@ from .algebras import (
 )
 from .errors import DimensionMismatch
 from .linalg import Mat, SparseMat, Vec, rational
-from .sparse import AltTable, splits
+from .sparse import AltTable, Tabled, splits, summed
 
 
 @dataclass(frozen=True)
-class Representation:
+class Representation(Tabled):
     """Skew bilinear action of an algebra on a module.
 
     ``table`` is the [L, L, V] block of the semidirect bracket on L + V:
     with n = algebra_dim, its value on an increasing key (i, j, n + c) is
     rho(e_i, e_j) e_c in the coordinates n, ..., n + m - 1 of L + V; zero
-    values are omitted.  ``twist`` is the module twist A; ``alt`` evaluates it.
+    values are omitted.  ``twist`` is the module twist A; ``alt`` stores it.
     """
 
     algebra_dim: int
@@ -59,12 +59,11 @@ class Representation:
         n, m = self.algebra_dim, self.module_dim
         if (self.twist.rows, self.twist.cols) != (m, m):
             raise DimensionMismatch("module twist must be square of the module dimension")
-        alt = AltTable(n + m, n + m, self.table, "action")
-        for key, value in self.table.items():  # (i, j, n + c) to a module vector
+        given = self.__dict__.pop("table")  # the constructions pass (numerators, scale), in the block
+        object.__setattr__(self, "alt", AltTable.of(n + m, n + m, given, "action"))
+        for key, value in ({} if type(given) is tuple else given).items():  # (i, j, n + c) to a module vector
             if key[1] >= n or key[2] < n or min(value.support, default=n) < n:
                 raise DimensionMismatch(f"action value for {key} lies outside the [L, L, V] block")
-        object.__setattr__(self, "table", alt.values)
-        object.__setattr__(self, "alt", alt)
 
     def rho_basis(self, i: int, j: int) -> Mat:
         """rho on two basis vectors, in any order, with sign extension."""
@@ -99,13 +98,11 @@ def verify_representation(L: Hom3LieAlgebra, r: Representation) -> Report:
 
 def adjoint_rep(L: Hom3LieAlgebra) -> Representation:
     """The algebra acting on itself by ad(x, y) = [x, y, .]: each stored B_xyz
-    is s ad(e_a, e_b) e_c at each of its :func:`splits` (c, (a, b), s)."""
-    n, table = L.dim, {}
-    for key, value in L.table.items():
-        image = Vec.zero(n).concat(value)
-        for c, (a, b), s in splits(*key):
-            table[a, b, n + c] = image if s > 0 else -image
-    return Representation(n, n, L.twist, table)
+    is s ad(e_a, e_b) e_c at each of its :func:`splits` (c, (a, b), s), on L's numerators."""
+    n = L.dim
+    num = {(a, b, n + c): {n + t: s * x for t, x in value.items()}
+           for key, value in L.alt.num.items() for c, (a, b), s in splits(*key)}
+    return Representation(n, n, L.twist, (num, L.alt.scale))
 
 
 def dual_rep(r: Representation) -> Representation:
@@ -116,10 +113,10 @@ def dual_rep(r: Representation) -> Representation:
     n + c of rho*'s value on (i, j, n + t) is -(rho's on (i, j, n + c))_{n+t}.
     """
     n, m, cols = r.algebra_dim, r.module_dim, {}
-    for (i, j, c), value in r.table.items():
-        for t, x in value.support.items():
+    for (i, j, c), value in r.alt.num.items():
+        for t, x in value.items():
             cols.setdefault((i, j, t), {})[c] = -x
-    return Representation(n, m, r.twist.transpose(), {k: Vec.sparse(n + m, v) for k, v in cols.items()})
+    return Representation(n, m, r.twist.transpose(), (cols, r.alt.scale))
 
 
 def coadjoint_rep(L: Hom3LieAlgebra) -> Representation:
@@ -127,23 +124,15 @@ def coadjoint_rep(L: Hom3LieAlgebra) -> Representation:
     return dual_rep(adjoint_rep(L))
 
 
-def _semidirect_table(
-    L: Hom3LieAlgebra, r: Representation, theta: Optional[dict[tuple[int, int, int], Vec]] = None
-) -> Hom3LieAlgebra:
-    """Unchecked semidirect-product table; see :func:`.extensions.semidirect_product`.
-
-    The table merges L's with the action block ``r.table``; ``theta``
-    (increasing triples to module vectors) is added in the module
-    component, which gives the theta-extension table.
-    """
+def _semidirect_table(L: Hom3LieAlgebra, r: Representation,
+                      theta: Optional[AltTable] = None) -> Hom3LieAlgebra:
+    """Unchecked semidirect-product table (:func:`.extensions.semidirect_product`): the sum of L's,
+    the action block ``r.table`` and ``theta``, a cocycle's table, in the module component."""
     n, m = L.dim, r.module_dim
     if r.algebra_dim != n:  # its keys would land on L's own
         raise DimensionMismatch("representation is over a different algebra dimension")
-    zmod, zalg = Vec.zero(m), Vec.zero(n)
-    table = {**{key: value.concat(zmod) for key, value in L.table.items()}, **r.table}
-    for key, value in (theta or {}).items():
-        table[key] = table.get(key, Vec.zero(n + m)) + zalg.concat(value)
-    return Hom3LieAlgebra(n + m, table, L.twist.block_diag(r.twist))
+    parts = (L.alt, 0, 0), (r.alt, 0, 0), *([(theta, 0, n)] if theta else [])
+    return Hom3LieAlgebra(n + m, summed(*parts), L.twist.block_diag(r.twist))
 
 
 def _extension_sweep(E: Hom3LieAlgebra, n: int) -> tuple[Report, Report, Report]:

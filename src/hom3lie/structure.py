@@ -29,8 +29,7 @@ from .errors import (
     MetricRequired,
 )
 from .extensions import BilinForm, Cocycle, is_isometry, t_star_extension, verify_metric
-from .linalg import (Mat, Subspace, Vec, _eliminate, cleared, inverse, matvec, nullspace, rank, rational,
-                     subspace_sum)
+from .linalg import Mat, Subspace, Vec, _eliminate, cleared, inverse, matvec, nullspace, rank, subspace_sum
 from .sparse import splits
 
 SERIES_KINDS = ("derived", "central_descending", "central_ascending")
@@ -60,8 +59,8 @@ def _centralizer(L: Hom3LieAlgebra, target: Subspace) -> Subspace:
     :func:`splits` (a, (j, k), sign), and no other key does."""
     _, proj, _ = target.projection
     rows: dict[tuple[int, int, int], dict[int, int]] = {}
-    for x, y, z in L.table:
-        for g, c in matvec(proj, L.alt.get(x, y, z)).items():
+    for (x, y, z), value in L.alt.num.items():
+        for g, c in matvec(proj, value).items():
             for a, (j, k), sign in splits(x, y, z):
                 rows.setdefault((j, k, g), {})[a] = sign * c
     return nullspace(Mat.sparse(L.dim, [Vec.sparse(L.dim, r) for r in rows.values()]))
@@ -233,9 +232,8 @@ def reconstruct_t_star(
     (cols,), d = cleared([v.support for v in lifts.row_vecs])
     (pcols,), e = cleared([v.support for v in pair.transpose().row_vecs])
     t, pcols, scale = alt.pairs(cols), dict(enumerate(pcols)), e * D * d ** 3
-    table = {(p, q, r): Vec.sparse(k, rational(matvec(pcols, matvec(m, cols[r])), scale))
-             for (p, q), m in t.items() for r in range(q + 1, k)}
-    theta = Cocycle(k, k, table)
+    theta = Cocycle(k, k, ({(p, q, r): matvec(pcols, matvec(m, cols[r])) for (p, q), m in t.items()
+                            for r in range(q + 1, k)}, scale))
 
     tstar, qform = t_star_extension(lq, theta)
     sigma = Mat.sparse(n2, proj.row_vecs + pair.row_vecs)

@@ -83,6 +83,16 @@ CASCADE_SOLVE = "tests/test_elimination_kernel.py::test_cascade_solve_matches_th
 UNIT_ROWS = "tests/test_elimination_kernel.py::test_every_chain_column_is_a_unit_row_of_the_rref"
 CANDIDATES = DERIVATIONS + "::test_derivation_space_keeps_each_kind_of_candidate_triple"
 INPUTS_KEPT = "tests/test_elimination_kernel.py::test_kernel_calls_leave_every_input_support_unchanged"
+STORED = "tests/test_numerators.py::"
+DIRECT_SUM = STORED + "test_a_direct_sum_holds_both_summands_over_the_lcm_of_their_scales"
+QUOTIENT = STORED + "test_a_quotient_holds_the_projected_bracket_over_its_own_scale"
+T_STAR = STORED + "test_the_adjoint_coadjoint_and_t_star_tables_hold_their_fraction_evaluations"
+T_THETA = STORED + "test_a_theta_extension_holds_action_and_theta_over_the_lcm_of_the_scales"
+COBOUNDARY = STORED + "test_a_coboundary_and_a_sum_of_cocycles_hold_their_fraction_evaluations"
+CYCLIC_STORED = STORED + "test_the_cyclic_part_holds_the_alternation_by_sorted_keys"
+RECONSTRUCTED = STORED + "test_a_reconstruction_holds_theta_and_the_double_as_their_fraction_evaluations"
+WHOLE = STORED + "test_subspace_bracket_with_the_whole_space_last_matches_the_dense_evaluation"
+NO_VIEW = STORED + "test_accepted_extend_and_reconstruct_runs_build_no_fraction_view"
 
 # (name, file under src/hom3lie, old text, new text, tests that must fail)
 MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
@@ -161,13 +171,13 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "_combination(row[p] // g, prow,", "_combination(1, prow,",
      (KERNEL, WIDE)),
     ("kernel-row-cleared-without-dividing-the-scale", "linalg.py",
-     "a.numerator * (scale // a.denominator)", "a.numerator * scale",
+     "a.numerator * (d // a.denominator)", "a.numerator * d",
      (KERNEL, WIDE)),
     ("subspace-bracket-skips-a-pair", "algebras.py",
      "j + 1 if same23 else 0", "j + 2 if same23 else 0",
-     (SUBSPACE_BRACKET,)),
+     ("tests/test_algebras.py::test_subspace_bracket_examples",)),
     ("bracket-images-filter-reads-the-right-side-only", "algebras.py",
-     "{*left.values, *(", "{*(",
+     "{*left.num, *(", "{*(",
      (IMAGES, SWEEPS + "test_hom_jacobi_and_multiplicativity_match_the_dense_sweeps")),
     ("bracket-images-reuse-the-source-bracket-for-any-target", "algebras.py",
      "(G.alt, G.alt.scale)", "(L.alt, L.alt.scale)",
@@ -215,15 +225,14 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "return all(len(om) == 4", "return any(len(om) == 4",
      (CYCLIC, CYCLIC_PART, FOUR_SETS)),
     ("cyclic-ok-skips-repeated-indices", "extensions.py",
-     "for om in _four_sets({k: v.support for k, v in th.table.items()}, th.alt.scale).values())",
-     "for q, om in _four_sets({k: v.support for k, v in th.table.items()}, th.alt.scale).items()"
-     " if len({*q}) == 4)",
+     "for om in _four_sets(th.alt.num).values())",
+     "for q, om in _four_sets(th.alt.num).items() if len({*q}) == 4)",
      (CYCLIC, CYCLIC_PART, FOUR_SETS)),
     ("cyclic-part-reads-repeated-indices", "extensions.py",
      "if len({*w}) == 4 and (s := sum(omegas.values())):", "if s := sum(omegas.values()):",
      (CYCLIC_PART, FOUR_SETS)),
     ("metric-reads-the-trie", "extensions.py",
-     "integral(v.support, alg.alt.scale)", "alg.alt.get(*k)",
+     "{k: matvec(gt, v) for k, v in", "{k: matvec(gt, alg.alt.get(*k)) for k, v in",
      (NO_TRIE,)),
     ("reconstruction-pairs-the-ideal", "structure.py",
      "pair = lifts @ form.gram", "pair = Mat.sparse(n2, ideal.basis) @ form.gram",
@@ -246,7 +255,7 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "return self.row_vecs == other.row_vecs",
      (VEC_MAT,)),
     ("cyclic-part-position-unsigned", "extensions.py",
-     "Fraction(s if r % 2 else -s, 4 * D)", "Fraction(s, 4 * D)",
+     "[w[r]] = s if r % 2 else -s", "[w[r]] = s",
      (CYCLIC_PART,)),
     ("bracket-images-multiplier-d", "algebras.py",
      "{r: d * d * dg * x for", "{r: d * dg * x for",
@@ -261,11 +270,10 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "self.alt.scale)) for c in range(m)]", "1)) for c in range(m)]",
      (OTHER_M_ACTION, INPUT_DIGESTS)),
     ("action-columns-offset-by-the-module-dimension", "io.py",
-     "(i, j, n + c): Vec.zero(n).concat(col)", "(i, j, m + c): Vec.zero(n).concat(col)",
+     "(i, j, n + c): {n + t: x", "(i, j, m + c): {n + t: x",
      ("tests/test_io_cli.py::test_representation_files_on_another_module_dimension_round_trip", CLI_BYTES)),
     ("semidirect-without-the-action-block", "representations.py",
-     "table = {**{key: value.concat(zmod) for key, value in L.table.items()}, **r.table}",
-     "table = {key: value.concat(zmod) for key, value in L.table.items()}",
+     "parts = (L.alt, 0, 0), (r.alt, 0, 0), *(", "parts = (L.alt, 0, 0), *(",
      (OTHER_M_SEMIDIRECT, "tests/test_representations.py::test_semidirect_components")),
     ("coadjoint-sign-dropped", "representations.py",
      "cols.setdefault((i, j, t), {})[c] = -x", "cols.setdefault((i, j, t), {})[c] = x",
@@ -304,7 +312,7 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      " or (i, j) in tk or", " or",
      (CANDIDATES,)),
     ("derivation-candidates-miss-the-triples-with-b-only", "derivations.py",
-     " or (i, j, kk) in L.alt.values:", ":",
+     " or (i, j, kk) in L.alt.num:", ":",
      (CANDIDATES,)),
     ("kernel-int-check-reads-the-first-entry", "linalg.py",
      "if not all(type(a) is int for a in row.values()):",
@@ -329,7 +337,7 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "[a] = sign * c", "[a] = c",
      (CENTRALIZER, CLI_BYTES)),
     ("adjoint-drops-the-split-sign", "representations.py",
-     "image if s > 0 else -image", "image",
+     "{n + t: s * x for", "{n + t: x for",
      (LITERAL_ACTIONS, CLI_BYTES)),
     ("splits-middle-unsigned", "sparse.py",
      "(v, (u, w), -1)", "(v, (u, w), 1)",
@@ -428,6 +436,27 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      "Vec.basis(2 * n, (i + n) % (2 * n))", "Vec.basis(2 * n, i + n)",
      ("tests/test_extensions.py::test_hyperbolic_form_evaluates_like_the_pairing", COMPLEMENT_EXAMPLES,
       CLI_BYTES)),
+    ("scale-not-reduced", "sparse.py",
+     "g = math.gcd(scale, *itertools.chain(*map(dict.values, num.values()))) if scale > 1 else 1", "g = 1",
+     (QUOTIENT, COBOUNDARY, CYCLIC_STORED, RECONSTRUCTED)),
+    ("view-numerators-not-divided", "sparse.py",
+     "rational(value, self.scale)) for key, value in", "rational(value, 1)) for key, value in",
+     (DIRECT_SUM, QUOTIENT, T_STAR, CYCLIC_STORED)),
+    ("direct-sum-keeps-the-first-summands-scale", "sparse.py",
+     "scale, num = math.lcm(*(alt.scale for alt, _, _ in parts)), {}", "scale, num = parts[0][0].scale, {}",
+     (DIRECT_SUM, T_THETA)),
+    ("theta-added-without-rescaling", "sparse.py",
+     "scale // alt.scale,", "scale // alt.scale if not t else 1,",
+     (T_STAR, T_THETA, RECONSTRUCTED)),
+    ("bracket-images-keys-from-the-view", "algebras.py",
+     "{*left.num, *(", "{*left.values, *(",
+     (NO_VIEW,)),
+    ("whole-space-shortcut-on-a-proper-slot", "algebras.py",
+     "s3.dim == L.dim", "s3.dim <= L.dim",
+     (WHOLE, SUBSPACE_BRACKET)),
+    ("whole-space-shortcut-reads-one-column", "algebras.py",
+     "cols = ab.values() if whole", "cols = list(ab.values())[:1] if whole",
+     (WHOLE, SUBSPACE_BRACKET)),
 )
 
 

@@ -202,6 +202,9 @@ def test_subspace_bracket_examples():
     assert subspace_bracket(l3(), full3, full3, full3) == span(3, e(3, 0))
     full4 = Subspace.full(4)
     assert subspace_bracket(n4(), span(4, e(4, 3)), full4, full4).dim == 0
+    # equal proper slots: the one increasing triple of s brackets to e4
+    s = span(4, e(4, 0), e(4, 1), e(4, 2))
+    assert subspace_bracket(a4(), s, s, s) == span(4, e(4, 3))
 
 
 @st.composite

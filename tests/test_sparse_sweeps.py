@@ -317,7 +317,7 @@ def test_semidirect_table_matches_the_literal_bracket_on_another_module_dimensio
     L, r = pair
     n, m = L.dim, r.module_dim
     th = drawn_cocycle(data.draw, n, m)
-    ext, mats = _semidirect_table(L, r, th.table), oracle.action_matrices(r)
+    ext, mats = _semidirect_table(L, r, th.alt), oracle.action_matrices(r)
     parts = [(Vec.basis(n, t), Vec.zero(m)) for t in range(n)]
     parts += [(Vec.zero(n), Vec.basis(m, c)) for c in range(m)]
     for (u, x), (v, y), (w, z) in itertools.product(parts, repeat=3):
@@ -417,7 +417,7 @@ def test_hom_jacobi_sides_yield_the_unrestricted_loop_in_order(case, data):
     ((R3)); its scale is (D d)^2, for the numerators D B and d alpha."""
     L, r = case
     n = L.dim
-    E = L if r is None else _semidirect_table(L, r, drawn_cocycle(data.draw, n, r.module_dim).table)
+    E = L if r is None else _semidirect_table(L, r, drawn_cocycle(data.draw, n, r.module_dim).alt)
     low, module = list(itertools.combinations(range(n), 2)), range(n, E.dim)
     inputs = [(list(itertools.combinations(range(E.dim), 2)), list(increasing_triples(E.dim)))]
     if r is not None:
@@ -450,7 +450,7 @@ def test_extension_sweep_matches_the_full_sweep_and_the_dense_sweeps(case):
     the full sweep ``verify_axioms(E)``, and the representation and cocycle
     parts are the dense oracle's."""
     L, r, th = case
-    E = _semidirect_table(L, r, th.table)
+    E = _semidirect_table(L, r, th.alt)
     rep, co, report = _extension_sweep(E, L.dim)
     assert report == verify_axioms(E)
     assert rep == oracle.representation(L, r)
@@ -466,7 +466,7 @@ def test_extension_sweep_matches_the_full_sweep_and_the_dense_sweeps(case):
 
 def assert_extension_fails_where_the_base_does(L, r, th):
     assert verify_representation(L, r).ok and verify_cocycle(L, r, th).ok
-    whole, base = verify_hom_jacobi(_semidirect_table(L, r, th.table)), verify_hom_jacobi(L)
+    whole, base = verify_hom_jacobi(_semidirect_table(L, r, th.alt)), verify_hom_jacobi(L)
     assert whole.violations_total == base.violations_total
     assert [v.indices for v in whole.violations] == [v.indices for v in base.violations]
 
